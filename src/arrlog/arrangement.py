@@ -108,7 +108,10 @@ def _parse_number(v):
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str) and _NUM_RE.match(v.strip()):
-        return Fraction(v.strip())
+        try:
+            return Fraction(v.strip())
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator: {v!r}") from None
     raise ParseError(f"malformed rational: {v!r}")
 
 

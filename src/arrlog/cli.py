@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import corpus as corpus_mod
 from .arrangement import (Arrangement, LinearForm3, ParseError, chi0,
@@ -19,7 +18,7 @@ from .arrangement import (Arrangement, LinearForm3, ParseError, chi0,
 from .criteria import (InadmissibleLine, NotApplicable, property_P,
                        splitting_type, splitting_range, verify,
                        yoshinaga_defect)
-from .derivation import classify
+from .derivation import DegreeCapError, classify
 from .multiarr import basis, exponents, saito_check, ziegler_restriction
 
 
@@ -167,10 +166,8 @@ def cmd_verify(args) -> int:
         if not args.input:
             raise UsageError("verify needs an input file or --corpus")
         arrangements = [_read_arrangement(args.input)]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = list(pool.map(
-            lambda A: verify(A, seed=args.seed, external_count=args.external),
-            arrangements))
+    reports = [verify(A, seed=args.seed, external_count=args.external)
+               for A in arrangements]
     ok = all(r.ok for r in reports)
     docs = [r.to_json() for r in reports]
 
@@ -265,8 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--external", type=int, default=20,
                     help="external admissible lines sampled per arrangement")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker threads for batch verification")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("gen", help="generate an arrangement document")
@@ -286,7 +281,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, UsageError, InadmissibleLine, NotApplicable,
-            FileNotFoundError, IndexError, RuntimeError) as e:
+            DegreeCapError, FileNotFoundError, IndexError, RuntimeError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,9 @@ from . import linalg
 from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
                           is_balanced, n_H, nr_form, to_document)
 from .derivation import classify, degree_cap, dh_basis, jacobian
-from .multiarr import (Derivation2, basis, deriv_dim, exponents,
-                       ziegler_restriction)
-from .poly import HomPoly, LineParam, line_param, substitute_line
+from .multiarr import (Derivation2, _monomial_polys, basis, deriv_dim,
+                       exponents, ziegler_restriction)
+from .poly import HomPoly, LineParam, restriction_param, substitute_line
 from .rng import XorShift64
 
 
@@ -179,9 +179,7 @@ def is_admissible(A: Arrangement, form: LinearForm3) -> bool:
 
 def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     n = len(A)
-    coeffs = form.coeffs
-    elim = max(range(3), key=lambda i: (abs(coeffs[i]), i))
-    param = line_param(coeffs, elim)
+    param = restriction_param(form.coeffs)
     jac = jacobian(A)
     parts = [substitute_line(p, param) for p in jac.partials]
 
@@ -195,7 +193,7 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
                 col = comp * (k + 1) + j
                 for i, c in enumerate(part.coeffs):
                     matrix[i + j][col] = c
-        return len(linalg.kernel_basis(matrix, cols_n))
+        return cols_n - linalg.rank(matrix, cols_n)
 
     e1 = None
     for k in range((n - 1) // 2 + 1):
@@ -326,18 +324,9 @@ def _coords_matrix(th1: Derivation2, th2: Derivation2, k: int):
         e = base.degree
         if k < e:
             continue
-        for mono in _binary_monomials(k - e):
+        for mono in _monomial_polys(k - e):
             cols.append(Derivation2(mono * base.p, mono * base.q).coeff_vector())
     return [[cols[c][r] for c in range(len(cols))] for r in range(2 * (k + 1))]
-
-
-def _binary_monomials(d: int) -> list[HomPoly]:
-    out = []
-    for i in range(d + 1):
-        coeffs = [Fraction(0)] * (d + 1)
-        coeffs[i] = Fraction(1)
-        out.append(HomPoly(2, d, tuple(coeffs)))
-    return out
 
 
 def _im_coords(A: Arrangement, H: int, th1: Derivation2, th2: Derivation2,

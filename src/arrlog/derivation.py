@@ -18,14 +18,15 @@ from math import comb, gcd
 
 from . import linalg
 from .arrangement import Arrangement
-from .poly import (HomPoly, _index_table, line_param, monomial_count,
-                   monomials, substitute_line, zero)
+from .poly import (CertificationFailure, HomPoly, _index_table, divide_linear,
+                   monomial_count, monomials, restriction_param,
+                   substitute_line)
 
 MAX_DEGREE_ENV = "ARRLOG_MAX_DEGREE"
 
 
-class CertificationFailure(AssertionError):
-    """Degree-by-degree bookkeeping contradicted the length-<=1 resolution."""
+class DegreeCapError(ValueError):
+    """The degree cap set in the environment is not an integer."""
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,22 @@ def _var_shift(p: HomPoly, var: int) -> HomPoly:
 
 
 @dataclass(frozen=True)
-class SyzygyElement:
-    """Component triple (a, b, c) of equal degree with a f_x + b f_y + c f_z = 0."""
+class Derivation3:
+    """a * d/dx + b * d/dy + c * d/dz with homogeneous components.
+
+    A Jacobian syzygy is the derivation (a, b, c) with a f_x + b f_y + c f_z = 0.
+    """
 
     a: HomPoly
     b: HomPoly
     c: HomPoly
+
+    @classmethod
+    def from_vector(cls, v, k: int) -> "Derivation3":
+        """From the concatenated degree-k coefficient vectors of a, b, c."""
+        m = monomial_count(3, k)
+        return cls(HomPoly(3, k, tuple(v[:m])), HomPoly(3, k, tuple(v[m:2 * m])),
+                   HomPoly(3, k, tuple(v[2 * m:])))
 
     @property
     def degree(self) -> int:
@@ -100,12 +111,9 @@ class SyzygyElement:
     def coeff_vector(self) -> list[Fraction]:
         return list(self.a.coeffs) + list(self.b.coeffs) + list(self.c.coeffs)
 
-
-def _vec_to_syzygy(v, k: int) -> SyzygyElement:
-    m = monomial_count(3, k)
-    return SyzygyElement(HomPoly(3, k, tuple(v[:m])),
-                         HomPoly(3, k, tuple(v[m:2 * m])),
-                         HomPoly(3, k, tuple(v[2 * m:])))
+    def apply_linear(self, coeffs) -> HomPoly:
+        cs = [Fraction(c) for c in coeffs]
+        return self.a.scale(cs[0]) + self.b.scale(cs[1]) + self.c.scale(cs[2])
 
 
 def _ar_matrix(A: Arrangement, k: int) -> list[list[Fraction]]:
@@ -149,8 +157,8 @@ def ar_dim(A: Arrangement, k: int) -> int:
     return len(_ar_kernel(A, k))
 
 
-def ar_basis(A: Arrangement, k: int) -> list[SyzygyElement]:
-    return [_vec_to_syzygy(v, k) for v in _ar_kernel(A, k)]
+def ar_basis(A: Arrangement, k: int) -> list[Derivation3]:
+    return [Derivation3.from_vector(v, k) for v in _ar_kernel(A, k)]
 
 
 def mdr(A: Arrangement) -> int:
@@ -164,20 +172,8 @@ def mdr(A: Arrangement) -> int:
 
 def _shift_vec(v, k: int, var: int) -> list[Fraction]:
     """Multiply a degree-k syzygy coefficient vector by a coordinate."""
-    mk = monomial_count(3, k)
-    mk1 = monomial_count(3, k + 1)
-    table = _index_table(3, k + 1)
-    out = [Fraction(0)] * (3 * mk1)
-    for comp in range(3):
-        base_in = comp * mk
-        base_out = comp * mk1
-        for m, idx in _index_table(3, k).items():
-            c = v[base_in + idx]
-            if c:
-                e = list(m)
-                e[var] += 1
-                out[base_out + table[tuple(e)]] = c
-    return out
+    return [c for comp in Derivation3.from_vector(v, k).components
+            for c in _var_shift(comp, var).coeffs]
 
 
 @dataclass(frozen=True)
@@ -198,9 +194,12 @@ class _ResolutionData:
 
 def degree_cap(A: Arrangement) -> int:
     env = os.environ.get(MAX_DEGREE_ENV)
-    if env is not None:
+    if env is None:
+        return 2 * len(A)
+    try:
         return int(env)
-    return 2 * len(A)
+    except ValueError:
+        raise DegreeCapError(f"{MAX_DEGREE_ENV}={env!r} is not an integer") from None
 
 
 def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
@@ -394,60 +393,26 @@ def classify(A: Arrangement) -> Classification:
 # ---------------------------------------------------------------------------
 # derivations vanishing on one line
 
-@dataclass(frozen=True)
-class Derivation3:
-    """a * d/dx + b * d/dy + c * d/dz with homogeneous components."""
-
-    a: HomPoly
-    b: HomPoly
-    c: HomPoly
-
-    @property
-    def degree(self) -> int:
-        return self.a.degree
-
-    @property
-    def components(self) -> tuple[HomPoly, HomPoly, HomPoly]:
-        return (self.a, self.b, self.c)
-
-    def apply_linear(self, coeffs) -> HomPoly:
-        cs = [Fraction(c) for c in coeffs]
-        return self.a.scale(cs[0]) + self.b.scale(cs[1]) + self.c.scale(cs[2])
-
-
 @lru_cache(maxsize=8192)
 def _dh_kernel(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    mk = monomial_count(3, k)
-    ncols = 3 * mk
-    rows: list[list[Fraction]] = []
-    alpha_h = A.lines[H].coeffs
-    # theta(alpha_H) = 0: one condition per degree-k monomial
-    for idx in range(mk):
-        row = [Fraction(0)] * ncols
-        for comp in range(3):
-            row[comp * mk + idx] = alpha_h[comp]
-        rows.append(row)
-    # theta(alpha_K) restricted to K vanishes, for every other line
-    for K, form in enumerate(A.lines):
-        if K == H:
-            continue
-        coeffs = form.coeffs
-        elim = max(range(3), key=lambda i: (abs(coeffs[i]), i))
-        param = line_param(coeffs, elim)
-        # restriction of each unknown basis monomial, per component weight
-        cond = [[Fraction(0)] * ncols for _ in range(k + 1)]
-        for m, idx in _index_table(3, k).items():
-            mono = zero(3, k).coeffs[:idx] + (Fraction(1),) + zero(3, k).coeffs[idx + 1:]
-            restricted = substitute_line(HomPoly(3, k, mono), param)
-            for comp in range(3):
-                w = coeffs[comp]
-                if w == 0:
-                    continue
-                for i, c in enumerate(restricted.coeffs):
-                    if c:
-                        cond[i][comp * mk + idx] += w * c
-        rows.extend(cond)
-    return tuple(tuple(v) for v in linalg.kernel_basis(rows, ncols))
+    """Degree-k layer of D_H(A), in the echelon form kernel_basis gives.
+
+    By Ziegler's splitting D(A) = S theta_E + D_H(A), the map
+    theta -> theta - (theta(alpha_H) / alpha_H) theta_E takes the Jacobian
+    syzygies (theta(f) = 0) isomorphically onto D_H(A), degree by degree.
+    """
+    alpha = A.lines[H].coeffs
+    images = []
+    for v in _ar_kernel(A, k):
+        theta = Derivation3.from_vector(v, k)
+        value = theta.apply_linear(alpha)
+        if not value.is_zero:
+            q = divide_linear(value, alpha)
+            theta = Derivation3(*(c - _var_shift(q, i)
+                                  for i, c in enumerate(theta.components)))
+        images.append(theta.coeff_vector())
+    return tuple(tuple(v) for v in
+                 linalg.echelon_basis(images, 3 * monomial_count(3, k)))
 
 
 def dh_basis(A: Arrangement, H: int, k: int) -> list[Derivation3]:
@@ -455,13 +420,7 @@ def dh_basis(A: Arrangement, H: int, k: int) -> list[Derivation3]:
     and annihilating the defining form of line H."""
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
-    mk = monomial_count(3, k)
-    out = []
-    for v in _dh_kernel(A, H, k):
-        out.append(Derivation3(HomPoly(3, k, tuple(v[:mk])),
-                               HomPoly(3, k, tuple(v[mk:2 * mk])),
-                               HomPoly(3, k, tuple(v[2 * mk:]))))
-    return out
+    return [Derivation3.from_vector(v, k) for v in _dh_kernel(A, H, k)]
 
 
 def in_dh(A: Arrangement, H: int, theta: Derivation3) -> bool:
@@ -471,9 +430,7 @@ def in_dh(A: Arrangement, H: int, theta: Derivation3) -> bool:
     for K, form in enumerate(A.lines):
         if K == H:
             continue
-        coeffs = form.coeffs
-        elim = max(range(3), key=lambda i: (abs(coeffs[i]), i))
-        param = line_param(coeffs, elim)
-        if not substitute_line(theta.apply_linear(coeffs), param).is_zero:
+        if not substitute_line(theta.apply_linear(form.coeffs),
+                               restriction_param(form.coeffs)).is_zero:
             return False
     return True

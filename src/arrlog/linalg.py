@@ -129,6 +129,17 @@ def kernel_basis(matrix: Mat, ncols: int) -> Mat:
     return basis
 
 
+def echelon_basis(vectors, ncols: int) -> Mat:
+    """The basis kernel_basis returns for the span of the given vectors.
+
+    That is the RREF of the span read with the columns reversed: each vector
+    has a 1 in its last nonzero column, where the others have a 0, and the
+    vectors come in increasing order of that column.
+    """
+    reduced, _ = rref([list(reversed(v)) for v in vectors], ncols)
+    return [row[::-1] for row in reversed(reduced)]
+
+
 def solve_unique(matrix: Mat, rhs: Vec, ncols: int) -> Vec | None:
     """Solve M x = rhs when the solution is unique; None if inconsistent.
 

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 from . import linalg
 from .arrangement import Arrangement, _canonical
-from .poly import (HomPoly, LineParam, compose2, line_param, linear,
-                   monomial_count, power, product, substitute_line, zero)
+from .poly import (HomPoly, LineParam, compose2, linear, monomial_count,
+                   power, product, restriction_param, substitute_line, zero)
 
 
 class FreenessCertificateFailure(AssertionError):
@@ -120,15 +120,11 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
 
     Every other line restricts to a binary form; proportional restrictions
     are grouped and each group's cardinality (the point multiplicity minus
-    one) becomes the weight.  The eliminated coordinate is the one with the
-    largest-magnitude coefficient in the defining form of H, ties preferring
-    z, then y, then x.
+    one) becomes the weight.  The parametrization is restriction_param of H.
     """
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
-    coeffs = A.lines[H].coeffs
-    elim = max(range(3), key=lambda i: (abs(coeffs[i]), i))
-    param = line_param(coeffs, elim)
+    param = restriction_param(A.lines[H].coeffs)
     counts: dict[LinearForm2, int] = {}
     for i, form in enumerate(A.lines):
         if i == H:

@@ -48,6 +48,10 @@ def monomial_index(exps: tuple[int, ...], degree: int, nvars: int) -> int:
 _ZERO = Fraction(0)
 
 
+class CertificationFailure(AssertionError):
+    """An exact identity that the mathematics guarantees failed to hold."""
+
+
 @dataclass(frozen=True)
 class HomPoly:
     """Homogeneous polynomial: dense grlex coefficient vector at one degree."""
@@ -224,6 +228,34 @@ def line_param(coefficients, eliminated: int) -> LineParam:
     others = [i for i in range(3) if i != eliminated]
     return LineParam(eliminated,
                      (-cs[others[0]] / cs[eliminated], -cs[others[1]] / cs[eliminated]))
+
+
+def restriction_param(coefficients) -> LineParam:
+    """Parametrization of a line used for every restriction: the eliminated
+    coordinate has the largest-magnitude coefficient, ties preferring z, then
+    y, then x."""
+    return line_param(coefficients,
+                      max(range(3), key=lambda i: (abs(coefficients[i]), i)))
+
+
+def divide_linear(p: HomPoly, coefficients) -> HomPoly:
+    """Exact quotient of a 3-variable form by the linear form with the given
+    coefficients; CertificationFailure if the remainder is nonzero."""
+    cs = [Fraction(c) for c in coefficients]
+    e = restriction_param(cs).eliminated
+    rem = dict(zip(monomials(3, p.degree), p.coeffs))
+    quot = {}
+    # peel off the terms divisible by the eliminated coordinate, highest
+    # power first; each step cancels its term and changes only lower powers
+    for m in sorted(rem, key=lambda m: -m[e]):
+        if rem[m] and m[e]:
+            low = tuple(a - (i == e) for i, a in enumerate(m))
+            quot[low] = t = rem[m] / cs[e]
+            for i in range(3):
+                rem[tuple(a + (j == i) for j, a in enumerate(low))] -= t * cs[i]
+    if any(rem.values()):
+        raise CertificationFailure(f"{p} is not divisible by {linear(3, cs)}")
+    return from_terms(3, p.degree - 1, quot)
 
 
 def substitute_line(p: HomPoly, param: LineParam) -> HomPoly:

@@ -58,6 +58,23 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_zero_denominator_exit_2(tmp_path, capsys):
+    path = write_doc(tmp_path, {"lines": [[1, 0, 0], [0, "1/0", 1]]})
+    code, _, err = run(capsys, "classify", path)
+    assert code == 2
+    assert err.startswith("ParseError:") and "Traceback" not in err
+
+
+def test_bad_degree_cap_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ARRLOG_MAX_DEGREE", "abc")
+    # an arrangement not classified elsewhere, so no cached result skips the cap
+    path = write_doc(tmp_path, {"lines": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                          [1, 1, 1], [1, 3, 7]]})
+    code, _, err = run(capsys, "classify", path)
+    assert code == 2
+    assert err.startswith("DegreeCapError:") and "ARRLOG_MAX_DEGREE" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "classify", "/nonexistent/file.json")
     assert code == 2

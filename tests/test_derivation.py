@@ -5,11 +5,13 @@ import sympy
 
 from arrlog import arrangement
 from arrlog.corpus import fixture, generic, near_pencil, pencil
-from arrlog.derivation import (Derivation3, _ar_matrix, ar_basis, ar_dim,
-                               classify, dh_basis, in_dh, jacobian, mdr,
-                               minimal_resolution)
-from arrlog.linalg import rank
-from arrlog.poly import monomial_count, poly_mul, zero
+from arrlog.corpus import FIXTURES
+from arrlog.derivation import (Derivation3, _ar_matrix, _dh_kernel, ar_basis,
+                               ar_dim, classify, dh_basis, in_dh, jacobian,
+                               mdr, minimal_resolution)
+from arrlog.linalg import kernel_basis, rank
+from arrlog.poly import (line_param, monomial_count, poly_mul, substitute_line,
+                         zero)
 
 
 def test_jacobian_euler_identity():
@@ -137,11 +139,30 @@ def test_degree_cap_override(monkeypatch):
     assert not cls.shape.complete
 
 
-def test_dh_dims_match_ar_dims():
-    for name in ("generic4", "nf6"):
-        A = fixture(name).build()
-        for k in range(5):
-            assert len(dh_basis(A, 0, k)) == ar_dim(A, k)
+def _direct_dh_kernel(A, H, k):
+    """D_H(A) in degree k solved from its defining conditions: theta(alpha_H)
+    is zero, and theta(alpha_K) vanishes on K for every other line K."""
+    ncols = 3 * monomial_count(3, k)
+    columns = []
+    for j in range(ncols):
+        theta = Derivation3.from_vector([int(i == j) for i in range(ncols)], k)
+        conds = list(theta.apply_linear(A.lines[H].coeffs).coeffs)
+        for K, form in enumerate(A.lines):
+            if K != H:
+                first = next(i for i, c in enumerate(form.coeffs) if c)
+                value = theta.apply_linear(form.coeffs)
+                conds += substitute_line(value, line_param(form.coeffs, first)).coeffs
+        columns.append(conds)
+    rows = [list(r) for r in zip(*columns)]
+    return tuple(tuple(v) for v in kernel_basis(rows, ncols))
+
+
+def test_dh_kernel_matches_direct_conditions():
+    for fx in FIXTURES:
+        A = fx.build()
+        for H in range(len(A)):
+            for k in range(len(A)):
+                assert _dh_kernel(A, H, k) == _direct_dh_kernel(A, H, k)
 
 
 def test_dh_basis_members():

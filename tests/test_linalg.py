@@ -5,8 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlog.linalg import (SpanBuilder, _int_row, kernel_basis, rank, rref,
-                           solve_unique)
+from arrlog.linalg import (SpanBuilder, _int_row, echelon_basis, kernel_basis,
+                           rank, rref, solve_unique)
 
 entries = st.integers(min_value=-30, max_value=30)
 
@@ -59,6 +59,22 @@ def test_kernel_deterministic_under_row_scaling(mn):
     rows, ncols = mn
     scaled = [[3 * a for a in row] for row in rows]
     assert kernel_basis(rows, ncols) == kernel_basis(scaled, ncols)
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrices, st.randoms(use_true_random=False))
+def test_echelon_basis_recovers_kernel_basis(mn, rng):
+    rows, ncols = mn
+    kernel = kernel_basis(rows, ncols)
+    # a scaled, redundant and shuffled spanning set of the same kernel
+    spanning = []
+    for v in kernel:
+        c = rng.choice((-3, -1, 2, 5))
+        spanning.append([c * a for a in v])
+    if len(kernel) > 1:
+        spanning.append([a + b for a, b in zip(kernel[0], kernel[-1])])
+    rng.shuffle(spanning)
+    assert echelon_basis(spanning, ncols) == kernel
 
 
 def test_solve_unique_consistent():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlog.poly import (HomPoly, compose2, from_terms, line_param, linear,
+from arrlog.poly import (CertificationFailure, HomPoly, compose2,
+                         divide_linear, from_terms, line_param, linear,
                          monomial_count, monomial_index, monomials, poly_mul,
-                         power, product, substitute_line, zero)
+                         power, product, restriction_param, substitute_line,
+                         zero)
 
 
 def test_monomial_order_three_vars_degree_two():
@@ -124,6 +126,30 @@ def test_line_param_retained():
     assert param.retained == (0, 2)
     with pytest.raises(ValueError):
         line_param((1, 0, 1), 1)
+
+
+def test_restriction_param_choice():
+    # largest magnitude wins; ties prefer z, then y
+    assert restriction_param((1, -3, 2)).eliminated == 1
+    assert restriction_param((2, 2, 1)).eliminated == 1
+    assert restriction_param((1, 1, 1)).eliminated == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 3), st.randoms(use_true_random=False))
+def test_divide_linear_recovers_factor(d, rng):
+    q = rand_poly(rng, 3, d)
+    coeffs = (Fraction(2, 3), -1, 4)
+    assert divide_linear(poly_mul(q, linear(3, coeffs)), coeffs) == q
+
+
+def test_divide_linear_rejects_non_multiple():
+    # x^2 + y^2 does not vanish on x + y = 0
+    with pytest.raises(CertificationFailure):
+        divide_linear(from_terms(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1}), (1, 1, 0))
+    # a nonzero constant is divisible by no linear form
+    with pytest.raises(CertificationFailure):
+        divide_linear(from_terms(3, 0, {(0, 0, 0): 5}), (0, 0, 1))
 
 
 def test_compose2():
