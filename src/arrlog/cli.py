@@ -2,7 +2,9 @@
 
 Subcommand style, one binary: stdout carries data, stderr carries
 diagnostics.  Exit codes: 0 = ok, 1 = a verification check failed
-(counterexample serialized on stdout), 2 = usage or input error.
+(counterexample serialized on stdout), 2 = usage or input error, 3 = an
+internal certificate failed (an exact identity that the mathematics
+guarantees did not hold; a bug, reported as one ``Name: message`` line).
 """
 
 from __future__ import annotations
@@ -12,14 +14,15 @@ import json
 import sys
 
 from . import corpus as corpus_mod
-from .arrangement import (Arrangement, LinearForm3, ParseError, chi0,
-                          intersection_points, is_balanced, n_H, nr_form,
-                          parse_arrangement, to_document)
-from .criteria import (InadmissibleLine, NotApplicable, property_P,
-                       splitting_type, splitting_range, verify,
+from .arrangement import (Arrangement, LatticeError, LinearForm3, ParseError,
+                          chi0, intersection_points, is_balanced, n_H,
+                          nr_form, parse_arrangement, to_document)
+from .criteria import (ConsistencyFailure, InadmissibleLine, NotApplicable,
+                       property_P, splitting_type, splitting_range, verify,
                        yoshinaga_defect)
-from .derivation import DegreeCapError, classify
-from .multiarr import basis, exponents, saito_check, ziegler_restriction
+from .derivation import CertificationFailure, DegreeCapError, classify
+from .multiarr import (FreenessCertificateFailure, basis, exponents,
+                       saito_check, ziegler_restriction)
 
 
 class UsageError(Exception):
@@ -284,6 +287,10 @@ def main(argv=None) -> int:
             DegreeCapError, FileNotFoundError, IndexError, RuntimeError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    except (CertificationFailure, ConsistencyFailure, LatticeError,
+            FreenessCertificateFailure) as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,7 @@ from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
                           is_balanced, n_H, nr_form, to_document)
 from .derivation import classify, degree_cap, dh_basis, jacobian
 from .multiarr import (Derivation2, _monomial_polys, basis, deriv_dim,
-                       exponents, ziegler_restriction)
+                       exponents, rank2_exponents, ziegler_restriction)
 from .poly import HomPoly, LineParam, restriction_param, substitute_line
 from .rng import XorShift64
 
@@ -195,18 +195,7 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
                     matrix[i + j][col] = c
         return cols_n - linalg.rank(matrix, cols_n)
 
-    e1 = None
-    for k in range((n - 1) // 2 + 1):
-        if dim(k) > 0:
-            e1 = k
-            break
-    if e1 is None:
-        raise InadmissibleLine(f"no splitting found along {form}")
-    e2 = n - 1 - e1
-    for k in range(e2 + 2):
-        if dim(k) != max(0, k - e1 + 1) + max(0, k - e2 + 1):
-            raise InadmissibleLine(
-                f"splitting certificate failed along {form}")
+    e1, e2 = rank2_exponents(dim, n - 1)
     return SplittingType(form, e1, e2)
 
 
@@ -469,6 +458,13 @@ class TheoremReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
+# checks whose statement involves the verdict, exponents or level; a run
+# stopped at the degree cap has no verdict, so they cannot be decided
+_READS_CLASSIFICATION = frozenset(
+    "thm1.2 thm1.3 thm1.5 thm1.6 thm1.7 thm2.3 thm2.8 prop3.2 prop3.5 cor3.6 "
+    "thm4.3 lemma4.4 cor4.5 prop4.6 prop4.7".split())
+
+
 def _sorted_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
@@ -689,4 +685,8 @@ def verify(A: Arrangement, seed: int = 1, external_count: int = 20) -> TheoremRe
         add("prop4.6", "na", "not plus-one generated")
         add("prop4.7", "na", "not plus-one generated")
 
+    if cls.shape.cap_hit:
+        reason = f"resolution stopped at the degree cap {degree_cap(A)}"
+        checks = [Check(c.id, "na", reason) if c.id in _READS_CLASSIFICATION
+                  else c for c in checks]
     return TheoremReport(A, cls, defects, tuple(checks))

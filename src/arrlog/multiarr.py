@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm
 
 from . import linalg
 from .arrangement import Arrangement, _canonical
-from .poly import (HomPoly, LineParam, compose2, linear, monomial_count,
-                   power, product, restriction_param, substitute_line, zero)
+from .poly import (HomPoly, LineParam, linear, monomial_count, product,
+                   restriction_param, substitute_line)
 
 
 class FreenessCertificateFailure(AssertionError):
@@ -60,7 +61,8 @@ class Multiarrangement2:
         return sum(self.mult)
 
     def defining_poly(self) -> HomPoly:
-        return product((power(f.poly(), m) for f, m in zip(self.forms, self.mult)), 2)
+        return product((f.poly() for f, m in zip(self.forms, self.mult)
+                        for _ in range(m)), 2)
 
     def to_json(self) -> dict:
         def enc(c: Fraction):
@@ -139,42 +141,29 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
     return M, param
 
 
-def _alpha_coords(g: HomPoly, form: LinearForm2) -> HomPoly:
-    """Rewrite a binary form in coordinates where the given form is the first one."""
-    a, b = form.coeffs
-    if a != 0:
-        # u = a s + b t, v = t  =>  s = (u - b v)/a, t = v
-        sub_s = linear(2, (Fraction(1) / a, -b / a))
-        sub_t = linear(2, (0, 1))
-    else:
-        # u = b t, v = s  =>  s = v, t = u/b
-        sub_s = linear(2, (0, 1))
-        sub_t = linear(2, (Fraction(1) / b, 0))
-    return compose2(g, sub_s, sub_t)
-
-
-def _divisibility_rows(M: Multiarrangement2, k: int) -> list[list[Fraction]]:
+def _divisibility_rows(M: Multiarrangement2, k: int) -> list[list[int]]:
     """Linear conditions on the coefficient vector (p, q) of a derivation of
-    degree k, expressing that each form's power divides its value."""
-    ncols = 2 * (k + 1)
-    rows: list[list[Fraction]] = []
+    degree k, expressing that each form's power divides its value.
+
+    A form l = a u + b v of weight m has l^m dividing g = a p + b q exactly
+    when the t^i coefficients of g(r + t d) vanish for i < m, where
+    r = (-b, a) spans l = 0 and d = (a, b) is transversal to it.  The column
+    of u^(k-j) v^j in p (resp. q) thus contributes a (resp. b) times the t^i
+    coefficient of (-b + a t)^(k-j) (a + b t)^j.  The form is first scaled
+    to integer coefficients, which changes no condition.
+    """
+    rows: list[list[int]] = []
     for form, m in zip(M.forms, M.mult):
-        a, b = form.coeffs
-        # condition vectors for each unknown basis monomial
-        cond = [[Fraction(0)] * ncols for _ in range(min(m, k + 1))]
-        for col in range(ncols):
-            comp, idx = divmod(col, k + 1)
-            mono = zero(2, k).coeffs[:idx] + (Fraction(1),) + zero(2, k).coeffs[idx + 1:]
-            g = HomPoly(2, k, mono).scale(a if comp == 0 else b)
-            if g.is_zero:
-                continue
-            h = _alpha_coords(g, form)
-            # coefficient of u^i v^(k-i) must vanish for i < m
-            for i in range(min(m, k + 1)):
-                c = h.coefficient((i, k - i))
-                if c:
-                    cond[i][col] = c
-        rows.extend(cond)
+        den = lcm(*(c.denominator for c in form.coeffs))
+        a, b = (int(c * den) for c in form.coeffs)
+        for i in range(min(m, k + 1)):
+            row = [0] * (2 * (k + 1))
+            for j in range(k + 1):
+                c = sum(comb(k - j, s) * a ** s * (-b) ** (k - j - s)
+                        * comb(j, i - s) * b ** (i - s) * a ** (j - i + s)
+                        for s in range(max(0, i - j), min(i, k - j) + 1))
+                row[j], row[k + 1 + j] = a * c, b * c
+            rows.append(row)
     return rows
 
 
@@ -206,29 +195,31 @@ def _free_pattern(k: int, e1: int, e2: int) -> int:
     return max(0, k - e1 + 1) + max(0, k - e2 + 1)
 
 
-def exponents(M: Multiarrangement2) -> Exponents:
-    """The unique pair (e1 <= e2) matching the graded dimension sequence.
+def rank2_exponents(dim, total: int) -> tuple[int, int]:
+    """The degrees (e1 <= e2, e1 + e2 = total) of a free graded module of
+    rank 2, read off its graded dimensions dim(k).
 
-    e1 is the first degree with a nonzero derivation, e2 = |m| - e1; the
-    rank-2 free pattern is then certified on every degree up to e2 + 1.
+    e1 is the first degree up to total // 2 with dim(e1) > 0 and
+    e2 = total - e1; the free pattern is then certified on every degree up
+    to e2 + 1.
     """
-    total = M.total
-    e1 = None
-    for k in range(total + 1):
-        if deriv_dim(M, k) > 0:
-            e1 = k
-            break
-    if e1 is None or e1 > total - e1:
-        raise FreenessCertificateFailure(f"no exponent pair found for |m|={total}")
+    e1 = next((k for k in range(total // 2 + 1) if dim(k) > 0), None)
+    if e1 is None:
+        raise FreenessCertificateFailure(f"no exponent pair found for total {total}")
     e2 = total - e1
     for k in range(e2 + 2):
-        got = deriv_dim(M, k)
+        got = dim(k)
         want = _free_pattern(k, e1, e2)
         if got != want:
             raise FreenessCertificateFailure(
                 f"dimension {got} at degree {k} does not match free pattern "
                 f"{want} for exponents ({e1},{e2})")
-    return Exponents(e1, e2)
+    return e1, e2
+
+
+def exponents(M: Multiarrangement2) -> Exponents:
+    """The unique pair (e1 <= e2) matching the graded dimension sequence."""
+    return Exponents(*rank2_exponents(lambda k: deriv_dim(M, k), M.total))
 
 
 def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:

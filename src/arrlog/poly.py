@@ -197,13 +197,6 @@ def product(polys, nvars: int = 3) -> HomPoly:
     return acc
 
 
-def power(p: HomPoly, e: int) -> HomPoly:
-    acc = one(p.nvars)
-    for _ in range(e):
-        acc = poly_mul(acc, p)
-    return acc
-
-
 @dataclass(frozen=True)
 class LineParam:
     """Elimination parametrization of a plane a*x + b*y + c*z = 0.
@@ -282,19 +275,3 @@ def substitute_line(p: HomPoly, param: LineParam) -> HomPoly:
                 out[table[(bu + e - t, bv + t)]] += c * w * comb(e, t)
     return HomPoly(2, d, tuple(out))
 
-
-def compose2(g: HomPoly, sub_s: HomPoly, sub_t: HomPoly) -> HomPoly:
-    """Substitute linear forms for the two variables of g."""
-    if g.nvars != 2 or sub_s.degree != 1 or sub_t.degree != 1:
-        raise ValueError("compose2 expects a binary form and two linear forms")
-    d = g.degree
-    acc = zero(2, d)
-    s_pows = [one(2)]
-    t_pows = [one(2)]
-    for _ in range(d):
-        s_pows.append(poly_mul(s_pows[-1], sub_s))
-        t_pows.append(poly_mul(t_pows[-1], sub_t))
-    for (i, j), c in zip(monomials(2, d), g.coeffs):
-        if c:
-            acc = acc + poly_mul(s_pows[i], t_pows[j]).scale(c)
-    return acc

@@ -2,9 +2,21 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from arrlog.arrangement import LatticeError
 from arrlog.cli import main
 from arrlog.corpus import fixture
+from arrlog.criteria import ConsistencyFailure
+from arrlog.derivation import CertificationFailure
+from arrlog.multiarr import FreenessCertificateFailure
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -73,6 +85,42 @@ def test_bad_degree_cap_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "classify", path)
     assert code == 2
     assert err.startswith("DegreeCapError:") and "ARRLOG_MAX_DEGREE" in err
+
+
+@pytest.mark.parametrize("error", [CertificationFailure, ConsistencyFailure,
+                                   LatticeError, FreenessCertificateFailure])
+def test_internal_certificate_failure_exit_3(tmp_path, capsys, monkeypatch,
+                                             error):
+    def fail(A):
+        raise error("identity broken")
+
+    monkeypatch.setattr("arrlog.cli.classify", fail)
+    path = write_doc(tmp_path, fixture("generic4").document())
+    code, out, err = run(capsys, "classify", path)
+    assert code == 3
+    assert out == ""
+    assert err == f"{error.__name__}: identity broken\n"
+
+
+def test_capped_verify_reports_na(tmp_path):
+    # a fresh interpreter, so no cached classification skips the cap
+    path = write_doc(tmp_path, fixture("generic4").document())
+    env = dict(os.environ, ARRLOG_MAX_DEGREE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "arrlog.cli", "verify", path],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)[0]
+    assert report["classification"]["cap_hit"] is True
+    checks = {c["id"]: c for c in report["checks"]}
+    capped = ("thm1.2 thm1.3 thm1.5 thm1.6 thm1.7 thm2.3 thm2.8 prop3.2 "
+              "prop3.5 cor3.6 thm4.3 lemma4.4 cor4.5 prop4.6 prop4.7").split()
+    for cid in capped:
+        assert checks[cid]["status"] == "na", cid
+        assert "degree cap 1" in checks[cid]["detail"], cid
+    for cid in ("prop2.5", "thm2.7", "prop3.1", "prop4.1"):
+        assert checks[cid]["status"] == "pass", cid
+    assert len(checks) == len(capped) + 4
 
 
 def test_missing_file_exit_2(capsys):

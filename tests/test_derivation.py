@@ -4,8 +4,10 @@ import pytest
 import sympy
 
 from arrlog import arrangement
+from arrlog.arrangement import parse_arrangement
 from arrlog.corpus import fixture, generic, near_pencil, pencil
 from arrlog.corpus import FIXTURES
+from arrlog.criteria import verify
 from arrlog.derivation import (Derivation3, _ar_matrix, _dh_kernel, ar_basis,
                                ar_dim, classify, dh_basis, in_dh, jacobian,
                                mdr, minimal_resolution)
@@ -182,3 +184,23 @@ def test_in_dh_negative():
 def test_dh_bad_index():
     with pytest.raises(IndexError):
         dh_basis(fixture("nf6").build(), 6, 1)
+
+
+# known answers (Orlik-Terao, Arrangements of Hyperplanes, 1992): the
+# reflection arrangements A3 and B3 and every near-pencil are free
+
+@pytest.mark.parametrize("factored, exps", [
+    ("xyz(x-y)(x-z)(y-z)", (2, 3)),
+    ("xyz(x-y)(x+y)(x-z)(x+z)(y-z)(y+z)", (3, 5)),
+])
+def test_reflection_arrangements_free(factored, exps):
+    A = parse_arrangement({"factored": factored})
+    cls = classify(A)
+    assert (cls.verdict, cls.exponents) == ("free", exps)
+    assert verify(A).ok
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_near_pencil_free(n):
+    cls = classify(near_pencil(n))
+    assert (cls.verdict, cls.exponents) == ("free", (1, n - 2))

@@ -1,14 +1,19 @@
 """Weighted binary arrangements: dimensions, exponents, certified bases."""
 
+from fractions import Fraction
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrlog import linalg
 from arrlog.arrangement import LinearForm3
-from arrlog.corpus import fixture, pencil
-from arrlog.multiarr import (Derivation2, LinearForm2, Multiarrangement2,
+from arrlog.corpus import FIXTURES, fixture, pencil
+from arrlog.multiarr import (Derivation2, FreenessCertificateFailure,
+                             LinearForm2, Multiarrangement2, _deriv_kernel,
                              basis, deriv_dim, deriv_space, exponents,
-                             multiarrangement, saito_check,
+                             multiarrangement, rank2_exponents, saito_check,
                              ziegler_restriction)
 from arrlog.poly import from_terms
 
@@ -81,25 +86,93 @@ def test_pencil_restriction():
     assert exponents(M).as_pair() == (0, 4)
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
-                          st.integers(1, 3)),
-                min_size=1, max_size=4))
-def test_free_pattern_identity(raw):
+# weighted forms with small coefficients; pairs with a zero form are dropped
+# and proportional forms merge, so the result may be empty
+RAW_WEIGHTED_FORMS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                        st.integers(1, 3)),
+                              min_size=1, max_size=4)
+
+
+def _from_raw(raw) -> Multiarrangement2 | None:
     pairs = {}
     for a, b, m in raw:
         if a == 0 and b == 0:
             continue
         pairs[LinearForm2.make([a, b])] = m
     if not pairs:
+        return None
+    return Multiarrangement2(tuple(sorted(pairs)),
+                             tuple(pairs[f] for f in sorted(pairs)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(RAW_WEIGHTED_FORMS)
+def test_free_pattern_identity(raw):
+    M = _from_raw(raw)
+    if M is None:
         return
-    M = Multiarrangement2(tuple(sorted(pairs)), tuple(pairs[f] for f in sorted(pairs)))
     exp = exponents(M)
     assert exp.e1 + exp.e2 == M.total
     assert exp.e1 <= exp.e2
     for k in range(exp.e2 + 2):
         assert deriv_dim(M, k) == (max(0, k - exp.e1 + 1)
                                    + max(0, k - exp.e2 + 1))
+
+
+U, V = sympy.symbols("u v")
+
+
+def _sympy_kernel(M: Multiarrangement2, k: int):
+    """Degree-k layer solved by sympy, independently of the Taylor rows:
+    a p + b q must leave remainder 0 modulo each l^m = (a u + b v)^m.  A
+    single generator is a Groebner basis of its ideal, so the remainder of
+    the division is zero exactly on the multiples."""
+    ps = sympy.symbols(f"p0:{k + 1}")
+    qs = sympy.symbols(f"q0:{k + 1}")
+    p = sum(c * U ** (k - j) * V ** j for j, c in enumerate(ps))
+    q = sum(c * U ** (k - j) * V ** j for j, c in enumerate(qs))
+    eqs = []
+    for form, m in zip(M.forms, M.mult):
+        a, b = (sympy.Rational(c.numerator, c.denominator) for c in form.coeffs)
+        gens = (U, V) if a else (V, U)  # lead with a variable the form uses
+        _, rem = sympy.reduced(sympy.expand(a * p + b * q),
+                               [sympy.expand((a * U + b * V) ** m)],
+                               *gens, order="lex")
+        eqs.extend(sympy.Poly(rem, U, V).coeffs())
+    matrix, _ = sympy.linear_eq_to_matrix(eqs, ps + qs)
+    null = [[Fraction(int(x.p), int(x.q)) for x in vec]
+            for vec in matrix.nullspace()]
+    return tuple(tuple(v) for v in linalg.echelon_basis(null, 2 * (k + 1)))
+
+
+def _assert_kernels_match_sympy(M: Multiarrangement2):
+    for k in range(M.total + 2):
+        assert _deriv_kernel(M, k) == _sympy_kernel(M, k), (M, k)
+
+
+def test_deriv_kernel_matches_sympy_on_fixture_restrictions():
+    restrictions = set()
+    for fx in FIXTURES:
+        A = fx.build()
+        restrictions.update(ziegler_restriction(A, H)[0] for H in range(len(A)))
+    for M in sorted(restrictions, key=repr):
+        _assert_kernels_match_sympy(M)
+
+
+@settings(max_examples=15, deadline=None)
+@given(RAW_WEIGHTED_FORMS)
+def test_deriv_kernel_matches_sympy(raw):
+    M = _from_raw(raw)
+    if M is not None:
+        _assert_kernels_match_sympy(M)
+
+
+def test_rank2_exponents_certificate():
+    assert rank2_exponents(lambda k: max(0, k - 1) + max(0, k - 2), 5) == (2, 3)
+    with pytest.raises(FreenessCertificateFailure):
+        rank2_exponents(lambda k: 0, 5)  # no nonzero degree up to total // 2
+    with pytest.raises(FreenessCertificateFailure):
+        rank2_exponents(lambda k: k, 4)  # dimension 3 at degree 3, not 4
 
 
 def test_basis_certified():

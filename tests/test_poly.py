@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlog.poly import (CertificationFailure, HomPoly, compose2,
-                         divide_linear, from_terms, line_param, linear,
-                         monomial_count, monomial_index, monomials, poly_mul,
-                         power, product, restriction_param, substitute_line,
-                         zero)
+from arrlog.poly import (CertificationFailure, HomPoly, divide_linear,
+                         from_terms, line_param, linear, monomial_count,
+                         monomial_index, monomials, poly_mul, product,
+                         restriction_param, substitute_line, zero)
 
 
 def test_monomial_order_three_vars_degree_two():
@@ -74,9 +73,7 @@ def test_mul_by_zero():
     assert poly_mul(z, p).is_zero
 
 
-def test_power_and_product():
-    x = linear(2, (1, 0))
-    assert power(x, 3).coefficient((3, 0)) == 1
+def test_product():
     p = product([linear(3, (1, 0, 0)), linear(3, (0, 1, 0)),
                  linear(3, (0, 0, 1))], 3)
     assert p.coefficient((1, 1, 1)) == 1
@@ -151,11 +148,3 @@ def test_divide_linear_rejects_non_multiple():
     with pytest.raises(CertificationFailure):
         divide_linear(from_terms(3, 0, {(0, 0, 0): 5}), (0, 0, 1))
 
-
-def test_compose2():
-    # g(s, t) = s*t with s = u + v, t = u - v gives u^2 - v^2
-    g = from_terms(2, 2, {(1, 1): 1})
-    out = compose2(g, linear(2, (1, 1)), linear(2, (1, -1)))
-    assert out.coefficient((2, 0)) == 1
-    assert out.coefficient((1, 1)) == 0
-    assert out.coefficient((0, 2)) == -1
