@@ -15,7 +15,8 @@ from functools import lru_cache
 from . import linalg
 from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
                           is_balanced, n_H, nr_form, to_document)
-from .derivation import classify, degree_cap, dh_basis, jacobian
+from .derivation import (classify, default_degree_cap, degree_cap, dh_basis,
+                         jacobian)
 from .multiarr import (Derivation2, _monomial_polys, basis, deriv_dim,
                        exponents, rank2_exponents, ziegler_restriction)
 from .poly import HomPoly, LineParam, restriction_param, substitute_line
@@ -80,11 +81,13 @@ def ziegler_map(A: Arrangement, H: int) -> ZieglerMapData:
 
     Degrees 0..e2 are always computed; the scan continues while the cokernel
     is nonzero (it vanishes for good once zero past e2, since the codomain is
-    generated in degrees <= e2), hard-capped by the degree cap.
+    generated in degrees <= e2), hard-capped by the default degree cap.  The
+    user's cap bounds only the resolution: a cokernel cut short by it would
+    be reported as an internal failure.
     """
     M, _ = ziegler_restriction(A, H)
     exp = exponents(M)
-    cap = max(degree_cap(A), exp.e2)
+    cap = max(default_degree_cap(A), exp.e2)
     dom, cod, img = [], [], []
     k = 0
     while True:
@@ -181,17 +184,19 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     n = len(A)
     param = restriction_param(form.coeffs)
     jac = jacobian(A)
-    parts = [substitute_line(p, param) for p in jac.partials]
+    # scaling a restricted partial to integers scales its columns: no rank moves
+    parts = [linalg._int_row(substitute_line(p, param).coeffs)
+             for p in jac.partials]
 
     def dim(k: int) -> int:
         rows = k + n
         cols_n = 3 * (k + 1)
-        matrix = [[Fraction(0)] * cols_n for _ in range(rows)]
+        matrix = [[0] * cols_n for _ in range(rows)]
         for comp, part in enumerate(parts):
             for j in range(k + 1):
                 # u^(k-j) v^j times the restricted partial
                 col = comp * (k + 1) + j
-                for i, c in enumerate(part.coeffs):
+                for i, c in enumerate(part):
                     matrix[i + j][col] = c
         return cols_n - linalg.rank(matrix, cols_n)
 

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 
 from . import linalg
 from .arrangement import Arrangement
@@ -41,17 +41,6 @@ class JacobianRow:
         return (self.fx, self.fy, self.fz)
 
 
-def _primitive_form(coeffs) -> list[int]:
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm // gcd(lcm, c.denominator) * c.denominator
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints]
-
-
 @lru_cache(maxsize=1024)
 def jacobian(A: Arrangement) -> JacobianRow:
     """Defining polynomial (integer-scaled) and its exact partials.
@@ -60,7 +49,7 @@ def jacobian(A: Arrangement) -> JacobianRow:
     """
     from .poly import linear, product
 
-    f = product((linear(3, _primitive_form(l.coeffs)) for l in A.lines), 3)
+    f = product((linear(3, linalg._int_row(l.coeffs)) for l in A.lines), 3)
     fx, fy, fz = f.diff(0), f.diff(1), f.diff(2)
     n = len(A)
     euler = _var_shift(fx, 0) + _var_shift(fy, 1) + _var_shift(fz, 2)
@@ -116,22 +105,25 @@ class Derivation3:
         return self.a.scale(cs[0]) + self.b.scale(cs[1]) + self.c.scale(cs[2])
 
 
-def _ar_matrix(A: Arrangement, k: int) -> list[list[Fraction]]:
+def _ar_matrix(A: Arrangement, k: int) -> list[list[int]]:
     jac = jacobian(A)
     n = len(A)
     mk = monomial_count(3, k)
     target = k + n - 1
     rows = monomial_count(3, target)
     table = _index_table(3, target)
-    cols: list[list[Fraction]] = []
+    cols: list[list[int]] = []
     for part in jac.partials:
         terms = [(m, c) for m, c in zip(monomials(3, n - 1), part.coeffs) if c]
+        if any(c.denominator != 1 for _, c in terms):
+            raise CertificationFailure("Jacobian coefficient is not an integer")
+        terms = [(m, c.numerator) for m, c in terms]
         for mu in monomials(3, k):
-            col = [Fraction(0)] * rows
+            col = [0] * rows
             for m, c in terms:
                 col[table[tuple(a + b for a, b in zip(mu, m))]] = c
             cols.append(col)
-    return [[cols[c][r] for c in range(3 * mk)] for r in range(rows)]
+    return [list(r) for r in zip(*cols)]
 
 
 @lru_cache(maxsize=8192)
@@ -192,10 +184,15 @@ class _ResolutionData:
     generators: tuple[tuple[int, tuple[Fraction, ...]], ...]  # (degree, vector)
 
 
+def default_degree_cap(A: Arrangement) -> int:
+    """The degree bound when the environment sets none."""
+    return 2 * len(A)
+
+
 def degree_cap(A: Arrangement) -> int:
     env = os.environ.get(MAX_DEGREE_ENV)
     if env is None:
-        return 2 * len(A)
+        return default_degree_cap(A)
     try:
         return int(env)
     except ValueError:

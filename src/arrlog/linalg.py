@@ -1,20 +1,32 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of rows; every entry is a ``fractions.Fraction`` (plain
-ints are accepted and coerced).  Elimination is fraction-free: each row is
-scaled to integers, pivots are chosen by smallest bit-size among the nonzero
-candidates, and rows are reduced by their gcd after every elimination step.
-The reduced row echelon form of a matrix is unique, so every result here is
-a deterministic function of the input.
+Matrices are lists of rows of ints or ``fractions.Fraction``; each row is
+first scaled to a primitive integer row (``_int_row``).  Every result is a
+deterministic function of the input, because the reduced row echelon form
+of a matrix is unique.
+
+``kernel_basis`` works modulo the Mersenne primes of ``MERSENNE_PRIMES`` in
+turn: it reads one basis vector per free column off the RREF mod p, rebuilds
+each over Q by rational reconstruction and keeps the basis only if every
+vector satisfies M v = 0 exactly over Z.  That check is a certificate (see
+``_modular_kernel``), so the result equals exact elimination's.  When no
+prime yields a certified basis, exact elimination decides.
+
+``rank``, ``rref``, ``solve_unique``, ``echelon_basis`` and ``SpanBuilder``
+eliminate exactly over Z without fractions: pivots are chosen by smallest
+bit-size and rows are divided by their gcd after every elimination step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 Vec = list[Fraction]
 Mat = list[Vec]
+
+# kernel_basis works modulo these primes in turn before exact elimination
+MERSENNE_PRIMES = tuple(2 ** e - 1 for e in (127, 521, 1279, 2203))
 
 
 def _content(row) -> int:
@@ -38,7 +50,7 @@ def _int_row(row) -> list[int]:
         for x in fracs:
             d = x.denominator
             lcm = lcm // gcd(lcm, d) * d
-        ints = [int(x * lcm) for x in fracs]
+        ints = [x.numerator * (lcm // x.denominator) for x in fracs]
     g = _content(ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -113,9 +125,21 @@ def kernel_basis(matrix: Mat, ncols: int) -> Mat:
 
     One basis vector per free column, in increasing column order, with a 1 in
     the free column and the pivot entries solved from the RREF.  Equal inputs
-    give identical bases.
+    give identical bases.  Computed modulo the primes of MERSENNE_PRIMES and
+    certified over Z (see _modular_kernel); exact elimination decides when
+    no prime does.
     """
-    reduced, pivots = rref(matrix, ncols)
+    rows = [_int_row(r) for r in matrix]
+    for p in MERSENNE_PRIMES:
+        basis = _modular_kernel(rows, ncols, p)
+        if basis is not None:
+            return basis
+    return _exact_kernel(rows, ncols)
+
+
+def _exact_kernel(rows: list[list[int]], ncols: int) -> Mat:
+    """kernel_basis by exact elimination over Q."""
+    reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -125,6 +149,124 @@ def kernel_basis(matrix: Mat, ncols: int) -> Mat:
         v[free] = Fraction(1)
         for row, c in zip(reduced, pivots):
             v[c] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form modulo p, pivots scaled to 1.
+
+    Each pivot is taken from the sparsest candidate row and only its nonzero
+    entries are subtracted, which keeps fill-in and work low; the RREF is
+    unique regardless.
+    """
+    work = [[a % p for a in r] for r in rows]
+    work = [r for r in work if any(r)]
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        candidates = [r for r in work if r[col]]
+        if not candidates:
+            continue
+        piv = max(candidates, key=lambda r: r.count(0))
+        work.remove(piv)
+        inv = pow(piv[col], -1, p)
+        # entries left of col are zero in every remaining row
+        nonzero = [(j, piv[j] * inv % p) for j in range(col + 1, ncols) if piv[j]]
+        piv[col] = 1
+        for j, b in nonzero:
+            piv[j] = b
+        nxt = []
+        for r in work:
+            v = r[col]
+            if v:
+                r[col] = 0
+                for j, b in nonzero:
+                    r[j] = (r[j] - v * b) % p
+                if not any(r):
+                    continue
+            nxt.append(r)
+        work = nxt
+        echelon.append(piv)
+        pivots.append(col)
+    for i in range(len(echelon) - 1, 0, -1):
+        c = pivots[i]
+        nonzero = [(j, b) for j, b in enumerate(echelon[i]) if b and j > c]
+        for r in echelon[:i]:
+            v = r[c]
+            if v:
+                r[c] = 0
+                for j, b in nonzero:
+                    r[j] = (r[j] - v * b) % p
+    return echelon, pivots
+
+
+def _rational(a: int, p: int, bound: int) -> tuple[int, int] | None:
+    """(r, s) with r = s a mod p, |r| <= bound and 0 < s <= bound, if any."""
+    r0, r1 = p, a
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > bound:
+        return None
+    return r1, s1
+
+
+def _modular_kernel(rows: list[list[int]], ncols: int, p: int) -> Mat | None:
+    """kernel_basis read off the RREF modulo the prime p and certified over Z.
+
+    Each vector is rebuilt over Q by rational reconstruction and must satisfy
+    M v = 0 exactly; None if any vector fails.  This is a proof: the rank
+    mod p is at most the rank over Q, so the verified vectors, one per free
+    column with a 1 there and a 0 in every other free column, are at least
+    dim ker and independent, hence a basis.  Each one's last nonzero entry
+    is its 1, so they form the reversed RREF of the kernel, which is unique:
+    the same vectors exact elimination gives.
+    """
+    echelon, pivots = _rref_mod(rows, ncols, p)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    if not free:
+        return []
+    half = p >> 1
+    bound = isqrt(half)
+    sparse = [[(j, a) for j, a in enumerate(r) if a] for r in rows]
+    basis = []
+    for f in free:
+        # integer numerators w over one running common denominator
+        den = 1
+        w = [0] * ncols
+        filled = []
+        for row, c in zip(echelon, pivots):
+            if c > f:
+                break
+            x = row[f]
+            if not x:
+                continue
+            y = -x * den % p
+            if y > half:
+                y -= p
+            if abs(y) > bound:
+                rs = _rational(y % p, p, bound)
+                if rs is None:
+                    return None
+                y, s = rs
+                den *= s
+                for j in filled:
+                    w[j] *= s
+            w[c] = y
+            filled.append(c)
+        w[f] = den
+        if any(sum(a * w[j] for j, a in srow) for srow in sparse):
+            return None
+        v = [Fraction(0)] * ncols
+        for j in filled:
+            v[j] = Fraction(w[j], den)
+        v[f] = Fraction(1)
         basis.append(v)
     return basis
 

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from arrlog.arrangement import LatticeError
+from arrlog.arrangement import LatticeError, n_H
 from arrlog.cli import main
 from arrlog.corpus import fixture
-from arrlog.criteria import ConsistencyFailure
+from arrlog.criteria import ConsistencyFailure, yoshinaga_defect
 from arrlog.derivation import CertificationFailure
 from arrlog.multiarr import FreenessCertificateFailure
 
@@ -102,15 +102,20 @@ def test_internal_certificate_failure_exit_3(tmp_path, capsys, monkeypatch,
     assert err == f"{error.__name__}: identity broken\n"
 
 
-def test_capped_verify_reports_na(tmp_path):
-    # a fresh interpreter, so no cached classification skips the cap
-    path = write_doc(tmp_path, fixture("generic4").document())
-    env = dict(os.environ, ARRLOG_MAX_DEGREE="1")
+def capped_verify(tmp_path, name: str, cap: int) -> dict:
+    """`arrlog verify` on a fixture under ARRLOG_MAX_DEGREE, in a fresh
+    interpreter, so no cached classification skips the cap."""
+    path = write_doc(tmp_path, fixture(name).document())
+    env = dict(os.environ, ARRLOG_MAX_DEGREE=str(cap))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "arrlog.cli", "verify", path],
                           capture_output=True, text=True, env=env, check=False)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)[0]
+    return json.loads(proc.stdout)[0]
+
+
+def test_capped_verify_reports_na(tmp_path):
+    report = capped_verify(tmp_path, "generic4", 1)
     assert report["classification"]["cap_hit"] is True
     checks = {c["id"]: c for c in report["checks"]}
     capped = ("thm1.2 thm1.3 thm1.5 thm1.6 thm1.7 thm2.3 thm2.8 prop3.2 "
@@ -121,6 +126,21 @@ def test_capped_verify_reports_na(tmp_path):
     for cid in ("prop2.5", "thm2.7", "prop3.1", "prop4.1"):
         assert checks[cid]["status"] == "pass", cid
     assert len(checks) == len(capped) + 4
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+@pytest.mark.parametrize("name", ["pog7", "pog6a"])
+def test_capped_verify_scans_cokernel_past_cap(tmp_path, name, cap):
+    # the cap bounds the resolution only: the cokernel of the restriction map
+    # on these fixtures vanishes past degree 3, and that scan must still finish
+    report = capped_verify(tmp_path, name, cap)
+    assert report["classification"]["cap_hit"] is True
+    A = fixture(name).build()
+    assert report["lines"] == [
+        {"H": d.H, "exponents": list(d.exponents), "defect": d.defect,
+         "n_H": n_H(A, d.H), "coker_by_degree": list(d.coker_by_degree)}
+        for d in (yoshinaga_defect(A, H) for H in range(len(A)))]
+    assert all(c["status"] in ("pass", "na") for c in report["checks"])
 
 
 def test_missing_file_exit_2(capsys):

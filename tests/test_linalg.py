@@ -2,11 +2,16 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlog.linalg import (SpanBuilder, _int_row, echelon_basis, kernel_basis,
-                           rank, rref, solve_unique)
+from arrlog import derivation
+from arrlog.corpus import FIXTURES, near_pencil, random_arrangement
+from arrlog.linalg import (MERSENNE_PRIMES, SpanBuilder, _exact_kernel,
+                           _int_row, _modular_kernel, echelon_basis,
+                           kernel_basis, rank, rref, solve_unique)
+from arrlog.poly import monomial_count
 
 entries = st.integers(min_value=-30, max_value=30)
 
@@ -15,6 +20,24 @@ matrices = st.integers(1, 5).flatmap(
     lambda ncols: st.lists(
         st.lists(entries, min_size=ncols, max_size=ncols),
         min_size=1, max_size=5).map(lambda rows: (rows, ncols)))
+
+
+# products of a tall and a wide factor, so rank deficiency is common; wide
+# entries make the first primes fail reconstruction now and then
+products = st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 7),
+                     st.sampled_from([30, 2 ** 40, 2 ** 200])).flatmap(
+    lambda t: st.tuples(
+        st.lists(st.lists(st.integers(-t[3], t[3]), min_size=t[1], max_size=t[1]),
+                 min_size=t[0], max_size=t[0]),
+        st.lists(st.lists(st.integers(-30, 30), min_size=t[2], max_size=t[2]),
+                 min_size=t[1], max_size=t[1])))
+
+
+def deciding_prime(rows, ncols):
+    """Index into MERSENNE_PRIMES of the prime that certifies the kernel,
+    or None when exact elimination has to decide."""
+    return next((i for i, p in enumerate(MERSENNE_PRIMES)
+                 if _modular_kernel(rows, ncols, p) is not None), None)
 
 
 def test_int_row_clears_denominators_and_content():
@@ -118,3 +141,68 @@ def test_span_builder_dim_equals_rank(mn):
     for row in rows:
         span.add(row)
     assert span.dim == rank(rows, ncols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(products)
+def test_kernel_basis_equals_exact_elimination(factors):
+    left, right = factors
+    ncols = len(right[0])
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+    assert kernel_basis(rows, ncols) == _exact_kernel(rows, ncols)
+
+
+def test_kernel_of_first_prime_is_refuted():
+    # 2**127 - 1 vanishes modulo the first prime, whose one-vector kernel
+    # fails M v = 0; the second prime sees rank 1
+    rows = [[2 ** 127 - 1]]
+    assert deciding_prime(rows, 1) == 1
+    assert kernel_basis(rows, 1) == []
+
+
+def test_large_coprime_entries_need_second_prime():
+    a, b = 2 ** 100 + 277, 2 ** 100 - 1
+    rows = [[a, b]]
+    assert deciding_prime(rows, 2) == 1
+    assert kernel_basis(rows, 2) == [[Fraction(-b, a), Fraction(1)]]
+
+
+def test_huge_entries_reach_exact_fallback():
+    a, b = 3 ** 1900, 2 ** 3000 + 1
+    rows = [[a, b, 0], [0, 0, 1]]
+    assert deciding_prime(rows, 3) is None
+    assert kernel_basis(rows, 3) == [[Fraction(-b, a), Fraction(1), Fraction(0)]]
+
+
+def test_no_free_column_gives_empty_basis():
+    assert kernel_basis([[1, 2], [3, 4]], 2) == []
+    assert kernel_basis([], 0) == []
+
+
+@pytest.mark.parametrize("A, early_stop",
+                         [(f.build(), stop) for f in FIXTURES for stop in (True, False)]
+                         + [(g(n), True) for n in range(8, 13)
+                            for g in (lambda n: random_arrangement(n, 1),
+                                      near_pencil)],
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
+    # early_stop=True is the scan of classify; False, of minimal_resolution.
+    # A prime must decide each kernel: a broken modular path would still
+    # give exact answers through the fallback, only slowly.
+    scanned = []
+    cached = derivation._ar_kernel
+
+    def record(B, k):
+        scanned.append(k)
+        return cached(B, k)
+
+    monkeypatch.setattr(derivation, "_ar_kernel", record)
+    derivation._resolution(A, early_stop)
+    assert scanned
+    for k in scanned:
+        ncols = 3 * monomial_count(3, k)
+        rows = [_int_row(r) for r in derivation._ar_matrix(A, k)]
+        exact = tuple(tuple(_int_row(v)) for v in _exact_kernel(rows, ncols))
+        assert cached(A, k) == exact, k
+        assert deciding_prime(rows, ncols) is not None, k
