@@ -1,11 +1,24 @@
 """The graded module of Jacobian syzygies of an arrangement.
 
 For a defining polynomial f (product of the lines), the syzygies
-(a, b, c) with a f_x + b f_y + c f_z = 0 form a rank-2 graded module whose
-minimal free resolution has length at most one.  Everything here is read off
-degree by degree with exact kernels: graded dimensions, minimal generators,
-relation degrees (recovered from the Hilbert data of the free relation
-module), and the classification free / nearly free / plus-one generated.
+(a, b, c) with a f_x + b f_y + c f_z = 0 form a rank-2 graded module D_0(A)
+whose minimal free resolution has length at most one.  Everything here is
+read off degree by degree with exact kernels: graded dimensions, minimal
+generators, relation degrees (recovered from the Hilbert data of the free
+relation module), and the classification free / nearly free / plus-one
+generated.
+
+The syzygies are not solved from the Jacobian matrix.  Ziegler's splittings
+D(A) = S theta_E + D_0(A) = S theta_E + D_H(A) (Ziegler 1989,
+"Multiarrangements of hyperplanes and their freeness") give graded
+S-linear isomorphisms D_0(A) = D_H(A) for every line H, so the module is
+computed as D_{H0}(A), H0 = line 0, from its own defining conditions:
+theta(alpha_H0) = 0, and theta(alpha_K) vanishes on every other line K.
+That system has (|A| - 1)(k + 1) rows and 2 C(k + 2, 2) columns in degree
+k, against C(k + |A| + 1, 2) x 3 C(k + 2, 2) for the Jacobian matrix, and
+its kernel entries are about half as long.  Its kernels are certified over
+Z by linalg.kernel_basis as any other, and since those conditions define
+D_{H0}(A) exactly, the certificate covers the module itself.
 """
 
 from __future__ import annotations
@@ -20,13 +33,13 @@ from . import linalg
 from .arrangement import Arrangement
 from .poly import (CertificationFailure, HomPoly, _index_table, divide_linear,
                    monomial_count, monomials, restriction_param,
-                   substitute_line)
+                   substitute_line, zero)
 
 MAX_DEGREE_ENV = "ARRLOG_MAX_DEGREE"
 
 
 class DegreeCapError(ValueError):
-    """The degree cap set in the environment is not an integer."""
+    """The degree cap set in the environment is not a nonnegative integer."""
 
 
 @dataclass(frozen=True)
@@ -106,9 +119,13 @@ class Derivation3:
 
 
 def _ar_matrix(A: Arrangement, k: int) -> list[list[int]]:
+    """The map (a, b, c) -> a f_x + b f_y + c f_z on degree-k triples.
+
+    Its kernel is D_0(A)_k.  No computation uses it; it is the independent
+    reference the tests check _ar_kernel against.
+    """
     jac = jacobian(A)
     n = len(A)
-    mk = monomial_count(3, k)
     target = k + n - 1
     rows = monomial_count(3, target)
     table = _index_table(3, target)
@@ -126,20 +143,92 @@ def _ar_matrix(A: Arrangement, k: int) -> list[list[int]]:
     return [list(r) for r in zip(*cols)]
 
 
+def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
+    """The integer-scaled form of line 0, the component of theta that
+    restriction_param eliminates for it, and the two it keeps."""
+    alpha = linalg._int_row(A.lines[0].coeffs)
+    e = restriction_param(alpha).eliminated
+    return alpha, e, [i for i in range(3) if i != e]
+
+
+def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
+    """The conditions defining D_{H0}(A)_k, H0 = line 0, on the two
+    components of theta that restriction_param(alpha_H0) keeps.
+
+    theta(alpha_H0) = 0 gives the eliminated component e as
+    theta_e = -(sum of alpha_i theta_i, i != e) / alpha_e, so alpha_e
+    theta(alpha_K) = sum of (alpha_e beta_i - beta_e alpha_i) theta_i over
+    the kept i, for every other line K with form beta.  That value vanishes
+    on K exactly when its k + 1 coefficients vanish on the points sP + tQ
+    of K, where P = beta_f e_u - beta_u e_f and Q = beta_f e_v - beta_v e_f
+    for the coordinate f that restriction_param(beta) eliminates.  A
+    monomial x^mu becomes beta_f^(mu_u + mu_v) s^mu_u t^mu_v
+    (-beta_u s - beta_v t)^mu_f, one binomial expansion.  Forms are scaled
+    to integers first, which changes no condition.  Columns are the
+    degree-k monomials of the first kept component, then of the second.
+    """
+    alpha, e, kept = _h0_frame(A)
+    monos = monomials(3, k)
+    m = len(monos)
+    rows: list[list[int]] = []
+    for form in A.lines[1:]:
+        beta = linalg._int_row(form.coeffs)
+        w0, w1 = (alpha[e] * beta[i] - beta[e] * alpha[i] for i in kept)
+        f = restriction_param(beta).eliminated
+        u, v = (i for i in range(3) if i != f)
+        scale = [beta[f] ** j for j in range(k + 1)]
+        pu = [(-beta[u]) ** j for j in range(k + 1)]
+        pv = [(-beta[v]) ** j for j in range(k + 1)]
+        block = [[0] * (2 * m) for _ in range(k + 1)]
+        for col, mu in enumerate(monos):
+            c = mu[f]
+            lead = scale[k - c]
+            for j in range(c + 1):
+                x = lead * comb(c, j) * pu[c - j] * pv[j]
+                if x:
+                    # coefficient of s^(mu_u + c - j) t^(mu_v + j)
+                    row = block[mu[v] + j]
+                    row[col], row[m + col] = w0 * x, w1 * x
+        rows.extend(block)
+    return rows
+
+
+def _h0_lift(A: Arrangement, v) -> tuple[int, ...]:
+    """The derivation in D_{H0}(A) with the given kept components (a kernel
+    vector of _h0_conditions), integer-scaled, as a Derivation3 vector."""
+    alpha, e, (i0, i1) = _h0_frame(A)
+    v = linalg._int_row(v)
+    m = len(v) // 2
+    comps = [None] * 3
+    comps[i0] = [alpha[e] * a for a in v[:m]]
+    comps[i1] = [alpha[e] * b for b in v[m:]]
+    comps[e] = [-alpha[i0] * a - alpha[i1] * b for a, b in zip(v[:m], v[m:])]
+    return tuple(linalg._int_row([c for comp in comps for c in comp]))
+
+
 @lru_cache(maxsize=8192)
-def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Kernel of (a,b,c) -> a f_x + b f_y + c f_z on degree-k triples."""
-    mk = monomial_count(3, k)
-    # integer-scaled copies keep the downstream span arithmetic in ints
-    return tuple(tuple(linalg._int_row(v))
-                 for v in linalg.kernel_basis(_ar_matrix(A, k), 3 * mk))
+def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of D_{H0}(A)_k, the degree-k derivations theta with
+    theta(alpha_H0) = 0 that keep every line (H0 = line 0).
+
+    Ziegler's splittings D(A) = S theta_E + D_0(A) = S theta_E + D_H0(A)
+    make D_{H0}(A) isomorphic to the Jacobian syzygies D_0(A) as a graded
+    S-module, so the resolution and classification read off this basis are
+    those of D_0(A).  The basis is kernel_basis of _h0_conditions, certified
+    there by M v = 0 over Z; the conditions define D_{H0}(A)_k exactly, so
+    nothing else needs checking.  Each vector is lifted to all three
+    components and scaled to a primitive integer vector.
+    """
+    rows = _h0_conditions(A, k)
+    return tuple(_h0_lift(A, v)
+                 for v in linalg.kernel_basis(rows, 2 * monomial_count(3, k)))
 
 
 @lru_cache(maxsize=8192)
 def _ar_quick_dim(A: Arrangement, k: int) -> int:
-    """Kernel dimension only (forward elimination, no basis extraction)."""
-    mk = monomial_count(3, k)
-    return 3 * mk - linalg.rank(_ar_matrix(A, k), 3 * mk)
+    """dim D_{H0}(A)_k (= dim D_0(A)_k) from the rank of its conditions."""
+    ncols = 2 * monomial_count(3, k)
+    return ncols - linalg.rank(_h0_conditions(A, k), ncols)
 
 
 def ar_dim(A: Arrangement, k: int) -> int:
@@ -150,7 +239,22 @@ def ar_dim(A: Arrangement, k: int) -> int:
 
 
 def ar_basis(A: Arrangement, k: int) -> list[Derivation3]:
-    return [Derivation3.from_vector(v, k) for v in _ar_kernel(A, k)]
+    """Basis of the degree-k Jacobian syzygies.
+
+    theta in D(A) has theta(f) = g f with g = sum of theta(alpha_K) / alpha_K,
+    so |A| theta - g theta_E annihilates f; on D_{H0}(A) this map is the
+    isomorphism onto D_0(A).
+    """
+    n = len(A)
+    out = []
+    for v in _ar_kernel(A, k):
+        theta = Derivation3.from_vector(v, k)
+        g = zero(3, k - 1)
+        for form in A.lines:
+            g = g + divide_linear(theta.apply_linear(form.coeffs), form.coeffs)
+        out.append(Derivation3(*(c.scale(n) - _var_shift(g, i)
+                                 for i, c in enumerate(theta.components))))
+    return out
 
 
 def mdr(A: Arrangement) -> int:
@@ -163,7 +267,7 @@ def mdr(A: Arrangement) -> int:
 
 
 def _shift_vec(v, k: int, var: int) -> list[Fraction]:
-    """Multiply a degree-k syzygy coefficient vector by a coordinate."""
+    """Multiply a degree-k derivation coefficient vector by a coordinate."""
     return [c for comp in Derivation3.from_vector(v, k).components
             for c in _var_shift(comp, var).coeffs]
 
@@ -194,9 +298,12 @@ def degree_cap(A: Arrangement) -> int:
     if env is None:
         return default_degree_cap(A)
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise DegreeCapError(f"{MAX_DEGREE_ENV}={env!r} is not an integer") from None
+    if cap < 0:
+        raise DegreeCapError(f"{MAX_DEGREE_ENV}={env!r} is negative")
+    return cap
 
 
 def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
@@ -289,7 +396,7 @@ def _classification_resolution(A: Arrangement) -> _ResolutionData:
 
 def relation_vectors(A: Arrangement, gens, r: int) -> list[list[Fraction]]:
     """Kernel of the evaluation map from degree-r combinations of the given
-    generators onto the syzygy module; one coefficient block per generator."""
+    generators onto the module; one coefficient block per generator."""
     blocks = [monomial_count(3, r - g) for g, _ in gens]
     ncols = sum(blocks)
     nrows = 3 * monomial_count(3, r)
@@ -395,8 +502,9 @@ def _dh_kernel(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ..
     """Degree-k layer of D_H(A), in the echelon form kernel_basis gives.
 
     By Ziegler's splitting D(A) = S theta_E + D_H(A), the map
-    theta -> theta - (theta(alpha_H) / alpha_H) theta_E takes the Jacobian
-    syzygies (theta(f) = 0) isomorphically onto D_H(A), degree by degree.
+    theta -> theta - (theta(alpha_H) / alpha_H) theta_E, defined on all of
+    D(A), projects along S theta_E; it takes the basis of D_{H0}(A) from
+    _ar_kernel isomorphically onto D_H(A), degree by degree.
     """
     alpha = A.lines[H].coeffs
     images = []

@@ -87,6 +87,15 @@ def test_bad_degree_cap_exit_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("DegreeCapError:") and "ARRLOG_MAX_DEGREE" in err
 
 
+def test_negative_degree_cap_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ARRLOG_MAX_DEGREE", "-1")
+    path = write_doc(tmp_path, {"lines": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                          [1, 1, 1], [1, 3, 11]]})
+    code, out, err = run(capsys, "classify", path)
+    assert code == 2 and not out
+    assert err.startswith("DegreeCapError:") and "negative" in err
+
+
 @pytest.mark.parametrize("error", [CertificationFailure, ConsistencyFailure,
                                    LatticeError, FreenessCertificateFailure])
 def test_internal_certificate_failure_exit_3(tmp_path, capsys, monkeypatch,

@@ -4,13 +4,14 @@ import pytest
 import sympy
 
 from arrlog import arrangement
-from arrlog.arrangement import parse_arrangement
-from arrlog.corpus import fixture, generic, near_pencil, pencil
+from arrlog.arrangement import Arrangement, parse_arrangement
+from arrlog.corpus import (fixture, generic, near_pencil, pencil,
+                           random_arrangement)
 from arrlog.corpus import FIXTURES
 from arrlog.criteria import verify
-from arrlog.derivation import (Derivation3, _ar_matrix, _dh_kernel, ar_basis,
-                               ar_dim, classify, dh_basis, in_dh, jacobian,
-                               mdr, minimal_resolution)
+from arrlog.derivation import (Derivation3, _ar_kernel, _ar_matrix, _dh_kernel,
+                               ar_basis, ar_dim, classify, dh_basis, in_dh,
+                               jacobian, mdr, minimal_resolution)
 from arrlog.linalg import kernel_basis, rank
 from arrlog.poly import (line_param, monomial_count, poly_mul, substitute_line,
                          zero)
@@ -69,6 +70,22 @@ def test_minimal_resolution_shapes():
         assert shape.generator_degrees == gens
         assert shape.relation_degrees == rels
         assert shape.complete and not shape.cap_hit
+
+
+def test_minimal_resolution_random_8():
+    # its tail degrees cost most of the time while they were ranks of the
+    # Jacobian-syzygy matrix
+    shape = minimal_resolution(random_arrangement(8, 1))
+    assert shape.generator_degrees == (6,) * 7
+    assert shape.relation_degrees == (7,) * 5
+    assert shape.complete and not shape.cap_hit
+
+
+def test_classify_random_13():
+    # its degree-11 syzygy kernel needed the third prime
+    doc = classify(random_arrangement(13, 1)).to_json()
+    assert doc["generators"] == [10] + [11] * 10
+    assert doc["verdict"] == "other" and not doc["cap_hit"]
 
 
 def test_resolution_rank_degree_certificate():
@@ -165,6 +182,24 @@ def test_dh_kernel_matches_direct_conditions():
         for H in range(len(A)):
             for k in range(len(A)):
                 assert _dh_kernel(A, H, k) == _direct_dh_kernel(A, H, k)
+
+
+@pytest.mark.parametrize("fx", FIXTURES, ids=lambda f: f.name)
+def test_ar_kernel_on_reversed_lines(fx):
+    # every fixture starts with x = 0; reversed, line 0 is no coordinate
+    # line, so the eliminated component is rebuilt from the kept ones
+    A = fx.build()
+    R = Arrangement(tuple(reversed(A.lines)))
+    jac = jacobian(R)
+    for k in range(len(R)):
+        for v in _ar_kernel(R, k):
+            assert in_dh(R, 0, Derivation3.from_vector(v, k))
+        for s in ar_basis(R, k):
+            total = zero(3, k + len(R) - 1)
+            for comp, part in zip(s.components, jac.partials):
+                total = total + poly_mul(comp, part)
+            assert total.is_zero
+    assert classify(R).to_json() == classify(A).to_json()
 
 
 def test_dh_basis_members():

@@ -189,7 +189,9 @@ def test_no_free_column_gives_empty_basis():
 def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
     # early_stop=True is the scan of classify; False, of minimal_resolution.
     # A prime must decide each kernel: a broken modular path would still
-    # give exact answers through the fallback, only slowly.
+    # give exact answers through the fallback, only slowly.  The dimension
+    # of D_0(A)_k, from the rank of the Jacobian-syzygy matrix, is the
+    # independent oracle for the D_{H0}(A) conditions.
     scanned = []
     cached = derivation._ar_kernel
 
@@ -201,8 +203,11 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
     derivation._resolution(A, early_stop)
     assert scanned
     for k in scanned:
-        ncols = 3 * monomial_count(3, k)
-        rows = [_int_row(r) for r in derivation._ar_matrix(A, k)]
-        exact = tuple(tuple(_int_row(v)) for v in _exact_kernel(rows, ncols))
+        ncols = 2 * monomial_count(3, k)
+        rows = [_int_row(r) for r in derivation._h0_conditions(A, k)]
+        exact = tuple(derivation._h0_lift(A, v) for v in _exact_kernel(rows, ncols))
         assert cached(A, k) == exact, k
         assert deciding_prime(rows, ncols) is not None, k
+        syzygy_cols = 3 * monomial_count(3, k)
+        assert len(exact) == syzygy_cols - rank(derivation._ar_matrix(A, k),
+                                                syzygy_cols), k
