@@ -15,9 +15,9 @@ from functools import lru_cache
 from . import linalg
 from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
                           is_balanced, n_H, nr_form, to_document)
-from .derivation import (classify, default_degree_cap, degree_cap, dh_basis,
-                         jacobian)
-from .multiarr import (Derivation2, _monomial_polys, basis, deriv_dim,
+from .derivation import (ar_dim, classify, default_degree_cap, degree_cap,
+                         dh_basis, jacobian)
+from .multiarr import (Derivation2, _free_pattern, _monomial_polys, basis,
                        exponents, rank2_exponents, ziegler_restriction)
 from .poly import HomPoly, LineParam, restriction_param, substitute_line
 from .rng import XorShift64
@@ -38,13 +38,6 @@ class NotApplicable(ValueError):
 # ---------------------------------------------------------------------------
 # the restriction map on derivations
 
-def _restrict_derivation(theta, param: LineParam) -> Derivation2:
-    u, v = param.retained
-    comps = theta.components
-    return Derivation2(substitute_line(comps[u], param),
-                       substitute_line(comps[v], param))
-
-
 @dataclass(frozen=True)
 class ZieglerMapData:
     H: int
@@ -64,20 +57,23 @@ class ZieglerMapData:
 
 @lru_cache(maxsize=2048)
 def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    _, param = ziegler_restriction(A, H)
-    return tuple(tuple(_restrict_derivation(t, param).coeff_vector())
+    param = restriction_param(A.lines[H].coeffs)
+    u, v = param.retained
+    return tuple(substitute_line(t.components[u], param).coeffs
+                 + substitute_line(t.components[v], param).coeffs
                  for t in dh_basis(A, H, k))
 
 
-def _image_dim(A: Arrangement, H: int, k: int) -> int:
-    span = linalg.SpanBuilder(2 * (k + 1))
-    for v in _image_vectors(A, H, k):
-        span.add(v)
-    return span.dim
-
-
 def ziegler_map(A: Arrangement, H: int) -> ZieglerMapData:
-    """Per-degree domain/codomain/image dimensions of the restriction map.
+    """Per-degree domain/codomain/image dimensions of the restriction map
+    from D_H(A) onto the derivations of the weighted arrangement on line H.
+
+    Ziegler's exact sequence 0 -> D_H(A)(-1) -> D_H(A) -> D(A^H, m^H), the
+    first map multiplication by alpha_H (Ziegler 1989), says the kernel in
+    degree k is alpha_H D_H(A)_(k-1).  With D_H(A) = D_0(A) as graded modules
+    and h(k) = ar_dim(A, k), the domain is h(k) and the image h(k) - h(k - 1)
+    on every line; the codomain is the free pattern of the exponents
+    exponents(M) certifies.  No derivation is restricted.
 
     Degrees 0..e2 are always computed; the scan continues while the cokernel
     is nonzero (it vanishes for good once zero past e2, since the codomain is
@@ -91,9 +87,9 @@ def ziegler_map(A: Arrangement, H: int) -> ZieglerMapData:
     dom, cod, img = [], [], []
     k = 0
     while True:
-        dom.append(len(dh_basis(A, H, k)))
-        cod.append(deriv_dim(M, k))
-        img.append(_image_dim(A, H, k))
+        dom.append(ar_dim(A, k))
+        cod.append(_free_pattern(k, exp.e1, exp.e2))
+        img.append(dom[-1] - (dom[-2] if k else 0))
         if k >= exp.e2 and cod[-1] == img[-1]:
             break
         if k >= cap:
@@ -120,36 +116,37 @@ class DefectReport:
 
 def yoshinaga_defect(A: Arrangement, H: int) -> DefectReport:
     """Defect b2^0 - e1 e2 of the restriction onto line H, cross-checked
-    against the independently computed total cokernel dimension."""
+    against the cokernel total ziegler_map reads off the Hilbert function
+    (Yoshinaga 2005), and each degree's image against 0 and the codomain,
+    since a one-degree error in the Hilbert function leaves the total alone."""
     data = ziegler_map(A, H)
     e1, e2 = data.exponents
     defect = chi0(A).b2_0 - e1 * e2
-    if defect != data.coker_total or defect < 0:
+    if defect != data.coker_total or not all(
+            0 <= i <= c for i, c in zip(data.image_dims, data.codomain_dims)):
         raise ConsistencyFailure(
-            f"defect {defect} != cokernel total {data.coker_total} at line {H}")
+            f"defect {defect} vs cokernel {data.coker_dims} at line {H}")
     return DefectReport(H, data.exponents, defect, data.coker_total,
                         data.coker_dims)
 
 
-def _quick_defect(A: Arrangement, H: int) -> int:
-    """Defect without the cokernel cross-check (exponents only)."""
+def _quick_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
+    """Defect b2^0 - e1 e2 of the restriction onto line H and its exponents
+    (e1, e2), without the cokernel cross-check."""
     M, _ = ziegler_restriction(A, H)
-    exp = exponents(M)
-    return chi0(A).b2_0 - exp.e1 * exp.e2
+    e1, e2 = exponents(M).as_pair()
+    return chi0(A).b2_0 - e1 * e2, (e1, e2)
 
 
 def is_free_by_defect(A: Arrangement) -> bool:
     """Freeness via the defect of a single restriction (zero iff free)."""
-    return _quick_defect(A, 0) == 0
+    return _quick_defect(A, 0)[0] == 0
 
 
 def free_exponents_by_defect(A: Arrangement) -> tuple[int, int] | None:
     """(e1, e2) of any restriction when the arrangement is free, else None."""
-    M, _ = ziegler_restriction(A, 0)
-    exp = exponents(M)
-    if chi0(A).b2_0 == exp.e1 * exp.e2:
-        return exp.as_pair()
-    return None
+    defect, exp = _quick_defect(A, 0)
+    return exp if defect == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,7 @@ def nearly_free_by_criterion(A: Arrangement, seed: int = 1,
     """
     b2 = chi0(A).b2_0
     for H in range(len(A)):
-        if _quick_defect(A, H) == 1:
+        if _quick_defect(A, H)[0] == 1:
             return H
     for form in random_external_lines(A, external_count, seed):
         st = _external_splitting(A, form)
@@ -313,7 +310,6 @@ class PropertyPResult:
 def _coords_matrix(th1: Derivation2, th2: Derivation2, k: int):
     """Columns expressing degree-k module elements in the given basis."""
     cols = []
-    e1, e2 = th1.degree, th2.degree
     for base in (th1, th2):
         e = base.degree
         if k < e:

@@ -72,9 +72,9 @@ def jacobian(A: Arrangement) -> JacobianRow:
 
 
 def _var_shift(p: HomPoly, var: int) -> HomPoly:
-    """Multiply by the given coordinate variable."""
+    """Multiply by the given coordinate variable; int coefficients stay int."""
     d = p.degree + 1
-    out = [Fraction(0)] * monomial_count(p.nvars, d)
+    out = [0] * monomial_count(p.nvars, d)
     table = _index_table(p.nvars, d)
     for m, c in zip(monomials(p.nvars, p.degree), p.coeffs):
         if c:

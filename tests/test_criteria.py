@@ -2,16 +2,68 @@
 
 import pytest
 
-from arrlog.arrangement import LinearForm3, chi0
-from arrlog.corpus import fixture, generic, near_pencil
-from arrlog.criteria import (InadmissibleLine, NotApplicable, is_admissible,
-                             is_free_by_defect, free_exponents_by_defect,
+from arrlog import criteria, linalg
+from arrlog.arrangement import LinearForm3, chi0, parse_arrangement
+from arrlog.corpus import (FIXTURES, fixture, generic, near_pencil, pencil,
+                           random_arrangement)
+from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
+                             NotApplicable, is_admissible, is_free_by_defect,
+                             free_exponents_by_defect,
                              nearly_free_by_criterion, property_P,
                              random_external_lines, splitting_range,
                              splitting_type, verify, yoshinaga_defect,
                              ziegler_map)
+from arrlog.derivation import dh_basis
+from arrlog.multiarr import deriv_dim, ziegler_restriction
+from arrlog.poly import substitute_line
 
 Z = LinearForm3.make([0, 0, 1])
+
+
+def _oracle_map_dims(A, H, k):
+    """(domain, codomain, image) of the restriction map in degree k, computed
+    directly: a basis of D_H(A)_k restricted onto line H and ranked, and the
+    codomain from the kernel of the divisibility conditions."""
+    M, param = ziegler_restriction(A, H)
+    u, v = param.retained
+    span = linalg.SpanBuilder(2 * (k + 1))
+    dom = dh_basis(A, H, k)
+    for theta in dom:
+        comps = theta.components
+        span.add(list(substitute_line(comps[u], param).coeffs)
+                 + list(substitute_line(comps[v], param).coeffs))
+    return len(dom), deriv_dim(M, k), span.dim
+
+
+_ORACLE_INPUTS = (
+    [f.build() for f in FIXTURES]
+    + [parse_arrangement({"name": "A3", "factored": "xyz(x-y)(x-z)(y-z)"}),
+       parse_arrangement({"name": "B3",
+                          "factored": "xyz(x-y)(x+y)(x-z)(x+z)(y-z)(y+z)"})]
+    + [near_pencil(n) for n in range(3, 9)]
+    + [pencil(1), pencil(2), random_arrangement(9, 1)])
+
+
+@pytest.mark.parametrize("A", _ORACLE_INPUTS, ids=lambda A: A.name)
+def test_ziegler_map_matches_restricted_basis(A):
+    # Ziegler's exact sequence gives every dimension from the Hilbert
+    # function; the oracle restricts an explicit basis instead
+    for H in range(len(A)):
+        data = ziegler_map(A, H)
+        got = list(zip(data.domain_dims, data.codomain_dims, data.image_dims))
+        assert got == [_oracle_map_dims(A, H, k) for k in range(len(got))]
+
+
+def test_yoshinaga_cross_check_catches_a_wrong_hilbert_function(monkeypatch):
+    A = fixture("generic4").build()
+    assert yoshinaga_defect(A, 0).coker_by_degree == (0, 1, 0)
+    real = criteria.ar_dim
+    # one extra dimension at degree 2, where the map is onto: the image
+    # would outgrow the codomain there
+    monkeypatch.setattr(criteria, "ar_dim",
+                        lambda B, k: real(B, k) + (k == 2))
+    with pytest.raises(ConsistencyFailure):
+        yoshinaga_defect(A, 0)
 
 
 def test_ziegler_map_free_surjective():
