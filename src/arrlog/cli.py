@@ -161,6 +161,10 @@ def cmd_splitting(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.random < 0 or args.external < 0:
+        raise UsageError("--random and --external must be nonnegative")
+    if args.corpus and args.max_lines < 3:
+        raise UsageError("--max-lines must be at least 3")
     if args.corpus:
         arrangements = [f.build() for f in corpus_mod.FIXTURES]
         arrangements += corpus_mod.random_corpus(args.random, args.max_lines,
@@ -193,9 +197,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
     family = args.family
+    if args.n < (3 if family == "near-pencil" else 1):
+        raise UsageError(f"--n {args.n} is too small for the {family} family")
     if family == "pencil":
         A = corpus_mod.pencil(args.n)
     elif family == "near-pencil":

@@ -118,31 +118,6 @@ class Derivation3:
         return self.a.scale(cs[0]) + self.b.scale(cs[1]) + self.c.scale(cs[2])
 
 
-def _ar_matrix(A: Arrangement, k: int) -> list[list[int]]:
-    """The map (a, b, c) -> a f_x + b f_y + c f_z on degree-k triples.
-
-    Its kernel is D_0(A)_k.  No computation uses it; it is the independent
-    reference the tests check _ar_kernel against.
-    """
-    jac = jacobian(A)
-    n = len(A)
-    target = k + n - 1
-    rows = monomial_count(3, target)
-    table = _index_table(3, target)
-    cols: list[list[int]] = []
-    for part in jac.partials:
-        terms = [(m, c) for m, c in zip(monomials(3, n - 1), part.coeffs) if c]
-        if any(c.denominator != 1 for _, c in terms):
-            raise CertificationFailure("Jacobian coefficient is not an integer")
-        terms = [(m, c.numerator) for m, c in terms]
-        for mu in monomials(3, k):
-            col = [0] * rows
-            for m, c in terms:
-                col[table[tuple(a + b for a, b in zip(mu, m))]] = c
-            cols.append(col)
-    return [list(r) for r in zip(*cols)]
-
-
 def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
     """The integer-scaled form of line 0, the component of theta that
     restriction_param eliminates for it, and the two it keeps."""

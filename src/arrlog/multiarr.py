@@ -3,7 +3,9 @@
 The induced structure of an arrangement on one of its lines weights each
 restricted point by (number of lines through it) - 1.  The derivation module
 of such a weighted arrangement is always free of rank 2; this module computes
-its graded dimensions, exponents, and an explicit certified basis.
+its graded layers, exponents, and a basis certified by Saito's determinant
+(Saito 1980; Ziegler 1989 for multiarrangements) through rank2_basis, the
+certificate criteria._external_splitting shares by Hilbert-Burch.
 """
 
 from __future__ import annotations
@@ -11,19 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, lcm
 
 from . import linalg
 from .arrangement import Arrangement, _canonical
-from .poly import (HomPoly, LineParam, linear, monomial_count, product,
-                   restriction_param, substitute_line)
+from .poly import (HomPoly, LineParam, linear, product, restriction_param,
+                   substitute_line)
 
 
 class FreenessCertificateFailure(AssertionError):
-    """The graded dimension sequence violates the rank-2 free pattern.
+    """No pair of layer vectors passes the rank-2 determinant certificate.
 
-    Mathematically impossible for a 2-variable multiarrangement; raised only
-    on an implementation bug.
+    Mathematically impossible for a 2-variable multiarrangement or an
+    admissible external line; raised only on an implementation bug.
     """
 
 
@@ -94,6 +97,12 @@ class Derivation2:
     def __post_init__(self):
         if self.p.degree != self.q.degree or self.p.nvars != 2 or self.q.nvars != 2:
             raise ValueError("components must be binary forms of equal degree")
+
+    @classmethod
+    def from_vector(cls, v) -> "Derivation2":
+        """From the concatenated coefficient vectors of p and q."""
+        m = len(v) // 2
+        return cls(HomPoly(2, m - 1, tuple(v[:m])), HomPoly(2, m - 1, tuple(v[m:])))
 
     @property
     def degree(self) -> int:
@@ -177,12 +186,7 @@ def deriv_space(M: Multiarrangement2, k: int) -> list[Derivation2]:
     """Deterministic basis of the degree-k layer of the derivation module."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    out = []
-    for v in _deriv_kernel(M, k):
-        p = HomPoly(2, k, tuple(v[: k + 1]))
-        q = HomPoly(2, k, tuple(v[k + 1:]))
-        out.append(Derivation2(p, q))
-    return out
+    return [Derivation2.from_vector(v) for v in _deriv_kernel(M, k)]
 
 
 def deriv_dim(M: Multiarrangement2, k: int) -> int:
@@ -195,85 +199,86 @@ def _free_pattern(k: int, e1: int, e2: int) -> int:
     return max(0, k - e1 + 1) + max(0, k - e2 + 1)
 
 
-def rank2_exponents(dim, total: int) -> tuple[int, int]:
-    """The degrees (e1 <= e2, e1 + e2 = total) of a free graded module of
-    rank 2, read off its graded dimensions dim(k).
+def multiples(vec, ncomp: int, d: int) -> list[list]:
+    """u^(d-i) v^i * vec for i = 0..d; vec is ncomp concatenated binary forms."""
+    m = len(vec) // ncomp
+    comps = [list(vec[c * m: (c + 1) * m]) for c in range(ncomp)]
+    return [[x for comp in comps for x in [0] * i + comp + [0] * (d - i)]
+            for i in range(d + 1)]
 
-    e1 is the first degree up to total // 2 with dim(e1) > 0 and
-    e2 = total - e1; the free pattern is then certified on every degree up
-    to e2 + 1.
+
+def _mul2(a, b) -> list:
+    """Product of two binary forms given as coefficient vectors."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _minors_certify(theta1, theta2, ncomp: int, target) -> bool:
+    """True iff the 2 x 2 minors of the pair, in the order (0, 1), (0, 2), ...,
+    (ncomp - 2, ncomp - 1), are a nonzero constant times target."""
+    def split(v):
+        m = len(v) // ncomp
+        return [v[i * m: (i + 1) * m] for i in range(ncomp)]
+
+    a, b = split(theta1), split(theta2)
+    minors = [x - y for i, j in combinations(range(ncomp), 2)
+              for x, y in zip(_mul2(a[i], b[j]), _mul2(a[j], b[i]))]
+    lead = next((i for i, t in enumerate(target) if t), None)
+    if len(minors) != len(target) or lead is None or not minors[lead]:
+        return False
+    # minors = (minors[lead] / target[lead]) * target, without dividing
+    return all(m * target[lead] == t * minors[lead]
+               for m, t in zip(minors, target))
+
+
+def rank2_basis(layer, total: int, ncomp: int, target) -> tuple[tuple, tuple]:
+    """Basis of a free rank-2 module of vectors of ncomp binary forms with
+    degrees summing to total; layer(k) is the echelon basis in degree k.
+
+    theta1 is the first vector of the first nonzero layer e1 <= total // 2,
+    theta2 the first of layer total - e1 outside the multiples of theta1.
+    The pair is a basis iff its minors are a nonzero constant times target,
+    which is checked; FreenessCertificateFailure otherwise.
     """
-    e1 = next((k for k in range(total // 2 + 1) if dim(k) > 0), None)
-    if e1 is None:
-        raise FreenessCertificateFailure(f"no exponent pair found for total {total}")
-    e2 = total - e1
-    for k in range(e2 + 2):
-        got = dim(k)
-        want = _free_pattern(k, e1, e2)
-        if got != want:
-            raise FreenessCertificateFailure(
-                f"dimension {got} at degree {k} does not match free pattern "
-                f"{want} for exponents ({e1},{e2})")
-    return e1, e2
-
-
-def exponents(M: Multiarrangement2) -> Exponents:
-    """The unique pair (e1 <= e2) matching the graded dimension sequence."""
-    return Exponents(*rank2_exponents(lambda k: deriv_dim(M, k), M.total))
-
-
-def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
-    """Certified homogeneous basis (degrees e1 and e2).
-
-    The first vector is the first echelon kernel vector at degree e1; the
-    second is the first degree-e2 kernel vector independent of the
-    polynomial multiples of the first.
-    """
-    exp = exponents(M)
-    e1, e2 = exp.e1, exp.e2
-    theta1 = deriv_space(M, e1)[0]
-    span = linalg.SpanBuilder(2 * (e2 + 1))
-    for mono in _monomial_polys(e2 - e1):
-        span.add(Derivation2(mono * theta1.p, mono * theta1.q).coeff_vector())
-    theta2 = None
-    for cand in deriv_space(M, e2):
-        if not span.contains(cand.coeff_vector()):
-            theta2 = cand
+    for e1 in range(total // 2 + 1):
+        first = layer(e1)
+        if first:
             break
+    else:
+        raise FreenessCertificateFailure(f"no exponent pair found for total {total}")
+    theta1 = first[0]
+    span = linalg.SpanBuilder(ncomp * (total - e1 + 1))
+    for m in multiples(theta1, ncomp, total - 2 * e1):
+        span.add(m)
+    theta2 = next((v for v in layer(total - e1) if not span.contains(v)), None)
     if theta2 is None:
         raise FreenessCertificateFailure("no independent second basis vector")
-    if not saito_check(theta1, theta2, M):
+    if not _minors_certify(theta1, theta2, ncomp, target):
         raise FreenessCertificateFailure("basis candidates fail the determinant certificate")
     return theta1, theta2
 
 
-def _monomial_polys(d: int) -> list[HomPoly]:
-    out = []
-    for i in range(monomial_count(2, d)):
-        coeffs = [Fraction(0)] * monomial_count(2, d)
-        coeffs[i] = Fraction(1)
-        out.append(HomPoly(2, d, tuple(coeffs)))
-    return out
+@lru_cache(maxsize=8192)
+def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
+    """Certified homogeneous basis (degrees e1 <= e2): rank2_basis with
+    Saito's determinant against the defining polynomial."""
+    return tuple(map(Derivation2.from_vector, rank2_basis(
+        lambda k: _deriv_kernel(M, k), M.total, 2, M.defining_poly().coeffs)))
+
+
+def exponents(M: Multiarrangement2) -> Exponents:
+    """The degrees (e1 <= e2) of the certified basis."""
+    theta1, theta2 = basis(M)
+    return Exponents(theta1.degree, theta2.degree)
 
 
 def saito_check(theta1: Derivation2, theta2: Derivation2,
                 M: Multiarrangement2) -> bool:
-    """Determinant certificate: the pair is a basis iff the determinant of
-    their component matrix is a nonzero scalar multiple of the defining
-    polynomial (with multiplicities)."""
-    if theta1.degree + theta2.degree != M.total:
-        return False
-    det = theta1.p * theta2.q - theta1.q * theta2.p
-    if det.is_zero:
-        return False
-    Q = M.defining_poly()
-    scalar = None
-    for cd, cq in zip(det.coeffs, Q.coeffs):
-        if (cq == 0) != (cd == 0):
-            return False
-        if cq != 0:
-            if scalar is None:
-                scalar = cd / cq
-            elif cd / cq != scalar:
-                return False
-    return scalar is not None and scalar != 0
+    """Saito's criterion: the pair is a basis iff its determinant is a nonzero
+    constant times the defining polynomial (with multiplicities)."""
+    return _minors_certify(theta1.coeff_vector(), theta2.coeff_vector(), 2,
+                           M.defining_poly().coeffs)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import hashlib
 import io
 import json
 import os
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from arrlog import linalg
 from arrlog.arrangement import LatticeError, n_H
 from arrlog.cli import main
-from arrlog.corpus import fixture
-from arrlog.criteria import ConsistencyFailure, yoshinaga_defect
+from arrlog.corpus import FIXTURES, fixture
+from arrlog.criteria import (ConsistencyFailure, random_external_lines,
+                             yoshinaga_defect)
 from arrlog.derivation import CertificationFailure
 from arrlog.multiarr import FreenessCertificateFailure
 
@@ -273,6 +276,48 @@ def test_verify_without_input_exit_2(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
     assert "UsageError" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--corpus", "--max-lines", "2"),
+    ("verify", "--corpus", "--random", "-1"),
+    ("verify", "--corpus", "--external", "-1"),
+    ("gen", "--family", "near-pencil", "--n", "2"),
+], ids=["max-lines", "random", "external", "near-pencil-n"])
+def test_bad_generator_argument_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("UsageError:") and err.count("\n") == 1
+
+
+# sha256 of the concatenated stdout over the six fixtures, in FIXTURES
+# order; "form" runs splitting --form on random_external_lines(A, 10, 42)
+GOLDEN_DIGESTS = {
+    "ziegler": "6b03bff1b81f3b6b5527da290e8d78c48d70967a37d2910e78e77599a5b3d0c8",
+    "property-p": "ce1119f67752487ccf079e9963be29319d4a6b4b8afa99739146c525cd94cedd",
+    "splitting": "b3aac8f7aa8786420a4e5b214b56344c5818d32dad8d900a085fab4c0f948c24",
+    "form": "ab1bd9a2a235150d78c78164fa6c78e7d972babddc85b87cbdc9210e606413e3",
+}
+
+
+def test_golden_output_digests(tmp_path, capsys):
+    hashes = {key: hashlib.sha256() for key in GOLDEN_DIGESTS}
+
+    def feed(key, *argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        hashes[key].update(out.encode())
+
+    for fx in FIXTURES:
+        path = write_doc(tmp_path, fx.document(), f"{fx.name}.json")
+        feed("ziegler", "ziegler", path, "--all", "--basis")
+        feed("property-p", "property-p", path, "--all")
+        feed("splitting", "splitting", path, "--all")
+        for form in random_external_lines(fx.build(), 10, 42):
+            coeffs = ",".join(map(str, linalg._int_row(form.coeffs)))
+            feed("form", "splitting", path, "--form", coeffs)
+    assert {k: h.hexdigest() for k, h in hashes.items()} == GOLDEN_DIGESTS
 
 
 def test_gen_families(tmp_path, capsys):

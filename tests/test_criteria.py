@@ -13,9 +13,10 @@ from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
                              random_external_lines, splitting_range,
                              splitting_type, verify, yoshinaga_defect,
                              ziegler_map)
-from arrlog.derivation import dh_basis
+from arrlog.derivation import dh_basis, jacobian
 from arrlog.multiarr import deriv_dim, ziegler_restriction
-from arrlog.poly import substitute_line
+from arrlog.poly import restriction_param, substitute_line
+from test_multiarr import rank2_exponents
 
 Z = LinearForm3.make([0, 0, 1])
 
@@ -35,11 +36,11 @@ def _oracle_map_dims(A, H, k):
     return len(dom), deriv_dim(M, k), span.dim
 
 
+A3 = parse_arrangement({"name": "A3", "factored": "xyz(x-y)(x-z)(y-z)"})
+B3 = parse_arrangement({"name": "B3",
+                        "factored": "xyz(x-y)(x+y)(x-z)(x+z)(y-z)(y+z)"})
 _ORACLE_INPUTS = (
-    [f.build() for f in FIXTURES]
-    + [parse_arrangement({"name": "A3", "factored": "xyz(x-y)(x-z)(y-z)"}),
-       parse_arrangement({"name": "B3",
-                          "factored": "xyz(x-y)(x+y)(x-z)(x+z)(y-z)(y+z)"})]
+    [f.build() for f in FIXTURES] + [A3, B3]
     + [near_pencil(n) for n in range(3, 9)]
     + [pencil(1), pencil(2), random_arrangement(9, 1)])
 
@@ -52,6 +53,50 @@ def test_ziegler_map_matches_restricted_basis(A):
         data = ziegler_map(A, H)
         got = list(zip(data.domain_dims, data.codomain_dims, data.image_dims))
         assert got == [_oracle_map_dims(A, H, k) for k in range(len(got))]
+
+
+def _oracle_external_splitting(A, form):
+    """(e1, e2) along an external line from the restricted Jacobian partials:
+    one rank per degree of the map (a, b, c) -> a f_x + b f_y + c f_z on the
+    line, read off by the free dimension pattern."""
+    param = restriction_param(form.coeffs)
+    parts = [linalg._int_row(substitute_line(p, param).coeffs)
+             for p in jacobian(A).partials]
+
+    def dim(k):
+        cols = [[0] * j + part + [0] * (k - j)
+                for part in parts for j in range(k + 1)]
+        return 3 * (k + 1) - linalg.rank([list(r) for r in zip(*cols)],
+                                         3 * (k + 1))
+
+    return rank2_exponents(dim, len(A) - 1)
+
+
+_EXTERNAL_INPUTS = ([f.build() for f in FIXTURES] + [A3, B3]
+                    + [near_pencil(n) for n in range(3, 7)]
+                    + [pencil(1), pencil(2)])
+
+
+@pytest.mark.parametrize("A", _EXTERNAL_INPUTS, ids=lambda A: A.name)
+def test_external_splitting_matches_jacobian_rank_scan(A):
+    forms = random_external_lines(A, 20, 42)
+    assert forms
+    for form in forms:
+        got = criteria._external_splitting(A, form).as_pair()
+        assert got == _oracle_external_splitting(A, form), form
+
+
+@pytest.mark.parametrize("A", _EXTERNAL_INPUTS, ids=lambda A: A.name)
+def test_restricted_gradient_is_the_scaled_restricted_jacobian(A):
+    # the point sP + tQ is (u, v) = beta_f (s, t) in restriction_param's
+    # coordinates, so a degree |A| - 1 restriction scales by beta_f^(|A| - 1)
+    for form in random_external_lines(A, 20, 42):
+        beta = linalg._int_row(form.coeffs)
+        param = restriction_param(beta)
+        scale = beta[param.eliminated] ** (len(A) - 1)
+        want = [[scale * c for c in substitute_line(p, param).coeffs]
+                for p in jacobian(A).partials]
+        assert criteria._restricted_gradient(A, form) == want, form
 
 
 def test_yoshinaga_cross_check_catches_a_wrong_hilbert_function(monkeypatch):

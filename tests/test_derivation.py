@@ -9,12 +9,28 @@ from arrlog.corpus import (fixture, generic, near_pencil, pencil,
                            random_arrangement)
 from arrlog.corpus import FIXTURES
 from arrlog.criteria import verify
-from arrlog.derivation import (Derivation3, _ar_kernel, _ar_matrix, _dh_kernel,
-                               ar_basis, ar_dim, classify, dh_basis, in_dh,
-                               jacobian, mdr, minimal_resolution)
+from arrlog.derivation import (Derivation3, _ar_kernel, _dh_kernel, ar_basis,
+                               ar_dim, classify, dh_basis, in_dh, jacobian,
+                               mdr, minimal_resolution)
 from arrlog.linalg import kernel_basis, rank
-from arrlog.poly import (line_param, monomial_count, poly_mul, substitute_line,
-                         zero)
+from arrlog.poly import (line_param, monomial_count, monomials, poly_mul,
+                         substitute_line, zero)
+
+
+def jacobian_matrix(A, k):
+    """The map (a, b, c) -> a f_x + b f_y + c f_z on degree-k triples.  Its
+    kernel is D_0(A)_k: the independent reference for _ar_kernel."""
+    index = {m: i for i, m in enumerate(monomials(3, k + len(A) - 1))}
+    cols = []
+    for part in jacobian(A).partials:
+        assert all(c.denominator == 1 for c in part.coeffs)
+        for mu in monomials(3, k):
+            col = [0] * len(index)
+            for m, c in zip(monomials(3, len(A) - 1), part.coeffs):
+                if c:
+                    col[index[tuple(a + b for a, b in zip(mu, m))]] = int(c)
+            cols.append(col)
+    return [list(r) for r in zip(*cols)]
 
 
 def test_jacobian_euler_identity():
@@ -45,7 +61,7 @@ def test_ar_basis_elements_are_syzygies():
 def test_ar_rank_matches_sympy():
     for name, k in (("generic4", 2), ("nf6", 3)):
         A = fixture(name).build()
-        m = _ar_matrix(A, k)
+        m = jacobian_matrix(A, k)
         ncols = 3 * monomial_count(3, k)
         assert rank(m, ncols) == sympy.Matrix(m).rank()
 

@@ -12,6 +12,7 @@ from arrlog.linalg import (MERSENNE_PRIMES, SpanBuilder, _exact_kernel,
                            _int_row, _modular_kernel, echelon_basis,
                            kernel_basis, rank, rref, solve_unique)
 from arrlog.poly import monomial_count
+from test_derivation import jacobian_matrix
 
 entries = st.integers(min_value=-30, max_value=30)
 
@@ -209,5 +210,5 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
         assert cached(A, k) == exact, k
         assert deciding_prime(rows, ncols) is not None, k
         syzygy_cols = 3 * monomial_count(3, k)
-        assert len(exact) == syzygy_cols - rank(derivation._ar_matrix(A, k),
+        assert len(exact) == syzygy_cols - rank(jacobian_matrix(A, k),
                                                 syzygy_cols), k

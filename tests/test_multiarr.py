@@ -12,10 +12,32 @@ from arrlog.arrangement import LinearForm3
 from arrlog.corpus import FIXTURES, fixture, pencil
 from arrlog.multiarr import (Derivation2, FreenessCertificateFailure,
                              LinearForm2, Multiarrangement2, _deriv_kernel,
-                             basis, deriv_dim, deriv_space, exponents,
-                             multiarrangement, rank2_exponents, saito_check,
-                             ziegler_restriction)
+                             _free_pattern, basis, deriv_dim, deriv_space,
+                             exponents, multiarrangement, multiples,
+                             rank2_basis, saito_check, ziegler_restriction)
 from arrlog.poly import from_terms
+
+
+def rank2_exponents(dim, total: int) -> tuple[int, int]:
+    """Oracle: the degrees (e1 <= e2, e1 + e2 = total) of a free graded
+    module of rank 2, read off its graded dimensions dim(k).
+
+    e1 is the first degree up to total // 2 with dim(e1) > 0 and
+    e2 = total - e1; the free pattern is then checked on every degree up to
+    e2 + 1.
+    """
+    e1 = next((k for k in range(total // 2 + 1) if dim(k) > 0), None)
+    if e1 is None:
+        raise FreenessCertificateFailure(f"no exponent pair found for total {total}")
+    e2 = total - e1
+    for k in range(e2 + 2):
+        got = dim(k)
+        want = _free_pattern(k, e1, e2)
+        if got != want:
+            raise FreenessCertificateFailure(
+                f"dimension {got} at degree {k} does not match free pattern "
+                f"{want} for exponents ({e1},{e2})")
+    return e1, e2
 
 
 def test_multiarrangement_validation():
@@ -105,18 +127,31 @@ def _from_raw(raw) -> Multiarrangement2 | None:
                              tuple(pairs[f] for f in sorted(pairs)))
 
 
+def _fixture_restrictions():
+    restrictions = set()
+    for fx in FIXTURES:
+        A = fx.build()
+        restrictions.update(ziegler_restriction(A, H)[0] for H in range(len(A)))
+    return sorted(restrictions, key=repr)
+
+
+def _assert_exponents_match_pattern(M: Multiarrangement2):
+    # the dimension-pattern scan is the oracle for the determinant certificate
+    oracle = rank2_exponents(lambda k: deriv_dim(M, k), M.total)
+    assert exponents(M).as_pair() == oracle, M
+
+
+def test_exponents_match_dimension_pattern_on_fixture_restrictions():
+    for M in _fixture_restrictions():
+        _assert_exponents_match_pattern(M)
+
+
 @settings(max_examples=15, deadline=None)
 @given(RAW_WEIGHTED_FORMS)
 def test_free_pattern_identity(raw):
     M = _from_raw(raw)
-    if M is None:
-        return
-    exp = exponents(M)
-    assert exp.e1 + exp.e2 == M.total
-    assert exp.e1 <= exp.e2
-    for k in range(exp.e2 + 2):
-        assert deriv_dim(M, k) == (max(0, k - exp.e1 + 1)
-                                   + max(0, k - exp.e2 + 1))
+    if M is not None:
+        _assert_exponents_match_pattern(M)
 
 
 U, V = sympy.symbols("u v")
@@ -151,11 +186,7 @@ def _assert_kernels_match_sympy(M: Multiarrangement2):
 
 
 def test_deriv_kernel_matches_sympy_on_fixture_restrictions():
-    restrictions = set()
-    for fx in FIXTURES:
-        A = fx.build()
-        restrictions.update(ziegler_restriction(A, H)[0] for H in range(len(A)))
-    for M in sorted(restrictions, key=repr):
+    for M in _fixture_restrictions():
         _assert_kernels_match_sympy(M)
 
 
@@ -173,6 +204,56 @@ def test_rank2_exponents_certificate():
         rank2_exponents(lambda k: 0, 5)  # no nonzero degree up to total // 2
     with pytest.raises(FreenessCertificateFailure):
         rank2_exponents(lambda k: k, 4)  # dimension 3 at degree 3, not 4
+
+
+def test_multiples():
+    # (u + 2v, 3u) times u^2, u v, v^2
+    assert multiples([1, 2, 3, 0], 2, 2) == [[1, 2, 0, 0, 3, 0, 0, 0],
+                                             [0, 1, 2, 0, 0, 3, 0, 0],
+                                             [0, 0, 1, 2, 0, 0, 3, 0]]
+
+
+def _layers(M: Multiarrangement2):
+    return lambda k: _deriv_kernel(M, k)
+
+
+def test_rank2_basis_rejects_a_multiple_of_theta1():
+    M = multiarrangement([([1, 0], 3), ([0, 1], 1), ([1, 1], 1)])
+    e1, e2 = exponents(M).as_pair()
+    assert (e1, e2) == (2, 3)
+    layers = _layers(M)
+    theta1 = layers(e1)[0]
+    mult = multiples(theta1, 2, e2 - e1)[0]
+
+    def only_multiples(k):
+        return [mult] if k == e2 else layers(k)
+
+    with pytest.raises(FreenessCertificateFailure):
+        rank2_basis(only_multiples, M.total, 2, M.defining_poly().coeffs)
+
+    # equal degrees: the layer's second vector replaced by a scalar multiple
+    M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
+    assert exponents(M).as_pair() == (2, 2)
+    theta1 = _deriv_kernel(M, 2)[0]
+
+    def doubled(k):
+        return [theta1, [3 * c for c in theta1]] if k == 2 else _deriv_kernel(M, k)
+
+    with pytest.raises(FreenessCertificateFailure):
+        rank2_basis(doubled, M.total, 2, M.defining_poly().coeffs)
+
+
+def test_rank2_basis_rejects_a_perturbed_target():
+    M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
+    target = list(M.defining_poly().coeffs)
+    theta1, theta2 = rank2_basis(_layers(M), M.total, 2, target)
+    assert (Derivation2.from_vector(theta1), Derivation2.from_vector(theta2)) \
+        == basis(M)
+    for i in range(len(target)):
+        bad = list(target)
+        bad[i] += 1
+        with pytest.raises(FreenessCertificateFailure):
+            rank2_basis(_layers(M), M.total, 2, bad)
 
 
 def test_basis_certified():
