@@ -4,6 +4,13 @@ image/cokernel dimensions, defects, the near-freeness witness scan, splitting
 types along arbitrary admissible lines, the property-[P] decision, and the
 umbrella validator that checks the whole battery of structural identities on
 a single arrangement.
+
+Property [P] works in integers up to its last step: the D_H(A) basis is
+restricted at the integer points of line H inside the elimination that
+yields it (its pivots all fall in the basis columns, as it is independent),
+and the factor beta_f^k those points introduce is divided out once at the
+end, so the witnesses come out exactly as in restriction_param's
+coordinates; see _image_vectors.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ from . import linalg
 from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
                           is_balanced, n_H, nr_form, to_document)
 from .derivation import (ar_dim, classify, default_degree_cap, degree_cap,
-                         dh_basis)
+                         dh_projection, line_restriction)
 from .multiarr import (Derivation2, _free_pattern, _mul2, basis, exponents,
                        multiples, rank2_basis, ziegler_restriction)
-from .poly import HomPoly, LineParam, restriction_param, substitute_line
+from .poly import (CertificationFailure, HomPoly, LineParam, monomial_count,
+                   restriction_param)
 from .rng import XorShift64
 
 
@@ -57,11 +65,43 @@ class ZieglerMapData:
 
 @lru_cache(maxsize=2048)
 def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    param = restriction_param(A.lines[H].coeffs)
-    u, v = param.retained
-    return tuple(substitute_line(t.components[u], param).coeffs
-                 + substitute_line(t.components[v], param).coeffs
-                 for t in dh_basis(A, H, k))
+    """The restrictions to line H of the dh_basis(A, H, k) vectors, as the
+    concatenated coefficients of their two kept components in
+    restriction_param's coordinates.
+
+    dh_basis is the reversed RREF of the dh_projection vectors P_i, so the
+    rows [rev(P_i) | R(P_i)], R the line_restriction of both kept
+    components, are carried through that one elimination: the P_i are
+    independent, so every pivot falls in the first 3m columns and the rest
+    of each row is T R(P) = R(T P), the restriction of that basis vector.
+    R works at the integer points sP + tQ, which scales a degree-k form by
+    beta_f^k; dividing that out once, at the end, gives the Fractions
+    substitute_line gives on the basis itself.
+    """
+    beta = linalg._int_row(A.lines[H].coeffs)
+    f = restriction_param(beta).eliminated
+    m = monomial_count(3, k)
+    cols = line_restriction(beta, k)
+    rows = []
+    for theta in dh_projection(A, H, k):
+        row = theta[::-1]
+        for c in range(3):
+            if c == f:
+                continue
+            restricted = [0] * (k + 1)
+            for y, (r0, lead, xs) in zip(theta[c * m:(c + 1) * m], cols):
+                if y:
+                    y *= lead
+                    for r, x in enumerate(xs, r0):
+                        restricted[r] += y * x
+            row += restricted
+        rows.append(row)
+    reduced, pivots = linalg.integer_rref(rows, 3 * m)
+    if len(pivots) != len(rows):
+        raise CertificationFailure(f"dependent D_H basis at line {H}, degree {k}")
+    scale = beta[f] ** k
+    return tuple(tuple(Fraction(x, row[c] * scale) for x in row[3 * m:])
+                 for row, c in zip(reversed(reduced), reversed(pivots)))
 
 
 def ziegler_map(A: Arrangement, H: int) -> ZieglerMapData:
@@ -177,7 +217,7 @@ def is_admissible(A: Arrangement, form: LinearForm3) -> bool:
 
 def _restricted_gradient(A: Arrangement, form: LinearForm3) -> list[list[int]]:
     """(f_x, f_y, f_z) at the points sP + tQ of the line beta, with P, Q as
-    in derivation._h0_conditions and f the product of the integer-scaled
+    in derivation.line_restriction and f the product of the integer-scaled
     alpha_j: g_c = sum_j alpha_j,c prod_(i != j) l_i, l_i = alpha_i(sP + tQ).
     """
     beta = linalg._int_row(form.coeffs)
@@ -317,33 +357,33 @@ class PropertyPResult:
         return doc
 
 
-def _coords_matrix(th1: Derivation2, th2: Derivation2, k: int):
-    """Columns expressing degree-k module elements in the given basis."""
-    cols = [m for base in (th1, th2) if k >= base.degree
-            for m in multiples(base.coeff_vector(), 2, k - base.degree)]
-    return [list(r) for r in zip(*cols)]
-
-
 def _im_coords(A: Arrangement, H: int, th1: Derivation2, th2: Derivation2,
                k: int) -> list[tuple[HomPoly | None, HomPoly | None]]:
     """Basis-coordinates (p, q) with v = p*theta1 + q*theta2, one pair per
-    image vector at degree k; a None block means that degree is too low."""
-    matrix = _coords_matrix(th1, th2, k)
+    nonzero image vector at degree k; a None block means that degree is too
+    low.
+
+    linalg.solve_columns solves them all with one RREF of [multiples of
+    theta1 and theta2 | every image vector].  The multiples are independent,
+    since the pair is a basis, and every image vector lies in their span,
+    since the image is in the free module; so the pivots are exactly the
+    first n1 + n2 columns, and anything else is a ConsistencyFailure.
+    """
     e1, e2 = th1.degree, th2.degree
     n1 = k - e1 + 1 if k >= e1 else 0
     n2 = k - e2 + 1 if k >= e2 else 0
-    out = []
-    for v in _image_vectors(A, H, k):
-        if not any(v):
-            continue
-        sol = linalg.solve_unique(matrix, list(v), n1 + n2)
-        if sol is None:
-            raise ConsistencyFailure(
-                f"restricted derivation outside the free module at line {H}")
-        p = HomPoly(2, k - e1, tuple(sol[:n1])) if n1 else None
-        q = HomPoly(2, k - e2, tuple(sol[n1:])) if n2 else None
-        out.append((p, q))
-    return out
+    cols = [m for base in (th1, th2) if k >= base.degree
+            for m in multiples(base.coeff_vector(), 2, k - base.degree)]
+    vecs = [v for v in _image_vectors(A, H, k) if any(v)]
+    if not vecs:
+        return []
+    sols = linalg.solve_columns(cols, vecs)
+    if sols is None:
+        raise ConsistencyFailure(
+            f"restricted derivation outside the free module at line {H}")
+    return [(HomPoly(2, k - e1, tuple(sol[:n1])) if n1 else None,
+             HomPoly(2, k - e2, tuple(sol[n1:])) if n2 else None)
+            for sol in sols]
 
 
 def _lift(alpha: HomPoly, param: LineParam) -> tuple[Fraction, ...]:

@@ -126,6 +126,31 @@ def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
     return alpha, e, [i for i in range(3) if i != e]
 
 
+def line_restriction(beta, k: int) -> list[tuple[int, int, list[int]]]:
+    """The (k + 1) x C(k + 2, 2) integer matrix sending a degree-k monomial
+    x^mu to its coefficients at the points sP + tQ of the line with
+    primitive integer form beta; row r holds the coefficient of
+    s^(k - r) t^r.  Column mu is returned as (r0, lead, xs): the entries
+    lead * xs[j] in rows r0 + j.
+
+    P = beta_f e_u - beta_u e_f and Q = beta_f e_v - beta_v e_f for the
+    coordinate f that restriction_param(beta) eliminates, so x^mu becomes
+    beta_f^(mu_u + mu_v) s^mu_u t^mu_v (-beta_u s - beta_v t)^mu_f: lead is
+    the power of beta_f, r0 = mu_v, and xs is the binomial expansion, which
+    depends on mu_f alone.  On the line, (s, t) = (u, v) / beta_f in
+    restriction_param's coordinates, so a restricted form is
+    substitute_line's times beta_f^k.
+    """
+    f = restriction_param(beta).eliminated
+    u, v = (i for i in range(3) if i != f)
+    pu = [(-beta[u]) ** j for j in range(k + 1)]
+    pv = [(-beta[v]) ** j for j in range(k + 1)]
+    expansions = [[comb(c, j) * pu[c - j] * pv[j] for j in range(c + 1)]
+                  for c in range(k + 1)]
+    leads = [beta[f] ** (k - c) for c in range(k + 1)]
+    return [(mu[v], leads[mu[f]], expansions[mu[f]]) for mu in monomials(3, k)]
+
+
 def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
     """The conditions defining D_{H0}(A)_k, H0 = line 0, on the two
     components of theta that restriction_param(alpha_H0) keeps.
@@ -134,36 +159,22 @@ def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
     theta_e = -(sum of alpha_i theta_i, i != e) / alpha_e, so alpha_e
     theta(alpha_K) = sum of (alpha_e beta_i - beta_e alpha_i) theta_i over
     the kept i, for every other line K with form beta.  That value vanishes
-    on K exactly when its k + 1 coefficients vanish on the points sP + tQ
-    of K, where P = beta_f e_u - beta_u e_f and Q = beta_f e_v - beta_v e_f
-    for the coordinate f that restriction_param(beta) eliminates.  A
-    monomial x^mu becomes beta_f^(mu_u + mu_v) s^mu_u t^mu_v
-    (-beta_u s - beta_v t)^mu_f, one binomial expansion.  Forms are scaled
-    to integers first, which changes no condition.  Columns are the
+    on K exactly when its line_restriction(beta, k) vanishes.  Forms are
+    scaled to integers first, which changes no condition.  Columns are the
     degree-k monomials of the first kept component, then of the second.
     """
     alpha, e, kept = _h0_frame(A)
-    monos = monomials(3, k)
-    m = len(monos)
+    m = monomial_count(3, k)
     rows: list[list[int]] = []
     for form in A.lines[1:]:
         beta = linalg._int_row(form.coeffs)
         w0, w1 = (alpha[e] * beta[i] - beta[e] * alpha[i] for i in kept)
-        f = restriction_param(beta).eliminated
-        u, v = (i for i in range(3) if i != f)
-        scale = [beta[f] ** j for j in range(k + 1)]
-        pu = [(-beta[u]) ** j for j in range(k + 1)]
-        pv = [(-beta[v]) ** j for j in range(k + 1)]
         block = [[0] * (2 * m) for _ in range(k + 1)]
-        for col, mu in enumerate(monos):
-            c = mu[f]
-            lead = scale[k - c]
-            for j in range(c + 1):
-                x = lead * comb(c, j) * pu[c - j] * pv[j]
+        for col, (r0, lead, xs) in enumerate(line_restriction(beta, k)):
+            a0, a1 = w0 * lead, w1 * lead
+            for r, x in enumerate(xs, r0):
                 if x:
-                    # coefficient of s^(mu_u + c - j) t^(mu_v + j)
-                    row = block[mu[v] + j]
-                    row[col], row[m + col] = w0 * x, w1 * x
+                    block[r][col], block[r][m + col] = a0 * x, a1 * x
         rows.extend(block)
     return rows
 
@@ -472,27 +483,55 @@ def classify(A: Arrangement) -> Classification:
 # ---------------------------------------------------------------------------
 # derivations vanishing on one line
 
+def dh_projection(A: Arrangement, H: int, k: int) -> list[list[int]]:
+    """Integer basis of D_H(A)_k: the _ar_kernel vectors mapped by
+    theta -> theta - (theta(alpha_H) / alpha_H) theta_E.
+
+    By Ziegler's splitting D(A) = S theta_E + D_H(A), that map, defined on
+    all of D(A), projects along S theta_E; it takes the basis of D_{H0}(A)
+    isomorphically onto D_H(A), degree by degree.  alpha_H is scaled to a
+    primitive integer form, so by Gauss's lemma the quotient of the integer
+    form theta(alpha_H) is integral: it is peeled off by exact integer
+    division, and a nonzero remainder raises CertificationFailure.
+    """
+    alpha = linalg._int_row(A.lines[H].coeffs)
+    e = restriction_param(alpha).eliminated
+    monos = monomials(3, k)
+    m = len(monos)
+    table = _index_table(3, k)
+    # the terms x^mu of theta(alpha_H) divisible by x_e, highest power
+    # first: peeling one off puts rem[mu] / alpha_e into the quotient at
+    # mu - e_e and changes only mu and lower powers, at mu - e_e + e_c
+    steps = [(j, [table[tuple(a - (i == e) + (i == c) for i, a in enumerate(mu))]
+                  for c in range(3)])
+             for j, mu in sorted(enumerate(monos), key=lambda jm: -jm[1][e])
+             if mu[e]]
+    out = []
+    for vec in _ar_kernel(A, k):
+        theta = list(vec)
+        rem = [sum(a * theta[c * m + j] for c, a in enumerate(alpha))
+               for j in range(m)]
+        for j, shifted in steps:
+            if rem[j]:
+                q, r = divmod(rem[j], alpha[e])
+                if r:
+                    break  # rem[j] stays nonzero
+                for c, idx in enumerate(shifted):
+                    rem[idx] -= q * alpha[c]
+                    theta[c * m + idx] -= q
+        if any(rem):
+            raise CertificationFailure(
+                f"theta(alpha_{H}) is not divisible by alpha_{H}")
+        out.append(theta)
+    return out
+
+
 @lru_cache(maxsize=8192)
 def _dh_kernel(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Degree-k layer of D_H(A), in the echelon form kernel_basis gives.
-
-    By Ziegler's splitting D(A) = S theta_E + D_H(A), the map
-    theta -> theta - (theta(alpha_H) / alpha_H) theta_E, defined on all of
-    D(A), projects along S theta_E; it takes the basis of D_{H0}(A) from
-    _ar_kernel isomorphically onto D_H(A), degree by degree.
-    """
-    alpha = A.lines[H].coeffs
-    images = []
-    for v in _ar_kernel(A, k):
-        theta = Derivation3.from_vector(v, k)
-        value = theta.apply_linear(alpha)
-        if not value.is_zero:
-            q = divide_linear(value, alpha)
-            theta = Derivation3(*(c - _var_shift(q, i)
-                                  for i, c in enumerate(theta.components)))
-        images.append(theta.coeff_vector())
-    return tuple(tuple(v) for v in
-                 linalg.echelon_basis(images, 3 * monomial_count(3, k)))
+    """Degree-k layer of D_H(A), in the echelon form kernel_basis gives:
+    echelon_basis of dh_projection."""
+    return tuple(tuple(v) for v in linalg.echelon_basis(
+        dh_projection(A, H, k), 3 * monomial_count(3, k)))
 
 
 def dh_basis(A: Arrangement, H: int, k: int) -> list[Derivation3]:

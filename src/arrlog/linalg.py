@@ -12,9 +12,10 @@ vector satisfies M v = 0 exactly over Z.  That check is a certificate (see
 ``_modular_kernel``), so the result equals exact elimination's.  When no
 prime yields a certified basis, exact elimination decides.
 
-``rank``, ``rref``, ``solve_unique``, ``echelon_basis`` and ``SpanBuilder``
-eliminate exactly over Z without fractions: pivots are chosen by smallest
-bit-size and rows are divided by their gcd after every elimination step.
+``rank``, ``integer_rref``, ``rref``, ``solve_columns``, ``echelon_basis``
+and ``SpanBuilder`` eliminate exactly over Z without fractions: pivots are
+chosen by smallest bit-size and rows are divided by their gcd after every
+elimination step.
 """
 
 from __future__ import annotations
@@ -93,8 +94,10 @@ def _reduce_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
     return echelon, pivots
 
 
-def rref(matrix: Mat, ncols: int) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+def integer_rref(matrix: Mat, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon form up to one integer factor per row, with
+    its pivot columns: row i is row[pivots[i]] times the reduced row, so a
+    caller turns into Fractions only the entries it reads."""
     echelon, pivots = _reduce_rows([_int_row(r) for r in matrix], ncols)
     # Back-substitution, still fraction-free.
     for i in range(len(echelon) - 1, -1, -1):
@@ -108,11 +111,14 @@ def rref(matrix: Mat, ncols: int) -> tuple[Mat, list[int]]:
                 if g > 1:
                     row = [a // g for a in row]
                 echelon[j] = row
-    out = []
-    for row, c in zip(echelon, pivots):
-        p = Fraction(row[c])
-        out.append([Fraction(a) / p for a in row])
-    return out, pivots
+    return echelon, pivots
+
+
+def rref(matrix: Mat, ncols: int) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    rows, pivots = integer_rref(matrix, ncols)
+    return [[Fraction(a, row[c]) for a in row]
+            for row, c in zip(rows, pivots)], pivots
 
 
 def rank(matrix: Mat, ncols: int) -> int:
@@ -282,21 +288,22 @@ def echelon_basis(vectors, ncols: int) -> Mat:
     return [row[::-1] for row in reversed(reduced)]
 
 
-def solve_unique(matrix: Mat, rhs: Vec, ncols: int) -> Vec | None:
-    """Solve M x = rhs when the solution is unique; None if inconsistent.
+def solve_columns(cols, rhs) -> list[Vec] | None:
+    """For every b in rhs, the x with sum of x[i] cols[i] = b, from one RREF
+    of [cols | rhs]; None unless each system has exactly one solution.
 
-    Raises ValueError if the system is underdetermined.
+    The columns of rhs only take pivots when some b is outside the span of
+    cols, and fewer than len(cols) pivots mean the cols are dependent, so
+    the solutions are unique exactly when the pivots are the first
+    len(cols) columns.
     """
-    aug = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    reduced, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
+    n = len(cols)
+    rows, pivots = integer_rref([list(r) for r in zip(*cols, *rhs)],
+                                n + len(rhs))
+    if pivots != list(range(n)):
         return None
-    if len(pivots) < ncols:
-        raise ValueError("underdetermined system")
-    x = [Fraction(0)] * ncols
-    for row, c in zip(reduced, pivots):
-        x[c] = row[ncols]
-    return x
+    return [[Fraction(row[j], row[i]) for i, row in enumerate(rows)]
+            for j in range(n, n + len(rhs))]
 
 
 class SpanBuilder:

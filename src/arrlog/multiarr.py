@@ -126,6 +126,7 @@ class Exponents:
         return (self.e1, self.e2)
 
 
+@lru_cache(maxsize=8192)
 def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, LineParam]:
     """Induced weighted arrangement on line H, plus the parametrization used.
 

@@ -114,6 +114,28 @@ def test_internal_certificate_failure_exit_3(tmp_path, capsys, monkeypatch,
     assert err == f"{error.__name__}: identity broken\n"
 
 
+@pytest.mark.parametrize("error", [IndexError, ZeroDivisionError])
+def test_crash_inside_a_computation_exit_3(tmp_path, capsys, monkeypatch,
+                                           error):
+    # line indices are checked up front, so an IndexError from inside a
+    # computation is a bug, not a usage error
+    def crash(A, H):
+        raise error("deep inside")
+
+    monkeypatch.setattr("arrlog.cli.property_P", crash)
+    path = write_doc(tmp_path, fixture("generic4").document())
+    code, out, err = run(capsys, "property-p", path, "--all")
+    assert code == 3
+    assert out == ""
+    assert err == f"{error.__name__}: deep inside\n"
+
+
+def test_directory_as_input_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "classify", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+
+
 def capped_verify(tmp_path, name: str, cap: int) -> dict:
     """`arrlog verify` on a fixture under ARRLOG_MAX_DEGREE, in a fresh
     interpreter, so no cached classification skips the cap."""
@@ -292,13 +314,28 @@ def test_bad_generator_argument_exit_2(capsys, argv):
 
 
 # sha256 of the concatenated stdout over the six fixtures, in FIXTURES
-# order; "form" runs splitting --form on random_external_lines(A, 10, 42)
+# order; "form" runs splitting --form on random_external_lines(A, 10, 42);
+# "property-p-transformed" runs property-p --all on the fixtures after each
+# integer coordinate change of TRANSFORMS, where most lines are no
+# coordinate line, so the witnesses are no longer read off beta_f = 1
 GOLDEN_DIGESTS = {
     "ziegler": "6b03bff1b81f3b6b5527da290e8d78c48d70967a37d2910e78e77599a5b3d0c8",
     "property-p": "ce1119f67752487ccf079e9963be29319d4a6b4b8afa99739146c525cd94cedd",
     "splitting": "b3aac8f7aa8786420a4e5b214b56344c5818d32dad8d900a085fab4c0f948c24",
     "form": "ab1bd9a2a235150d78c78164fa6c78e7d972babddc85b87cbdc9210e606413e3",
+    "property-p-transformed":
+        "102e43b08aa0e6acc2110a81a8c95fba5edf547e1638a924a8d681eb1058bb54",
 }
+TRANSFORMS = (((2, 1, 0), (1, 3, 1), (0, 1, 5)),
+              ((1, -2, 3), (4, 1, -1), (2, 0, 7)))
+
+
+def transformed_document(fx, T) -> dict:
+    """The fixture's lines alpha replaced by the integer forms alpha . T."""
+    rows = [linalg._int_row([sum(a[i] * T[i][j] for i in range(3))
+                             for j in range(3)])
+            for a in (line.coeffs for line in fx.build().lines)]
+    return {"name": fx.name, "lines": rows}
 
 
 def test_golden_output_digests(tmp_path, capsys):
@@ -317,6 +354,10 @@ def test_golden_output_digests(tmp_path, capsys):
         for form in random_external_lines(fx.build(), 10, 42):
             coeffs = ",".join(map(str, linalg._int_row(form.coeffs)))
             feed("form", "splitting", path, "--form", coeffs)
+    for T in TRANSFORMS:
+        for fx in FIXTURES:
+            path = write_doc(tmp_path, transformed_document(fx, T))
+            feed("property-p-transformed", "property-p", path, "--all")
     assert {k: h.hexdigest() for k, h in hashes.items()} == GOLDEN_DIGESTS
 
 

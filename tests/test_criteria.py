@@ -1,9 +1,12 @@
 """Restriction map, defects, splitting types, property decisions, validator."""
 
+from fractions import Fraction
+
 import pytest
 
 from arrlog import criteria, linalg
-from arrlog.arrangement import LinearForm3, chi0, parse_arrangement
+from arrlog.arrangement import (Arrangement, LinearForm3, chi0,
+                                parse_arrangement)
 from arrlog.corpus import (FIXTURES, fixture, generic, near_pencil, pencil,
                            random_arrangement)
 from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
@@ -14,7 +17,7 @@ from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
                              splitting_type, verify, yoshinaga_defect,
                              ziegler_map)
 from arrlog.derivation import dh_basis, jacobian
-from arrlog.multiarr import deriv_dim, ziegler_restriction
+from arrlog.multiarr import deriv_dim, deriv_space, ziegler_restriction
 from arrlog.poly import restriction_param, substitute_line
 from test_multiarr import rank2_exponents
 
@@ -53,6 +56,61 @@ def test_ziegler_map_matches_restricted_basis(A):
         data = ziegler_map(A, H)
         got = list(zip(data.domain_dims, data.codomain_dims, data.image_dims))
         assert got == [_oracle_map_dims(A, H, k) for k in range(len(got))]
+
+
+def _oracle_image_vectors(A, H, k):
+    """dh_basis(A, H, k) restricted to line H by substitute_line."""
+    param = restriction_param(A.lines[H].coeffs)
+    u, v = param.retained
+    return tuple(substitute_line(t.components[u], param).coeffs
+                 + substitute_line(t.components[v], param).coeffs
+                 for t in dh_basis(A, H, k))
+
+
+_IMAGE_INPUTS = (
+    [f.build() for f in FIXTURES]
+    + [Arrangement(tuple(reversed(f.build().lines)), f"{f.name}-reversed")
+       for f in FIXTURES]
+    + [A3, B3] + [near_pencil(n) for n in range(3, 9)]
+    + [random_arrangement(9, 1)])
+
+
+@pytest.mark.parametrize("A", _IMAGE_INPUTS, ids=lambda A: A.name)
+def test_image_vectors_match_restricted_dh_basis(A):
+    # the integer path carries the restriction through the elimination that
+    # yields dh_basis and divides beta_f^k out at the end; it must give the
+    # same Fractions as restricting the basis itself
+    for H in range(len(A)):
+        for k in range(len(A)):
+            got = criteria._image_vectors(A, H, k)
+            assert got == _oracle_image_vectors(A, H, k), (H, k)
+            assert all(type(x) is Fraction for v in got for x in v)
+
+
+def test_image_vector_outside_the_free_module_fails(monkeypatch):
+    A = fixture("pog7").build()
+    H = A.index_of(Z)
+    assert property_P(A, H).holds == "variant1"
+    M, _ = ziegler_restriction(A, H)
+    real = criteria._image_vectors
+
+    def perturbed(A, H, k):
+        vecs = real(A, H, k)
+        if not vecs:
+            return vecs
+        # shift the first vector by a unit vector outside D(M)_k
+        span = linalg.SpanBuilder(2 * (k + 1))
+        for theta in deriv_space(M, k):
+            span.add(theta.coeff_vector())
+        for j in range(2 * (k + 1)):
+            v = tuple(c + (i == j) for i, c in enumerate(vecs[0]))
+            if not span.contains(v):
+                return (v,) + vecs[1:]
+        raise AssertionError(f"D(M)_{k} is everything")
+
+    monkeypatch.setattr(criteria, "_image_vectors", perturbed)
+    with pytest.raises(ConsistencyFailure, match="outside the free module"):
+        property_P(A, H)
 
 
 def _oracle_external_splitting(A, form):

@@ -3,18 +3,20 @@
 import pytest
 import sympy
 
-from arrlog import arrangement
+from arrlog import arrangement, derivation
 from arrlog.arrangement import Arrangement, parse_arrangement
 from arrlog.corpus import (fixture, generic, near_pencil, pencil,
                            random_arrangement)
 from arrlog.corpus import FIXTURES
 from arrlog.criteria import verify
 from arrlog.derivation import (Derivation3, _ar_kernel, _dh_kernel, ar_basis,
-                               ar_dim, classify, dh_basis, in_dh, jacobian,
-                               mdr, minimal_resolution)
-from arrlog.linalg import kernel_basis, rank
-from arrlog.poly import (line_param, monomial_count, monomials, poly_mul,
-                         substitute_line, zero)
+                               ar_dim, classify, dh_basis, dh_projection,
+                               in_dh, jacobian, line_restriction, mdr,
+                               minimal_resolution)
+from arrlog.linalg import _int_row, kernel_basis, rank
+from arrlog.poly import (CertificationFailure, HomPoly, line_param,
+                         monomial_count, monomials, poly_mul,
+                         restriction_param, substitute_line, zero)
 
 
 def jacobian_matrix(A, k):
@@ -235,6 +237,36 @@ def test_in_dh_negative():
 def test_dh_bad_index():
     with pytest.raises(IndexError):
         dh_basis(fixture("nf6").build(), 6, 1)
+
+
+@pytest.mark.parametrize("beta", [(0, 0, 1), (1, -3, 2), (2, 2, 1), (7, -4, 9),
+                                  (-5, 1, 3)])
+def test_line_restriction_is_the_scaled_substitution(beta):
+    # at sP + tQ, (u, v) = beta_f (s, t) in restriction_param's coordinates
+    param = restriction_param(beta)
+    for k in range(5):
+        cols = line_restriction(beta, k)
+        for j, (r0, lead, xs) in enumerate(cols):
+            unit = HomPoly(3, k, tuple(int(i == j) for i in range(len(cols))))
+            want = [beta[param.eliminated] ** k * c
+                    for c in substitute_line(unit, param).coeffs]
+            got = [0] * (k + 1)
+            for r, x in enumerate(xs, r0):
+                got[r] += lead * x
+            assert got == want, (k, j)
+
+
+def test_dh_projection_rejects_a_non_multiple(monkeypatch):
+    # theta = x d/dy has theta(y) = x, which y does not divide
+    A = parse_arrangement({"factored": "xy(x+y+z)"})
+    H = next(i for i, line in enumerate(A.lines)
+             if _int_row(line.coeffs) == [0, 1, 0])
+    m = monomial_count(3, 1)
+    theta = [0] * (3 * m)
+    theta[m + monomials(3, 1).index((1, 0, 0))] = 1
+    monkeypatch.setattr(derivation, "_ar_kernel", lambda A, k: (tuple(theta),))
+    with pytest.raises(CertificationFailure, match="not divisible"):
+        dh_projection(A, H, 1)
 
 
 # known answers (Orlik-Terao, Arrangements of Hyperplanes, 1992): the

@@ -10,7 +10,7 @@ from arrlog import derivation
 from arrlog.corpus import FIXTURES, near_pencil, random_arrangement
 from arrlog.linalg import (MERSENNE_PRIMES, SpanBuilder, _exact_kernel,
                            _int_row, _modular_kernel, echelon_basis,
-                           kernel_basis, rank, rref, solve_unique)
+                           kernel_basis, rank, rref, solve_columns)
 from arrlog.poly import monomial_count
 from test_derivation import jacobian_matrix
 
@@ -101,21 +101,27 @@ def test_echelon_basis_recovers_kernel_basis(mn, rng):
     assert echelon_basis(spanning, ncols) == kernel
 
 
-def test_solve_unique_consistent():
-    m = [[1, 1], [1, -1]]
-    assert solve_unique(m, [3, 1], 2) == [Fraction(2), Fraction(1)]
+def test_solve_columns_consistent():
+    cols = [[1, 1], [1, -1]]
+    assert solve_columns(cols, [[3, 1]]) == [[Fraction(2), Fraction(1)]]
 
 
-def test_solve_unique_inconsistent():
-    m = [[1, 1], [2, 2]]
-    assert solve_unique(m, [1, 3], 2) is None
+def test_solve_columns_inconsistent():
+    cols = [[1, 2], [1, 2]]
+    assert solve_columns(cols, [[1, 3]]) is None
 
 
-def test_solve_unique_underdetermined_raises():
-    import pytest
+def test_solve_columns_underdetermined():
+    assert solve_columns([[1], [1]], [[1]]) is None
 
-    with pytest.raises(ValueError):
-        solve_unique([[1, 1]], [1], 2)
+
+def test_solve_columns_batch():
+    cols = [[1, 1, 0], [0, 1, 1]]
+    assert solve_columns(cols, [[1, 2, 1], [2, 1, -1], [0, 0, 0]]) == [
+        [1, 1], [2, -1], [0, 0]]
+    # one right-hand side outside the span spoils the batch
+    assert solve_columns(cols, [[1, 2, 1], [1, 0, 0]]) is None
+    assert solve_columns(cols, []) == []
 
 
 def test_span_builder_matches_rank():
