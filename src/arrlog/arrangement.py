@@ -54,9 +54,6 @@ class LinearForm3:
     def poly(self) -> HomPoly:
         return linear(3, self.coeffs)
 
-    def contains(self, point) -> bool:
-        return sum(c * Fraction(p) for c, p in zip(self.coeffs, point)) == 0
-
     def __str__(self) -> str:
         return str(self.poly())
 

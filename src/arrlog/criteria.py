@@ -18,16 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations
 
 from . import linalg
 from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
                           is_balanced, n_H, nr_form, to_document)
 from .derivation import (ar_dim, classify, default_degree_cap, degree_cap,
-                         dh_projection, line_restriction)
+                         dh_projection)
 from .multiarr import (Derivation2, _free_pattern, _mul2, basis, exponents,
                        multiples, rank2_basis, ziegler_restriction)
 from .poly import (CertificationFailure, HomPoly, LineParam, monomial_count,
-                   restriction_param)
+                   restrict, restriction_param)
 from .rng import XorShift64
 
 
@@ -70,31 +71,23 @@ def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...]
     restriction_param's coordinates.
 
     dh_basis is the reversed RREF of the dh_projection vectors P_i, so the
-    rows [rev(P_i) | R(P_i)], R the line_restriction of both kept
-    components, are carried through that one elimination: the P_i are
-    independent, so every pivot falls in the first 3m columns and the rest
-    of each row is T R(P) = R(T P), the restriction of that basis vector.
-    R works at the integer points sP + tQ, which scales a degree-k form by
-    beta_f^k; dividing that out once, at the end, gives the Fractions
-    substitute_line gives on the basis itself.
+    rows [rev(P_i) | R(P_i)], R the poly.restrict of both kept components,
+    are carried through that one elimination: the P_i are independent, so
+    every pivot falls in the first 3m columns and the rest of each row is
+    T R(P) = R(T P), the restriction of that basis vector.  R works at the
+    integer points sP + tQ, which scales a degree-k form by beta_f^k;
+    dividing that out once, at the end, gives the restrictions in
+    restriction_param's coordinates.
     """
     beta = linalg._int_row(A.lines[H].coeffs)
     f = restriction_param(beta).eliminated
     m = monomial_count(3, k)
-    cols = line_restriction(beta, k)
     rows = []
     for theta in dh_projection(A, H, k):
         row = theta[::-1]
         for c in range(3):
-            if c == f:
-                continue
-            restricted = [0] * (k + 1)
-            for y, (r0, lead, xs) in zip(theta[c * m:(c + 1) * m], cols):
-                if y:
-                    y *= lead
-                    for r, x in enumerate(xs, r0):
-                        restricted[r] += y * x
-            row += restricted
+            if c != f:
+                row += restrict(beta, theta[c * m:(c + 1) * m], k)
         rows.append(row)
     reduced, pivots = linalg.integer_rref(rows, 3 * m)
     if len(pivots) != len(rows):
@@ -209,23 +202,32 @@ class SplittingType:
         return {"line": where, "exponents": [self.e1, self.e2]}
 
 
+def _restricted_lines(A: Arrangement, beta) -> list[list[int]]:
+    """The forms l_i = alpha_i(sP + tQ) of the integer-scaled alpha_i of A
+    on the line beta, by poly.restrict."""
+    return [restrict(beta, linalg._int_row(line.coeffs), 1) for line in A.lines]
+
+
 def is_admissible(A: Arrangement, form: LinearForm3) -> bool:
-    """True if the line is not in A and passes through no intersection point."""
-    return form not in A.lines and not any(
-        form.contains(pt.point) for pt in intersection_points(A))
+    """True if the line is not in A and passes through no intersection point.
+
+    On the line, l_i = 0 exactly when it is line i, and l_i, l_j are
+    proportional exactly when they share their zero, the point where lines
+    i and j meet; so the line is admissible iff every l_i is nonzero and no
+    two are proportional.
+    """
+    ells = _restricted_lines(A, linalg._int_row(form.coeffs))
+    return all(any(l) for l in ells) and all(
+        a[0] * b[1] != a[1] * b[0] for a, b in combinations(ells, 2))
 
 
 def _restricted_gradient(A: Arrangement, form: LinearForm3) -> list[list[int]]:
     """(f_x, f_y, f_z) at the points sP + tQ of the line beta, with P, Q as
-    in derivation.line_restriction and f the product of the integer-scaled
+    in poly.line_restriction and f the product of the integer-scaled
     alpha_j: g_c = sum_j alpha_j,c prod_(i != j) l_i, l_i = alpha_i(sP + tQ).
     """
-    beta = linalg._int_row(form.coeffs)
-    f = restriction_param(beta).eliminated
-    u, v = (i for i in range(3) if i != f)
+    ells = _restricted_lines(A, linalg._int_row(form.coeffs))
     alphas = [linalg._int_row(line.coeffs) for line in A.lines]
-    ells = [[beta[f] * a[u] - beta[u] * a[f], beta[f] * a[v] - beta[v] * a[f]]
-            for a in alphas]
     rests = [reduce(_mul2, ells[:j] + ells[j + 1:], [1]) for j in range(len(A))]
     return [[sum(a[c] * r[i] for a, r in zip(alphas, rests))
              for i in range(len(A))] for c in range(3)]

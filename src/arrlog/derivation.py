@@ -32,8 +32,8 @@ from math import comb
 from . import linalg
 from .arrangement import Arrangement
 from .poly import (CertificationFailure, HomPoly, _index_table, divide_linear,
-                   monomial_count, monomials, restriction_param,
-                   substitute_line, zero)
+                   line_restriction, monomial_count, monomials, restrict,
+                   restriction_param, zero)
 
 MAX_DEGREE_ENV = "ARRLOG_MAX_DEGREE"
 
@@ -124,31 +124,6 @@ def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
     alpha = linalg._int_row(A.lines[0].coeffs)
     e = restriction_param(alpha).eliminated
     return alpha, e, [i for i in range(3) if i != e]
-
-
-def line_restriction(beta, k: int) -> list[tuple[int, int, list[int]]]:
-    """The (k + 1) x C(k + 2, 2) integer matrix sending a degree-k monomial
-    x^mu to its coefficients at the points sP + tQ of the line with
-    primitive integer form beta; row r holds the coefficient of
-    s^(k - r) t^r.  Column mu is returned as (r0, lead, xs): the entries
-    lead * xs[j] in rows r0 + j.
-
-    P = beta_f e_u - beta_u e_f and Q = beta_f e_v - beta_v e_f for the
-    coordinate f that restriction_param(beta) eliminates, so x^mu becomes
-    beta_f^(mu_u + mu_v) s^mu_u t^mu_v (-beta_u s - beta_v t)^mu_f: lead is
-    the power of beta_f, r0 = mu_v, and xs is the binomial expansion, which
-    depends on mu_f alone.  On the line, (s, t) = (u, v) / beta_f in
-    restriction_param's coordinates, so a restricted form is
-    substitute_line's times beta_f^k.
-    """
-    f = restriction_param(beta).eliminated
-    u, v = (i for i in range(3) if i != f)
-    pu = [(-beta[u]) ** j for j in range(k + 1)]
-    pv = [(-beta[v]) ** j for j in range(k + 1)]
-    expansions = [[comb(c, j) * pu[c - j] * pv[j] for j in range(c + 1)]
-                  for c in range(k + 1)]
-    leads = [beta[f] ** (k - c) for c in range(k + 1)]
-    return [(mu[v], leads[mu[f]], expansions[mu[f]]) for mu in monomials(3, k)]
 
 
 def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
@@ -494,6 +469,8 @@ def dh_projection(A: Arrangement, H: int, k: int) -> list[list[int]]:
     form theta(alpha_H) is integral: it is peeled off by exact integer
     division, and a nonzero remainder raises CertificationFailure.
     """
+    if not 0 <= H < len(A):
+        raise IndexError("line index out of range")
     alpha = linalg._int_row(A.lines[H].coeffs)
     e = restriction_param(alpha).eliminated
     monos = monomials(3, k)
@@ -537,19 +514,21 @@ def _dh_kernel(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ..
 def dh_basis(A: Arrangement, H: int, k: int) -> list[Derivation3]:
     """Deterministic basis of the degree-k derivations preserving every line
     and annihilating the defining form of line H."""
-    if not 0 <= H < len(A):
-        raise IndexError("line index out of range")
     return [Derivation3.from_vector(v, k) for v in _dh_kernel(A, H, k)]
 
 
 def in_dh(A: Arrangement, H: int, theta: Derivation3) -> bool:
-    """Membership test for an explicitly given derivation."""
+    """Membership test for an explicitly given derivation: theta(alpha_H)
+    is zero, and every other theta(alpha_K) restricts to zero on line K."""
+    if not 0 <= H < len(A):
+        raise IndexError("line index out of range")
     if not theta.apply_linear(A.lines[H].coeffs).is_zero:
         return False
     for K, form in enumerate(A.lines):
         if K == H:
             continue
-        if not substitute_line(theta.apply_linear(form.coeffs),
-                               restriction_param(form.coeffs)).is_zero:
+        beta = linalg._int_row(form.coeffs)
+        value = linalg._int_row(theta.apply_linear(beta).coeffs)
+        if any(restrict(beta, value, theta.degree)):
             return False
     return True

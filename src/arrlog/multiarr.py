@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from . import linalg
 from .arrangement import Arrangement, _canonical
-from .poly import (HomPoly, LineParam, linear, product, restriction_param,
-                   substitute_line)
+from .poly import (HomPoly, LineParam, linear, product, restrict,
+                   restriction_param)
 
 
 class FreenessCertificateFailure(AssertionError):
@@ -128,27 +128,28 @@ class Exponents:
 
 @lru_cache(maxsize=8192)
 def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, LineParam]:
-    """Induced weighted arrangement on line H, plus the parametrization used.
+    """Induced weighted arrangement on line H, plus the parametrization used,
+    restriction_param of H.
 
-    Every other line restricts to a binary form; proportional restrictions
-    are grouped and each group's cardinality (the point multiplicity minus
-    one) becomes the weight.  The parametrization is restriction_param of H.
+    Every other line restricts by poly.restrict to a binary form, a nonzero
+    multiple of its restriction in that parametrization, so its canonical
+    LinearForm2 is the same; proportional restrictions are grouped and each
+    group's cardinality (the point multiplicity minus one) becomes the
+    weight.
     """
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
-    param = restriction_param(A.lines[H].coeffs)
+    beta = linalg._int_row(A.lines[H].coeffs)
     counts: dict[LinearForm2, int] = {}
     for i, form in enumerate(A.lines):
         if i == H:
             continue
-        restricted = substitute_line(form.poly(), param)
-        key = LinearForm2.make((restricted.coefficient((1, 0)),
-                                restricted.coefficient((0, 1))))
+        key = LinearForm2.make(restrict(beta, linalg._int_row(form.coeffs), 1))
         counts[key] = counts.get(key, 0) + 1
     items = sorted(counts.items())
     M = Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
     assert M.total == len(A) - 1
-    return M, param
+    return M, restriction_param(beta)
 
 
 def _divisibility_rows(M: Multiarrangement2, k: int) -> list[list[int]]:
@@ -164,8 +165,7 @@ def _divisibility_rows(M: Multiarrangement2, k: int) -> list[list[int]]:
     """
     rows: list[list[int]] = []
     for form, m in zip(M.forms, M.mult):
-        den = lcm(*(c.denominator for c in form.coeffs))
-        a, b = (int(c * den) for c in form.coeffs)
+        a, b = linalg._int_row(form.coeffs)
         for i in range(min(m, k + 1)):
             row = [0] * (2 * (k + 1))
             for j in range(k + 1):
@@ -258,9 +258,17 @@ def rank2_basis(layer, total: int, ncomp: int, target) -> tuple[tuple, tuple]:
     theta2 = next((v for v in layer(total - e1) if not span.contains(v)), None)
     if theta2 is None:
         raise FreenessCertificateFailure("no independent second basis vector")
-    if not _minors_certify(theta1, theta2, ncomp, target):
+    if not _minors_certify(linalg._int_row(theta1), linalg._int_row(theta2),
+                           ncomp, target):
         raise FreenessCertificateFailure("basis candidates fail the determinant certificate")
     return theta1, theta2
+
+
+def _saito_target(M: Multiarrangement2) -> list[int]:
+    """The defining polynomial of M up to a nonzero constant: the product of
+    its integer-scaled forms, each repeated by its multiplicity."""
+    return reduce(_mul2, (linalg._int_row(f.coeffs)
+                          for f, m in zip(M.forms, M.mult) for _ in range(m)), [1])
 
 
 @lru_cache(maxsize=8192)
@@ -268,7 +276,7 @@ def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
     """Certified homogeneous basis (degrees e1 <= e2): rank2_basis with
     Saito's determinant against the defining polynomial."""
     return tuple(map(Derivation2.from_vector, rank2_basis(
-        lambda k: _deriv_kernel(M, k), M.total, 2, M.defining_poly().coeffs)))
+        lambda k: _deriv_kernel(M, k), M.total, 2, _saito_target(M))))
 
 
 def exponents(M: Multiarrangement2) -> Exponents:
@@ -282,4 +290,4 @@ def saito_check(theta1: Derivation2, theta2: Derivation2,
     """Saito's criterion: the pair is a basis iff its determinant is a nonzero
     constant times the defining polynomial (with multiplicities)."""
     return _minors_certify(theta1.coeff_vector(), theta2.coeff_vector(), 2,
-                           M.defining_poly().coeffs)
+                           _saito_target(M))

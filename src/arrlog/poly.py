@@ -1,9 +1,17 @@
-"""Dense homogeneous polynomials in 2 or 3 variables over the rationals.
+"""Dense homogeneous polynomials in 2 or 3 variables over the rationals,
+and restriction to a line.
 
 A polynomial of degree d is a coefficient vector indexed by the degree-d
 monomials in graded-lexicographic order (largest exponent on the first
 variable first).  All downstream computations work degree by degree, so a
 dense per-degree vector feeds the exact linear solver directly.
+
+Every restriction of a ternary form to a line goes through
+line_restriction, the integer matrix that evaluates it at the points
+sP + tQ of the line, or restrict, that matrix applied to one form: the
+weighted arrangement on a member line, admissibility of an external line
+and its restricted Jacobian row, membership in D_H(A), the conditions of
+D_H0(A) and the property-[P] image vectors.
 """
 
 from __future__ import annotations
@@ -199,14 +207,10 @@ def product(polys, nvars: int = 3) -> HomPoly:
 
 @dataclass(frozen=True)
 class LineParam:
-    """Elimination parametrization of a plane a*x + b*y + c*z = 0.
-
-    The eliminated coordinate equals expr[0] * u + expr[1] * v, where (u, v)
-    are the retained coordinates in increasing index order.
-    """
+    """Coordinates on a line a*x + b*y + c*z = 0: the coordinate eliminated
+    and the two it retains, (u, v) in increasing index order."""
 
     eliminated: int
-    expr: tuple[Fraction, Fraction]
 
     @property
     def retained(self) -> tuple[int, int]:
@@ -214,21 +218,49 @@ class LineParam:
         return (r[0], r[1])
 
 
-def line_param(coefficients, eliminated: int) -> LineParam:
-    cs = [Fraction(c) for c in coefficients]
-    if cs[eliminated] == 0:
-        raise ValueError("cannot eliminate a variable with zero coefficient")
-    others = [i for i in range(3) if i != eliminated]
-    return LineParam(eliminated,
-                     (-cs[others[0]] / cs[eliminated], -cs[others[1]] / cs[eliminated]))
-
-
 def restriction_param(coefficients) -> LineParam:
     """Parametrization of a line used for every restriction: the eliminated
     coordinate has the largest-magnitude coefficient, ties preferring z, then
     y, then x."""
-    return line_param(coefficients,
-                      max(range(3), key=lambda i: (abs(coefficients[i]), i)))
+    return LineParam(max(range(3), key=lambda i: (abs(coefficients[i]), i)))
+
+
+def line_restriction(beta, k: int) -> list[tuple[int, int, list[int]]]:
+    """The (k + 1) x C(k + 2, 2) integer matrix sending a degree-k monomial
+    x^mu to its coefficients at the points sP + tQ of the line with
+    primitive integer form beta; row r holds the coefficient of
+    s^(k - r) t^r.  Column mu is returned as (r0, lead, xs): the entries
+    lead * xs[j] in rows r0 + j.
+
+    P = beta_f e_u - beta_u e_f and Q = beta_f e_v - beta_v e_f for the
+    coordinate f that restriction_param(beta) eliminates, so x^mu becomes
+    beta_f^(mu_u + mu_v) s^mu_u t^mu_v (-beta_u s - beta_v t)^mu_f: lead is
+    the power of beta_f, r0 = mu_v, and xs is the binomial expansion, which
+    depends on mu_f alone.  On the line, (s, t) = (u, v) / beta_f in
+    restriction_param's coordinates, so a restricted form is beta_f^k times
+    the one in those coordinates.
+    """
+    f = restriction_param(beta).eliminated
+    u, v = (i for i in range(3) if i != f)
+    pu = [(-beta[u]) ** j for j in range(k + 1)]
+    pv = [(-beta[v]) ** j for j in range(k + 1)]
+    expansions = [[comb(c, j) * pu[c - j] * pv[j] for j in range(c + 1)]
+                  for c in range(k + 1)]
+    leads = [beta[f] ** (k - c) for c in range(k + 1)]
+    return [(mu[v], leads[mu[f]], expansions[mu[f]]) for mu in monomials(3, k)]
+
+
+def restrict(beta, coeffs, k: int) -> list[int]:
+    """The degree-k ternary form with integer coefficient vector coeffs at
+    the points sP + tQ of the line beta: line_restriction applied, as the
+    k + 1 coefficients of s^k, s^(k - 1) t, ..., t^k."""
+    out = [0] * (k + 1)
+    for y, (r0, lead, xs) in zip(coeffs, line_restriction(beta, k)):
+        if y:
+            y *= lead
+            for r, x in enumerate(xs, r0):
+                out[r] += y * x
+    return out
 
 
 def divide_linear(p: HomPoly, coefficients) -> HomPoly:
@@ -249,29 +281,3 @@ def divide_linear(p: HomPoly, coefficients) -> HomPoly:
     if any(rem.values()):
         raise CertificationFailure(f"{p} is not divisible by {linear(3, cs)}")
     return from_terms(3, p.degree - 1, quot)
-
-
-def substitute_line(p: HomPoly, param: LineParam) -> HomPoly:
-    """Restrict a 3-variable form to the plane, in the retained coordinates.
-
-    Degree is preserved; the defining form itself restricts to zero.
-    """
-    if p.nvars != 3:
-        raise ValueError("substitute_line expects a 3-variable polynomial")
-    d = p.degree
-    out = [_ZERO] * (d + 1)
-    table = _index_table(2, d)
-    u, v = param.retained
-    c0, c1 = param.expr
-    for m, c in zip(monomials(3, d), p.coeffs):
-        if not c:
-            continue
-        e = m[param.eliminated]
-        bu, bv = m[u], m[v]
-        # (c0 u + c1 v)^e expanded by the binomial theorem; 0^0 == 1
-        for t in range(e + 1):
-            w = (c0 ** (e - t)) * (c1 ** t)
-            if w:
-                out[table[(bu + e - t, bv + t)]] += c * w * comb(e, t)
-    return HomPoly(2, d, tuple(out))
-

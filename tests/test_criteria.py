@@ -1,12 +1,13 @@
 """Restriction map, defects, splitting types, property decisions, validator."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from arrlog import criteria, linalg
-from arrlog.arrangement import (Arrangement, LinearForm3, chi0,
-                                parse_arrangement)
+from arrlog.arrangement import (Arrangement, LinearForm3, _cross, chi0,
+                                intersection_points, parse_arrangement)
 from arrlog.corpus import (FIXTURES, fixture, generic, near_pencil, pencil,
                            random_arrangement)
 from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
@@ -18,8 +19,8 @@ from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
                              ziegler_map)
 from arrlog.derivation import dh_basis, jacobian
 from arrlog.multiarr import deriv_dim, deriv_space, ziegler_restriction
-from arrlog.poly import restriction_param, substitute_line
 from test_multiarr import rank2_exponents
+from test_poly import line_param, substitute_line
 
 Z = LinearForm3.make([0, 0, 1])
 
@@ -28,7 +29,8 @@ def _oracle_map_dims(A, H, k):
     """(domain, codomain, image) of the restriction map in degree k, computed
     directly: a basis of D_H(A)_k restricted onto line H and ranked, and the
     codomain from the kernel of the divisibility conditions."""
-    M, param = ziegler_restriction(A, H)
+    M, _ = ziegler_restriction(A, H)
+    param = line_param(A.lines[H].coeffs)
     u, v = param.retained
     span = linalg.SpanBuilder(2 * (k + 1))
     dom = dh_basis(A, H, k)
@@ -60,7 +62,7 @@ def test_ziegler_map_matches_restricted_basis(A):
 
 def _oracle_image_vectors(A, H, k):
     """dh_basis(A, H, k) restricted to line H by substitute_line."""
-    param = restriction_param(A.lines[H].coeffs)
+    param = line_param(A.lines[H].coeffs)
     u, v = param.retained
     return tuple(substitute_line(t.components[u], param).coeffs
                  + substitute_line(t.components[v], param).coeffs
@@ -117,7 +119,7 @@ def _oracle_external_splitting(A, form):
     """(e1, e2) along an external line from the restricted Jacobian partials:
     one rank per degree of the map (a, b, c) -> a f_x + b f_y + c f_z on the
     line, read off by the free dimension pattern."""
-    param = restriction_param(form.coeffs)
+    param = line_param(form.coeffs)
     parts = [linalg._int_row(substitute_line(p, param).coeffs)
              for p in jacobian(A).partials]
 
@@ -150,7 +152,7 @@ def test_restricted_gradient_is_the_scaled_restricted_jacobian(A):
     # coordinates, so a degree |A| - 1 restriction scales by beta_f^(|A| - 1)
     for form in random_external_lines(A, 20, 42):
         beta = linalg._int_row(form.coeffs)
-        param = restriction_param(beta)
+        param = line_param(beta)
         scale = beta[param.eliminated] ** (len(A) - 1)
         want = [[scale * c for c in substitute_line(p, param).coeffs]
                 for p in jacobian(A).partials]
@@ -237,6 +239,43 @@ def test_splitting_external_generic4():
     for form in random_external_lines(A, 3, seed=7):
         st = splitting_type(A, form)
         assert sorted(st.as_pair()) == [1, 2]
+
+
+def _oracle_is_admissible(A, form):
+    """The line is not in A and no intersection point lies on it, each point
+    tested by a Fraction dot product."""
+    return form not in A.lines and not any(
+        sum(c * p for c, p in zip(form.coeffs, pt.point)) == 0
+        for pt in intersection_points(A))
+
+
+_ADMISSIBLE_INPUTS = (_EXTERNAL_INPUTS
+                      + [random_arrangement(n, s) for n in (3, 5, 8, 10)
+                         for s in (1, 2)])
+
+
+@pytest.mark.parametrize("A", _ADMISSIBLE_INPUTS, ids=lambda A: A.name)
+def test_is_admissible_matches_point_evaluation(A):
+    rng = random.Random(len(A))
+
+    def rand_point():
+        return [rng.randint(-9, 9) for _ in range(3)]
+
+    # the lines of A, lines through an intersection point and a random
+    # point, and random lines
+    candidates = [line.coeffs for line in A.lines]
+    for pt in intersection_points(A):
+        candidates.append(_cross(pt.point, rand_point()))
+    candidates += [rand_point() for _ in range(40)]
+    verdicts = set()
+    for coeffs in candidates:
+        if not any(coeffs):
+            continue
+        form = LinearForm3.make(coeffs)
+        want = _oracle_is_admissible(A, form)
+        assert is_admissible(A, form) == want, form
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_splitting_inadmissible():

@@ -11,12 +11,11 @@ from arrlog.corpus import FIXTURES
 from arrlog.criteria import verify
 from arrlog.derivation import (Derivation3, _ar_kernel, _dh_kernel, ar_basis,
                                ar_dim, classify, dh_basis, dh_projection,
-                               in_dh, jacobian, line_restriction, mdr,
-                               minimal_resolution)
+                               in_dh, jacobian, mdr, minimal_resolution)
 from arrlog.linalg import _int_row, kernel_basis, rank
-from arrlog.poly import (CertificationFailure, HomPoly, line_param,
-                         monomial_count, monomials, poly_mul,
-                         restriction_param, substitute_line, zero)
+from arrlog.poly import (CertificationFailure, HomPoly, monomial_count,
+                         monomials, poly_mul, restrict, zero)
+from test_poly import line_param, substitute_line
 
 
 def jacobian_matrix(A, k):
@@ -235,25 +234,32 @@ def test_in_dh_negative():
 
 
 def test_dh_bad_index():
-    with pytest.raises(IndexError):
-        dh_basis(fixture("nf6").build(), 6, 1)
+    A = fixture("nf6").build()
+    theta = dh_basis(A, 5, 3)[0]
+    assert in_dh(A, 5, theta)
+    # a negative index must not wrap round to the last line
+    for H in (-1, 6, 7):
+        with pytest.raises(IndexError, match="line index out of range"):
+            dh_basis(A, H, 1)
+        with pytest.raises(IndexError, match="line index out of range"):
+            in_dh(A, H, theta)
+        with pytest.raises(IndexError, match="line index out of range"):
+            dh_projection(A, H, 3)
 
 
 @pytest.mark.parametrize("beta", [(0, 0, 1), (1, -3, 2), (2, 2, 1), (7, -4, 9),
                                   (-5, 1, 3)])
 def test_line_restriction_is_the_scaled_substitution(beta):
     # at sP + tQ, (u, v) = beta_f (s, t) in restriction_param's coordinates
-    param = restriction_param(beta)
+    # restrict applies line_restriction, so on a unit vector it is one column
+    param = line_param(beta)
     for k in range(5):
-        cols = line_restriction(beta, k)
-        for j, (r0, lead, xs) in enumerate(cols):
-            unit = HomPoly(3, k, tuple(int(i == j) for i in range(len(cols))))
+        m = monomial_count(3, k)
+        for j in range(m):
+            unit = tuple(int(i == j) for i in range(m))
             want = [beta[param.eliminated] ** k * c
-                    for c in substitute_line(unit, param).coeffs]
-            got = [0] * (k + 1)
-            for r, x in enumerate(xs, r0):
-                got[r] += lead * x
-            assert got == want, (k, j)
+                    for c in substitute_line(HomPoly(3, k, unit), param).coeffs]
+            assert restrict(beta, unit, k) == want, (k, j)
 
 
 def test_dh_projection_rejects_a_non_multiple(monkeypatch):

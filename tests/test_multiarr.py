@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from arrlog import linalg
 from arrlog.arrangement import LinearForm3
-from arrlog.corpus import FIXTURES, fixture, pencil
+from arrlog.corpus import FIXTURES, fixture, pencil, random_corpus
 from arrlog.multiarr import (Derivation2, FreenessCertificateFailure,
                              LinearForm2, Multiarrangement2, _deriv_kernel,
-                             _free_pattern, basis, deriv_dim, deriv_space,
-                             exponents, multiarrangement, multiples,
-                             rank2_basis, saito_check, ziegler_restriction)
-from arrlog.poly import from_terms
+                             _free_pattern, _saito_target, basis, deriv_dim,
+                             deriv_space, exponents, multiarrangement,
+                             multiples, rank2_basis, saito_check,
+                             ziegler_restriction)
+from arrlog.poly import from_terms, restriction_param
+from test_poly import line_param, substitute_line
 
 
 def rank2_exponents(dim, total: int) -> tuple[int, int]:
@@ -87,6 +89,42 @@ def test_ziegler_restriction_total():
         for H in range(len(A)):
             M, _ = ziegler_restriction(A, H)
             assert M.total == len(A) - 1
+
+
+def _oracle_ziegler_restriction(A, H):
+    """The weighted arrangement on line H, each other line restricted by
+    substitution in Fractions and grouped by its canonical form."""
+    param = line_param(A.lines[H].coeffs)
+    counts = {}
+    for i, form in enumerate(A.lines):
+        if i != H:
+            key = LinearForm2.make(substitute_line(form.poly(), param).coeffs)
+            counts[key] = counts.get(key, 0) + 1
+    return multiarrangement((f.coeffs, m) for f, m in counts.items())
+
+
+_RESTRICTION_INPUTS = [f.build() for f in FIXTURES] + random_corpus(20, 8, 42)
+
+
+@pytest.mark.parametrize("A", _RESTRICTION_INPUTS, ids=lambda A: A.name)
+def test_ziegler_restriction_matches_substitution(A):
+    for H in range(len(A)):
+        M, param = ziegler_restriction(A, H)
+        assert M == _oracle_ziegler_restriction(A, H), H
+        assert M.to_json() == _oracle_ziegler_restriction(A, H).to_json()
+        assert param == restriction_param(A.lines[H].coeffs)
+
+
+@pytest.mark.parametrize("A", _RESTRICTION_INPUTS, ids=lambda A: A.name)
+def test_saito_target_is_a_multiple_of_the_defining_poly(A):
+    for H in range(len(A)):
+        M, _ = ziegler_restriction(A, H)
+        target = _saito_target(M)
+        want = M.defining_poly().coeffs
+        assert all(type(c) is int for c in target)
+        lead = next(i for i, c in enumerate(want) if c)
+        scale = Fraction(target[lead]) / want[lead]
+        assert scale and [scale * c for c in want] == target, H
 
 
 def test_exponents_fixture_restrictions():

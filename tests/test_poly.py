@@ -1,15 +1,61 @@
 """Dense homogeneous polynomials: ordering, arithmetic, restriction."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlog.poly import (CertificationFailure, HomPoly, divide_linear,
-                         from_terms, line_param, linear, monomial_count,
+from arrlog import poly
+from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
+                         divide_linear, from_terms, linear, monomial_count,
                          monomial_index, monomials, poly_mul, product,
-                         restriction_param, substitute_line, zero)
+                         restriction_param, zero)
+
+
+# ---------------------------------------------------------------------------
+# restriction by substitution in Fractions, the oracle for poly.restrict
+
+@dataclass(frozen=True)
+class LineParam(poly.LineParam):
+    """The eliminated coordinate equals expr[0] * u + expr[1] * v on the
+    line, (u, v) the retained coordinates."""
+
+    expr: tuple[Fraction, Fraction]
+
+
+def line_param(coefficients, eliminated=None) -> LineParam:
+    """Solve the line for one coordinate, by default the one
+    restriction_param eliminates."""
+    cs = [Fraction(c) for c in coefficients]
+    if eliminated is None:
+        eliminated = restriction_param(cs).eliminated
+    if cs[eliminated] == 0:
+        raise ValueError("cannot eliminate a variable with zero coefficient")
+    others = [i for i in range(3) if i != eliminated]
+    return LineParam(eliminated,
+                     (-cs[others[0]] / cs[eliminated], -cs[others[1]] / cs[eliminated]))
+
+
+def substitute_line(p: HomPoly, param: LineParam) -> HomPoly:
+    """Restrict a 3-variable form to the line, in the retained coordinates:
+    (c0 u + c1 v)^e expanded by the binomial theorem for each monomial."""
+    d = p.degree
+    out = [Fraction(0)] * (d + 1)
+    table = _index_table(2, d)
+    u, v = param.retained
+    c0, c1 = param.expr
+    for m, c in zip(monomials(3, d), p.coeffs):
+        if not c:
+            continue
+        e = m[param.eliminated]
+        for t in range(e + 1):
+            w = (c0 ** (e - t)) * (c1 ** t)  # 0^0 == 1
+            if w:
+                out[table[(m[u] + e - t, m[v] + t)]] += c * w * comb(e, t)
+    return HomPoly(2, d, tuple(out))
 
 
 def test_monomial_order_three_vars_degree_two():
