@@ -70,6 +70,11 @@ class Arrangement:
             raise ParseError("an arrangement needs at least one line")
         if len(set(self.lines)) != len(self.lines):
             raise DuplicateLine("proportional lines in input")
+        # hashed once, not per lru_cache lookup: a hash walks every Fraction
+        object.__setattr__(self, "_hash", hash(self.lines))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.lines)

@@ -26,7 +26,7 @@ from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
 from .derivation import (ar_dim, classify, default_degree_cap, degree_cap,
                          dh_projection)
 from .multiarr import (Derivation2, _free_pattern, _mul2, basis, exponents,
-                       multiples, rank2_basis, ziegler_restriction)
+                       multiples, ziegler_restriction)
 from .poly import (CertificationFailure, HomPoly, LineParam, monomial_count,
                    restrict, restriction_param)
 from .rng import XorShift64
@@ -82,13 +82,10 @@ def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...]
     beta = linalg._int_row(A.lines[H].coeffs)
     f = restriction_param(beta).eliminated
     m = monomial_count(3, k)
-    rows = []
-    for theta in dh_projection(A, H, k):
-        row = theta[::-1]
-        for c in range(3):
-            if c != f:
-                row += restrict(beta, theta[c * m:(c + 1) * m], k)
-        rows.append(row)
+    thetas = dh_projection(A, H, k)
+    kept = restrict(beta, [theta[c * m:(c + 1) * m] for theta in thetas
+                           for c in range(3) if c != f], k)
+    rows = [t[::-1] + a + b for t, a, b in zip(thetas, kept[::2], kept[1::2])]
     reduced, pivots = linalg.integer_rref(rows, 3 * m)
     if len(pivots) != len(rows):
         raise CertificationFailure(f"dependent D_H basis at line {H}, degree {k}")
@@ -205,7 +202,7 @@ class SplittingType:
 def _restricted_lines(A: Arrangement, beta) -> list[list[int]]:
     """The forms l_i = alpha_i(sP + tQ) of the integer-scaled alpha_i of A
     on the line beta, by poly.restrict."""
-    return [restrict(beta, linalg._int_row(line.coeffs), 1) for line in A.lines]
+    return restrict(beta, [linalg._int_row(line.coeffs) for line in A.lines], 1)
 
 
 def is_admissible(A: Arrangement, form: LinearForm3) -> bool:
@@ -234,29 +231,31 @@ def _restricted_gradient(A: Arrangement, form: LinearForm3) -> list[list[int]]:
 
 
 def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
-    """The degrees of a basis of the syzygies of g = _restricted_gradient.
+    """The degrees e1 <= e2 of a basis of the syzygies of g =
+    _restricted_gradient.
 
     An admissible line meets no singular point of f, so g has no common
-    zero on it; by Hilbert-Burch two syzygies are then a basis iff their
-    cross product is a nonzero constant times g, i.e. the minors (0,1),
-    (0,2), (1,2) against (g_z, -g_y, g_x) in rank2_basis.
+    zero on it; by Hilbert-Burch its syzygy module is then free of rank 2
+    with e1 + e2 = |A| - 1, and e1 is the least k where the map S_k^3 ->
+    S_(k + |A| - 1) has a kernel: by counting once 3(k + 1) > k + |A|,
+    and as the certified kernel_basis decides below that.
     """
     g = _restricted_gradient(A, form)
-
-    def layer(k: int):
+    k = 0
+    while 3 * (k + 1) <= k + len(A):
         # column j of component c is s^(k-j) t^j g_c
         cols = [m for gc in g for m in multiples(gc, 1, k)]
-        return linalg.kernel_basis([list(r) for r in zip(*cols)], 3 * (k + 1))
-
-    rho1, rho2 = rank2_basis(layer, len(A) - 1, 3,
-                             g[2] + [-c for c in g[1]] + g[0])
-    return SplittingType(form, len(rho1) // 3 - 1, len(rho2) // 3 - 1)
+        if linalg.kernel_basis([list(r) for r in zip(*cols)], 3 * (k + 1)):
+            break
+        k += 1
+    return SplittingType(form, k, len(A) - 1 - k)
 
 
 def splitting_type(A: Arrangement, line: int | LinearForm3) -> SplittingType:
     """Splitting type along a line: for members, the exponents of the induced
-    weighted arrangement; for admissible external lines, read off the graded
-    kernel of the restricted Jacobian row, certified by Hilbert-Burch."""
+    weighted arrangement; for admissible external lines, the first degree e1
+    with a syzygy of the restricted Jacobian row and e2 = |A| - 1 - e1
+    (Hilbert-Burch, as the row has no common zero there)."""
     if isinstance(line, int):
         M, _ = ziegler_restriction(A, line)
         exp = exponents(M)

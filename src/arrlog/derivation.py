@@ -529,6 +529,6 @@ def in_dh(A: Arrangement, H: int, theta: Derivation3) -> bool:
             continue
         beta = linalg._int_row(form.coeffs)
         value = linalg._int_row(theta.apply_linear(beta).coeffs)
-        if any(restrict(beta, value, theta.degree)):
+        if any(restrict(beta, [value], theta.degree)[0]):
             return False
     return True

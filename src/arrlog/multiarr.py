@@ -4,16 +4,15 @@ The induced structure of an arrangement on one of its lines weights each
 restricted point by (number of lines through it) - 1.  The derivation module
 of such a weighted arrangement is always free of rank 2; this module computes
 its graded layers, exponents, and a basis certified by Saito's determinant
-(Saito 1980; Ziegler 1989 for multiarrangements) through rank2_basis, the
-certificate criteria._external_splitting shares by Hilbert-Burch.
+(Saito 1980; Ziegler 1989 for multiarrangements) through rank2_basis.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
 from math import comb
 
 from . import linalg
@@ -23,10 +22,10 @@ from .poly import (HomPoly, LineParam, linear, product, restrict,
 
 
 class FreenessCertificateFailure(AssertionError):
-    """No pair of layer vectors passes the rank-2 determinant certificate.
+    """No pair of layer vectors passes Saito's determinant certificate.
 
-    Mathematically impossible for a 2-variable multiarrangement or an
-    admissible external line; raised only on an implementation bug.
+    Mathematically impossible for a 2-variable multiarrangement; raised only
+    on an implementation bug.
     """
 
 
@@ -140,12 +139,9 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
     beta = linalg._int_row(A.lines[H].coeffs)
-    counts: dict[LinearForm2, int] = {}
-    for i, form in enumerate(A.lines):
-        if i == H:
-            continue
-        key = LinearForm2.make(restrict(beta, linalg._int_row(form.coeffs), 1))
-        counts[key] = counts.get(key, 0) + 1
+    others = A.lines[:H] + A.lines[H + 1:]
+    counts = Counter(LinearForm2.make(ell) for ell in restrict(
+        beta, [linalg._int_row(f.coeffs) for f in others], 1))
     items = sorted(counts.items())
     M = Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
     assert M.total == len(A) - 1
@@ -218,32 +214,27 @@ def _mul2(a, b) -> list:
     return out
 
 
-def _minors_certify(theta1, theta2, ncomp: int, target) -> bool:
-    """True iff the 2 x 2 minors of the pair, in the order (0, 1), (0, 2), ...,
-    (ncomp - 2, ncomp - 1), are a nonzero constant times target."""
-    def split(v):
-        m = len(v) // ncomp
-        return [v[i * m: (i + 1) * m] for i in range(ncomp)]
-
-    a, b = split(theta1), split(theta2)
-    minors = [x - y for i, j in combinations(range(ncomp), 2)
-              for x, y in zip(_mul2(a[i], b[j]), _mul2(a[j], b[i]))]
+def _minors_certify(theta1, theta2, target) -> bool:
+    """True iff the determinant p1 q2 - q1 p2 of the pair, each vector the
+    concatenated (p, q), is a nonzero constant times target."""
+    m1, m2 = len(theta1) // 2, len(theta2) // 2
+    det = [x - y for x, y in zip(_mul2(theta1[:m1], theta2[m2:]),
+                                 _mul2(theta1[m1:], theta2[:m2]))]
     lead = next((i for i, t in enumerate(target) if t), None)
-    if len(minors) != len(target) or lead is None or not minors[lead]:
+    if len(det) != len(target) or lead is None or not det[lead]:
         return False
-    # minors = (minors[lead] / target[lead]) * target, without dividing
-    return all(m * target[lead] == t * minors[lead]
-               for m, t in zip(minors, target))
+    # det = (det[lead] / target[lead]) * target, without dividing
+    return all(d * target[lead] == t * det[lead] for d, t in zip(det, target))
 
 
-def rank2_basis(layer, total: int, ncomp: int, target) -> tuple[tuple, tuple]:
-    """Basis of a free rank-2 module of vectors of ncomp binary forms with
-    degrees summing to total; layer(k) is the echelon basis in degree k.
+def rank2_basis(layer, total: int, target) -> tuple[tuple, tuple]:
+    """Basis of a free rank-2 module of derivations (p, q) with degrees
+    summing to total; layer(k) is the echelon basis in degree k.
 
     theta1 is the first vector of the first nonzero layer e1 <= total // 2,
     theta2 the first of layer total - e1 outside the multiples of theta1.
-    The pair is a basis iff its minors are a nonzero constant times target,
-    which is checked; FreenessCertificateFailure otherwise.
+    The pair is a basis iff its determinant is a nonzero constant times
+    target, which is checked; FreenessCertificateFailure otherwise.
     """
     for e1 in range(total // 2 + 1):
         first = layer(e1)
@@ -252,14 +243,14 @@ def rank2_basis(layer, total: int, ncomp: int, target) -> tuple[tuple, tuple]:
     else:
         raise FreenessCertificateFailure(f"no exponent pair found for total {total}")
     theta1 = first[0]
-    span = linalg.SpanBuilder(ncomp * (total - e1 + 1))
-    for m in multiples(theta1, ncomp, total - 2 * e1):
+    span = linalg.SpanBuilder(2 * (total - e1 + 1))
+    for m in multiples(theta1, 2, total - 2 * e1):
         span.add(m)
     theta2 = next((v for v in layer(total - e1) if not span.contains(v)), None)
     if theta2 is None:
         raise FreenessCertificateFailure("no independent second basis vector")
     if not _minors_certify(linalg._int_row(theta1), linalg._int_row(theta2),
-                           ncomp, target):
+                           target):
         raise FreenessCertificateFailure("basis candidates fail the determinant certificate")
     return theta1, theta2
 
@@ -276,7 +267,7 @@ def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
     """Certified homogeneous basis (degrees e1 <= e2): rank2_basis with
     Saito's determinant against the defining polynomial."""
     return tuple(map(Derivation2.from_vector, rank2_basis(
-        lambda k: _deriv_kernel(M, k), M.total, 2, _saito_target(M))))
+        lambda k: _deriv_kernel(M, k), M.total, _saito_target(M))))
 
 
 def exponents(M: Multiarrangement2) -> Exponents:
@@ -289,5 +280,5 @@ def saito_check(theta1: Derivation2, theta2: Derivation2,
                 M: Multiarrangement2) -> bool:
     """Saito's criterion: the pair is a basis iff its determinant is a nonzero
     constant times the defining polynomial (with multiplicities)."""
-    return _minors_certify(theta1.coeff_vector(), theta2.coeff_vector(), 2,
+    return _minors_certify(theta1.coeff_vector(), theta2.coeff_vector(),
                            _saito_target(M))

@@ -8,7 +8,7 @@ dense per-degree vector feeds the exact linear solver directly.
 
 Every restriction of a ternary form to a line goes through
 line_restriction, the integer matrix that evaluates it at the points
-sP + tQ of the line, or restrict, that matrix applied to one form: the
+sP + tQ of the line, or restrict, that matrix applied to some forms: the
 weighted arrangement on a member line, admissibility of an external line
 and its restricted Jacobian row, membership in D_H(A), the conditions of
 D_H0(A) and the property-[P] image vectors.
@@ -250,17 +250,21 @@ def line_restriction(beta, k: int) -> list[tuple[int, int, list[int]]]:
     return [(mu[v], leads[mu[f]], expansions[mu[f]]) for mu in monomials(3, k)]
 
 
-def restrict(beta, coeffs, k: int) -> list[int]:
-    """The degree-k ternary form with integer coefficient vector coeffs at
-    the points sP + tQ of the line beta: line_restriction applied, as the
-    k + 1 coefficients of s^k, s^(k - 1) t, ..., t^k."""
-    out = [0] * (k + 1)
-    for y, (r0, lead, xs) in zip(coeffs, line_restriction(beta, k)):
-        if y:
-            y *= lead
-            for r, x in enumerate(xs, r0):
-                out[r] += y * x
-    return out
+def restrict(beta, forms, k: int) -> list[list[int]]:
+    """The degree-k ternary forms with integer coefficient vectors forms at
+    the points sP + tQ of the line beta, one line_restriction applied to
+    each: the k + 1 coefficients of s^k, s^(k - 1) t, ..., t^k."""
+    matrix = line_restriction(beta, k)
+    outs = []
+    for coeffs in forms:
+        out = [0] * (k + 1)
+        for y, (r0, lead, xs) in zip(coeffs, matrix):
+            if y:
+                y *= lead
+                for r, x in enumerate(xs, r0):
+                    out[r] += y * x
+        outs.append(out)
+    return outs
 
 
 def divide_linear(p: HomPoly, coefficients) -> HomPoly:

@@ -255,11 +255,11 @@ def test_line_restriction_is_the_scaled_substitution(beta):
     param = line_param(beta)
     for k in range(5):
         m = monomial_count(3, k)
-        for j in range(m):
-            unit = tuple(int(i == j) for i in range(m))
-            want = [beta[param.eliminated] ** k * c
-                    for c in substitute_line(HomPoly(3, k, unit), param).coeffs]
-            assert restrict(beta, unit, k) == want, (k, j)
+        units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        want = [[beta[param.eliminated] ** k * c
+                 for c in substitute_line(HomPoly(3, k, unit), param).coeffs]
+                for unit in units]
+        assert restrict(beta, units, k) == want, k
 
 
 def test_dh_projection_rejects_a_non_multiple(monkeypatch):

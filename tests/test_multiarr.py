@@ -267,7 +267,7 @@ def test_rank2_basis_rejects_a_multiple_of_theta1():
         return [mult] if k == e2 else layers(k)
 
     with pytest.raises(FreenessCertificateFailure):
-        rank2_basis(only_multiples, M.total, 2, M.defining_poly().coeffs)
+        rank2_basis(only_multiples, M.total, M.defining_poly().coeffs)
 
     # equal degrees: the layer's second vector replaced by a scalar multiple
     M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
@@ -278,20 +278,20 @@ def test_rank2_basis_rejects_a_multiple_of_theta1():
         return [theta1, [3 * c for c in theta1]] if k == 2 else _deriv_kernel(M, k)
 
     with pytest.raises(FreenessCertificateFailure):
-        rank2_basis(doubled, M.total, 2, M.defining_poly().coeffs)
+        rank2_basis(doubled, M.total, M.defining_poly().coeffs)
 
 
 def test_rank2_basis_rejects_a_perturbed_target():
     M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
     target = list(M.defining_poly().coeffs)
-    theta1, theta2 = rank2_basis(_layers(M), M.total, 2, target)
+    theta1, theta2 = rank2_basis(_layers(M), M.total, target)
     assert (Derivation2.from_vector(theta1), Derivation2.from_vector(theta2)) \
         == basis(M)
     for i in range(len(target)):
         bad = list(target)
         bad[i] += 1
         with pytest.raises(FreenessCertificateFailure):
-            rank2_basis(_layers(M), M.total, 2, bad)
+            rank2_basis(_layers(M), M.total, bad)
 
 
 def test_basis_certified():
