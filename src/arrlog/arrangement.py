@@ -321,11 +321,13 @@ def _chi_via_moebius(A: Arrangement) -> tuple[int, int, int, int]:
     return (1, -m, c1, c0)
 
 
+@lru_cache(maxsize=4096)
 def chi0(A: Arrangement) -> CharPolyData:
     """Quadratic quotient of the characteristic polynomial by (t - 1).
 
     Computed from the closed form over the point multiplicities and
-    cross-checked against the Moebius recursion on the lattice.
+    cross-checked against the Moebius recursion on the lattice, once per
+    arrangement.
     """
     m = len(A)
     pts = intersection_points(A)

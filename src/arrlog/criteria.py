@@ -25,7 +25,8 @@ from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
                           is_balanced, n_H, nr_form, to_document)
 from .derivation import (ar_dim, classify, default_degree_cap, degree_cap,
                          dh_projection)
-from .multiarr import (Derivation2, _free_pattern, _mul2, basis, exponents,
+from .multiarr import (Derivation2, LinearForm2, Multiarrangement2,
+                       _deriv_kernel, _free_pattern, _mul2, basis, exponents,
                        multiples, ziegler_restriction)
 from .poly import (CertificationFailure, HomPoly, LineParam, monomial_count,
                    restrict, restriction_param)
@@ -168,15 +169,38 @@ def _quick_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
     return chi0(A).b2_0 - e1 * e2, (e1, e2)
 
 
-def is_free_by_defect(A: Arrangement) -> bool:
-    """Freeness via the defect of a single restriction (zero iff free)."""
-    return _quick_defect(A, 0)[0] == 0
+def _deletion_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
+    """_quick_defect of the deletion A' = A minus line H, along its line 0
+    (L = line 0 of A, or line 1 when H = 0), read off A's own data.
 
-
-def free_exponents_by_defect(A: Arrangement) -> tuple[int, int] | None:
-    """(e1, e2) of any restriction when the arrangement is free, else None."""
-    defect, exp = _quick_defect(A, 0)
-    return exp if defect == 0 else None
+    - Deleting H lowers by one the multiplicity of each of the n_H points
+      on H (a double point drops out of the sum) and |A| by one, so
+      b2^0(A') = b2^0(A) - n_H + 1.
+    - L keeps its parametrization, and the other lines of A' are those of
+      A but H, so the restriction M' of A' to L is M =
+      ziegler_restriction(A, L) with the weight of the point p = H meet L
+      lowered by one; a form whose weight reaches 0 is dropped.
+    - Lower weights impose weaker conditions, so D(M) is in D(M'); and
+      l_p D(M') is in D(M), as the factor l_p restores the weight at p.  So
+      dim D(M)_k <= dim D(M')_k and dim D(M')_(k-1) <= dim D(M)_k, and the
+      least nonzero degree e1' of D(M') is e1 - 1 or e1 (e1 when e1 = 0).
+      M' is free of rank 2 with e1' + e2' = |M| - 1 = e1 + e2 - 1, so it
+      has (e1 - 1, e2) when the certified kernel D(M')_(e1 - 1) is nonzero,
+      and sorted (e1, e2 - 1) otherwise.
+    """
+    L = 1 if H == 0 else 0
+    M, _ = ziegler_restriction(A, L)
+    e1, e2 = exponents(M).as_pair()
+    p = LinearForm2.make(restrict(linalg._int_row(A.lines[L].coeffs),
+                                  [linalg._int_row(A.lines[H].coeffs)], 1)[0])
+    lowered = [(f, m - (f == p)) for f, m in zip(M.forms, M.mult)]
+    Md = Multiarrangement2(tuple(f for f, m in lowered if m),
+                           tuple(m for _, m in lowered if m))
+    if e1 and _deriv_kernel(Md, e1 - 1):
+        exp = (e1 - 1, e2)
+    else:
+        exp = _sorted_pair(e1, e2 - 1)
+    return chi0(A).b2_0 - n_H(A, H) + 1 - exp[0] * exp[1], exp
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +422,15 @@ def _lift(alpha: HomPoly, param: LineParam) -> tuple[Fraction, ...]:
 def property_P(A: Arrangement, H: int) -> PropertyPResult:
     """Decide whether some basis of the restriction's derivation module and
     some nonzero linear form witness a proper image containing one basis
-    vector and a linear multiple of the other."""
+    vector and a linear multiple of the other.
+
+    The image dimensions img(k) = h(k) - h(k - 1) of ziegler_map decide
+    first.  With e1 < e2 and img(e1) > 0, theta1 spans D(M)_e1 and lies in
+    the image, so the image holds S theta1, which is all of D(M)_(e2 + 1)
+    with a zero theta2-coordinate: [P] holds iff img(e2 + 1) > e2 - e1 + 2.
+    A zero image in degree e1 (and in e1 + 1 when e1 < e2) leaves no
+    witness either.  Image vectors are built only to find the witness.
+    """
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
     M, param = ziegler_restriction(A, H)
@@ -406,16 +438,26 @@ def property_P(A: Arrangement, H: int) -> PropertyPResult:
     e1, e2 = exp.e1, exp.e2
     if chi0(A).b2_0 - e1 * e2 <= 0:
         return PropertyPResult(None, H)  # the map is surjective
+
+    def img(k: int) -> int:
+        return ar_dim(A, k) - (ar_dim(A, k - 1) if k else 0)
+
+    if e1 < e2 and img(e1):
+        if img(e2 + 1) <= e2 - e1 + 2:
+            return PropertyPResult(None, H)
+        # a linear theta2-coordinate one past the top degree
+        th1, th2 = basis(M)
+        for p, q in _im_coords(A, H, th1, th2, e2 + 1):
+            if q is not None and not q.is_zero:
+                return PropertyPResult("variant1", H, q, _lift(q, param),
+                                       str_derivation(th2))
+        raise ConsistencyFailure(
+            f"image dimensions hold property [P] at line {H}, but no image "
+            f"vector has a theta2-coordinate")
+    if not img(e1) and (e1 == e2 or not img(e1 + 1)):
+        return PropertyPResult(None, H)
     th1, th2 = basis(M)
     if e1 < e2:
-        if _im_coords(A, H, th1, th2, e1):
-            # theta1 is in the image (degree-e1 layer is spanned by theta1);
-            # look for a linear theta2-coordinate one past the top degree
-            for p, q in _im_coords(A, H, th1, th2, e2 + 1):
-                if q is not None and not q.is_zero:
-                    return PropertyPResult("variant1", H, q, _lift(q, param),
-                                           str_derivation(th2))
-            return PropertyPResult(None, H)
         # theta1 not in the image: need theta2 reachable exactly and a linear
         # multiple of theta1 in the image
         has_theta2 = any(q is not None and not q.is_zero
@@ -626,12 +668,9 @@ def verify(A: Arrangement, seed: int = 1, external_count: int = 20) -> TheoremRe
     # deletion two-of-three
     violations = []
     applicable = False
-    for H in range(n):
-        if n < 2:
-            break
-        Ad = A.without(H)
-        del_exp = free_exponents_by_defect(Ad) if len(Ad) >= 1 else None
-        s1 = del_exp is not None
+    for H in range(n) if n >= 2 else ():
+        del_defect, del_exp = _deletion_defect(A, H)
+        s1 = del_defect == 0
         if s1:
             ab = del_exp
         elif nf:
@@ -653,7 +692,7 @@ def verify(A: Arrangement, seed: int = 1, external_count: int = 20) -> TheoremRe
             f"violations {violations}")
 
     # point-count gap under the residual-1 normal form
-    if nr is not None and nr.c == 1 and nr.r != 2:
+    if nr.c == 1 and nr.r != 2:
         bad = [H for H, v in enumerate(nhs) if nr.n + 1 < v < nr.n + nr.r + 1]
         add("prop3.1", "fail" if bad else "pass",
             f"n={nr.n}, r={nr.r}; gap violations {bad}")
@@ -661,7 +700,7 @@ def verify(A: Arrangement, seed: int = 1, external_count: int = 20) -> TheoremRe
         add("prop3.1", "na", "normal form residual is not 1 (or r = 2)")
 
     # balanced + matching point count forces near-freeness
-    if (bal.balanced and nr is not None and nr.c == 1 and nr.r != 2
+    if (bal.balanced and nr.c == 1 and nr.r != 2
             and any(nr.r == v - 2 for v in nhs)):
         add("prop3.2", "pass" if nf else "fail",
             f"balanced, r={nr.r}=n_H-2 for some H; verdict {cls.verdict}")

@@ -1,5 +1,6 @@
 """Restriction map, defects, splitting types, property decisions, validator."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,17 +9,18 @@ import pytest
 from arrlog import criteria, linalg
 from arrlog.arrangement import (Arrangement, LinearForm3, _cross, chi0,
                                 intersection_points, parse_arrangement)
+from arrlog.cli import main
 from arrlog.corpus import (FIXTURES, fixture, generic, near_pencil, pencil,
-                           random_arrangement)
+                           random_arrangement, random_corpus)
 from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
-                             NotApplicable, is_admissible, is_free_by_defect,
-                             free_exponents_by_defect,
+                             NotApplicable, PropertyPResult, is_admissible,
                              nearly_free_by_criterion, property_P,
                              random_external_lines, splitting_range,
-                             splitting_type, verify, yoshinaga_defect,
-                             ziegler_map)
-from arrlog.derivation import dh_basis, jacobian
-from arrlog.multiarr import deriv_dim, deriv_space, ziegler_restriction
+                             splitting_type, str_derivation, verify,
+                             yoshinaga_defect, ziegler_map)
+from arrlog.derivation import ar_dim, dh_basis, jacobian
+from arrlog.multiarr import (basis, deriv_dim, deriv_space, exponents,
+                             ziegler_restriction)
 from test_multiarr import rank2_exponents
 from test_poly import line_param, substitute_line
 
@@ -226,11 +228,62 @@ def test_defect_matches_b2_minus_product():
             assert rep.defect == b2 - e1 * e2 >= 0
 
 
+def _oracle_is_free_by_defect(A):
+    """Freeness via the defect of a single restriction (zero iff free)."""
+    return criteria._quick_defect(A, 0)[0] == 0
+
+
+def _oracle_free_exponents_by_defect(A):
+    """(e1, e2) of any restriction when the arrangement is free, else None."""
+    defect, exp = criteria._quick_defect(A, 0)
+    return exp if defect == 0 else None
+
+
 def test_free_by_defect():
-    assert is_free_by_defect(near_pencil(6))
-    assert not is_free_by_defect(fixture("nf6").build())
-    assert free_exponents_by_defect(near_pencil(6)) == (1, 4)
-    assert free_exponents_by_defect(fixture("generic4").build()) is None
+    assert _oracle_is_free_by_defect(near_pencil(6))
+    assert not _oracle_is_free_by_defect(fixture("nf6").build())
+    assert _oracle_free_exponents_by_defect(near_pencil(6)) == (1, 4)
+    assert _oracle_free_exponents_by_defect(fixture("generic4").build()) is None
+
+
+# inputs of the deletion and property-[P] oracle tests, built per test
+_DELETION_INPUTS = {
+    "fixtures": lambda: [f.build() for f in FIXTURES],
+    "corpus-42": lambda: random_corpus(100, 8, 42),
+    "ladder": lambda: [B for n in range(8, 13)
+                       for B in (random_arrangement(n, 1), near_pencil(n))],
+    # two lines (M' is empty), e1 = 0 on a pencil and on a near-pencil's
+    # heavy line, and a double point whose weight drops to 0
+    "edge": lambda: [pencil(2), pencil(3), near_pencil(4),
+                     fixture("generic4").build()],
+}
+
+
+@pytest.mark.parametrize("inputs", _DELETION_INPUTS)
+def test_deletion_defect_matches_the_deleted_arrangement(inputs):
+    # the deletion read off A's restriction along L must be what building
+    # A minus H and restricting it along its line 0 gives
+    for A in _DELETION_INPUTS[inputs]():
+        for H in range(len(A)):
+            Ad = A.without(H)
+            defect, exp = criteria._deletion_defect(A, H)
+            assert (defect, exp) == criteria._quick_defect(Ad, 0), (A.name, H)
+            assert ((exp if defect == 0 else None)
+                    == _oracle_free_exponents_by_defect(Ad)), (A.name, H)
+
+
+def test_deletion_edge_cases_reach_their_branches():
+    # two lines: the restriction is one simple point, so M' is empty
+    M, _ = ziegler_restriction(pencil(2), 1)
+    assert M.mult == (1,)
+    assert criteria._deletion_defect(pencil(2), 0) == (0, (0, 0))
+    # a pencil restricts with e1 = 0; no kernel decides
+    assert exponents(ziegler_restriction(pencil(3), 1)[0]).e1 == 0
+    assert criteria._deletion_defect(pencil(3), 0) == (0, (0, 1))
+    # generic4: every point is double, so the lowered weight drops to 0
+    A = fixture("generic4").build()
+    assert set(ziegler_restriction(A, 0)[0].mult) == {1}
+    assert criteria._deletion_defect(A, 1) == (0, (1, 1))
 
 
 def test_nearly_free_by_criterion():
@@ -348,6 +401,95 @@ def test_property_p_witnesses():
     lead = res.alpha_lifted[0]
     assert lead != 0
     assert [c / lead for c in res.alpha_lifted] == [1, 4, 0]
+
+
+def _oracle_property_P(A, H):
+    """property_P decided by image vectors alone, with no dimension test."""
+    M, param = ziegler_restriction(A, H)
+    e1, e2 = exponents(M).as_pair()
+    if chi0(A).b2_0 - e1 * e2 <= 0:
+        return PropertyPResult(None, H)
+    th1, th2 = basis(M)
+
+    def coords(k):
+        return criteria._im_coords(A, H, th1, th2, k)
+
+    def found(alpha, partner):
+        return PropertyPResult("variant1", H, alpha,
+                               criteria._lift(alpha, param),
+                               str_derivation(partner))
+
+    if e1 < e2:
+        if coords(e1):
+            for _, q in coords(e2 + 1):
+                if q is not None and not q.is_zero:
+                    return found(q, th2)
+            return PropertyPResult(None, H)
+        if not any(q is not None and not q.is_zero for _, q in coords(e2)):
+            return PropertyPResult(None, H)
+        low = coords(e1 + 1)
+        if not low:
+            return PropertyPResult(None, H)
+        if e1 + 1 < e2:
+            combos = [[Fraction(1)] + [Fraction(0)] * (len(low) - 1)]
+        else:
+            combos = linalg.kernel_basis(
+                [[c[1].coeffs[j] for c in low] for j in range(e1 - e2 + 2)],
+                len(low))
+        for combo in combos:
+            p = None
+            for w, (pc, _) in zip(combo, low):
+                p = pc.scale(w) if p is None else p + pc.scale(w)
+            if p is not None and not p.is_zero:
+                return found(p, th1)
+        return PropertyPResult(None, H)
+    for p0, q0 in coords(e1):
+        c1 = p0.coeffs[0] if p0 is not None else Fraction(0)
+        c2 = q0.coeffs[0] if q0 is not None else Fraction(0)
+        for p, q in coords(e1 + 1):
+            if c1 != 0:
+                adj, partner = (q - p.scale(c2 / c1)) if q is not None else None, th2
+            else:
+                adj, partner = p, th1
+            if adj is not None and not adj.is_zero:
+                return found(adj, partner)
+        break
+    return PropertyPResult(None, H)
+
+
+_PROPERTY_P_INPUTS = {
+    "fixtures": _DELETION_INPUTS["fixtures"],
+    "corpus-42": _DELETION_INPUTS["corpus-42"],
+    "random-9-10": lambda: [random_arrangement(n, s)
+                            for n in (9, 10) for s in (1, 2)],
+}
+
+
+@pytest.mark.parametrize("inputs", _PROPERTY_P_INPUTS)
+def test_property_p_dimension_decision_matches_the_vector_path(inputs):
+    for A in _PROPERTY_P_INPUTS[inputs]():
+        for H in range(len(A)):
+            assert (property_P(A, H).to_json()
+                    == _oracle_property_P(A, H).to_json()), (A.name, H)
+
+
+def test_property_p_dimensions_without_a_witness_fail(tmp_path, capsys,
+                                                      monkeypatch):
+    # pog6a along line 2 restricts with (1, 4) and img(1) = 0; a Hilbert
+    # function raised by one from degree 1 on makes img(1) = 1 and img(5) =
+    # 7 > 4 - 1 + 2, so the dimensions hold [P], and the vector path is made
+    # to find no image vector in degree 5
+    A = fixture("pog6a").build()
+    assert exponents(ziegler_restriction(A, 2)[0]).as_pair() == (1, 4)
+    monkeypatch.setattr(criteria, "ar_dim",
+                        lambda B, k: ar_dim(B, k) + (k >= 1))
+    monkeypatch.setattr(criteria, "_im_coords", lambda *args: [])
+    with pytest.raises(ConsistencyFailure, match="no image vector"):
+        property_P(A, 2)
+    path = tmp_path / "pog6a.json"
+    path.write_text(json.dumps(fixture("pog6a").document()))
+    assert main(["property-p", str(path), "--line", "2"]) == 3
+    assert "no image vector" in capsys.readouterr().err
 
 
 def test_property_p_negative_on_free():
