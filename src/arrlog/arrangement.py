@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .linalg import _int_row
 from .poly import HomPoly, linear, product
 
 
@@ -43,9 +44,15 @@ def _canonical(coeffs, n):
 
 @dataclass(frozen=True, order=True)
 class LinearForm3:
-    """A line in P^2, stored with first nonzero coefficient scaled to 1."""
+    """A line in P^2, stored with first nonzero coefficient scaled to 1, and
+    once more as a primitive integer vector, which takes no part in equality,
+    ordering or hashing."""
 
     coeffs: tuple[Fraction, Fraction, Fraction]
+    int_coeffs: tuple[int, int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "int_coeffs", tuple(_int_row(self.coeffs)))
 
     @classmethod
     def make(cls, coeffs) -> "LinearForm3":

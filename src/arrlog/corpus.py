@@ -8,6 +8,10 @@ from .arrangement import Arrangement, LinearForm3, arrangement, \
     intersection_points, parse_factored
 from .rng import XorShift64
 
+# resampling budgets: draws per random line set, line sets per generic one
+LINE_ATTEMPTS = 1000
+GENERIC_ATTEMPTS = 200
+
 
 @dataclass(frozen=True)
 class Fixture:
@@ -62,9 +66,9 @@ def near_pencil(n: int) -> Arrangement:
                        f"near-pencil-{n}")
 
 
-def _random_lines(n: int, rng: XorShift64, attempts: int = 1000):
+def _random_lines(n: int, rng: XorShift64):
     lines: list[LinearForm3] = []
-    for _ in range(attempts):
+    for _ in range(LINE_ATTEMPTS):
         if len(lines) == n:
             break
         coeffs = tuple(rng.randint(-9, 9) for _ in range(3))
@@ -84,10 +88,10 @@ def random_arrangement(n: int, seed: int) -> Arrangement:
     return Arrangement(tuple(_random_lines(n, rng)), f"random-{n}-{seed}")
 
 
-def generic(n: int, seed: int = 1, attempts: int = 200) -> Arrangement:
+def generic(n: int, seed: int = 1) -> Arrangement:
     """n random lines in general position (no three concurrent)."""
     rng = XorShift64(seed)
-    for _ in range(attempts):
+    for _ in range(GENERIC_ATTEMPTS):
         A = Arrangement(tuple(_random_lines(n, rng)), f"generic-{n}")
         if all(p.multiplicity == 2 for p in intersection_points(A)):
             return A

@@ -33,6 +33,9 @@ from .poly import (CertificationFailure, HomPoly, LineParam, monomial_count,
 from .rng import XorShift64
 
 
+EXTERNAL_ATTEMPTS = 100  # seeded candidates drawn per external line
+
+
 class ConsistencyFailure(AssertionError):
     """Two provably-equal quantities disagreed (internal error)."""
 
@@ -67,11 +70,11 @@ class ZieglerMapData:
 
 @lru_cache(maxsize=2048)
 def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The restrictions to line H of the dh_basis(A, H, k) vectors, as the
-    concatenated coefficients of their two kept components in
+    """The restrictions to line H of the unit_last dh_basis(A, H, k) vectors,
+    as the concatenated coefficients of their two kept components in
     restriction_param's coordinates.
 
-    dh_basis is the reversed RREF of the dh_projection vectors P_i, so the
+    That basis is the reversed RREF of the dh_projection vectors P_i, so the
     rows [rev(P_i) | R(P_i)], R the poly.restrict of both kept components,
     are carried through that one elimination: the P_i are independent, so
     every pivot falls in the first 3m columns and the rest of each row is
@@ -80,7 +83,7 @@ def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...]
     dividing that out once, at the end, gives the restrictions in
     restriction_param's coordinates.
     """
-    beta = linalg._int_row(A.lines[H].coeffs)
+    beta = A.lines[H].int_coeffs
     f = restriction_param(beta).eliminated
     m = monomial_count(3, k)
     thetas = dh_projection(A, H, k)
@@ -191,8 +194,8 @@ def _deletion_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
     L = 1 if H == 0 else 0
     M, _ = ziegler_restriction(A, L)
     e1, e2 = exponents(M).as_pair()
-    p = LinearForm2.make(restrict(linalg._int_row(A.lines[L].coeffs),
-                                  [linalg._int_row(A.lines[H].coeffs)], 1)[0])
+    p = LinearForm2.make(restrict(A.lines[L].int_coeffs,
+                                  [A.lines[H].int_coeffs], 1)[0])
     lowered = [(f, m - (f == p)) for f, m in zip(M.forms, M.mult)]
     Md = Multiarrangement2(tuple(f for f, m in lowered if m),
                            tuple(m for _, m in lowered if m))
@@ -226,7 +229,7 @@ class SplittingType:
 def _restricted_lines(A: Arrangement, beta) -> list[list[int]]:
     """The forms l_i = alpha_i(sP + tQ) of the integer-scaled alpha_i of A
     on the line beta, by poly.restrict."""
-    return restrict(beta, [linalg._int_row(line.coeffs) for line in A.lines], 1)
+    return restrict(beta, [line.int_coeffs for line in A.lines], 1)
 
 
 def is_admissible(A: Arrangement, form: LinearForm3) -> bool:
@@ -237,7 +240,7 @@ def is_admissible(A: Arrangement, form: LinearForm3) -> bool:
     i and j meet; so the line is admissible iff every l_i is nonzero and no
     two are proportional.
     """
-    ells = _restricted_lines(A, linalg._int_row(form.coeffs))
+    ells = _restricted_lines(A, form.int_coeffs)
     return all(any(l) for l in ells) and all(
         a[0] * b[1] != a[1] * b[0] for a, b in combinations(ells, 2))
 
@@ -247,8 +250,8 @@ def _restricted_gradient(A: Arrangement, form: LinearForm3) -> list[list[int]]:
     in poly.line_restriction and f the product of the integer-scaled
     alpha_j: g_c = sum_j alpha_j,c prod_(i != j) l_i, l_i = alpha_i(sP + tQ).
     """
-    ells = _restricted_lines(A, linalg._int_row(form.coeffs))
-    alphas = [linalg._int_row(line.coeffs) for line in A.lines]
+    ells = _restricted_lines(A, form.int_coeffs)
+    alphas = [line.int_coeffs for line in A.lines]
     rests = [reduce(_mul2, ells[:j] + ells[j + 1:], [1]) for j in range(len(A))]
     return [[sum(a[c] * r[i] for a, r in zip(alphas, rests))
              for i in range(len(A))] for c in range(3)]
@@ -292,14 +295,13 @@ def splitting_type(A: Arrangement, line: int | LinearForm3) -> SplittingType:
     return _external_splitting(A, form)
 
 
-def random_external_lines(A: Arrangement, count: int, seed: int,
-                          attempts: int = 100) -> list[LinearForm3]:
+def random_external_lines(A: Arrangement, count: int, seed: int) -> list[LinearForm3]:
     """Seeded admissible external lines with coefficients in [-9, 9]."""
     rng = XorShift64(seed)
     out: list[LinearForm3] = []
     seen = set(A.lines)
     for _ in range(count):
-        for _ in range(attempts):
+        for _ in range(EXTERNAL_ATTEMPTS):
             coeffs = tuple(rng.randint(-9, 9) for _ in range(3))
             if not any(coeffs):
                 continue
@@ -472,9 +474,10 @@ def property_P(A: Arrangement, H: int) -> PropertyPResult:
         if e1 + 1 < e2:
             combos = [[Fraction(1)] + [Fraction(0)] * (len(coords) - 1)]
         else:
-            qmat = [[c[1].coeffs[j] for c in coords]
+            qmat = [linalg._int_row([c[1].coeffs[j] for c in coords])
                     for j in range(e1 + 1 - e2 + 1)]
-            combos = linalg.kernel_basis(qmat, len(coords))
+            combos = [linalg.unit_last(v)
+                      for v in linalg.kernel_basis(qmat, len(coords))]
         for combo in combos:
             p = None
             for w, (pc, _) in zip(combo, coords):

@@ -32,8 +32,8 @@ from math import comb
 from . import linalg
 from .arrangement import Arrangement
 from .poly import (CertificationFailure, HomPoly, _index_table, divide_linear,
-                   line_restriction, monomial_count, monomials, restrict,
-                   restriction_param, zero)
+                   line_restriction, linear, monomial_count, monomials,
+                   product, restrict, restriction_param, zero)
 
 MAX_DEGREE_ENV = "ARRLOG_MAX_DEGREE"
 
@@ -60,9 +60,7 @@ def jacobian(A: Arrangement) -> JacobianRow:
 
     The Euler identity x f_x + y f_y + z f_z = |A| f is asserted.
     """
-    from .poly import linear, product
-
-    f = product((linear(3, linalg._int_row(l.coeffs)) for l in A.lines), 3)
+    f = product((linear(3, l.int_coeffs) for l in A.lines), 3)
     fx, fy, fz = f.diff(0), f.diff(1), f.diff(2)
     n = len(A)
     euler = _var_shift(fx, 0) + _var_shift(fy, 1) + _var_shift(fz, 2)
@@ -114,14 +112,14 @@ class Derivation3:
         return list(self.a.coeffs) + list(self.b.coeffs) + list(self.c.coeffs)
 
     def apply_linear(self, coeffs) -> HomPoly:
-        cs = [Fraction(c) for c in coeffs]
-        return self.a.scale(cs[0]) + self.b.scale(cs[1]) + self.c.scale(cs[2])
+        return (self.a.scale(coeffs[0]) + self.b.scale(coeffs[1])
+                + self.c.scale(coeffs[2]))
 
 
 def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
     """The integer-scaled form of line 0, the component of theta that
     restriction_param eliminates for it, and the two it keeps."""
-    alpha = linalg._int_row(A.lines[0].coeffs)
+    alpha = A.lines[0].int_coeffs
     e = restriction_param(alpha).eliminated
     return alpha, e, [i for i in range(3) if i != e]
 
@@ -135,14 +133,14 @@ def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
     theta(alpha_K) = sum of (alpha_e beta_i - beta_e alpha_i) theta_i over
     the kept i, for every other line K with form beta.  That value vanishes
     on K exactly when its line_restriction(beta, k) vanishes.  Forms are
-    scaled to integers first, which changes no condition.  Columns are the
+    taken in their integer scaling, which changes no condition.  Columns are the
     degree-k monomials of the first kept component, then of the second.
     """
     alpha, e, kept = _h0_frame(A)
     m = monomial_count(3, k)
     rows: list[list[int]] = []
     for form in A.lines[1:]:
-        beta = linalg._int_row(form.coeffs)
+        beta = form.int_coeffs
         w0, w1 = (alpha[e] * beta[i] - beta[e] * alpha[i] for i in kept)
         block = [[0] * (2 * m) for _ in range(k + 1)]
         for col, (r0, lead, xs) in enumerate(line_restriction(beta, k)):
@@ -158,7 +156,6 @@ def _h0_lift(A: Arrangement, v) -> tuple[int, ...]:
     """The derivation in D_{H0}(A) with the given kept components (a kernel
     vector of _h0_conditions), integer-scaled, as a Derivation3 vector."""
     alpha, e, (i0, i1) = _h0_frame(A)
-    v = linalg._int_row(v)
     m = len(v) // 2
     comps = [None] * 3
     comps[i0] = [alpha[e] * a for a in v[:m]]
@@ -227,7 +224,7 @@ def mdr(A: Arrangement) -> int:
         k += 1
 
 
-def _shift_vec(v, k: int, var: int) -> list[Fraction]:
+def _shift_vec(v, k: int, var: int) -> list[int]:
     """Multiply a degree-k derivation coefficient vector by a coordinate."""
     return [c for comp in Derivation3.from_vector(v, k).components
             for c in _var_shift(comp, var).coeffs]
@@ -246,7 +243,7 @@ class ResolutionShape:
 @dataclass(frozen=True)
 class _ResolutionData:
     shape: ResolutionShape
-    generators: tuple[tuple[int, tuple[Fraction, ...]], ...]  # (degree, vector)
+    generators: tuple[tuple[int, tuple[int, ...]], ...]  # (degree, vector)
 
 
 def default_degree_cap(A: Arrangement) -> int:
@@ -270,7 +267,7 @@ def degree_cap(A: Arrangement) -> int:
 def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     cap = degree_cap(A)
     n = len(A)
-    gens: list[tuple[int, tuple[Fraction, ...]]] = []
+    gens: list[tuple[int, tuple[int, ...]]] = []
     rels: list[int] = []
     prev: tuple = ()
     k = 0
@@ -355,13 +352,13 @@ def _classification_resolution(A: Arrangement) -> _ResolutionData:
     return _resolution(A, early_stop=True)
 
 
-def relation_vectors(A: Arrangement, gens, r: int) -> list[list[Fraction]]:
-    """Kernel of the evaluation map from degree-r combinations of the given
-    generators onto the module; one coefficient block per generator."""
+def relation_vectors(A: Arrangement, gens, r: int) -> list[list[int]]:
+    """Integer kernel of the evaluation map from degree-r combinations of the
+    given generators onto the module; one coefficient block per generator."""
     blocks = [monomial_count(3, r - g) for g, _ in gens]
     ncols = sum(blocks)
     nrows = 3 * monomial_count(3, r)
-    cols: list[list[Fraction]] = []
+    cols: list[list[int]] = []
     for g, vec in gens:
         for mono in monomials(3, r - g):
             v = vec
@@ -471,7 +468,7 @@ def dh_projection(A: Arrangement, H: int, k: int) -> list[list[int]]:
     """
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
-    alpha = linalg._int_row(A.lines[H].coeffs)
+    alpha = A.lines[H].int_coeffs
     e = restriction_param(alpha).eliminated
     monos = monomials(3, k)
     m = len(monos)
@@ -504,7 +501,7 @@ def dh_projection(A: Arrangement, H: int, k: int) -> list[list[int]]:
 
 
 @lru_cache(maxsize=8192)
-def _dh_kernel(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
+def _dh_kernel(A: Arrangement, H: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Degree-k layer of D_H(A), in the echelon form kernel_basis gives:
     echelon_basis of dh_projection."""
     return tuple(tuple(v) for v in linalg.echelon_basis(
@@ -512,8 +509,8 @@ def _dh_kernel(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ..
 
 
 def dh_basis(A: Arrangement, H: int, k: int) -> list[Derivation3]:
-    """Deterministic basis of the degree-k derivations preserving every line
-    and annihilating the defining form of line H."""
+    """Deterministic integer basis of the degree-k derivations preserving
+    every line and annihilating the defining form of line H."""
     return [Derivation3.from_vector(v, k) for v in _dh_kernel(A, H, k)]
 
 
@@ -527,8 +524,8 @@ def in_dh(A: Arrangement, H: int, theta: Derivation3) -> bool:
     for K, form in enumerate(A.lines):
         if K == H:
             continue
-        beta = linalg._int_row(form.coeffs)
-        value = linalg._int_row(theta.apply_linear(beta).coeffs)
+        beta = form.int_coeffs
+        value = theta.apply_linear(beta).coeffs
         if any(restrict(beta, [value], theta.degree)[0]):
             return False
     return True

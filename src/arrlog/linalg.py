@@ -1,9 +1,10 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integers.
 
-Matrices are lists of rows of ints or ``fractions.Fraction``; each row is
-first scaled to a primitive integer row (``_int_row``).  Every result is a
-deterministic function of the input, because the reduced row echelon form
-of a matrix is unique.
+Matrices are lists of integer rows and kernels are primitive integer
+vectors; only ``rank`` and ``solve_columns`` also take ``Fraction`` rows,
+clearing their denominators first.  Fractions are built only for printed
+values: ``solve_columns``'s solutions and ``unit_last``.  Every result is a
+deterministic function of the input, as the RREF of a matrix is unique.
 
 ``kernel_basis`` works modulo the Mersenne primes of ``MERSENNE_PRIMES`` in
 turn: it reads one basis vector per free column off the RREF mod p, rebuilds
@@ -12,8 +13,8 @@ vector satisfies M v = 0 exactly over Z.  That check is a certificate (see
 ``_modular_kernel``), so the result equals exact elimination's.  When no
 prime yields a certified basis, exact elimination decides.
 
-``rank``, ``integer_rref``, ``rref``, ``solve_columns``, ``echelon_basis``
-and ``SpanBuilder`` eliminate exactly over Z without fractions: pivots are
+``rank``, ``integer_rref``, ``solve_columns``, ``echelon_basis`` and
+``SpanBuilder`` eliminate exactly over Z without fractions: pivots are
 chosen by smallest bit-size and rows are divided by their gcd after every
 elimination step.
 """
@@ -21,9 +22,9 @@ elimination step.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-Vec = list[Fraction]
+Vec = list[int]
 Mat = list[Vec]
 
 # kernel_basis works modulo these primes in turn before exact elimination
@@ -42,23 +43,18 @@ def _content(row) -> int:
 
 
 def _int_row(row) -> list[int]:
-    """Clear denominators and divide by the content, keeping the sign."""
-    if all(isinstance(x, int) for x in row):
-        ints = list(row)
-    else:
-        fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-        lcm = 1
-        for x in fracs:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        ints = [x.numerator * (lcm // x.denominator) for x in fracs]
-    g = _content(ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    """Clear the denominators of ints or Fractions, then the content."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive_vec([x.numerator * (den // x.denominator) for x in row])
 
 
-def _reduce_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+def _primitive_vec(v: Vec) -> Vec:
+    """The integer vector v divided by its content."""
+    g = _content(v)
+    return [a // g for a in v] if g > 1 else v
+
+
+def _reduce_rows(rows: Mat, ncols: int) -> tuple[Mat, list[int]]:
     """Forward elimination to row echelon form over the integers.
 
     Returns the nonzero echelon rows and their pivot columns.  Pivot rows are
@@ -81,10 +77,7 @@ def _reduce_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
         for r in work:
             v = r[col]
             if v != 0:
-                r = [p * a - v * b for a, b in zip(r, piv)]
-                g = _content(r)
-                if g > 1:
-                    r = [a // g for a in r]
+                r = _primitive_vec([p * a - v * b for a, b in zip(r, piv)])
             if any(r):
                 nxt.append(r)
         work = nxt
@@ -94,11 +87,11 @@ def _reduce_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], li
     return echelon, pivots
 
 
-def integer_rref(matrix: Mat, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """The reduced row echelon form up to one integer factor per row, with
-    its pivot columns: row i is row[pivots[i]] times the reduced row, so a
-    caller turns into Fractions only the entries it reads."""
-    echelon, pivots = _reduce_rows([_int_row(r) for r in matrix], ncols)
+def integer_rref(matrix: Mat, ncols: int) -> tuple[Mat, list[int]]:
+    """The reduced row echelon form of integer rows up to one integer factor
+    per row, with its pivot columns: row i is row[pivots[i]] times the
+    reduced row, so a caller divides only the entries it reads."""
+    echelon, pivots = _reduce_rows(matrix, ncols)
     # Back-substitution, still fraction-free.
     for i in range(len(echelon) - 1, -1, -1):
         c = pivots[i]
@@ -106,60 +99,60 @@ def integer_rref(matrix: Mat, ncols: int) -> tuple[list[list[int]], list[int]]:
             v = echelon[j][c]
             if v != 0:
                 p = echelon[i][c]
-                row = [p * a - v * b for a, b in zip(echelon[j], echelon[i])]
-                g = _content(row)
-                if g > 1:
-                    row = [a // g for a in row]
-                echelon[j] = row
+                echelon[j] = _primitive_vec(
+                    [p * a - v * b for a, b in zip(echelon[j], echelon[i])])
     return echelon, pivots
 
 
-def rref(matrix: Mat, ncols: int) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows, pivots = integer_rref(matrix, ncols)
-    return [[Fraction(a, row[c]) for a in row]
-            for row, c in zip(rows, pivots)], pivots
-
-
-def rank(matrix: Mat, ncols: int) -> int:
+def rank(matrix, ncols: int) -> int:
+    """Rank of rows of ints or Fractions."""
     _, pivots = _reduce_rows([_int_row(r) for r in matrix], ncols)
     return len(pivots)
 
 
-def kernel_basis(matrix: Mat, ncols: int) -> Mat:
-    """Echelon-normalized basis of the right null space.
+def unit_last(v) -> tuple[Fraction, ...]:
+    """v divided by its last nonzero entry, as Fractions (for printing)."""
+    last = next(a for a in reversed(v) if a)
+    return tuple(Fraction(a, last) for a in v)
 
-    One basis vector per free column, in increasing column order, with a 1 in
-    the free column and the pivot entries solved from the RREF.  Equal inputs
-    give identical bases.  Computed modulo the primes of MERSENNE_PRIMES and
-    certified over Z (see _modular_kernel); exact elimination decides when
-    no prime does.
+
+def kernel_basis(matrix: Mat, ncols: int) -> Mat:
+    """Echelon-normalized basis of the right null space of integer rows.
+
+    One primitive integer vector per free column, in increasing column
+    order: positive in its free column, its last nonzero entry, and zero in
+    every other free column.  Equal inputs give identical bases.  Computed
+    modulo the primes of MERSENNE_PRIMES and certified over Z (see
+    _modular_kernel); exact elimination decides when no prime does.
     """
-    rows = [_int_row(r) for r in matrix]
     for p in MERSENNE_PRIMES:
-        basis = _modular_kernel(rows, ncols, p)
+        basis = _modular_kernel(matrix, ncols, p)
         if basis is not None:
             return basis
-    return _exact_kernel(rows, ncols)
+    return _exact_kernel(matrix, ncols)
 
 
-def _exact_kernel(rows: list[list[int]], ncols: int) -> Mat:
-    """kernel_basis by exact elimination over Q."""
-    reduced, pivots = rref(rows, ncols)
+def _exact_kernel(rows: Mat, ncols: int) -> Mat:
+    """kernel_basis by exact elimination: with d_i the pivot entry of row i
+    of integer_rref and D the lcm of those of the rows nonzero in the free
+    column f, the vector is D at f and -D row_i[f] / d_i at each pivot."""
+    reduced, pivots = integer_rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, c in zip(reduced, pivots):
-            v[c] = -row[free]
-        basis.append(v)
+        hits = [(row, c) for row, c in zip(reduced, pivots) if row[free]]
+        den = lcm(*(row[c] for row, c in hits))
+        v = [0] * ncols
+        v[free] = den
+        for row, c in hits:
+            v[c] = -row[free] * (den // row[c])
+        basis.append(_primitive_vec(v))
     return basis
 
 
-def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+def _rref_mod(rows: Mat, ncols: int, p: int) -> tuple[Mat, list[int]]:
     """Reduced row echelon form modulo p, pivots scaled to 1.
 
     Each pivot is taken from the sparsest candidate row and only its nonzero
@@ -222,15 +215,16 @@ def _rational(a: int, p: int, bound: int) -> tuple[int, int] | None:
     return r1, s1
 
 
-def _modular_kernel(rows: list[list[int]], ncols: int, p: int) -> Mat | None:
+def _modular_kernel(rows: Mat, ncols: int, p: int) -> Mat | None:
     """kernel_basis read off the RREF modulo the prime p and certified over Z.
 
-    Each vector is rebuilt over Q by rational reconstruction and must satisfy
-    M v = 0 exactly; None if any vector fails.  This is a proof: the rank
-    mod p is at most the rank over Q, so the verified vectors, one per free
-    column with a 1 there and a 0 in every other free column, are at least
-    dim ker and independent, hence a basis.  Each one's last nonzero entry
-    is its 1, so they form the reversed RREF of the kernel, which is unique:
+    Each vector is rebuilt by rational reconstruction as integers w over a
+    positive denominator and must satisfy M w = 0 exactly; None if any
+    fails.  This is a proof: the rank mod p is at most the rank over Q, so
+    the verified vectors, one per free column, positive there and 0 in every
+    other free column, are at least dim ker and independent, hence a basis.
+    Each one's last nonzero entry is in its free column, so they are
+    positive multiples of the reversed RREF of the kernel, which is unique:
     the same vectors exact elimination gives.
     """
     echelon, pivots = _rref_mod(rows, ncols, p)
@@ -269,26 +263,20 @@ def _modular_kernel(rows: list[list[int]], ncols: int, p: int) -> Mat | None:
         w[f] = den
         if any(sum(a * w[j] for j, a in srow) for srow in sparse):
             return None
-        v = [Fraction(0)] * ncols
-        for j in filled:
-            v[j] = Fraction(w[j], den)
-        v[f] = Fraction(1)
-        basis.append(v)
+        basis.append(_primitive_vec(w))
     return basis
 
 
-def echelon_basis(vectors, ncols: int) -> Mat:
-    """The basis kernel_basis returns for the span of the given vectors.
-
-    That is the RREF of the span read with the columns reversed: each vector
-    has a 1 in its last nonzero column, where the others have a 0, and the
-    vectors come in increasing order of that column.
-    """
-    reduced, _ = rref([list(reversed(v)) for v in vectors], ncols)
-    return [row[::-1] for row in reversed(reduced)]
+def echelon_basis(vectors: Mat, ncols: int) -> Mat:
+    """The basis kernel_basis returns for the span of the given integer
+    vectors: the RREF of the span read with the columns reversed, each row
+    made primitive and positive in its pivot, the last nonzero column."""
+    reduced, pivots = integer_rref([list(reversed(v)) for v in vectors], ncols)
+    return [_primitive_vec(row[::-1] if row[c] > 0 else [-a for a in reversed(row)])
+            for row, c in zip(reversed(reduced), reversed(pivots))]
 
 
-def solve_columns(cols, rhs) -> list[Vec] | None:
+def solve_columns(cols, rhs) -> list[list[Fraction]] | None:
     """For every b in rhs, the x with sum of x[i] cols[i] = b, from one RREF
     of [cols | rhs]; None unless each system has exactly one solution.
 
@@ -298,7 +286,7 @@ def solve_columns(cols, rhs) -> list[Vec] | None:
     len(cols) columns.
     """
     n = len(cols)
-    rows, pivots = integer_rref([list(r) for r in zip(*cols, *rhs)],
+    rows, pivots = integer_rref([_int_row(r) for r in zip(*cols, *rhs)],
                                 n + len(rhs))
     if pivots != list(range(n)):
         return None
@@ -322,13 +310,13 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
-    def residual(self, vec) -> list[int]:
-        """Reduce vec against the span; zero vector iff vec is in the span.
+    def residual(self, row: Vec) -> Vec:
+        """Reduce the integer vector row against the span; zero vector iff
+        row is in the span.
 
         The leading nonzero column only moves right during reduction, so the
         scan never restarts.
         """
-        row = _int_row(vec)
         rows = self.rows
         i = 0
         while i < self.ncols:
@@ -340,10 +328,7 @@ class SpanBuilder:
             if other is None:
                 return row
             p = other[i]
-            row = [p * a - v * b for a, b in zip(row, other)]
-            g = _content(row)
-            if g > 1:
-                row = [a // g for a in row]
+            row = _primitive_vec([p * a - v * b for a, b in zip(row, other)])
             i += 1
         return row
 

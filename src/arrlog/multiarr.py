@@ -10,7 +10,7 @@ its graded layers, exponents, and a basis certified by Saito's determinant
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
@@ -31,9 +31,13 @@ class FreenessCertificateFailure(AssertionError):
 
 @dataclass(frozen=True, order=True)
 class LinearForm2:
-    """A nonzero binary linear form, first nonzero coefficient scaled to 1."""
+    """A nonzero binary linear form, stored as LinearForm3 stores a line."""
 
     coeffs: tuple[Fraction, Fraction]
+    int_coeffs: tuple[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "int_coeffs", tuple(linalg._int_row(self.coeffs)))
 
     @classmethod
     def make(cls, coeffs) -> "LinearForm2":
@@ -138,10 +142,10 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
     """
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
-    beta = linalg._int_row(A.lines[H].coeffs)
+    beta = A.lines[H].int_coeffs
     others = A.lines[:H] + A.lines[H + 1:]
     counts = Counter(LinearForm2.make(ell) for ell in restrict(
-        beta, [linalg._int_row(f.coeffs) for f in others], 1))
+        beta, [f.int_coeffs for f in others], 1))
     items = sorted(counts.items())
     M = Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
     assert M.total == len(A) - 1
@@ -156,12 +160,12 @@ def _divisibility_rows(M: Multiarrangement2, k: int) -> list[list[int]]:
     when the t^i coefficients of g(r + t d) vanish for i < m, where
     r = (-b, a) spans l = 0 and d = (a, b) is transversal to it.  The column
     of u^(k-j) v^j in p (resp. q) thus contributes a (resp. b) times the t^i
-    coefficient of (-b + a t)^(k-j) (a + b t)^j.  The form is first scaled
-    to integer coefficients, which changes no condition.
+    coefficient of (-b + a t)^(k-j) (a + b t)^j.  The form is taken in its
+    integer scaling, which changes no condition.
     """
     rows: list[list[int]] = []
     for form, m in zip(M.forms, M.mult):
-        a, b = linalg._int_row(form.coeffs)
+        a, b = form.int_coeffs
         for i in range(min(m, k + 1)):
             row = [0] * (2 * (k + 1))
             for j in range(k + 1):
@@ -249,8 +253,7 @@ def rank2_basis(layer, total: int, target) -> tuple[tuple, tuple]:
     theta2 = next((v for v in layer(total - e1) if not span.contains(v)), None)
     if theta2 is None:
         raise FreenessCertificateFailure("no independent second basis vector")
-    if not _minors_certify(linalg._int_row(theta1), linalg._int_row(theta2),
-                           target):
+    if not _minors_certify(theta1, theta2, target):
         raise FreenessCertificateFailure("basis candidates fail the determinant certificate")
     return theta1, theta2
 
@@ -258,16 +261,16 @@ def rank2_basis(layer, total: int, target) -> tuple[tuple, tuple]:
 def _saito_target(M: Multiarrangement2) -> list[int]:
     """The defining polynomial of M up to a nonzero constant: the product of
     its integer-scaled forms, each repeated by its multiplicity."""
-    return reduce(_mul2, (linalg._int_row(f.coeffs)
+    return reduce(_mul2, (f.int_coeffs
                           for f, m in zip(M.forms, M.mult) for _ in range(m)), [1])
 
 
 @lru_cache(maxsize=8192)
 def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
     """Certified homogeneous basis (degrees e1 <= e2): rank2_basis with
-    Saito's determinant against the defining polynomial."""
-    return tuple(map(Derivation2.from_vector, rank2_basis(
-        lambda k: _deriv_kernel(M, k), M.total, _saito_target(M))))
+    Saito's determinant against the defining polynomial, through unit_last."""
+    return tuple(Derivation2.from_vector(linalg.unit_last(v)) for v in rank2_basis(
+        lambda k: _deriv_kernel(M, k), M.total, _saito_target(M)))
 
 
 def exponents(M: Multiarrangement2) -> Exponents:

@@ -21,6 +21,30 @@ def test_linear_form_canonical():
     assert a.coeffs[0] == 1
 
 
+def test_linear_form_int_coeffs():
+    # the primitive integer form, kept beside the canonical one
+    assert LinearForm3.make([2, 4, 6]).int_coeffs == (1, 2, 3)
+    assert LinearForm3.make([Fraction(1, 3), Fraction(2, 3), 1]).int_coeffs == (1, 2, 3)
+    assert LinearForm3.make([-2, 0, 4]).int_coeffs == (1, 0, -2)
+    assert all(type(c) is int
+               for c in LinearForm3.make([Fraction(1, 2), 1, 0]).int_coeffs)
+
+
+def test_int_coeffs_take_no_part_in_equality_ordering_or_hashing():
+    a = LinearForm3.make([1, 2, 3])
+    b = LinearForm3.make([1, 2, 3])
+    object.__setattr__(b, "int_coeffs", (5, 5, 5))
+    assert a == b and not a < b and not b < a
+    assert hash(a) == hash(b) == hash((a.coeffs,))
+    assert repr(a) == f"LinearForm3(coeffs={a.coeffs!r})"
+    forms = [LinearForm3.make(c) for c in ([1, 0, 5], [0, 1, 2], [1, -1, 0])]
+    assert sorted(forms) == sorted(forms, key=lambda f: f.coeffs)
+    z = LinearForm3.make([0, 0, 1])
+    A, B = Arrangement((a, z)), Arrangement((b, z))
+    # the hash of the coefficients alone, as before int_coeffs existed
+    assert A == B and hash(A) == hash(B) == hash(((a.coeffs,), (z.coeffs,)))
+
+
 def test_zero_form_rejected():
     with pytest.raises(ZeroForm):
         LinearForm3.make([0, 0, 0])

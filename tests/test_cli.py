@@ -352,7 +352,7 @@ def test_golden_output_digests(tmp_path, capsys):
         feed("property-p", "property-p", path, "--all")
         feed("splitting", "splitting", path, "--all")
         for form in random_external_lines(fx.build(), 10, 42):
-            coeffs = ",".join(map(str, linalg._int_row(form.coeffs)))
+            coeffs = ",".join(map(str, form.int_coeffs))
             feed("form", "splitting", path, "--form", coeffs)
     for T in TRANSFORMS:
         for fx in FIXTURES:

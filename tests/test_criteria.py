@@ -38,8 +38,8 @@ def _oracle_map_dims(A, H, k):
     dom = dh_basis(A, H, k)
     for theta in dom:
         comps = theta.components
-        span.add(list(substitute_line(comps[u], param).coeffs)
-                 + list(substitute_line(comps[v], param).coeffs))
+        span.add(linalg._int_row(substitute_line(comps[u], param).coeffs
+                                 + substitute_line(comps[v], param).coeffs))
     return len(dom), deriv_dim(M, k), span.dim
 
 
@@ -63,12 +63,17 @@ def test_ziegler_map_matches_restricted_basis(A):
 
 
 def _oracle_image_vectors(A, H, k):
-    """dh_basis(A, H, k) restricted to line H by substitute_line."""
+    """dh_basis(A, H, k), each vector divided by its last nonzero entry,
+    restricted to line H by substitute_line."""
     param = line_param(A.lines[H].coeffs)
     u, v = param.retained
-    return tuple(substitute_line(t.components[u], param).coeffs
-                 + substitute_line(t.components[v], param).coeffs
-                 for t in dh_basis(A, H, k))
+    out = []
+    for t in dh_basis(A, H, k):
+        last = next(c for c in reversed(t.coeff_vector()) if c)
+        comps = [c.scale(Fraction(1, last)) for c in t.components]
+        out.append(substitute_line(comps[u], param).coeffs
+                   + substitute_line(comps[v], param).coeffs)
+    return tuple(out)
 
 
 _IMAGE_INPUTS = (
@@ -108,7 +113,7 @@ def test_image_vector_outside_the_free_module_fails(monkeypatch):
             span.add(theta.coeff_vector())
         for j in range(2 * (k + 1)):
             v = tuple(c + (i == j) for i, c in enumerate(vecs[0]))
-            if not span.contains(v):
+            if not span.contains(linalg._int_row(v)):
                 return (v,) + vecs[1:]
         raise AssertionError(f"D(M)_{k} is everything")
 
@@ -433,9 +438,9 @@ def _oracle_property_P(A, H):
         if e1 + 1 < e2:
             combos = [[Fraction(1)] + [Fraction(0)] * (len(low) - 1)]
         else:
-            combos = linalg.kernel_basis(
-                [[c[1].coeffs[j] for c in low] for j in range(e1 - e2 + 2)],
-                len(low))
+            combos = [linalg.unit_last(v) for v in linalg.kernel_basis(
+                [linalg._int_row([c[1].coeffs[j] for c in low])
+                 for j in range(e1 - e2 + 2)], len(low))]
         for combo in combos:
             p = None
             for w, (pc, _) in zip(combo, low):

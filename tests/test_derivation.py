@@ -189,7 +189,7 @@ def _direct_dh_kernel(A, H, k):
                 value = theta.apply_linear(form.coeffs)
                 conds += substitute_line(value, line_param(form.coeffs, first)).coeffs
         columns.append(conds)
-    rows = [list(r) for r in zip(*columns)]
+    rows = [_int_row(r) for r in zip(*columns)]
     return tuple(tuple(v) for v in kernel_basis(rows, ncols))
 
 

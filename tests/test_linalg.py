@@ -1,6 +1,7 @@
 """Exact linear algebra: determinism, rank-nullity, and span building."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from arrlog import derivation
 from arrlog.corpus import FIXTURES, near_pencil, random_arrangement
 from arrlog.linalg import (MERSENNE_PRIMES, SpanBuilder, _exact_kernel,
                            _int_row, _modular_kernel, echelon_basis,
-                           kernel_basis, rank, rref, solve_columns)
+                           integer_rref, kernel_basis, rank, solve_columns)
 from arrlog.poly import monomial_count
 from test_derivation import jacobian_matrix
 
@@ -41,6 +42,43 @@ def deciding_prime(rows, ncols):
                  if _modular_kernel(rows, ncols, p) is not None), None)
 
 
+def fraction_kernel(rows, ncols):
+    """The kernel basis of the Fraction RREF formulation, and the pivot
+    columns: Gauss-Jordan over Q, then one vector per free column with a 1
+    there, a 0 in the other free columns and minus the reduced rows' entries
+    in that column at their pivots."""
+    m = [[Fraction(a) for a in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, c in zip(m, pivots):
+            v[c] = -row[free]
+        basis.append(v)
+    return basis, pivots
+
+
+def unit_rref(matrix, ncols):
+    """integer_rref with every row divided by its pivot entry."""
+    rows, pivots = integer_rref(matrix, ncols)
+    return [[Fraction(a, r[c]) for a in r] for r, c in zip(rows, pivots)], pivots
+
+
 def test_int_row_clears_denominators_and_content():
     assert _int_row([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
     assert _int_row([4, 6, 8]) == [2, 3, 4]
@@ -49,14 +87,14 @@ def test_int_row_clears_denominators_and_content():
 
 def test_rref_identity():
     m = [[2, 0], [0, 5]]
-    rows, pivots = rref(m, 2)
+    rows, pivots = unit_rref(m, 2)
     assert rows == [[1, 0], [0, 1]]
     assert pivots == [0, 1]
 
 
 def test_rref_pivots_are_one_and_columns_cleared():
     m = [[1, 2, 3], [2, 4, 7], [1, 2, 4]]
-    rows, pivots = rref(m, 3)
+    rows, pivots = unit_rref(m, 3)
     for r, c in zip(rows, pivots):
         assert r[c] == 1
         for other in rows:
@@ -160,6 +198,26 @@ def test_kernel_basis_equals_exact_elimination(factors):
     assert kernel_basis(rows, ncols) == _exact_kernel(rows, ncols)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices, products.map(lambda f: (
+    [[sum(a * b for a, b in zip(row, col)) for col in zip(*f[1])]
+     for row in f[0]], len(f[1][0])))))
+def test_kernel_vectors_are_primitive_integer_echelon_vectors(mn):
+    rows, ncols = mn
+    oracle, pivots = fraction_kernel(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    for path in (kernel_basis, _exact_kernel):
+        got = path(rows, ncols)
+        assert len(got) == len(free)
+        for v, f, want in zip(got, free, oracle):
+            assert all(type(a) is int for a in v)
+            assert gcd(*v) == 1
+            last = max(j for j, a in enumerate(v) if a)
+            assert last == f and v[f] > 0
+            assert all(v[c] == 0 for c in free if c != f)
+            assert v == _int_row(want)
+
+
 def test_kernel_of_first_prime_is_refuted():
     # 2**127 - 1 vanishes modulo the first prime, whose one-vector kernel
     # fails M v = 0; the second prime sees rank 1
@@ -172,14 +230,14 @@ def test_large_coprime_entries_need_second_prime():
     a, b = 2 ** 100 + 277, 2 ** 100 - 1
     rows = [[a, b]]
     assert deciding_prime(rows, 2) == 1
-    assert kernel_basis(rows, 2) == [[Fraction(-b, a), Fraction(1)]]
+    assert kernel_basis(rows, 2) == [[-b, a]]
 
 
 def test_huge_entries_reach_exact_fallback():
     a, b = 3 ** 1900, 2 ** 3000 + 1
     rows = [[a, b, 0], [0, 0, 1]]
     assert deciding_prime(rows, 3) is None
-    assert kernel_basis(rows, 3) == [[Fraction(-b, a), Fraction(1), Fraction(0)]]
+    assert kernel_basis(rows, 3) == [[-b, a, 0]]
 
 
 def test_no_free_column_gives_empty_basis():

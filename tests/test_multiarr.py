@@ -20,6 +20,17 @@ from arrlog.poly import from_terms, restriction_param
 from test_poly import line_param, substitute_line
 
 
+def test_linear_form2_int_coeffs():
+    f = LinearForm2.make([Fraction(-3, 4), Fraction(1, 6)])
+    assert f.coeffs == (1, Fraction(-2, 9))
+    assert f.int_coeffs == (9, -2)
+    assert LinearForm2.make([0, -4]).int_coeffs == (0, 1)
+    g = LinearForm2.make([9, -2])
+    object.__setattr__(g, "int_coeffs", (1, 1))
+    assert g == f and hash(g) == hash(f) == hash((f.coeffs,))
+    assert not g < f and not f < g
+
+
 def rank2_exponents(dim, total: int) -> tuple[int, int]:
     """Oracle: the degrees (e1 <= e2, e1 + e2 = total) of a free graded
     module of rank 2, read off its graded dimensions dim(k).
@@ -213,7 +224,7 @@ def _sympy_kernel(M: Multiarrangement2, k: int):
                                *gens, order="lex")
         eqs.extend(sympy.Poly(rem, U, V).coeffs())
     matrix, _ = sympy.linear_eq_to_matrix(eqs, ps + qs)
-    null = [[Fraction(int(x.p), int(x.q)) for x in vec]
+    null = [linalg._int_row([Fraction(int(x.p), int(x.q)) for x in vec])
             for vec in matrix.nullspace()]
     return tuple(tuple(v) for v in linalg.echelon_basis(null, 2 * (k + 1)))
 
