@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals, in integers.
 
 Matrices are lists of integer rows and kernels are primitive integer
-vectors; only ``rank`` and ``solve_columns`` also take ``Fraction`` rows,
-clearing their denominators first.  Fractions are built only for printed
-values: ``solve_columns``'s solutions and ``unit_last``.  Every result is a
+vectors; only ``solve_columns`` also takes ``Fraction`` rows, clearing their
+denominators first.  Fractions are built only for printed values:
+``solve_columns``'s solutions and ``unit_last``.  Every result is a
 deterministic function of the input, as the RREF of a matrix is unique.
 
-``kernel_basis`` works modulo the Mersenne primes of ``MERSENNE_PRIMES`` in
-turn: it reads one basis vector per free column off the RREF mod p, rebuilds
-each over Q by rational reconstruction and keeps the basis only if every
-vector satisfies M v = 0 exactly over Z.  That check is a certificate (see
-``_modular_kernel``), so the result equals exact elimination's.  When no
-prime yields a certified basis, exact elimination decides.
+``kernel_basis`` eliminates modulo the 127-bit primes of ``KERNEL_PRIMES``
+in turn and combines the RREF residues by the Chinese remainder theorem
+while the pivot columns agree.  After each prime it reads one basis vector
+per free column off the residues modulo the product M of the primes so far,
+rebuilds each over Q by rational reconstruction modulo M and keeps the basis
+only if every row of the matrix annihilates every vector exactly over Z.
+That check is a certificate (see ``_modular_kernel``), so the result equals
+exact elimination's.  When no modulus yields a certified basis, exact
+elimination decides.
 
 ``rank``, ``integer_rref``, ``solve_columns``, ``echelon_basis`` and
 ``SpanBuilder`` eliminate exactly over Z without fractions: pivots are
@@ -27,8 +30,12 @@ from math import gcd, isqrt, lcm
 Vec = list[int]
 Mat = list[Vec]
 
-# kernel_basis works modulo these primes in turn before exact elimination
-MERSENNE_PRIMES = tuple(2 ** e - 1 for e in (127, 521, 1279, 2203))
+# kernel_basis works modulo these primes in turn, combined by CRT, before
+# exact elimination: the 18 largest primes below 2**127, whose product
+# (about 2**2286) exceeds 2**2203 - 1
+KERNEL_PRIMES = tuple(2 ** 127 - c for c in (
+    1, 25, 39, 295, 309, 507, 511, 577, 697, 735, 801, 957, 1081, 1105, 1141,
+    1201, 1231, 1447))
 
 
 def _content(row) -> int:
@@ -104,9 +111,9 @@ def integer_rref(matrix: Mat, ncols: int) -> tuple[Mat, list[int]]:
     return echelon, pivots
 
 
-def rank(matrix, ncols: int) -> int:
-    """Rank of rows of ints or Fractions."""
-    _, pivots = _reduce_rows([_int_row(r) for r in matrix], ncols)
+def rank(matrix: Mat, ncols: int) -> int:
+    """Rank of integer rows."""
+    _, pivots = _reduce_rows([_primitive_vec(r) for r in matrix], ncols)
     return len(pivots)
 
 
@@ -122,14 +129,48 @@ def kernel_basis(matrix: Mat, ncols: int) -> Mat:
     One primitive integer vector per free column, in increasing column
     order: positive in its free column, its last nonzero entry, and zero in
     every other free column.  Equal inputs give identical bases.  Computed
-    modulo the primes of MERSENNE_PRIMES and certified over Z (see
-    _modular_kernel); exact elimination decides when no prime does.
+    modulo the primes of KERNEL_PRIMES, combined by CRT, and certified over
+    Z (see _crt_kernels); exact elimination decides when no modulus does.
     """
-    for p in MERSENNE_PRIMES:
-        basis = _modular_kernel(matrix, ncols, p)
+    for _, basis in _crt_kernels(matrix, ncols):
         if basis is not None:
             return basis
     return _exact_kernel(matrix, ncols)
+
+
+def _crt_kernels(rows: Mat, ncols: int):
+    """For each prime of KERNEL_PRIMES in turn, the number of primes whose
+    residues are combined so far and the basis _modular_kernel certifies
+    from them, or None; [] as soon as a prime gives full column rank.
+
+    Only the RREF entries in the free columns are kept, as they are all the
+    reconstruction reads.  A prime's residues join the running ones by the
+    Chinese remainder theorem while its pivot columns agree with theirs; a
+    prime with other pivots starts the accumulation again.
+    """
+    sparse = pivots = None
+    for p in KERNEL_PRIMES:
+        echelon, new_pivots = _rref_mod(rows, ncols, p)
+        if len(new_pivots) == ncols:
+            yield 1, []
+            return
+        if sparse is None:
+            sparse = [[(j, a) for j, a in enumerate(r) if a] for r in rows]
+        if new_pivots != pivots:
+            pivots = new_pivots
+            pivot_set = set(pivots)
+            free = [c for c in range(ncols) if c not in pivot_set]
+            residues = [[row[f] for f in free] for row in echelon]
+            modulus, count = p, 1
+        else:
+            inv = pow(modulus, -1, p)
+            for res, row in zip(residues, echelon):
+                for i, f in enumerate(free):
+                    res[i] += modulus * ((row[f] - res[i]) * inv % p)
+            modulus *= p
+            count += 1
+        yield count, _modular_kernel(sparse, ncols, residues, pivots, free,
+                                     modulus)
 
 
 def _exact_kernel(rows: Mat, ncols: int) -> Mat:
@@ -200,9 +241,9 @@ def _rref_mod(rows: Mat, ncols: int, p: int) -> tuple[Mat, list[int]]:
     return echelon, pivots
 
 
-def _rational(a: int, p: int, bound: int) -> tuple[int, int] | None:
-    """(r, s) with r = s a mod p, |r| <= bound and 0 < s <= bound, if any."""
-    r0, r1 = p, a
+def _rational(a: int, m: int, bound: int) -> tuple[int, int] | None:
+    """(r, s) with r = s a mod m, |r| <= bound and 0 < s <= bound, if any."""
+    r0, r1 = m, a
     s0, s1 = 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -215,43 +256,42 @@ def _rational(a: int, p: int, bound: int) -> tuple[int, int] | None:
     return r1, s1
 
 
-def _modular_kernel(rows: Mat, ncols: int, p: int) -> Mat | None:
-    """kernel_basis read off the RREF modulo the prime p and certified over Z.
+def _modular_kernel(sparse, ncols: int, residues: Mat, pivots: list[int],
+                    free: list[int], modulus: int) -> Mat | None:
+    """kernel_basis read off the RREF modulo M = modulus and certified over Z.
 
-    Each vector is rebuilt by rational reconstruction as integers w over a
-    positive denominator and must satisfy M w = 0 exactly; None if any
-    fails.  This is a proof: the rank mod p is at most the rank over Q, so
-    the verified vectors, one per free column, positive there and 0 in every
-    other free column, are at least dim ker and independent, hence a basis.
-    Each one's last nonzero entry is in its free column, so they are
-    positive multiples of the reversed RREF of the kernel, which is unique:
-    the same vectors exact elimination gives.
+    residues[i][j] is the entry of RREF row i (pivot pivots[i]) in column
+    free[j], modulo M; sparse holds the nonzero (column, entry) pairs of each
+    row of the matrix.  Each vector is rebuilt by rational reconstruction
+    modulo M as integers w over a positive denominator, and every row must
+    annihilate w exactly over Z; None if any fails.  This is a proof: the
+    pivots are those of the RREF modulo a prime p dividing M, and the rank
+    mod p is at most the rank over Q, so the verified vectors, one per free
+    column, positive there and 0 in every other free column, are at least
+    dim ker and independent, hence a basis.  Each one's last nonzero entry
+    is in its free column, so they are positive multiples of the reversed
+    RREF of the kernel, which is unique: the same vectors exact elimination
+    gives.
     """
-    echelon, pivots = _rref_mod(rows, ncols, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    if not free:
-        return []
-    half = p >> 1
+    half = modulus >> 1
     bound = isqrt(half)
-    sparse = [[(j, a) for j, a in enumerate(r) if a] for r in rows]
     basis = []
-    for f in free:
+    for i, f in enumerate(free):
         # integer numerators w over one running common denominator
         den = 1
         w = [0] * ncols
         filled = []
-        for row, c in zip(echelon, pivots):
+        for row, c in zip(residues, pivots):
             if c > f:
                 break
-            x = row[f]
+            x = row[i]
             if not x:
                 continue
-            y = -x * den % p
+            y = -x * den % modulus
             if y > half:
-                y -= p
+                y -= modulus
             if abs(y) > bound:
-                rs = _rational(y % p, p, bound)
+                rs = _rational(y % modulus, modulus, bound)
                 if rs is None:
                     return None
                 y, s = rs

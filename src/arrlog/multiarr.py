@@ -61,6 +61,11 @@ class Multiarrangement2:
             raise ValueError("multiplicities must be positive")
         if len(set(self.forms)) != len(self.forms):
             raise ValueError("proportional forms in a multiarrangement")
+        # hashed once, not per lru_cache lookup: a hash walks every Fraction
+        object.__setattr__(self, "_hash", hash((self.forms, self.mult)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def total(self) -> int:

@@ -145,7 +145,7 @@ def whitney_chi(A, t):
     total = 0
     for size in range(len(lines) + 1):
         for sub in combinations(lines, size):
-            r = rank([list(l.coeffs) for l in sub], 3) if sub else 0
+            r = rank([list(l.int_coeffs) for l in sub], 3) if sub else 0
             total += (-1) ** size * t ** (3 - r)
     return total
 

@@ -99,7 +99,7 @@ def test_minimal_resolution_random_8():
 
 
 def test_classify_random_13():
-    # its degree-11 syzygy kernel needed the third prime
+    # its degree-11 syzygy kernel needs three primes combined by CRT
     doc = classify(random_arrangement(13, 1)).to_json()
     assert doc["generators"] == [10] + [11] * 10
     assert doc["verdict"] == "other" and not doc["cap_hit"]

@@ -1,16 +1,17 @@
 """Exact linear algebra: determinism, rank-nullity, and span building."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrlog import derivation
 from arrlog.corpus import FIXTURES, near_pencil, random_arrangement
-from arrlog.linalg import (MERSENNE_PRIMES, SpanBuilder, _exact_kernel,
-                           _int_row, _modular_kernel, echelon_basis,
+from arrlog.linalg import (KERNEL_PRIMES, SpanBuilder, _crt_kernels,
+                           _exact_kernel, _int_row, echelon_basis,
                            integer_rref, kernel_basis, rank, solve_columns)
 from arrlog.poly import monomial_count
 from test_derivation import jacobian_matrix
@@ -35,11 +36,22 @@ products = st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 7),
                  min_size=t[1], max_size=t[1])))
 
 
-def deciding_prime(rows, ncols):
-    """Index into MERSENNE_PRIMES of the prime that certifies the kernel,
-    or None when exact elimination has to decide."""
-    return next((i for i, p in enumerate(MERSENNE_PRIMES)
-                 if _modular_kernel(rows, ncols, p) is not None), None)
+def attempts(rows, ncols):
+    """The (primes combined, basis or None) of each prime _crt_kernels
+    eliminates modulo, up to the first certified basis."""
+    out = []
+    for count, basis in _crt_kernels(rows, ncols):
+        out.append((count, basis))
+        if basis is not None:
+            break
+    return out
+
+
+def primes_needed(rows, ncols):
+    """How many primes the CRT combined into the modulus that certifies the
+    kernel, or None when exact elimination has to decide."""
+    count, basis = attempts(rows, ncols)[-1]
+    return None if basis is None else count
 
 
 def fraction_kernel(rows, ncols):
@@ -218,25 +230,43 @@ def test_kernel_vectors_are_primitive_integer_echelon_vectors(mn):
             assert v == _int_row(want)
 
 
+def test_kernel_primes():
+    assert all(sympy.isprime(p) for p in KERNEL_PRIMES)
+    assert len(set(KERNEL_PRIMES)) == len(KERNEL_PRIMES)
+    # at least the range of the Mersenne primes up to 2**2203 - 1 they replace
+    assert prod(KERNEL_PRIMES) > 2 ** 2203 - 1
+
+
 def test_kernel_of_first_prime_is_refuted():
     # 2**127 - 1 vanishes modulo the first prime, whose one-vector kernel
-    # fails M v = 0; the second prime sees rank 1
+    # fails M v = 0; the second prime sees rank 1 and decides alone
     rows = [[2 ** 127 - 1]]
-    assert deciding_prime(rows, 1) == 1
+    assert attempts(rows, 1) == [(1, None), (1, [])]
     assert kernel_basis(rows, 1) == []
 
 
 def test_large_coprime_entries_need_second_prime():
     a, b = 2 ** 100 + 277, 2 ** 100 - 1
     rows = [[a, b]]
-    assert deciding_prime(rows, 2) == 1
+    assert primes_needed(rows, 2) == 2
     assert kernel_basis(rows, 2) == [[-b, a]]
+
+
+def test_pivots_that_differ_restart_the_crt():
+    # column 0 vanishes modulo the first prime only, so its pivot is column
+    # 1; the second prime's pivot is column 0 and starts the residues again.
+    # The denominator 2**127 - 1 needs a modulus above 2**255: three primes
+    rows = [[2 ** 127 - 1, 1, 1]]
+    tried = attempts(rows, 3)
+    assert [count for count, _ in tried] == [1, 1, 2, 3]
+    assert tried[-1][1] == _exact_kernel(rows, 3)
+    assert kernel_basis(rows, 3) == [[-1, 2 ** 127 - 1, 0], [-1, 0, 2 ** 127 - 1]]
 
 
 def test_huge_entries_reach_exact_fallback():
     a, b = 3 ** 1900, 2 ** 3000 + 1
     rows = [[a, b, 0], [0, 0, 1]]
-    assert deciding_prime(rows, 3) is None
+    assert primes_needed(rows, 3) is None
     assert kernel_basis(rows, 3) == [[-b, a, 0]]
 
 
@@ -272,7 +302,7 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
         rows = [_int_row(r) for r in derivation._h0_conditions(A, k)]
         exact = tuple(derivation._h0_lift(A, v) for v in _exact_kernel(rows, ncols))
         assert cached(A, k) == exact, k
-        assert deciding_prime(rows, ncols) is not None, k
+        assert primes_needed(rows, ncols) is not None, k
         syzygy_cols = 3 * monomial_count(3, k)
         assert len(exact) == syzygy_cols - rank(jacobian_matrix(A, k),
                                                 syzygy_cols), k

@@ -62,6 +62,14 @@ def test_multiarrangement_validation():
         multiarrangement([([1, 0], 1), ([2, 0], 1)])
 
 
+def test_multiarrangement_hash_is_the_field_hash():
+    M = multiarrangement([([1, 0], 2), ([Fraction(1, 3), -1], 1), ([0, 1], 3)])
+    N = Multiarrangement2(M.forms, M.mult)
+    assert N == M and N is not M
+    assert hash(N) == hash(M) == hash((M.forms, M.mult))
+    assert M != Multiarrangement2(M.forms, (2, 1, 4))
+
+
 def test_json_round_trip():
     M = multiarrangement([([1, 0], 2), ([1, -1], 1), ([0, 1], 3)])
     assert Multiarrangement2.from_json(M.to_json()) == M
