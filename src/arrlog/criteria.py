@@ -259,23 +259,24 @@ def _restricted_gradient(A: Arrangement, form: LinearForm3) -> list[list[int]]:
 
 def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     """The degrees e1 <= e2 of a basis of the syzygies of g =
-    _restricted_gradient.
+    _restricted_gradient, from one certified kernel.
 
     An admissible line meets no singular point of f, so g has no common
     zero on it; by Hilbert-Burch its syzygy module is then free of rank 2
-    with e1 + e2 = |A| - 1, and e1 is the least k where the map S_k^3 ->
-    S_(k + |A| - 1) has a kernel: by counting once 3(k + 1) > k + |A|,
-    and as the certified kernel_basis decides below that.
+    with e1 + e2 = |A| - 1.  In the degree K = (|A| - 3) // 2, the last
+    below the count bound 3(K + 1) > K + |A|, e2 >= (|A| - 1) / 2 > K, so
+    the kernel of S_K^3 -> S_(K + |A| - 1) has dimension max(0, K - e1 + 1)
+    and e1 = K + 1 - dim, as e1 <= (|A| - 1) / 2 <= K + 1.  With K < 0
+    (|A| <= 2), e1 = 0.
     """
-    g = _restricted_gradient(A, form)
-    k = 0
-    while 3 * (k + 1) <= k + len(A):
-        # column j of component c is s^(k-j) t^j g_c
-        cols = [m for gc in g for m in multiples(gc, 1, k)]
-        if linalg.kernel_basis([list(r) for r in zip(*cols)], 3 * (k + 1)):
-            break
-        k += 1
-    return SplittingType(form, k, len(A) - 1 - k)
+    k = (len(A) - 3) // 2
+    if k < 0:
+        return SplittingType(form, 0, len(A) - 1)
+    # column j of component c is s^(k-j) t^j g_c
+    cols = [m for gc in _restricted_gradient(A, form) for m in multiples(gc, 1, k)]
+    dim = len(linalg.kernel_basis([list(r) for r in zip(*cols)], 3 * (k + 1)))
+    e1 = k + 1 - dim
+    return SplittingType(form, e1, len(A) - 1 - e1)
 
 
 def splitting_type(A: Arrangement, line: int | LinearForm3) -> SplittingType:

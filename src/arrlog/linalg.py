@@ -7,14 +7,15 @@ denominators first.  Fractions are built only for printed values:
 deterministic function of the input, as the RREF of a matrix is unique.
 
 ``kernel_basis`` eliminates modulo the 127-bit primes of ``KERNEL_PRIMES``
-in turn and combines the RREF residues by the Chinese remainder theorem
-while the pivot columns agree.  After each prime it reads one basis vector
-per free column off the residues modulo the product M of the primes so far,
-rebuilds each over Q by rational reconstruction modulo M and keeps the basis
-only if every row of the matrix annihilates every vector exactly over Z.
-That check is a certificate (see ``_modular_kernel``), so the result equals
-exact elimination's.  When no modulus yields a certified basis, exact
-elimination decides.
+in turn, reducing entries mod p only where it reads them, and combines the
+RREF residues by the Chinese remainder theorem while the pivot columns
+agree.  After each prime it reads one basis vector per free column off the
+residues modulo the product N of the primes so far, rebuilds each over Q by
+rational reconstruction modulo N and keeps the basis only if M v = 0 holds
+exactly over Z for the matrix M and every vector v, summed over the columns
+of v's support.  That check is a certificate (see ``_modular_kernel``), so
+the result equals exact elimination's.  When no modulus yields a certified
+basis, exact elimination decides.
 
 ``rank``, ``integer_rref``, ``solve_columns``, ``echelon_basis`` and
 ``SpanBuilder`` eliminate exactly over Z without fractions: pivots are
@@ -148,14 +149,15 @@ def _crt_kernels(rows: Mat, ncols: int):
     Chinese remainder theorem while its pivot columns agree with theirs; a
     prime with other pivots starts the accumulation again.
     """
-    sparse = pivots = None
+    columns = pivots = None
     for p in KERNEL_PRIMES:
         echelon, new_pivots = _rref_mod(rows, ncols, p)
         if len(new_pivots) == ncols:
             yield 1, []
             return
-        if sparse is None:
-            sparse = [[(j, a) for j, a in enumerate(r) if a] for r in rows]
+        if columns is None:
+            columns = [[(i, r[j]) for i, r in enumerate(rows) if r[j]]
+                       for j in range(ncols)]
         if new_pivots != pivots:
             pivots = new_pivots
             pivot_set = set(pivots)
@@ -169,8 +171,8 @@ def _crt_kernels(rows: Mat, ncols: int):
                     res[i] += modulus * ((row[f] - res[i]) * inv % p)
             modulus *= p
             count += 1
-        yield count, _modular_kernel(sparse, ncols, residues, pivots, free,
-                                     modulus)
+        yield count, _modular_kernel(columns, len(rows), residues, pivots,
+                                     free, modulus)
 
 
 def _exact_kernel(rows: Mat, ncols: int) -> Mat:
@@ -194,51 +196,67 @@ def _exact_kernel(rows: Mat, ncols: int) -> Mat:
 
 
 def _rref_mod(rows: Mat, ncols: int, p: int) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form modulo p, pivots scaled to 1.
+    """Reduced row echelon form modulo p, pivots scaled to 1, every entry
+    in [0, p).
 
     Each pivot is taken from the sparsest candidate row and only its nonzero
     entries are subtracted, which keeps fill-in and work low; the RREF is
-    unique regardless.
+    unique regardless.  Reduction is lazy: a row update subtracts v * b
+    without reducing, and an entry is reduced mod p only when it is read,
+    as a candidate for the current column or when its row becomes a pivot
+    row.  Entries thus stay below (number of updates) * p**2, and a row that
+    vanishes mod p is never a candidate again.
     """
-    work = [[a % p for a in r] for r in rows]
-    work = [r for r in work if any(r)]
+    work = [r for r in ([a % p for a in r] for r in rows) if any(r)]
     echelon: list[list[int]] = []
     pivots: list[int] = []
     for col in range(ncols):
-        candidates = [r for r in work if r[col]]
+        candidates = []
+        for r in work:
+            v = r[col]
+            if v:
+                v = r[col] = v % p
+                if v:
+                    candidates.append(r)
         if not candidates:
             continue
         piv = max(candidates, key=lambda r: r.count(0))
         work.remove(piv)
         inv = pow(piv[col], -1, p)
         # entries left of col are zero in every remaining row
-        nonzero = [(j, piv[j] * inv % p) for j in range(col + 1, ncols) if piv[j]]
         piv[col] = 1
-        for j, b in nonzero:
-            piv[j] = b
-        nxt = []
+        nonzero = _reduce_tail(piv, col, p, inv)
         for r in work:
             v = r[col]
             if v:
                 r[col] = 0
                 for j, b in nonzero:
-                    r[j] = (r[j] - v * b) % p
-                if not any(r):
-                    continue
-            nxt.append(r)
-        work = nxt
+                    r[j] -= v * b
         echelon.append(piv)
         pivots.append(col)
-    for i in range(len(echelon) - 1, 0, -1):
+    for i in range(len(echelon) - 1, -1, -1):
         c = pivots[i]
-        nonzero = [(j, b) for j, b in enumerate(echelon[i]) if b and j > c]
+        nonzero = _reduce_tail(echelon[i], c, p)
         for r in echelon[:i]:
-            v = r[c]
+            v = r[c] % p
+            r[c] = 0
             if v:
-                r[c] = 0
                 for j, b in nonzero:
-                    r[j] = (r[j] - v * b) % p
+                    r[j] -= v * b
     return echelon, pivots
+
+
+def _reduce_tail(row: Vec, col: int, p: int, scale: int = 1) -> list[tuple[int, int]]:
+    """Reduce the entries of row right of col to scale * entry mod p, in
+    place, and return the nonzero ones as (column, entry) pairs."""
+    nonzero = []
+    for j in range(col + 1, len(row)):
+        a = row[j]
+        if a:
+            a = row[j] = a * scale % p
+            if a:
+                nonzero.append((j, a))
+    return nonzero
 
 
 def _rational(a: int, m: int, bound: int) -> tuple[int, int] | None:
@@ -256,25 +274,27 @@ def _rational(a: int, m: int, bound: int) -> tuple[int, int] | None:
     return r1, s1
 
 
-def _modular_kernel(sparse, ncols: int, residues: Mat, pivots: list[int],
+def _modular_kernel(columns, nrows: int, residues: Mat, pivots: list[int],
                     free: list[int], modulus: int) -> Mat | None:
     """kernel_basis read off the RREF modulo M = modulus and certified over Z.
 
     residues[i][j] is the entry of RREF row i (pivot pivots[i]) in column
-    free[j], modulo M; sparse holds the nonzero (column, entry) pairs of each
-    row of the matrix.  Each vector is rebuilt by rational reconstruction
-    modulo M as integers w over a positive denominator, and every row must
-    annihilate w exactly over Z; None if any fails.  This is a proof: the
-    pivots are those of the RREF modulo a prime p dividing M, and the rank
-    mod p is at most the rank over Q, so the verified vectors, one per free
-    column, positive there and 0 in every other free column, are at least
-    dim ker and independent, hence a basis.  Each one's last nonzero entry
-    is in its free column, so they are positive multiples of the reversed
-    RREF of the kernel, which is unique: the same vectors exact elimination
-    gives.
+    free[j], modulo M; columns[c] holds the nonzero (row, entry) pairs of
+    column c of the nrows-row matrix.  Each vector is rebuilt by rational
+    reconstruction modulo M as integers w over a positive denominator, and
+    M w must vanish exactly over Z; None if any fails.  M w is summed over
+    the support of w only: its free column and its pivots with a nonzero
+    residue.  This is a proof: the pivots are those of the
+    RREF modulo a prime p dividing M, and the rank mod p is at most the rank
+    over Q, so the verified vectors, one per free column, positive there and
+    0 in every other free column, are at least dim ker and independent,
+    hence a basis.  Each one's last nonzero entry is in its free column, so
+    they are positive multiples of the reversed RREF of the kernel, which is
+    unique: the same vectors exact elimination gives.
     """
     half = modulus >> 1
     bound = isqrt(half)
+    ncols = len(columns)
     basis = []
     for i, f in enumerate(free):
         # integer numerators w over one running common denominator
@@ -301,7 +321,13 @@ def _modular_kernel(sparse, ncols: int, residues: Mat, pivots: list[int],
             w[c] = y
             filled.append(c)
         w[f] = den
-        if any(sum(a * w[j] for j, a in srow) for srow in sparse):
+        filled.append(f)
+        image = [0] * nrows
+        for c in filled:
+            b = w[c]
+            for r, a in columns[c]:
+                image[r] += a * b
+        if any(image):
             return None
         basis.append(_primitive_vec(w))
     return basis

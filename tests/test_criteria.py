@@ -155,8 +155,9 @@ def test_external_splitting_matches_jacobian_rank_scan(A):
 
 
 def test_external_splitting_computes_no_kernel_at_the_count_bound(monkeypatch):
-    # a balanced line: every layer k with 3(k + 1) <= k + |A| has no syzygy,
-    # and the first one past that bound has one by counting alone
+    # a balanced line: only the last layer below the count bound, K = 2, is
+    # computed; it has no syzygy, so e1 = K + 1, the first layer past the
+    # bound, which has one by counting alone
     A = random_arrangement(7, 1)
     real = linalg.kernel_basis
     degrees = []
@@ -168,7 +169,7 @@ def test_external_splitting_computes_no_kernel_at_the_count_bound(monkeypatch):
     monkeypatch.setattr(linalg, "kernel_basis", recording)
     got = criteria._external_splitting(A, LinearForm3.make([1, 2, 3]))
     assert got.as_pair() == (3, 3)
-    assert degrees == [0, 1, 2]
+    assert degrees == [2]
     assert all(3 * (k + 1) <= k + len(A) for k in degrees)
 
 

@@ -7,12 +7,15 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from arrlog import derivation
 from arrlog.corpus import FIXTURES, near_pencil, random_arrangement
 from arrlog.linalg import (KERNEL_PRIMES, SpanBuilder, _crt_kernels,
-                           _exact_kernel, _int_row, echelon_basis,
-                           integer_rref, kernel_basis, rank, solve_columns)
+                           _exact_kernel, _int_row, _modular_kernel, _rref_mod,
+                           echelon_basis, integer_rref, kernel_basis, rank,
+                           solve_columns)
 from arrlog.poly import monomial_count
 from test_derivation import jacobian_matrix
 
@@ -36,6 +39,23 @@ products = st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 7),
                  min_size=t[1], max_size=t[1])))
 
 
+# small products of a tall and a wide factor, so rows often vanish or agree
+# mod p, with every entry shifted by a multiple of p: entries >= p, negative
+# entries and nonzero multiples of p, which reduce to 0
+def shifted_products(p):
+    return st.tuples(st.integers(1, 6), st.integers(1, 4),
+                     st.integers(1, 7)).flatmap(lambda t: st.tuples(
+        st.lists(st.lists(st.integers(-4, 4), min_size=t[1], max_size=t[1]),
+                 min_size=t[0], max_size=t[0]),
+        st.lists(st.lists(st.integers(-4, 4), min_size=t[2], max_size=t[2]),
+                 min_size=t[1], max_size=t[1]),
+        st.lists(st.lists(st.integers(-2, 2), min_size=t[2], max_size=t[2]),
+                 min_size=t[0], max_size=t[0])).map(lambda f: [
+            [sum(a * b for a, b in zip(row, col)) + s * p
+             for col, s in zip(zip(*f[1]), shift)]
+            for row, shift in zip(f[0], f[2])]))
+
+
 def attempts(rows, ncols):
     """The (primes combined, basis or None) of each prime _crt_kernels
     eliminates modulo, up to the first certified basis."""
@@ -52,6 +72,39 @@ def primes_needed(rows, ncols):
     kernel, or None when exact elimination has to decide."""
     count, basis = attempts(rows, ncols)[-1]
     return None if basis is None else count
+
+
+def scanned_degrees(A, early_stop, monkeypatch):
+    """The degrees whose _ar_kernel derivation._resolution(A, early_stop)
+    asks for: early_stop=True is the scan of classify; False, of
+    minimal_resolution."""
+    scanned = []
+    cached = derivation._ar_kernel
+
+    def record(B, k):
+        scanned.append(k)
+        return cached(B, k)
+
+    with monkeypatch.context() as m:
+        m.setattr(derivation, "_ar_kernel", record)
+        derivation._resolution(A, early_stop)
+    return scanned
+
+
+def rref_oracle(rows, ncols, p):
+    """The nonzero rows of the RREF over GF(p), entries in [0, p), and the
+    pivot columns, from sympy's DomainMatrix."""
+    K = GF(p, symmetric=False)
+    reduced, pivots = DomainMatrix([[K(a) for a in r] for r in rows],
+                                   (len(rows), ncols), K).rref()
+    return ([[K.to_int(a) % p for a in r] for r in reduced.to_list()[:len(pivots)]],
+            list(pivots))
+
+
+def columns_of(rows, ncols):
+    """The nonzero (row, entry) pairs of each column, as _crt_kernels
+    passes them to _modular_kernel."""
+    return [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(ncols)]
 
 
 def fraction_kernel(rows, ncols):
@@ -282,27 +335,78 @@ def test_no_free_column_gives_empty_basis():
                                       near_pencil)],
                          ids=lambda x: getattr(x, "name", str(x)))
 def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
-    # early_stop=True is the scan of classify; False, of minimal_resolution.
     # A prime must decide each kernel: a broken modular path would still
     # give exact answers through the fallback, only slowly.  The dimension
     # of D_0(A)_k, from the rank of the Jacobian-syzygy matrix, is the
     # independent oracle for the D_{H0}(A) conditions.
-    scanned = []
-    cached = derivation._ar_kernel
-
-    def record(B, k):
-        scanned.append(k)
-        return cached(B, k)
-
-    monkeypatch.setattr(derivation, "_ar_kernel", record)
-    derivation._resolution(A, early_stop)
+    scanned = scanned_degrees(A, early_stop, monkeypatch)
     assert scanned
     for k in scanned:
         ncols = 2 * monomial_count(3, k)
         rows = [_int_row(r) for r in derivation._h0_conditions(A, k)]
         exact = tuple(derivation._h0_lift(A, v) for v in _exact_kernel(rows, ncols))
-        assert cached(A, k) == exact, k
+        assert derivation._ar_kernel(A, k) == exact, k
         assert primes_needed(rows, ncols) is not None, k
         syzygy_cols = 3 * monomial_count(3, k)
         assert len(exact) == syzygy_cols - rank(jacobian_matrix(A, k),
                                                 syzygy_cols), k
+
+
+def assert_rref_mod_is_the_oracle(rows, ncols, p):
+    echelon, pivots = _rref_mod(rows, ncols, p)
+    assert (echelon, pivots) == rref_oracle(rows, ncols, p)
+    assert all(0 <= a < p for row in echelon for a in row)
+
+
+@pytest.mark.parametrize("p", [KERNEL_PRIMES[0], KERNEL_PRIMES[-1]])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_mod_equals_gf_p_oracle(p, data):
+    rows = data.draw(shifted_products(p))
+    assert_rref_mod_is_the_oracle(rows, len(rows[0]), p)
+
+
+@pytest.mark.parametrize("p", [KERNEL_PRIMES[0], KERNEL_PRIMES[-1]])
+def test_rref_mod_never_pivots_on_a_multiple_of_p(p):
+    # column 0 holds only nonzero multiples of p.  Row 2 is -row 1 mod p in
+    # columns 1 and 2, so the update by row 1 leaves -p, unreduced, in column
+    # 2; column 3 then takes the pivot, and the -p never reaches the output
+    rows = [[p, 1, 2, 3], [-3 * p, p - 1, p - 2, 5], [2 * p, 0, 0, p]]
+    assert _rref_mod(rows, 4, p) == (
+        [[0, 1, 2, 0], [0, 0, 0, 1]], [1, 3])
+    assert_rref_mod_is_the_oracle(rows, 4, p)
+
+
+@pytest.mark.parametrize("p", [KERNEL_PRIMES[0], KERNEL_PRIMES[-1]])
+@pytest.mark.parametrize("A", [g(n) for n in range(8, 13)
+                               for g in (lambda n: random_arrangement(n, 1),
+                                         near_pencil)],
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_rref_mod_of_top_ar_layer_equals_gf_p_oracle(A, p, monkeypatch):
+    k = max(scanned_degrees(A, True, monkeypatch))
+    assert_rref_mod_is_the_oracle(derivation._h0_conditions(A, k),
+                                  2 * monomial_count(3, k), p)
+
+
+def test_modular_kernel_refutes_an_error_in_a_column_one_row_touches():
+    # columns 0 and 1 are each touched by one row only; the kernel is
+    # (-2, -3, 1) and the RREF entries in the free column 2 are (2, 3).  An
+    # all-zero row changes nothing
+    p = KERNEL_PRIMES[0]
+    for rows in ([[1, 0, 2], [0, 1, 3]], [[1, 0, 2], [0, 0, 0], [0, 1, 3]]):
+        columns = columns_of(rows, 3)
+        assert _modular_kernel(columns, len(rows), [[2], [3]], [0, 1], [2],
+                               p) == [[-2, -3, 1]]
+        # a wrong entry at pivot 0, and a wrong zero there, which leaves
+        # column 0 out of the vector's support
+        for wrong in ([[5], [3]], [[0], [3]]):
+            assert _modular_kernel(columns, len(rows), wrong, [0, 1], [2],
+                                   p) is None
+        assert kernel_basis(rows, 3) == [[-2, -3, 1]]
+
+
+def test_modular_kernel_of_no_rows_is_the_unit_vectors():
+    p = KERNEL_PRIMES[0]
+    units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _modular_kernel(columns_of([], 3), 0, [], [], [0, 1, 2], p) == units
+    assert kernel_basis([], 3) == units
