@@ -12,17 +12,29 @@ from .arrangement import (Arrangement, DuplicateLine, FlatPoint, LinearForm3,
 from .criteria import (DefectReport, InadmissibleLine, NotApplicable,
                        PropertyPResult, SplittingRange, SplittingType,
                        TheoremReport, ZieglerMapData, is_admissible,
-                       nearly_free_by_criterion, property_P, splitting_range,
-                       splitting_type, verify, yoshinaga_defect, ziegler_map)
-from .derivation import (Classification, ResolutionShape, ar_basis, ar_dim,
-                         classify, dh_basis, in_dh, jacobian, mdr,
+                       property_P, splitting_range, splitting_type, verify,
+                       yoshinaga_defect, ziegler_map)
+from .derivation import (Classification, ResolutionShape, ar_dim, classify,
                          minimal_resolution)
 from .multiarr import (Derivation2, Exponents, LinearForm2, Multiarrangement2,
-                       basis, deriv_dim, deriv_space, exponents,
-                       multiarrangement, saito_check, ziegler_restriction)
-from .poly import HomPoly, from_terms, linear, poly_mul
+                       basis, exponents, multiarrangement, saito_check,
+                       ziegler_restriction)
+from .poly import HomPoly
 from .rng import XorShift64
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+__all__ = [
+    "Arrangement", "DuplicateLine", "FlatPoint", "LinearForm3", "ParseError",
+    "ZeroForm", "arrangement", "chi0", "intersection_points", "is_balanced",
+    "n_H", "nr_form", "parse_arrangement", "parse_factored", "to_document",
+    "DefectReport", "InadmissibleLine", "NotApplicable", "PropertyPResult",
+    "SplittingRange", "SplittingType", "TheoremReport", "ZieglerMapData",
+    "is_admissible", "property_P", "splitting_range", "splitting_type",
+    "verify", "yoshinaga_defect", "ziegler_map",
+    "Classification", "ResolutionShape", "ar_dim", "classify",
+    "minimal_resolution",
+    "Derivation2", "Exponents", "LinearForm2", "Multiarrangement2", "basis",
+    "exponents", "multiarrangement", "saito_check", "ziegler_restriction",
+    "HomPoly", "XorShift64",
+]
 
 __version__ = "0.1.0"

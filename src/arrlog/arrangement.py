@@ -14,10 +14,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .linalg import _int_row
-from .poly import HomPoly, linear, product
+from .poly import HomPoly, linear
 
 
 class ParseError(ValueError):
@@ -86,9 +85,6 @@ class Arrangement:
     def __len__(self) -> int:
         return len(self.lines)
 
-    def defining_poly(self) -> HomPoly:
-        return product((l.poly() for l in self.lines), 3)
-
     def without(self, index: int) -> "Arrangement":
         if not 0 <= index < len(self.lines):
             raise IndexError("line index out of range")
@@ -108,7 +104,7 @@ def arrangement(rows, name=None) -> Arrangement:
 # ---------------------------------------------------------------------------
 # parsing
 
-_NUM_RE = re.compile(r"^-?\d+(/\d+)?$")
+_NUM_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
 def _parse_number(v):
@@ -122,6 +118,9 @@ def _parse_number(v):
         except ZeroDivisionError:
             raise ParseError(f"zero denominator: {v!r}") from None
     raise ParseError(f"malformed rational: {v!r}")
+
+
+_DIGITS = "0123456789"
 
 
 def parse_factored(text: str) -> list[LinearForm3]:
@@ -151,9 +150,9 @@ def parse_factored(text: str) -> list[LinearForm3]:
                 sign, pending, i = 1, None, i + 1
             elif ch == "-":
                 sign, pending, i = -1, None, i + 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 pending = int(text[i:j])
                 i = j
@@ -199,6 +198,8 @@ def parse_arrangement(document) -> Arrangement:
             document = json.loads(document)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ParseError(f"input is not valid UTF-8: {e}") from None
     if not isinstance(document, dict):
         raise ParseError("input document must be a JSON object")
     name = document.get("name")
@@ -403,7 +404,3 @@ def nr_form(A: Arrangement) -> NRForm:
     assert best is not None
     return best
 
-
-def pair_count_identity(A: Arrangement) -> bool:
-    """Every unordered pair of lines meets in exactly one counted point."""
-    return sum(comb(X.multiplicity, 2) for X in intersection_points(A)) == comb(len(A), 2)

@@ -31,7 +31,7 @@ class UsageError(Exception):
 
 def _read_arrangement(path: str) -> Arrangement:
     if path == "-":
-        return parse_arrangement(sys.stdin.read())
+        return parse_arrangement(sys.stdin.buffer.read())
     with open(path, "rb") as fh:
         return parse_arrangement(fh.read())
 

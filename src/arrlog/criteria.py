@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
@@ -70,12 +70,12 @@ class ZieglerMapData:
 
 @lru_cache(maxsize=2048)
 def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The restrictions to line H of the unit_last dh_basis(A, H, k) vectors,
-    as the concatenated coefficients of their two kept components in
-    restriction_param's coordinates.
+    """The restrictions to line H of a basis of D_H(A)_k, the reversed RREF
+    of the dh_projection vectors P_i with each vector divided by its last
+    nonzero entry, as the concatenated coefficients of their two kept
+    components in restriction_param's coordinates.
 
-    That basis is the reversed RREF of the dh_projection vectors P_i, so the
-    rows [rev(P_i) | R(P_i)], R the poly.restrict of both kept components,
+    The rows [rev(P_i) | R(P_i)], R the poly.restrict of both kept components,
     are carried through that one elimination: the P_i are independent, so
     every pivot falls in the first 3m columns and the rest of each row is
     T R(P) = R(T P), the restriction of that basis vector.  R works at the
@@ -164,17 +164,10 @@ def yoshinaga_defect(A: Arrangement, H: int) -> DefectReport:
                         data.coker_dims)
 
 
-def _quick_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
-    """Defect b2^0 - e1 e2 of the restriction onto line H and its exponents
-    (e1, e2), without the cokernel cross-check."""
-    M, _ = ziegler_restriction(A, H)
-    e1, e2 = exponents(M).as_pair()
-    return chi0(A).b2_0 - e1 * e2, (e1, e2)
-
-
 def _deletion_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
-    """_quick_defect of the deletion A' = A minus line H, along its line 0
-    (L = line 0 of A, or line 1 when H = 0), read off A's own data.
+    """The defect b2^0 - e1 e2 of the deletion A' = A minus line H along its
+    line 0 (L = line 0 of A, or line 1 when H = 0) and the exponents
+    (e1, e2) of that restriction, read off A's own data.
 
     - Deleting H lowers by one the multiplicity of each of the n_H points
       on H (a double point drops out of the sum) and |A| by one, so
@@ -249,10 +242,20 @@ def _restricted_gradient(A: Arrangement, form: LinearForm3) -> list[list[int]]:
     """(f_x, f_y, f_z) at the points sP + tQ of the line beta, with P, Q as
     in poly.line_restriction and f the product of the integer-scaled
     alpha_j: g_c = sum_j alpha_j,c prod_(i != j) l_i, l_i = alpha_i(sP + tQ).
+    Each prod_(i != j) l_i is the product of l_i over i < j and over i > j,
+    both read off running prefix and suffix products.
     """
     ells = _restricted_lines(A, form.int_coeffs)
     alphas = [line.int_coeffs for line in A.lines]
-    rests = [reduce(_mul2, ells[:j] + ells[j + 1:], [1]) for j in range(len(A))]
+    prefix = [[1]]
+    for ell in ells[:-1]:
+        prefix.append(_mul2(prefix[-1], ell))
+    rests = [None] * len(ells)
+    suffix = [1]
+    for j in range(len(ells) - 1, 0, -1):
+        rests[j] = _mul2(prefix[j], suffix)
+        suffix = _mul2(suffix, ells[j])
+    rests[0] = suffix
     return [[sum(a[c] * r[i] for a, r in zip(alphas, rests))
              for i in range(len(A))] for c in range(3)]
 
@@ -316,24 +319,6 @@ def random_external_lines(A: Arrangement, count: int, seed: int) -> list[LinearF
         else:
             break  # budget exhausted; return what we have
     return out
-
-
-def nearly_free_by_criterion(A: Arrangement, seed: int = 1,
-                             external_count: int = 20):
-    """First line (index or external form) with defect exactly 1, or None.
-
-    Scans the lines of A first, then a bounded batch of random admissible
-    external lines.
-    """
-    b2 = chi0(A).b2_0
-    for H in range(len(A)):
-        if _quick_defect(A, H)[0] == 1:
-            return H
-    for form in random_external_lines(A, external_count, seed):
-        st = _external_splitting(A, form)
-        if b2 - st.e1 * st.e2 == 1:
-            return form
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -25,95 +25,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from . import linalg
 from .arrangement import Arrangement
-from .poly import (CertificationFailure, HomPoly, _index_table, divide_linear,
-                   line_restriction, linear, monomial_count, monomials,
-                   product, restrict, restriction_param, zero)
+from .poly import (CertificationFailure, _index_table, line_restriction,
+                   monomial_count, monomials, restriction_param)
 
 MAX_DEGREE_ENV = "ARRLOG_MAX_DEGREE"
 
 
 class DegreeCapError(ValueError):
     """The degree cap set in the environment is not a nonnegative integer."""
-
-
-@dataclass(frozen=True)
-class JacobianRow:
-    f: HomPoly
-    fx: HomPoly
-    fy: HomPoly
-    fz: HomPoly
-
-    @property
-    def partials(self) -> tuple[HomPoly, HomPoly, HomPoly]:
-        return (self.fx, self.fy, self.fz)
-
-
-@lru_cache(maxsize=1024)
-def jacobian(A: Arrangement) -> JacobianRow:
-    """Defining polynomial (integer-scaled) and its exact partials.
-
-    The Euler identity x f_x + y f_y + z f_z = |A| f is asserted.
-    """
-    f = product((linear(3, l.int_coeffs) for l in A.lines), 3)
-    fx, fy, fz = f.diff(0), f.diff(1), f.diff(2)
-    n = len(A)
-    euler = _var_shift(fx, 0) + _var_shift(fy, 1) + _var_shift(fz, 2)
-    if euler != f.scale(n):
-        raise CertificationFailure("Euler identity failed")
-    return JacobianRow(f, fx, fy, fz)
-
-
-def _var_shift(p: HomPoly, var: int) -> HomPoly:
-    """Multiply by the given coordinate variable; int coefficients stay int."""
-    d = p.degree + 1
-    out = [0] * monomial_count(p.nvars, d)
-    table = _index_table(p.nvars, d)
-    for m, c in zip(monomials(p.nvars, p.degree), p.coeffs):
-        if c:
-            e = list(m)
-            e[var] += 1
-            out[table[tuple(e)]] = c
-    return HomPoly(p.nvars, d, tuple(out))
-
-
-@dataclass(frozen=True)
-class Derivation3:
-    """a * d/dx + b * d/dy + c * d/dz with homogeneous components.
-
-    A Jacobian syzygy is the derivation (a, b, c) with a f_x + b f_y + c f_z = 0.
-    """
-
-    a: HomPoly
-    b: HomPoly
-    c: HomPoly
-
-    @classmethod
-    def from_vector(cls, v, k: int) -> "Derivation3":
-        """From the concatenated degree-k coefficient vectors of a, b, c."""
-        m = monomial_count(3, k)
-        return cls(HomPoly(3, k, tuple(v[:m])), HomPoly(3, k, tuple(v[m:2 * m])),
-                   HomPoly(3, k, tuple(v[2 * m:])))
-
-    @property
-    def degree(self) -> int:
-        return self.a.degree
-
-    @property
-    def components(self) -> tuple[HomPoly, HomPoly, HomPoly]:
-        return (self.a, self.b, self.c)
-
-    def coeff_vector(self) -> list[Fraction]:
-        return list(self.a.coeffs) + list(self.b.coeffs) + list(self.c.coeffs)
-
-    def apply_linear(self, coeffs) -> HomPoly:
-        return (self.a.scale(coeffs[0]) + self.b.scale(coeffs[1])
-                + self.c.scale(coeffs[2]))
 
 
 def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
@@ -154,7 +78,8 @@ def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
 
 def _h0_lift(A: Arrangement, v) -> tuple[int, ...]:
     """The derivation in D_{H0}(A) with the given kept components (a kernel
-    vector of _h0_conditions), integer-scaled, as a Derivation3 vector."""
+    vector of _h0_conditions), integer-scaled, as the concatenated
+    coefficient vectors of its three components."""
     alpha, e, (i0, i1) = _h0_frame(A)
     m = len(v) // 2
     comps = [None] * 3
@@ -196,38 +121,22 @@ def ar_dim(A: Arrangement, k: int) -> int:
     return len(_ar_kernel(A, k))
 
 
-def ar_basis(A: Arrangement, k: int) -> list[Derivation3]:
-    """Basis of the degree-k Jacobian syzygies.
-
-    theta in D(A) has theta(f) = g f with g = sum of theta(alpha_K) / alpha_K,
-    so |A| theta - g theta_E annihilates f; on D_{H0}(A) this map is the
-    isomorphism onto D_0(A).
-    """
-    n = len(A)
-    out = []
-    for v in _ar_kernel(A, k):
-        theta = Derivation3.from_vector(v, k)
-        g = zero(3, k - 1)
-        for form in A.lines:
-            g = g + divide_linear(theta.apply_linear(form.coeffs), form.coeffs)
-        out.append(Derivation3(*(c.scale(n) - _var_shift(g, i)
-                                 for i, c in enumerate(theta.components))))
-    return out
-
-
-def mdr(A: Arrangement) -> int:
-    """Minimal degree of a nonzero syzygy."""
-    k = 0
-    while True:
-        if ar_dim(A, k) > 0:
-            return k
-        k += 1
+@lru_cache(maxsize=None)
+def _shift_table(k: int, var: int) -> tuple[int, ...]:
+    """The degree-(k + 1) index of each degree-k monomial times x_var."""
+    table = _index_table(3, k + 1)
+    return tuple(table[tuple(e + (i == var) for i, e in enumerate(mu))]
+                 for mu in monomials(3, k))
 
 
 def _shift_vec(v, k: int, var: int) -> list[int]:
     """Multiply a degree-k derivation coefficient vector by a coordinate."""
-    return [c for comp in Derivation3.from_vector(v, k).components
-            for c in _var_shift(comp, var).coeffs]
+    m, m1 = monomial_count(3, k), monomial_count(3, k + 1)
+    out = [0] * (3 * m1)
+    for c in range(3):
+        for idx, a in zip(_shift_table(k, var), v[c * m:(c + 1) * m]):
+            out[c * m1 + idx] = a
+    return out
 
 
 @dataclass(frozen=True)
@@ -498,34 +407,3 @@ def dh_projection(A: Arrangement, H: int, k: int) -> list[list[int]]:
                 f"theta(alpha_{H}) is not divisible by alpha_{H}")
         out.append(theta)
     return out
-
-
-@lru_cache(maxsize=8192)
-def _dh_kernel(A: Arrangement, H: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Degree-k layer of D_H(A), in the echelon form kernel_basis gives:
-    echelon_basis of dh_projection."""
-    return tuple(tuple(v) for v in linalg.echelon_basis(
-        dh_projection(A, H, k), 3 * monomial_count(3, k)))
-
-
-def dh_basis(A: Arrangement, H: int, k: int) -> list[Derivation3]:
-    """Deterministic integer basis of the degree-k derivations preserving
-    every line and annihilating the defining form of line H."""
-    return [Derivation3.from_vector(v, k) for v in _dh_kernel(A, H, k)]
-
-
-def in_dh(A: Arrangement, H: int, theta: Derivation3) -> bool:
-    """Membership test for an explicitly given derivation: theta(alpha_H)
-    is zero, and every other theta(alpha_K) restricts to zero on line K."""
-    if not 0 <= H < len(A):
-        raise IndexError("line index out of range")
-    if not theta.apply_linear(A.lines[H].coeffs).is_zero:
-        return False
-    for K, form in enumerate(A.lines):
-        if K == H:
-            continue
-        beta = form.int_coeffs
-        value = theta.apply_linear(beta).coeffs
-        if any(restrict(beta, [value], theta.degree)[0]):
-            return False
-    return True

@@ -17,8 +17,8 @@ of v's support.  That check is a certificate (see ``_modular_kernel``), so
 the result equals exact elimination's.  When no modulus yields a certified
 basis, exact elimination decides.
 
-``rank``, ``integer_rref``, ``solve_columns``, ``echelon_basis`` and
-``SpanBuilder`` eliminate exactly over Z without fractions: pivots are
+``rank``, ``integer_rref``, ``solve_columns`` and ``SpanBuilder``
+eliminate exactly over Z without fractions: pivots are
 chosen by smallest bit-size and rows are divided by their gcd after every
 elimination step.
 """
@@ -331,15 +331,6 @@ def _modular_kernel(columns, nrows: int, residues: Mat, pivots: list[int],
             return None
         basis.append(_primitive_vec(w))
     return basis
-
-
-def echelon_basis(vectors: Mat, ncols: int) -> Mat:
-    """The basis kernel_basis returns for the span of the given integer
-    vectors: the RREF of the span read with the columns reversed, each row
-    made primitive and positive in its pivot, the last nonzero column."""
-    reduced, pivots = integer_rref([list(reversed(v)) for v in vectors], ncols)
-    return [_primitive_vec(row[::-1] if row[c] > 0 else [-a for a in reversed(row)])
-            for row, c in zip(reversed(reduced), reversed(pivots))]
 
 
 def solve_columns(cols, rhs) -> list[list[Fraction]] | None:

@@ -17,8 +17,7 @@ from math import comb
 
 from . import linalg
 from .arrangement import Arrangement, _canonical
-from .poly import (HomPoly, LineParam, linear, product, restrict,
-                   restriction_param)
+from .poly import HomPoly, LineParam, restrict, restriction_param
 
 
 class FreenessCertificateFailure(AssertionError):
@@ -42,9 +41,6 @@ class LinearForm2:
     @classmethod
     def make(cls, coeffs) -> "LinearForm2":
         return cls(_canonical(coeffs, 2))
-
-    def poly(self) -> HomPoly:
-        return linear(2, self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -71,22 +67,12 @@ class Multiarrangement2:
     def total(self) -> int:
         return sum(self.mult)
 
-    def defining_poly(self) -> HomPoly:
-        return product((f.poly() for f, m in zip(self.forms, self.mult)
-                        for _ in range(m)), 2)
-
     def to_json(self) -> dict:
         def enc(c: Fraction):
             return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
         return {"forms": [[enc(c) for c in f.coeffs] for f in self.forms],
                 "mult": list(self.mult)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Multiarrangement2":
-        forms = tuple(LinearForm2.make([Fraction(str(v)) for v in row])
-                      for row in doc["forms"])
-        return cls(forms, tuple(int(m) for m in doc["mult"]))
 
 
 def multiarrangement(pairs) -> Multiarrangement2:
@@ -115,11 +101,6 @@ class Derivation2:
     @property
     def degree(self) -> int:
         return self.p.degree
-
-    def apply(self, form: HomPoly) -> HomPoly:
-        """Value on a linear form a*u + b*v."""
-        a, b = form.coefficient((1, 0)), form.coefficient((0, 1))
-        return self.p.scale(a) + self.q.scale(b)
 
     def coeff_vector(self) -> list[Fraction]:
         return list(self.p.coeffs) + list(self.q.coeffs)
@@ -188,19 +169,6 @@ def _deriv_kernel(M: Multiarrangement2, k: int):
     return tuple(tuple(v) for v in linalg.kernel_basis(rows, 2 * (k + 1)))
 
 
-def deriv_space(M: Multiarrangement2, k: int) -> list[Derivation2]:
-    """Deterministic basis of the degree-k layer of the derivation module."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    return [Derivation2.from_vector(v) for v in _deriv_kernel(M, k)]
-
-
-def deriv_dim(M: Multiarrangement2, k: int) -> int:
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    return len(_deriv_kernel(M, k))
-
-
 def _free_pattern(k: int, e1: int, e2: int) -> int:
     return max(0, k - e1 + 1) + max(0, k - e2 + 1)
 
@@ -223,12 +191,18 @@ def _mul2(a, b) -> list:
     return out
 
 
-def _minors_certify(theta1, theta2, target) -> bool:
-    """True iff the determinant p1 q2 - q1 p2 of the pair, each vector the
-    concatenated (p, q), is a nonzero constant times target."""
+def _det(theta1, theta2) -> list:
+    """The determinant p1 q2 - q1 p2 of a pair of derivations, each vector
+    the concatenated (p, q)."""
     m1, m2 = len(theta1) // 2, len(theta2) // 2
-    det = [x - y for x, y in zip(_mul2(theta1[:m1], theta2[m2:]),
-                                 _mul2(theta1[m1:], theta2[:m2]))]
+    return [x - y for x, y in zip(_mul2(theta1[:m1], theta2[m2:]),
+                                  _mul2(theta1[m1:], theta2[:m2]))]
+
+
+def _minors_certify(theta1, theta2, target) -> bool:
+    """True iff the determinant of the pair is a nonzero constant times
+    target."""
+    det = _det(theta1, theta2)
     lead = next((i for i, t in enumerate(target) if t), None)
     if len(det) != len(target) or lead is None or not det[lead]:
         return False
@@ -241,9 +215,13 @@ def rank2_basis(layer, total: int, target) -> tuple[tuple, tuple]:
     summing to total; layer(k) is the echelon basis in degree k.
 
     theta1 is the first vector of the first nonzero layer e1 <= total // 2,
-    theta2 the first of layer total - e1 outside the multiples of theta1.
-    The pair is a basis iff its determinant is a nonzero constant times
-    target, which is checked; FreenessCertificateFailure otherwise.
+    theta2 the first of layer total - e1 with a nonzero determinant against
+    theta1.  That is the first vector outside the multiples S theta1: in a
+    free module of rank 2, theta1, of least degree, is a basis element, so
+    v = a theta1 + b theta2' for a basis (theta1, theta2'), det(theta1, v)
+    = b det(theta1, theta2'), and v is in S theta1 iff b = 0.  The pair is
+    a basis iff its determinant is a nonzero constant times target, which
+    is checked; FreenessCertificateFailure otherwise.
     """
     for e1 in range(total // 2 + 1):
         first = layer(e1)
@@ -252,10 +230,7 @@ def rank2_basis(layer, total: int, target) -> tuple[tuple, tuple]:
     else:
         raise FreenessCertificateFailure(f"no exponent pair found for total {total}")
     theta1 = first[0]
-    span = linalg.SpanBuilder(2 * (total - e1 + 1))
-    for m in multiples(theta1, 2, total - 2 * e1):
-        span.add(m)
-    theta2 = next((v for v in layer(total - e1) if not span.contains(v)), None)
+    theta2 = next((v for v in layer(total - e1) if any(_det(theta1, v))), None)
     if theta2 is None:
         raise FreenessCertificateFailure("no independent second basis vector")
     if not _minors_certify(theta1, theta2, target):

@@ -10,8 +10,8 @@ Every restriction of a ternary form to a line goes through
 line_restriction, the integer matrix that evaluates it at the points
 sP + tQ of the line, or restrict, that matrix applied to some forms: the
 weighted arrangement on a member line, admissibility of an external line
-and its restricted Jacobian row, membership in D_H(A), the conditions of
-D_H0(A) and the property-[P] image vectors.
+and its restricted Jacobian row, the conditions of D_H0(A) and the
+property-[P] image vectors.
 """
 
 from __future__ import annotations
@@ -90,45 +90,12 @@ class HomPoly:
         c = Fraction(c)
         return HomPoly(self.nvars, self.degree, tuple(c * a for a in self.coeffs))
 
-    def __neg__(self) -> "HomPoly":
-        return self.scale(-1)
-
     def _check_like(self, other: "HomPoly"):
         if self.nvars != other.nvars or self.degree != other.degree:
             raise ValueError("nvars/degree mismatch")
 
-    def __mul__(self, other: "HomPoly") -> "HomPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("nvars mismatch")
-        return poly_mul(self, other)
-
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         return self.coeffs[monomial_index(tuple(exps), self.degree, self.nvars)]
-
-    def diff(self, var: int) -> "HomPoly":
-        """Exact partial derivative; degree drops by one."""
-        if self.degree == 0:
-            raise ValueError("cannot differentiate a constant homogeneous form")
-        out = [_ZERO] * monomial_count(self.nvars, self.degree - 1)
-        table = _index_table(self.nvars, self.degree - 1)
-        for m, c in zip(monomials(self.nvars, self.degree), self.coeffs):
-            e = m[var]
-            if c and e:
-                low = list(m)
-                low[var] -= 1
-                out[table[tuple(low)]] += c * e
-        return HomPoly(self.nvars, self.degree - 1, tuple(out))
-
-    def evaluate(self, point) -> Fraction:
-        pt = [Fraction(v) for v in point]
-        total = _ZERO
-        for m, c in zip(monomials(self.nvars, self.degree), self.coeffs):
-            if c:
-                term = c
-                for v, e in zip(pt, m):
-                    term *= v ** e
-                total += term
-        return total
 
     def __str__(self) -> str:
         names = VAR_NAMES[: self.nvars]
@@ -155,10 +122,6 @@ class HomPoly:
         return s
 
 
-def zero(nvars: int, degree: int) -> HomPoly:
-    return HomPoly(nvars, degree, (_ZERO,) * monomial_count(nvars, degree))
-
-
 def from_terms(nvars: int, degree: int, terms: dict) -> HomPoly:
     coeffs = [_ZERO] * monomial_count(nvars, degree)
     for exps, c in terms.items():
@@ -176,33 +139,6 @@ def linear(nvars: int, coefficients) -> HomPoly:
         e[i] = 1
         terms[tuple(e)] = c
     return from_terms(nvars, 1, terms)
-
-
-def one(nvars: int) -> HomPoly:
-    return HomPoly(nvars, 0, (Fraction(1),))
-
-
-def poly_mul(p: HomPoly, q: HomPoly) -> HomPoly:
-    """Exact product; bilinear, degree adds.  0 * q is the zero polynomial."""
-    if p.nvars != q.nvars:
-        raise ValueError("nvars mismatch")
-    d = p.degree + q.degree
-    out = [_ZERO] * monomial_count(p.nvars, d)
-    table = _index_table(p.nvars, d)
-    qm = [(m, c) for m, c in zip(monomials(q.nvars, q.degree), q.coeffs) if c]
-    for mp, cp in zip(monomials(p.nvars, p.degree), p.coeffs):
-        if not cp:
-            continue
-        for mq, cq in qm:
-            out[table[tuple(a + b for a, b in zip(mp, mq))]] += cp * cq
-    return HomPoly(p.nvars, d, tuple(out))
-
-
-def product(polys, nvars: int = 3) -> HomPoly:
-    acc = one(nvars)
-    for p in polys:
-        acc = poly_mul(acc, p)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -265,23 +201,3 @@ def restrict(beta, forms, k: int) -> list[list[int]]:
                     out[r] += y * x
         outs.append(out)
     return outs
-
-
-def divide_linear(p: HomPoly, coefficients) -> HomPoly:
-    """Exact quotient of a 3-variable form by the linear form with the given
-    coefficients; CertificationFailure if the remainder is nonzero."""
-    cs = [Fraction(c) for c in coefficients]
-    e = restriction_param(cs).eliminated
-    rem = dict(zip(monomials(3, p.degree), p.coeffs))
-    quot = {}
-    # peel off the terms divisible by the eliminated coordinate, highest
-    # power first; each step cancels its term and changes only lower powers
-    for m in sorted(rem, key=lambda m: -m[e]):
-        if rem[m] and m[e]:
-            low = tuple(a - (i == e) for i, a in enumerate(m))
-            quot[low] = t = rem[m] / cs[e]
-            for i in range(3):
-                rem[tuple(a + (j == i) for j, a in enumerate(low))] -= t * cs[i]
-    if any(rem.values()):
-        raise CertificationFailure(f"{p} is not divisible by {linear(3, cs)}")
-    return from_terms(3, p.degree - 1, quot)

@@ -51,12 +51,47 @@ def test_classify_text_output(tmp_path, capsys):
     assert "nearly-free" in out
 
 
+def set_stdin(monkeypatch, data: bytes):
+    # the CLI reads the bytes under sys.stdin, as it reads a file
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
 def test_classify_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin",
-                        io.StringIO(json.dumps(fixture("nf6").document())))
+    set_stdin(monkeypatch, json.dumps(fixture("nf6").document()).encode())
     code, out, _ = run(capsys, "classify", "-")
     assert code == 0
     assert json.loads(out)["verdict"] == "nearly-free"
+
+
+UNDECODABLE = b'{"lines": [[1, 0, 0]], "name": "\xff"}'
+
+
+def test_undecodable_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNDECODABLE)
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:") and "UTF-8" in err
+
+
+def test_undecodable_stdin_exit_2(capsys, monkeypatch):
+    set_stdin(monkeypatch, UNDECODABLE)
+    code, out, err = run(capsys, "classify", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"factored": "x(y+\u00b2z)z"}, {"factored": "x(y+\u0663z)z"},
+    {"lines": [[1, 0, 0], ["\u00b2", 1, 0], [0, 0, 1]]},
+    {"lines": [[1, 0, 0], ["\u0663", 1, 0], [0, 0, 1]]},
+], ids=["factored-superscript", "factored-arabic-indic", "lines-superscript",
+        "lines-arabic-indic"])
+def test_non_ascii_digit_exit_2(tmp_path, capsys, doc):
+    # only the ASCII digits 0-9 are digits of a coefficient
+    code, out, err = run(capsys, "classify", write_doc(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:") and "Traceback" not in err
 
 
 def test_duplicate_line_exit_2(tmp_path, capsys):
@@ -408,3 +443,35 @@ def test_gen_bad_n_exit_2(capsys):
     code, _, err = run(capsys, "gen", "--family", "pencil", "--n", "0")
     assert code == 2
     assert "UsageError" in err
+
+
+PUBLIC_API = {
+    "Arrangement", "DuplicateLine", "FlatPoint", "LinearForm3", "ParseError",
+    "ZeroForm", "arrangement", "chi0", "intersection_points", "is_balanced",
+    "n_H", "nr_form", "parse_arrangement", "parse_factored", "to_document",
+    "DefectReport", "InadmissibleLine", "NotApplicable", "PropertyPResult",
+    "SplittingRange", "SplittingType", "TheoremReport", "ZieglerMapData",
+    "is_admissible", "property_P", "splitting_range", "splitting_type",
+    "verify", "yoshinaga_defect", "ziegler_map", "Classification",
+    "ResolutionShape", "ar_dim", "classify", "minimal_resolution",
+    "Derivation2", "Exponents", "LinearForm2", "Multiarrangement2", "basis",
+    "exponents", "multiarrangement", "saito_check", "ziegler_restriction",
+    "HomPoly", "XorShift64",
+}
+
+
+def readme_library_snippet() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_public_api_is_pinned_and_covers_the_readme():
+    import arrlog
+
+    assert len(arrlog.__all__) == len(PUBLIC_API)
+    assert set(arrlog.__all__) == PUBLIC_API
+    snippet = readme_library_snippet()
+    imported = snippet.split("from arrlog import (", 1)[1].split(")", 1)[0]
+    assert {n.strip() for n in imported.split(",")} <= PUBLIC_API
+    exec(snippet, {})

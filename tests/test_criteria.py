@@ -14,15 +14,14 @@ from arrlog.corpus import (FIXTURES, fixture, generic, near_pencil, pencil,
                            random_arrangement, random_corpus)
 from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
                              NotApplicable, PropertyPResult, is_admissible,
-                             nearly_free_by_criterion, property_P,
-                             random_external_lines, splitting_range,
+                             property_P, random_external_lines, splitting_range,
                              splitting_type, str_derivation, verify,
                              yoshinaga_defect, ziegler_map)
-from arrlog.derivation import ar_dim, dh_basis, jacobian
-from arrlog.multiarr import (basis, deriv_dim, deriv_space, exponents,
-                             ziegler_restriction)
+from arrlog.derivation import ar_dim
+from arrlog.multiarr import basis, exponents, ziegler_restriction
+from oracles import (deriv_dim, deriv_space, dh_basis, jacobian, line_param,
+                     quick_defect, substitute_line)
 from test_multiarr import rank2_exponents
-from test_poly import line_param, substitute_line
 
 Z = LinearForm3.make([0, 0, 1])
 
@@ -128,7 +127,7 @@ def _oracle_external_splitting(A, form):
     line, read off by the free dimension pattern."""
     param = line_param(form.coeffs)
     parts = [linalg._int_row(substitute_line(p, param).coeffs)
-             for p in jacobian(A).partials]
+             for p in jacobian(A)[1:]]
 
     def dim(k):
         cols = [[0] * j + part + [0] * (k - j)
@@ -182,7 +181,7 @@ def test_restricted_gradient_is_the_scaled_restricted_jacobian(A):
         param = line_param(beta)
         scale = beta[param.eliminated] ** (len(A) - 1)
         want = [[scale * c for c in substitute_line(p, param).coeffs]
-                for p in jacobian(A).partials]
+                for p in jacobian(A)[1:]]
         assert criteria._restricted_gradient(A, form) == want, form
 
 
@@ -236,12 +235,12 @@ def test_defect_matches_b2_minus_product():
 
 def _oracle_is_free_by_defect(A):
     """Freeness via the defect of a single restriction (zero iff free)."""
-    return criteria._quick_defect(A, 0)[0] == 0
+    return quick_defect(A, 0)[0] == 0
 
 
 def _oracle_free_exponents_by_defect(A):
     """(e1, e2) of any restriction when the arrangement is free, else None."""
-    defect, exp = criteria._quick_defect(A, 0)
+    defect, exp = quick_defect(A, 0)
     return exp if defect == 0 else None
 
 
@@ -273,7 +272,7 @@ def test_deletion_defect_matches_the_deleted_arrangement(inputs):
         for H in range(len(A)):
             Ad = A.without(H)
             defect, exp = criteria._deletion_defect(A, H)
-            assert (defect, exp) == criteria._quick_defect(Ad, 0), (A.name, H)
+            assert (defect, exp) == quick_defect(Ad, 0), (A.name, H)
             assert ((exp if defect == 0 else None)
                     == _oracle_free_exponents_by_defect(Ad)), (A.name, H)
 
@@ -290,11 +289,6 @@ def test_deletion_edge_cases_reach_their_branches():
     A = fixture("generic4").build()
     assert set(ziegler_restriction(A, 0)[0].mult) == {1}
     assert criteria._deletion_defect(A, 1) == (0, (1, 1))
-
-
-def test_nearly_free_by_criterion():
-    assert nearly_free_by_criterion(fixture("nf6").build()) == 0
-    assert nearly_free_by_criterion(near_pencil(5)) is None
 
 
 def test_splitting_member_lines():

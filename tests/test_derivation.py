@@ -2,6 +2,8 @@
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrlog import arrangement, derivation
 from arrlog.arrangement import Arrangement, parse_arrangement
@@ -9,13 +11,14 @@ from arrlog.corpus import (fixture, generic, near_pencil, pencil,
                            random_arrangement)
 from arrlog.corpus import FIXTURES
 from arrlog.criteria import verify
-from arrlog.derivation import (Derivation3, _ar_kernel, _dh_kernel, ar_basis,
-                               ar_dim, classify, dh_basis, dh_projection,
-                               in_dh, jacobian, mdr, minimal_resolution)
+from arrlog.derivation import (_ar_kernel, _shift_vec, ar_dim, classify,
+                               dh_projection, minimal_resolution)
 from arrlog.linalg import _int_row, kernel_basis, rank
-from arrlog.poly import (CertificationFailure, HomPoly, monomial_count,
-                         monomials, poly_mul, restrict, zero)
-from test_poly import line_param, substitute_line
+from arrlog.poly import (CertificationFailure, HomPoly, linear, monomial_count,
+                         monomials, restrict)
+from oracles import (Derivation3, ar_basis, dh_basis, dh_kernel, in_dh,
+                     jacobian, line_param, poly_mul, shift_vec,
+                     substitute_line, zero)
 
 
 def jacobian_matrix(A, k):
@@ -23,7 +26,7 @@ def jacobian_matrix(A, k):
     kernel is D_0(A)_k: the independent reference for _ar_kernel."""
     index = {m: i for i, m in enumerate(monomials(3, k + len(A) - 1))}
     cols = []
-    for part in jacobian(A).partials:
+    for part in jacobian(A)[1:]:
         assert all(c.denominator == 1 for c in part.coeffs)
         for mu in monomials(3, k):
             col = [0] * len(index)
@@ -36,9 +39,9 @@ def jacobian_matrix(A, k):
 
 def test_jacobian_euler_identity():
     # jacobian() asserts x f_x + y f_y + z f_z = |A| f internally
-    jac = jacobian(fixture("nf6").build())
-    assert jac.f.degree == 6
-    assert all(p.degree == 5 for p in jac.partials)
+    f, *partials = jacobian(fixture("nf6").build())
+    assert f.degree == 6
+    assert all(p.degree == 5 for p in partials)
 
 
 def test_ar_dim_base_cases():
@@ -51,10 +54,10 @@ def test_ar_dim_base_cases():
 
 def test_ar_basis_elements_are_syzygies():
     A = fixture("generic4").build()
-    jac = jacobian(A)
+    partials = jacobian(A)[1:]
     for s in ar_basis(A, 2):
         total = zero(3, 2 + len(A) - 1)
-        for comp, part in zip(s.components, jac.partials):
+        for comp, part in zip(s.components, partials):
             total = total + poly_mul(comp, part)
         assert total.is_zero
 
@@ -68,9 +71,18 @@ def test_ar_rank_matches_sympy():
 
 
 def test_mdr():
-    assert mdr(fixture("generic4").build()) == 2
-    assert mdr(fixture("pog7").build()) == 3
-    assert mdr(near_pencil(5)) == 1
+    assert classify(fixture("generic4").build()).mdr == 2
+    assert classify(fixture("pog7").build()).mdr == 3
+    assert classify(near_pencil(5)).mdr == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_shift_vec_is_the_shift_of_each_component(k, data):
+    m = 3 * monomial_count(3, k)
+    v = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=m, max_size=m))
+    for var in range(3):
+        assert _shift_vec(v, k, var) == shift_vec(v, k, var), var
 
 
 def test_minimal_resolution_shapes():
@@ -198,7 +210,7 @@ def test_dh_kernel_matches_direct_conditions():
         A = fx.build()
         for H in range(len(A)):
             for k in range(len(A)):
-                assert _dh_kernel(A, H, k) == _direct_dh_kernel(A, H, k)
+                assert dh_kernel(A, H, k) == _direct_dh_kernel(A, H, k)
 
 
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda f: f.name)
@@ -207,13 +219,13 @@ def test_ar_kernel_on_reversed_lines(fx):
     # line, so the eliminated component is rebuilt from the kept ones
     A = fx.build()
     R = Arrangement(tuple(reversed(A.lines)))
-    jac = jacobian(R)
+    partials = jacobian(R)[1:]
     for k in range(len(R)):
         for v in _ar_kernel(R, k):
             assert in_dh(R, 0, Derivation3.from_vector(v, k))
         for s in ar_basis(R, k):
             total = zero(3, k + len(R) - 1)
-            for comp, part in zip(s.components, jac.partials):
+            for comp, part in zip(s.components, partials):
                 total = total + poly_mul(comp, part)
             assert total.is_zero
     assert classify(R).to_json() == classify(A).to_json()
@@ -227,7 +239,6 @@ def test_dh_basis_members():
 
 def test_in_dh_negative():
     A = fixture("nf6").build()
-    from arrlog.poly import linear
     theta = Derivation3(linear(3, (1, 0, 0)), linear(3, (0, 1, 0)),
                         linear(3, (0, 0, 1)))
     assert not in_dh(A, 0, theta)

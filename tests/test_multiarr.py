@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from arrlog import linalg
 from arrlog.arrangement import LinearForm3
-from arrlog.corpus import FIXTURES, fixture, pencil, random_corpus
+from arrlog.corpus import (FIXTURES, fixture, pencil, random_arrangement,
+                           random_corpus)
 from arrlog.multiarr import (Derivation2, FreenessCertificateFailure,
                              LinearForm2, Multiarrangement2, _deriv_kernel,
-                             _free_pattern, _saito_target, basis, deriv_dim,
-                             deriv_space, exponents, multiarrangement,
-                             multiples, rank2_basis, saito_check,
-                             ziegler_restriction)
+                             _free_pattern, _saito_target, basis, exponents,
+                             multiarrangement, multiples, rank2_basis,
+                             saito_check, ziegler_restriction)
 from arrlog.poly import from_terms, restriction_param
-from test_poly import line_param, substitute_line
+from oracles import (deriv_dim, deriv_space, echelon_basis, evaluate,
+                     line_param, multi_defining_poly, span_rule_theta2,
+                     substitute_line)
 
 
 def test_linear_form2_int_coeffs():
@@ -68,11 +70,6 @@ def test_multiarrangement_hash_is_the_field_hash():
     assert N == M and N is not M
     assert hash(N) == hash(M) == hash((M.forms, M.mult))
     assert M != Multiarrangement2(M.forms, (2, 1, 4))
-
-
-def test_json_round_trip():
-    M = multiarrangement([([1, 0], 2), ([1, -1], 1), ([0, 1], 3)])
-    assert Multiarrangement2.from_json(M.to_json()) == M
 
 
 def test_deriv_dim_base_cases():
@@ -139,7 +136,7 @@ def test_saito_target_is_a_multiple_of_the_defining_poly(A):
     for H in range(len(A)):
         M, _ = ziegler_restriction(A, H)
         target = _saito_target(M)
-        want = M.defining_poly().coeffs
+        want = multi_defining_poly(M).coeffs
         assert all(type(c) is int for c in target)
         lead = next(i for i, c in enumerate(want) if c)
         scale = Fraction(target[lead]) / want[lead]
@@ -234,7 +231,7 @@ def _sympy_kernel(M: Multiarrangement2, k: int):
     matrix, _ = sympy.linear_eq_to_matrix(eqs, ps + qs)
     null = [linalg._int_row([Fraction(int(x.p), int(x.q)) for x in vec])
             for vec in matrix.nullspace()]
-    return tuple(tuple(v) for v in linalg.echelon_basis(null, 2 * (k + 1)))
+    return tuple(tuple(v) for v in echelon_basis(null, 2 * (k + 1)))
 
 
 def _assert_kernels_match_sympy(M: Multiarrangement2):
@@ -286,7 +283,7 @@ def test_rank2_basis_rejects_a_multiple_of_theta1():
         return [mult] if k == e2 else layers(k)
 
     with pytest.raises(FreenessCertificateFailure):
-        rank2_basis(only_multiples, M.total, M.defining_poly().coeffs)
+        rank2_basis(only_multiples, M.total, multi_defining_poly(M).coeffs)
 
     # equal degrees: the layer's second vector replaced by a scalar multiple
     M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
@@ -297,12 +294,12 @@ def test_rank2_basis_rejects_a_multiple_of_theta1():
         return [theta1, [3 * c for c in theta1]] if k == 2 else _deriv_kernel(M, k)
 
     with pytest.raises(FreenessCertificateFailure):
-        rank2_basis(doubled, M.total, M.defining_poly().coeffs)
+        rank2_basis(doubled, M.total, multi_defining_poly(M).coeffs)
 
 
 def test_rank2_basis_rejects_a_perturbed_target():
     M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
-    target = list(M.defining_poly().coeffs)
+    target = list(multi_defining_poly(M).coeffs)
     theta1, theta2 = rank2_basis(_layers(M), M.total, target)
     assert (Derivation2.from_vector(theta1), Derivation2.from_vector(theta2)) \
         == basis(M)
@@ -311,6 +308,20 @@ def test_rank2_basis_rejects_a_perturbed_target():
         bad[i] += 1
         with pytest.raises(FreenessCertificateFailure):
             rank2_basis(_layers(M), M.total, bad)
+
+
+_BASIS_INPUTS = ([f.build() for f in FIXTURES]
+                 + [random_arrangement(n, 1) for n in range(10, 14)])
+
+
+@pytest.mark.parametrize("A", _BASIS_INPUTS, ids=lambda A: A.name)
+def test_rank2_basis_theta2_is_the_first_outside_the_span(A):
+    # the determinant rule picks the vector the span rule did
+    for H in range(len(A)):
+        M, _ = ziegler_restriction(A, H)
+        layers = _layers(M)
+        _, theta2 = rank2_basis(layers, M.total, _saito_target(M))
+        assert theta2 == span_rule_theta2(layers, M.total), H
 
 
 def test_basis_certified():
@@ -346,11 +357,11 @@ def test_deriv_space_members_divisible():
         # the value on each form, rewritten in that form's coordinates,
         # must vanish to the prescribed order; spot-check by evaluation
         for form, m in zip(M.forms, M.mult):
-            val = theta.apply(form.poly())
             a, b = form.coeffs
+            val = theta.p.scale(a) + theta.q.scale(b)
             # points on the line a*u + b*v = 0
             pt = (-b, a)
-            assert val.evaluate(pt) == 0
+            assert evaluate(val, pt) == 0
 
 
 def test_multiplicity_monotonicity():
