@@ -3,8 +3,8 @@
 An arrangement is a finite set of pairwise non-proportional linear forms in
 x, y, z with rational coefficients.  This module holds the combinatorial
 layer: the intersection points with multiplicities, per-line point counts,
-the degree-two quotient of the characteristic polynomial, balancedness, and
-the (n, r) normal form of that quotient.
+the global Tjurina number, the degree-two quotient of the characteristic
+polynomial, balancedness, and the (n, r) normal form of that quotient.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ class Arrangement:
 
     def __len__(self) -> int:
         return len(self.lines)
-
-    def without(self, index: int) -> "Arrangement":
-        if not 0 <= index < len(self.lines):
-            raise IndexError("line index out of range")
-        return Arrangement(self.lines[:index] + self.lines[index + 1:])
 
     def index_of(self, form: LinearForm3) -> int | None:
         try:
@@ -288,6 +283,13 @@ def n_H(A: Arrangement, H: int) -> int:
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
     return sum(1 for X in intersection_points(A) if H in X.incident_lines)
+
+
+def tjurina(A: Arrangement) -> int:
+    """Global Tjurina number of the curve the lines define: the sum of
+    (m_p - 1)^2 over the intersection points, since an ordinary m-fold point
+    is quasi-homogeneous and its Tjurina number is its Milnor number."""
+    return sum((X.multiplicity - 1) ** 2 for X in intersection_points(A))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import corpus as corpus_mod
@@ -27,6 +28,18 @@ from .multiarr import basis, exponents, saito_check, ziegler_restriction
 
 class UsageError(Exception):
     pass
+
+
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _ascii_int(text: str) -> int:
+    """An integer written in the ASCII digits 0-9 only, with an optional
+    minus sign; int() would also take other Unicode digits, underscores and
+    surrounding blanks."""
+    if _INT_RE.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _read_arrangement(path: str) -> Arrangement:
@@ -145,8 +158,8 @@ def cmd_splitting(args) -> int:
     out = []
     if args.form:
         try:
-            coeffs = [int(v) for v in args.form.split(",")]
-        except ValueError:
+            coeffs = [_ascii_int(v) for v in args.form.split(",")]
+        except argparse.ArgumentTypeError:
             raise UsageError(f"bad --form {args.form!r}; expected a,b,c integers")
         if len(coeffs) != 3:
             raise UsageError("--form needs exactly three coefficients")
@@ -242,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("property-p", cmd_property_p, ())):
         sp = sub.add_parser(name)
         common(sp)
-        sp.add_argument("--line", type=int, help="line index")
+        sp.add_argument("--line", type=_ascii_int, help="line index")
         sp.add_argument("--all", action="store_true", help="all lines")
         if "basis" in extra:
             sp.add_argument("--basis", action="store_true",
@@ -251,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("splitting", help="splitting types along lines")
     common(sp)
-    sp.add_argument("--line", type=int)
+    sp.add_argument("--line", type=_ascii_int)
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--form", help="external line as a,b,c")
     sp.add_argument("--range", action="store_true",
@@ -263,19 +276,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", choices=("json", "text"), default="json")
     sp.add_argument("--corpus", action="store_true",
                     help="verify the fixture corpus (plus --random extras)")
-    sp.add_argument("--random", type=int, default=0,
+    sp.add_argument("--random", type=_ascii_int, default=0,
                     help="number of random arrangements to add")
-    sp.add_argument("--max-lines", type=int, default=8)
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--external", type=int, default=20,
+    sp.add_argument("--max-lines", type=_ascii_int, default=8)
+    sp.add_argument("--seed", type=_ascii_int, default=1)
+    sp.add_argument("--external", type=_ascii_int, default=20,
                     help="external admissible lines sampled per arrangement")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("gen", help="generate an arrangement document")
     sp.add_argument("--family", required=True,
                     choices=("generic", "near-pencil", "pencil", "random"))
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--n", type=_ascii_int, required=True)
+    sp.add_argument("--seed", type=_ascii_int, default=1)
     sp.add_argument("--output", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_gen)
 

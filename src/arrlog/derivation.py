@@ -19,6 +19,11 @@ k, against C(k + |A| + 1, 2) x 3 C(k + 2, 2) for the Jacobian matrix, and
 its kernel entries are about half as long.  Its kernels are certified over
 Z by linalg.kernel_basis as any other, and since those conditions define
 D_{H0}(A) exactly, the certificate covers the module itself.
+
+The scan ends with a proof, not with more layers: _spans_module shows
+from a determinant and the global Tjurina number that at most three
+generators found span all of D_{H0}(A).  Only minimal_resolution reaches
+four or more generators, and there exact ranks of the later layers decide.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, filterfalse
 from math import comb
 
 from . import linalg
-from .arrangement import Arrangement
+from .arrangement import Arrangement, tjurina
 from .poly import (CertificationFailure, _index_table, line_restriction,
                    monomial_count, monomials, restriction_param)
 
@@ -173,6 +179,72 @@ def degree_cap(A: Arrangement) -> int:
     return cap
 
 
+def _values(vec, g: int, a: int, b: int) -> list[int]:
+    """The three components of a degree-g derivation at the point (a, b, 1)."""
+    m = monomial_count(3, g)
+    at = [a ** i * b ** j for i, j, _ in monomials(3, g)]
+    return [sum(c * t for c, t in zip(vec[i * m:(i + 1) * m], at) if c)
+            for i in range(3)]
+
+
+def _rank_two(A: Arrangement, gens) -> bool:
+    """Whether det[theta_E, theta_i, theta_j] is a nonzero form for some pair
+    of the given derivations.
+
+    That determinant has degree D = 1 + g_i + g_j.  Set z = 1 and a nonzero
+    form of degree D is a nonzero polynomial of degree at most D in x and in
+    y, which cannot vanish on all of {0..D}^2, so the grid of the largest D
+    decides for every pair.  Determinants of derivations of A vanish on its
+    lines, so points off the lines are tried first.
+    """
+    degs = sorted(g for g, _ in gens)
+    top = 1 + degs[-1] + degs[-2]
+    forms = [line.int_coeffs for line in A.lines]
+
+    def off(P):
+        return all(f[0] * P[0] + f[1] * P[1] + f[2] for f in forms)
+
+    grid = [(a, b) for a in range(top + 1) for b in range(top + 1)]
+    pairs = list(combinations(range(len(gens)), 2))
+    for a, b in chain(filter(off, grid), filterfalse(off, grid)):
+        vals = [_values(v, g, a, b) for g, v in gens]
+        for i, j in pairs:
+            u, w = vals[i], vals[j]
+            if (a * (u[1] * w[2] - u[2] * w[1]) + b * (u[2] * w[0] - u[0] * w[2])
+                    + u[0] * w[1] - u[1] * w[0]):
+                return True
+    return False
+
+
+def _spans_module(A: Arrangement, gens, rels) -> bool:
+    """Whether the module N spanned by at most three generators is all of
+    D_{H0}(A), given their relation degrees rels as the scan found them,
+    with len(gens) - len(rels) = 2 and degree sums differing by |A| - 1.
+
+    N has rank 2 when _rank_two holds.  With two generators N is then free;
+    with three, its relation module is reflexive of rank 1, hence free, and
+    generated in the degree found.  Either way N has projective dimension at
+    most one, so depth N >= 2.  The Tjurina identity
+    sum d_i^2 - sum r_j^2 = 2 tau - (|A| - 1)^2 makes the Hilbert polynomial
+    of N that of D_0(A), so D_0(A)/N has finite length, and depth N >= 2
+    forces it to be zero.  Two generators of rank 2 whose degrees sum to
+    |A| - 1 are a basis by Saito's criterion, so a failed identity there is
+    a failed certificate.
+    """
+    n = len(A)
+    tau_ok = (sum(g * g for g, _ in gens) - sum(r * r for r in rels)
+              == 2 * tjurina(A) - (n - 1) ** 2)
+    if len(gens) == 3 and not tau_ok:
+        return False
+    if not _rank_two(A, gens):
+        return False
+    if not tau_ok:
+        raise CertificationFailure(
+            f"free basis in degrees {sorted(g for g, _ in gens)} fails the "
+            f"Tjurina identity (tau = {tjurina(A)}) for {n} lines")
+    return True
+
+
 def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     cap = degree_cap(A)
     n = len(A)
@@ -215,22 +287,25 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
         if early_stop and (len(gens) > 3 or len(rels) > 1):
             partial = True
             break
-        # once the shape is rank-2 consistent, the remaining degrees up to
-        # two past every generator and relation degree only need the Hilbert
-        # identity, which a rank computation checks without extracting bases
+        # once the shape is rank-2 consistent, at most three generators are
+        # proved to span the module by _spans_module; four or more are
+        # checked against exact ranks of the layers up to two past every
+        # generator and relation degree.  A failed check means more
+        # structure ahead, so the scan goes on.
         gd = [g for g, _ in gens]
         shape_ok = (gens and len(gd) - len(rels) == 2
                     and sum(gd) - sum(rels) == n - 1)
         target = (max(gd) if gd else 0) + (max(rels) if rels else 0) + 2
         if shape_ok:
-            tail_ok = True
-            for kk in range(k + 1, min(target, cap) + 1):
-                predicted = (sum(comb(kk - g + 2, 2) for g in gd)
-                             - sum(comb(kk - r + 2, 2) for r in rels))
-                if _ar_quick_dim(A, kk) != predicted:
-                    tail_ok = False  # more structure ahead; keep scanning
-                    break
-            if tail_ok:
+            if len(gd) <= 3:
+                done = _spans_module(A, gens, rels)
+            else:
+                done = all(
+                    _ar_quick_dim(A, kk)
+                    == (sum(comb(kk - g + 2, 2) for g in gd)
+                        - sum(comb(kk - r + 2, 2) for r in rels))
+                    for kk in range(k + 1, min(target, cap) + 1))
+            if done:
                 cap_hit = target > cap
                 break
         if k >= cap:

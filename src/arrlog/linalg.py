@@ -389,9 +389,6 @@ class SpanBuilder:
             i += 1
         return row
 
-    def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
-
     def add(self, vec) -> bool:
         """Add vec to the span; True if the dimension grew."""
         row = self.residual(vec)

@@ -4,8 +4,8 @@ Each one reaches a result by a slower, more direct route than the library
 does: dense Fraction polynomials and their products, restriction by
 substitution, the Jacobian of the defining polynomial and its syzygies,
 D_H(A) as explicit derivations, the derivation layers of a weighted
-arrangement, and the span rule for the second basis vector of a free
-module of rank 2.
+arrangement, membership in a span, deletion of a line, and the span rule
+for the second basis vector of a free module of rank 2.
 """
 
 from dataclasses import dataclass
@@ -302,6 +302,18 @@ def quick_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
     return chi0(A).b2_0 - e1 * e2, (e1, e2)
 
 
+def span_contains(span: linalg.SpanBuilder, vec) -> bool:
+    """Whether the integer vector vec lies in the span."""
+    return not any(span.residual(vec))
+
+
+def without(A: Arrangement, index: int) -> Arrangement:
+    """The arrangement with line index deleted."""
+    if not 0 <= index < len(A):
+        raise IndexError("line index out of range")
+    return Arrangement(A.lines[:index] + A.lines[index + 1:])
+
+
 def span_rule_theta2(layer, total: int):
     """The second basis vector of a free module of rank 2 by the span rule:
     the first vector of layer total - e1 outside the SpanBuilder of the
@@ -311,4 +323,4 @@ def span_rule_theta2(layer, total: int):
     span = linalg.SpanBuilder(2 * (total - e1 + 1))
     for m in multiples(theta1, 2, total - 2 * e1):
         span.add(m)
-    return next(v for v in layer(total - e1) if not span.contains(v))
+    return next(v for v in layer(total - e1) if not span_contains(span, v))

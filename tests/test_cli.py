@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from arrlog import linalg
-from arrlog.arrangement import LatticeError, n_H
+from arrlog.arrangement import LatticeError, n_H, to_document
 from arrlog.cli import main
-from arrlog.corpus import FIXTURES, fixture
+from arrlog.corpus import FIXTURES, fixture, near_pencil
 from arrlog.criteria import (ConsistencyFailure, random_external_lines,
                              yoshinaga_defect)
 from arrlog.derivation import CertificationFailure
@@ -304,6 +304,37 @@ def test_splitting_bad_form_exit_2(tmp_path, capsys):
     path = write_doc(tmp_path, fixture("generic4").document())
     code, _, err = run(capsys, "splitting", path, "--form", "1,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("form", ["٣,1_0,7", "٣,1,7", "3,1_0,7",
+                                  "3, 1,7", "+3,1,7", "3,1,²"])
+def test_splitting_form_takes_ascii_digits_only(tmp_path, capsys, form):
+    # int() reads "٣,1_0,7" as the line (3, 10, 7)
+    path = write_doc(tmp_path, to_document(near_pencil(5)))
+    code, out, err = run(capsys, "splitting", path, "--form", form)
+    assert (code, out) == (2, "")
+    assert err.startswith("UsageError:") and "bad --form" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--family", "near-pencil", "--n", "٦"),
+    ("gen", "--family", "random", "--n", "7", "--seed", "1_0"),
+    ("verify", "--corpus", "--random", "٣"),
+    ("verify", "--corpus", "--max-lines", " 8"),
+    ("verify", "--corpus", "--seed", "٤٢"),
+    ("verify", "--corpus", "--external", "+3"),
+    ("ziegler", "-", "--line", "١"),
+    ("defects", "-", "--line", "١"),
+    ("property-p", "-", "--line", "١"),
+    ("splitting", "-", "--line", "١"),
+], ids=["gen-n", "gen-seed", "random", "max-lines", "verify-seed", "external",
+        "ziegler-line", "defects-line", "property-p-line", "splitting-line"])
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "not an integer" in out.err
 
 
 def test_verify_single(tmp_path, capsys):

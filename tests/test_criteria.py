@@ -20,7 +20,7 @@ from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
 from arrlog.derivation import ar_dim
 from arrlog.multiarr import basis, exponents, ziegler_restriction
 from oracles import (deriv_dim, deriv_space, dh_basis, jacobian, line_param,
-                     quick_defect, substitute_line)
+                     quick_defect, span_contains, substitute_line, without)
 from test_multiarr import rank2_exponents
 
 Z = LinearForm3.make([0, 0, 1])
@@ -112,7 +112,7 @@ def test_image_vector_outside_the_free_module_fails(monkeypatch):
             span.add(theta.coeff_vector())
         for j in range(2 * (k + 1)):
             v = tuple(c + (i == j) for i, c in enumerate(vecs[0]))
-            if not span.contains(linalg._int_row(v)):
+            if not span_contains(span, linalg._int_row(v)):
                 return (v,) + vecs[1:]
         raise AssertionError(f"D(M)_{k} is everything")
 
@@ -270,7 +270,7 @@ def test_deletion_defect_matches_the_deleted_arrangement(inputs):
     # A minus H and restricting it along its line 0 gives
     for A in _DELETION_INPUTS[inputs]():
         for H in range(len(A)):
-            Ad = A.without(H)
+            Ad = without(A, H)
             defect, exp = criteria._deletion_defect(A, H)
             assert (defect, exp) == quick_defect(Ad, 0), (A.name, H)
             assert ((exp if defect == 0 else None)

@@ -1,0 +1,196 @@
+"""The global Tjurina number against the syzygy resolution: the classical
+lattice facts as oracles, and the certificate that ends the scan.
+
+tau = sum of (m_p - 1)^2 over the intersection points.  With d = |A| and
+r = mdr, du Plessis and Wall (1999) bound (d - 1)(d - r - 1) <= tau <=
+(d - 1)(d - r - 1) + r^2, the upper bound dropping by C(2r + 2 - d, 2)
+when 2r >= d.  Dimca (2017) and Dimca-Sticlaru: A is free iff tau reaches
+(d - 1)(d - r - 1) + r^2, and nearly free iff tau is one below it.  The
+Hilbert polynomial of the Milnor algebra is the constant tau, so a complete
+resolution satisfies sum d_i^2 - sum r_j^2 = 2 tau - (d - 1)^2.
+"""
+
+import json
+from math import comb
+
+import pytest
+
+from arrlog import derivation
+from arrlog.arrangement import parse_arrangement, tjurina
+from arrlog.cli import main
+from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
+                           random_arrangement, random_corpus)
+from arrlog.derivation import (_ar_quick_dim, _classification_resolution,
+                               _shift_vec, _spans_module, classify,
+                               degree_cap)
+from arrlog.poly import CertificationFailure
+
+
+def _arrangements():
+    out = [f.build() for f in FIXTURES]
+    out += random_corpus(100, 8, 42)
+    out += [near_pencil(n) for n in range(4, 13)]
+    out += [random_arrangement(n, s) for n in range(8, 13) for s in (1, 2)]
+    return out
+
+
+ARRANGEMENTS = _arrangements()
+
+
+def _complete(A):
+    """The classification's resolution data, when it is complete."""
+    data = _classification_resolution(A)
+    return data if data.shape.complete else None
+
+
+def _hilbert(gd, rd, k):
+    """Hilbert function at k of the module presented by free generators in
+    degrees gd and free relations in degrees rd."""
+    return (sum(comb(max(k - g + 2, 0), 2) for g in gd)
+            - sum(comb(max(k - r + 2, 0), 2) for r in rd))
+
+
+def _certifies(A, gens, rels) -> bool:
+    try:
+        return _spans_module(A, gens, rels)
+    except CertificationFailure:
+        return False
+
+
+@pytest.mark.parametrize("A, tau", [
+    (pencil(5), 16), (generic(6, seed=1), 15), (near_pencil(7), 25 + 6),
+    (parse_arrangement({"factored": "xyz(x-y)(x-z)(y-z)"}), 4 * 4 + 3),
+])
+def test_tjurina_known_values(A, tau):
+    # pencil: one point of multiplicity n; generic: C(n, 2) double points;
+    # near-pencil: one (n - 1)-fold point and n - 1 double points; A3: four
+    # triple and three double points
+    assert tjurina(A) == tau
+
+
+def test_tjurina_identity_on_complete_resolutions():
+    seen = 0
+    for A in ARRANGEMENTS:
+        data = _complete(A)
+        if data is None:
+            continue
+        gd, rd = data.shape.generator_degrees, data.shape.relation_degrees
+        d = len(A)
+        assert (sum(g * g for g in gd) - sum(r * r for r in rd)
+                == 2 * tjurina(A) - (d - 1) ** 2), A.name
+        seen += 1
+    assert seen >= 50
+
+
+def test_du_plessis_wall_bounds_and_the_tjurina_characterisations():
+    verdicts = set()
+    for A in ARRANGEMENTS:
+        cls = classify(A)
+        r, d, tau = cls.mdr, len(A), tjurina(A)
+        if not r:  # pencils are exempt; None: no generator below the cap
+            continue
+        low = (d - 1) * (d - r - 1)
+        top = low + r * r
+        high = top - comb(2 * r + 2 - d, 2) if 2 * r >= d else top
+        assert low <= tau <= high, (A.name, r, tau)
+        assert (tau == top) == (cls.verdict == "free"), (A.name, r, tau)
+        assert (tau == top - 1) == (cls.verdict == "nearly-free"), (A.name, r)
+        verdicts.add(cls.verdict)
+    assert verdicts == {"free", "nearly-free", "plus-one-generated", "other"}
+
+
+def test_exact_ranks_agree_with_the_certified_end():
+    # the exact ranks the scan used to end with must find every layer where
+    # the certified resolution predicts it, up to the old tail's last degree
+    for A in ARRANGEMENTS:
+        data = _complete(A)
+        if data is None:
+            continue
+        gd, rd = data.shape.generator_degrees, data.shape.relation_degrees
+        target = max(gd) + (max(rd) if rd else 0) + 2
+        for k in range(min(target, degree_cap(A)) + 1):
+            assert _ar_quick_dim(A, k) == _hilbert(gd, rd, k), (A.name, k)
+
+
+def test_certificate_passes_on_the_found_generators():
+    for A in ARRANGEMENTS:
+        data = _complete(A)
+        if data is not None:
+            assert _spans_module(A, list(data.generators),
+                                 data.shape.relation_degrees), A.name
+
+
+def test_certificate_fails_on_a_degree_off_by_one():
+    for A in ARRANGEMENTS:
+        data = _complete(A)
+        if data is None:
+            continue
+        gens, rels = list(data.generators), data.shape.relation_degrees
+        for i, (g, v) in enumerate(gens):
+            for g2 in (g - 1, g + 1):
+                if g2 >= 0:
+                    bad = gens[:i] + [(g2, v)] + gens[i + 1:]
+                    assert not _certifies(A, bad, rels), (A.name, i, g2)
+
+
+def test_certificate_fails_on_a_coordinate_multiple():
+    # theta_j replaced by x^(g_j - g_i) theta_i, of theta_j's degree.  Only
+    # two generators lose rank 2 this way; with three, the relation degrees
+    # the certificate takes are those the scan found for its generators
+    mutated = 0
+    for A in ARRANGEMENTS:
+        data = _complete(A)
+        if data is None or len(data.generators) != 2:
+            continue
+        gens = list(data.generators)
+        for i, j in ((0, 1), (1, 0)):
+            (gi, v), (gj, _) = gens[i], gens[j]
+            if gj < gi:
+                continue
+            for var in range(3):
+                w, k = v, gi
+                while k < gj:
+                    w, k = _shift_vec(w, k, var), k + 1
+                bad = list(gens)
+                bad[j] = (gj, tuple(w))
+                assert not _spans_module(A, bad, ()), (A.name, j, var)
+                mutated += 1
+    assert mutated >= 30
+
+
+def test_classify_calls_no_exact_rank(monkeypatch):
+    calls = []
+
+    def counted(A, k):
+        calls.append((A, k))
+        return _ar_quick_dim(A, k)
+
+    monkeypatch.setattr(derivation, "_ar_quick_dim", counted)
+    _classification_resolution.cache_clear()
+    classify.cache_clear()
+    for A in random_corpus(100, 8, 42):
+        classify(A)
+    assert calls == []
+
+
+def _forced_tau_mismatch(monkeypatch):
+    monkeypatch.setattr(derivation, "tjurina", lambda A: tjurina(A) + 1)
+    _classification_resolution.cache_clear()
+    classify.cache_clear()
+
+
+def test_free_basis_with_a_tau_mismatch_raises(monkeypatch):
+    _forced_tau_mismatch(monkeypatch)
+    with pytest.raises(CertificationFailure, match="Tjurina identity"):
+        classify(near_pencil(6))
+
+
+def test_free_basis_with_a_tau_mismatch_exits_3(tmp_path, capsys,
+                                                monkeypatch):
+    _forced_tau_mismatch(monkeypatch)
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps({"factored": "xyz(x-y)(x-z)(y-z)"}))
+    code = main(["classify", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err.startswith("CertificationFailure:")
