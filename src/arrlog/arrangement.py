@@ -31,31 +31,42 @@ class DuplicateLine(ParseError):
     """Two input lines are proportional, hence equal in the projective plane."""
 
 
-def _canonical(coeffs, n):
-    cs = [Fraction(c) for c in coeffs]
-    if len(cs) != n:
-        raise ParseError(f"expected {n} coefficients, got {len(cs)}")
-    lead = next((c for c in cs if c != 0), None)
-    if lead is None:
-        raise ZeroForm("zero linear form")
-    return tuple(c / lead for c in cs)
+@dataclass(frozen=True)
+class LinearForm:
+    """A nonzero linear form up to a nonzero scalar, stored once: as its
+    primitive integer vector with first nonzero entry positive, which
+    decides equality and hashing.  Subclasses set nvars."""
 
-
-@dataclass(frozen=True, order=True)
-class LinearForm3:
-    """A line in P^2, stored with first nonzero coefficient scaled to 1, and
-    once more as a primitive integer vector, which takes no part in equality,
-    ordering or hashing."""
-
-    coeffs: tuple[Fraction, Fraction, Fraction]
-    int_coeffs: tuple[int, int, int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "int_coeffs", tuple(_int_row(self.coeffs)))
+    int_coeffs: tuple[int, ...]
 
     @classmethod
-    def make(cls, coeffs) -> "LinearForm3":
-        return cls(_canonical(coeffs, 3))
+    def make(cls, coeffs):
+        """The form of nvars ints or Fractions; ParseError on another count,
+        ZeroForm on the zero form."""
+        if len(coeffs) != cls.nvars:
+            raise ParseError(f"expected {cls.nvars} coefficients, got {len(coeffs)}")
+        v = _int_row(coeffs)
+        lead = next((c for c in v if c), 0)
+        if not lead:
+            raise ZeroForm("zero linear form")
+        return cls(tuple(v) if lead > 0 else tuple(-c for c in v))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Fractions scaled to first nonzero coefficient 1, for printing."""
+        lead = next(c for c in self.int_coeffs if c)
+        return tuple(Fraction(c, lead) for c in self.int_coeffs)
+
+    def to_json(self) -> list:
+        """coeffs as JSON: ints where integral, "p/q" strings otherwise."""
+        return [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+                for c in self.coeffs]
+
+
+class LinearForm3(LinearForm):
+    """A line in P^2."""
+
+    nvars = 3
 
     def poly(self) -> HomPoly:
         return linear(3, self.coeffs)
@@ -76,7 +87,7 @@ class Arrangement:
             raise ParseError("an arrangement needs at least one line")
         if len(set(self.lines)) != len(self.lines):
             raise DuplicateLine("proportional lines in input")
-        # hashed once, not per lru_cache lookup: a hash walks every Fraction
+        # hashed once, not per lru_cache lookup: a hash walks every form
         object.__setattr__(self, "_hash", hash(self.lines))
 
     def __hash__(self) -> int:
@@ -221,10 +232,7 @@ def parse_arrangement(document) -> Arrangement:
 
 
 def to_document(A: Arrangement) -> dict:
-    def enc(c: Fraction):
-        return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-    doc = {"lines": [[enc(c) for c in l.coeffs] for l in A.lines]}
+    doc = {"lines": [l.to_json() for l in A.lines]}
     if A.name:
         doc["name"] = A.name
     return doc
@@ -257,7 +265,7 @@ def _canonical_point(p):
         if c != 0:
             lead = c
             break
-    return tuple(c / lead for c in p)
+    return tuple(Fraction(c, lead) for c in p)
 
 
 @lru_cache(maxsize=4096)
@@ -271,7 +279,7 @@ def intersection_points(A: Arrangement) -> tuple[FlatPoint, ...]:
     lines = A.lines
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            p = _canonical_point(_cross(lines[i].coeffs, lines[j].coeffs))
+            p = _canonical_point(_cross(lines[i].int_coeffs, lines[j].int_coeffs))
             by_point.setdefault(p, set()).update((i, j))
     pts = [FlatPoint(p, tuple(sorted(s))) for p, s in by_point.items()]
     pts.sort(key=lambda fp: fp.point)

@@ -291,7 +291,7 @@ def splitting_type(A: Arrangement, line: int | LinearForm3) -> SplittingType:
         M, _ = ziegler_restriction(A, line)
         exp = exponents(M)
         return SplittingType(line, exp.e1, exp.e2)
-    form = LinearForm3.make(line.coeffs if isinstance(line, LinearForm3) else line)
+    form = line if isinstance(line, LinearForm3) else LinearForm3.make(line)
     if form in A.lines:
         return splitting_type(A, A.index_of(form))
     if not is_admissible(A, form):

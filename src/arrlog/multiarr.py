@@ -10,13 +10,13 @@ its graded layers, exponents, and a basis certified by Saito's determinant
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 
 from . import linalg
-from .arrangement import Arrangement, _canonical
+from .arrangement import Arrangement, LinearForm
 from .poly import HomPoly, LineParam, restrict, restriction_param
 
 
@@ -28,19 +28,10 @@ class FreenessCertificateFailure(AssertionError):
     """
 
 
-@dataclass(frozen=True, order=True)
-class LinearForm2:
+class LinearForm2(LinearForm):
     """A nonzero binary linear form, stored as LinearForm3 stores a line."""
 
-    coeffs: tuple[Fraction, Fraction]
-    int_coeffs: tuple[int, int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "int_coeffs", tuple(linalg._int_row(self.coeffs)))
-
-    @classmethod
-    def make(cls, coeffs) -> "LinearForm2":
-        return cls(_canonical(coeffs, 2))
+    nvars = 2
 
 
 @dataclass(frozen=True)
@@ -57,7 +48,7 @@ class Multiarrangement2:
             raise ValueError("multiplicities must be positive")
         if len(set(self.forms)) != len(self.forms):
             raise ValueError("proportional forms in a multiarrangement")
-        # hashed once, not per lru_cache lookup: a hash walks every Fraction
+        # hashed once, not per lru_cache lookup: a hash walks every form
         object.__setattr__(self, "_hash", hash((self.forms, self.mult)))
 
     def __hash__(self) -> int:
@@ -68,16 +59,13 @@ class Multiarrangement2:
         return sum(self.mult)
 
     def to_json(self) -> dict:
-        def enc(c: Fraction):
-            return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-        return {"forms": [[enc(c) for c in f.coeffs] for f in self.forms],
-                "mult": list(self.mult)}
+        return {"forms": [f.to_json() for f in self.forms], "mult": list(self.mult)}
 
 
 def multiarrangement(pairs) -> Multiarrangement2:
     """Build from (coefficients, multiplicity) pairs, sorted canonically."""
-    items = sorted((LinearForm2.make(c), m) for c, m in pairs)
+    items = sorted(((LinearForm2.make(c), m) for c, m in pairs),
+                   key=lambda fm: fm[0].coeffs)
     return Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
 
 
@@ -132,7 +120,7 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
     others = A.lines[:H] + A.lines[H + 1:]
     counts = Counter(LinearForm2.make(ell) for ell in restrict(
         beta, [f.int_coeffs for f in others], 1))
-    items = sorted(counts.items())
+    items = sorted(counts.items(), key=lambda fm: fm[0].coeffs)
     M = Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
     assert M.total == len(A) - 1
     return M, restriction_param(beta)

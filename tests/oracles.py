@@ -1,11 +1,12 @@
 """Reference implementations that the tests compare arrlog against.
 
 Each one reaches a result by a slower, more direct route than the library
-does: dense Fraction polynomials and their products, restriction by
-substitution, the Jacobian of the defining polynomial and its syzygies,
-D_H(A) as explicit derivations, the derivation layers of a weighted
-arrangement, membership in a span, deletion of a line, and the span rule
-for the second basis vector of a free module of rank 2.
+does: the Fraction coefficients of a linear form, dense Fraction
+polynomials and their products, restriction by substitution, the Jacobian
+of the defining polynomial and its syzygies, D_H(A) as explicit
+derivations, the derivation layers of a weighted arrangement, membership
+in a span, deletion of a line, and the span rule for the second basis
+vector of a free module of rank 2.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,20 @@ from arrlog.multiarr import (Derivation2, Multiarrangement2, _deriv_kernel,
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
                          from_terms, linear, monomial_count, monomials,
                          restrict, restriction_param)
+
+# ---------------------------------------------------------------------------
+# linear forms
+
+
+def canonical(coeffs, n: int) -> tuple:
+    """The n coefficients as Fractions divided by the first nonzero one,
+    computed in Fractions throughout; LinearForm3 and LinearForm2 derive
+    theirs from the primitive integer vector instead."""
+    cs = [Fraction(c) for c in coeffs]
+    assert len(cs) == n
+    lead = next(c for c in cs if c != 0)
+    return tuple(c / lead for c in cs)
+
 
 # ---------------------------------------------------------------------------
 # dense polynomials in Fractions

@@ -1,18 +1,22 @@
 """Parsing, intersection lattice, characteristic polynomial data."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrlog.arrangement import (Arrangement, DuplicateLine, LinearForm3,
                                 ParseError, ZeroForm, arrangement, chi0,
                                 intersection_points, is_balanced, n_H, nr_form,
                                 parse_arrangement, parse_factored, to_document)
 from arrlog.corpus import fixture, generic, near_pencil, pencil
-from arrlog.linalg import rank
-from oracles import without
+from arrlog.linalg import _int_row, rank
+from arrlog.multiarr import LinearForm2
+from oracles import canonical, without
 
 
 def test_linear_form_canonical():
@@ -23,7 +27,7 @@ def test_linear_form_canonical():
 
 
 def test_linear_form_int_coeffs():
-    # the primitive integer form, kept beside the canonical one
+    # the one stored form: primitive integers, first nonzero entry positive
     assert LinearForm3.make([2, 4, 6]).int_coeffs == (1, 2, 3)
     assert LinearForm3.make([Fraction(1, 3), Fraction(2, 3), 1]).int_coeffs == (1, 2, 3)
     assert LinearForm3.make([-2, 0, 4]).int_coeffs == (1, 0, -2)
@@ -31,19 +35,35 @@ def test_linear_form_int_coeffs():
                for c in LinearForm3.make([Fraction(1, 2), 1, 0]).int_coeffs)
 
 
-def test_int_coeffs_take_no_part_in_equality_ordering_or_hashing():
+def test_forms_compare_and_hash_by_int_coeffs():
     a = LinearForm3.make([1, 2, 3])
-    b = LinearForm3.make([1, 2, 3])
-    object.__setattr__(b, "int_coeffs", (5, 5, 5))
-    assert a == b and not a < b and not b < a
-    assert hash(a) == hash(b) == hash((a.coeffs,))
-    assert repr(a) == f"LinearForm3(coeffs={a.coeffs!r})"
+    same = [LinearForm3.make(c) for c in ([2, 4, 6], [-1, -2, -3],
+                                          [Fraction(-1, 3), Fraction(-2, 3), -1])]
+    assert all(b == a and hash(b) == hash(a) == hash((a.int_coeffs,)) for b in same)
+    assert a != LinearForm3.make([1, 2, -3])
+    assert repr(a) == "LinearForm3(int_coeffs=(1, 2, 3))"
+    assert [f.name for f in dataclasses.fields(LinearForm3)] == ["int_coeffs"]
+    with pytest.raises(TypeError):
+        a < same[0]
     forms = [LinearForm3.make(c) for c in ([1, 0, 5], [0, 1, 2], [1, -1, 0])]
-    assert sorted(forms) == sorted(forms, key=lambda f: f.coeffs)
+    assert sorted(forms, key=lambda f: f.coeffs) == [forms[1], forms[2], forms[0]]
     z = LinearForm3.make([0, 0, 1])
-    A, B = Arrangement((a, z)), Arrangement((b, z))
-    # the hash of the coefficients alone, as before int_coeffs existed
-    assert A == B and hash(A) == hash(B) == hash(((a.coeffs,), (z.coeffs,)))
+    A, B = Arrangement((a, z)), Arrangement((same[2], z))
+    assert A == B and hash(A) == hash(B) == hash(((a.int_coeffs,), (z.int_coeffs,)))
+
+
+NONZERO_VECTORS = st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.fractions(-30, 30, max_denominator=12) | st.integers(-30, 30),
+    min_size=n, max_size=n).filter(any))
+
+
+@settings(max_examples=200, deadline=None)
+@given(NONZERO_VECTORS)
+def test_make_matches_the_fraction_oracle(v):
+    form = (LinearForm3 if len(v) == 3 else LinearForm2).make(v)
+    want = canonical(v, len(v))
+    assert form.coeffs == want and all(type(c) is Fraction for c in form.coeffs)
+    assert list(form.int_coeffs) == _int_row(want)
 
 
 def test_zero_form_rejected():

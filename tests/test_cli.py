@@ -383,7 +383,10 @@ def test_bad_generator_argument_exit_2(capsys, argv):
 # order; "form" runs splitting --form on random_external_lines(A, 10, 42);
 # "property-p-transformed" runs property-p --all on the fixtures after each
 # integer coordinate change of TRANSFORMS, where most lines are no
-# coordinate line, so the witnesses are no longer read off beta_f = 1
+# coordinate line, so the witnesses are no longer read off beta_f = 1;
+# "analyze" runs analyze on the fixtures and then on their TRANSFORMS
+# images, whose intersection points have non-integer coordinates, so it
+# pins the printed lines and points
 GOLDEN_DIGESTS = {
     "ziegler": "6b03bff1b81f3b6b5527da290e8d78c48d70967a37d2910e78e77599a5b3d0c8",
     "property-p": "ce1119f67752487ccf079e9963be29319d4a6b4b8afa99739146c525cd94cedd",
@@ -391,6 +394,7 @@ GOLDEN_DIGESTS = {
     "form": "ab1bd9a2a235150d78c78164fa6c78e7d972babddc85b87cbdc9210e606413e3",
     "property-p-transformed":
         "102e43b08aa0e6acc2110a81a8c95fba5edf547e1638a924a8d681eb1058bb54",
+    "analyze": "0a3a433f47b7af588b964d679dffa59e4351a5497594594266727a07760263a4",
 }
 TRANSFORMS = (((2, 1, 0), (1, 3, 1), (0, 1, 5)),
               ((1, -2, 3), (4, 1, -1), (2, 0, 7)))
@@ -400,7 +404,7 @@ def transformed_document(fx, T) -> dict:
     """The fixture's lines alpha replaced by the integer forms alpha . T."""
     rows = [linalg._int_row([sum(a[i] * T[i][j] for i in range(3))
                              for j in range(3)])
-            for a in (line.coeffs for line in fx.build().lines)]
+            for a in (line.int_coeffs for line in fx.build().lines)]
     return {"name": fx.name, "lines": rows}
 
 
@@ -417,6 +421,7 @@ def test_golden_output_digests(tmp_path, capsys):
         feed("ziegler", "ziegler", path, "--all", "--basis")
         feed("property-p", "property-p", path, "--all")
         feed("splitting", "splitting", path, "--all")
+        feed("analyze", "analyze", path)
         for form in random_external_lines(fx.build(), 10, 42):
             coeffs = ",".join(map(str, form.int_coeffs))
             feed("form", "splitting", path, "--form", coeffs)
@@ -424,6 +429,7 @@ def test_golden_output_digests(tmp_path, capsys):
         for fx in FIXTURES:
             path = write_doc(tmp_path, transformed_document(fx, T))
             feed("property-p-transformed", "property-p", path, "--all")
+            feed("analyze", "analyze", path)
     assert {k: h.hexdigest() for k, h in hashes.items()} == GOLDEN_DIGESTS
 
 
