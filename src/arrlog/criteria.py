@@ -76,12 +76,12 @@ def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...]
     components in restriction_param's coordinates.
 
     The rows [rev(P_i) | R(P_i)], R the poly.restrict of both kept components,
-    are carried through that one elimination: the P_i are independent, so
-    every pivot falls in the first 3m columns and the rest of each row is
-    T R(P) = R(T P), the restriction of that basis vector.  R works at the
-    integer points sP + tQ, which scales a degree-k form by beta_f^k;
-    dividing that out once, at the end, gives the restrictions in
-    restriction_param's coordinates.
+    are carried through that one elimination, read off linalg.rref_columns:
+    the P_i are independent, so every pivot falls in the first 3m columns
+    and the rest of each row is T R(P) = R(T P), the restriction of that
+    basis vector.  R works at the integer points sP + tQ, which scales a
+    degree-k form by beta_f^k; dividing that out once, at the end, gives the
+    restrictions in restriction_param's coordinates.
     """
     beta = A.lines[H].int_coeffs
     f = restriction_param(beta).eliminated
@@ -90,12 +90,11 @@ def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...]
     kept = restrict(beta, [theta[c * m:(c + 1) * m] for theta in thetas
                            for c in range(3) if c != f], k)
     rows = [t[::-1] + a + b for t, a, b in zip(thetas, kept[::2], kept[1::2])]
-    reduced, pivots = linalg.integer_rref(rows, 3 * m)
-    if len(pivots) != len(rows):
+    read = linalg.rref_columns(rows, 3 * m + 2 * (k + 1), 3 * m)
+    if read is None or len(read[0]) != len(rows):
         raise CertificationFailure(f"dependent D_H basis at line {H}, degree {k}")
     scale = beta[f] ** k
-    return tuple(tuple(Fraction(x, row[c] * scale) for x in row[3 * m:])
-                 for row, c in zip(reversed(reduced), reversed(pivots)))
+    return tuple(tuple(x / scale for x in row) for row in zip(*read[1]))[::-1]
 
 
 def ziegler_map(A: Arrangement, H: int) -> ZieglerMapData:
@@ -376,7 +375,7 @@ def _im_coords(A: Arrangement, H: int, th1: Derivation2, th2: Derivation2,
     nonzero image vector at degree k; a None block means that degree is too
     low.
 
-    linalg.solve_columns solves them all with one RREF of [multiples of
+    linalg.solve_columns solves them all with one kernel of [multiples of
     theta1 and theta2 | every image vector].  The multiples are independent,
     since the pair is a basis, and every image vector lies in their span,
     since the image is in the free module; so the pivots are exactly the

@@ -29,6 +29,7 @@ four or more generators, and there exact ranks of the later layers decide.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, filterfalse
@@ -170,10 +171,11 @@ def degree_cap(A: Arrangement) -> int:
     env = os.environ.get(MAX_DEGREE_ENV)
     if env is None:
         return default_degree_cap(A)
-    try:
-        cap = int(env)
-    except ValueError:
-        raise DegreeCapError(f"{MAX_DEGREE_ENV}={env!r} is not an integer") from None
+    # ASCII digits only: int() would also take other Unicode digits,
+    # underscores, a plus sign and surrounding blanks
+    if not re.fullmatch(r"-?[0-9]+", env):
+        raise DegreeCapError(f"{MAX_DEGREE_ENV}={env!r} is not an integer")
+    cap = int(env)
     if cap < 0:
         raise DegreeCapError(f"{MAX_DEGREE_ENV}={env!r} is negative")
     return cap
@@ -221,6 +223,11 @@ def _spans_module(A: Arrangement, gens, rels) -> bool:
     D_{H0}(A), given their relation degrees rels as the scan found them,
     with len(gens) - len(rels) = 2 and degree sums differing by |A| - 1.
 
+    Precondition, not checked here: rels are the relation degrees
+    _resolution counted for these same generators.  Others of the same
+    degrees can pass with a wrong relation degree (theta_2 = x theta_1,
+    say), since some pair keeps rank 2 and the identity sees only degrees.
+
     N has rank 2 when _rank_two holds.  With two generators N is then free;
     with three, its relation module is reflexive of rank 1, hence free, and
     generated in the degree found.  Either way N has projective dimension at
@@ -257,21 +264,23 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     while True:
         basis = _ar_kernel(A, k)
         dim = len(basis)
-        span = linalg.SpanBuilder(3 * monomial_count(3, k))
-        if k > 0:
-            for v in prev:
-                for var in range(3):
-                    span.add(_shift_vec(v, k - 1, var))
-        covered = span.dim
+        # the pivots of [x, y, z times layer k - 1 | layer k], the columns
+        # no kernel vector is free in, count the dimension the shifts cover
+        # and, among the basis, are the new generators
+        cols = [_shift_vec(v, k - 1, var) for v in prev for var in range(3)]
+        shifts = len(cols)
+        cols += basis
+        free = {linalg.free_column(w) for w in linalg.kernel_basis(
+            [list(r) for r in zip(*cols)], len(cols))}
+        covered = sum(1 for c in range(shifts) if c not in free)
         gamma = dim - covered
         if gamma < 0:
             raise CertificationFailure(f"span exceeds layer dimension at degree {k}")
         if gamma:
-            for v in basis:
-                if span.add(v):
-                    gens.append((k, v))
-            if sum(1 for g, _ in gens if g == k) != gamma:
+            new = [v for c, v in enumerate(basis, shifts) if c not in free]
+            if len(new) != gamma:
                 raise CertificationFailure(f"generator extraction mismatch at degree {k}")
+            gens.extend((k, v) for v in new)
         # Hilbert value of the relation module at this degree: the free cover
         # by the generators found so far is surjective in degrees <= k, and
         # the relation module is free (resolution length <= 1), so its new

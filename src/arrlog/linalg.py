@@ -2,9 +2,9 @@
 
 Matrices are lists of integer rows and kernels are primitive integer
 vectors; only ``solve_columns`` also takes ``Fraction`` rows, clearing their
-denominators first.  Fractions are built only for printed values:
-``solve_columns``'s solutions and ``unit_last``.  Every result is a
-deterministic function of the input, as the RREF of a matrix is unique.
+denominators first.  Fractions are built only for printed values, by
+``rref_columns`` and ``unit_last``.  Every result is a deterministic
+function of the input, as the RREF of a matrix is unique.
 
 ``kernel_basis`` eliminates modulo the 127-bit primes of ``KERNEL_PRIMES``
 in turn, reducing entries mod p only where it reads them, and combines the
@@ -17,10 +17,14 @@ of v's support.  That check is a certificate (see ``_modular_kernel``), so
 the result equals exact elimination's.  When no modulus yields a certified
 basis, exact elimination decides.
 
-``rank``, ``integer_rref``, ``solve_columns`` and ``SpanBuilder``
-eliminate exactly over Z without fractions: pivots are
-chosen by smallest bit-size and rows are divided by their gcd after every
-elimination step.
+Spans, solutions and RREFs are read off one certified kernel as well: a
+kernel_basis vector w is free in its last nonzero column f, the pivots of
+the RREF are the columns no vector is free in, and the RREF has -w[c] / w[f]
+in column f of the row with pivot c (``rref_columns``).
+
+Only ``integer_rref``, in ``_exact_kernel``, and ``rank``, for
+``derivation._ar_quick_dim``, eliminate exactly over Z: pivots are chosen
+by smallest bit-size and rows are divided by their gcd after every step.
 """
 
 from __future__ import annotations
@@ -118,9 +122,15 @@ def rank(matrix: Mat, ncols: int) -> int:
     return len(pivots)
 
 
+def free_column(v) -> int:
+    """The index of the last nonzero entry of v: for a kernel_basis vector,
+    its free column."""
+    return next(i for i in range(len(v) - 1, -1, -1) if v[i])
+
+
 def unit_last(v) -> tuple[Fraction, ...]:
     """v divided by its last nonzero entry, as Fractions (for printing)."""
-    last = next(a for a in reversed(v) if a)
+    last = v[free_column(v)]
     return tuple(Fraction(a, last) for a in v)
 
 
@@ -333,67 +343,27 @@ def _modular_kernel(columns, nrows: int, residues: Mat, pivots: list[int],
     return basis
 
 
-def solve_columns(cols, rhs) -> list[list[Fraction]] | None:
-    """For every b in rhs, the x with sum of x[i] cols[i] = b, from one RREF
-    of [cols | rhs]; None unless each system has exactly one solution.
-
-    The columns of rhs only take pivots when some b is outside the span of
-    cols, and fewer than len(cols) pivots mean the cols are dependent, so
-    the solutions are unique exactly when the pivots are the first
-    len(cols) columns.
-    """
-    n = len(cols)
-    rows, pivots = integer_rref([_int_row(r) for r in zip(*cols, *rhs)],
-                                n + len(rhs))
-    if pivots != list(range(n)):
+def rref_columns(rows: Mat, ncols: int,
+                 lead: int) -> tuple[list[int], list[list[Fraction]]] | None:
+    """The RREF pivots of integer rows and, for each column f from lead on,
+    its entries in the pivot rows, read off one kernel_basis: -w[c] / w[f]
+    in the row with pivot c, w the vector free in f.  None if a pivot falls
+    at or after lead, so that not every such column is free."""
+    kernel = {free_column(w): w for w in kernel_basis(rows, ncols)}
+    pivots = [c for c in range(ncols) if c not in kernel]
+    if pivots and pivots[-1] >= lead:
         return None
-    return [[Fraction(row[j], row[i]) for i, row in enumerate(rows)]
-            for j in range(n, n + len(rhs))]
+    return pivots, [[Fraction(-kernel[f][c], kernel[f][f]) for c in pivots]
+                    for f in range(lead, ncols)]
 
 
-class SpanBuilder:
-    """Incrementally built row space, for ranks of growing vector families.
-
-    Rows are kept in integer echelon form (not fully reduced); adding a
-    vector reduces it against the current rows and records it when a new
-    pivot appears.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: dict[int, list[int]] = {}  # pivot column -> row
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def residual(self, row: Vec) -> Vec:
-        """Reduce the integer vector row against the span; zero vector iff
-        row is in the span.
-
-        The leading nonzero column only moves right during reduction, so the
-        scan never restarts.
-        """
-        rows = self.rows
-        i = 0
-        while i < self.ncols:
-            v = row[i]
-            if v == 0:
-                i += 1
-                continue
-            other = rows.get(i)
-            if other is None:
-                return row
-            p = other[i]
-            row = _primitive_vec([p * a - v * b for a, b in zip(row, other)])
-            i += 1
-        return row
-
-    def add(self, vec) -> bool:
-        """Add vec to the span; True if the dimension grew."""
-        row = self.residual(vec)
-        piv = next((c for c, a in enumerate(row) if a != 0), None)
-        if piv is None:
-            return False
-        self.rows[piv] = row
-        return True
+def solve_columns(cols, rhs) -> list[list[Fraction]] | None:
+    """For every b in rhs, the x with sum of x[i] cols[i] = b: the column of
+    b in the RREF of [cols | rhs]; None unless every solution is unique,
+    that is, unless the pivots are exactly the first len(cols) columns."""
+    n = len(cols)
+    read = rref_columns([_int_row(r) for r in zip(*cols, *rhs)],
+                        n + len(rhs), n)
+    if read is None or len(read[0]) != n:
+        return None
+    return read[1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cmp_to_key, lru_cache, reduce
 from math import comb
 
 from . import linalg
@@ -32,6 +32,19 @@ class LinearForm2(LinearForm):
     """A nonzero binary linear form, stored as LinearForm3 stores a line."""
 
     nvars = 2
+
+
+def _compare_forms(fm, gm) -> int:
+    """Order (LinearForm2, weight) pairs as their forms' coeffs tuples, by
+    cross-multiplying int_coeffs, whose first nonzero entry is positive:
+    (0, 1) first, then every (a, b) with a > 0 by increasing b / a."""
+    (a, b), (c, d) = fm[0].int_coeffs, gm[0].int_coeffs
+    if not (a and c):
+        return bool(a) - bool(c)
+    return (b * c > d * a) - (b * c < d * a)
+
+
+_BY_FORM = cmp_to_key(_compare_forms)
 
 
 @dataclass(frozen=True)
@@ -64,8 +77,7 @@ class Multiarrangement2:
 
 def multiarrangement(pairs) -> Multiarrangement2:
     """Build from (coefficients, multiplicity) pairs, sorted canonically."""
-    items = sorted(((LinearForm2.make(c), m) for c, m in pairs),
-                   key=lambda fm: fm[0].coeffs)
+    items = sorted(((LinearForm2.make(c), m) for c, m in pairs), key=_BY_FORM)
     return Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
 
 
@@ -120,7 +132,7 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
     others = A.lines[:H] + A.lines[H + 1:]
     counts = Counter(LinearForm2.make(ell) for ell in restrict(
         beta, [f.int_coeffs for f in others], 1))
-    items = sorted(counts.items(), key=lambda fm: fm[0].coeffs)
+    items = sorted(counts.items(), key=_BY_FORM)
     M = Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
     assert M.total == len(A) - 1
     return M, restriction_param(beta)

@@ -4,9 +4,10 @@ Each one reaches a result by a slower, more direct route than the library
 does: the Fraction coefficients of a linear form, dense Fraction
 polynomials and their products, restriction by substitution, the Jacobian
 of the defining polynomial and its syzygies, D_H(A) as explicit
-derivations, the derivation layers of a weighted arrangement, membership
-in a span, deletion of a line, and the span rule for the second basis
-vector of a free module of rank 2.
+derivations, the derivation layers of a weighted arrangement, spans,
+solutions and RREFs by exact elimination (SpanBuilder and integer_rref),
+the new generators of a syzygy layer, deletion of a line, and the span
+rule for the second basis vector of a free module of rank 2.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from math import comb
 
 from arrlog import linalg, poly
 from arrlog.arrangement import Arrangement, chi0
-from arrlog.derivation import _ar_kernel, dh_projection
+from arrlog.derivation import _ar_kernel, _shift_vec, dh_projection
 from arrlog.multiarr import (Derivation2, Multiarrangement2, _deriv_kernel,
                              exponents, multiples, ziegler_restriction)
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
@@ -317,9 +318,114 @@ def quick_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
     return chi0(A).b2_0 - e1 * e2, (e1, e2)
 
 
-def span_contains(span: linalg.SpanBuilder, vec) -> bool:
+# ---------------------------------------------------------------------------
+# spans and RREFs by exact elimination
+
+
+class SpanBuilder:
+    """Incrementally built row space, for ranks of growing vector families.
+
+    Rows are kept in integer echelon form (not fully reduced); adding a
+    vector reduces it against the current rows and records it when a new
+    pivot appears.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: dict[int, list[int]] = {}  # pivot column -> row
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def residual(self, row):
+        """Reduce the integer vector row against the span; zero vector iff
+        row is in the span.
+
+        The leading nonzero column only moves right during reduction, so the
+        scan never restarts.
+        """
+        rows = self.rows
+        i = 0
+        while i < self.ncols:
+            v = row[i]
+            if v == 0:
+                i += 1
+                continue
+            other = rows.get(i)
+            if other is None:
+                return row
+            p = other[i]
+            row = linalg._primitive_vec([p * a - v * b for a, b in zip(row, other)])
+            i += 1
+        return row
+
+    def add(self, vec) -> bool:
+        """Add vec to the span; True if the dimension grew."""
+        row = self.residual(vec)
+        piv = next((c for c, a in enumerate(row) if a != 0), None)
+        if piv is None:
+            return False
+        self.rows[piv] = row
+        return True
+
+
+def span_contains(span: SpanBuilder, vec) -> bool:
     """Whether the integer vector vec lies in the span."""
     return not any(span.residual(vec))
+
+
+def layer_generators(A: Arrangement, k: int) -> list[tuple[int, ...]]:
+    """The new minimal generators of degree k of D_{H0}(A): the vectors of
+    _ar_kernel(A, k) that grow a SpanBuilder holding x, y and z times every
+    vector of _ar_kernel(A, k - 1), added in that order."""
+    span = SpanBuilder(3 * monomial_count(3, k))
+    if k:
+        for v in _ar_kernel(A, k - 1):
+            for var in range(3):
+                span.add(_shift_vec(v, k - 1, var))
+    return [v for v in _ar_kernel(A, k) if span.add(v)]
+
+
+def rref_columns(rows, ncols: int, lead: int):
+    """linalg.rref_columns by integer_rref: the pivots, and the entries of
+    each column from lead on over the pivot rows, each row divided by its
+    pivot entry; None if a pivot falls at or after lead."""
+    reduced, pivots = linalg.integer_rref(rows, ncols)
+    if pivots and pivots[-1] >= lead:
+        return None
+    return pivots, [[Fraction(row[f], row[c]) for row, c in zip(reduced, pivots)]
+                    for f in range(lead, ncols)]
+
+
+def solve_columns(cols, rhs):
+    """linalg.solve_columns by one integer_rref of [cols | rhs]: unique
+    solutions exactly when the pivots are the first len(cols) columns."""
+    n = len(cols)
+    rows, pivots = linalg.integer_rref(
+        [linalg._int_row(r) for r in zip(*cols, *rhs)], n + len(rhs))
+    if pivots != list(range(n)):
+        return None
+    return [[Fraction(row[j], row[i]) for i, row in enumerate(rows)]
+            for j in range(n, n + len(rhs))]
+
+
+def image_vectors(A: Arrangement, H: int, k: int, thetas):
+    """criteria._image_vectors for the given D_H(A)_k basis thetas, by one
+    integer_rref of the rows [reversed theta | its restriction to H]."""
+    beta = A.lines[H].int_coeffs
+    f = restriction_param(beta).eliminated
+    m = monomial_count(3, k)
+    kept = restrict(beta, [theta[c * m:(c + 1) * m] for theta in thetas
+                           for c in range(3) if c != f], k)
+    rows = [list(t[::-1]) + a + b
+            for t, a, b in zip(thetas, kept[::2], kept[1::2])]
+    reduced, pivots = linalg.integer_rref(rows, 3 * m)
+    if len(pivots) != len(rows):
+        raise CertificationFailure(f"dependent D_H basis at line {H}, degree {k}")
+    scale = beta[f] ** k
+    return tuple(tuple(Fraction(x, row[c] * scale) for x in row[3 * m:])
+                 for row, c in zip(reversed(reduced), reversed(pivots)))
 
 
 def without(A: Arrangement, index: int) -> Arrangement:
@@ -335,7 +441,7 @@ def span_rule_theta2(layer, total: int):
     multiples of theta1, the first vector of the first nonzero layer e1."""
     e1 = next(k for k in range(total // 2 + 1) if layer(k))
     theta1 = layer(e1)[0]
-    span = linalg.SpanBuilder(2 * (total - e1 + 1))
+    span = SpanBuilder(2 * (total - e1 + 1))
     for m in multiples(theta1, 2, total - 2 * e1):
         span.add(m)
     return next(v for v in layer(total - e1) if not span_contains(span, v))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arrlog import linalg
+from arrlog import derivation, linalg
 from arrlog.arrangement import LatticeError, n_H, to_document
 from arrlog.cli import main
 from arrlog.corpus import FIXTURES, fixture, near_pencil
@@ -132,6 +132,21 @@ def test_negative_degree_cap_exit_2(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "classify", path)
     assert code == 2 and not out
     assert err.startswith("DegreeCapError:") and "negative" in err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663", " 4 ", "+5"],
+                         ids=["underscore", "arabic-indic", "blanks", "plus"])
+def test_non_ascii_digit_degree_cap_exit_2(tmp_path, capsys, monkeypatch,
+                                           value):
+    # int() reads each of these as a number; the cap takes ASCII digits only
+    monkeypatch.setenv("ARRLOG_MAX_DEGREE", value)
+    # a cached classification would skip the cap
+    derivation._classification_resolution.cache_clear()
+    derivation.classify.cache_clear()
+    path = write_doc(tmp_path, to_document(near_pencil(5)))
+    code, out, err = run(capsys, "classify", path)
+    assert code == 2 and not out
+    assert err.startswith("DegreeCapError:") and "not an integer" in err
 
 
 @pytest.mark.parametrize("error", [CertificationFailure, ConsistencyFailure,

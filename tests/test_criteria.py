@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from arrlog import criteria, linalg
 from arrlog.arrangement import (Arrangement, LinearForm3, _cross, chi0,
                                 intersection_points, parse_arrangement)
@@ -19,8 +22,10 @@ from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
                              yoshinaga_defect, ziegler_map)
 from arrlog.derivation import ar_dim
 from arrlog.multiarr import basis, exponents, ziegler_restriction
-from oracles import (deriv_dim, deriv_space, dh_basis, jacobian, line_param,
-                     quick_defect, span_contains, substitute_line, without)
+from arrlog.poly import CertificationFailure, monomial_count
+from oracles import (SpanBuilder, deriv_dim, deriv_space, dh_basis, jacobian,
+                     line_param, quick_defect, span_contains, substitute_line,
+                     without)
 from test_multiarr import rank2_exponents
 
 Z = LinearForm3.make([0, 0, 1])
@@ -33,7 +38,7 @@ def _oracle_map_dims(A, H, k):
     M, _ = ziegler_restriction(A, H)
     param = line_param(A.lines[H].coeffs)
     u, v = param.retained
-    span = linalg.SpanBuilder(2 * (k + 1))
+    span = SpanBuilder(2 * (k + 1))
     dom = dh_basis(A, H, k)
     for theta in dom:
         comps = theta.components
@@ -95,6 +100,43 @@ def test_image_vectors_match_restricted_dh_basis(A):
             assert all(type(x) is Fraction for v in got for x in v)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([f.build() for f in FIXTURES]), st.integers(0, 3),
+       st.data())
+def test_image_vectors_match_exact_rref(A, k, data):
+    # any integer rows in place of the D_H(A)_k basis: the reversed RREF read
+    # off one kernel must be the one integer_rref gives, and a dependent
+    # family must fail in both
+    H = data.draw(st.integers(0, len(A) - 1))
+    m3 = 3 * monomial_count(3, k)
+    thetas = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=m3, max_size=m3), max_size=4))
+    if thetas and data.draw(st.booleans()):
+        thetas.append([a - 2 * b for a, b in zip(thetas[0], thetas[-1])])
+    try:
+        want = oracles.image_vectors(A, H, k, thetas)
+    except CertificationFailure:
+        want = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "dh_projection",
+                   lambda A, H, k: [list(t) for t in thetas])
+        if want is None:
+            with pytest.raises(CertificationFailure, match="dependent D_H basis"):
+                criteria._image_vectors.__wrapped__(A, H, k)
+        else:
+            assert criteria._image_vectors.__wrapped__(A, H, k) == want
+
+
+def test_dependent_dh_basis_fails(monkeypatch):
+    A = fixture("pog7").build()
+    thetas = criteria.dh_projection(A, 0, 4)
+    assert len(thetas) > 1
+    monkeypatch.setattr(criteria, "dh_projection",
+                        lambda A, H, k: thetas + thetas[1:])
+    with pytest.raises(CertificationFailure, match="dependent D_H basis"):
+        criteria._image_vectors.__wrapped__(A, 0, 4)
+
+
 def test_image_vector_outside_the_free_module_fails(monkeypatch):
     A = fixture("pog7").build()
     H = A.index_of(Z)
@@ -107,7 +149,7 @@ def test_image_vector_outside_the_free_module_fails(monkeypatch):
         if not vecs:
             return vecs
         # shift the first vector by a unit vector outside D(M)_k
-        span = linalg.SpanBuilder(2 * (k + 1))
+        span = SpanBuilder(2 * (k + 1))
         for theta in deriv_space(M, k):
             span.add(theta.coeff_vector())
         for j in range(2 * (k + 1)):

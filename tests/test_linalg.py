@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+import oracles
 from arrlog import derivation
-from arrlog.corpus import FIXTURES, near_pencil, random_arrangement
-from arrlog.linalg import (KERNEL_PRIMES, SpanBuilder, _crt_kernels,
-                           _exact_kernel, _int_row, _modular_kernel, _rref_mod,
-                           integer_rref, kernel_basis, rank, solve_columns)
+from arrlog.corpus import FIXTURES, generic, near_pencil, random_arrangement
+from arrlog.linalg import (KERNEL_PRIMES, _crt_kernels, _exact_kernel,
+                           _int_row, _modular_kernel, _rref_mod, integer_rref,
+                           kernel_basis, rank, rref_columns, solve_columns)
 from arrlog.poly import monomial_count
-from oracles import echelon_basis, span_contains
+from oracles import (SpanBuilder, echelon_basis, layer_generators,
+                     span_contains)
 from test_derivation import jacobian_matrix
 
 entries = st.integers(min_value=-30, max_value=30)
@@ -225,6 +227,81 @@ def test_solve_columns_batch():
     # one right-hand side outside the span spoils the batch
     assert solve_columns(cols, [[1, 2, 1], [1, 0, 0]]) is None
     assert solve_columns(cols, []) == []
+
+
+@st.composite
+def systems(draw):
+    """Columns, some scaled by a Fraction, and right-hand sides: integer
+    combinations of the columns, each pushed off them by one unit half of
+    the time."""
+    n, length = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    cols = draw(st.lists(st.lists(small, min_size=length, max_size=length),
+                         min_size=n, max_size=n))
+    rhs = []
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(st.lists(small, min_size=n, max_size=n))
+        b = [sum(a * col[i] for a, col in zip(x, cols)) for i in range(length)]
+        if draw(st.booleans()):
+            b[draw(st.integers(0, length - 1))] += 1
+        rhs.append(b)
+    dens = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return [[Fraction(a, d) for a in col] for col, d in zip(cols, dens)], rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_solve_columns_matches_exact_rref(system):
+    cols, rhs = system
+    assert solve_columns(cols, rhs) == oracles.solve_columns(cols, rhs)
+
+
+@pytest.mark.parametrize("cols, rhs, want", [
+    ([[1], [1]], [[1]], None),
+    ([[1, 2], [1, 2]], [[1, 3]], None),
+    ([[1, 2, 0], [1, 3, 0]], [[1, 3, 0], [0, 0, 1]], None),
+    ([[1, 2], [2, 4]], [], None),
+    ([[1, 2], [0, 1]], [], []),
+    ([], [[0, 0]], [[]]),
+    ([], [[0, 1]], None),
+], ids=["underdetermined", "inconsistent", "one-inconsistent",
+        "empty-rhs-dependent", "empty-rhs", "no-columns", "no-columns-off"])
+def test_solve_columns_edge_cases_match_exact_rref(cols, rhs, want):
+    assert solve_columns(cols, rhs) == oracles.solve_columns(cols, rhs) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(products, st.data())
+def test_rref_columns_match_exact_rref(factors, data):
+    left, right = factors
+    ncols = len(right[0])
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+    lead = data.draw(st.integers(0, ncols))
+    assert (rref_columns(rows, ncols, lead)
+            == oracles.rref_columns(rows, ncols, lead))
+
+
+_GENERATOR_CASES = (
+    [(f.build(), True) for f in FIXTURES]
+    + [(near_pencil(n), True) for n in range(4, 13)]
+    + [(random_arrangement(n, s), True) for n in range(8, 14) for s in (1, 2)]
+    + [(generic(5, seed=3), False), (random_arrangement(8, 1), False)])
+
+
+@pytest.mark.parametrize(
+    "A, early_stop", _GENERATOR_CASES,
+    ids=[f"{A.name}-{'classify' if stop else 'minimal'}"
+         for A, stop in _GENERATOR_CASES])
+def test_generators_match_span_builder(A, early_stop, monkeypatch):
+    # the pivots of one kernel per degree pick the generators a SpanBuilder
+    # picks, vector for vector, in every degree the scan visits
+    top = max(scanned_degrees(A, early_stop, monkeypatch))
+    data = derivation._resolution(A, early_stop)
+    assert data.generators == tuple((k, v) for k in range(top + 1)
+                                    for v in layer_generators(A, k))
+    if not early_stop:
+        assert len(data.generators) >= 4
 
 
 def test_span_builder_matches_rank():

@@ -11,7 +11,7 @@ from arrlog import linalg
 from arrlog.arrangement import LinearForm3
 from arrlog.corpus import (FIXTURES, fixture, pencil, random_arrangement,
                            random_corpus)
-from arrlog.multiarr import (Derivation2, FreenessCertificateFailure,
+from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
                              LinearForm2, Multiarrangement2, _deriv_kernel,
                              _free_pattern, _saito_target, basis, exponents,
                              multiarrangement, multiples, rank2_basis,
@@ -32,6 +32,17 @@ def test_linear_form2_int_coeffs():
     assert repr(f) == "LinearForm2(int_coeffs=(9, -2))"
     with pytest.raises(TypeError):
         f < g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+                .filter(any), max_size=8))
+def test_forms_sort_by_int_coeffs_as_by_coeffs(pairs):
+    # cross-multiplied int_coeffs give the order of the Fraction tuples,
+    # which sets the printed order of a restriction's forms
+    items = [(LinearForm2.make(c), i) for i, c in enumerate(pairs)]
+    assert (sorted(items, key=_BY_FORM)
+            == sorted(items, key=lambda fm: fm[0].coeffs))
 
 
 def rank2_exponents(dim, total: int) -> tuple[int, int]:

@@ -15,14 +15,15 @@ from math import comb
 
 import pytest
 
-from arrlog import derivation
+from arrlog import criteria, derivation, linalg, multiarr
 from arrlog.arrangement import parse_arrangement, tjurina
 from arrlog.cli import main
 from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
                            random_arrangement, random_corpus)
-from arrlog.derivation import (_ar_quick_dim, _classification_resolution,
-                               _shift_vec, _spans_module, classify,
-                               degree_cap)
+from arrlog.criteria import verify
+from arrlog.derivation import (_ar_kernel, _ar_quick_dim,
+                               _classification_resolution, _shift_vec,
+                               _spans_module, classify, degree_cap)
 from arrlog.poly import CertificationFailure
 
 
@@ -171,6 +172,23 @@ def test_classify_calls_no_exact_rank(monkeypatch):
     for A in random_corpus(100, 8, 42):
         classify(A)
     assert calls == []
+    # nor does verify eliminate exactly: generators, solves and RREFs are all
+    # read off certified kernels, and no kernel falls back to elimination
+    eliminations = []
+    reduce_rows = linalg._reduce_rows
+
+    def counted_reduce(rows, ncols):
+        eliminations.append((len(rows), ncols))
+        return reduce_rows(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_reduce_rows", counted_reduce)
+    for cached in (_ar_kernel, _ar_quick_dim, _classification_resolution,
+                   classify, criteria._image_vectors, multiarr._deriv_kernel,
+                   multiarr.basis):
+        cached.cache_clear()
+    for A in random_corpus(100, 8, 42):
+        verify(A)
+    assert eliminations == []
 
 
 def _forced_tau_mismatch(monkeypatch):
