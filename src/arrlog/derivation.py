@@ -14,16 +14,21 @@ D(A) = S theta_E + D_0(A) = S theta_E + D_H(A) (Ziegler 1989,
 S-linear isomorphisms D_0(A) = D_H(A) for every line H, so the module is
 computed as D_{H0}(A), H0 = line 0, from its own defining conditions:
 theta(alpha_H0) = 0, and theta(alpha_K) vanishes on every other line K.
-That system has (|A| - 1)(k + 1) rows and 2 C(k + 2, 2) columns in degree
-k, against C(k + |A| + 1, 2) x 3 C(k + 2, 2) for the Jacobian matrix, and
-its kernel entries are about half as long.  Its kernels are certified over
-Z by linalg.kernel_basis as any other, and since those conditions define
+Those conditions (_h0_conditions, (|A| - 1)(k + 1) rows in degree k) are
+solved from the intersection points of A instead: both kept components of
+theta vanish at every point off H0, so one kernel of the monomials at those
+points serves both, and a small second system in its coordinates takes one
+row per point on H0 and a restriction block only for the lines with at
+most k points (see _ar_kernel).  Both kernels are certified over Z by
+linalg.kernel_basis as any other, and since the two systems define
 D_{H0}(A) exactly, the certificate covers the module itself.
 
 The scan ends with a proof, not with more layers: _spans_module shows
 from a determinant and the global Tjurina number that at most three
 generators found span all of D_{H0}(A).  Only minimal_resolution reaches
 four or more generators, and there exact ranks of the later layers decide.
+However the scan ends, the Tjurina number must lie within the du
+Plessis-Wall bounds for the minimal degree found.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from itertools import chain, combinations, filterfalse
 from math import comb
 
 from . import linalg
-from .arrangement import Arrangement, tjurina
+from .arrangement import Arrangement, _cross, intersection_points, tjurina
 from .poly import (CertificationFailure, _index_table, line_restriction,
-                   monomial_count, monomials, restriction_param)
+                   monomial_count, monomials, restrict, restriction_param)
 
 MAX_DEGREE_ENV = "ARRLOG_MAX_DEGREE"
 
@@ -55,6 +60,39 @@ def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
     return alpha, e, [i for i in range(3) if i != e]
 
 
+@lru_cache(maxsize=1024)
+def _h0_incidence(A: Arrangement) -> tuple[list, list, list]:
+    """The intersection points of A as D_{H0}(A) reads them, H0 = line 0.
+
+    Returns the primitive integer points off H0; for each point Q on H0,
+    (Q, w) with w the weights of one other line through Q; and for each
+    line K != H0, (t_K, beta_K, w_K): the number of intersection points on
+    K, its integer form and its weights.  The weights of a line with form
+    beta are w = (alpha_e beta_i - beta_e alpha_i for the kept i), so that
+    alpha_e theta(beta) = w0 theta_i0 + w1 theta_i1 for theta in D_{H0}(A)
+    (see _h0_conditions).  They are the coefficients of the line through
+    K cap H0 and the point e_e, which is off H0 as alpha_e != 0: lines
+    through one point of H0 have proportional weights, and lines through two
+    different points have independent ones.
+    """
+    alpha, e, kept = _h0_frame(A)
+    forms = [line.int_coeffs for line in A.lines]
+    weights = [tuple(alpha[e] * beta[i] - beta[e] * alpha[i] for i in kept)
+               for beta in forms]
+    count = [0] * len(A)
+    off, on = [], []
+    for X in intersection_points(A):
+        i, j = X.incident_lines[:2]
+        for K in X.incident_lines:
+            count[K] += 1
+        P = linalg._primitive_vec(list(_cross(forms[i], forms[j])))
+        if i == 0:
+            on.append((P, weights[j]))
+        else:
+            off.append(P)
+    return off, on, [(count[K], forms[K], weights[K]) for K in range(1, len(A))]
+
+
 def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
     """The conditions defining D_{H0}(A)_k, H0 = line 0, on the two
     components of theta that restriction_param(alpha_H0) keeps.
@@ -66,13 +104,12 @@ def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
     on K exactly when its line_restriction(beta, k) vanishes.  Forms are
     taken in their integer scaling, which changes no condition.  Columns are the
     degree-k monomials of the first kept component, then of the second.
+    These (|A| - 1)(k + 1) rows define the layer; _ar_kernel solves an
+    equivalent, smaller system.
     """
-    alpha, e, kept = _h0_frame(A)
     m = monomial_count(3, k)
     rows: list[list[int]] = []
-    for form in A.lines[1:]:
-        beta = form.int_coeffs
-        w0, w1 = (alpha[e] * beta[i] - beta[e] * alpha[i] for i in kept)
+    for _, beta, (w0, w1) in _h0_incidence(A)[2]:
         block = [[0] * (2 * m) for _ in range(k + 1)]
         for col, (r0, lead, xs) in enumerate(line_restriction(beta, k)):
             a0, a1 = w0 * lead, w1 * lead
@@ -85,15 +122,33 @@ def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
 
 def _h0_lift(A: Arrangement, v) -> tuple[int, ...]:
     """The derivation in D_{H0}(A) with the given kept components (a kernel
-    vector of _h0_conditions), integer-scaled, as the concatenated
-    coefficient vectors of its three components."""
+    vector of _h0_conditions), as the concatenated coefficient vectors of
+    its three components, scaled to a primitive integer vector."""
     alpha, e, (i0, i1) = _h0_frame(A)
     m = len(v) // 2
     comps = [None] * 3
     comps[i0] = [alpha[e] * a for a in v[:m]]
     comps[i1] = [alpha[e] * b for b in v[m:]]
     comps[e] = [-alpha[i0] * a - alpha[i1] * b for a, b in zip(v[:m], v[m:])]
-    return tuple(linalg._int_row([c for comp in comps for c in comp]))
+    return tuple(linalg._primitive_vec([c for comp in comps for c in comp]))
+
+
+def _point_row(P, k: int) -> list[int]:
+    """The degree-k monomials at the integer point P, in monomials order."""
+    powers = [[c ** i for i in range(k + 1)] for c in P]
+    return [powers[0][i] * powers[1][j] * powers[2][l]
+            for i, j, l in monomials(3, k)]
+
+
+def _combine(coeffs, vectors, m: int) -> list[int]:
+    """The integer combination sum of coeffs[i] vectors[i] of length m."""
+    out = [0] * m
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, x in enumerate(v):
+                if x:
+                    out[j] += c * x
+    return out
 
 
 @lru_cache(maxsize=8192)
@@ -104,14 +159,54 @@ def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     Ziegler's splittings D(A) = S theta_E + D_0(A) = S theta_E + D_H0(A)
     make D_{H0}(A) isomorphic to the Jacobian syzygies D_0(A) as a graded
     S-module, so the resolution and classification read off this basis are
-    those of D_0(A).  The basis is kernel_basis of _h0_conditions, certified
-    there by M v = 0 over Z; the conditions define D_{H0}(A)_k exactly, so
-    nothing else needs checking.  Each vector is lifted to all three
-    components and scaled to a primitive integer vector.
+    those of D_0(A).  The basis is kernel_basis of _h0_conditions, lifted to
+    all three components and scaled to primitive integer vectors; it is
+    computed from the intersection points of A (_h0_incidence) instead.
+
+    Let a and b be the kept components of theta and w_K the weights of a
+    line K != H0, so that theta keeps K iff w_K . (a, b) vanishes on K.
+    - At a point P off H0, the lines K, K' through P meet H0 in different
+      points, so w_K and w_K' are independent and a(P) = b(P) = 0.  So a
+      and b lie in the span of G = kernel_basis(E), E the matrix of the
+      degree-k monomials at the points off H0: a = sum u_i g_i and
+      b = sum v_i g_i.
+    - (u, v) then solves one row w_K . (a, b)(Q) = 0 for each point Q on
+      H0, K any other line through Q (their weights are proportional), and
+      the restriction block of w_K . (a, b) to K for each line K with
+      t_K < k + 1 intersection points.
+    Conversely, on a line K with t_K >= k + 1, w_K . (a, b) restricted to K
+    is a binary form of degree k that vanishes at t_K points: those of K
+    off H0 and K cap H0.  So it is zero, and the other lines carry their
+    own block.  The two systems have the same solutions, and both kernels
+    are certified by kernel_basis (M v = 0 over Z), so this basis is
+    certified as the one of _h0_conditions would be.
+
+    The basis is also the same, vector for vector, with no elimination over
+    Q.  Each g_i is positive in its free column f_i, its last nonzero entry,
+    and zero at every other f_j.  So on the columns f_i of a and of b,
+    (a, b) is (u, v) scaled by the positive g_i[f_i], in the same order, and
+    the last nonzero entry of (a, b) is the image of that of (u, v).  The
+    kernel_basis of the (u, v) system, each vector positive in its last
+    nonzero column and zero in the others', thus maps to vectors of the same
+    kind: up to positive factors, the reversed RREF of the layer that
+    kernel_basis of _h0_conditions returns.  _h0_lift makes them primitive.
     """
-    rows = _h0_conditions(A, k)
-    return tuple(_h0_lift(A, v)
-                 for v in linalg.kernel_basis(rows, 2 * monomial_count(3, k)))
+    off, on, lines = _h0_incidence(A)
+    m = monomial_count(3, k)
+    G = linalg.kernel_basis([_point_row(P, k) for P in off], m)
+    # (weights, the value of each g_i) per condition
+    conditions = []
+    for Q, w in on:
+        at = _point_row(Q, k)
+        conditions.append((w, [sum(c * t for c, t in zip(g, at) if c) for g in G]))
+    for t, beta, w in lines:
+        if t < k + 1:
+            conditions.extend((w, values) for values in zip(*restrict(beta, G, k)))
+    rows = [[w0 * x for x in values] + [w1 * x for x in values]
+            for (w0, w1), values in conditions]
+    r = len(G)
+    return tuple(_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
+                 for uv in linalg.kernel_basis(rows, 2 * r))
 
 
 @lru_cache(maxsize=8192)
@@ -184,7 +279,7 @@ def degree_cap(A: Arrangement) -> int:
 def _values(vec, g: int, a: int, b: int) -> list[int]:
     """The three components of a degree-g derivation at the point (a, b, 1)."""
     m = monomial_count(3, g)
-    at = [a ** i * b ** j for i, j, _ in monomials(3, g)]
+    at = _point_row((a, b, 1), g)
     return [sum(c * t for c, t in zip(vec[i * m:(i + 1) * m], at) if c)
             for i in range(3)]
 
@@ -252,9 +347,26 @@ def _spans_module(A: Arrangement, gens, rels) -> bool:
     return True
 
 
+def _check_du_plessis_wall(A: Arrangement, r: int) -> None:
+    """Raise CertificationFailure unless the global Tjurina number lies in
+    the bounds of du Plessis and Wall (1999) for d = |A| lines and mdr r:
+    (d - 1)(d - r - 1) <= tau <= (d - 1)(d - r - 1) + r^2, the upper bound
+    lower by C(2r + 2 - d, 2) when 2r >= d.  Pencils (r = 0) are exempt."""
+    if not r:
+        return
+    d, tau = len(A), tjurina(A)
+    low = (d - 1) * (d - r - 1)
+    high = low + r * r - (comb(2 * r + 2 - d, 2) if 2 * r >= d else 0)
+    if not low <= tau <= high:
+        raise CertificationFailure(
+            f"tau = {tau} is outside the du Plessis-Wall bounds [{low}, "
+            f"{high}] for mdr {r} and {d} lines")
+
+
 def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     cap = degree_cap(A)
     n = len(A)
+    e = _h0_frame(A)[1]
     gens: list[tuple[int, tuple[int, ...]]] = []
     rels: list[int] = []
     prev: tuple = ()
@@ -266,12 +378,17 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
         dim = len(basis)
         # the pivots of [x, y, z times layer k - 1 | layer k], the columns
         # no kernel vector is free in, count the dimension the shifts cover
-        # and, among the basis, are the new generators
+        # and, among the basis, are the new generators.  theta(alpha_H0) = 0
+        # fixes component e from the other two, in the shifts as in the
+        # layer, so its rows are left out: they add nothing to the kernel
         cols = [_shift_vec(v, k - 1, var) for v in prev for var in range(3)]
         shifts = len(cols)
         cols += basis
-        free = {linalg.free_column(w) for w in linalg.kernel_basis(
-            [list(r) for r in zip(*cols)], len(cols))}
+        m = monomial_count(3, k)
+        rows = [list(r) for r in zip(*cols)]
+        del rows[e * m:(e + 1) * m]
+        free = {linalg.free_column(w)
+                for w in linalg.kernel_basis(rows, len(cols))}
         covered = sum(1 for c in range(shifts) if c not in free)
         gamma = dim - covered
         if gamma < 0:
@@ -322,6 +439,8 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
             break
         prev = basis
         k += 1
+    if gens:
+        _check_du_plessis_wall(A, min(g for g, _ in gens))
     complete = not partial and not cap_hit
     if complete:
         gd = [g for g, _ in gens]

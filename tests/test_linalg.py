@@ -1,5 +1,6 @@
 """Exact linear algebra: determinism, rank-nullity, and span building."""
 
+import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -11,8 +12,10 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 import oracles
-from arrlog import derivation
-from arrlog.corpus import FIXTURES, generic, near_pencil, random_arrangement
+from arrlog import derivation, linalg
+from arrlog.arrangement import Arrangement, arrangement
+from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
+                           random_arrangement)
 from arrlog.linalg import (KERNEL_PRIMES, _crt_kernels, _exact_kernel,
                            _int_row, _modular_kernel, _rref_mod, integer_rref,
                            kernel_basis, rank, rref_columns, solve_columns)
@@ -405,11 +408,41 @@ def test_no_free_column_gives_empty_basis():
     assert kernel_basis([], 0) == []
 
 
+def shuffled(A, seed):
+    lines = list(A.lines)
+    random.Random(seed).shuffle(lines)
+    return Arrangement(tuple(lines), f"{A.name}-shuffled-{seed}")
+
+
+def transversal_first(n):
+    """near_pencil(n) with its transversal z = 0 first, so that it is H0."""
+    A = near_pencil(n)
+    return Arrangement(A.lines[-1:] + A.lines[:-1],
+                       f"{A.name}-transversal-first")
+
+
+# _ar_kernel reads D_{H0}(A) off the intersection points, and H0 = line 0
+# decides which points lie on H0 and which lines need a restriction block:
+# shuffled lines; the transversal of a near-pencil as H0 (its pencil lines
+# are H0 in the rows above); a pencil, where every line needs a block from
+# degree 1 on; lines in general position; a triple point on H0 and one off
+# it; and 13 lines, where a kernel combines several primes
+POINT_SYSTEM_CASES = (
+    [shuffled(f.build(), seed) for f in FIXTURES for seed in (1, 2)]
+    + [shuffled(random_arrangement(n, 1), n) for n in (9, 10)]
+    + [transversal_first(n) for n in (5, 8, 11)]
+    + [pencil(6), generic(6),
+       arrangement([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 0, -1], [0, 1, -1],
+                    [1, 1, -2]], "triple-points-on-and-off-H0"),
+       random_arrangement(13, 1)])
+
+
 @pytest.mark.parametrize("A, early_stop",
                          [(f.build(), stop) for f in FIXTURES for stop in (True, False)]
                          + [(g(n), True) for n in range(8, 13)
                             for g in (lambda n: random_arrangement(n, 1),
-                                      near_pencil)],
+                                      near_pencil)]
+                         + [(A, True) for A in POINT_SYSTEM_CASES],
                          ids=lambda x: getattr(x, "name", str(x)))
 def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
     # A prime must decide each kernel: a broken modular path would still
@@ -424,6 +457,10 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
         exact = tuple(derivation._h0_lift(A, v) for v in _exact_kernel(rows, ncols))
         assert derivation._ar_kernel(A, k) == exact, k
         assert primes_needed(rows, ncols) is not None, k
+        # the point system's own kernels, uncached, are decided by a prime
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_exact_kernel", None)
+            assert derivation._ar_kernel.__wrapped__(A, k) == exact, k
         syzygy_cols = 3 * monomial_count(3, k)
         assert len(exact) == syzygy_cols - rank(jacobian_matrix(A, k),
                                                 syzygy_cols), k

@@ -16,12 +16,12 @@ from math import comb
 import pytest
 
 from arrlog import criteria, derivation, linalg, multiarr
-from arrlog.arrangement import parse_arrangement, tjurina
+from arrlog.arrangement import parse_arrangement, tjurina, to_document
 from arrlog.cli import main
 from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
                            random_arrangement, random_corpus)
 from arrlog.criteria import verify
-from arrlog.derivation import (_ar_kernel, _ar_quick_dim,
+from arrlog.derivation import (MAX_DEGREE_ENV, _ar_kernel, _ar_quick_dim,
                                _classification_resolution, _shift_vec,
                                _spans_module, classify, degree_cap)
 from arrlog.poly import CertificationFailure
@@ -212,3 +212,33 @@ def test_free_basis_with_a_tau_mismatch_exits_3(tmp_path, capsys,
     out = capsys.readouterr()
     assert (code, out.out) == (3, "")
     assert out.err.startswith("CertificationFailure:")
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("A, cap", [(random_arrangement(8, 1), None),
+                                    (near_pencil(6), "2")],
+                         ids=["stopped-early", "stopped-at-cap"])
+def test_tau_outside_du_plessis_wall_raises_and_exits_3(A, cap, side, tmp_path,
+                                                       capsys, monkeypatch):
+    # runs that no Tjurina identity ends: seven generators stop the
+    # classify scan early; a cap of 2 stops near_pencil(6) after its
+    # degree-1 generator, before the second one at degree 4
+    r, d = classify(A).mdr, len(A)
+    low = (d - 1) * (d - r - 1)
+    high = low + r * r - (comb(2 * r + 2 - d, 2) if 2 * r >= d else 0)
+    assert low <= tjurina(A) <= high
+    if cap is not None:
+        monkeypatch.setenv(MAX_DEGREE_ENV, cap)
+    tau = low - 1 if side == "below" else high + 1
+    monkeypatch.setattr(derivation, "tjurina", lambda B: tau)
+    _classification_resolution.cache_clear()
+    classify.cache_clear()
+    with pytest.raises(CertificationFailure, match="du Plessis-Wall"):
+        classify(A)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(to_document(A)))
+    code = main(["classify", str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err.startswith("CertificationFailure:")
+    assert "du Plessis-Wall" in out.err
