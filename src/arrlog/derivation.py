@@ -14,21 +14,25 @@ D(A) = S theta_E + D_0(A) = S theta_E + D_H(A) (Ziegler 1989,
 S-linear isomorphisms D_0(A) = D_H(A) for every line H, so the module is
 computed as D_{H0}(A), H0 = line 0, from its own defining conditions:
 theta(alpha_H0) = 0, and theta(alpha_K) vanishes on every other line K.
-Those conditions (_h0_conditions, (|A| - 1)(k + 1) rows in degree k) are
-solved from the intersection points of A instead: both kept components of
-theta vanish at every point off H0, so one kernel of the monomials at those
-points serves both, and a small second system in its coordinates takes one
-row per point on H0 and a restriction block only for the lines with at
-most k points (see _ar_kernel).  Both kernels are certified over Z by
-linalg.kernel_basis as any other, and since the two systems define
-D_{H0}(A) exactly, the certificate covers the module itself.
+Those conditions are solved from the intersection points of A: both kept
+components of theta vanish at every point off H0, so one kernel of the
+monomials at those points serves both, and a small second system in its
+coordinates takes one row per point on H0 and a restriction block only for
+the lines with at most k points (see _ar_kernel).  Both kernels are
+certified over Z by linalg.kernel_basis as any other, and since the two
+systems define D_{H0}(A) exactly, the certificate covers the module itself.
 
 The scan ends with a proof, not with more layers: _spans_module shows
 from a determinant and the global Tjurina number that at most three
 generators found span all of D_{H0}(A).  Only minimal_resolution reaches
-four or more generators, and there exact ranks of the later layers decide.
-However the scan ends, the Tjurina number must lie within the du
-Plessis-Wall bounds for the minimal degree found.
+four or more generators, and it ends at degree |A| - 1: Schenck (2003,
+"Elementary modifications and line configurations in P^2") bounds
+reg D_0(A) <= |A| - 2 for an arrangement that is not a pencil, so no
+generator lies above degree |A| - 2 and no relation above |A| - 1.  A
+complete resolution must pass the rank, degree-sum and Tjurina identities,
+and one of four or more generators the degree bound, or the run raises
+CertificationFailure.  However the scan ends, the Tjurina number must lie
+within the du Plessis-Wall bounds for the minimal degree found.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from math import comb
 
 from . import linalg
 from .arrangement import Arrangement, _cross, intersection_points, tjurina
-from .poly import (CertificationFailure, _index_table, line_restriction,
-                   monomial_count, monomials, restrict, restriction_param)
+from .poly import (CertificationFailure, _index_table, monomial_count,
+                   monomials, restrict, restriction_param)
 
 MAX_DEGREE_ENV = "ARRLOG_MAX_DEGREE"
 
@@ -69,11 +73,13 @@ def _h0_incidence(A: Arrangement) -> tuple[list, list, list]:
     line K != H0, (t_K, beta_K, w_K): the number of intersection points on
     K, its integer form and its weights.  The weights of a line with form
     beta are w = (alpha_e beta_i - beta_e alpha_i for the kept i), so that
-    alpha_e theta(beta) = w0 theta_i0 + w1 theta_i1 for theta in D_{H0}(A)
-    (see _h0_conditions).  They are the coefficients of the line through
-    K cap H0 and the point e_e, which is off H0 as alpha_e != 0: lines
-    through one point of H0 have proportional weights, and lines through two
-    different points have independent ones.
+    alpha_e theta(beta) = w0 theta_i0 + w1 theta_i1 for theta in D_{H0}(A),
+    as theta(alpha_H0) = 0 fixes its eliminated component to
+    theta_e = -(alpha_i0 theta_i0 + alpha_i1 theta_i1) / alpha_e.  They are
+    the coefficients of the line through K cap H0 and the point e_e, which
+    is off H0 as alpha_e != 0: lines through one point of H0 have
+    proportional weights, and lines through two different points have
+    independent ones.
     """
     alpha, e, kept = _h0_frame(A)
     forms = [line.int_coeffs for line in A.lines]
@@ -93,37 +99,10 @@ def _h0_incidence(A: Arrangement) -> tuple[list, list, list]:
     return off, on, [(count[K], forms[K], weights[K]) for K in range(1, len(A))]
 
 
-def _h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
-    """The conditions defining D_{H0}(A)_k, H0 = line 0, on the two
-    components of theta that restriction_param(alpha_H0) keeps.
-
-    theta(alpha_H0) = 0 gives the eliminated component e as
-    theta_e = -(sum of alpha_i theta_i, i != e) / alpha_e, so alpha_e
-    theta(alpha_K) = sum of (alpha_e beta_i - beta_e alpha_i) theta_i over
-    the kept i, for every other line K with form beta.  That value vanishes
-    on K exactly when its line_restriction(beta, k) vanishes.  Forms are
-    taken in their integer scaling, which changes no condition.  Columns are the
-    degree-k monomials of the first kept component, then of the second.
-    These (|A| - 1)(k + 1) rows define the layer; _ar_kernel solves an
-    equivalent, smaller system.
-    """
-    m = monomial_count(3, k)
-    rows: list[list[int]] = []
-    for _, beta, (w0, w1) in _h0_incidence(A)[2]:
-        block = [[0] * (2 * m) for _ in range(k + 1)]
-        for col, (r0, lead, xs) in enumerate(line_restriction(beta, k)):
-            a0, a1 = w0 * lead, w1 * lead
-            for r, x in enumerate(xs, r0):
-                if x:
-                    block[r][col], block[r][m + col] = a0 * x, a1 * x
-        rows.extend(block)
-    return rows
-
-
 def _h0_lift(A: Arrangement, v) -> tuple[int, ...]:
-    """The derivation in D_{H0}(A) with the given kept components (a kernel
-    vector of _h0_conditions), as the concatenated coefficient vectors of
-    its three components, scaled to a primitive integer vector."""
+    """The derivation in D_{H0}(A) with the given kept components (their
+    coefficient vectors, concatenated), as the concatenated coefficient
+    vectors of its three components, scaled to a primitive integer vector."""
     alpha, e, (i0, i1) = _h0_frame(A)
     m = len(v) // 2
     comps = [None] * 3
@@ -159,12 +138,15 @@ def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     Ziegler's splittings D(A) = S theta_E + D_0(A) = S theta_E + D_H0(A)
     make D_{H0}(A) isomorphic to the Jacobian syzygies D_0(A) as a graded
     S-module, so the resolution and classification read off this basis are
-    those of D_0(A).  The basis is kernel_basis of _h0_conditions, lifted to
-    all three components and scaled to primitive integer vectors; it is
-    computed from the intersection points of A (_h0_incidence) instead.
+    those of D_0(A).
 
     Let a and b be the kept components of theta and w_K the weights of a
-    line K != H0, so that theta keeps K iff w_K . (a, b) vanishes on K.
+    line K != H0 with form beta_K, so that theta keeps K iff w_K . (a, b)
+    vanishes on K: iff line_restriction(beta_K, k) takes it to zero, k + 1
+    rows per line.  The basis is kernel_basis of those (|A| - 1)(k + 1)
+    per-line rows, lifted to all three components and scaled to primitive
+    integer vectors.  It is computed from the intersection points of A
+    (_h0_incidence) instead:
     - At a point P off H0, the lines K, K' through P meet H0 in different
       points, so w_K and w_K' are independent and a(P) = b(P) = 0.  So a
       and b lie in the span of G = kernel_basis(E), E the matrix of the
@@ -179,7 +161,7 @@ def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     off H0 and K cap H0.  So it is zero, and the other lines carry their
     own block.  The two systems have the same solutions, and both kernels
     are certified by kernel_basis (M v = 0 over Z), so this basis is
-    certified as the one of _h0_conditions would be.
+    certified as the kernel of the per-line rows would be.
 
     The basis is also the same, vector for vector, with no elimination over
     Q.  Each g_i is positive in its free column f_i, its last nonzero entry,
@@ -189,7 +171,7 @@ def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     kernel_basis of the (u, v) system, each vector positive in its last
     nonzero column and zero in the others', thus maps to vectors of the same
     kind: up to positive factors, the reversed RREF of the layer that
-    kernel_basis of _h0_conditions returns.  _h0_lift makes them primitive.
+    kernel_basis of the per-line rows returns.  _h0_lift makes them primitive.
     """
     off, on, lines = _h0_incidence(A)
     m = monomial_count(3, k)
@@ -207,13 +189,6 @@ def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     r = len(G)
     return tuple(_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
                  for uv in linalg.kernel_basis(rows, 2 * r))
-
-
-@lru_cache(maxsize=8192)
-def _ar_quick_dim(A: Arrangement, k: int) -> int:
-    """dim D_{H0}(A)_k (= dim D_0(A)_k) from the rank of its conditions."""
-    ncols = 2 * monomial_count(3, k)
-    return ncols - linalg.rank(_h0_conditions(A, k), ncols)
 
 
 def ar_dim(A: Arrangement, k: int) -> int:
@@ -414,40 +389,41 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
             partial = True
             break
         # once the shape is rank-2 consistent, at most three generators are
-        # proved to span the module by _spans_module; four or more are
-        # checked against exact ranks of the layers up to two past every
-        # generator and relation degree.  A failed check means more
-        # structure ahead, so the scan goes on.
+        # proved to span the module by _spans_module; a failed check means
+        # more structure ahead, so the scan goes on.  Four or more end at
+        # degree n - 1: by Schenck (2003) reg D_0(A) <= n - 2 unless A is a
+        # pencil (free, two generators), so the scan has seen every
+        # generator and relation, and the checks below certify the shape
         gd = [g for g, _ in gens]
-        shape_ok = (gens and len(gd) - len(rels) == 2
-                    and sum(gd) - sum(rels) == n - 1)
-        target = (max(gd) if gd else 0) + (max(rels) if rels else 0) + 2
-        if shape_ok:
-            if len(gd) <= 3:
-                done = _spans_module(A, gens, rels)
-            else:
-                done = all(
-                    _ar_quick_dim(A, kk)
-                    == (sum(comb(kk - g + 2, 2) for g in gd)
-                        - sum(comb(kk - r + 2, 2) for r in rels))
-                    for kk in range(k + 1, min(target, cap) + 1))
-            if done:
-                cap_hit = target > cap
+        if len(gd) > 3:
+            if k >= n - 1:
                 break
+        elif (gd and len(gd) - len(rels) == 2 and sum(gd) - sum(rels) == n - 1
+              and _spans_module(A, gens, rels)):
+            break
         if k >= cap:
             cap_hit = True
             break
         prev = basis
         k += 1
-    if gens:
-        _check_du_plessis_wall(A, min(g for g, _ in gens))
+    gd = [g for g, _ in gens]
+    if gd:
+        _check_du_plessis_wall(A, min(gd))
     complete = not partial and not cap_hit
     if complete:
-        gd = [g for g, _ in gens]
         if len(gd) - len(rels) != 2 or sum(gd) - sum(rels) != n - 1:
             raise CertificationFailure(
                 f"resolution shape {sorted(gd)} / {sorted(rels)} fails the "
                 f"rank/degree certificate for {n} lines")
+        if (sum(g * g for g in gd) - sum(r * r for r in rels)
+                != 2 * tjurina(A) - (n - 1) ** 2):
+            raise CertificationFailure(
+                f"resolution shape {sorted(gd)} / {sorted(rels)} fails the "
+                f"Tjurina identity (tau = {tjurina(A)}) for {n} lines")
+        if len(gd) > 3 and max(gd) > n - 2:
+            raise CertificationFailure(
+                f"generator of degree {max(gd)} above Schenck's regularity "
+                f"bound {n - 2} for {n} lines")
     shape = ResolutionShape(tuple(sorted(g for g, _ in gens)),
                             tuple(sorted(rels)), complete, cap_hit)
     return _ResolutionData(shape, tuple(gens))

@@ -22,9 +22,9 @@ kernel_basis vector w is free in its last nonzero column f, the pivots of
 the RREF are the columns no vector is free in, and the RREF has -w[c] / w[f]
 in column f of the row with pivot c (``rref_columns``).
 
-Only ``integer_rref``, in ``_exact_kernel``, and ``rank``, for
-``derivation._ar_quick_dim``, eliminate exactly over Z: pivots are chosen
-by smallest bit-size and rows are divided by their gcd after every step.
+Only ``integer_rref``, in ``_exact_kernel``, eliminates exactly over Z:
+pivots are chosen by smallest bit-size and rows are divided by their gcd
+after every step.
 """
 
 from __future__ import annotations
@@ -114,12 +114,6 @@ def integer_rref(matrix: Mat, ncols: int) -> tuple[Mat, list[int]]:
                 echelon[j] = _primitive_vec(
                     [p * a - v * b for a, b in zip(echelon[j], echelon[i])])
     return echelon, pivots
-
-
-def rank(matrix: Mat, ncols: int) -> int:
-    """Rank of integer rows."""
-    _, pivots = _reduce_rows([_primitive_vec(r) for r in matrix], ncols)
-    return len(pivots)
 
 
 def free_column(v) -> int:

@@ -4,7 +4,8 @@ Each one reaches a result by a slower, more direct route than the library
 does: the Fraction coefficients of a linear form, dense Fraction
 polynomials and their products, restriction by substitution, the Jacobian
 of the defining polynomial and its syzygies, D_H(A) as explicit
-derivations, the derivation layers of a weighted arrangement, spans,
+derivations, the syzygy layers by their per-line conditions and exact
+ranks, the derivation layers of a weighted arrangement, spans,
 solutions and RREFs by exact elimination (SpanBuilder and integer_rref),
 the new generators of a syzygy layer, deletion of a line, and the span
 rule for the second basis vector of a free module of rank 2.
@@ -16,12 +17,14 @@ from math import comb
 
 from arrlog import linalg, poly
 from arrlog.arrangement import Arrangement, chi0
-from arrlog.derivation import _ar_kernel, _shift_vec, dh_projection
+from arrlog.derivation import (_ar_kernel, _h0_incidence, _shift_vec,
+                               dh_projection)
 from arrlog.multiarr import (Derivation2, Multiarrangement2, _deriv_kernel,
                              exponents, multiples, ziegler_restriction)
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
-                         from_terms, linear, monomial_count, monomials,
-                         restrict, restriction_param)
+                         from_terms, line_restriction, linear,
+                         monomial_count, monomials, restrict,
+                         restriction_param)
 
 # ---------------------------------------------------------------------------
 # linear forms
@@ -296,6 +299,45 @@ def in_dh(A: Arrangement, H: int, theta: Derivation3) -> bool:
         if any(restrict(beta, [value], theta.degree)[0]):
             return False
     return True
+
+
+def h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
+    """The conditions defining D_{H0}(A)_k, H0 = line 0, on the two
+    components of theta that restriction_param(alpha_H0) keeps.
+
+    theta(alpha_H0) = 0 gives the eliminated component e as
+    theta_e = -(sum of alpha_i theta_i, i != e) / alpha_e, so alpha_e
+    theta(alpha_K) = sum of (alpha_e beta_i - beta_e alpha_i) theta_i over
+    the kept i, for every other line K with form beta.  That value vanishes
+    on K exactly when its line_restriction(beta, k) vanishes.  Columns are
+    the degree-k monomials of the first kept component, then of the second:
+    (|A| - 1)(k + 1) rows, where derivation._ar_kernel solves a smaller
+    system from the intersection points.
+    """
+    m = monomial_count(3, k)
+    rows: list[list[int]] = []
+    for _, beta, (w0, w1) in _h0_incidence(A)[2]:
+        block = [[0] * (2 * m) for _ in range(k + 1)]
+        for col, (r0, lead, xs) in enumerate(line_restriction(beta, k)):
+            a0, a1 = w0 * lead, w1 * lead
+            for r, x in enumerate(xs, r0):
+                if x:
+                    block[r][col], block[r][m + col] = a0 * x, a1 * x
+        rows.extend(block)
+    return rows
+
+
+def rank(matrix, ncols: int) -> int:
+    """Rank of integer rows, by exact elimination over Z."""
+    _, pivots = linalg._reduce_rows([linalg._primitive_vec(r) for r in matrix],
+                                    ncols)
+    return len(pivots)
+
+
+def ar_dim_by_rank(A: Arrangement, k: int) -> int:
+    """dim D_{H0}(A)_k from the exact rank of h0_conditions."""
+    ncols = 2 * monomial_count(3, k)
+    return ncols - rank(h0_conditions(A, k), ncols)
 
 
 # ---------------------------------------------------------------------------

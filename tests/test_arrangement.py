@@ -14,9 +14,9 @@ from arrlog.arrangement import (Arrangement, DuplicateLine, LinearForm3,
                                 intersection_points, is_balanced, n_H, nr_form,
                                 parse_arrangement, parse_factored, to_document)
 from arrlog.corpus import fixture, generic, near_pencil, pencil
-from arrlog.linalg import _int_row, rank
+from arrlog.linalg import _int_row
 from arrlog.multiarr import LinearForm2
-from oracles import canonical, without
+from oracles import canonical, rank, without
 
 
 def test_linear_form_canonical():

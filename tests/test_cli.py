@@ -186,10 +186,10 @@ def test_directory_as_input_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def capped_verify(tmp_path, name: str, cap: int) -> dict:
-    """`arrlog verify` on a fixture under ARRLOG_MAX_DEGREE, in a fresh
-    interpreter, so no cached classification skips the cap."""
-    path = write_doc(tmp_path, fixture(name).document())
+def capped_verify(tmp_path, doc: dict, cap: int) -> dict:
+    """`arrlog verify` on an arrangement document under ARRLOG_MAX_DEGREE,
+    in a fresh interpreter, so no cached classification skips the cap."""
+    path = write_doc(tmp_path, doc)
     env = dict(os.environ, ARRLOG_MAX_DEGREE=str(cap))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "arrlog.cli", "verify", path],
@@ -199,7 +199,7 @@ def capped_verify(tmp_path, name: str, cap: int) -> dict:
 
 
 def test_capped_verify_reports_na(tmp_path):
-    report = capped_verify(tmp_path, "generic4", 1)
+    report = capped_verify(tmp_path, fixture("generic4").document(), 1)
     assert report["classification"]["cap_hit"] is True
     checks = {c["id"]: c for c in report["checks"]}
     capped = ("thm1.2 thm1.3 thm1.5 thm1.6 thm1.7 thm2.3 thm2.8 prop3.2 "
@@ -217,7 +217,7 @@ def test_capped_verify_reports_na(tmp_path):
 def test_capped_verify_scans_cokernel_past_cap(tmp_path, name, cap):
     # the cap bounds the resolution only: the cokernel of the restriction map
     # on these fixtures vanishes past degree 3, and that scan must still finish
-    report = capped_verify(tmp_path, name, cap)
+    report = capped_verify(tmp_path, fixture(name).document(), cap)
     assert report["classification"]["cap_hit"] is True
     A = fixture(name).build()
     assert report["lines"] == [
@@ -225,6 +225,19 @@ def test_capped_verify_scans_cokernel_past_cap(tmp_path, name, cap):
          "n_H": n_H(A, d.H), "coker_by_degree": list(d.coker_by_degree)}
         for d in (yoshinaga_defect(A, H) for H in range(len(A)))]
     assert all(c["status"] in ("pass", "na") for c in report["checks"])
+
+
+@pytest.mark.parametrize("cap", [4, 5])
+def test_verify_under_a_cap_above_the_certified_end(tmp_path, cap):
+    # near_pencil(6) is free with exponents (1, 4): Saito's criterion ends
+    # its scan at degree 4, so a cap of 4 or 5 changes nothing against the
+    # default cap 2 |A| = 12
+    doc = to_document(near_pencil(6))
+    report = capped_verify(tmp_path, doc, cap)
+    assert report["classification"]["verdict"] == "free"
+    assert report["classification"]["cap_hit"] is False
+    assert not any("degree cap" in c["detail"] for c in report["checks"])
+    assert report == capped_verify(tmp_path, doc, 12)
 
 
 def test_missing_file_exit_2(capsys):

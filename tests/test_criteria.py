@@ -174,8 +174,8 @@ def _oracle_external_splitting(A, form):
     def dim(k):
         cols = [[0] * j + part + [0] * (k - j)
                 for part in parts for j in range(k + 1)]
-        return 3 * (k + 1) - linalg.rank([list(r) for r in zip(*cols)],
-                                         3 * (k + 1))
+        return 3 * (k + 1) - oracles.rank([list(r) for r in zip(*cols)],
+                                          3 * (k + 1))
 
     return rank2_exponents(dim, len(A) - 1)
 

@@ -13,11 +13,11 @@ from arrlog.corpus import FIXTURES
 from arrlog.criteria import verify
 from arrlog.derivation import (_ar_kernel, _shift_vec, ar_dim, classify,
                                dh_projection, minimal_resolution)
-from arrlog.linalg import _int_row, kernel_basis, rank
+from arrlog.linalg import _int_row, kernel_basis
 from arrlog.poly import (CertificationFailure, HomPoly, linear, monomial_count,
                          monomials, restrict)
 from oracles import (Derivation3, ar_basis, dh_basis, dh_kernel, in_dh,
-                     jacobian, line_param, poly_mul, shift_vec,
+                     jacobian, line_param, poly_mul, rank, shift_vec,
                      substitute_line, zero)
 
 
@@ -185,6 +185,42 @@ def test_degree_cap_override(monkeypatch):
     assert cls.verdict == "other"
     assert cls.shape.cap_hit
     assert not cls.shape.complete
+
+
+@pytest.fixture
+def fresh_resolutions():
+    """Clear the cached resolutions before and after a test that sets a
+    degree cap, so none computed under one cap is read under another."""
+    cached = (minimal_resolution, classify, derivation._classification_resolution)
+    for fn in cached:
+        fn.cache_clear()
+    yield
+    for fn in cached:
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("cap", ["4", "5"])
+def test_certified_end_below_the_cap_is_not_capped(cap, monkeypatch,
+                                                   fresh_resolutions):
+    # near_pencil(6) is free with exponents (1, 4), proved at degree 4;
+    # generic(5) ends at degree |A| - 1 = 4 with four generators
+    monkeypatch.setenv("ARRLOG_MAX_DEGREE", cap)
+    cls = classify(near_pencil(6))
+    assert (cls.verdict, cls.exponents) == ("free", (1, 4))
+    assert cls.shape.complete and not cls.shape.cap_hit
+    shape = minimal_resolution(generic(5, seed=3))
+    assert shape.generator_degrees == (3, 3, 3, 3)
+    assert shape.relation_degrees == (4, 4)
+    assert shape.complete and not shape.cap_hit
+
+
+def test_cap_below_the_certified_end_is_capped(monkeypatch, fresh_resolutions):
+    monkeypatch.setenv("ARRLOG_MAX_DEGREE", "3")
+    cls = classify(near_pencil(6))
+    assert cls.verdict == "other"
+    assert cls.shape.cap_hit and not cls.shape.complete
+    shape = minimal_resolution(generic(5, seed=3))
+    assert shape.cap_hit and not shape.complete
 
 
 def _direct_dh_kernel(A, H, k):

@@ -18,9 +18,9 @@ from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
                            random_arrangement)
 from arrlog.linalg import (KERNEL_PRIMES, _crt_kernels, _exact_kernel,
                            _int_row, _modular_kernel, _rref_mod, integer_rref,
-                           kernel_basis, rank, rref_columns, solve_columns)
+                           kernel_basis, rref_columns, solve_columns)
 from arrlog.poly import monomial_count
-from oracles import (SpanBuilder, echelon_basis, layer_generators,
+from oracles import (SpanBuilder, echelon_basis, layer_generators, rank,
                      span_contains)
 from test_derivation import jacobian_matrix
 
@@ -453,7 +453,7 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
     assert scanned
     for k in scanned:
         ncols = 2 * monomial_count(3, k)
-        rows = [_int_row(r) for r in derivation._h0_conditions(A, k)]
+        rows = [_int_row(r) for r in oracles.h0_conditions(A, k)]
         exact = tuple(derivation._h0_lift(A, v) for v in _exact_kernel(rows, ncols))
         assert derivation._ar_kernel(A, k) == exact, k
         assert primes_needed(rows, ncols) is not None, k
@@ -498,7 +498,7 @@ def test_rref_mod_never_pivots_on_a_multiple_of_p(p):
                          ids=lambda x: getattr(x, "name", str(x)))
 def test_rref_mod_of_top_ar_layer_equals_gf_p_oracle(A, p, monkeypatch):
     k = max(scanned_degrees(A, True, monkeypatch))
-    assert_rref_mod_is_the_oracle(derivation._h0_conditions(A, k),
+    assert_rref_mod_is_the_oracle(oracles.h0_conditions(A, k),
                                   2 * monomial_count(3, k), p)
 
 

@@ -21,10 +21,12 @@ from arrlog.cli import main
 from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
                            random_arrangement, random_corpus)
 from arrlog.criteria import verify
-from arrlog.derivation import (MAX_DEGREE_ENV, _ar_kernel, _ar_quick_dim,
+from arrlog.derivation import (MAX_DEGREE_ENV, _ar_kernel,
                                _classification_resolution, _shift_vec,
-                               _spans_module, classify, degree_cap)
+                               _spans_module, classify, degree_cap,
+                               minimal_resolution)
 from arrlog.poly import CertificationFailure
+from oracles import ar_dim_by_rank
 
 
 def _arrangements():
@@ -36,6 +38,9 @@ def _arrangements():
 
 
 ARRANGEMENTS = _arrangements()
+# minimal_resolution ends these at degree |A| - 1 with four or more generators
+MANY_GENERATORS = ([generic(n, seed=s) for n in (5, 6, 7) for s in (1, 3)]
+                   + [random_arrangement(8, 1)])
 
 
 def _complete(A):
@@ -69,13 +74,21 @@ def test_tjurina_known_values(A, tau):
     assert tjurina(A) == tau
 
 
-def test_tjurina_identity_on_complete_resolutions():
-    seen = 0
+def _complete_shapes():
     for A in ARRANGEMENTS:
         data = _complete(A)
-        if data is None:
-            continue
-        gd, rd = data.shape.generator_degrees, data.shape.relation_degrees
+        if data is not None:
+            yield A, data.shape
+    for A in MANY_GENERATORS:
+        shape = minimal_resolution(A)
+        assert shape.complete and len(shape.generator_degrees) > 3, A.name
+        yield A, shape
+
+
+def test_tjurina_identity_on_complete_resolutions():
+    seen = 0
+    for A, shape in _complete_shapes():
+        gd, rd = shape.generator_degrees, shape.relation_degrees
         d = len(A)
         assert (sum(g * g for g in gd) - sum(r * r for r in rd)
                 == 2 * tjurina(A) - (d - 1) ** 2), A.name
@@ -102,15 +115,13 @@ def test_du_plessis_wall_bounds_and_the_tjurina_characterisations():
 
 def test_exact_ranks_agree_with_the_certified_end():
     # the exact ranks the scan used to end with must find every layer where
-    # the certified resolution predicts it, up to the old tail's last degree
-    for A in ARRANGEMENTS:
-        data = _complete(A)
-        if data is None:
-            continue
-        gd, rd = data.shape.generator_degrees, data.shape.relation_degrees
+    # the certified resolution predicts it, up to the old tail's last degree:
+    # two past the largest generator and relation degrees
+    for A, shape in _complete_shapes():
+        gd, rd = shape.generator_degrees, shape.relation_degrees
         target = max(gd) + (max(rd) if rd else 0) + 2
         for k in range(min(target, degree_cap(A)) + 1):
-            assert _ar_quick_dim(A, k) == _hilbert(gd, rd, k), (A.name, k)
+            assert ar_dim_by_rank(A, k) == _hilbert(gd, rd, k), (A.name, k)
 
 
 def test_certificate_passes_on_the_found_generators():
@@ -159,21 +170,9 @@ def test_certificate_fails_on_a_coordinate_multiple():
     assert mutated >= 30
 
 
-def test_classify_calls_no_exact_rank(monkeypatch):
-    calls = []
-
-    def counted(A, k):
-        calls.append((A, k))
-        return _ar_quick_dim(A, k)
-
-    monkeypatch.setattr(derivation, "_ar_quick_dim", counted)
-    _classification_resolution.cache_clear()
-    classify.cache_clear()
-    for A in random_corpus(100, 8, 42):
-        classify(A)
-    assert calls == []
-    # nor does verify eliminate exactly: generators, solves and RREFs are all
-    # read off certified kernels, and no kernel falls back to elimination
+def _count_eliminations(monkeypatch) -> list:
+    """The shapes of the exact eliminations run from now on, with every
+    cache that could skip one cleared."""
     eliminations = []
     reduce_rows = linalg._reduce_rows
 
@@ -182,12 +181,28 @@ def test_classify_calls_no_exact_rank(monkeypatch):
         return reduce_rows(rows, ncols)
 
     monkeypatch.setattr(linalg, "_reduce_rows", counted_reduce)
-    for cached in (_ar_kernel, _ar_quick_dim, _classification_resolution,
-                   classify, criteria._image_vectors, multiarr._deriv_kernel,
-                   multiarr.basis):
+    for cached in (_ar_kernel, _classification_resolution, classify,
+                   minimal_resolution, criteria._image_vectors,
+                   multiarr._deriv_kernel, multiarr.basis):
         cached.cache_clear()
+    return eliminations
+
+
+def test_classify_calls_no_exact_rank(monkeypatch):
+    # verify, classify included, does not eliminate exactly: generators,
+    # solves and RREFs are all read off certified kernels, and no kernel
+    # falls back to elimination
+    eliminations = _count_eliminations(monkeypatch)
     for A in random_corpus(100, 8, 42):
         verify(A)
+    assert eliminations == []
+
+
+def test_minimal_resolution_calls_no_exact_rank(monkeypatch):
+    eliminations = _count_eliminations(monkeypatch)
+    for A in ([generic(n) for n in (5, 6, 7)] + [random_arrangement(8, 1)]
+              + random_corpus(100, 8, 42)):
+        minimal_resolution(A)
     assert eliminations == []
 
 
@@ -201,6 +216,20 @@ def test_free_basis_with_a_tau_mismatch_raises(monkeypatch):
     _forced_tau_mismatch(monkeypatch)
     with pytest.raises(CertificationFailure, match="Tjurina identity"):
         classify(near_pencil(6))
+
+
+@pytest.mark.parametrize("shift, message", [(-1, "Tjurina identity"),
+                                            (1, "du Plessis-Wall")])
+def test_many_generators_with_a_tau_mismatch_raise(shift, message,
+                                                   monkeypatch):
+    # generic(5) has tau = 10 at the du Plessis-Wall top for mdr 3: one less
+    # stays inside the bounds and only the identity on the complete
+    # resolution, four generators in degree 3, catches it
+    A = generic(5, seed=3)
+    monkeypatch.setattr(derivation, "tjurina", lambda B: tjurina(B) + shift)
+    minimal_resolution.cache_clear()
+    with pytest.raises(CertificationFailure, match=message):
+        minimal_resolution(A)
 
 
 def test_free_basis_with_a_tau_mismatch_exits_3(tmp_path, capsys,
