@@ -3,7 +3,7 @@
 For a defining polynomial f (product of the lines), the syzygies
 (a, b, c) with a f_x + b f_y + c f_z = 0 form a rank-2 graded module D_0(A)
 whose minimal free resolution has length at most one.  Everything here is
-read off degree by degree with exact kernels: graded dimensions, minimal
+read off degree by degree from certified layers: graded dimensions, minimal
 generators, relation degrees (recovered from the Hilbert data of the free
 relation module), and the classification free / nearly free / plus-one
 generated.
@@ -14,13 +14,23 @@ D(A) = S theta_E + D_0(A) = S theta_E + D_H(A) (Ziegler 1989,
 S-linear isomorphisms D_0(A) = D_H(A) for every line H, so the module is
 computed as D_{H0}(A), H0 = line 0, from its own defining conditions:
 theta(alpha_H0) = 0, and theta(alpha_K) vanishes on every other line K.
-Those conditions are solved from the intersection points of A: both kept
-components of theta vanish at every point off H0, so one kernel of the
-monomials at those points serves both, and a small second system in its
-coordinates takes one row per point on H0 and a restriction block only for
-the lines with at most k points (see _ar_kernel).  Both kernels are
-certified over Z by linalg.kernel_basis as any other, and since the two
-systems define D_{H0}(A) exactly, the certificate covers the module itself.
+
+Most layers are certified with no kernel, by the rank sandwich of
+_ar_kernel: Ziegler's sequence bounds a layer from above by the layer below
+and the certified restriction exponents on H0, and alpha_H0 times the layer
+below, with shifts and point derivations g_v d_v whose restrictions to H0
+are independent modulo a prime, bounds it from below.  The point
+derivations, g_v the product of the lines that miss the intersection point
+v, span the top layers of generic arrangements (Yuzvinsky 1991: D_0(A) is
+generated in degree |A| - 2).  A layer whose bounds do not meet is solved
+from the intersection points (_point_system): both kept components of theta
+vanish at every point off H0, so one kernel of the monomials at those
+points serves both, and a small second system in its coordinates takes one
+row per point on H0 and a restriction block only for the lines with at most
+k points.  Both kernels are certified over Z by linalg.kernel_basis as any
+other, and since the two systems define D_{H0}(A) exactly, the certificate
+covers the module itself.  Either way a layer is a certified basis, and
+everything read off it depends only on its span.
 
 The scan ends with a proof, not with more layers: _spans_module shows
 from a determinant and the global Tjurina number that at most three
@@ -42,10 +52,11 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, filterfalse
-from math import comb
+from math import comb, prod
 
 from . import linalg
 from .arrangement import Arrangement, _cross, intersection_points, tjurina
+from .multiarr import _free_pattern, exponents, ziegler_restriction
 from .poly import (CertificationFailure, _index_table, monomial_count,
                    monomials, restrict, restriction_param)
 
@@ -130,15 +141,211 @@ def _combine(coeffs, vectors, m: int) -> list[int]:
     return out
 
 
+def _h0_points(A: Arrangement, count: int) -> list[tuple[int, ...]]:
+    """count integer points of H0 = line 0, pairwise distinct in P^2: P + jQ
+    for j < count, P and Q the points of line_restriction(alpha_H0, k)."""
+    alpha, f, (u, v) = _h0_frame(A)
+    P, Q = [0] * 3, [0] * 3
+    P[u], P[f] = alpha[f], -alpha[u]
+    Q[v], Q[f] = alpha[f], -alpha[v]
+    return [tuple(a + j * b for a, b in zip(P, Q)) for j in range(count)]
+
+
+def _times_form(poly, d: int, form) -> list[int]:
+    """A degree-d form, as its coefficient vector, times a linear form."""
+    out = [0] * monomial_count(3, d + 1)
+    for var, a in enumerate(form):
+        if a:
+            for idx, c in zip(_shift_table(d, var), poly):
+                if c:
+                    out[idx] += a * c
+    return out
+
+
+def _form_product(forms) -> list[int]:
+    """The coefficient vector of a product of linear forms."""
+    poly = [1]
+    for d, form in enumerate(forms):
+        poly = _times_form(poly, d, form)
+    return poly
+
+
+def _point_derivation(A: Arrangement, v, missing, k: int) -> list[int]:
+    """theta_v = g_v d_v in D_{H0}(A), g_v the product of the lines missing
+    the point v (their indices, increasing), projected along theta_E when
+    H0 misses v: theta_v - alpha_H0(v) (g_v / alpha_H0) theta_E.  The
+    concatenated degree-k coefficient vectors of its three components."""
+    forms = [A.lines[K].int_coeffs for K in missing]
+    if not missing or missing[0]:
+        g = _form_product(forms)
+        return [c * x for c in v for x in g]
+    # g_v = alpha_H0 h_v, and the projection is h_v (alpha_H0 d_v -
+    # alpha_H0(v) theta_E)
+    alpha, h = forms[0], _form_product(forms[1:])
+    a = sum(x * y for x, y in zip(alpha, v))
+    return [x for i in range(3) for x in _times_form(
+        h, k - 1, [v[i] * alpha[j] - (a if j == i else 0) for j in range(3)])]
+
+
+def _kept_values(A: Arrangement, vec, d: int, count: int) -> list[int]:
+    """The two kept components of a degree-d derivation at the first count
+    points of _h0_points, in turn: restricted to H0 by line_restriction,
+    whose row r is the coefficient of s^(d - r) t^r at sP + tQ, then
+    evaluated at (s, t) = (1, j)."""
+    alpha, _, kept = _h0_frame(A)
+    m = monomial_count(3, d)
+    forms = restrict(alpha, [vec[i * m:(i + 1) * m] for i in kept], d)
+    return [sum(c * j ** r for r, c in enumerate(form) if c)
+            for j in range(count) for form in forms]
+
+
+def _in_module(A: Arrangement, vecs, k: int) -> bool:
+    """Whether every degree-k derivation theta given lies in D_{H0}(A), by
+    exact arithmetic: theta(alpha_H0) = 0, and theta(alpha_K) vanishes on
+    every other line K, its line_restriction being zero."""
+    m = monomial_count(3, k)
+    comps = [[v[c * m:(c + 1) * m] for c in range(3)] for v in vecs]
+    alpha, *others = (line.int_coeffs for line in A.lines)
+    if any(any(_combine(alpha, cs, m)) for cs in comps):
+        return False
+    return not any(any(r) for beta in others
+                   for r in restrict(beta, [_combine(beta, cs, m) for cs in comps], k))
+
+
+def _grows(echelon: list, row, p: int) -> bool:
+    """Whether row is independent modulo p of the echelon rows, (pivot, row)
+    pairs each zero at the earlier pivots and 1 at its own; if so, it joins
+    them."""
+    r = [x % p for x in row]
+    for c, piv in echelon:
+        a = r[c]
+        if a:
+            r = [(x - a * y) % p for x, y in zip(r, piv)]
+    c = next((i for i, x in enumerate(r) if x), None)
+    if c is None:
+        return False
+    inv = pow(r[c], -1, p)
+    echelon.append((c, [x * inv % p for x in r]))
+    return True
+
+
+def _candidates(A: Arrangement, k: int, prev, points):
+    """Derivations in D_{H0}(A)_k, each as (its kept values at points, a
+    builder of its coefficient vector, whether it is a point derivation):
+    x, y and z times each vector of the layer prev below whose restriction
+    to H0 is nonzero, then the point derivations of degree k, one for each
+    intersection point v of multiplicity |A| - k (_point_derivation)."""
+    _, _, kept = _h0_frame(A)
+    for theta in prev:
+        values = _kept_values(A, theta, k - 1, len(points))
+        if any(values):
+            for var in range(3):
+                yield ([points[j // 2][var] * x for j, x in enumerate(values)],
+                       lambda theta=theta, var=var: _shift_vec(theta, k - 1, var),
+                       False)
+    forms = [line.int_coeffs for line in A.lines]
+    at = [[sum(a * c for a, c in zip(beta, P)) for P in points] for beta in forms]
+    n = len(A)
+    for X in intersection_points(A):
+        if X.multiplicity != n - k:
+            continue
+        i, j = X.incident_lines[:2]
+        v = linalg._primitive_vec(list(_cross(forms[i], forms[j])))
+        missing = [K for K in range(n) if K not in X.incident_lines]
+        if i == 0:
+            # g_v d_v, with g_v the product of the lines in missing
+            row = [prod(at[K][s] for K in missing) * v[c]
+                   for s in range(len(points)) for c in kept]
+        else:
+            # -alpha_H0(v) h_v theta_E, as alpha_H0 vanishes on H0
+            a = sum(x * y for x, y in zip(forms[0], v))
+            row = [-a * prod(at[K][s] for K in missing[1:]) * P[c]
+                   for s, P in enumerate(points) for c in kept]
+        yield row, lambda v=v, missing=missing: _point_derivation(A, v, missing, k), True
+
+
+@lru_cache(maxsize=8192)
+def _sandwich(A: Arrangement, k: int):
+    """(a basis of D_{H0}(A)_k, whether it is spanned by x, y and z times
+    layer k - 1) when the rank sandwich of _ar_kernel is tight, else None.
+
+    The basis is alpha_H0 times layer k - 1, then the candidates chosen
+    greedily, in _candidates' order, while their kept values at k + 1
+    points of H0 grow in rank modulo the first of KERNEL_PRIMES, until
+    that rank reaches the free pattern of the exponents of the restriction
+    to H0.  Every chosen point derivation must take the values it was
+    ranked by and lie in D_{H0}(A) (_in_module), or CertificationFailure is
+    raised.
+    """
+    prev = _ar_kernel(A, k - 1) if k else ()
+    alpha = A.lines[0].int_coeffs
+    basis = [tuple(linalg._primitive_vec(_times_linear(theta, k - 1, alpha)))
+             for theta in prev]
+    exp = exponents(ziegler_restriction(A, 0)[0])
+    target = _free_pattern(k, exp.e1, exp.e2)
+    if not target:
+        return tuple(basis), True
+    points = _h0_points(A, k + 1)
+    p = linalg.KERNEL_PRIMES[0]
+    echelon: list = []
+    chosen = []
+    for row, build, point in _candidates(A, k, prev, points):
+        if _grows(echelon, row, p):
+            chosen.append((row, build(), point))
+            if len(echelon) == target:
+                break
+    else:
+        return None
+    derived = [(row, vec) for row, vec, point in chosen if point]
+    if derived and (any(_kept_values(A, vec, k, k + 1) != row
+                        for row, vec in derived)
+                    or not _in_module(A, [vec for _, vec in derived], k)):
+        raise CertificationFailure(
+            f"a point derivation of degree {k} is not in D_H0(A)")
+    basis.extend(tuple(linalg._primitive_vec(vec)) for _, vec, _ in chosen)
+    return tuple(basis), not derived
+
+
 @lru_cache(maxsize=8192)
 def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of D_{H0}(A)_k, the degree-k derivations theta with
-    theta(alpha_H0) = 0 that keep every line (H0 = line 0).
+    """A certified basis of D_{H0}(A)_k, the degree-k derivations theta
+    with theta(alpha_H0) = 0 that keep every line (H0 = line 0), as
+    primitive integer vectors: the concatenated coefficient vectors of the
+    three components.  Which basis is not part of the contract: every caller
+    reads only the span of a layer.
 
     Ziegler's splittings D(A) = S theta_E + D_0(A) = S theta_E + D_H0(A)
     make D_{H0}(A) isomorphic to the Jacobian syzygies D_0(A) as a graded
     S-module, so the resolution and classification read off this basis are
     those of D_0(A).
+
+    The basis is _sandwich's when this rank sandwich is tight:
+    - Above.  Ziegler's sequence 0 -> D_{H0}(A)(-1) -> D_{H0}(A) ->
+      D(A^H0, m^H0), the first map multiplication by alpha_H0 and the
+      second restriction to H0 (Ziegler 1989), gives dim D_k <= dim D_(k-1)
+      + dim D(A^H0, m^H0)_k.  The restriction is free of rank 2 with the
+      exponents (e1, e2) that multiarr.exponents certifies by Saito's
+      criterion, so the second term is _free_pattern(k, e1, e2).
+    - Below.  alpha_H0 times a basis of D_(k-1) is independent and
+      restricts to zero on H0.  A derivation of D_{H0}(A)_k restricts to
+      zero iff its two kept components vanish on H0, that is, at k + 1
+      distinct points of H0.  Derivations of D_{H0}(A)_k whose kept values
+      there are independent modulo a prime are independent over Q (a
+      rational dependence, made primitive, survives modulo p), and so
+      independent modulo alpha_H0 D_(k-1).  With the alpha_H0 multiples
+      they are dim D_(k-1) + (their rank) independent vectors of D_k.
+    When the two bounds meet, those vectors are a basis.  The candidates
+    are x, y and z times layer k - 1, which lie in the module, and the
+    point derivations, each checked exactly against every line.  Otherwise
+    the basis is that of the point system (_point_system).
+    """
+    layer = _sandwich(A, k)
+    return layer[0] if layer is not None else _point_system(A, k)
+
+
+def _point_system(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of D_{H0}(A)_k from the kernels of two systems, the reversed
+    RREF of the layer up to positive factors.
 
     Let a and b be the kept components of theta and w_K the weights of a
     line K != H0 with form beta_K, so that theta keeps K iff w_K . (a, b)
@@ -206,14 +413,15 @@ def _shift_table(k: int, var: int) -> tuple[int, ...]:
                  for mu in monomials(3, k))
 
 
+def _times_linear(v, k: int, form) -> list[int]:
+    """A degree-k derivation coefficient vector times a linear form."""
+    m = monomial_count(3, k)
+    return [x for c in range(3) for x in _times_form(v[c * m:(c + 1) * m], k, form)]
+
+
 def _shift_vec(v, k: int, var: int) -> list[int]:
     """Multiply a degree-k derivation coefficient vector by a coordinate."""
-    m, m1 = monomial_count(3, k), monomial_count(3, k + 1)
-    out = [0] * (3 * m1)
-    for c in range(3):
-        for idx, a in zip(_shift_table(k, var), v[c * m:(c + 1) * m]):
-            out[c * m1 + idx] = a
-    return out
+    return _times_linear(v, k, [int(i == var) for i in range(3)])
 
 
 @dataclass(frozen=True)
@@ -351,24 +559,30 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     while True:
         basis = _ar_kernel(A, k)
         dim = len(basis)
-        # the pivots of [x, y, z times layer k - 1 | layer k], the columns
-        # no kernel vector is free in, count the dimension the shifts cover
-        # and, among the basis, are the new generators.  theta(alpha_H0) = 0
-        # fixes component e from the other two, in the shifts as in the
-        # layer, so its rows are left out: they add nothing to the kernel
-        cols = [_shift_vec(v, k - 1, var) for v in prev for var in range(3)]
-        shifts = len(cols)
-        cols += basis
-        m = monomial_count(3, k)
-        rows = [list(r) for r in zip(*cols)]
-        del rows[e * m:(e + 1) * m]
-        free = {linalg.free_column(w)
-                for w in linalg.kernel_basis(rows, len(cols))}
-        covered = sum(1 for c in range(shifts) if c not in free)
-        gamma = dim - covered
-        if gamma < 0:
-            raise CertificationFailure(f"span exceeds layer dimension at degree {k}")
-        if gamma:
+        layer = _sandwich(A, k)
+        if not prev:
+            # no shifts: the whole layer is new
+            gens.extend((k, v) for v in basis)
+        elif layer is None or not layer[1]:
+            # the pivots of [x, y, z times layer k - 1 | layer k], the
+            # columns no kernel vector is free in, count the dimension the
+            # shifts cover and, among the basis, are the new generators.
+            # theta(alpha_H0) = 0 fixes component e from the other two, in
+            # the shifts as in the layer, so its rows are left out: they add
+            # nothing to the kernel.  A layer _sandwich spans by shifts
+            # alone has no new generator
+            cols = [_shift_vec(v, k - 1, var) for v in prev for var in range(3)]
+            shifts = len(cols)
+            cols += basis
+            m = monomial_count(3, k)
+            rows = [list(r) for r in zip(*cols)]
+            del rows[e * m:(e + 1) * m]
+            free = {linalg.free_column(w)
+                    for w in linalg.kernel_basis(rows, len(cols))}
+            covered = sum(1 for c in range(shifts) if c not in free)
+            gamma = dim - covered
+            if gamma < 0:
+                raise CertificationFailure(f"span exceeds layer dimension at degree {k}")
             new = [v for c, v in enumerate(basis, shifts) if c not in free]
             if len(new) != gamma:
                 raise CertificationFailure(f"generator extraction mismatch at degree {k}")

@@ -1,0 +1,149 @@
+"""Arrangements with known answers that the random corpus lacks.
+
+The census: the 13 lines with coefficients in {-1, 0, 1} are x, y, z,
+x +- y, x +- z, y +- z and x +- y +- z.  The 48 signed permutations of x,
+y, z map the set to itself, and since -I fixes every line they act as a
+group of order 24.  One subset of three or more lines per orbit, and one
+random image of it with its lines shuffled, must agree in every invariant
+of the classification, whichever line is H0.  Every verdict occurs.
+
+Ziegler's pair (Ziegler 1989, "Combinatorial construction of logarithmic
+differential forms"): the nine lines joining six points along the edges of
+K_{3,3}, with 6 triple and 18 double points.  With the six points on a
+conic and off it, the lattices agree but the minimal resolutions do not.
+"""
+
+import random
+from itertools import permutations, product
+from math import comb
+
+import pytest
+
+from arrlog import derivation
+from arrlog.arrangement import (_cross, arrangement, chi0,
+                                intersection_points, tjurina)
+from arrlog.criteria import verify
+from arrlog.derivation import minimal_resolution
+
+
+def _canonical(v):
+    sign = 1 if next(x for x in v if x) > 0 else -1
+    return tuple(sign * x for x in v)
+
+
+CENSUS_LINES = sorted({_canonical(v) for v in product((-1, 0, 1), repeat=3) if any(v)},
+                      key=lambda v: (sum(map(abs, v)), [-x for x in v]))
+_INDEX = {v: i for i, v in enumerate(CENSUS_LINES)}
+# each signed permutation with a positive first sign, as the permutation of
+# line indices it induces
+SIGNED_PERMUTATIONS = [
+    [_INDEX[_canonical([s * v[p] for s, p in zip(signs, perm)])] for v in CENSUS_LINES]
+    for perm in permutations(range(3))
+    for signs in product((1, -1), repeat=3) if signs[0] == 1]
+
+
+def _image(g, mask: int) -> int:
+    return sum(1 << g[i] for i in range(len(CENSUS_LINES)) if mask >> i & 1)
+
+
+def _orbit_representatives():
+    """The least subset mask of each orbit, three or more lines."""
+    return [mask for mask in range(1 << len(CENSUS_LINES))
+            if bin(mask).count("1") >= 3
+            and all(_image(g, mask) >= mask for g in SIGNED_PERMUTATIONS)]
+
+
+def _census_pairs():
+    rng = random.Random(1)
+    for mask in _orbit_representatives():
+        lines = [list(v) for i, v in enumerate(CENSUS_LINES) if mask >> i & 1]
+        g = rng.choice(SIGNED_PERMUTATIONS)
+        image = [list(CENSUS_LINES[g[i]]) for i in range(len(CENSUS_LINES))
+                 if mask >> i & 1]
+        rng.shuffle(image)
+        yield (arrangement(lines, f"census-{mask}"),
+               arrangement(image, f"census-{mask}-image"))
+
+
+def test_signed_permutations_act_as_a_group_of_order_24():
+    assert len(CENSUS_LINES) == 13
+    assert len({tuple(g) for g in SIGNED_PERMUTATIONS}) == 24
+    assert all(sorted(g) == list(range(13)) for g in SIGNED_PERMUTATIONS)
+
+
+def _invariants(report):
+    """What a projective equivalence keeps: the classification, and the
+    multiset of per-line exponents and defects."""
+    return (report.classification.to_json(),
+            sorted((tuple(sorted(d.exponents)), d.defect) for d in report.lines))
+
+
+def test_census_orbits_agree_and_meet_the_classical_bounds():
+    verdicts = {}
+    pairs = 0
+    for A, B in _census_pairs():
+        reports = [verify(A), verify(B)]
+        for report in reports:
+            assert report.ok, (report.arrangement.name, [
+                c.id for c in report.checks if c.status == "fail"])
+        assert _invariants(reports[0]) == _invariants(reports[1]), A.name
+        cls = reports[0].classification
+        verdicts[cls.verdict] = verdicts.get(cls.verdict, 0) + 1
+        d, r, tau = len(A), cls.mdr, tjurina(A)
+        # Terao's factorization: free with exponents (a, b) forces b2 = ab
+        if cls.verdict == "free":
+            a, b = cls.exponents
+            assert chi0(A).b2_0 == a * b, A.name
+        # du Plessis-Wall, and Dimca's free and nearly free iff statements
+        if r:
+            low = (d - 1) * (d - r - 1)
+            top = low + r * r
+            high = top - comb(2 * r + 2 - d, 2) if 2 * r >= d else top
+            assert low <= tau <= high, (A.name, r, tau)
+            assert (tau == top) == (cls.verdict == "free"), A.name
+            assert (tau == top - 1) == (cls.verdict == "nearly-free"), A.name
+        pairs += 1
+    assert pairs == 539
+    assert verdicts == {"free": 165, "nearly-free": 155,
+                        "plus-one-generated": 100, "other": 119}
+
+
+# the six points at t = -4, 3, -5 and -2, 4, 1 on the conic y^2 = xz, as
+# (1, t, t^2); line i joins the i // 3-th of the first three to the i % 3-th
+# of the others
+ZIEGLER_CONIC = arrangement(
+    [[8, 6, 1], [16, 0, -1], [4, -3, -1], [6, 1, -1], [12, -7, 1], [3, -4, 1],
+     [10, 7, 1], [20, -1, -1], [5, -4, -1]], "ziegler-conic")
+ZIEGLER_OFF_CONIC = arrangement(
+    [list(_cross(P, Q)) for P in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+     for Q in ((1, 1, 1), (1, 2, 3), (2, 5, 1))], "ziegler-off-conic")
+
+
+def _lattice(A):
+    return sorted(X.incident_lines for X in intersection_points(A))
+
+
+def test_ziegler_pair_shares_a_lattice():
+    lattice = _lattice(ZIEGLER_CONIC)
+    assert lattice == _lattice(ZIEGLER_OFF_CONIC)
+    assert sorted(len(X) for X in lattice) == [2] * 18 + [3] * 6
+    assert tjurina(ZIEGLER_CONIC) == tjurina(ZIEGLER_OFF_CONIC) == 42
+
+
+@pytest.mark.parametrize("A, gens, rels", [
+    (ZIEGLER_CONIC, (5, 6, 6, 6), (7, 8)),
+    (ZIEGLER_OFF_CONIC, (6,) * 6, (7,) * 4),
+], ids=lambda x: getattr(x, "name", None))
+def test_ziegler_pair_resolutions_differ(A, gens, rels):
+    shape = minimal_resolution(A)
+    assert (shape.generator_degrees, shape.relation_degrees) == (gens, rels)
+    assert shape.complete
+    report = verify(A)
+    assert report.classification.verdict == "other"
+    assert report.ok, [c.id for c in report.checks if c.status == "fail"]
+
+
+def test_the_conic_generator_is_no_point_derivation():
+    # the degree-5 generator on the conic is left to the point system
+    assert derivation._sandwich(ZIEGLER_CONIC, 5) is None
+    assert derivation.ar_dim(ZIEGLER_CONIC, 5) == 1

@@ -292,17 +292,42 @@ _GENERATOR_CASES = (
     + [(generic(5, seed=3), False), (random_arrangement(8, 1), False)])
 
 
+def in_layer(A, k, v) -> bool:
+    """Whether the degree-k vector v lies in D_{H0}(A), checked exactly on
+    the per-line conditions: theta(alpha_H0) = 0, and the kept components
+    satisfy oracles.h0_conditions."""
+    m = monomial_count(3, k)
+    alpha, _, kept = derivation._h0_frame(A)
+    comps = [v[c * m:(c + 1) * m] for c in range(3)]
+    if any(sum(a * comp[j] for a, comp in zip(alpha, comps)) for j in range(m)):
+        return False
+    ab = comps[kept[0]] + comps[kept[1]]
+    return not any(sum(a * b for a, b in zip(row, ab) if a)
+                   for row in oracles.h0_conditions(A, k))
+
+
 @pytest.mark.parametrize(
     "A, early_stop", _GENERATOR_CASES,
     ids=[f"{A.name}-{'classify' if stop else 'minimal'}"
          for A, stop in _GENERATOR_CASES])
 def test_generators_match_span_builder(A, early_stop, monkeypatch):
-    # the pivots of one kernel per degree pick the generators a SpanBuilder
-    # picks, vector for vector, in every degree the scan visits
+    # in every degree the scan visits, the generators are as many as a
+    # SpanBuilder picks; they lie in D_{H0}(A), are independent modulo x,
+    # y and z times the layer below, and complete those shifts to the layer
     top = max(scanned_degrees(A, early_stop, monkeypatch))
     data = derivation._resolution(A, early_stop)
-    assert data.generators == tuple((k, v) for k in range(top + 1)
-                                    for v in layer_generators(A, k))
+    assert [k for k, _ in data.generators] == [
+        k for k in range(top + 1) for _ in layer_generators(A, k)]
+    for k in range(top + 1):
+        ncols = 3 * monomial_count(3, k)
+        gens = [list(v) for g, v in data.generators if g == k]
+        assert all(in_layer(A, k, v) for v in gens), k
+        shifts = [derivation._shift_vec(v, k - 1, var)
+                  for v in (derivation._ar_kernel(A, k - 1) if k else ())
+                  for var in range(3)]
+        spanned = echelon_basis(shifts + gens, ncols)
+        assert len(spanned) == len(echelon_basis(shifts, ncols)) + len(gens), k
+        assert spanned == echelon_basis(derivation._ar_kernel(A, k), ncols), k
     if not early_stop:
         assert len(data.generators) >= 4
 
@@ -445,25 +470,40 @@ POINT_SYSTEM_CASES = (
                          + [(A, True) for A in POINT_SYSTEM_CASES],
                          ids=lambda x: getattr(x, "name", str(x)))
 def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
-    # A prime must decide each kernel: a broken modular path would still
-    # give exact answers through the fallback, only slowly.  The dimension
-    # of D_0(A)_k, from the rank of the Jacobian-syzygy matrix, is the
-    # independent oracle for the D_{H0}(A) conditions.
+    # Every layer is a basis of the kernel of the per-line conditions:
+    # exact vectors of D_{H0}(A), independent, with the span of that
+    # kernel's exact elimination.  The point system, which takes the layers
+    # the rank sandwich leaves, gives that kernel's reversed RREF in every
+    # degree, and a prime must decide each of its kernels: a broken modular
+    # path would still give exact answers through the fallback, only
+    # slowly.  The dimension of D_0(A)_k, pinned from both sides on the
+    # Jacobian-syzygy matrix J, is the independent oracle for the D_{H0}(A)
+    # conditions: at most 3m minus the rank of J modulo a prime, and at
+    # least the kernel_basis vectors of J, with J v = 0 over Z and
+    # independent by their distinct free columns.
     scanned = scanned_degrees(A, early_stop, monkeypatch)
     assert scanned
     for k in scanned:
-        ncols = 2 * monomial_count(3, k)
+        m = monomial_count(3, k)
+        ncols = 2 * m
         rows = [_int_row(r) for r in oracles.h0_conditions(A, k)]
-        exact = tuple(derivation._h0_lift(A, v) for v in _exact_kernel(rows, ncols))
-        assert derivation._ar_kernel(A, k) == exact, k
+        exact = [derivation._h0_lift(A, v) for v in _exact_kernel(rows, ncols)]
+        got = derivation._ar_kernel(A, k)
+        assert all(in_layer(A, k, v) for v in got), k
+        spanned = echelon_basis(got, 3 * m)
+        assert len(spanned) == len(got), k
+        assert spanned == echelon_basis(exact, 3 * m), k
         assert primes_needed(rows, ncols) is not None, k
-        # the point system's own kernels, uncached, are decided by a prime
-        with monkeypatch.context() as m:
-            m.setattr(linalg, "_exact_kernel", None)
-            assert derivation._ar_kernel.__wrapped__(A, k) == exact, k
-        syzygy_cols = 3 * monomial_count(3, k)
-        assert len(exact) == syzygy_cols - rank(jacobian_matrix(A, k),
-                                                syzygy_cols), k
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_exact_kernel", None)
+            assert derivation._point_system(A, k) == tuple(exact), k
+        J = jacobian_matrix(A, k)
+        syzygies = kernel_basis(J, 3 * m)
+        assert all(not any(sum(a * x for a, x in zip(row, v) if x) for row in J)
+                   for v in syzygies), k
+        assert len({linalg.free_column(v) for v in syzygies}) == len(syzygies)
+        upper = 3 * m - len(_rref_mod(J, 3 * m, KERNEL_PRIMES[-1])[1])
+        assert len(syzygies) == len(exact) == upper, k
 
 
 def assert_rref_mod_is_the_oracle(rows, ncols, p):
