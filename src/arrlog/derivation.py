@@ -15,22 +15,30 @@ S-linear isomorphisms D_0(A) = D_H(A) for every line H, so the module is
 computed as D_{H0}(A), H0 = line 0, from its own defining conditions:
 theta(alpha_H0) = 0, and theta(alpha_K) vanishes on every other line K.
 
-Most layers are certified with no kernel, by the rank sandwich of
-_ar_kernel: Ziegler's sequence bounds a layer from above by the layer below
-and the certified restriction exponents on H0, and alpha_H0 times the layer
-below, with shifts and point derivations g_v d_v whose restrictions to H0
-are independent modulo a prime, bounds it from below.  The point
+Most layers are certified with no kernel over Q.  Both kept components of
+theta vanish at every intersection point off H0, so when the degree-k
+monomials at those points have full column rank, D_{H0}(A) is zero in
+degree k and in every degree below it (_empty_through).  The other layers
+go through the rank sandwich of _ar_kernel: Ziegler's sequence bounds a
+layer from above by the layer below and the certified restriction
+exponents on H0, or the dimension of the point system's kernel modulo a
+prime does, and alpha_H0 times the layer below, with shifts and point
+derivations g_v d_v whose restrictions to H0 are independent modulo a
+prime, bounds it from below.  Each of these decisions reads only a rank,
+and the rank of an integer matrix modulo any prime is at most its rank over
+Q, so one word-size prime (linalg.WORD_PRIME) serves them all.  The point
 derivations, g_v the product of the lines that miss the intersection point
 v, span the top layers of generic arrangements (Yuzvinsky 1991: D_0(A) is
-generated in degree |A| - 2).  A layer whose bounds do not meet is solved
-from the intersection points (_point_system): both kept components of theta
-vanish at every point off H0, so one kernel of the monomials at those
-points serves both, and a small second system in its coordinates takes one
-row per point on H0 and a restriction block only for the lines with at most
-k points.  Both kernels are certified over Z by linalg.kernel_basis as any
-other, and since the two systems define D_{H0}(A) exactly, the certificate
-covers the module itself.  Either way a layer is a certified basis, and
-everything read off it depends only on its span.
+generated in degree |A| - 2), and the lowest nonzero layer of a random one,
+at a triple point.  A layer whose bounds do not meet is solved from the
+intersection points (_point_system): one kernel of the monomials at the
+points off H0 serves both kept components, and a small second system in its
+coordinates takes one row per point on H0 and a restriction block only for
+the lines with at most k points.  Both kernels are certified over Z by
+linalg.kernel_basis as any other, and since the two systems define
+D_{H0}(A) exactly, the certificate covers the module itself.  Either way a
+layer is a certified basis, and everything read off it depends only on its
+span.
 
 The scan ends with a proof, not with more layers: _spans_module shows
 from a determinant and the global Tjurina number that at most three
@@ -123,9 +131,10 @@ def _h0_lift(A: Arrangement, v) -> tuple[int, ...]:
     return tuple(linalg._primitive_vec([c for comp in comps for c in comp]))
 
 
-def _point_row(P, k: int) -> list[int]:
-    """The degree-k monomials at the integer point P, in monomials order."""
-    powers = [[c ** i for i in range(k + 1)] for c in P]
+def _point_row(P, k: int, p: int | None = None) -> list[int]:
+    """The degree-k monomials at the integer point P, in monomials order;
+    congruent to them modulo p, and below p**3, if p is given."""
+    powers = [[pow(c, i, p) for i in range(k + 1)] for c in P]
     return [powers[0][i] * powers[1][j] * powers[2][l]
             for i, j, l in monomials(3, k)]
 
@@ -271,11 +280,11 @@ def _sandwich(A: Arrangement, k: int):
 
     The basis is alpha_H0 times layer k - 1, then the candidates chosen
     greedily, in _candidates' order, while their kept values at k + 1
-    points of H0 grow in rank modulo the first of KERNEL_PRIMES, until
-    that rank reaches the free pattern of the exponents of the restriction
-    to H0.  Every chosen point derivation must take the values it was
-    ranked by and lie in D_{H0}(A) (_in_module), or CertificationFailure is
-    raised.
+    points of H0 grow in rank modulo WORD_PRIME, until that rank reaches
+    the free pattern of the exponents of the restriction to H0, or, once
+    the candidates run out, the number of vectors reaches _point_bound.
+    Every chosen point derivation must take the values it was ranked by and
+    lie in D_{H0}(A) (_in_module), or CertificationFailure is raised.
     """
     prev = _ar_kernel(A, k - 1) if k else ()
     alpha = A.lines[0].int_coeffs
@@ -286,16 +295,16 @@ def _sandwich(A: Arrangement, k: int):
     if not target:
         return tuple(basis), True
     points = _h0_points(A, k + 1)
-    p = linalg.KERNEL_PRIMES[0]
     echelon: list = []
     chosen = []
     for row, build, point in _candidates(A, k, prev, points):
-        if _grows(echelon, row, p):
+        if _grows(echelon, row, linalg.WORD_PRIME):
             chosen.append((row, build(), point))
             if len(echelon) == target:
                 break
     else:
-        return None
+        if len(prev) + len(echelon) != _point_bound(A, k):
+            return None
     derived = [(row, vec) for row, vec, point in chosen if point]
     if derived and (any(_kept_values(A, vec, k, k + 1) != row
                         for row, vec in derived)
@@ -319,13 +328,33 @@ def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     S-module, so the resolution and classification read off this basis are
     those of D_0(A).
 
-    The basis is _sandwich's when this rank sandwich is tight:
+    Every decision below reads only a rank modulo a prime p, never a value
+    over Q, and any prime is sound for it: a nonzero minor modulo p is a
+    nonzero integer, so the rank of an integer matrix modulo p is at most
+    its rank over Q.  So all of them use one word-size prime, WORD_PRIME.
+
+    The layers through _empty_through(A) are zero.  The kept components a
+    and b of theta vanish at every intersection point off H0 (see
+    _point_system).  When the matrix E_k of the degree-k monomials at those
+    points has full column rank modulo p, and so over Q, no nonzero form of
+    degree k vanishes there.  Nor does one of a degree j < k: if g did,
+    l^(k - j) g would, for any linear form l, and it is nonzero when g is.
+    So a = b = 0 in every degree j <= k, and theta_e, fixed by them, is 0.
+    The empty layers thus form a prefix, and one elimination, in the
+    largest k with C(k + 2, 2) <= |off|, decides it; when that E_k is not
+    injective, each layer takes the route below.
+
+    The basis of any other layer is _sandwich's when this rank sandwich is
+    tight:
     - Above.  Ziegler's sequence 0 -> D_{H0}(A)(-1) -> D_{H0}(A) ->
       D(A^H0, m^H0), the first map multiplication by alpha_H0 and the
       second restriction to H0 (Ziegler 1989), gives dim D_k <= dim D_(k-1)
       + dim D(A^H0, m^H0)_k.  The restriction is free of rank 2 with the
       exponents (e1, e2) that multiarr.exponents certifies by Saito's
       criterion, so the second term is _free_pattern(k, e1, e2).
+    - Above, when the candidates run out below that bound.  D_k is the
+      kernel over Q of the integer matrix of the point system, so its
+      kernel's dimension modulo p, _point_bound, is at least dim D_k.
     - Below.  alpha_H0 times a basis of D_(k-1) is independent and
       restricts to zero on H0.  A derivation of D_{H0}(A)_k restricts to
       zero iff its two kept components vanish on H0, that is, at k + 1
@@ -334,13 +363,32 @@ def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
       rational dependence, made primitive, survives modulo p), and so
       independent modulo alpha_H0 D_(k-1).  With the alpha_H0 multiples
       they are dim D_(k-1) + (their rank) independent vectors of D_k.
-    When the two bounds meet, those vectors are a basis.  The candidates
-    are x, y and z times layer k - 1, which lie in the module, and the
-    point derivations, each checked exactly against every line.  Otherwise
-    the basis is that of the point system (_point_system).
+    When an upper bound meets the lower one, those vectors are a basis.  The
+    candidates are x, y and z times layer k - 1, which lie in the module,
+    and the point derivations, each checked exactly against every line.
+    Otherwise the basis is that of the point system (_point_system).
     """
+    if k <= _empty_through(A):
+        return ()
     layer = _sandwich(A, k)
     return layer[0] if layer is not None else _point_system(A, k)
+
+
+@lru_cache(maxsize=1024)
+def _empty_through(A: Arrangement) -> int:
+    """The largest k with C(k + 2, 2) <= |off|, the intersection points off
+    H0, if the matrix E_k of the degree-k monomials at those points has full
+    column rank modulo WORD_PRIME, and so over Q; else -1.  D_{H0}(A)_j = 0
+    for every j <= k: see _ar_kernel."""
+    off = _h0_incidence(A)[0]
+    k = -1
+    while monomial_count(3, k + 1) <= len(off):
+        k += 1
+    if k < 0:
+        return -1
+    m = monomial_count(3, k)
+    E = [_point_row(P, k, linalg.WORD_PRIME) for P in off]
+    return k if linalg.rank_mod(E, m, linalg.WORD_PRIME) == m else -1
 
 
 def _point_system(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
@@ -359,10 +407,10 @@ def _point_system(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
       and b lie in the span of G = kernel_basis(E), E the matrix of the
       degree-k monomials at the points off H0: a = sum u_i g_i and
       b = sum v_i g_i.
-    - (u, v) then solves one row w_K . (a, b)(Q) = 0 for each point Q on
-      H0, K any other line through Q (their weights are proportional), and
-      the restriction block of w_K . (a, b) to K for each line K with
-      t_K < k + 1 intersection points.
+    - (u, v) then solves the rows of _uv_rows: one row w_K . (a, b)(Q) = 0
+      for each point Q on H0, K any other line through Q (their weights
+      are proportional), and the restriction block of w_K . (a, b) to K
+      for each line K with t_K < k + 1 intersection points.
     Conversely, on a line K with t_K >= k + 1, w_K . (a, b) restricted to K
     is a binary form of degree k that vanishes at t_K points: those of K
     off H0 and K cap H0.  So it is zero, and the other lines carry their
@@ -380,9 +428,18 @@ def _point_system(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     kind: up to positive factors, the reversed RREF of the layer that
     kernel_basis of the per-line rows returns.  _h0_lift makes them primitive.
     """
-    off, on, lines = _h0_incidence(A)
     m = monomial_count(3, k)
-    G = linalg.kernel_basis([_point_row(P, k) for P in off], m)
+    G = linalg.kernel_basis([_point_row(P, k) for P in _h0_incidence(A)[0]], m)
+    r = len(G)
+    return tuple(_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
+                 for uv in linalg.kernel_basis(_uv_rows(A, k, G), 2 * r))
+
+
+def _uv_rows(A: Arrangement, k: int, G) -> list[list[int]]:
+    """The second system of _point_system, on (u, v) with a = sum u_i g_i
+    and b = sum v_i g_i for the vectors g_i of G: one row per point on H0,
+    and the restriction block of each line with at most k points."""
+    _, on, lines = _h0_incidence(A)
     # (weights, the value of each g_i) per condition
     conditions = []
     for Q, w in on:
@@ -391,11 +448,21 @@ def _point_system(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     for t, beta, w in lines:
         if t < k + 1:
             conditions.extend((w, values) for values in zip(*restrict(beta, G, k)))
-    rows = [[w0 * x for x in values] + [w1 * x for x in values]
+    return [[w0 * x for x in values] + [w1 * x for x in values]
             for (w0, w1), values in conditions]
-    r = len(G)
-    return tuple(_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
-                 for uv in linalg.kernel_basis(rows, 2 * r))
+
+
+def _point_bound(A: Arrangement, k: int) -> int:
+    """An upper bound on dim D_{H0}(A)_k: the dimension over F_p, p =
+    WORD_PRIME, of the kernel of the point system, solved through a kernel
+    of E modulo p.  The integer matrix M of both systems of _point_system,
+    E on a and on b above the conditions of _uv_rows written in (a, b), has
+    a kernel over Q that _h0_lift maps onto D_{H0}(A)_k, and its rank mod p
+    is at most its rank over Q."""
+    p = linalg.WORD_PRIME
+    m = monomial_count(3, k)
+    G = linalg.kernel_mod([_point_row(P, k, p) for P in _h0_incidence(A)[0]], m, p)
+    return 2 * len(G) - linalg.rank_mod(_uv_rows(A, k, G), 2 * len(G), p)
 
 
 def ar_dim(A: Arrangement, k: int) -> int:
@@ -559,11 +626,10 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     while True:
         basis = _ar_kernel(A, k)
         dim = len(basis)
-        layer = _sandwich(A, k)
         if not prev:
             # no shifts: the whole layer is new
             gens.extend((k, v) for v in basis)
-        elif layer is None or not layer[1]:
+        elif (layer := _sandwich(A, k)) is None or not layer[1]:
             # the pivots of [x, y, z times layer k - 1 | layer k], the
             # columns no kernel vector is free in, count the dimension the
             # shifts cover and, among the basis, are the new generators.

@@ -22,6 +22,12 @@ kernel_basis vector w is free in its last nonzero column f, the pivots of
 the RREF are the columns no vector is free in, and the RREF has -w[c] / w[f]
 in column f of the row with pivot c (``rref_columns``).
 
+A decision that reads only a rank needs no reconstruction: ``rank_mod``
+and ``kernel_mod`` work modulo one prime, ``WORD_PRIME`` for every caller,
+and a rank mod p is at most the rank over Q, so a full column rank mod p is
+one over Q and a kernel's dimension mod p bounds its dimension over Q from
+above.
+
 Only ``integer_rref``, in ``_exact_kernel``, eliminates exactly over Z:
 pivots are chosen by smallest bit-size and rows are divided by their gcd
 after every step.
@@ -41,6 +47,10 @@ Mat = list[Vec]
 KERNEL_PRIMES = tuple(2 ** 127 - c for c in (
     1, 25, 39, 295, 309, 507, 511, 577, 697, 735, 801, 957, 1081, 1105, 1141,
     1201, 1231, 1447))
+
+# the prime of every decision that reads only a rank (see rank_mod), below
+# 2**30 so that entries stay small; reconstruction needs KERNEL_PRIMES
+WORD_PRIME = 2 ** 30 - 35
 
 
 def _content(row) -> int:
@@ -201,11 +211,27 @@ def _exact_kernel(rows: Mat, ncols: int) -> Mat:
 
 def _rref_mod(rows: Mat, ncols: int, p: int) -> tuple[Mat, list[int]]:
     """Reduced row echelon form modulo p, pivots scaled to 1, every entry
-    in [0, p).
+    in [0, p): _echelon_mod, then back-substitution."""
+    echelon, pivots = _echelon_mod(rows, ncols, p)
+    for i in range(len(echelon) - 1, -1, -1):
+        c = pivots[i]
+        nonzero = _reduce_tail(echelon[i], c, p)
+        for r in echelon[:i]:
+            v = r[c] % p
+            r[c] = 0
+            if v:
+                for j, b in nonzero:
+                    r[j] -= v * b
+    return echelon, pivots
+
+
+def _echelon_mod(rows: Mat, ncols: int, p: int) -> tuple[Mat, list[int]]:
+    """Row echelon form modulo p, pivots scaled to 1, every entry in
+    [0, p).
 
     Each pivot is taken from the sparsest candidate row and only its nonzero
-    entries are subtracted, which keeps fill-in and work low; the RREF is
-    unique regardless.  Reduction is lazy: a row update subtracts v * b
+    entries are subtracted, which keeps fill-in and work low; the rank and
+    the RREF are unique regardless.  Reduction is lazy: a row update subtracts v * b
     without reducing, and an entry is reduced mod p only when it is read,
     as a candidate for the current column or when its row becomes a pivot
     row.  Entries thus stay below (number of updates) * p**2, and a row that
@@ -238,16 +264,30 @@ def _rref_mod(rows: Mat, ncols: int, p: int) -> tuple[Mat, list[int]]:
                     r[j] -= v * b
         echelon.append(piv)
         pivots.append(col)
-    for i in range(len(echelon) - 1, -1, -1):
-        c = pivots[i]
-        nonzero = _reduce_tail(echelon[i], c, p)
-        for r in echelon[:i]:
-            v = r[c] % p
-            r[c] = 0
-            if v:
-                for j, b in nonzero:
-                    r[j] -= v * b
     return echelon, pivots
+
+
+def rank_mod(rows: Mat, ncols: int, p: int) -> int:
+    """The rank of integer rows modulo the prime p: at most their rank over
+    Q, since a nonzero minor mod p is a nonzero integer."""
+    return len(_echelon_mod(rows, ncols, p)[1])
+
+
+def kernel_mod(rows: Mat, ncols: int, p: int) -> Mat:
+    """A basis of the right null space of integer rows modulo the prime p,
+    entries in [0, p): one vector per free column of the RREF, 1 there, 0 in
+    the other free columns and minus the RREF entry at each pivot."""
+    echelon, pivots = _rref_mod(rows, ncols, p)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            v = [0] * ncols
+            v[f] = 1
+            for row, c in zip(echelon, pivots):
+                v[c] = -row[f] % p
+            basis.append(v)
+    return basis
 
 
 def _reduce_tail(row: Vec, col: int, p: int, scale: int = 1) -> list[tuple[int, int]]:

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -16,9 +16,10 @@ from arrlog import derivation, linalg
 from arrlog.arrangement import Arrangement, arrangement
 from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
                            random_arrangement)
-from arrlog.linalg import (KERNEL_PRIMES, _crt_kernels, _exact_kernel,
-                           _int_row, _modular_kernel, _rref_mod, integer_rref,
-                           kernel_basis, rref_columns, solve_columns)
+from arrlog.linalg import (KERNEL_PRIMES, WORD_PRIME, _crt_kernels,
+                           _exact_kernel, _int_row, _modular_kernel, _rref_mod,
+                           integer_rref, kernel_basis, kernel_mod, rank_mod,
+                           rref_columns, solve_columns)
 from arrlog.poly import monomial_count
 from oracles import (SpanBuilder, echelon_basis, layer_generators, rank,
                      span_contains)
@@ -395,6 +396,12 @@ def test_kernel_primes():
     assert prod(KERNEL_PRIMES) > 2 ** 2203 - 1
 
 
+def test_word_prime():
+    # prime by trial division, below 2**30 as its name promises
+    assert 2 ** 29 < WORD_PRIME < 2 ** 30
+    assert all(WORD_PRIME % d for d in range(2, isqrt(WORD_PRIME) + 1))
+
+
 def test_kernel_of_first_prime_is_refuted():
     # 2**127 - 1 vanishes modulo the first prime, whose one-vector kernel
     # fails M v = 0; the second prime sees rank 1 and decides alone
@@ -518,6 +525,26 @@ def assert_rref_mod_is_the_oracle(rows, ncols, p):
 def test_rref_mod_equals_gf_p_oracle(p, data):
     rows = data.draw(shifted_products(p))
     assert_rref_mod_is_the_oracle(rows, len(rows[0]), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_and_kernel_mod_word_prime_equal_gf_p_oracle(data):
+    # the rank is the oracle's; the kernel has the complementary dimension,
+    # vanishes under every row mod p and is independent, being 1 in its own
+    # free column and 0 in the others
+    p = WORD_PRIME
+    rows = data.draw(shifted_products(p))
+    ncols = len(rows[0])
+    pivots = rref_oracle(rows, ncols, p)[1]
+    assert rank_mod(rows, ncols, p) == len(pivots)
+    kernel = kernel_mod(rows, ncols, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    assert [[v[f] for f in free] for v in kernel] == [
+        [int(f == g) for g in free] for f in free]
+    assert all(0 <= a < p for v in kernel for a in v)
+    assert all(sum(a * x for a, x in zip(row, v)) % p == 0
+               for row in rows for v in kernel)
 
 
 @pytest.mark.parametrize("p", [KERNEL_PRIMES[0], KERNEL_PRIMES[-1]])
