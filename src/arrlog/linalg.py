@@ -6,16 +6,17 @@ denominators first.  Fractions are built only for printed values, by
 ``rref_columns`` and ``unit_last``.  Every result is a deterministic
 function of the input, as the RREF of a matrix is unique.
 
-``kernel_basis`` eliminates modulo the 127-bit primes of ``KERNEL_PRIMES``
-in turn, reducing entries mod p only where it reads them, and combines the
-RREF residues by the Chinese remainder theorem while the pivot columns
-agree.  After each prime it reads one basis vector per free column off the
-residues modulo the product N of the primes so far, rebuilds each over Q by
-rational reconstruction modulo N and keeps the basis only if M v = 0 holds
-exactly over Z for the matrix M and every vector v, summed over the columns
-of v's support.  That check is a certificate (see ``_modular_kernel``), so
-the result equals exact elimination's.  When no modulus yields a certified
-basis, exact elimination decides.
+``kernel_basis`` eliminates modulo the 127-bit moduli of ``_moduli`` in
+turn, the primes of ``KERNEL_PRIMES`` first, reducing entries mod m only
+where it reads them, and combines the RREF residues by the Chinese remainder
+theorem while the pivot columns agree.  After each modulus it reads one
+basis vector per free column off the residues modulo the product N of the
+moduli so far, rebuilds each over Q by rational reconstruction modulo N and
+keeps the basis only if M v = 0 holds exactly over Z for the matrix M and
+every vector v, summed over the columns of v's support.  That check is a
+certificate (see ``_modular_kernel``), so the result equals exact
+elimination's, and the moduli go on until one certifies (see
+``_crt_kernels``).
 
 Spans, solutions and RREFs are read off one certified kernel as well: a
 kernel_basis vector w is free in its last nonzero column f, the pivots of
@@ -28,22 +29,20 @@ and a rank mod p is at most the rank over Q, so a full column rank mod p is
 one over Q and a kernel's dimension mod p bounds its dimension over Q from
 above.
 
-Only ``integer_rref``, in ``_exact_kernel``, eliminates exactly over Z:
-pivots are chosen by smallest bit-size and rows are divided by their gcd
-after every step.
+Nothing here eliminates over Z: fraction-free elimination, which every
+kernel equals, is the reference of the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 Vec = list[int]
 Mat = list[Vec]
 
-# kernel_basis works modulo these primes in turn, combined by CRT, before
-# exact elimination: the 18 largest primes below 2**127, whose product
-# (about 2**2286) exceeds 2**2203 - 1
+# the first moduli of kernel_basis (see _moduli): the 18 largest primes
+# below 2**127, whose product (about 2**2286) exceeds 2**2203 - 1
 KERNEL_PRIMES = tuple(2 ** 127 - c for c in (
     1, 25, 39, 295, 309, 507, 511, 577, 697, 735, 801, 957, 1081, 1105, 1141,
     1201, 1231, 1447))
@@ -76,56 +75,6 @@ def _primitive_vec(v: Vec) -> Vec:
     return [a // g for a in v] if g > 1 else v
 
 
-def _reduce_rows(rows: Mat, ncols: int) -> tuple[Mat, list[int]]:
-    """Forward elimination to row echelon form over the integers.
-
-    Returns the nonzero echelon rows and their pivot columns.  Pivot rows are
-    chosen by smallest absolute pivot entry (bit-size), which keeps the
-    intermediate integers small; the final RREF is unique regardless.
-    """
-    work = [r for r in rows if any(r)]
-    echelon: list[list[int]] = []
-    pivots: list[int] = []
-    col = 0
-    while work and col < ncols:
-        candidates = [r for r in work if r[col] != 0]
-        if not candidates:
-            col += 1
-            continue
-        piv = min(candidates, key=lambda r: abs(r[col]).bit_length())
-        work.remove(piv)
-        p = piv[col]
-        nxt = []
-        for r in work:
-            v = r[col]
-            if v != 0:
-                r = _primitive_vec([p * a - v * b for a, b in zip(r, piv)])
-            if any(r):
-                nxt.append(r)
-        work = nxt
-        echelon.append(piv)
-        pivots.append(col)
-        col += 1
-    return echelon, pivots
-
-
-def integer_rref(matrix: Mat, ncols: int) -> tuple[Mat, list[int]]:
-    """The reduced row echelon form of integer rows up to one integer factor
-    per row, with its pivot columns: row i is row[pivots[i]] times the
-    reduced row, so a caller divides only the entries it reads."""
-    echelon, pivots = _reduce_rows(matrix, ncols)
-    # Back-substitution, still fraction-free.
-    for i in range(len(echelon) - 1, -1, -1):
-        c = pivots[i]
-        for j in range(i):
-            v = echelon[j][c]
-            if v != 0:
-                p = echelon[i][c]
-                echelon[j] = _primitive_vec(
-                    [p * a - v * b for a, b in zip(echelon[j], echelon[i])])
-    return echelon, pivots
-
-
 def free_column(v) -> int:
     """The index of the last nonzero entry of v: for a kernel_basis vector,
     its free column."""
@@ -144,28 +93,56 @@ def kernel_basis(matrix: Mat, ncols: int) -> Mat:
     One primitive integer vector per free column, in increasing column
     order: positive in its free column, its last nonzero entry, and zero in
     every other free column.  Equal inputs give identical bases.  Computed
-    modulo the primes of KERNEL_PRIMES, combined by CRT, and certified over
-    Z (see _crt_kernels); exact elimination decides when no modulus does.
+    modulo the moduli of _moduli, combined by CRT, and certified over Z:
+    the first basis _crt_kernels certifies, which always comes.
     """
-    for _, basis in _crt_kernels(matrix, ncols):
-        if basis is not None:
-            return basis
-    return _exact_kernel(matrix, ncols)
+    return next(basis for _, basis in _crt_kernels(matrix, ncols)
+                if basis is not None)
+
+
+def _moduli():
+    """KERNEL_PRIMES, then the odd 2**127 - c, c = 1449, 1451, ..., that
+    are coprime to the product of the moduli before them: pairwise coprime,
+    but not all prime (see _crt_kernels)."""
+    yield from KERNEL_PRIMES
+    product = prod(KERNEL_PRIMES)
+    c = 1449
+    while True:
+        m = 2 ** 127 - c
+        if gcd(m, product) == 1:
+            product *= m
+            yield m
+        c += 2
 
 
 def _crt_kernels(rows: Mat, ncols: int):
-    """For each prime of KERNEL_PRIMES in turn, the number of primes whose
+    """For each modulus of _moduli in turn, the number of moduli whose
     residues are combined so far and the basis _modular_kernel certifies
-    from them, or None; [] as soon as a prime gives full column rank.
+    from them, or None; [] as soon as a modulus gives full column rank.
 
     Only the RREF entries in the free columns are kept, as they are all the
-    reconstruction reads.  A prime's residues join the running ones by the
+    reconstruction reads.  A modulus's residues join the running ones by the
     Chinese remainder theorem while its pivot columns agree with theirs; a
-    prime with other pivots starts the accumulation again.
+    modulus with other pivots starts the accumulation again.  A composite
+    modulus m is skipped where a pivot is not a unit mod m (pow raises
+    ValueError).  With unit pivots, elimination mod m is elimination mod
+    every prime factor of m, with the same pivots, so the certificate of
+    _modular_kernel holds unchanged.
+
+    The sequence ends.  A pivot entry is a ratio of nonzero minors of the
+    matrix, so a modulus is skipped, or has pivots other than those over Q,
+    only if it shares a prime with such a minor.  There are finitely many
+    such primes, and each divides at most one modulus, as the moduli are
+    pairwise coprime.  After the last such modulus the accumulation only
+    grows, and it certifies once the product passes the reconstruction
+    bound.  Wrong pivots before that are refuted by the M v = 0 check.
     """
     columns = pivots = None
-    for p in KERNEL_PRIMES:
-        echelon, new_pivots = _rref_mod(rows, ncols, p)
+    for m in _moduli():
+        try:
+            echelon, new_pivots = _rref_mod(rows, ncols, m)
+        except ValueError:
+            continue
         if len(new_pivots) == ncols:
             yield 1, []
             return
@@ -177,36 +154,16 @@ def _crt_kernels(rows: Mat, ncols: int):
             pivot_set = set(pivots)
             free = [c for c in range(ncols) if c not in pivot_set]
             residues = [[row[f] for f in free] for row in echelon]
-            modulus, count = p, 1
+            modulus, count = m, 1
         else:
-            inv = pow(modulus, -1, p)
+            inv = pow(modulus, -1, m)
             for res, row in zip(residues, echelon):
                 for i, f in enumerate(free):
-                    res[i] += modulus * ((row[f] - res[i]) * inv % p)
-            modulus *= p
+                    res[i] += modulus * ((row[f] - res[i]) * inv % m)
+            modulus *= m
             count += 1
         yield count, _modular_kernel(columns, len(rows), residues, pivots,
                                      free, modulus)
-
-
-def _exact_kernel(rows: Mat, ncols: int) -> Mat:
-    """kernel_basis by exact elimination: with d_i the pivot entry of row i
-    of integer_rref and D the lcm of those of the rows nonzero in the free
-    column f, the vector is D at f and -D row_i[f] / d_i at each pivot."""
-    reduced, pivots = integer_rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        hits = [(row, c) for row, c in zip(reduced, pivots) if row[free]]
-        den = lcm(*(row[c] for row, c in hits))
-        v = [0] * ncols
-        v[free] = den
-        for row, c in hits:
-            v[c] = -row[free] * (den // row[c])
-        basis.append(_primitive_vec(v))
-    return basis
 
 
 def _rref_mod(rows: Mat, ncols: int, p: int) -> tuple[Mat, list[int]]:
@@ -227,7 +184,8 @@ def _rref_mod(rows: Mat, ncols: int, p: int) -> tuple[Mat, list[int]]:
 
 def _echelon_mod(rows: Mat, ncols: int, p: int) -> tuple[Mat, list[int]]:
     """Row echelon form modulo p, pivots scaled to 1, every entry in
-    [0, p).
+    [0, p).  p need not be prime: a pivot that is not a unit mod p raises
+    ValueError.
 
     Each pivot is taken from the sparsest candidate row and only its nonzero
     entries are subtracted, which keeps fill-in and work low; the rank and

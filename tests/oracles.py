@@ -5,15 +5,17 @@ does: the Fraction coefficients of a linear form, dense Fraction
 polynomials and their products, restriction by substitution, the Jacobian
 of the defining polynomial and its syzygies, D_H(A) as explicit
 derivations, the syzygy layers by their per-line conditions and exact
-ranks, the derivation layers of a weighted arrangement, spans,
-solutions and RREFs by exact elimination (SpanBuilder and integer_rref),
-the new generators of a syzygy layer, deletion of a line, and the span
-rule for the second basis vector of a free module of rank 2.
+ranks, the derivation layers of a weighted arrangement, kernels, spans,
+solutions and RREFs by fraction-free elimination over Z (integer_rref,
+_exact_kernel and SpanBuilder), where arrlog reads them off a kernel
+certified modulo 127-bit moduli, the new generators of a syzygy layer,
+deletion of a line, and the span rule for the second basis vector of a
+free module of rank 2.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from arrlog import linalg, poly
 from arrlog.arrangement import Arrangement, chi0
@@ -266,7 +268,7 @@ def echelon_basis(vectors, ncols: int) -> list[list[int]]:
     """The basis kernel_basis returns for the span of the given integer
     vectors: the RREF of the span read with the columns reversed, each row
     made primitive and positive in its pivot, the last nonzero column."""
-    reduced, pivots = linalg.integer_rref([list(reversed(v)) for v in vectors], ncols)
+    reduced, pivots = integer_rref([list(reversed(v)) for v in vectors], ncols)
     return [linalg._primitive_vec(row[::-1] if row[c] > 0 else [-a for a in reversed(row)])
             for row, c in zip(reversed(reduced), reversed(pivots))]
 
@@ -329,8 +331,7 @@ def h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
 
 def rank(matrix, ncols: int) -> int:
     """Rank of integer rows, by exact elimination over Z."""
-    _, pivots = linalg._reduce_rows([linalg._primitive_vec(r) for r in matrix],
-                                    ncols)
+    _, pivots = _reduce_rows([linalg._primitive_vec(r) for r in matrix], ncols)
     return len(pivots)
 
 
@@ -361,7 +362,78 @@ def quick_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# spans and RREFs by exact elimination
+# kernels, spans and RREFs by exact elimination
+
+
+def _reduce_rows(rows, ncols: int):
+    """Forward elimination to row echelon form over the integers.
+
+    Returns the nonzero echelon rows and their pivot columns.  Pivot rows are
+    chosen by smallest absolute pivot entry (bit-size), which keeps the
+    intermediate integers small; the final RREF is unique regardless.
+    """
+    work = [r for r in rows if any(r)]
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
+    col = 0
+    while work and col < ncols:
+        candidates = [r for r in work if r[col] != 0]
+        if not candidates:
+            col += 1
+            continue
+        piv = min(candidates, key=lambda r: abs(r[col]).bit_length())
+        work.remove(piv)
+        p = piv[col]
+        nxt = []
+        for r in work:
+            v = r[col]
+            if v != 0:
+                r = linalg._primitive_vec([p * a - v * b for a, b in zip(r, piv)])
+            if any(r):
+                nxt.append(r)
+        work = nxt
+        echelon.append(piv)
+        pivots.append(col)
+        col += 1
+    return echelon, pivots
+
+
+def integer_rref(matrix, ncols: int):
+    """The reduced row echelon form of integer rows up to one integer factor
+    per row, with its pivot columns: row i is row[pivots[i]] times the
+    reduced row, so a caller divides only the entries it reads."""
+    echelon, pivots = _reduce_rows(matrix, ncols)
+    # Back-substitution, still fraction-free.
+    for i in range(len(echelon) - 1, -1, -1):
+        c = pivots[i]
+        for j in range(i):
+            v = echelon[j][c]
+            if v != 0:
+                p = echelon[i][c]
+                echelon[j] = linalg._primitive_vec(
+                    [p * a - v * b for a, b in zip(echelon[j], echelon[i])])
+    return echelon, pivots
+
+
+def _exact_kernel(rows, ncols: int):
+    """linalg.kernel_basis by exact elimination: with d_i the pivot entry of
+    row i of integer_rref and D the lcm of those of the rows nonzero in the
+    free column f, the vector is D at f and -D row_i[f] / d_i at each
+    pivot."""
+    reduced, pivots = integer_rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        hits = [(row, c) for row, c in zip(reduced, pivots) if row[free]]
+        den = lcm(*(row[c] for row, c in hits))
+        v = [0] * ncols
+        v[free] = den
+        for row, c in hits:
+            v[c] = -row[free] * (den // row[c])
+        basis.append(linalg._primitive_vec(v))
+    return basis
 
 
 class SpanBuilder:
@@ -433,7 +505,7 @@ def rref_columns(rows, ncols: int, lead: int):
     """linalg.rref_columns by integer_rref: the pivots, and the entries of
     each column from lead on over the pivot rows, each row divided by its
     pivot entry; None if a pivot falls at or after lead."""
-    reduced, pivots = linalg.integer_rref(rows, ncols)
+    reduced, pivots = integer_rref(rows, ncols)
     if pivots and pivots[-1] >= lead:
         return None
     return pivots, [[Fraction(row[f], row[c]) for row, c in zip(reduced, pivots)]
@@ -444,7 +516,7 @@ def solve_columns(cols, rhs):
     """linalg.solve_columns by one integer_rref of [cols | rhs]: unique
     solutions exactly when the pivots are the first len(cols) columns."""
     n = len(cols)
-    rows, pivots = linalg.integer_rref(
+    rows, pivots = integer_rref(
         [linalg._int_row(r) for r in zip(*cols, *rhs)], n + len(rhs))
     if pivots != list(range(n)):
         return None
@@ -462,7 +534,7 @@ def image_vectors(A: Arrangement, H: int, k: int, thetas):
                            for c in range(3) if c != f], k)
     rows = [list(t[::-1]) + a + b
             for t, a, b in zip(thetas, kept[::2], kept[1::2])]
-    reduced, pivots = linalg.integer_rref(rows, 3 * m)
+    reduced, pivots = integer_rref(rows, 3 * m)
     if len(pivots) != len(rows):
         raise CertificationFailure(f"dependent D_H basis at line {H}, degree {k}")
     scale = beta[f] ** k

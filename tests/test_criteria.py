@@ -105,8 +105,8 @@ def test_image_vectors_match_restricted_dh_basis(A):
        st.data())
 def test_image_vectors_match_exact_rref(A, k, data):
     # any integer rows in place of the D_H(A)_k basis: the reversed RREF read
-    # off one kernel must be the one integer_rref gives, and a dependent
-    # family must fail in both
+    # off one certified kernel must be the one exact elimination
+    # (oracles.integer_rref) gives, and a dependent family must fail in both
     H = data.draw(st.integers(0, len(A) - 1))
     m3 = 3 * monomial_count(3, k)
     thetas = data.draw(st.lists(

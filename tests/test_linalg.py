@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt, prod
 
 import pytest
@@ -16,13 +17,12 @@ from arrlog import derivation, linalg
 from arrlog.arrangement import Arrangement, arrangement
 from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
                            random_arrangement)
-from arrlog.linalg import (KERNEL_PRIMES, WORD_PRIME, _crt_kernels,
-                           _exact_kernel, _int_row, _modular_kernel, _rref_mod,
-                           integer_rref, kernel_basis, kernel_mod, rank_mod,
-                           rref_columns, solve_columns)
+from arrlog.linalg import (KERNEL_PRIMES, WORD_PRIME, _crt_kernels, _int_row,
+                           _moduli, _modular_kernel, _rref_mod, kernel_basis,
+                           kernel_mod, rank_mod, rref_columns, solve_columns)
 from arrlog.poly import monomial_count
-from oracles import (SpanBuilder, echelon_basis, layer_generators, rank,
-                     span_contains)
+from oracles import (SpanBuilder, _exact_kernel, echelon_basis, integer_rref,
+                     layer_generators, rank, span_contains)
 from test_derivation import jacobian_matrix
 
 entries = st.integers(min_value=-30, max_value=30)
@@ -63,8 +63,8 @@ def shifted_products(p):
 
 
 def attempts(rows, ncols):
-    """The (primes combined, basis or None) of each prime _crt_kernels
-    eliminates modulo, up to the first certified basis."""
+    """The (moduli combined, basis or None) of each modulus _crt_kernels
+    eliminates modulo without a skip, up to the first certified basis."""
     out = []
     for count, basis in _crt_kernels(rows, ncols):
         out.append((count, basis))
@@ -74,10 +74,26 @@ def attempts(rows, ncols):
 
 
 def primes_needed(rows, ncols):
-    """How many primes the CRT combined into the modulus that certifies the
-    kernel, or None when exact elimination has to decide."""
-    count, basis = attempts(rows, ncols)[-1]
-    return None if basis is None else count
+    """How many moduli the CRT combined into the product that certifies the
+    kernel: at most len(KERNEL_PRIMES) while the kernel primes suffice."""
+    return attempts(rows, ncols)[-1][0]
+
+
+def record_kernel_moduli(mp):
+    """Wrap linalg._crt_kernels so that every kernel certified from now on
+    appends to the returned list how many moduli it was eliminated modulo
+    without a skip, the certifying one included."""
+    tried = []
+    crt_kernels = linalg._crt_kernels
+
+    def counted(rows, ncols):
+        for n, (count, basis) in enumerate(crt_kernels(rows, ncols), 1):
+            if basis is not None:
+                tried.append(n)
+            yield count, basis
+
+    mp.setattr(linalg, "_crt_kernels", counted)
+    return tried
 
 
 def scanned_degrees(A, early_stop, monkeypatch):
@@ -428,11 +444,51 @@ def test_pivots_that_differ_restart_the_crt():
     assert kernel_basis(rows, 3) == [[-1, 2 ** 127 - 1, 0], [-1, 0, 2 ** 127 - 1]]
 
 
-def test_huge_entries_reach_exact_fallback():
-    a, b = 3 ** 1900, 2 ** 3000 + 1
-    rows = [[a, b, 0], [0, 0, 1]]
-    assert primes_needed(rows, 3) is None
-    assert kernel_basis(rows, 3) == [[-b, a, 0]]
+HUGE_ENTRIES = [[3 ** 1900, 2 ** 3000 + 1, 0], [0, 0, 1]]
+
+
+def test_huge_entries_certify_past_the_primes():
+    # entries of about 3000 bits need a product of about 6000 bits to be
+    # rebuilt, past the 2286 of the primes
+    a, b = HUGE_ENTRIES[0][:2]
+    assert primes_needed(HUGE_ENTRIES, 3) > len(KERNEL_PRIMES)
+    assert kernel_basis(HUGE_ENTRIES, 3) == _exact_kernel(HUGE_ENTRIES, 3)
+    assert kernel_basis(HUGE_ENTRIES, 3) == [[-b, a, 0]]
+
+
+def test_moduli_start_with_the_kernel_primes():
+    assert list(islice(_moduli(), len(KERNEL_PRIMES))) == list(KERNEL_PRIMES)
+
+
+def test_moduli_past_the_primes_are_odd_and_pairwise_coprime():
+    moduli = list(islice(_moduli(), len(KERNEL_PRIMES) + 30))
+    assert all(m % 2 and m < 2 ** 127 for m in moduli[len(KERNEL_PRIMES):])
+    assert all(gcd(m, n) == 1 for i, m in enumerate(moduli)
+               for n in moduli[:i])
+    # not all prime: 2**127 - 1451 is divisible by 9, but by no earlier
+    # modulus
+    assert 2 ** 127 - 1451 in moduli and (2 ** 127 - 1451) % 9 == 0
+
+
+def test_composite_modulus_with_a_non_unit_pivot_is_skipped(monkeypatch):
+    # 3**1900 is the first pivot, not a unit modulo 2**127 - 1451: the
+    # elimination raises there, and the sequence goes on past it
+    tried, skipped = [], []
+    rref_mod = linalg._rref_mod
+
+    def recorded(rows, ncols, m):
+        tried.append(m)
+        try:
+            return rref_mod(rows, ncols, m)
+        except ValueError:
+            skipped.append(m)
+            raise
+
+    monkeypatch.setattr(linalg, "_rref_mod", recorded)
+    basis = kernel_basis(HUGE_ENTRIES, 3)
+    assert skipped == [2 ** 127 - 1451]
+    assert tried[-1] != skipped[0]
+    assert basis == _exact_kernel(HUGE_ENTRIES, 3)
 
 
 def test_no_free_column_gives_empty_basis():
@@ -481,13 +537,13 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
     # exact vectors of D_{H0}(A), independent, with the span of that
     # kernel's exact elimination.  The point system, which takes the layers
     # the rank sandwich leaves, gives that kernel's reversed RREF in every
-    # degree, and a prime must decide each of its kernels: a broken modular
-    # path would still give exact answers through the fallback, only
-    # slowly.  The dimension of D_0(A)_k, pinned from both sides on the
-    # Jacobian-syzygy matrix J, is the independent oracle for the D_{H0}(A)
-    # conditions: at most 3m minus the rank of J modulo a prime, and at
-    # least the kernel_basis vectors of J, with J v = 0 over Z and
-    # independent by their distinct free columns.
+    # degree, and the kernel primes must certify each of its kernels: a
+    # regression that pushes real kernels past them would still give exact
+    # answers, only slowly.  The dimension of D_0(A)_k, pinned from both
+    # sides on the Jacobian-syzygy matrix J, is the independent oracle for
+    # the D_{H0}(A) conditions: at most 3m minus the rank of J modulo a
+    # prime, and at least the kernel_basis vectors of J, with J v = 0 over
+    # Z and independent by their distinct free columns.
     scanned = scanned_degrees(A, early_stop, monkeypatch)
     assert scanned
     for k in scanned:
@@ -500,10 +556,11 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
         spanned = echelon_basis(got, 3 * m)
         assert len(spanned) == len(got), k
         assert spanned == echelon_basis(exact, 3 * m), k
-        assert primes_needed(rows, ncols) is not None, k
+        assert primes_needed(rows, ncols) <= len(KERNEL_PRIMES), k
         with monkeypatch.context() as mp:
-            mp.setattr(linalg, "_exact_kernel", None)
+            tried = record_kernel_moduli(mp)
             assert derivation._point_system(A, k) == tuple(exact), k
+        assert tried and max(tried) <= len(KERNEL_PRIMES), k
         J = jacobian_matrix(A, k)
         syzygies = kernel_basis(J, 3 * m)
         assert all(not any(sum(a * x for a, x in zip(row, v) if x) for row in J)

@@ -16,9 +16,9 @@ import pytest
 import oracles
 from arrlog import derivation, linalg, multiarr
 from arrlog.corpus import near_pencil, random_arrangement, random_corpus
-from arrlog.linalg import _exact_kernel, _int_row
+from arrlog.linalg import _int_row
 from arrlog.poly import CertificationFailure, monomial_count, monomials
-from oracles import echelon_basis, h0_conditions
+from oracles import _exact_kernel, echelon_basis, h0_conditions
 from test_census import _census_pairs
 from test_criteria import A3, B3
 from test_linalg import in_layer, scanned_degrees

@@ -27,6 +27,7 @@ from arrlog.derivation import (MAX_DEGREE_ENV, _ar_kernel,
                                minimal_resolution)
 from arrlog.poly import CertificationFailure
 from oracles import ar_dim_by_rank
+from test_linalg import record_kernel_moduli
 
 
 def _arrangements():
@@ -170,40 +171,34 @@ def test_certificate_fails_on_a_coordinate_multiple():
     assert mutated >= 30
 
 
-def _count_eliminations(monkeypatch) -> list:
-    """The shapes of the exact eliminations run from now on, with every
-    cache that could skip one cleared."""
-    eliminations = []
-    reduce_rows = linalg._reduce_rows
-
-    def counted_reduce(rows, ncols):
-        eliminations.append((len(rows), ncols))
-        return reduce_rows(rows, ncols)
-
-    monkeypatch.setattr(linalg, "_reduce_rows", counted_reduce)
+def _kernel_moduli(monkeypatch) -> list:
+    """How many moduli each kernel certified from now on took
+    (record_kernel_moduli), with every cache that could skip one cleared."""
+    tried = record_kernel_moduli(monkeypatch)
     for cached in (_ar_kernel, _classification_resolution, classify,
                    minimal_resolution, criteria._image_vectors,
                    multiarr._deriv_kernel, multiarr.basis):
         cached.cache_clear()
-    return eliminations
+    return tried
 
 
 def test_classify_calls_no_exact_rank(monkeypatch):
     # verify, classify included, does not eliminate exactly: generators,
-    # solves and RREFs are all read off certified kernels, and no kernel
-    # falls back to elimination
-    eliminations = _count_eliminations(monkeypatch)
+    # solves and RREFs are all read off certified kernels, and every kernel
+    # certifies within the kernel primes, so a regression that pushes real
+    # kernels past them fails here instead of only slowing down
+    tried = _kernel_moduli(monkeypatch)
     for A in random_corpus(100, 8, 42):
         verify(A)
-    assert eliminations == []
+    assert tried and max(tried) <= len(linalg.KERNEL_PRIMES)
 
 
 def test_minimal_resolution_calls_no_exact_rank(monkeypatch):
-    eliminations = _count_eliminations(monkeypatch)
+    tried = _kernel_moduli(monkeypatch)
     for A in ([generic(n) for n in (5, 6, 7)] + [random_arrangement(8, 1)]
               + random_corpus(100, 8, 42)):
         minimal_resolution(A)
-    assert eliminations == []
+    assert tried and max(tried) <= len(linalg.KERNEL_PRIMES)
 
 
 def _forced_tau_mismatch(monkeypatch):
