@@ -259,9 +259,18 @@ def _restricted_gradient(A: Arrangement, form: LinearForm3) -> list[list[int]]:
              for i in range(len(A))] for c in range(3)]
 
 
+def _splitting_rows(A: Arrangement, form: LinearForm3, k: int) -> list[list[int]]:
+    """The matrix of S_k^3 -> S_(k + |A| - 1), (a, b, c) -> a g_0 + b g_1 +
+    c g_2 for g = _restricted_gradient: column j of component c is
+    s^(k - j) t^j g_c."""
+    cols = [m for gc in _restricted_gradient(A, form) for m in multiples(gc, 1, k)]
+    return [list(r) for r in zip(*cols)]
+
+
 def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     """The degrees e1 <= e2 of a basis of the syzygies of g =
-    _restricted_gradient, from one certified kernel.
+    _restricted_gradient, from one rank modulo WORD_PRIME or, when that rank
+    is not full, one certified kernel.
 
     An admissible line meets no singular point of f, so g has no common
     zero on it; by Hilbert-Burch its syzygy module is then free of rank 2
@@ -269,14 +278,19 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     below the count bound 3(K + 1) > K + |A|, e2 >= (|A| - 1) / 2 > K, so
     the kernel of S_K^3 -> S_(K + |A| - 1) has dimension max(0, K - e1 + 1)
     and e1 = K + 1 - dim, as e1 <= (|A| - 1) / 2 <= K + 1.  With K < 0
-    (|A| <= 2), e1 = 0.
+    (|A| <= 2), e1 = 0.  A full column rank modulo a prime is one over Q
+    (see linalg.rank_mod), so then dim = 0 with no kernel; most admissible
+    lines have it.
     """
     k = (len(A) - 3) // 2
     if k < 0:
         return SplittingType(form, 0, len(A) - 1)
-    # column j of component c is s^(k-j) t^j g_c
-    cols = [m for gc in _restricted_gradient(A, form) for m in multiples(gc, 1, k)]
-    dim = len(linalg.kernel_basis([list(r) for r in zip(*cols)], 3 * (k + 1)))
+    rows = _splitting_rows(A, form, k)
+    ncols = 3 * (k + 1)
+    if linalg.rank_mod(rows, ncols, linalg.WORD_PRIME) == ncols:
+        dim = 0
+    else:
+        dim = len(linalg.kernel_basis(rows, ncols))
     e1 = k + 1 - dim
     return SplittingType(form, e1, len(A) - 1 - e1)
 

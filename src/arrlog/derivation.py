@@ -24,9 +24,13 @@ layer from above by the layer below and the certified restriction
 exponents on H0, or the dimension of the point system's kernel modulo a
 prime does, and alpha_H0 times the layer below, with shifts and point
 derivations g_v d_v whose restrictions to H0 are independent modulo a
-prime, bounds it from below.  Each of these decisions reads only a rank,
-and the rank of an integer matrix modulo any prime is at most its rank over
-Q, so one word-size prime (linalg.WORD_PRIME) serves them all.  The point
+prime, bounds it from below.  Every chosen point derivation is checked
+exactly against every line, by one evaluation per line (_in_module): at
+P + TQ, with T above every coefficient of its restriction, a binary form
+takes the value sum c_r T^r, zero only when every c_r is.  Each decision
+of the sandwich reads only a rank, and the rank of an integer matrix modulo
+any prime is at most its rank over Q, so one word-size prime
+(linalg.WORD_PRIME) serves them all.  The point
 derivations, g_v the product of the lines that miss the intersection point
 v, span the top layers of generic arrangements (Yuzvinsky 1991: D_0(A) is
 generated in degree |A| - 2), and the lowest nonzero layer of a random one,
@@ -39,6 +43,16 @@ linalg.kernel_basis as any other, and since the two systems define
 D_{H0}(A) exactly, the certificate covers the module itself.  Either way a
 layer is a certified basis, and everything read off it depends only on its
 span.
+
+The new generators of a layer are the basis vectors outside x, y and z
+times the layer below.  For a sandwiched layer they are read off its
+restriction to H0 (_generators_on_h0): the derivations of the layer that
+vanish on H0 are alpha_H0 times the layer below, which lies in those
+shifts, so their span has dimension dim D_(k-1) plus the rank over Q of
+the shifts' kept values, which one small kernel certifies.  When that rank
+is the one modulo the word prime that chose the shifts, the new generators
+are the chosen point derivations.  Any other layer reads them off the
+kernel of [x, y, z times layer k - 1 | layer k] (_generators_by_kernel).
 
 The scan ends with a proof, not with more layers: _spans_module shows
 from a determinant and the global Tjurina number that at most three
@@ -61,6 +75,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, filterfalse
 from math import comb, prod
+from typing import NamedTuple
 
 from . import linalg
 from .arrangement import Arrangement, _cross, intersection_points, tjurina
@@ -150,13 +165,21 @@ def _combine(coeffs, vectors, m: int) -> list[int]:
     return out
 
 
+def _line_points(beta) -> tuple[list[int], list[int]]:
+    """The points P and Q of line_restriction(beta, k), whose combinations
+    sP + tQ make up the line beta."""
+    f = restriction_param(beta).eliminated
+    u, v = (i for i in range(3) if i != f)
+    P, Q = [0] * 3, [0] * 3
+    P[u], P[f] = beta[f], -beta[u]
+    Q[v], Q[f] = beta[f], -beta[v]
+    return P, Q
+
+
 def _h0_points(A: Arrangement, count: int) -> list[tuple[int, ...]]:
     """count integer points of H0 = line 0, pairwise distinct in P^2: P + jQ
     for j < count, P and Q the points of line_restriction(alpha_H0, k)."""
-    alpha, f, (u, v) = _h0_frame(A)
-    P, Q = [0] * 3, [0] * 3
-    P[u], P[f] = alpha[f], -alpha[u]
-    Q[v], Q[f] = alpha[f], -alpha[v]
+    P, Q = _line_points(A.lines[0].int_coeffs)
     return [tuple(a + j * b for a, b in zip(P, Q)) for j in range(count)]
 
 
@@ -208,17 +231,46 @@ def _kept_values(A: Arrangement, vec, d: int, count: int) -> list[int]:
             for j in range(count) for form in forms]
 
 
+def _evaluation_base(beta, k: int, size: int) -> int:
+    """T = |beta|_1^(k + 1) size + 1, above the absolute value of every
+    coefficient of line_restriction(beta, k) applied to theta(beta), for a
+    degree-k derivation theta whose coefficients sum to at most size in
+    absolute value.
+
+    Column mu of line_restriction(beta, k) has entries summing to
+    |beta_f|^(mu_u + mu_v) (|beta_u| + |beta_v|)^mu_f <= |beta|_1^k in
+    absolute value, and the coefficients of theta(beta) = sum beta_i theta_i
+    sum to at most max |beta_i| size <= |beta|_1 size."""
+    return sum(map(abs, beta)) ** (k + 1) * size + 1
+
+
 def _in_module(A: Arrangement, vecs, k: int) -> bool:
     """Whether every degree-k derivation theta given lies in D_{H0}(A), by
     exact arithmetic: theta(alpha_H0) = 0, and theta(alpha_K) vanishes on
-    every other line K, its line_restriction being zero."""
+    every other line K, with one evaluation per line.
+
+    Let c_0, ..., c_k be the coefficients of line_restriction(beta, k)
+    applied to theta(beta), beta the form of K, so that theta(beta) takes
+    the value sum c_r T^r at the point P + TQ of K (_line_points).  With
+    T = _evaluation_base(beta, k, max |theta|_1), every |c_r| <= T - 1, so a
+    nonzero restriction, whose last nonzero coefficient c_R has
+    |c_R T^R| >= T^R > (T - 1)(1 + T + ... + T^(R - 1)), takes a nonzero
+    value there.  So theta(beta) vanishes at that one point iff its
+    restriction to K is zero, that is, iff it vanishes on K."""
     m = monomial_count(3, k)
     comps = [[v[c * m:(c + 1) * m] for c in range(3)] for v in vecs]
     alpha, *others = (line.int_coeffs for line in A.lines)
     if any(any(_combine(alpha, cs, m)) for cs in comps):
         return False
-    return not any(any(r) for beta in others
-                   for r in restrict(beta, [_combine(beta, cs, m) for cs in comps], k))
+    size = max((sum(map(abs, v)) for v in vecs), default=0)
+    for beta in others:
+        P, Q = _line_points(beta)
+        T = _evaluation_base(beta, k, size)
+        at = _point_row([a + T * b for a, b in zip(P, Q)], k)
+        if any(sum(c * t for c, t in zip(_combine(beta, cs, m), at) if c)
+               for cs in comps):
+            return False
+    return True
 
 
 def _grows(echelon: list, row, p: int) -> bool:
@@ -238,14 +290,33 @@ def _grows(echelon: list, row, p: int) -> bool:
     return True
 
 
-def _candidates(A: Arrangement, k: int, prev, points):
+class _Layer(tuple):
+    """A certified basis of D_{H0}(A)_k, as _ar_kernel returns it: a tuple
+    of vectors whose first `multiples` are alpha_H0 times layer k - 1."""
+
+    def __new__(cls, vectors=(), multiples: int = 0):
+        layer = super().__new__(cls, vectors)
+        layer.multiples = multiples
+        return layer
+
+
+class _Sandwich(NamedTuple):
+    """A layer that _sandwich certifies."""
+
+    basis: _Layer       # alpha_H0 times layer k - 1, then the chosen candidates
+    derived: int        # how many of the last of them are point derivations
+    shift_rows: tuple   # if any are, the kept values of every shift candidate
+
+
+def _candidates(A: Arrangement, k: int, prev: _Layer, points):
     """Derivations in D_{H0}(A)_k, each as (its kept values at points, a
     builder of its coefficient vector, whether it is a point derivation):
     x, y and z times each vector of the layer prev below whose restriction
     to H0 is nonzero, then the point derivations of degree k, one for each
-    intersection point v of multiplicity |A| - k (_point_derivation)."""
+    intersection point v of multiplicity |A| - k (_point_derivation).  The
+    alpha_H0 multiples that lead prev vanish on H0 and are passed over."""
     _, _, kept = _h0_frame(A)
-    for theta in prev:
+    for theta in prev[prev.multiples:]:
         values = _kept_values(A, theta, k - 1, len(points))
         if any(values):
             for var in range(3):
@@ -274,9 +345,9 @@ def _candidates(A: Arrangement, k: int, prev, points):
 
 
 @lru_cache(maxsize=8192)
-def _sandwich(A: Arrangement, k: int):
-    """(a basis of D_{H0}(A)_k, whether it is spanned by x, y and z times
-    layer k - 1) when the rank sandwich of _ar_kernel is tight, else None.
+def _sandwich(A: Arrangement, k: int) -> _Sandwich | None:
+    """A basis of D_{H0}(A)_k when the rank sandwich of _ar_kernel is tight,
+    else None.
 
     The basis is alpha_H0 times layer k - 1, then the candidates chosen
     greedily, in _candidates' order, while their kept values at k + 1
@@ -284,20 +355,25 @@ def _sandwich(A: Arrangement, k: int):
     the free pattern of the exponents of the restriction to H0, or, once
     the candidates run out, the number of vectors reaches _point_bound.
     Every chosen point derivation must take the values it was ranked by and
-    lie in D_{H0}(A) (_in_module), or CertificationFailure is raised.
+    lie in D_{H0}(A) (_in_module), or CertificationFailure is raised.  When
+    any is chosen, every shift candidate came before it, and their kept
+    values are kept for _resolution (_generators_on_h0).
     """
-    prev = _ar_kernel(A, k - 1) if k else ()
+    prev = _ar_kernel(A, k - 1) if k else _Layer()
     alpha = A.lines[0].int_coeffs
     basis = [tuple(linalg._primitive_vec(_times_linear(theta, k - 1, alpha)))
              for theta in prev]
     exp = exponents(ziegler_restriction(A, 0)[0])
     target = _free_pattern(k, exp.e1, exp.e2)
     if not target:
-        return tuple(basis), True
+        return _Sandwich(_Layer(basis, len(prev)), 0, ())
     points = _h0_points(A, k + 1)
     echelon: list = []
     chosen = []
+    shift_rows = []
     for row, build, point in _candidates(A, k, prev, points):
+        if not point:
+            shift_rows.append(row)
         if _grows(echelon, row, linalg.WORD_PRIME):
             chosen.append((row, build(), point))
             if len(echelon) == target:
@@ -312,11 +388,12 @@ def _sandwich(A: Arrangement, k: int):
         raise CertificationFailure(
             f"a point derivation of degree {k} is not in D_H0(A)")
     basis.extend(tuple(linalg._primitive_vec(vec)) for _, vec, _ in chosen)
-    return tuple(basis), not derived
+    return _Sandwich(_Layer(basis, len(prev)), len(derived),
+                     tuple(shift_rows) if derived else ())
 
 
 @lru_cache(maxsize=8192)
-def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
+def _ar_kernel(A: Arrangement, k: int) -> _Layer:
     """A certified basis of D_{H0}(A)_k, the degree-k derivations theta
     with theta(alpha_H0) = 0 that keep every line (H0 = line 0), as
     primitive integer vectors: the concatenated coefficient vectors of the
@@ -369,9 +446,9 @@ def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     Otherwise the basis is that of the point system (_point_system).
     """
     if k <= _empty_through(A):
-        return ()
+        return _Layer()
     layer = _sandwich(A, k)
-    return layer[0] if layer is not None else _point_system(A, k)
+    return layer.basis if layer is not None else _Layer(_point_system(A, k))
 
 
 @lru_cache(maxsize=1024)
@@ -613,10 +690,82 @@ def _check_du_plessis_wall(A: Arrangement, r: int) -> None:
             f"{high}] for mdr {r} and {d} lines")
 
 
+def _generators_on_h0(layer: _Sandwich, k: int):
+    """The new generators of a layer k that _sandwich certifies, read off
+    its restriction to H0: its chosen point derivations, in basis order,
+    when the kept values of the shift candidates have rank over Q equal to
+    the number of shifts chosen; else None.  A layer spanned by shifts
+    alone has none.
+
+    Let S be the span of x, y and z times layer k - 1.  It contains
+    alpha_H0 theta = sum alpha_i x_i theta for every theta of D_(k-1), and
+    alpha_H0 D_(k-1) is the kernel of the restriction to H0 on D_k, by
+    Ziegler's sequence (see _ar_kernel).  So dim S = dim D_(k-1) + the rank
+    of the restrictions of S, which the kept values of the shift candidates
+    span, as a derivation of D_k is zero on H0 iff its kept components
+    vanish at the k + 1 points.  One kernel_basis of those rows certifies
+    their rank over Q.  The greedy ranked every shift candidate before any
+    point derivation, so the shifts it chose, with the alpha_H0 multiples
+    that lead the basis, are dim D_(k-1) + (their rank modulo WORD_PRIME)
+    independent vectors of S.  When that rank is the one over Q they span S,
+    so each point derivation, independent of the basis vectors before it,
+    lies outside S plus them: the point derivations are the pivots of
+    [x, y, z times layer k - 1 | layer k] among the basis, as
+    _generators_by_kernel reads them, and the vectors before them are not.
+    A rank modulo WORD_PRIME below the one over Q (an unlucky prime) leaves
+    S unknown, and None sends the layer to _generators_by_kernel.
+    """
+    if not layer.derived:
+        return ()
+    basis = layer.basis
+    ncols = 2 * (k + 1)
+    rank = ncols - len(linalg.kernel_basis(list(layer.shift_rows), ncols))
+    if rank != len(basis) - basis.multiples - layer.derived:
+        return None
+    return basis[len(basis) - layer.derived:]
+
+
+def _generators_by_kernel(A: Arrangement, k: int, prev, basis) -> list:
+    """The new generators of layer k: the vectors of basis that are pivots
+    of [x, y, z times prev | basis], prev the layer below.
+
+    The pivots, the columns no kernel vector is free in, count the
+    dimension the shifts cover and, among the basis, are the new
+    generators.  theta(alpha_H0) = 0 fixes component e from the other two,
+    in the shifts as in the layer, so its rows are left out: they add
+    nothing to the kernel."""
+    e = _h0_frame(A)[1]
+    cols = [_shift_vec(v, k - 1, var) for v in prev for var in range(3)]
+    shifts = len(cols)
+    cols += basis
+    m = monomial_count(3, k)
+    rows = [list(r) for r in zip(*cols)]
+    del rows[e * m:(e + 1) * m]
+    free = {linalg.free_column(w)
+            for w in linalg.kernel_basis(rows, len(cols))}
+    covered = sum(1 for c in range(shifts) if c not in free)
+    gamma = len(basis) - covered
+    if gamma < 0:
+        raise CertificationFailure(f"span exceeds layer dimension at degree {k}")
+    new = [v for c, v in enumerate(basis, shifts) if c not in free]
+    if len(new) != gamma:
+        raise CertificationFailure(f"generator extraction mismatch at degree {k}")
+    return new
+
+
 def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
+    """The minimal generators and relation degrees of D_{H0}(A), scanned
+    degree by degree from the certified layers of _ar_kernel.
+
+    The new generators of layer k are the whole layer when layer k - 1 is
+    zero.  Otherwise they are read off the layer's restriction to H0 when
+    _sandwich certified it (_generators_on_h0), and else off the kernel of
+    [x, y, z times layer k - 1 | layer k] (_generators_by_kernel); both give
+    the same vectors.  Relations are counted from the Hilbert function, and
+    the scan ends with the proofs of _spans_module or at Schenck's bound.
+    """
     cap = degree_cap(A)
     n = len(A)
-    e = _h0_frame(A)[1]
     gens: list[tuple[int, tuple[int, ...]]] = []
     rels: list[int] = []
     prev: tuple = ()
@@ -628,31 +777,13 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
         dim = len(basis)
         if not prev:
             # no shifts: the whole layer is new
-            gens.extend((k, v) for v in basis)
-        elif (layer := _sandwich(A, k)) is None or not layer[1]:
-            # the pivots of [x, y, z times layer k - 1 | layer k], the
-            # columns no kernel vector is free in, count the dimension the
-            # shifts cover and, among the basis, are the new generators.
-            # theta(alpha_H0) = 0 fixes component e from the other two, in
-            # the shifts as in the layer, so its rows are left out: they add
-            # nothing to the kernel.  A layer _sandwich spans by shifts
-            # alone has no new generator
-            cols = [_shift_vec(v, k - 1, var) for v in prev for var in range(3)]
-            shifts = len(cols)
-            cols += basis
-            m = monomial_count(3, k)
-            rows = [list(r) for r in zip(*cols)]
-            del rows[e * m:(e + 1) * m]
-            free = {linalg.free_column(w)
-                    for w in linalg.kernel_basis(rows, len(cols))}
-            covered = sum(1 for c in range(shifts) if c not in free)
-            gamma = dim - covered
-            if gamma < 0:
-                raise CertificationFailure(f"span exceeds layer dimension at degree {k}")
-            new = [v for c, v in enumerate(basis, shifts) if c not in free]
-            if len(new) != gamma:
-                raise CertificationFailure(f"generator extraction mismatch at degree {k}")
-            gens.extend((k, v) for v in new)
+            new = basis
+        else:
+            layer = _sandwich(A, k)
+            new = _generators_on_h0(layer, k) if layer is not None else None
+            if new is None:
+                new = _generators_by_kernel(A, k, prev, basis)
+        gens.extend((k, v) for v in new)
         # Hilbert value of the relation module at this degree: the free cover
         # by the generators found so far is surjective in degrees <= k, and
         # the relation module is free (resolution length <= 1), so its new

@@ -161,12 +161,15 @@ def restriction_param(coefficients) -> LineParam:
     return LineParam(max(range(3), key=lambda i: (abs(coefficients[i]), i)))
 
 
-def line_restriction(beta, k: int) -> list[tuple[int, int, list[int]]]:
+@lru_cache(maxsize=256)
+def line_restriction(beta: tuple[int, ...],
+                     k: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The (k + 1) x C(k + 2, 2) integer matrix sending a degree-k monomial
     x^mu to its coefficients at the points sP + tQ of the line with
-    primitive integer form beta; row r holds the coefficient of
+    primitive integer form beta, a tuple; row r holds the coefficient of
     s^(k - r) t^r.  Column mu is returned as (r0, lead, xs): the entries
-    lead * xs[j] in rows r0 + j.
+    lead * xs[j] in rows r0 + j.  The matrix is cached, as every syzygy
+    layer and every restriction of a form to a line reads it.
 
     P = beta_f e_u - beta_u e_f and Q = beta_f e_v - beta_v e_f for the
     coordinate f that restriction_param(beta) eliminates, so x^mu becomes
@@ -180,17 +183,18 @@ def line_restriction(beta, k: int) -> list[tuple[int, int, list[int]]]:
     u, v = (i for i in range(3) if i != f)
     pu = [(-beta[u]) ** j for j in range(k + 1)]
     pv = [(-beta[v]) ** j for j in range(k + 1)]
-    expansions = [[comb(c, j) * pu[c - j] * pv[j] for j in range(c + 1)]
+    expansions = [tuple(comb(c, j) * pu[c - j] * pv[j] for j in range(c + 1))
                   for c in range(k + 1)]
     leads = [beta[f] ** (k - c) for c in range(k + 1)]
-    return [(mu[v], leads[mu[f]], expansions[mu[f]]) for mu in monomials(3, k)]
+    return tuple((mu[v], leads[mu[f]], expansions[mu[f]])
+                 for mu in monomials(3, k))
 
 
 def restrict(beta, forms, k: int) -> list[list[int]]:
     """The degree-k ternary forms with integer coefficient vectors forms at
     the points sP + tQ of the line beta, one line_restriction applied to
     each: the k + 1 coefficients of s^k, s^(k - 1) t, ..., t^k."""
-    matrix = line_restriction(beta, k)
+    matrix = line_restriction(tuple(beta), k)
     outs = []
     for coeffs in forms:
         out = [0] * (k + 1)

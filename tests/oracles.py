@@ -5,9 +5,10 @@ does: the Fraction coefficients of a linear form, dense Fraction
 polynomials and their products, restriction by substitution, the Jacobian
 of the defining polynomial and its syzygies, D_H(A) as explicit
 derivations, the syzygy layers by their per-line conditions and exact
-ranks, the derivation layers of a weighted arrangement, kernels, spans,
-solutions and RREFs by fraction-free elimination over Z (integer_rref,
-_exact_kernel and SpanBuilder), where arrlog reads them off a kernel
+ranks, membership in a layer by restriction to every line, the derivation
+layers of a weighted arrangement, kernels, spans, solutions and RREFs by
+fraction-free elimination over Z (integer_rref, _exact_kernel and
+SpanBuilder), where arrlog reads them off a kernel
 certified modulo 127-bit moduli, the new generators of a syzygy layer,
 deletion of a line, and the span rule for the second basis vector of a
 free module of rank 2.
@@ -19,8 +20,8 @@ from math import comb, lcm
 
 from arrlog import linalg, poly
 from arrlog.arrangement import Arrangement, chi0
-from arrlog.derivation import (_ar_kernel, _h0_incidence, _shift_vec,
-                               dh_projection)
+from arrlog.derivation import (_ar_kernel, _combine, _h0_incidence,
+                               _shift_vec, dh_projection)
 from arrlog.multiarr import (Derivation2, Multiarrangement2, _deriv_kernel,
                              exponents, multiples, ziegler_restriction)
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
@@ -327,6 +328,18 @@ def h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
                     block[r][col], block[r][m + col] = a0 * x, a1 * x
         rows.extend(block)
     return rows
+
+
+def in_module(A: Arrangement, vecs, k: int) -> bool:
+    """derivation._in_module by restriction: theta(alpha_H0) = 0, and the
+    line_restriction of theta(alpha_K) to every other line K is zero."""
+    m = monomial_count(3, k)
+    comps = [[v[c * m:(c + 1) * m] for c in range(3)] for v in vecs]
+    alpha, *others = (line.int_coeffs for line in A.lines)
+    if any(any(_combine(alpha, cs, m)) for cs in comps):
+        return False
+    return not any(any(r) for beta in others
+                   for r in restrict(beta, [_combine(beta, cs, m) for cs in comps], k))
 
 
 def rank(matrix, ncols: int) -> int:

@@ -198,20 +198,49 @@ def test_external_splitting_matches_jacobian_rank_scan(A):
 def test_external_splitting_computes_no_kernel_at_the_count_bound(monkeypatch):
     # a balanced line: only the last layer below the count bound, K = 2, is
     # computed; it has no syzygy, so e1 = K + 1, the first layer past the
-    # bound, which has one by counting alone
+    # bound, which has one by counting alone.  Its full column rank modulo
+    # the word prime proves that, so no kernel runs
     A = random_arrangement(7, 1)
-    real = linalg.kernel_basis
-    degrees = []
+    real_rank, real_kernel = linalg.rank_mod, linalg.kernel_basis
+    ranked, kernels = [], []
 
-    def recording(matrix, ncols):
-        degrees.append(ncols // 3 - 1)
-        return real(matrix, ncols)
+    def rank(matrix, ncols, p):
+        ranked.append(ncols // 3 - 1)
+        return real_rank(matrix, ncols, p)
 
-    monkeypatch.setattr(linalg, "kernel_basis", recording)
+    def kernel(matrix, ncols):
+        kernels.append(ncols // 3 - 1)
+        return real_kernel(matrix, ncols)
+
+    monkeypatch.setattr(linalg, "rank_mod", rank)
+    monkeypatch.setattr(linalg, "kernel_basis", kernel)
     got = criteria._external_splitting(A, LinearForm3.make([1, 2, 3]))
     assert got.as_pair() == (3, 3)
-    assert degrees == [2]
-    assert all(3 * (k + 1) <= k + len(A) for k in degrees)
+    assert ranked == [2]
+    assert kernels == []
+    assert all(3 * (k + 1) <= k + len(A) for k in ranked)
+
+
+def test_word_prime_rank_of_external_splittings_matches_the_kernel():
+    # the full column rank modulo WORD_PRIME that spares _external_splitting
+    # its kernel holds exactly where kernel_basis finds no syzygy, on every
+    # external line that verify checks for the fixtures and the corpus
+    dims = []
+    for A in [f.build() for f in FIXTURES] + random_corpus(100, 8, 42):
+        k = (len(A) - 3) // 2
+        if k < 0:
+            continue
+        ncols = 3 * (k + 1)
+        for form in random_external_lines(A, 20, 42):
+            rows = criteria._splitting_rows(A, form, k)
+            dim = len(linalg.kernel_basis(rows, ncols))
+            full = linalg.rank_mod(rows, ncols, linalg.WORD_PRIME) == ncols
+            assert full == (dim == 0), (A.name, form)
+            assert criteria._external_splitting(A, form).e1 == k + 1 - dim
+            dims.append(dim)
+    # both branches are compared, and most lines need no kernel
+    assert 0 < dims.count(0) < len(dims)
+    assert dims.count(0) > len(dims) // 2
 
 
 @pytest.mark.parametrize("A", _EXTERNAL_INPUTS, ids=lambda A: A.name)

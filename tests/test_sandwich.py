@@ -8,16 +8,25 @@ layers below _empty_through are zero by one full column rank modulo a
 prime.  These tests pin which route a layer takes, that the route gives the
 layer the per-line conditions define, that both modular bounds are sound
 against exact ranks, and that a point derivation which is not in D_{H0}(A)
-fails the certificate.
+fails the certificate, which tests each line with one evaluation.  The new
+generators that _resolution reads off a sandwiched layer's restriction to
+H0 must be those of the kernel of [x, y, z times layer k - 1 | layer k].
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from arrlog import derivation, linalg, multiarr
-from arrlog.corpus import near_pencil, random_arrangement, random_corpus
+from arrlog.arrangement import Arrangement
+from arrlog.corpus import (FIXTURES, near_pencil, random_arrangement,
+                           random_corpus)
 from arrlog.linalg import _int_row
-from arrlog.poly import CertificationFailure, monomial_count, monomials
+from arrlog.poly import (CertificationFailure, monomial_count, monomials,
+                         restrict)
 from oracles import _exact_kernel, echelon_basis, h0_conditions
 from test_census import _census_pairs
 from test_criteria import A3, B3
@@ -66,9 +75,9 @@ def test_top_layer_of_a_random_arrangement_needs_no_kernel(monkeypatch):
     A = random_arrangement(12, 1)
     top = len(A) - 2
     assert derivation.classify(A).shape.generator_degrees[-1] == top
-    basis, from_shifts = alone("_sandwich", A, top, monkeypatch)
+    basis, derived, _ = alone("_sandwich", A, top, monkeypatch)
     # the layer has new generators, so point derivations were chosen
-    assert not from_shifts
+    assert derived
     assert echelon_basis(basis, 3 * monomial_count(3, top)) == exact_layer(A, top)
 
 
@@ -101,9 +110,9 @@ def test_every_layer_of_a_near_pencil_needs_no_kernel(monkeypatch):
     assert derivation._empty_through.__wrapped__(A) == -1
     bounded = []
     for k in range(max(gd) + 1):
-        basis, from_shifts = alone("_sandwich", A, k, monkeypatch, bounded)
+        basis, derived, _ = alone("_sandwich", A, k, monkeypatch, bounded)
         # new generators in degrees 1 and 6 only, and never from shifts
-        assert from_shifts == (k not in gd), k
+        assert (not derived) == (k not in gd), k
         assert echelon_basis(basis, 3 * monomial_count(3, k)) == exact_layer(A, k)
     # each layer reaches Ziegler's bound
     assert bounded == []
@@ -177,12 +186,201 @@ def test_a_perturbed_point_derivation_fails_the_certificate(kind, below,
             alone("_sandwich", A, degree, monkeypatch)
 
 
-def test_in_module_accepts_the_point_derivations():
+def test_in_module_accepts_the_point_derivations(monkeypatch):
+    # each line K is tested at P + TQ, T its evaluation base for the largest
+    # derivation given
     A = random_arrangement(12, 1)
     top = len(A) - 2
-    basis, _ = derivation._sandwich(A, top)
+    basis = derivation._sandwich(A, top).basis
+    real = derivation._point_row
+    points = []
+
+    def recording(P, k, p=None):
+        points.append(tuple(P))
+        return real(P, k, p)
+
+    monkeypatch.setattr(derivation, "_point_row", recording)
     assert derivation._in_module(A, basis, top)
+    monkeypatch.undo()
+    assert oracles.in_module(A, basis, top)
     assert all(in_layer(A, top, v) for v in basis)
+    size = max(sum(map(abs, v)) for v in basis)
+    want = []
+    for line in A.lines[1:]:
+        P, Q = derivation._line_points(line.int_coeffs)
+        T = derivation._evaluation_base(line.int_coeffs, top, size)
+        want.append(tuple(a + T * b for a, b in zip(P, Q)))
+    assert points == want
+
+
+def _restricted(beta, v, k):
+    """The coefficients of line_restriction(beta, k) applied to theta(beta),
+    theta the degree-k vector v."""
+    m = monomial_count(3, k)
+    comps = [v[c * m:(c + 1) * m] for c in range(3)]
+    return restrict(beta, [derivation._combine(beta, comps, m)], k)[0]
+
+
+@pytest.mark.parametrize("beta", [(0, 0, 1), (0, 0, 2), (0, 3, 0), (-5, 0, 0)])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_a_restricted_coefficient_reaches_the_evaluation_base(beta, k):
+    # theta = a x_u^(k - r) x_v^r d_f has theta(beta) = a beta_f x_u^(k - r)
+    # x_v^r for the form beta = beta_f x_f, which restricts to
+    # a beta_f^(k + 1) s^(k - r) t^r: with |theta|_1 = |a| and |beta|_1 =
+    # |beta_f|, a coefficient at T - 1.  So no smaller T is sound
+    f = next(i for i, b in enumerate(beta) if b)
+    u, v = (i for i in range(3) if i != f)
+    m = monomial_count(3, k)
+    for r in range(k + 1):
+        mu = [0] * 3
+        mu[u], mu[v] = k - r, r
+        for a in (1, -7):
+            theta = [0] * (3 * m)
+            theta[f * m + monomials(3, k).index(tuple(mu))] = a
+            T = derivation._evaluation_base(beta, k, abs(a))
+            assert max(map(abs, _restricted(beta, theta, k))) == T - 1
+
+
+_MEMBERS = [(random_arrangement(10, 1), 8), (near_pencil(8), 6), (A3, 2),
+            (B3, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_evaluation_per_line_agrees_with_restriction(data):
+    # a layer vector perturbed along a direction w with alpha_H0(w) = 0, so
+    # that only the lines decide; by an alpha_H0 multiple; by a coefficient
+    # as large as the evaluation base; or not at all
+    A, k = data.draw(st.sampled_from(_MEMBERS), label="A, k")
+    layer = [list(v) for v in derivation._ar_kernel(A, k)]
+    vec = list(data.draw(st.sampled_from(layer), label="vector"))
+    m = monomial_count(3, k)
+    others = [line.int_coeffs for line in A.lines[1:]]
+    kind = data.draw(st.sampled_from(["along H0", "alpha_H0", "base", "none"]))
+    j = data.draw(st.integers(0, m - 1), label="monomial")
+    if kind == "along H0":
+        alpha = A.lines[0].int_coeffs
+        w = [alpha[1], -alpha[0], 0] if alpha[0] or alpha[1] else [1, 0, 0]
+        d = data.draw(st.integers(-3, 3) | st.sampled_from([2 ** 64, -2 ** 64]))
+        for c in range(3):
+            vec[c * m + j] += d * w[c]
+    elif kind == "alpha_H0":
+        changes = sorted(_alpha_h0_multiples(A, k).items())
+        change = data.draw(st.sampled_from(changes), label="multiple")[1]
+        vec = [a + b for a, b in zip(vec, change)]
+    elif kind == "base":
+        size = max(sum(map(abs, v)) for v in layer)
+        T = max(derivation._evaluation_base(beta, k, size) for beta in others)
+        vec[data.draw(st.integers(0, 2), label="component") * m + j] += T - 1
+    vecs = (layer if data.draw(st.booleans(), label="with layer") else []) + [vec]
+    got = derivation._in_module(A, vecs, k)
+    assert got == oracles.in_module(A, vecs, k)
+    assert got == all(in_layer(A, k, v) for v in vecs)
+    size = max(sum(map(abs, v)) for v in vecs)
+    for beta in others:
+        T = derivation._evaluation_base(beta, k, size)
+        assert all(abs(c) < T for v in vecs for c in _restricted(beta, v, k))
+
+
+# ---------------------------------------------------------------------------
+# new generators read off the restriction to H0
+
+
+def _ladder(seed):
+    """The random and near-pencil arrangements of 8 to 12 lines, each with
+    its lines shuffled by seed, which puts another line first as H0."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(8, 13):
+        for A in (random_arrangement(n, 1), near_pencil(n)):
+            lines = list(A.lines)
+            rng.shuffle(lines)
+            out.append(Arrangement(tuple(lines), f"{A.name}-shuffled-{seed}"))
+    return out
+
+
+_INPUT_SETS = {
+    "ladder": lambda: [A for seed in (1, 2, 3) for A in _ladder(seed)],
+    "census": lambda: [A for A, _ in _census_pairs()],
+    "fixtures": lambda: [f.build() for f in FIXTURES],
+    "corpus": lambda: random_corpus(100, 8, 42),
+}
+
+
+def _scans(inputs):
+    """Both scans of _resolution, classify's and minimal_resolution's, of
+    every input: their shapes and generators."""
+    return [derivation._resolution(A, early_stop)
+            for A in inputs for early_stop in (True, False)]
+
+
+@pytest.mark.parametrize("name", sorted(_INPUT_SETS))
+def test_generators_on_h0_equal_the_kernel_path(name, monkeypatch):
+    # the kernel of [x, y, z times layer k - 1 | layer k], forced in every
+    # layer, gives the same generators, vector for vector, and shapes
+    inputs = _INPUT_SETS[name]()
+    on_h0 = derivation._generators_on_h0
+    read = []
+
+    def recording(layer, k):
+        new = on_h0(layer, k)
+        read.append(bool(new))
+        return new
+
+    monkeypatch.setattr(derivation, "_generators_on_h0", recording)
+    want = _scans(inputs)
+    assert any(read)
+    monkeypatch.setattr(derivation, "_generators_on_h0", lambda layer, k: None)
+    assert _scans(inputs) == want
+
+
+def test_a_rank_mismatch_falls_back_to_the_kernel(monkeypatch):
+    # identity rows raise the rank over Q of the shift candidates' kept
+    # values above the number of shifts chosen, as a word prime that lowers
+    # that rank would: every layer with point derivations then goes to the
+    # kernel of [x, y, z times layer k - 1 | layer k], with the same output
+    inputs = _ladder(1)
+    want = _scans(inputs)
+    sandwich = derivation._sandwich
+    by_kernel = derivation._generators_by_kernel
+    derived, kernels = set(), []
+
+    def unlucky(A, k):
+        layer = sandwich(A, k)
+        if layer is None or not layer.derived:
+            return layer
+        derived.add((A.name, k))
+        ncols = 2 * (k + 1)
+        eye = tuple([int(i == j) for i in range(ncols)] for j in range(ncols))
+        assert derivation._generators_on_h0(layer, k) is not None
+        layer = layer._replace(shift_rows=layer.shift_rows + eye)
+        assert derivation._generators_on_h0(layer, k) is None
+        return layer
+
+    def recording(A, k, prev, basis):
+        kernels.append((A.name, k))
+        return by_kernel(A, k, prev, basis)
+
+    monkeypatch.setattr(derivation, "_sandwich", unlucky)
+    monkeypatch.setattr(derivation, "_generators_by_kernel", recording)
+    assert _scans(inputs) == want
+    assert kernels and set(kernels) == derived
+
+
+def test_the_leading_alpha_h0_multiples_vanish_on_h0():
+    # _candidates passes over the first `multiples` vectors of a sandwiched
+    # layer: alpha_H0 times the layer below, zero on H0.  Every other vector
+    # was chosen for its kept values, which are not zero
+    for A in _ladder(2):
+        for k in range(len(A) - 1):
+            layer = derivation._ar_kernel(A, k)
+            if derivation._sandwich(A, k) is None:
+                assert layer.multiples == 0
+                continue
+            assert layer.multiples == len(derivation._ar_kernel(A, k - 1))
+            values = [any(derivation._kept_values(A, v, k, k + 1)) for v in layer]
+            assert values == [False] * layer.multiples + \
+                [True] * (len(layer) - layer.multiples), (A.name, k)
 
 
 def assert_modular_bounds_are_sound(A, monkeypatch):
