@@ -16,13 +16,15 @@ computed as D_{H0}(A), H0 = line 0, from its own defining conditions:
 theta(alpha_H0) = 0, and theta(alpha_K) vanishes on every other line K.
 
 Most layers are certified with no kernel over Q.  Both kept components of
-theta vanish at every intersection point off H0, so when the degree-k
-monomials at those points have full column rank, D_{H0}(A) is zero in
-degree k and in every degree below it (_empty_through).  The other layers
-go through the rank sandwich of _ar_kernel: Ziegler's sequence bounds a
-layer from above by the layer below and the certified restriction
-exponents on H0, or the dimension of the point system's kernel modulo a
-prime does, and alpha_H0 times the layer below, with shifts and point
+theta vanish at every intersection point off H0, and a form of degree d
+that vanishes at more than d points of a line is divisible by its form
+(Bezout).  So peeling off, one by one, lines through many of those points
+proves the low layers zero, usually every one below the minimal degree,
+with no elimination at all (_empty_through).  The other layers go through the rank sandwich of
+_ar_kernel: Ziegler's sequence bounds a layer from above by the layer
+below and the certified restriction exponents on H0, or the dimension
+modulo a prime of the kernel of the point system, with the same lines
+peeled off, does, and alpha_H0 times the layer below, with shifts and point
 derivations g_v d_v whose restrictions to H0 are independent modulo a
 prime, bounds it from below.  Every chosen point derivation is checked
 exactly against every line, by one evaluation per line (_in_module): at
@@ -102,7 +104,8 @@ def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
 def _h0_incidence(A: Arrangement) -> tuple[list, list, list]:
     """The intersection points of A as D_{H0}(A) reads them, H0 = line 0.
 
-    Returns the primitive integer points off H0; for each point Q on H0,
+    Returns, for each intersection point off H0, its primitive integer
+    point and the lines through it; for each point Q on H0,
     (Q, w) with w the weights of one other line through Q; and for each
     line K != H0, (t_K, beta_K, w_K): the number of intersection points on
     K, its integer form and its weights.  The weights of a line with form
@@ -129,7 +132,7 @@ def _h0_incidence(A: Arrangement) -> tuple[list, list, list]:
         if i == 0:
             on.append((P, weights[j]))
         else:
-            off.append(P)
+            off.append((P, X.incident_lines))
     return off, on, [(count[K], forms[K], weights[K]) for K in range(1, len(A))]
 
 
@@ -405,21 +408,25 @@ def _ar_kernel(A: Arrangement, k: int) -> _Layer:
     S-module, so the resolution and classification read off this basis are
     those of D_0(A).
 
-    Every decision below reads only a rank modulo a prime p, never a value
-    over Q, and any prime is sound for it: a nonzero minor modulo p is a
-    nonzero integer, so the rank of an integer matrix modulo p is at most
-    its rank over Q.  So all of them use one word-size prime, WORD_PRIME.
+    Every decision of the sandwich below reads only a rank modulo a prime
+    p, never a value over Q, and any prime is sound for it: a nonzero minor
+    modulo p is a nonzero integer, so the rank of an integer matrix modulo p
+    is at most its rank over Q.  So all of them use one word-size prime,
+    WORD_PRIME.
 
-    The layers through _empty_through(A) are zero.  The kept components a
-    and b of theta vanish at every intersection point off H0 (see
-    _point_system).  When the matrix E_k of the degree-k monomials at those
-    points has full column rank modulo p, and so over Q, no nonzero form of
-    degree k vanishes there.  Nor does one of a degree j < k: if g did,
-    l^(k - j) g would, for any linear form l, and it is nonzero when g is.
-    So a = b = 0 in every degree j <= k, and theta_e, fixed by them, is 0.
-    The empty layers thus form a prefix, and one elimination, in the
-    largest k with C(k + 2, 2) <= |off|, decides it; when that E_k is not
-    injective, each layer takes the route below.
+    The layers through _empty_through(A) are zero, by Bezout's theorem and
+    no rank.  The kept components a and b of theta vanish at every
+    intersection point off H0 (see _point_system).  Let g be a form of
+    degree d that vanishes at those points.  If a line K holds more than d
+    of them, g restricted to K is a binary form of degree d with more than
+    d zeros, so alpha_K divides g, and g / alpha_K, of degree d - 1,
+    vanishes at the points off K.  _peel takes such lines greedily: K_i
+    through c_i of the points that K_0, ..., K_(i-1) leave.  When
+    c_i > k - i for every i <= k, a degree-k form that vanishes at the
+    points off H0 is divisible by k + 1 linear forms, so it is zero, and so
+    are a, b and theta_e, which they fix.  That condition for k implies it
+    for every k' < k, so the empty layers found form a prefix; each layer
+    above it takes the route below.
 
     The basis of any other layer is _sandwich's when this rank sandwich is
     tight:
@@ -429,9 +436,10 @@ def _ar_kernel(A: Arrangement, k: int) -> _Layer:
       + dim D(A^H0, m^H0)_k.  The restriction is free of rank 2 with the
       exponents (e1, e2) that multiarr.exponents certifies by Saito's
       criterion, so the second term is _free_pattern(k, e1, e2).
-    - Above, when the candidates run out below that bound.  D_k is the
-      kernel over Q of the integer matrix of the point system, so its
-      kernel's dimension modulo p, _point_bound, is at least dim D_k.
+    - Above, when the candidates run out below that bound.  D_k has the
+      dimension of the kernel over Q of an integer matrix, the point system
+      with the lines of _peeled(A, k) peeled off, so that kernel's
+      dimension modulo p, _point_bound, is at least dim D_k.
     - Below.  alpha_H0 times a basis of D_(k-1) is independent and
       restricts to zero on H0.  A derivation of D_{H0}(A)_k restricts to
       zero iff its two kept components vanish on H0, that is, at k + 1
@@ -452,20 +460,50 @@ def _ar_kernel(A: Arrangement, k: int) -> _Layer:
 
 
 @lru_cache(maxsize=1024)
-def _empty_through(A: Arrangement) -> int:
-    """The largest k with C(k + 2, 2) <= |off|, the intersection points off
-    H0, if the matrix E_k of the degree-k monomials at those points has full
-    column rank modulo WORD_PRIME, and so over Q; else -1.  D_{H0}(A)_j = 0
-    for every j <= k: see _ar_kernel."""
+def _peel(A: Arrangement) -> tuple[tuple[int, int], ...]:
+    """The lines that peel the intersection points off H0, greedily: pairs
+    (K_i, c_i), K_i the line through the most points that K_0, ..., K_(i-1)
+    leave, the first such line on a tie, and c_i the number of those points
+    on it, until none is left.  The counts do not increase."""
     off = _h0_incidence(A)[0]
+    count = [0] * len(A)
+    for _, lines in off:
+        for K in lines:
+            count[K] += 1
+    peel = []
+    while off:
+        c = max(count)
+        K = count.index(c)
+        peel.append((K, c))
+        for _, lines in off:
+            if K in lines:
+                for L in lines:
+                    count[L] -= 1
+        off = [(P, lines) for P, lines in off if K not in lines]
+    return tuple(peel)
+
+
+def _peeled(A: Arrangement, k: int) -> int:
+    """The number j <= k + 1 of leading lines of _peel(A) with c_i > k - i:
+    alpha_(K_0) ... alpha_(K_(j-1)) divides every degree-k form that vanishes
+    at the intersection points off H0 (see _ar_kernel)."""
+    j = 0
+    for i, (_, c) in enumerate(_peel(A)[:k + 1]):
+        if c <= k - i:
+            break
+        j += 1
+    return j
+
+
+@lru_cache(maxsize=1024)
+def _empty_through(A: Arrangement) -> int:
+    """The largest k with c_i > k - i for every i <= k, (K_i, c_i) the lines
+    of _peel(A), or -1: D_{H0}(A)_j = 0 for every j <= k, by Bezout's
+    theorem alone (see _ar_kernel)."""
     k = -1
-    while monomial_count(3, k + 1) <= len(off):
+    while _peeled(A, k + 1) > k + 1:
         k += 1
-    if k < 0:
-        return -1
-    m = monomial_count(3, k)
-    E = [_point_row(P, k, linalg.WORD_PRIME) for P in off]
-    return k if linalg.rank_mod(E, m, linalg.WORD_PRIME) == m else -1
+    return k
 
 
 def _point_system(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
@@ -506,7 +544,7 @@ def _point_system(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
     kernel_basis of the per-line rows returns.  _h0_lift makes them primitive.
     """
     m = monomial_count(3, k)
-    G = linalg.kernel_basis([_point_row(P, k) for P in _h0_incidence(A)[0]], m)
+    G = linalg.kernel_basis([_point_row(P, k) for P, _ in _h0_incidence(A)[0]], m)
     r = len(G)
     return tuple(_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
                  for uv in linalg.kernel_basis(_uv_rows(A, k, G), 2 * r))
@@ -531,14 +569,31 @@ def _uv_rows(A: Arrangement, k: int, G) -> list[list[int]]:
 
 def _point_bound(A: Arrangement, k: int) -> int:
     """An upper bound on dim D_{H0}(A)_k: the dimension over F_p, p =
-    WORD_PRIME, of the kernel of the point system, solved through a kernel
-    of E modulo p.  The integer matrix M of both systems of _point_system,
-    E on a and on b above the conditions of _uv_rows written in (a, b), has
-    a kernel over Q that _h0_lift maps onto D_{H0}(A)_k, and its rank mod p
-    is at most its rank over Q."""
+    WORD_PRIME, of the kernel of the point system with the lines of
+    _peeled(A, k) peeled off.
+
+    The kept components a and b of theta vanish at the intersection points
+    off H0, so by Bezout's theorem (see _ar_kernel) a = Pi a' and
+    b = Pi b', Pi = alpha_(K_0) ... alpha_(K_(j-1)) the j = _peeled(A, k)
+    lines peeled, with a' and b' of degree k - j vanishing at the points
+    off H0 that those lines miss; when j = k + 1, a = b = 0.  So the
+    integer matrix M' of E' on a' and on b', E' the degree-(k - j)
+    monomials at those points, above the conditions of _uv_rows written in
+    (Pi a', Pi b'), has a kernel over Q that (a', b') -> (Pi a', Pi b') and
+    _h0_lift map isomorphically onto D_{H0}(A)_k, and its rank mod p is at
+    most its rank over Q.  Its kernel mod p is solved through a kernel G'
+    of E' mod p, all monomials of degree k - j when no point is left."""
+    j = _peeled(A, k)
+    if j > k:
+        return 0
     p = linalg.WORD_PRIME
-    m = monomial_count(3, k)
-    G = linalg.kernel_mod([_point_row(P, k, p) for P in _h0_incidence(A)[0]], m, p)
+    peel = _peel(A)[:j]
+    peeled = {K for K, _ in peel}
+    d = k - j
+    G = linalg.kernel_mod([_point_row(P, d, p) for P, lines in _h0_incidence(A)[0]
+                           if peeled.isdisjoint(lines)], monomial_count(3, d), p)
+    for i, (K, _) in enumerate(peel):
+        G = [_times_form(g, d + i, A.lines[K].int_coeffs) for g in G]
     return 2 * len(G) - linalg.rank_mod(_uv_rows(A, k, G), 2 * len(G), p)
 
 

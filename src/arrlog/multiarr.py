@@ -262,6 +262,9 @@ def exponents(M: Multiarrangement2) -> Exponents:
 def saito_check(theta1: Derivation2, theta2: Derivation2,
                 M: Multiarrangement2) -> bool:
     """Saito's criterion: the pair is a basis iff its determinant is a nonzero
-    constant times the defining polynomial (with multiplicities)."""
-    return _minors_certify(theta1.coeff_vector(), theta2.coeff_vector(),
+    constant times the defining polynomial (with multiplicities).  Scaling
+    either derivation by a nonzero constant scales the determinant alike, so
+    both are checked as primitive integer vectors."""
+    return _minors_certify(linalg._int_row(theta1.coeff_vector()),
+                           linalg._int_row(theta2.coeff_vector()),
                            _saito_target(M))

@@ -9,7 +9,9 @@ ranks, membership in a layer by restriction to every line, the derivation
 layers of a weighted arrangement, kernels, spans, solutions and RREFs by
 fraction-free elimination over Z (integer_rref, _exact_kernel and
 SpanBuilder), where arrlog reads them off a kernel
-certified modulo 127-bit moduli, the new generators of a syzygy layer,
+certified modulo 127-bit moduli, the bound on a syzygy layer from the
+whole point system modulo a prime, with no line peeled, the new
+generators of a syzygy layer,
 deletion of a line, and the span rule for the second basis vector of a
 free module of rank 2.
 """
@@ -21,7 +23,8 @@ from math import comb, lcm
 from arrlog import linalg, poly
 from arrlog.arrangement import Arrangement, chi0
 from arrlog.derivation import (_ar_kernel, _combine, _h0_incidence,
-                               _shift_vec, dh_projection)
+                               _point_row, _shift_vec, _uv_rows,
+                               dh_projection)
 from arrlog.multiarr import (Derivation2, Multiarrangement2, _deriv_kernel,
                              exponents, multiples, ziegler_restriction)
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
@@ -352,6 +355,22 @@ def ar_dim_by_rank(A: Arrangement, k: int) -> int:
     """dim D_{H0}(A)_k from the exact rank of h0_conditions."""
     ncols = 2 * monomial_count(3, k)
     return ncols - rank(h0_conditions(A, k), ncols)
+
+
+def off_h0_rows(A: Arrangement, k: int) -> list[list[int]]:
+    """E_k: the degree-k monomials at the intersection points off H0."""
+    return [_point_row(P, k) for P, _ in _h0_incidence(A)[0]]
+
+
+def point_bound_unpeeled(A: Arrangement, k: int) -> int:
+    """derivation._point_bound with no line peeled: the dimension over F_p,
+    p = WORD_PRIME, of the point system's kernel, through a kernel of all
+    of E_k modulo p."""
+    p = linalg.WORD_PRIME
+    m = monomial_count(3, k)
+    G = linalg.kernel_mod([_point_row(P, k, p) for P, _ in _h0_incidence(A)[0]],
+                          m, p)
+    return 2 * len(G) - linalg.rank_mod(_uv_rows(A, k, G), 2 * len(G), p)
 
 
 # ---------------------------------------------------------------------------

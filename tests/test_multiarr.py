@@ -346,6 +346,25 @@ def test_basis_certified():
         assert saito_check(t1, t2, M)
 
 
+def _scaled(theta, c):
+    return Derivation2(theta.p.scale(c), theta.q.scale(c))
+
+
+@pytest.mark.parametrize("c1, c2", [(Fraction(-3, 7), 5),
+                                    (Fraction(1, 6), Fraction(-4, 9))])
+def test_saito_check_is_scale_invariant(c1, c2):
+    # saito_check clears denominators to primitive integer vectors; a basis
+    # scaled by nonzero constants stays one, and a degenerate pair does not
+    # become one
+    A = fixture("nf6").build()
+    for H in range(len(A)):
+        M, _ = ziegler_restriction(A, H)
+        t1, t2 = basis(M)
+        assert saito_check(_scaled(t1, c1), _scaled(t2, c2), M)
+        assert not saito_check(_scaled(t1, c1), _scaled(t1, c2), M)
+        assert not saito_check(_scaled(t1, c1), _scaled(t2, 0), M)
+
+
 def test_saito_negative_wrong_degrees():
     M = multiarrangement([([1, 0], 1), ([0, 1], 1)])
     t1, t2 = basis(M)

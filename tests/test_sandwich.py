@@ -4,11 +4,13 @@ derivation._sandwich bounds dim D_{H0}(A)_k from above by Ziegler's
 sequence, or by the point system's kernel modulo a prime (_point_bound),
 and from below by alpha_H0 times the layer below plus point derivations
 and shifts whose restrictions to H0 are independent modulo a prime; the
-layers below _empty_through are zero by one full column rank modulo a
-prime.  These tests pin which route a layer takes, that the route gives the
-layer the per-line conditions define, that both modular bounds are sound
-against exact ranks, and that a point derivation which is not in D_{H0}(A)
-fails the certificate, which tests each line with one evaluation.  The new
+layers through _empty_through are zero by Bezout's theorem, as the lines
+of _peel cut the points off H0 out, with no elimination.  These tests pin
+which route a layer takes, that the route gives the layer the per-line
+conditions define, that the empty prefix and the modular bound are sound
+against exact ranks, that peeling lines leaves the bound as it is, and
+that a point derivation which is not in D_{H0}(A) fails the certificate,
+which tests each line with one evaluation.  The new
 generators that _resolution reads off a sandwiched layer's restriction to
 H0 must be those of the kernel of [x, y, z times layer k - 1 | layer k].
 """
@@ -83,7 +85,7 @@ def test_top_layer_of_a_random_arrangement_needs_no_kernel(monkeypatch):
 
 @pytest.mark.parametrize("n", range(8, 13))
 def test_every_layer_of_a_random_arrangement_needs_no_kernel(n, monkeypatch):
-    # the layers below mdr are empty by one full column rank of E; with a
+    # the peel proves every layer below mdr empty; with a
     # triple point (n >= 10) the mdr layer, k = n - 3, is its point
     # derivation, certified by _point_bound; the top layer, k = n - 2,
     # reaches Ziegler's bound
@@ -105,9 +107,11 @@ def test_every_layer_of_a_near_pencil_needs_no_kernel(monkeypatch):
     A = near_pencil(8)
     gd = derivation.classify(A).shape.generator_degrees
     assert gd == (1, 6)
-    # the points off H0, a line of the pencil, lie on the transversal, so
-    # no degree has an injective E and every layer takes the sandwich
-    assert derivation._empty_through.__wrapped__(A) == -1
+    # the points off H0, a line of the pencil, lie on the transversal: it
+    # peels them all, which empties degree 0 alone, and every layer
+    # above it takes the sandwich
+    assert derivation._peel(A) == ((len(A) - 1, len(A) - 2),)
+    assert derivation._empty_through.__wrapped__(A) == 0
     bounded = []
     for k in range(max(gd) + 1):
         basis, derived, _ = alone("_sandwich", A, k, monkeypatch, bounded)
@@ -403,3 +407,63 @@ def test_modular_bounds_are_sound_on_the_census(monkeypatch):
 def test_modular_bounds_are_sound_on_the_corpus(monkeypatch):
     for A in random_corpus(100, 8, 42):
         assert_modular_bounds_are_sound(A, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the empty prefix and the point bound, by lines peeled off the points off H0
+
+
+@pytest.mark.parametrize("name", ["census", "corpus", "ladder"])
+def test_the_empty_prefix_has_an_injective_e(name):
+    # no nonzero form of degree _empty_through(A) vanishes at the points
+    # off H0: E there has full column rank over Q, by exact elimination
+    checked = 0
+    for A in _INPUT_SETS[name]():
+        k = derivation._empty_through(A)
+        if k >= 0:
+            m = monomial_count(3, k)
+            assert oracles.rank(oracles.off_h0_rows(A, k), m) == m, A.name
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name", ["census", "corpus", "ladder"])
+def test_peeling_lines_leaves_the_point_bound_as_it_is(name, monkeypatch):
+    # in every degree classify scans, the empty prefix included, the bound
+    # with the lines of _peeled(A, k) taken out equals the one from all of
+    # E_k; some degrees peel lines, though fewer than k + 1
+    peeled = 0
+    for A in _INPUT_SETS[name]():
+        for k in scanned_degrees(A, True, monkeypatch):
+            assert derivation._point_bound(A, k) == \
+                oracles.point_bound_unpeeled(A, k), (A.name, k)
+            peeled += 0 < derivation._peeled(A, k) <= k
+    assert peeled
+
+
+def test_the_empty_prefix_runs_no_elimination(monkeypatch):
+    inputs = _ladder(1) + [f.build() for f in FIXTURES] + [A3, B3]
+    want = [derivation._empty_through(A) for A in inputs]
+    assert max(want) > 0
+
+    def forbidden(*args):
+        raise AssertionError("an elimination ran")
+
+    for name in ("rank_mod", "kernel_mod", "kernel_basis"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    for name in ("_h0_incidence", "_peel", "_empty_through"):
+        monkeypatch.setattr(derivation, name,
+                            getattr(derivation, name).__wrapped__)
+    assert [derivation._empty_through(A) for A in inputs] == want
+
+
+def test_the_peel_takes_the_line_through_the_most_points_left():
+    # each line peeled is the first through the most points off H0 that
+    # the lines before it miss, and together they take every point
+    for A in _ladder(3) + [f.build() for f in FIXTURES]:
+        left = derivation._h0_incidence(A)[0]
+        for K, c in derivation._peel(A):
+            counts = [sum(L in lines for _, lines in left) for L in range(len(A))]
+            assert (K, c) == (counts.index(max(counts)), max(counts)), A.name
+            left = [(P, lines) for P, lines in left if K not in lines]
+        assert not left
