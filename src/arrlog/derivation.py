@@ -47,14 +47,14 @@ layer is a certified basis, and everything read off it depends only on its
 span.
 
 The new generators of a layer are the basis vectors outside x, y and z
-times the layer below.  For a sandwiched layer they are read off its
-restriction to H0 (_generators_on_h0): the derivations of the layer that
+times the layer below, and all of them are read off the layer's
+restriction to H0 (_new_generators).  The derivations of the layer that
 vanish on H0 are alpha_H0 times the layer below, which lies in those
-shifts, so their span has dimension dim D_(k-1) plus the rank over Q of
-the shifts' kept values, which one small kernel certifies.  When that rank
-is the one modulo the word prime that chose the shifts, the new generators
-are the chosen point derivations.  Any other layer reads them off the
-kernel of [x, y, z times layer k - 1 | layer k] (_generators_by_kernel).
+shifts, so a vector lies in the shifts plus other vectors exactly when its
+restriction lies in theirs.  One small kernel of the kept values at k + 1
+points of H0, of the shifts and of the layer vectors not known to lie in
+their span, gives the new generators as its pivots, and their number must
+be the dimension the shifts leave.
 
 The scan ends with a proof, not with more layers: _spans_module shows
 from a determinant and the global Tjurina number that at most three
@@ -77,7 +77,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, filterfalse
 from math import comb, prod
-from typing import NamedTuple
 
 from . import linalg
 from .arrangement import Arrangement, _cross, intersection_points, tjurina
@@ -295,37 +294,44 @@ def _grows(echelon: list, row, p: int) -> bool:
 
 class _Layer(tuple):
     """A certified basis of D_{H0}(A)_k, as _ar_kernel returns it: a tuple
-    of vectors whose first `multiples` are alpha_H0 times layer k - 1."""
+    of vectors whose first `multiples` are alpha_H0 times layer k - 1.  A
+    layer that _sandwich certifies also carries the kept values it ranked:
+    `point_rows`, those of its chosen point derivations, its last vectors,
+    and, if there are any, `shift_rows`, those of every shift candidate.
+    Both are None on a layer that the point system solves."""
 
-    def __new__(cls, vectors=(), multiples: int = 0):
+    def __new__(cls, vectors=(), multiples: int = 0, shift_rows=None,
+                point_rows=None):
         layer = super().__new__(cls, vectors)
         layer.multiples = multiples
+        layer.shift_rows = shift_rows
+        layer.point_rows = point_rows
         return layer
 
 
-class _Sandwich(NamedTuple):
-    """A layer that _sandwich certifies."""
-
-    basis: _Layer       # alpha_H0 times layer k - 1, then the chosen candidates
-    derived: int        # how many of the last of them are point derivations
-    shift_rows: tuple   # if any are, the kept values of every shift candidate
-
-
-def _candidates(A: Arrangement, k: int, prev: _Layer, points):
-    """Derivations in D_{H0}(A)_k, each as (its kept values at points, a
-    builder of its coefficient vector, whether it is a point derivation):
-    x, y and z times each vector of the layer prev below whose restriction
-    to H0 is nonzero, then the point derivations of degree k, one for each
-    intersection point v of multiplicity |A| - k (_point_derivation).  The
-    alpha_H0 multiples that lead prev vanish on H0 and are passed over."""
-    _, _, kept = _h0_frame(A)
+def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
+    """x, y and z times each vector of the layer prev below whose
+    restriction to H0 is nonzero, each as (its kept values at points, a
+    builder of its degree-k coefficient vector).  The alpha_H0 multiples
+    that lead prev vanish on H0, and so do their shifts: they are passed
+    over."""
     for theta in prev[prev.multiples:]:
         values = _kept_values(A, theta, k - 1, len(points))
         if any(values):
             for var in range(3):
                 yield ([points[j // 2][var] * x for j, x in enumerate(values)],
-                       lambda theta=theta, var=var: _shift_vec(theta, k - 1, var),
-                       False)
+                       lambda theta=theta, var=var: _shift_vec(theta, k - 1, var))
+
+
+def _candidates(A: Arrangement, k: int, prev: _Layer, points):
+    """Derivations in D_{H0}(A)_k, each as (its kept values at points, a
+    builder of its coefficient vector, whether it is a point derivation):
+    the shift candidates of _shift_candidates, then the point derivations of
+    degree k, one for each intersection point v of multiplicity |A| - k
+    (_point_derivation)."""
+    _, _, kept = _h0_frame(A)
+    for row, build in _shift_candidates(A, k, prev, points):
+        yield row, build, False
     forms = [line.int_coeffs for line in A.lines]
     at = [[sum(a * c for a, c in zip(beta, P)) for P in points] for beta in forms]
     n = len(A)
@@ -348,7 +354,7 @@ def _candidates(A: Arrangement, k: int, prev: _Layer, points):
 
 
 @lru_cache(maxsize=8192)
-def _sandwich(A: Arrangement, k: int) -> _Sandwich | None:
+def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     """A basis of D_{H0}(A)_k when the rank sandwich of _ar_kernel is tight,
     else None.
 
@@ -359,8 +365,9 @@ def _sandwich(A: Arrangement, k: int) -> _Sandwich | None:
     the candidates run out, the number of vectors reaches _point_bound.
     Every chosen point derivation must take the values it was ranked by and
     lie in D_{H0}(A) (_in_module), or CertificationFailure is raised.  When
-    any is chosen, every shift candidate came before it, and their kept
-    values are kept for _resolution (_generators_on_h0).
+    any is chosen, every shift candidate came before it, and the layer
+    keeps their kept values and those of the chosen point derivations for
+    _new_generators.
     """
     prev = _ar_kernel(A, k - 1) if k else _Layer()
     alpha = A.lines[0].int_coeffs
@@ -369,7 +376,7 @@ def _sandwich(A: Arrangement, k: int) -> _Sandwich | None:
     exp = exponents(ziegler_restriction(A, 0)[0])
     target = _free_pattern(k, exp.e1, exp.e2)
     if not target:
-        return _Sandwich(_Layer(basis, len(prev)), 0, ())
+        return _Layer(basis, len(prev), (), ())
     points = _h0_points(A, k + 1)
     echelon: list = []
     chosen = []
@@ -391,8 +398,8 @@ def _sandwich(A: Arrangement, k: int) -> _Sandwich | None:
         raise CertificationFailure(
             f"a point derivation of degree {k} is not in D_H0(A)")
     basis.extend(tuple(linalg._primitive_vec(vec)) for _, vec, _ in chosen)
-    return _Sandwich(_Layer(basis, len(prev)), len(derived),
-                     tuple(shift_rows) if derived else ())
+    return _Layer(basis, len(prev), tuple(shift_rows) if derived else (),
+                  tuple(row for row, _ in derived))
 
 
 @lru_cache(maxsize=8192)
@@ -456,7 +463,7 @@ def _ar_kernel(A: Arrangement, k: int) -> _Layer:
     if k <= _empty_through(A):
         return _Layer()
     layer = _sandwich(A, k)
-    return layer.basis if layer is not None else _Layer(_point_system(A, k))
+    return layer if layer is not None else _Layer(_point_system(A, k))
 
 
 @lru_cache(maxsize=1024)
@@ -745,65 +752,48 @@ def _check_du_plessis_wall(A: Arrangement, r: int) -> None:
             f"{high}] for mdr {r} and {d} lines")
 
 
-def _generators_on_h0(layer: _Sandwich, k: int):
-    """The new generators of a layer k that _sandwich certifies, read off
-    its restriction to H0: its chosen point derivations, in basis order,
-    when the kept values of the shift candidates have rank over Q equal to
-    the number of shifts chosen; else None.  A layer spanned by shifts
-    alone has none.
+def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
+    """The new generators of layer k above the nonzero layer prev: the
+    vectors of layer outside S plus the vectors before them, S the span of
+    x, y and z times prev, read off their restriction to H0.
 
-    Let S be the span of x, y and z times layer k - 1.  It contains
-    alpha_H0 theta = sum alpha_i x_i theta for every theta of D_(k-1), and
-    alpha_H0 D_(k-1) is the kernel of the restriction to H0 on D_k, by
-    Ziegler's sequence (see _ar_kernel).  So dim S = dim D_(k-1) + the rank
-    of the restrictions of S, which the kept values of the shift candidates
-    span, as a derivation of D_k is zero on H0 iff its kept components
-    vanish at the k + 1 points.  One kernel_basis of those rows certifies
-    their rank over Q.  The greedy ranked every shift candidate before any
-    point derivation, so the shifts it chose, with the alpha_H0 multiples
-    that lead the basis, are dim D_(k-1) + (their rank modulo WORD_PRIME)
-    independent vectors of S.  When that rank is the one over Q they span S,
-    so each point derivation, independent of the basis vectors before it,
-    lies outside S plus them: the point derivations are the pivots of
-    [x, y, z times layer k - 1 | layer k] among the basis, as
-    _generators_by_kernel reads them, and the vectors before them are not.
-    A rank modulo WORD_PRIME below the one over Q (an unlucky prime) leaves
-    S unknown, and None sends the layer to _generators_by_kernel.
+    S contains alpha_H0 theta = sum alpha_i x_i theta for every theta of
+    D_(k-1), and alpha_H0 D_(k-1) is the kernel of the restriction to H0
+    on D_k, by Ziegler's sequence (see _ar_kernel).  So for any span W in
+    D_k, v lies in S + W iff its restriction lies in that of S + W, and a
+    derivation of D_k restricts to zero iff its kept components vanish at
+    k + 1 points of H0.  The new generators are thus the layer columns that
+    are pivots of one kernel_basis of the kept values there of [shifts of
+    prev | layer vectors].  On H0, x_e = -(alpha_i0 x_i0 + alpha_i1 x_i1) /
+    alpha_e, so x_e theta restricts into the span of the other two shifts
+    of theta and takes no column.  Nor does a layer vector known to lie in
+    S: on a sandwiched layer only the chosen point derivations take one,
+    with the rows that _sandwich ranked, theirs and the shift candidates'
+    (the alpha_H0 multiples and the chosen shifts before them lie in S),
+    and on a point-system layer every vector does.  With none, there is no
+    new generator and no kernel runs.  The pivots among the shifts count
+    the rank r of the restriction of S, so dim S = dim D_(k-1) + r, and
+    dim D_k - dim S new generators must come out, or CertificationFailure
+    is raised.
     """
-    if not layer.derived:
+    if layer.point_rows is None:
+        shift_rows = [row for row, _ in _shift_candidates(A, k, prev,
+                                                          _h0_points(A, k + 1))]
+        rows = [_kept_values(A, v, k, k + 1) for v in layer]
+    else:
+        shift_rows, rows = layer.shift_rows, layer.point_rows
+    if not rows:
         return ()
-    basis = layer.basis
-    ncols = 2 * (k + 1)
-    rank = ncols - len(linalg.kernel_basis(list(layer.shift_rows), ncols))
-    if rank != len(basis) - basis.multiples - layer.derived:
-        return None
-    return basis[len(basis) - layer.derived:]
-
-
-def _generators_by_kernel(A: Arrangement, k: int, prev, basis) -> list:
-    """The new generators of layer k: the vectors of basis that are pivots
-    of [x, y, z times prev | basis], prev the layer below.
-
-    The pivots, the columns no kernel vector is free in, count the
-    dimension the shifts cover and, among the basis, are the new
-    generators.  theta(alpha_H0) = 0 fixes component e from the other two,
-    in the shifts as in the layer, so its rows are left out: they add
-    nothing to the kernel."""
+    # the rows of _shift_candidates cycle through x, y and z times theta
     e = _h0_frame(A)[1]
-    cols = [_shift_vec(v, k - 1, var) for v in prev for var in range(3)]
-    shifts = len(cols)
-    cols += basis
-    m = monomial_count(3, k)
-    rows = [list(r) for r in zip(*cols)]
-    del rows[e * m:(e + 1) * m]
-    free = {linalg.free_column(w)
-            for w in linalg.kernel_basis(rows, len(cols))}
-    covered = sum(1 for c in range(shifts) if c not in free)
-    gamma = len(basis) - covered
-    if gamma < 0:
-        raise CertificationFailure(f"span exceeds layer dimension at degree {k}")
-    new = [v for c, v in enumerate(basis, shifts) if c not in free]
-    if len(new) != gamma:
+    cols = [row for i, row in enumerate(shift_rows) if i % 3 != e] + list(rows)
+    free = {linalg.free_column(w) for w in linalg.kernel_basis(
+        [list(r) for r in zip(*cols)], len(cols))}
+    shifts = len(cols) - len(rows)
+    rank = shifts - sum(1 for c in free if c < shifts)
+    new = [v for c, v in enumerate(layer[len(layer) - len(rows):], shifts)
+           if c not in free]
+    if len(new) != len(layer) - len(prev) - rank:
         raise CertificationFailure(f"generator extraction mismatch at degree {k}")
     return new
 
@@ -813,11 +803,10 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     degree by degree from the certified layers of _ar_kernel.
 
     The new generators of layer k are the whole layer when layer k - 1 is
-    zero.  Otherwise they are read off the layer's restriction to H0 when
-    _sandwich certified it (_generators_on_h0), and else off the kernel of
-    [x, y, z times layer k - 1 | layer k] (_generators_by_kernel); both give
-    the same vectors.  Relations are counted from the Hilbert function, and
-    the scan ends with the proofs of _spans_module or at Schenck's bound.
+    zero, and else are read off the layer's restriction to H0
+    (_new_generators).  Relations are counted from the Hilbert function,
+    and the scan ends with the proofs of _spans_module or at Schenck's
+    bound.
     """
     cap = degree_cap(A)
     n = len(A)
@@ -830,14 +819,8 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     while True:
         basis = _ar_kernel(A, k)
         dim = len(basis)
-        if not prev:
-            # no shifts: the whole layer is new
-            new = basis
-        else:
-            layer = _sandwich(A, k)
-            new = _generators_on_h0(layer, k) if layer is not None else None
-            if new is None:
-                new = _generators_by_kernel(A, k, prev, basis)
+        # no shifts below a zero layer k - 1: the whole layer is new
+        new = _new_generators(A, k, prev, basis) if prev else basis
         gens.extend((k, v) for v in new)
         # Hilbert value of the relation module at this degree: the free cover
         # by the generators found so far is surjective in degrees <= k, and

@@ -12,16 +12,19 @@ SpanBuilder), where arrlog reads them off a kernel
 certified modulo 127-bit moduli, the bound on a syzygy layer from the
 whole point system modulo a prime, with no line peeled, the new
 generators of a syzygy layer,
-deletion of a line, and the span rule for the second basis vector of a
-free module of rank 2.
+deletion of a line, the span rule for the second basis vector of a
+free module of rank 2, and supersolvable arrangements, whose exponents are
+known.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 from arrlog import linalg, poly
-from arrlog.arrangement import Arrangement, chi0
+from arrlog.arrangement import Arrangement, LinearForm3, _cross, chi0
 from arrlog.derivation import (_ar_kernel, _combine, _h0_incidence,
                                _point_row, _shift_vec, _uv_rows,
                                dh_projection)
@@ -579,6 +582,38 @@ def without(A: Arrangement, index: int) -> Arrangement:
     if not 0 <= index < len(A):
         raise IndexError("line index out of range")
     return Arrangement(A.lines[:index] + A.lines[index + 1:])
+
+
+def supersolvable(b: int, extra: int, seed: int) -> Arrangement:
+    """A supersolvable arrangement, its lines shuffled by seed: b random
+    lines off P = (0:0:1), the line through P and each point where two of
+    them meet, and extra more lines through P.
+
+    Every intersection point off P lies on one of its m lines through P, so
+    P is a modular point of multiplicity m, and A is free with exponents
+    (1, m - 1, |A| - m); its Jacobian syzygies have exponents (m - 1,
+    |A| - m).  Deleting a line off P leaves P modular with the same m."""
+    rng = random.Random(seed)
+    off: list[LinearForm3] = []
+    while len(off) < b:
+        form = LinearForm3.make((rng.randint(-5, 5), rng.randint(-5, 5),
+                                 rng.randint(1, 5)))
+        if form not in off:
+            off.append(form)
+    through = []
+    for K, L in combinations(off, 2):
+        X = _cross(K.int_coeffs, L.int_coeffs)
+        form = LinearForm3.make((X[1], -X[0], 0))
+        if form not in through:
+            through.append(form)
+    while extra:
+        form = LinearForm3.make((rng.randint(-5, 5), rng.randint(1, 5), 0))
+        if form not in through:
+            through.append(form)
+            extra -= 1
+    lines = off + through
+    rng.shuffle(lines)
+    return Arrangement(tuple(lines), f"supersolvable-{b}-{len(lines)}-{seed}")
 
 
 def span_rule_theta2(layer, total: int):

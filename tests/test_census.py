@@ -11,6 +11,12 @@ Ziegler's pair (Ziegler 1989, "Combinatorial construction of logarithmic
 differential forms"): the nine lines joining six points along the edges of
 K_{3,3}, with 6 triple and 18 double points.  With the six points on a
 conic and off it, the lattices agree but the minimal resolutions do not.
+
+Supersolvable arrangements (oracles.supersolvable): with a modular point of
+multiplicity m on n lines, free with exponents (m - 1, n - m), and so is
+the deletion of a line off that point, with (m - 1, n - m - 1).  They
+reach more lines than the census, and layers that the point system solves
+above a nonzero one.
 """
 
 import random
@@ -19,6 +25,7 @@ from math import comb
 
 import pytest
 
+import oracles
 from arrlog import derivation
 from arrlog.arrangement import (_cross, arrangement, chi0,
                                 intersection_points, tjurina)
@@ -147,3 +154,23 @@ def test_the_conic_generator_is_no_point_derivation():
     # the degree-5 generator on the conic is left to the point system
     assert derivation._sandwich(ZIEGLER_CONIC, 5) is None
     assert derivation.ar_dim(ZIEGLER_CONIC, 5) == 1
+
+
+# (b, extra, seed) of oracles.supersolvable: 6 to 17 lines
+SUPERSOLVABLE = [(3, 0, 1), (3, 2, 2), (4, 0, 3), (4, 2, 1), (5, 0, 2),
+                 (5, 1, 3), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("b, extra, seed", SUPERSOLVABLE)
+def test_supersolvable_arrangements_are_free_with_known_exponents(b, extra, seed):
+    A = oracles.supersolvable(b, extra, seed)
+    n = len(A)
+    m = sum(1 for line in A.lines if not line.int_coeffs[2])
+    assert n - m == b and n <= 17
+    cls = derivation.classify(A)
+    assert (cls.verdict, cls.exponents) == ("free", tuple(sorted((m - 1, n - m))))
+    # the first line off (0:0:1)
+    H = next(i for i, line in enumerate(A.lines) if line.int_coeffs[2])
+    cls = derivation.classify(oracles.without(A, H))
+    assert (cls.verdict, cls.exponents) == \
+        ("free", tuple(sorted((m - 1, n - m - 1))))

@@ -11,8 +11,9 @@ conditions define, that the empty prefix and the modular bound are sound
 against exact ranks, that peeling lines leaves the bound as it is, and
 that a point derivation which is not in D_{H0}(A) fails the certificate,
 which tests each line with one evaluation.  The new
-generators that _resolution reads off a sandwiched layer's restriction to
-H0 must be those of the kernel of [x, y, z times layer k - 1 | layer k].
+generators that _resolution reads off every layer's restriction to H0 must
+be those that grow an exact span of x, y and z times the layer below
+(oracles.layer_generators), and a tampered layer must fail their count.
 """
 
 import random
@@ -30,7 +31,7 @@ from arrlog.linalg import _int_row
 from arrlog.poly import (CertificationFailure, monomial_count, monomials,
                          restrict)
 from oracles import _exact_kernel, echelon_basis, h0_conditions
-from test_census import _census_pairs
+from test_census import SUPERSOLVABLE, _census_pairs
 from test_criteria import A3, B3
 from test_linalg import in_layer, scanned_degrees
 
@@ -77,10 +78,10 @@ def test_top_layer_of_a_random_arrangement_needs_no_kernel(monkeypatch):
     A = random_arrangement(12, 1)
     top = len(A) - 2
     assert derivation.classify(A).shape.generator_degrees[-1] == top
-    basis, derived, _ = alone("_sandwich", A, top, monkeypatch)
+    layer = alone("_sandwich", A, top, monkeypatch)
     # the layer has new generators, so point derivations were chosen
-    assert derived
-    assert echelon_basis(basis, 3 * monomial_count(3, top)) == exact_layer(A, top)
+    assert layer.point_rows
+    assert echelon_basis(layer, 3 * monomial_count(3, top)) == exact_layer(A, top)
 
 
 @pytest.mark.parametrize("n", range(8, 13))
@@ -114,10 +115,10 @@ def test_every_layer_of_a_near_pencil_needs_no_kernel(monkeypatch):
     assert derivation._empty_through.__wrapped__(A) == 0
     bounded = []
     for k in range(max(gd) + 1):
-        basis, derived, _ = alone("_sandwich", A, k, monkeypatch, bounded)
+        layer = alone("_sandwich", A, k, monkeypatch, bounded)
         # new generators in degrees 1 and 6 only, and never from shifts
-        assert (not derived) == (k not in gd), k
-        assert echelon_basis(basis, 3 * monomial_count(3, k)) == exact_layer(A, k)
+        assert (not layer.point_rows) == (k not in gd), k
+        assert echelon_basis(layer, 3 * monomial_count(3, k)) == exact_layer(A, k)
     # each layer reaches Ziegler's bound
     assert bounded == []
 
@@ -195,7 +196,7 @@ def test_in_module_accepts_the_point_derivations(monkeypatch):
     # derivation given
     A = random_arrangement(12, 1)
     top = len(A) - 2
-    basis = derivation._sandwich(A, top).basis
+    basis = derivation._sandwich(A, top)
     real = derivation._point_row
     points = []
 
@@ -303,78 +304,94 @@ def _ladder(seed):
     return out
 
 
+def _supersolvable():
+    """The supersolvable arrangements of SUPERSOLVABLE, 6 to 17 lines, each
+    with and without its first line off the modular point (0:0:1)."""
+    out = []
+    for b, extra, seed in SUPERSOLVABLE:
+        A = oracles.supersolvable(b, extra, seed)
+        H = next(i for i, line in enumerate(A.lines) if line.int_coeffs[2])
+        out += [A, oracles.without(A, H)]
+    return out
+
+
 _INPUT_SETS = {
     "ladder": lambda: [A for seed in (1, 2, 3) for A in _ladder(seed)],
     "census": lambda: [A for A, _ in _census_pairs()],
     "fixtures": lambda: [f.build() for f in FIXTURES],
     "corpus": lambda: random_corpus(100, 8, 42),
+    "supersolvable": _supersolvable,
 }
+# the kinds of layer each set brings to _new_generators (see _kind)
+_ALL_KINDS = {"sandwich", "point system", None}
+_KINDS = {"ladder": {"sandwich", None}, "census": _ALL_KINDS,
+          "fixtures": {"sandwich", None}, "corpus": _ALL_KINDS,
+          "supersolvable": _ALL_KINDS}
 
 
-def _scans(inputs):
-    """Both scans of _resolution, classify's and minimal_resolution's, of
-    every input: their shapes and generators."""
-    return [derivation._resolution(A, early_stop)
-            for A in inputs for early_stop in (True, False)]
+def _kind(layer):
+    """How _new_generators reads a layer: None when no vector needs a
+    column, else the route that certified the layer."""
+    if layer.point_rows is None:
+        return "point system"
+    return "sandwich" if layer.point_rows else None
 
 
 @pytest.mark.parametrize("name", sorted(_INPUT_SETS))
-def test_generators_on_h0_equal_the_kernel_path(name, monkeypatch):
-    # the kernel of [x, y, z times layer k - 1 | layer k], forced in every
-    # layer, gives the same generators, vector for vector, and shapes
-    inputs = _INPUT_SETS[name]()
-    on_h0 = derivation._generators_on_h0
-    read = []
+def test_new_generators_equal_the_span_oracle(name, monkeypatch):
+    # in both scans of _resolution, classify's and minimal_resolution's,
+    # every layer above a nonzero one gives the vectors that grow an exact
+    # span of x, y and z times the layer below, vector for vector
+    extract = derivation._new_generators
+    kinds = set()
 
-    def recording(layer, k):
-        new = on_h0(layer, k)
-        read.append(bool(new))
+    def checked(A, k, prev, layer):
+        new = extract(A, k, prev, layer)
+        assert list(new) == oracles.layer_generators(A, k), (A.name, k)
+        kinds.add(_kind(layer))
         return new
 
-    monkeypatch.setattr(derivation, "_generators_on_h0", recording)
-    want = _scans(inputs)
-    assert any(read)
-    monkeypatch.setattr(derivation, "_generators_on_h0", lambda layer, k: None)
-    assert _scans(inputs) == want
+    monkeypatch.setattr(derivation, "_new_generators", checked)
+    for A in _INPUT_SETS[name]():
+        for early_stop in (True, False):
+            derivation._resolution(A, early_stop)
+    # which layers met the extraction: sandwiched ones with point
+    # derivations, point-system ones above a nonzero layer, and sandwiched
+    # ones with no vector outside the shifts
+    assert kinds == _KINDS[name]
 
 
-def test_a_rank_mismatch_falls_back_to_the_kernel(monkeypatch):
-    # identity rows raise the rank over Q of the shift candidates' kept
-    # values above the number of shifts chosen, as a word prime that lowers
-    # that rank would: every layer with point derivations then goes to the
-    # kernel of [x, y, z times layer k - 1 | layer k], with the same output
-    inputs = _ladder(1)
-    want = _scans(inputs)
-    sandwich = derivation._sandwich
-    by_kernel = derivation._generators_by_kernel
-    derived, kernels = set(), []
-
-    def unlucky(A, k):
-        layer = sandwich(A, k)
-        if layer is None or not layer.derived:
-            return layer
-        derived.add((A.name, k))
-        ncols = 2 * (k + 1)
-        eye = tuple([int(i == j) for i in range(ncols)] for j in range(ncols))
-        assert derivation._generators_on_h0(layer, k) is not None
-        layer = layer._replace(shift_rows=layer.shift_rows + eye)
-        assert derivation._generators_on_h0(layer, k) is None
-        return layer
-
-    def recording(A, k, prev, basis):
-        kernels.append((A.name, k))
-        return by_kernel(A, k, prev, basis)
-
-    monkeypatch.setattr(derivation, "_sandwich", unlucky)
-    monkeypatch.setattr(derivation, "_generators_by_kernel", recording)
-    assert _scans(inputs) == want
-    assert kernels and set(kernels) == derived
+@pytest.mark.parametrize("kind", ["sandwich", "point system"])
+def test_a_tampered_layer_fails_the_generator_count(kind, monkeypatch):
+    # kept values of zero put every layer vector that takes a column into
+    # the span of the shifts: none is a pivot, so fewer new generators come
+    # out than the dimension the shifts leave.  A sandwiched layer is
+    # tampered through the kept values it carries, a point-system layer,
+    # which carries none, through its vectors
+    tampered = 0
+    for A in _INPUT_SETS["supersolvable"]():
+        for k in scanned_degrees(A, True, monkeypatch)[1:]:
+            layer, prev = derivation._ar_kernel(A, k), derivation._ar_kernel(A, k - 1)
+            if (not prev or _kind(layer) != kind
+                    or not derivation._new_generators(A, k, prev, layer)):
+                continue
+            if kind == "sandwich":
+                zero = tuple([0] * len(row) for row in layer.point_rows)
+                layer = derivation._Layer(layer, layer.multiples,
+                                          layer.shift_rows, zero)
+            else:
+                zero = (0,) * (3 * monomial_count(3, k))
+                layer = derivation._Layer([zero] * len(layer))
+            with pytest.raises(CertificationFailure, match="extraction mismatch"):
+                derivation._new_generators(A, k, prev, layer)
+            tampered += 1
+    assert tampered
 
 
 def test_the_leading_alpha_h0_multiples_vanish_on_h0():
-    # _candidates passes over the first `multiples` vectors of a sandwiched
-    # layer: alpha_H0 times the layer below, zero on H0.  Every other vector
-    # was chosen for its kept values, which are not zero
+    # _shift_candidates passes over the first `multiples` vectors of a
+    # sandwiched layer: alpha_H0 times the layer below, zero on H0.  Every
+    # other vector was chosen for its kept values, which are not zero
     for A in _ladder(2):
         for k in range(len(A) - 1):
             layer = derivation._ar_kernel(A, k)
