@@ -26,7 +26,7 @@ from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
 from .derivation import (ar_dim, classify, default_degree_cap, degree_cap,
                          dh_projection)
 from .multiarr import (Derivation2, LinearForm2, Multiarrangement2,
-                       _deriv_kernel, _free_pattern, _mul2, basis, exponents,
+                       _deriv_kernel, _free_pattern, basis, exponents,
                        multiples, ziegler_restriction)
 from .poly import (CertificationFailure, HomPoly, LineParam, monomial_count,
                    restrict, restriction_param)
@@ -105,8 +105,9 @@ def ziegler_map(A: Arrangement, H: int) -> ZieglerMapData:
     first map multiplication by alpha_H (Ziegler 1989), says the kernel in
     degree k is alpha_H D_H(A)_(k-1).  With D_H(A) = D_0(A) as graded modules
     and h(k) = ar_dim(A, k), the domain is h(k) and the image h(k) - h(k - 1)
-    on every line; the codomain is the free pattern of the exponents
-    exponents(M) certifies.  No derivation is restricted.
+    on every line; the codomain is the free pattern of exponents(M), its
+    first nonzero layer and Ziegler's degree sum.  No derivation is
+    restricted.
 
     Degrees 0..e2 are always computed; the scan continues while the cokernel
     is nonzero (it vanishes for good once zero past e2, since the codomain is
@@ -237,40 +238,11 @@ def is_admissible(A: Arrangement, form: LinearForm3) -> bool:
         a[0] * b[1] != a[1] * b[0] for a, b in combinations(ells, 2))
 
 
-def _restricted_gradient(A: Arrangement, form: LinearForm3) -> list[list[int]]:
-    """(f_x, f_y, f_z) at the points sP + tQ of the line beta, with P, Q as
-    in poly.line_restriction and f the product of the integer-scaled
-    alpha_j: g_c = sum_j alpha_j,c prod_(i != j) l_i, l_i = alpha_i(sP + tQ).
-    Each prod_(i != j) l_i is the product of l_i over i < j and over i > j,
-    both read off running prefix and suffix products.
-    """
-    ells = _restricted_lines(A, form.int_coeffs)
-    alphas = [line.int_coeffs for line in A.lines]
-    prefix = [[1]]
-    for ell in ells[:-1]:
-        prefix.append(_mul2(prefix[-1], ell))
-    rests = [None] * len(ells)
-    suffix = [1]
-    for j in range(len(ells) - 1, 0, -1):
-        rests[j] = _mul2(prefix[j], suffix)
-        suffix = _mul2(suffix, ells[j])
-    rests[0] = suffix
-    return [[sum(a[c] * r[i] for a, r in zip(alphas, rests))
-             for i in range(len(A))] for c in range(3)]
-
-
-def _splitting_rows(A: Arrangement, form: LinearForm3, k: int) -> list[list[int]]:
-    """The matrix of S_k^3 -> S_(k + |A| - 1), (a, b, c) -> a g_0 + b g_1 +
-    c g_2 for g = _restricted_gradient: column j of component c is
-    s^(k - j) t^j g_c."""
-    cols = [m for gc in _restricted_gradient(A, form) for m in multiples(gc, 1, k)]
-    return [list(r) for r in zip(*cols)]
-
-
 def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
-    """The degrees e1 <= e2 of a basis of the syzygies of g =
-    _restricted_gradient, from one rank modulo WORD_PRIME or, when that rank
-    is not full, one certified kernel.
+    """The degrees e1 <= e2 of a basis of the syzygies of g = (f_x, f_y,
+    f_z) on the line beta, f the product of the integer-scaled alpha_i,
+    from one rank modulo WORD_PRIME or, when that rank is not full, one
+    certified kernel.
 
     An admissible line meets no singular point of f, so g has no common
     zero on it; by Hilbert-Burch its syzygy module is then free of rank 2
@@ -278,21 +250,39 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     below the count bound 3(K + 1) > K + |A|, e2 >= (|A| - 1) / 2 > K, so
     the kernel of S_K^3 -> S_(K + |A| - 1) has dimension max(0, K - e1 + 1)
     and e1 = K + 1 - dim, as e1 <= (|A| - 1) / 2 <= K + 1.  With K < 0
-    (|A| <= 2), e1 = 0.  A full column rank modulo a prime is one over Q
-    (see linalg.rank_mod), so then dim = 0 with no kernel; most admissible
-    lines have it.
+    (|A| <= 2), e1 = 0.
+
+    The map is read at the K + |A| points (s, t) = (1, t), t = 0, 1, ...,
+    of the line sP + tQ: column j of component c holds t^j g_c(1, t), with
+    g_c = sum_j alpha_j,c prod_(i != j) l_i, l_i = alpha_i(sP + tQ), each
+    prod_(i != j) l_i(1, t) a prefix times a suffix product.  This matrix
+    is V C, C the coefficient matrix of the map and V the invertible
+    Vandermonde matrix of the points, so it has C's kernel over Q.  A full
+    column rank modulo a prime is one over Q (see linalg.rank_mod), so then
+    dim = 0 with no kernel; most admissible lines have it.
     """
-    k = (len(A) - 3) // 2
+    n = len(A)
+    k = (n - 3) // 2
     if k < 0:
-        return SplittingType(form, 0, len(A) - 1)
-    rows = _splitting_rows(A, form, k)
+        return SplittingType(form, 0, n - 1)
+    ells = _restricted_lines(A, form.int_coeffs)
+    alphas = [line.int_coeffs for line in A.lines]
+    rows = []
+    for t in range(k + n):
+        values = [a + b * t for a, b in ells]
+        suffix = [1]  # suffix[-1 - j] is the product of values[j + 1:]
+        for value in values[:0:-1]:
+            suffix.append(suffix[-1] * value)
+        g0, g1, g2, prefix = 0, 0, 0, 1
+        for (a0, a1, a2), value, rest in zip(alphas, values, reversed(suffix)):
+            others = prefix * rest
+            g0, g1, g2 = g0 + a0 * others, g1 + a1 * others, g2 + a2 * others
+            prefix *= value
+        rows.append([x * t ** j for x in (g0, g1, g2) for j in range(k + 1)])
     ncols = 3 * (k + 1)
-    if linalg.rank_mod(rows, ncols, linalg.WORD_PRIME) == ncols:
-        dim = 0
-    else:
-        dim = len(linalg.kernel_basis(rows, ncols))
-    e1 = k + 1 - dim
-    return SplittingType(form, e1, len(A) - 1 - e1)
+    full = linalg.rank_mod(rows, ncols, linalg.WORD_PRIME) == ncols
+    e1 = k + 1 - (0 if full else len(linalg.kernel_basis(rows, ncols)))
+    return SplittingType(form, e1, n - 1 - e1)
 
 
 def splitting_type(A: Arrangement, line: int | LinearForm3) -> SplittingType:

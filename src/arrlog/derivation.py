@@ -269,8 +269,9 @@ def _in_module(A: Arrangement, vecs, k: int) -> bool:
         P, Q = _line_points(beta)
         T = _evaluation_base(beta, k, size)
         at = _point_row([a + T * b for a, b in zip(P, Q)], k)
-        if any(sum(c * t for c, t in zip(_combine(beta, cs, m), at) if c)
-               for cs in comps):
+        b0, b1, b2 = beta
+        if any(sum(v * t for x, y, z, t in zip(*cs, at)
+                   if (v := b0 * x + b1 * y + b2 * z)) for cs in comps):
             return False
     return True
 

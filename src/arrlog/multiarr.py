@@ -2,9 +2,10 @@
 
 The induced structure of an arrangement on one of its lines weights each
 restricted point by (number of lines through it) - 1.  The derivation module
-of such a weighted arrangement is always free of rank 2; this module computes
-its graded layers, exponents, and a basis certified by Saito's determinant
-(Saito 1980; Ziegler 1989 for multiarrangements) through rank2_basis.
+of such a weighted arrangement is always free of rank 2 with exponents
+summing to the total multiplicity (Ziegler 1989); this module computes its
+graded layers, its exponents from the first nonzero layer and that sum, and
+a basis certified by Saito's determinant (Saito 1980) through rank2_basis.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .poly import HomPoly, LineParam, restrict, restriction_param
 
 
 class FreenessCertificateFailure(AssertionError):
-    """No pair of layer vectors passes Saito's determinant certificate.
+    """No layer up to half the total multiplicity is nonzero, or no pair of
+    layer vectors passes Saito's determinant certificate.
 
     Mathematically impossible for a 2-variable multiarrangement; raised only
     on an implementation bug.
@@ -254,9 +256,15 @@ def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
 
 
 def exponents(M: Multiarrangement2) -> Exponents:
-    """The degrees (e1 <= e2) of the certified basis."""
-    theta1, theta2 = basis(M)
-    return Exponents(theta1.degree, theta2.degree)
+    """The degrees (e1 <= e2) of a basis: e1 is the first degree k <=
+    total // 2 whose certified layer _deriv_kernel(M, k) is nonzero, and
+    e2 = total - e1, as D(M) is free of rank 2 with e1 + e2 = total (Ziegler
+    1989).  No layer above e1 and no determinant is computed; basis reads
+    the same cached layers 0..e1."""
+    for e1 in range(M.total // 2 + 1):
+        if _deriv_kernel(M, e1):
+            return Exponents(e1, M.total - e1)
+    raise FreenessCertificateFailure(f"no exponent pair found for total {M.total}")
 
 
 def saito_check(theta1: Derivation2, theta2: Derivation2,

@@ -4,7 +4,8 @@ Each one reaches a result by a slower, more direct route than the library
 does: the Fraction coefficients of a linear form, dense Fraction
 polynomials and their products, restriction by substitution, the Jacobian
 of the defining polynomial and its syzygies, D_H(A) as explicit
-derivations, the syzygy layers by their per-line conditions and exact
+derivations, the restricted gradient along an external line and its
+coefficient matrix, the syzygy layers by their per-line conditions and exact
 ranks, membership in a layer by restriction to every line, the derivation
 layers of a weighted arrangement, kernels, spans, solutions and RREFs by
 fraction-free elimination over Z (integer_rref, _exact_kernel and
@@ -20,6 +21,7 @@ known.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb, lcm
 
@@ -29,7 +31,7 @@ from arrlog.derivation import (_ar_kernel, _combine, _h0_incidence,
                                _point_row, _shift_vec, _uv_rows,
                                dh_projection)
 from arrlog.multiarr import (Derivation2, Multiarrangement2, _deriv_kernel,
-                             exponents, multiples, ziegler_restriction)
+                             _mul2, exponents, multiples, ziegler_restriction)
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
                          from_terms, line_restriction, linear,
                          monomial_count, monomials, restrict,
@@ -209,6 +211,26 @@ def jacobian(A: Arrangement) -> tuple[HomPoly, HomPoly, HomPoly, HomPoly]:
     if euler != f.scale(len(A)):
         raise CertificationFailure("Euler identity failed")
     return f, fx, fy, fz
+
+
+def restricted_gradient(A: Arrangement, form: LinearForm3) -> list[list[int]]:
+    """(f_x, f_y, f_z) at the points sP + tQ of the line beta, with P, Q as
+    in poly.line_restriction and f the product of the integer-scaled
+    alpha_j, as coefficient vectors: g_c = sum_j alpha_j,c prod_(i != j)
+    l_i, l_i = alpha_i(sP + tQ), by products of binary forms.  The
+    coefficient-space formulation of criteria._external_splitting."""
+    ells = restrict(form.int_coeffs, [line.int_coeffs for line in A.lines], 1)
+    rests = [reduce(_mul2, ells[:j] + ells[j + 1:], [1]) for j in range(len(ells))]
+    return [[sum(line.int_coeffs[c] * r[i] for line, r in zip(A.lines, rests))
+             for i in range(len(A))] for c in range(3)]
+
+
+def splitting_rows(A: Arrangement, form: LinearForm3, k: int) -> list[list[int]]:
+    """The coefficient matrix of S_k^3 -> S_(k + |A| - 1), (a, b, c) ->
+    a g_0 + b g_1 + c g_2 for g = restricted_gradient: column j of
+    component c is s^(k - j) t^j g_c."""
+    cols = [m for gc in restricted_gradient(A, form) for m in multiples(gc, 1, k)]
+    return [list(r) for r in zip(*cols)]
 
 
 @dataclass(frozen=True)

@@ -221,10 +221,26 @@ def test_external_splitting_computes_no_kernel_at_the_count_bound(monkeypatch):
     assert all(3 * (k + 1) <= k + len(A) for k in ranked)
 
 
-def test_word_prime_rank_of_external_splittings_matches_the_kernel():
+def _evaluation_matrices(monkeypatch) -> list:
+    """The (rows, ncols) that _external_splitting ranks modulo WORD_PRIME
+    from now on, one per call with |A| >= 3."""
+    real_rank = linalg.rank_mod
+    ranked = []
+
+    def rank(matrix, ncols, p):
+        ranked.append((matrix, ncols))
+        return real_rank(matrix, ncols, p)
+
+    monkeypatch.setattr(linalg, "rank_mod", rank)
+    return ranked
+
+
+def test_word_prime_rank_of_external_splittings_matches_the_kernel(monkeypatch):
     # the full column rank modulo WORD_PRIME that spares _external_splitting
     # its kernel holds exactly where kernel_basis finds no syzygy, on every
-    # external line that verify checks for the fixtures and the corpus
+    # external line that verify checks for the fixtures and the corpus; the
+    # evaluation matrix it ranks has the kernel of the coefficient matrix
+    ranked = _evaluation_matrices(monkeypatch)
     dims = []
     for A in [f.build() for f in FIXTURES] + random_corpus(100, 8, 42):
         k = (len(A) - 3) // 2
@@ -232,15 +248,42 @@ def test_word_prime_rank_of_external_splittings_matches_the_kernel():
             continue
         ncols = 3 * (k + 1)
         for form in random_external_lines(A, 20, 42):
-            rows = criteria._splitting_rows(A, form, k)
+            rows = oracles.splitting_rows(A, form, k)
             dim = len(linalg.kernel_basis(rows, ncols))
             full = linalg.rank_mod(rows, ncols, linalg.WORD_PRIME) == ncols
             assert full == (dim == 0), (A.name, form)
+            del ranked[:]
             assert criteria._external_splitting(A, form).e1 == k + 1 - dim
+            [(values, width)] = ranked
+            assert width == ncols and len(values) == k + len(A)
+            assert len(linalg.kernel_basis(values, ncols)) == dim, (A.name, form)
             dims.append(dim)
     # both branches are compared, and most lines need no kernel
     assert 0 < dims.count(0) < len(dims)
     assert dims.count(0) > len(dims) // 2
+
+
+def test_a_short_rank_external_splitting_takes_the_kernel_of_its_values(monkeypatch):
+    # the near-pencil on 6 lines has a syzygy in degree K = 1 along 2,3,5:
+    # the evaluation matrix falls short of full rank modulo the word prime,
+    # and kernel_basis runs on that same matrix, whose kernel is the one of
+    # the coefficient matrix
+    A, form = near_pencil(6), LinearForm3.make([2, 3, 5])
+    ranked = _evaluation_matrices(monkeypatch)
+    real_kernel = linalg.kernel_basis
+    kernels = []
+
+    def kernel(matrix, ncols):
+        kernels.append(matrix)
+        return real_kernel(matrix, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", kernel)
+    assert criteria._external_splitting(A, form).as_pair() == (1, 4)
+    [(values, ncols)] = ranked
+    assert ncols == 6 and kernels == [values]
+    assert real_kernel(values, ncols) == real_kernel(
+        oracles.splitting_rows(A, form, 1), ncols)
+    assert len(real_kernel(values, ncols)) == 1
 
 
 @pytest.mark.parametrize("A", _EXTERNAL_INPUTS, ids=lambda A: A.name)
@@ -253,7 +296,7 @@ def test_restricted_gradient_is_the_scaled_restricted_jacobian(A):
         scale = beta[param.eliminated] ** (len(A) - 1)
         want = [[scale * c for c in substitute_line(p, param).coeffs]
                 for p in jacobian(A)[1:]]
-        assert criteria._restricted_gradient(A, form) == want, form
+        assert oracles.restricted_gradient(A, form) == want, form
 
 
 def test_yoshinaga_cross_check_catches_a_wrong_hilbert_function(monkeypatch):

@@ -7,10 +7,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlog import linalg
-from arrlog.arrangement import LinearForm3
-from arrlog.corpus import (FIXTURES, fixture, pencil, random_arrangement,
-                           random_corpus)
+from arrlog import linalg, multiarr
+from arrlog.arrangement import LinearForm3, arrangement
+from arrlog.corpus import (FIXTURES, fixture, near_pencil, pencil,
+                           random_arrangement, random_corpus)
 from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
                              LinearForm2, Multiarrangement2, _deriv_kernel,
                              _free_pattern, _saito_target, basis, exponents,
@@ -19,7 +19,8 @@ from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
 from arrlog.poly import from_terms, restriction_param
 from oracles import (deriv_dim, deriv_space, echelon_basis, evaluate,
                      line_param, multi_defining_poly, span_rule_theta2,
-                     substitute_line)
+                     substitute_line, supersolvable)
+from test_census import CENSUS_LINES, SUPERSOLVABLE, _orbit_representatives
 
 
 def test_linear_form2_int_coeffs():
@@ -401,3 +402,80 @@ def test_multiplicity_monotonicity():
     M2 = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
     for k in range(5):
         assert deriv_dim(M2, k) <= deriv_dim(M1, k)
+
+
+def _census_arrangements():
+    return [arrangement([list(v) for i, v in enumerate(CENSUS_LINES)
+                         if mask >> i & 1], f"census-{mask}")
+            for mask in _orbit_representatives()]
+
+
+def _supersolvable_arrangements():
+    return [supersolvable(*args) for args in SUPERSOLVABLE]
+
+
+def _restrictions(arrangements):
+    return {ziegler_restriction(A, H)[0]
+            for A in arrangements for H in range(len(A))}
+
+
+def test_exponents_are_the_degrees_of_the_certified_basis():
+    # the first nonzero layer and Ziegler's degree sum give the degrees of
+    # the basis that Saito's determinant certifies, on every restriction of
+    # the fixtures, the seed-42 corpus, the ladder, the census and the
+    # supersolvable arrangements
+    arrangements = ([f.build() for f in FIXTURES] + random_corpus(100, 8, 42)
+                    + [random_arrangement(n, 1) for n in range(8, 13)]
+                    + [near_pencil(n) for n in range(8, 13)]
+                    + _census_arrangements() + _supersolvable_arrangements())
+    restrictions = _restrictions(arrangements)
+    assert len(restrictions) > 1000
+    for M in restrictions:
+        theta1, theta2 = basis(M)
+        assert exponents(M).as_pair() == (theta1.degree, theta2.degree), M
+
+
+def test_supersolvable_restrictions_have_the_arrangements_exponents():
+    # a free arrangement with exponents (1, m - 1, |A| - m) restricts to
+    # every one of its lines with exponents (m - 1, |A| - m) (Ziegler 1989)
+    seen = set()
+    for A in _supersolvable_arrangements():
+        m = sum(1 for line in A.lines if not line.int_coeffs[2])
+        want = tuple(sorted((m - 1, len(A) - m)))
+        for H in range(len(A)):
+            assert exponents(ziegler_restriction(A, H)[0]).as_pair() == want, (A.name, H)
+        seen.add(want[0])
+    assert min(seen) == 2 and max(seen) == 5
+
+
+def test_exponents_compute_no_layer_above_e1(monkeypatch):
+    # exponents runs kernels in degrees 0..e1 only, and basis then reads
+    # those layers from the shared cache, adding only degree e2
+    real = linalg.kernel_basis
+    degrees = []
+
+    def kernel(matrix, ncols):
+        degrees.append(ncols // 2 - 1)
+        return real(matrix, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", kernel)
+    for A in [f.build() for f in FIXTURES] + [random_arrangement(12, 1)]:
+        for H in range(len(A)):
+            M, _ = ziegler_restriction(A, H)
+            _deriv_kernel.cache_clear()
+            basis.cache_clear()
+            del degrees[:]
+            e1, e2 = exponents(M).as_pair()
+            assert degrees == list(range(e1 + 1)), (A.name, H)
+            del degrees[:]
+            basis(M)
+            assert degrees == ([e2] if e2 > e1 else []), (A.name, H)
+
+
+def test_exponents_raise_without_a_nonzero_layer(monkeypatch):
+    # a free module of rank 2 has a nonzero layer by half its degree sum;
+    # an implementation that finds none is refused, not answered
+    M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
+    monkeypatch.setattr(multiarr, "_deriv_kernel", lambda M, k: ())
+    with pytest.raises(FreenessCertificateFailure, match="total 4"):
+        exponents(M)
