@@ -20,31 +20,30 @@ theta vanish at every intersection point off H0, and a form of degree d
 that vanishes at more than d points of a line is divisible by its form
 (Bezout).  So peeling off, one by one, lines through many of those points
 proves the low layers zero, usually every one below the minimal degree,
-with no elimination at all (_empty_through).  The other layers go through the rank sandwich of
-_ar_kernel: Ziegler's sequence bounds a layer from above by the layer
-below and the certified restriction exponents on H0, or the dimension
-modulo a prime of the kernel of the point system, with the same lines
-peeled off, does, and alpha_H0 times the layer below, with shifts and point
-derivations g_v d_v whose restrictions to H0 are independent modulo a
-prime, bounds it from below.  Every chosen point derivation is checked
-exactly against every line, by one evaluation per line (_in_module): at
-P + TQ, with T above every coefficient of its restriction, a binary form
-takes the value sum c_r T^r, zero only when every c_r is.  Each decision
-of the sandwich reads only a rank, and the rank of an integer matrix modulo
-any prime is at most its rank over Q, so one word-size prime
-(linalg.WORD_PRIME) serves them all.  The point
+with no elimination at all (_empty_through).  The other layers go through
+the rank sandwich of _ar_kernel: Ziegler's sequence bounds a layer from
+above by the layer below and the certified restriction exponents on H0, or
+the point system (_point_system) solved modulo a prime does, and alpha_H0
+times the layer below, with shifts and point derivations g_v d_v whose
+restrictions to H0 are independent modulo a prime, bounds it from below.
+Every chosen point derivation is checked exactly against every line, by one
+evaluation per line (_in_module): at P + TQ, with T above every coefficient
+of its restriction, a binary form takes the value sum c_r T^r, zero only
+when every c_r is.  Each decision of the sandwich reads only a rank, and
+the rank of an integer matrix modulo any prime is at most its rank over Q,
+so one word-size prime (linalg.WORD_PRIME) serves them all.  The point
 derivations, g_v the product of the lines that miss the intersection point
 v, span the top layers of generic arrangements (Yuzvinsky 1991: D_0(A) is
 generated in degree |A| - 2), and the lowest nonzero layer of a random one,
 at a triple point.  A layer whose bounds do not meet is solved from the
-intersection points (_point_system): one kernel of the monomials at the
-points off H0 serves both kept components, and a small second system in its
-coordinates takes one row per point on H0 and a restriction block only for
-the lines with at most k points.  Both kernels are certified over Z by
-linalg.kernel_basis as any other, and since the two systems define
-D_{H0}(A) exactly, the certificate covers the module itself.  Either way a
-layer is a certified basis, and everything read off it depends only on its
-span.
+same point system over Q: one kernel of the monomials at the points that
+the peeled lines leave serves both kept components, and a small second
+system in its coordinates takes one row per point on H0 and a restriction
+block only for the lines with at most k points.  Both kernels are certified
+over Z by linalg.kernel_basis as any other, and since the two systems
+define D_{H0}(A) exactly, the certificate covers the module itself.  Either
+way a layer is a certified basis, and everything read off it depends only
+on its span.
 
 The new generators of a layer are the basis vectors outside x, y and z
 times the layer below, and all of them are read off the layer's
@@ -363,7 +362,8 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     greedily, in _candidates' order, while their kept values at k + 1
     points of H0 grow in rank modulo WORD_PRIME, until that rank reaches
     the free pattern of the exponents of the restriction to H0, or, once
-    the candidates run out, the number of vectors reaches _point_bound.
+    the candidates run out, the number of vectors reaches the dimension of
+    the point system's kernel modulo WORD_PRIME (_point_system).
     Every chosen point derivation must take the values it was ranked by and
     lie in D_{H0}(A) (_in_module), or CertificationFailure is raised.  When
     any is chosen, every shift candidate came before it, and the layer
@@ -390,7 +390,8 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
             if len(echelon) == target:
                 break
     else:
-        if len(prev) + len(echelon) != _point_bound(A, k):
+        if len(prev) + len(echelon) != len(
+                _point_system(A, k, linalg.WORD_PRIME)[1]):
             return None
     derived = [(row, vec) for row, vec, point in chosen if point]
     if derived and (any(_kept_values(A, vec, k, k + 1) != row
@@ -445,9 +446,9 @@ def _ar_kernel(A: Arrangement, k: int) -> _Layer:
       exponents (e1, e2) that multiarr.exponents certifies by Saito's
       criterion, so the second term is _free_pattern(k, e1, e2).
     - Above, when the candidates run out below that bound.  D_k has the
-      dimension of the kernel over Q of an integer matrix, the point system
-      with the lines of _peeled(A, k) peeled off, so that kernel's
-      dimension modulo p, _point_bound, is at least dim D_k.
+      dimension of the kernel over Q of the point system with the lines of
+      _peeled(A, k) peeled off, so that kernel's dimension modulo p
+      (_point_system(A, k, p)) is at least dim D_k.
     - Below.  alpha_H0 times a basis of D_(k-1) is independent and
       restricts to zero on H0.  A derivation of D_{H0}(A)_k restricts to
       zero iff its two kept components vanish on H0, that is, at k + 1
@@ -459,12 +460,18 @@ def _ar_kernel(A: Arrangement, k: int) -> _Layer:
     When an upper bound meets the lower one, those vectors are a basis.  The
     candidates are x, y and z times layer k - 1, which lie in the module,
     and the point derivations, each checked exactly against every line.
-    Otherwise the basis is that of the point system (_point_system).
+    Otherwise the basis is the point system solved over Q, (u, v) of each
+    vector of U taken to (sum u_i g_i, sum v_i g_i) and lifted by _h0_lift.
     """
     if k <= _empty_through(A):
         return _Layer()
     layer = _sandwich(A, k)
-    return layer if layer is not None else _Layer(_point_system(A, k))
+    if layer is not None:
+        return layer
+    G, U = _point_system(A, k)
+    m, r = monomial_count(3, k), len(G)
+    return _Layer(_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
+                  for uv in U)
 
 
 @lru_cache(maxsize=1024)
@@ -514,54 +521,57 @@ def _empty_through(A: Arrangement) -> int:
     return k
 
 
-def _point_system(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of D_{H0}(A)_k from the kernels of two systems, the reversed
-    RREF of the layer up to positive factors.
+def _point_system(A: Arrangement, k: int, p: int | None = None):
+    """The point system of D_{H0}(A)_k as (G, U), with the lines of
+    _peeled(A, k) peeled off: G the forms Pi g', Pi = alpha_(K_0) ...
+    alpha_(K_(j-1)) the product of the j lines peeled and g' in a kernel of
+    E', the degree-(k - j) monomials at the intersection points off H0 that
+    those lines miss, and U a kernel of _uv_rows(A, k, G).  Both kernels are
+    linalg.kernel_basis's, certified over Q, or linalg.kernel_mod's modulo
+    the prime p when p is given.
 
     Let a and b be the kept components of theta and w_K the weights of a
-    line K != H0 with form beta_K, so that theta keeps K iff w_K . (a, b)
-    vanishes on K: iff line_restriction(beta_K, k) takes it to zero, k + 1
-    rows per line.  The basis is kernel_basis of those (|A| - 1)(k + 1)
-    per-line rows, lifted to all three components and scaled to primitive
-    integer vectors.  It is computed from the intersection points of A
-    (_h0_incidence) instead:
-    - At a point P off H0, the lines K, K' through P meet H0 in different
-      points, so w_K and w_K' are independent and a(P) = b(P) = 0.  So a
-      and b lie in the span of G = kernel_basis(E), E the matrix of the
-      degree-k monomials at the points off H0: a = sum u_i g_i and
-      b = sum v_i g_i.
-    - (u, v) then solves the rows of _uv_rows: one row w_K . (a, b)(Q) = 0
-      for each point Q on H0, K any other line through Q (their weights
-      are proportional), and the restriction block of w_K . (a, b) to K
-      for each line K with t_K < k + 1 intersection points.
-    Conversely, on a line K with t_K >= k + 1, w_K . (a, b) restricted to K
-    is a binary form of degree k that vanishes at t_K points: those of K
-    off H0 and K cap H0.  So it is zero, and the other lines carry their
-    own block.  The two systems have the same solutions, and both kernels
-    are certified by kernel_basis (M v = 0 over Z), so this basis is
-    certified as the kernel of the per-line rows would be.
+    line K != H0 (_h0_incidence), so that theta keeps K iff w_K . (a, b)
+    vanishes on K.  At a point off H0, two lines through it meet H0 in
+    different points, so their weights are independent and a and b vanish
+    there.  A degree-k form vanishes at those points iff it is Pi g' with
+    g' vanishing at the points that the peeled lines leave (Bezout, see
+    _ar_kernel): no g' when j = k + 1, as E' has no column, and every
+    degree-(k - j) form when no point is left.  With a = sum u_i g_i and
+    b = sum v_i g_i, theta then keeps every line iff (u, v) solves
+    _uv_rows: one row for each point Q on H0, where the weights of the
+    lines through Q are proportional, and the restriction block of
+    w_K . (a, b) to each line K with at most k intersection points.  On a
+    line K with t_K >= k + 1, w_K . (a, b) restricted to K is a binary form
+    of degree k that vanishes at t_K points, those of K off H0 and K cap
+    H0, so it is zero with no block.
 
-    The basis is also the same, vector for vector, with no elimination over
-    Q.  Each g_i is positive in its free column f_i, its last nonzero entry,
-    and zero at every other f_j.  So on the columns f_i of a and of b,
-    (a, b) is (u, v) scaled by the positive g_i[f_i], in the same order, and
-    the last nonzero entry of (a, b) is the image of that of (u, v).  The
-    kernel_basis of the (u, v) system, each vector positive in its last
-    nonzero column and zero in the others', thus maps to vectors of the same
-    kind: up to positive factors, the reversed RREF of the layer that
-    kernel_basis of the per-line rows returns.  _h0_lift makes them primitive.
+    Over Q, (u, v) -> (sum u_i g_i, sum v_i g_i) lifted by _h0_lift takes U
+    onto a basis of D_{H0}(A)_k, and both kernels are certified (M v = 0
+    over Z).  Modulo p, (G, U) solves in turn the integer matrix of E' on
+    a' and on b' above the rows of _uv_rows in (Pi a', Pi b'), whose kernel
+    over Q has dimension dim D_{H0}(A)_k, and its rank modulo p is at most
+    that over Q (see _ar_kernel): len(U) is an upper bound.
     """
-    m = monomial_count(3, k)
-    G = linalg.kernel_basis([_point_row(P, k) for P, _ in _h0_incidence(A)[0]], m)
-    r = len(G)
-    return tuple(_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
-                 for uv in linalg.kernel_basis(_uv_rows(A, k, G), 2 * r))
+    j = _peeled(A, k)
+    peel = _peel(A)[:j]
+    peeled = {K for K, _ in peel}
+    d = k - j
+
+    kernel = (linalg.kernel_basis if p is None
+              else lambda rows, ncols: linalg.kernel_mod(rows, ncols, p))
+    G = kernel([_point_row(P, d, p) for P, lines in _h0_incidence(A)[0]
+                if peeled.isdisjoint(lines)], monomial_count(3, d))
+    for i, (K, _) in enumerate(peel):
+        G = [_times_form(g, d + i, A.lines[K].int_coeffs) for g in G]
+    return G, kernel(_uv_rows(A, k, G), 2 * len(G))
 
 
 def _uv_rows(A: Arrangement, k: int, G) -> list[list[int]]:
     """The second system of _point_system, on (u, v) with a = sum u_i g_i
-    and b = sum v_i g_i for the vectors g_i of G: one row per point on H0,
-    and the restriction block of each line with at most k points."""
+    and b = sum v_i g_i for the vectors g_i of G, exact or modulo a prime:
+    one row per point on H0, and the restriction block of each line with at
+    most k points, as integer rows."""
     _, on, lines = _h0_incidence(A)
     # (weights, the value of each g_i) per condition
     conditions = []
@@ -573,36 +583,6 @@ def _uv_rows(A: Arrangement, k: int, G) -> list[list[int]]:
             conditions.extend((w, values) for values in zip(*restrict(beta, G, k)))
     return [[w0 * x for x in values] + [w1 * x for x in values]
             for (w0, w1), values in conditions]
-
-
-def _point_bound(A: Arrangement, k: int) -> int:
-    """An upper bound on dim D_{H0}(A)_k: the dimension over F_p, p =
-    WORD_PRIME, of the kernel of the point system with the lines of
-    _peeled(A, k) peeled off.
-
-    The kept components a and b of theta vanish at the intersection points
-    off H0, so by Bezout's theorem (see _ar_kernel) a = Pi a' and
-    b = Pi b', Pi = alpha_(K_0) ... alpha_(K_(j-1)) the j = _peeled(A, k)
-    lines peeled, with a' and b' of degree k - j vanishing at the points
-    off H0 that those lines miss; when j = k + 1, a = b = 0.  So the
-    integer matrix M' of E' on a' and on b', E' the degree-(k - j)
-    monomials at those points, above the conditions of _uv_rows written in
-    (Pi a', Pi b'), has a kernel over Q that (a', b') -> (Pi a', Pi b') and
-    _h0_lift map isomorphically onto D_{H0}(A)_k, and its rank mod p is at
-    most its rank over Q.  Its kernel mod p is solved through a kernel G'
-    of E' mod p, all monomials of degree k - j when no point is left."""
-    j = _peeled(A, k)
-    if j > k:
-        return 0
-    p = linalg.WORD_PRIME
-    peel = _peel(A)[:j]
-    peeled = {K for K, _ in peel}
-    d = k - j
-    G = linalg.kernel_mod([_point_row(P, d, p) for P, lines in _h0_incidence(A)[0]
-                           if peeled.isdisjoint(lines)], monomial_count(3, d), p)
-    for i, (K, _) in enumerate(peel):
-        G = [_times_form(g, d + i, A.lines[K].int_coeffs) for g in G]
-    return 2 * len(G) - linalg.rank_mod(_uv_rows(A, k, G), 2 * len(G), p)
 
 
 def ar_dim(A: Arrangement, k: int) -> int:

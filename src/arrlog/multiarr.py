@@ -5,7 +5,8 @@ restricted point by (number of lines through it) - 1.  The derivation module
 of such a weighted arrangement is always free of rank 2 with exponents
 summing to the total multiplicity (Ziegler 1989); this module computes its
 graded layers, its exponents from the first nonzero layer and that sum, and
-a basis certified by Saito's determinant (Saito 1980) through rank2_basis.
+a basis from the layers of those two degrees, certified by Saito's
+determinant (Saito 1980).
 """
 
 from __future__ import annotations
@@ -212,34 +213,6 @@ def _minors_certify(theta1, theta2, target) -> bool:
     return all(d * target[lead] == t * det[lead] for d, t in zip(det, target))
 
 
-def rank2_basis(layer, total: int, target) -> tuple[tuple, tuple]:
-    """Basis of a free rank-2 module of derivations (p, q) with degrees
-    summing to total; layer(k) is the echelon basis in degree k.
-
-    theta1 is the first vector of the first nonzero layer e1 <= total // 2,
-    theta2 the first of layer total - e1 with a nonzero determinant against
-    theta1.  That is the first vector outside the multiples S theta1: in a
-    free module of rank 2, theta1, of least degree, is a basis element, so
-    v = a theta1 + b theta2' for a basis (theta1, theta2'), det(theta1, v)
-    = b det(theta1, theta2'), and v is in S theta1 iff b = 0.  The pair is
-    a basis iff its determinant is a nonzero constant times target, which
-    is checked; FreenessCertificateFailure otherwise.
-    """
-    for e1 in range(total // 2 + 1):
-        first = layer(e1)
-        if first:
-            break
-    else:
-        raise FreenessCertificateFailure(f"no exponent pair found for total {total}")
-    theta1 = first[0]
-    theta2 = next((v for v in layer(total - e1) if any(_det(theta1, v))), None)
-    if theta2 is None:
-        raise FreenessCertificateFailure("no independent second basis vector")
-    if not _minors_certify(theta1, theta2, target):
-        raise FreenessCertificateFailure("basis candidates fail the determinant certificate")
-    return theta1, theta2
-
-
 def _saito_target(M: Multiarrangement2) -> list[int]:
     """The defining polynomial of M up to a nonzero constant: the product of
     its integer-scaled forms, each repeated by its multiplicity."""
@@ -249,10 +222,27 @@ def _saito_target(M: Multiarrangement2) -> list[int]:
 
 @lru_cache(maxsize=8192)
 def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
-    """Certified homogeneous basis (degrees e1 <= e2): rank2_basis with
-    Saito's determinant against the defining polynomial, through unit_last."""
-    return tuple(Derivation2.from_vector(linalg.unit_last(v)) for v in rank2_basis(
-        lambda k: _deriv_kernel(M, k), M.total, _saito_target(M)))
+    """Certified homogeneous basis (degrees e1 <= e2), through unit_last.
+
+    theta1 is the first vector of the layer e1 of exponents(M), theta2 the
+    first of layer e2 with a nonzero determinant against theta1.  That is
+    the first vector outside the multiples S theta1: in a free module of
+    rank 2, theta1, of least degree, is a basis element, so v = a theta1 +
+    b theta2' for a basis (theta1, theta2'), det(theta1, v) = b
+    det(theta1, theta2'), and v is in S theta1 iff b = 0.  The pair is a
+    basis iff its determinant is a nonzero constant times the defining
+    polynomial (Saito 1980), which is checked; FreenessCertificateFailure
+    otherwise.
+    """
+    e1, e2 = exponents(M).as_pair()
+    theta1 = _deriv_kernel(M, e1)[0]
+    theta2 = next((v for v in _deriv_kernel(M, e2) if any(_det(theta1, v))), None)
+    if theta2 is None:
+        raise FreenessCertificateFailure("no independent second basis vector")
+    if not _minors_certify(theta1, theta2, _saito_target(M)):
+        raise FreenessCertificateFailure("basis candidates fail the determinant certificate")
+    return tuple(Derivation2.from_vector(linalg.unit_last(v))
+                 for v in (theta1, theta2))
 
 
 def exponents(M: Multiarrangement2) -> Exponents:
@@ -260,7 +250,7 @@ def exponents(M: Multiarrangement2) -> Exponents:
     total // 2 whose certified layer _deriv_kernel(M, k) is nonzero, and
     e2 = total - e1, as D(M) is free of rank 2 with e1 + e2 = total (Ziegler
     1989).  No layer above e1 and no determinant is computed; basis reads
-    the same cached layers 0..e1."""
+    the same cached layers 0..e1, then layer e2."""
     for e1 in range(M.total // 2 + 1):
         if _deriv_kernel(M, e1):
             return Exponents(e1, M.total - e1)

@@ -388,9 +388,9 @@ def off_h0_rows(A: Arrangement, k: int) -> list[list[int]]:
 
 
 def point_bound_unpeeled(A: Arrangement, k: int) -> int:
-    """derivation._point_bound with no line peeled: the dimension over F_p,
-    p = WORD_PRIME, of the point system's kernel, through a kernel of all
-    of E_k modulo p."""
+    """len(U) of derivation._point_system(A, k, WORD_PRIME), with no line
+    peeled: the dimension over F_p, p = WORD_PRIME, of the point system's
+    kernel, through a kernel of all of E_k modulo p."""
     p = linalg.WORD_PRIME
     m = monomial_count(3, k)
     G = linalg.kernel_mod([_point_row(P, k, p) for P, _ in _h0_incidence(A)[0]],

@@ -14,7 +14,10 @@ conic and off it, the lattices agree but the minimal resolutions do not.
 
 Supersolvable arrangements (oracles.supersolvable): with a modular point of
 multiplicity m on n lines, free with exponents (m - 1, n - m), and so is
-the deletion of a line off that point, with (m - 1, n - m - 1).  They
+the deletion of a line off that point, with (m - 1, n - m - 1).  Deleting
+a line H through it, with h points on H, leaves a free arrangement exactly
+when h - 1 is m - 1 or n - m (Terao 1980), and else a plus-one generated
+one with exponents (m - 1, n - m) and level n - 1 - h (Abe 2021).  They
 reach more lines than the census, and layers that the point system solves
 above a nonzero one.
 """
@@ -28,7 +31,7 @@ import pytest
 import oracles
 from arrlog import derivation
 from arrlog.arrangement import (_cross, arrangement, chi0,
-                                intersection_points, tjurina)
+                                intersection_points, n_H, tjurina)
 from arrlog.criteria import verify
 from arrlog.derivation import minimal_resolution
 
@@ -174,3 +177,45 @@ def test_supersolvable_arrangements_are_free_with_known_exponents(b, extra, seed
     cls = derivation.classify(oracles.without(A, H))
     assert (cls.verdict, cls.exponents) == \
         ("free", tuple(sorted((m - 1, n - m - 1))))
+
+
+def test_deleting_a_line_through_the_modular_point(monkeypatch):
+    # by addition-deletion, A \ H is free exactly when h - 1 is an exponent
+    # m - 1 or n - m of A, and otherwise plus-one generated with the
+    # exponents of A and level n - 1 - h, nearly free when the level is the
+    # larger exponent
+    exact = []
+    point_system = derivation._point_system
+
+    def recorded(B, k, p=None):
+        if p is None:
+            exact.append(k)
+        return point_system(B, k, p)
+
+    for cached in (derivation.classify, derivation._classification_resolution,
+                   derivation._ar_kernel):
+        cached.cache_clear()
+    monkeypatch.setattr(derivation, "_point_system", recorded)
+    for entry in SUPERSOLVABLE:
+        A = oracles.supersolvable(*entry)
+        n = len(A)
+        if n > 12:
+            continue
+        m = sum(1 for line in A.lines if not line.int_coeffs[2])
+        for H, line in enumerate(A.lines):
+            if line.int_coeffs[2]:
+                continue
+            h = n_H(A, H)
+            cls = derivation.classify(oracles.without(A, H))
+            if h == m:
+                want = ("free", tuple(sorted((m - 1, n - m - 1))), None)
+            elif h - 1 == n - m:
+                want = ("free", tuple(sorted((m - 2, n - m))), None)
+            else:
+                level = n - 1 - h
+                want = ("nearly-free" if level == max(m - 1, n - m)
+                        else "plus-one-generated",
+                        tuple(sorted((m - 1, n - m))), level)
+            assert (cls.verdict, cls.exponents, cls.level) == want, (A.name, H)
+    # layers of the deletions are left to the exact point system
+    assert exact

@@ -309,6 +309,17 @@ _GENERATOR_CASES = (
     + [(generic(5, seed=3), False), (random_arrangement(8, 1), False)])
 
 
+def point_layer(A, k):
+    """The exact point system of degree k, lifted: (u, v) of each vector of
+    U taken to (sum u_i g_i, sum v_i g_i) and lifted by _h0_lift, as
+    _ar_kernel does on a layer the sandwich leaves."""
+    G, U = derivation._point_system(A, k)
+    m, r = monomial_count(3, k), len(G)
+    return [derivation._h0_lift(A, derivation._combine(uv[:r], G, m)
+                                + derivation._combine(uv[r:], G, m))
+            for uv in U]
+
+
 def in_layer(A, k, v) -> bool:
     """Whether the degree-k vector v lies in D_{H0}(A), checked exactly on
     the per-line conditions: theta(alpha_H0) = 0, and the kept components
@@ -536,7 +547,7 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
     # Every layer is a basis of the kernel of the per-line conditions:
     # exact vectors of D_{H0}(A), independent, with the span of that
     # kernel's exact elimination.  The point system, which takes the layers
-    # the rank sandwich leaves, gives that kernel's reversed RREF in every
+    # the rank sandwich leaves, lifts to a basis of that kernel in every
     # degree, and the kernel primes must certify each of its kernels: a
     # regression that pushes real kernels past them would still give exact
     # answers, only slowly.  The dimension of D_0(A)_k, pinned from both
@@ -559,8 +570,10 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
         assert primes_needed(rows, ncols) <= len(KERNEL_PRIMES), k
         with monkeypatch.context() as mp:
             tried = record_kernel_moduli(mp)
-            assert derivation._point_system(A, k) == tuple(exact), k
+            lifted = point_layer(A, k)
         assert tried and max(tried) <= len(KERNEL_PRIMES), k
+        assert len(lifted) == len(exact), k
+        assert echelon_basis(lifted, 3 * m) == spanned, k
         J = jacobian_matrix(A, k)
         syzygies = kernel_basis(J, 3 * m)
         assert all(not any(sum(a * x for a, x in zip(row, v) if x) for row in J)

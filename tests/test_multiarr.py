@@ -14,8 +14,8 @@ from arrlog.corpus import (FIXTURES, fixture, near_pencil, pencil,
 from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
                              LinearForm2, Multiarrangement2, _deriv_kernel,
                              _free_pattern, _saito_target, basis, exponents,
-                             multiarrangement, multiples, rank2_basis,
-                             saito_check, ziegler_restriction)
+                             multiarrangement, multiples, saito_check,
+                             ziegler_restriction)
 from arrlog.poly import from_terms, restriction_param
 from oracles import (deriv_dim, deriv_space, echelon_basis, evaluate,
                      line_param, multi_defining_poly, span_rule_theta2,
@@ -280,47 +280,45 @@ def test_multiples():
                                              [0, 0, 1, 2, 0, 0, 3, 0]]
 
 
-def _layers(M: Multiarrangement2):
-    return lambda k: _deriv_kernel(M, k)
-
-
-def test_rank2_basis_rejects_a_multiple_of_theta1():
+def test_rank2_basis_rejects_a_multiple_of_theta1(monkeypatch):
     M = multiarrangement([([1, 0], 3), ([0, 1], 1), ([1, 1], 1)])
     e1, e2 = exponents(M).as_pair()
     assert (e1, e2) == (2, 3)
-    layers = _layers(M)
-    theta1 = layers(e1)[0]
+    theta1 = _deriv_kernel(M, e1)[0]
     mult = multiples(theta1, 2, e2 - e1)[0]
 
-    def only_multiples(k):
-        return [mult] if k == e2 else layers(k)
+    def only_multiples(N, k):
+        return [mult] if k == e2 else _deriv_kernel(N, k)
 
-    with pytest.raises(FreenessCertificateFailure):
-        rank2_basis(only_multiples, M.total, multi_defining_poly(M).coeffs)
+    with monkeypatch.context() as mp:
+        mp.setattr(multiarr, "_deriv_kernel", only_multiples)
+        with pytest.raises(FreenessCertificateFailure):
+            basis.__wrapped__(M)
 
     # equal degrees: the layer's second vector replaced by a scalar multiple
     M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
     assert exponents(M).as_pair() == (2, 2)
     theta1 = _deriv_kernel(M, 2)[0]
 
-    def doubled(k):
-        return [theta1, [3 * c for c in theta1]] if k == 2 else _deriv_kernel(M, k)
+    def doubled(N, k):
+        return [theta1, [3 * c for c in theta1]] if k == 2 else _deriv_kernel(N, k)
 
-    with pytest.raises(FreenessCertificateFailure):
-        rank2_basis(doubled, M.total, multi_defining_poly(M).coeffs)
+    with monkeypatch.context() as mp:
+        mp.setattr(multiarr, "_deriv_kernel", doubled)
+        with pytest.raises(FreenessCertificateFailure):
+            basis.__wrapped__(M)
 
 
-def test_rank2_basis_rejects_a_perturbed_target():
+def test_rank2_basis_rejects_a_perturbed_target(monkeypatch):
     M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
-    target = list(multi_defining_poly(M).coeffs)
-    theta1, theta2 = rank2_basis(_layers(M), M.total, target)
-    assert (Derivation2.from_vector(theta1), Derivation2.from_vector(theta2)) \
-        == basis(M)
+    target = _saito_target(M)
+    assert basis.__wrapped__(M) == basis(M)
     for i in range(len(target)):
         bad = list(target)
         bad[i] += 1
+        monkeypatch.setattr(multiarr, "_saito_target", lambda N: bad)
         with pytest.raises(FreenessCertificateFailure):
-            rank2_basis(_layers(M), M.total, bad)
+            basis.__wrapped__(M)
 
 
 _BASIS_INPUTS = ([f.build() for f in FIXTURES]
@@ -332,9 +330,8 @@ def test_rank2_basis_theta2_is_the_first_outside_the_span(A):
     # the determinant rule picks the vector the span rule did
     for H in range(len(A)):
         M, _ = ziegler_restriction(A, H)
-        layers = _layers(M)
-        _, theta2 = rank2_basis(layers, M.total, _saito_target(M))
-        assert theta2 == span_rule_theta2(layers, M.total), H
+        theta2 = span_rule_theta2(lambda k: _deriv_kernel(M, k), M.total)
+        assert basis(M)[1] == Derivation2.from_vector(linalg.unit_last(theta2)), H
 
 
 def test_basis_certified():

@@ -1,7 +1,7 @@
 """The rank sandwich that certifies a syzygy layer without a kernel.
 
 derivation._sandwich bounds dim D_{H0}(A)_k from above by Ziegler's
-sequence, or by the point system's kernel modulo a prime (_point_bound),
+sequence, or by the point system's kernel modulo a prime (_point_system),
 and from below by alpha_H0 times the layer below plus point derivations
 and shifts whose restrictions to H0 are independent modulo a prime; the
 layers through _empty_through are zero by Bezout's theorem, as the lines
@@ -33,7 +33,7 @@ from arrlog.poly import (CertificationFailure, monomial_count, monomials,
 from oracles import _exact_kernel, echelon_basis, h0_conditions
 from test_census import SUPERSOLVABLE, _census_pairs
 from test_criteria import A3, B3
-from test_linalg import in_layer, scanned_degrees
+from test_linalg import in_layer, point_layer, scanned_degrees
 
 
 def exact_layer(A, k):
@@ -44,30 +44,37 @@ def exact_layer(A, k):
                           for v in _exact_kernel(rows, 2 * m)], 3 * m)
 
 
+def point_bound(A, k):
+    """The dimension of the point system's kernel modulo WORD_PRIME, the
+    upper bound of _sandwich once its candidates run out."""
+    return len(derivation._point_system(A, k, linalg.WORD_PRIME)[1])
+
+
 def alone(name, A, k, monkeypatch, bounded=None):
     """derivation.<name>(A, k), for _sandwich or _ar_kernel, recomputed from
     the cached layers below it, with its own sandwich and empty prefix
-    uncached, and without a kernel over Q: the point system and
-    kernel_basis raise.  The degrees _point_bound is asked for are appended
-    to bounded."""
+    uncached, and without a kernel over Q: the exact point system and
+    kernel_basis raise.  The degrees of the point system's modular calls are
+    appended to bounded."""
     for j in range(k):
         derivation._ar_kernel(A, j)
     multiarr.exponents(multiarr.ziegler_restriction(A, 0)[0])
     fn = getattr(derivation, name).__wrapped__
-    point_bound = derivation._point_bound
+    point_system = derivation._point_system
     bounded = [] if bounded is None else bounded
 
     def forbidden(*args):
         raise AssertionError("a kernel ran")
 
-    def bound(B, j):
+    def modular(B, j, p=None):
+        if p is None:
+            forbidden()
         bounded.append(j)
-        return point_bound(B, j)
+        return point_system(B, j, p)
 
     with monkeypatch.context() as mp:
-        mp.setattr(derivation, "_point_system", forbidden)
         mp.setattr(linalg, "kernel_basis", forbidden)
-        mp.setattr(derivation, "_point_bound", bound)
+        mp.setattr(derivation, "_point_system", modular)
         mp.setattr(derivation, "_sandwich", derivation._sandwich.__wrapped__)
         mp.setattr(derivation, "_empty_through",
                    derivation._empty_through.__wrapped__)
@@ -88,8 +95,8 @@ def test_top_layer_of_a_random_arrangement_needs_no_kernel(monkeypatch):
 def test_every_layer_of_a_random_arrangement_needs_no_kernel(n, monkeypatch):
     # the peel proves every layer below mdr empty; with a
     # triple point (n >= 10) the mdr layer, k = n - 3, is its point
-    # derivation, certified by _point_bound; the top layer, k = n - 2,
-    # reaches Ziegler's bound
+    # derivation, certified by the modular point system; the top layer,
+    # k = n - 2, reaches Ziegler's bound
     A = random_arrangement(n, 1)
     gd = derivation.classify(A).shape.generator_degrees
     mdr, top = gd[0], gd[-1]
@@ -130,10 +137,13 @@ def test_generators_that_are_no_point_derivations_fall_back(A, k):
     assert k in derivation.classify(A).shape.generator_degrees
     assert derivation._sandwich(A, k) is None
     layer = derivation._ar_kernel(A, k)
-    assert layer == derivation._point_system(A, k)
-    assert echelon_basis(layer, 3 * monomial_count(3, k)) == exact_layer(A, k)
+    m = 3 * monomial_count(3, k)
+    lifted = point_layer(A, k)
+    assert len(layer) == len(lifted)
+    assert echelon_basis(layer, m) == echelon_basis(lifted, m)
+    assert echelon_basis(layer, m) == exact_layer(A, k)
     # the modular bound is the layer's dimension, which the candidates miss
-    assert derivation._point_bound(A, k) == len(layer)
+    assert point_bound(A, k) == len(layer)
 
 
 def _alpha_h0_multiples(A, k):
@@ -163,7 +173,8 @@ def test_a_perturbed_point_derivation_fails_the_certificate(kind, below,
     # one coefficient up by 1; an alpha_H0 multiple added, which only the
     # exact check against the lines sees; and the zero vector, which lies in
     # D_{H0}(A) but does not take the values it was ranked by.  The top
-    # layer reaches Ziegler's bound, and the mdr layer below it _point_bound
+    # layer reaches Ziegler's bound, and the mdr layer below it the modular
+    # point system
     A = random_arrangement(12, 1)
     degree = len(A) - 2 - below
     change = _alpha_h0_multiples(A, degree).get(kind)
@@ -405,14 +416,14 @@ def test_the_leading_alpha_h0_multiples_vanish_on_h0():
 
 
 def assert_modular_bounds_are_sound(A, monkeypatch):
-    """_empty_through(A) lies below mdr, and _point_bound is at least the
+    """_empty_through(A) lies below mdr, and point_bound is at least the
     exact dimension of the per-line conditions in every degree classify
     scans, the empty prefix included."""
     mdr = derivation.classify(A).mdr
     assert mdr is not None, A.name
     assert derivation._empty_through(A) < mdr, A.name
     for k in scanned_degrees(A, True, monkeypatch):
-        assert derivation._point_bound(A, k) >= oracles.ar_dim_by_rank(A, k), \
+        assert point_bound(A, k) >= oracles.ar_dim_by_rank(A, k), \
             (A.name, k)
 
 
@@ -452,8 +463,8 @@ def test_peeling_lines_leaves_the_point_bound_as_it_is(name, monkeypatch):
     peeled = 0
     for A in _INPUT_SETS[name]():
         for k in scanned_degrees(A, True, monkeypatch):
-            assert derivation._point_bound(A, k) == \
-                oracles.point_bound_unpeeled(A, k), (A.name, k)
+            assert point_bound(A, k) == oracles.point_bound_unpeeled(A, k), \
+                (A.name, k)
             peeled += 0 < derivation._peeled(A, k) <= k
     assert peeled
 
