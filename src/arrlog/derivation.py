@@ -21,7 +21,7 @@ that vanishes at more than d points of a line is divisible by its form
 (Bezout).  So peeling off, one by one, lines through many of those points
 proves the low layers zero, usually every one below the minimal degree,
 with no elimination at all (_empty_through).  The other layers go through
-the rank sandwich of _ar_kernel: Ziegler's sequence bounds a layer from
+the rank sandwich of _layer: Ziegler's sequence bounds a layer from
 above by the layer below and the certified restriction exponents on H0, or
 the point system (_point_system) solved modulo a prime does, and alpha_H0
 times the layer below, with shifts and point derivations g_v d_v whose
@@ -44,6 +44,13 @@ over Z by linalg.kernel_basis as any other, and since the two systems
 define D_{H0}(A) exactly, the certificate covers the module itself.  Either
 way a layer is a certified basis, and everything read off it depends only
 on its span.
+
+The scan keeps of each layer only what it reads (_Layer): its dimension,
+its own vectors (the chosen candidates, or the point system's basis), and
+their kept values at k + 1 points of H0.  The alpha_H0 multiples are never
+formed: _ar_kernel builds a whole basis on demand, for dh_projection.  The
+shifts of the next layer take the kept values carried, with one more
+evaluation each at one more point of H0, and restrict no vector again.
 
 The new generators of a layer are the basis vectors outside x, y and z
 times the layer below, and all of them are read off the layer's
@@ -293,30 +300,46 @@ def _grows(echelon: list, row, p: int) -> bool:
 
 
 class _Layer(tuple):
-    """A certified basis of D_{H0}(A)_k, as _ar_kernel returns it: a tuple
-    of vectors whose first `multiples` are alpha_H0 times layer k - 1.  A
-    layer that _sandwich certifies also carries the kept values it ranked:
-    `point_rows`, those of its chosen point derivations, its last vectors,
-    and, if there are any, `shift_rows`, those of every shift candidate.
-    Both are None on a layer that the point system solves."""
+    """Layer k of D_{H0}(A) as the scan keeps it (_layer): a tuple of its
+    own vectors, those that alpha_H0 times layer k - 1 does not give, with
+    - `dim`, dim D_{H0}(A)_k;
+    - `rows`, the kept values of each own vector at the k + 1 points of
+      _h0_points(A, k + 1), which _shift_candidates of layer k + 1 extends
+      by one point;
+    - `columns`, how many trailing own vectors are not known to lie in x, y
+      and z times layer k - 1, each a column of _new_generators;
+    - `shift_rows`, the kept values of every shift candidate when some
+      vector takes a column, else (), or None on a point-system layer,
+      where _new_generators computes them.
+    A sandwiched layer's own vectors are its chosen shifts, then its chosen
+    point derivations, the vectors that take a column, and its dimension is
+    that of layer k - 1 plus their number.  A point-system layer's own
+    vectors are its whole basis, and each takes a column."""
 
-    def __new__(cls, vectors=(), multiples: int = 0, shift_rows=None,
-                point_rows=None):
+    def __new__(cls, vectors=(), dim: int = 0, rows=(), columns: int = 0,
+                shift_rows=()):
         layer = super().__new__(cls, vectors)
-        layer.multiples = multiples
+        layer.dim = dim
+        layer.rows = rows
+        layer.columns = columns
         layer.shift_rows = shift_rows
-        layer.point_rows = point_rows
         return layer
 
 
 def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
-    """x, y and z times each vector of the layer prev below whose
-    restriction to H0 is nonzero, each as (its kept values at points, a
-    builder of its degree-k coefficient vector).  The alpha_H0 multiples
-    that lead prev vanish on H0, and so do their shifts: they are passed
-    over."""
-    for theta in prev[prev.multiples:]:
-        values = _kept_values(A, theta, k - 1, len(points))
+    """x, y and z times each own vector of the layer prev below whose
+    restriction to H0 is nonzero, each as (its kept values at the k + 1
+    points, a builder of its degree-k coefficient vector).  The kept values
+    of a vector of prev are the rows it carries, at the first k points,
+    and one evaluation at the last.  The alpha_H0 multiples in layer k - 1
+    vanish on H0, and so do their shifts: prev does not hold them."""
+    _, _, kept = _h0_frame(A)
+    m = monomial_count(3, k - 1)
+    at = _point_row(points[-1], k - 1)
+    for theta, carried in zip(prev, prev.rows):
+        values = list(carried) + [
+            sum(c * t for c, t in zip(theta[i * m:(i + 1) * m], at) if c)
+            for i in kept]
         if any(values):
             for var in range(3):
                 yield ([points[j // 2][var] * x for j, x in enumerate(values)],
@@ -353,31 +376,29 @@ def _candidates(A: Arrangement, k: int, prev: _Layer, points):
         yield row, lambda v=v, missing=missing: _point_derivation(A, v, missing, k), True
 
 
-@lru_cache(maxsize=8192)
 def _sandwich(A: Arrangement, k: int) -> _Layer | None:
-    """A basis of D_{H0}(A)_k when the rank sandwich of _ar_kernel is tight,
-    else None.
+    """Layer k of D_{H0}(A) when the rank sandwich of _layer is tight, else
+    None.
 
-    The basis is alpha_H0 times layer k - 1, then the candidates chosen
-    greedily, in _candidates' order, while their kept values at k + 1
-    points of H0 grow in rank modulo WORD_PRIME, until that rank reaches
-    the free pattern of the exponents of the restriction to H0, or, once
-    the candidates run out, the number of vectors reaches the dimension of
-    the point system's kernel modulo WORD_PRIME (_point_system).
-    Every chosen point derivation must take the values it was ranked by and
-    lie in D_{H0}(A) (_in_module), or CertificationFailure is raised.  When
-    any is chosen, every shift candidate came before it, and the layer
-    keeps their kept values and those of the chosen point derivations for
-    _new_generators.
+    Its own vectors are the candidates chosen greedily, in _candidates'
+    order, while their kept values at k + 1 points of H0 grow in rank
+    modulo WORD_PRIME, until that rank reaches the free pattern of the
+    exponents of the restriction to H0, or, once the candidates run out,
+    the dimension of layer k - 1 plus that rank reaches the dimension of
+    the point system's kernel modulo WORD_PRIME (_point_system); with
+    alpha_H0 times layer k - 1 they are a basis.  Every chosen point
+    derivation must take the values it was ranked by and lie in D_{H0}(A)
+    (_in_module), or CertificationFailure is raised.  Each own vector is
+    stored primitive, and its ranked row, divided by the same content, is
+    stored as its kept values.  When a point derivation is chosen, every
+    shift candidate came before it, and the layer keeps their kept values
+    for _new_generators.
     """
-    prev = _ar_kernel(A, k - 1) if k else _Layer()
-    alpha = A.lines[0].int_coeffs
-    basis = [tuple(linalg._primitive_vec(_times_linear(theta, k - 1, alpha)))
-             for theta in prev]
+    prev = _layer(A, k - 1) if k else _Layer()
     exp = exponents(ziegler_restriction(A, 0)[0])
     target = _free_pattern(k, exp.e1, exp.e2)
     if not target:
-        return _Layer(basis, len(prev), (), ())
+        return _Layer((), prev.dim)
     points = _h0_points(A, k + 1)
     echelon: list = []
     chosen = []
@@ -390,7 +411,7 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
             if len(echelon) == target:
                 break
     else:
-        if len(prev) + len(echelon) != len(
+        if prev.dim + len(echelon) != len(
                 _point_system(A, k, linalg.WORD_PRIME)[1]):
             return None
     derived = [(row, vec) for row, vec, point in chosen if point]
@@ -399,23 +420,29 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
                     or not _in_module(A, [vec for _, vec in derived], k)):
         raise CertificationFailure(
             f"a point derivation of degree {k} is not in D_H0(A)")
-    basis.extend(tuple(linalg._primitive_vec(vec)) for _, vec, _ in chosen)
-    return _Layer(basis, len(prev), tuple(shift_rows) if derived else (),
-                  tuple(row for row, _ in derived))
+    vectors, rows = [], []
+    for row, vec, _ in chosen:
+        g = linalg._content(vec)
+        vectors.append(tuple(linalg._primitive_vec(vec)))
+        rows.append(tuple(x // g for x in row) if g > 1 else tuple(row))
+    return _Layer(vectors, prev.dim + len(vectors), tuple(rows), len(derived),
+                  tuple(shift_rows) if derived else ())
 
 
 @lru_cache(maxsize=8192)
-def _ar_kernel(A: Arrangement, k: int) -> _Layer:
-    """A certified basis of D_{H0}(A)_k, the degree-k derivations theta
-    with theta(alpha_H0) = 0 that keep every line (H0 = line 0), as
-    primitive integer vectors: the concatenated coefficient vectors of the
-    three components.  Which basis is not part of the contract: every caller
-    reads only the span of a layer.
+def _layer(A: Arrangement, k: int) -> _Layer:
+    """Layer k of D_{H0}(A), the degree-k derivations theta with
+    theta(alpha_H0) = 0 that keep every line (H0 = line 0), as the scan of
+    _resolution reads it: its dimension, and the vectors of a certified
+    basis that are not alpha_H0 times layer k - 1 (see _Layer), as
+    primitive integer vectors, the concatenated coefficient vectors of the
+    three components.  Which basis is not part of the contract: every
+    caller reads only the span of a layer.
 
     Ziegler's splittings D(A) = S theta_E + D_0(A) = S theta_E + D_H0(A)
     make D_{H0}(A) isomorphic to the Jacobian syzygies D_0(A) as a graded
-    S-module, so the resolution and classification read off this basis are
-    those of D_0(A).
+    S-module, so the resolution and classification read off these layers
+    are those of D_0(A).
 
     Every decision of the sandwich below reads only a rank modulo a prime
     p, never a value over Q, and any prime is sound for it: a nonzero minor
@@ -437,8 +464,7 @@ def _ar_kernel(A: Arrangement, k: int) -> _Layer:
     for every k' < k, so the empty layers found form a prefix; each layer
     above it takes the route below.
 
-    The basis of any other layer is _sandwich's when this rank sandwich is
-    tight:
+    Any other layer is _sandwich's when this rank sandwich is tight:
     - Above.  Ziegler's sequence 0 -> D_{H0}(A)(-1) -> D_{H0}(A) ->
       D(A^H0, m^H0), the first map multiplication by alpha_H0 and the
       second restriction to H0 (Ziegler 1989), gives dim D_k <= dim D_(k-1)
@@ -460,8 +486,11 @@ def _ar_kernel(A: Arrangement, k: int) -> _Layer:
     When an upper bound meets the lower one, those vectors are a basis.  The
     candidates are x, y and z times layer k - 1, which lie in the module,
     and the point derivations, each checked exactly against every line.
-    Otherwise the basis is the point system solved over Q, (u, v) of each
-    vector of U taken to (sum u_i g_i, sum v_i g_i) and lifted by _h0_lift.
+    The layer keeps only the candidates chosen: the alpha_H0 multiples are
+    never formed, and _ar_kernel builds them when a whole basis is asked
+    for.  Otherwise the layer is the point system solved over Q, (u, v) of
+    each vector of U taken to (sum u_i g_i, sum v_i g_i) and lifted by
+    _h0_lift, with its kept values computed once.
     """
     if k <= _empty_through(A):
         return _Layer()
@@ -470,8 +499,26 @@ def _ar_kernel(A: Arrangement, k: int) -> _Layer:
         return layer
     G, U = _point_system(A, k)
     m, r = monomial_count(3, k), len(G)
-    return _Layer(_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
-                  for uv in U)
+    vectors = [_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
+               for uv in U]
+    return _Layer(vectors, len(vectors),
+                  tuple(tuple(_kept_values(A, v, k, k + 1)) for v in vectors),
+                  len(vectors), None)
+
+
+@lru_cache(maxsize=8192)
+def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
+    """A certified basis of D_{H0}(A)_k, as primitive integer vectors:
+    alpha_H0 times _ar_kernel(A, k - 1), then the own vectors of
+    _layer(A, k), or those alone when they are the whole layer (see
+    _Layer).  Built on demand, for the projections of dh_projection; the
+    scan reads _layer."""
+    layer = _layer(A, k)
+    if layer.dim == len(layer):
+        return tuple(layer)
+    alpha = A.lines[0].int_coeffs
+    return tuple(tuple(linalg._primitive_vec(_times_linear(theta, k - 1, alpha)))
+                 for theta in _ar_kernel(A, k - 1)) + tuple(layer)
 
 
 @lru_cache(maxsize=1024)
@@ -501,7 +548,7 @@ def _peel(A: Arrangement) -> tuple[tuple[int, int], ...]:
 def _peeled(A: Arrangement, k: int) -> int:
     """The number j <= k + 1 of leading lines of _peel(A) with c_i > k - i:
     alpha_(K_0) ... alpha_(K_(j-1)) divides every degree-k form that vanishes
-    at the intersection points off H0 (see _ar_kernel)."""
+    at the intersection points off H0 (see _layer)."""
     j = 0
     for i, (_, c) in enumerate(_peel(A)[:k + 1]):
         if c <= k - i:
@@ -514,7 +561,7 @@ def _peeled(A: Arrangement, k: int) -> int:
 def _empty_through(A: Arrangement) -> int:
     """The largest k with c_i > k - i for every i <= k, (K_i, c_i) the lines
     of _peel(A), or -1: D_{H0}(A)_j = 0 for every j <= k, by Bezout's
-    theorem alone (see _ar_kernel)."""
+    theorem alone (see _layer)."""
     k = -1
     while _peeled(A, k + 1) > k + 1:
         k += 1
@@ -536,7 +583,7 @@ def _point_system(A: Arrangement, k: int, p: int | None = None):
     different points, so their weights are independent and a and b vanish
     there.  A degree-k form vanishes at those points iff it is Pi g' with
     g' vanishing at the points that the peeled lines leave (Bezout, see
-    _ar_kernel): no g' when j = k + 1, as E' has no column, and every
+    _layer): no g' when j = k + 1, as E' has no column, and every
     degree-(k - j) form when no point is left.  With a = sum u_i g_i and
     b = sum v_i g_i, theta then keeps every line iff (u, v) solves
     _uv_rows: one row for each point Q on H0, where the weights of the
@@ -551,7 +598,7 @@ def _point_system(A: Arrangement, k: int, p: int | None = None):
     over Z).  Modulo p, (G, U) solves in turn the integer matrix of E' on
     a' and on b' above the rows of _uv_rows in (Pi a', Pi b'), whose kernel
     over Q has dimension dim D_{H0}(A)_k, and its rank modulo p is at most
-    that over Q (see _ar_kernel): len(U) is an upper bound.
+    that over Q (see _layer): len(U) is an upper bound.
     """
     j = _peeled(A, k)
     peel = _peel(A)[:j]
@@ -589,7 +636,7 @@ def ar_dim(A: Arrangement, k: int) -> int:
     """Dimension of the degree-k layer of the syzygy module."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return len(_ar_kernel(A, k))
+    return _layer(A, k).dim
 
 
 @lru_cache(maxsize=None)
@@ -740,7 +787,7 @@ def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
 
     S contains alpha_H0 theta = sum alpha_i x_i theta for every theta of
     D_(k-1), and alpha_H0 D_(k-1) is the kernel of the restriction to H0
-    on D_k, by Ziegler's sequence (see _ar_kernel).  So for any span W in
+    on D_k, by Ziegler's sequence (see _layer).  So for any span W in
     D_k, v lies in S + W iff its restriction lies in that of S + W, and a
     derivation of D_k restricts to zero iff its kept components vanish at
     k + 1 points of H0.  The new generators are thus the layer columns that
@@ -748,40 +795,40 @@ def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
     prev | layer vectors].  On H0, x_e = -(alpha_i0 x_i0 + alpha_i1 x_i1) /
     alpha_e, so x_e theta restricts into the span of the other two shifts
     of theta and takes no column.  Nor does a layer vector known to lie in
-    S: on a sandwiched layer only the chosen point derivations take one,
-    with the rows that _sandwich ranked, theirs and the shift candidates'
-    (the alpha_H0 multiples and the chosen shifts before them lie in S),
-    and on a point-system layer every vector does.  With none, there is no
+    S, its `columns` last own vectors aside (see _Layer): on a sandwiched
+    layer only the chosen point derivations take one, with the rows that
+    _sandwich ranked, theirs and the shift candidates' (the alpha_H0
+    multiples and the chosen shifts lie in S), and on a point-system layer
+    every vector does, with the rows it carries.  With none, there is no
     new generator and no kernel runs.  The pivots among the shifts count
     the rank r of the restriction of S, so dim S = dim D_(k-1) + r, and
     dim D_k - dim S new generators must come out, or CertificationFailure
     is raised.
     """
-    if layer.point_rows is None:
+    if not layer.columns:
+        return ()
+    shift_rows = layer.shift_rows
+    if shift_rows is None:
         shift_rows = [row for row, _ in _shift_candidates(A, k, prev,
                                                           _h0_points(A, k + 1))]
-        rows = [_kept_values(A, v, k, k + 1) for v in layer]
-    else:
-        shift_rows, rows = layer.shift_rows, layer.point_rows
-    if not rows:
-        return ()
+    first = len(layer) - layer.columns
     # the rows of _shift_candidates cycle through x, y and z times theta
     e = _h0_frame(A)[1]
-    cols = [row for i, row in enumerate(shift_rows) if i % 3 != e] + list(rows)
+    cols = [row for i, row in enumerate(shift_rows) if i % 3 != e] + \
+        list(layer.rows[first:])
     free = {linalg.free_column(w) for w in linalg.kernel_basis(
         [list(r) for r in zip(*cols)], len(cols))}
-    shifts = len(cols) - len(rows)
+    shifts = len(cols) - layer.columns
     rank = shifts - sum(1 for c in free if c < shifts)
-    new = [v for c, v in enumerate(layer[len(layer) - len(rows):], shifts)
-           if c not in free]
-    if len(new) != len(layer) - len(prev) - rank:
+    new = [v for c, v in enumerate(layer[first:], shifts) if c not in free]
+    if len(new) != layer.dim - prev.dim - rank:
         raise CertificationFailure(f"generator extraction mismatch at degree {k}")
     return new
 
 
 def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     """The minimal generators and relation degrees of D_{H0}(A), scanned
-    degree by degree from the certified layers of _ar_kernel.
+    degree by degree from the certified layers of _layer.
 
     The new generators of layer k are the whole layer when layer k - 1 is
     zero, and else are read off the layer's restriction to H0
@@ -793,15 +840,16 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     n = len(A)
     gens: list[tuple[int, tuple[int, ...]]] = []
     rels: list[int] = []
-    prev: tuple = ()
+    prev = _Layer()
     k = 0
     partial = False
     cap_hit = False
     while True:
-        basis = _ar_kernel(A, k)
-        dim = len(basis)
-        # no shifts below a zero layer k - 1: the whole layer is new
-        new = _new_generators(A, k, prev, basis) if prev else basis
+        layer = _layer(A, k)
+        dim = layer.dim
+        # no shifts below a zero layer k - 1: the whole layer is its own
+        # vectors, and new
+        new = _new_generators(A, k, prev, layer) if prev.dim else layer
         gens.extend((k, v) for v in new)
         # Hilbert value of the relation module at this degree: the free cover
         # by the generators found so far is surjective in degrees <= k, and
@@ -834,7 +882,7 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
         if k >= cap:
             cap_hit = True
             break
-        prev = basis
+        prev = layer
         k += 1
     gd = [g for g, _ in gens]
     if gd:

@@ -19,7 +19,9 @@ a line H through it, with h points on H, leaves a free arrangement exactly
 when h - 1 is m - 1 or n - m (Terao 1980), and else a plus-one generated
 one with exponents (m - 1, n - m) and level n - 1 - h (Abe 2021).  They
 reach more lines than the census, and layers that the point system solves
-above a nonzero one.
+above a nonzero one.  Up to 12 lines, each of them and its deletions must
+also have the Tjurina number its verdict and exponents fix, and a basis
+passing Saito's criterion on the restriction to every line.
 """
 
 import random
@@ -29,9 +31,10 @@ from math import comb
 import pytest
 
 import oracles
-from arrlog import derivation
+from arrlog import derivation, multiarr
 from arrlog.arrangement import (_cross, arrangement, chi0,
                                 intersection_points, n_H, tjurina)
+from arrlog.corpus import FIXTURES
 from arrlog.criteria import verify
 from arrlog.derivation import minimal_resolution
 
@@ -193,7 +196,7 @@ def test_deleting_a_line_through_the_modular_point(monkeypatch):
         return point_system(B, k, p)
 
     for cached in (derivation.classify, derivation._classification_resolution,
-                   derivation._ar_kernel):
+                   derivation._layer, derivation._ar_kernel):
         cached.cache_clear()
     monkeypatch.setattr(derivation, "_point_system", recorded)
     for entry in SUPERSOLVABLE:
@@ -219,3 +222,38 @@ def test_deleting_a_line_through_the_modular_point(monkeypatch):
             assert (cls.verdict, cls.exponents, cls.level) == want, (A.name, H)
     # layers of the deletions are left to the exact point system
     assert exact
+
+
+def test_supersolvable_deletions_pass_saito_and_the_tjurina_identity():
+    # on each arrangement of SUPERSOLVABLE with at most 12 lines and each of
+    # its one-line deletions: the basis of the restriction to every line
+    # passes Saito's criterion, and the Tjurina number is the one the
+    # verdict fixes, tau = (n - 1)^2 - d1 d2 when free with exponents
+    # (d1, d2), and tau = (n - 1)^2 - d1 (n - 1 - d1) - nu when plus-one
+    # generated (nearly free included) with exponents (d1, d2) and nu = d -
+    # d2 + 1 at level d.  A free arrangement restricts to a free
+    # multiarrangement with its own exponents on every line (Ziegler 1989).
+    # These inputs are free or nearly free, so the fixtures, with nu = 2 on
+    # the plus-one generated ones, join them
+    inputs = [f.build() for f in FIXTURES]
+    for entry in SUPERSOLVABLE:
+        A = oracles.supersolvable(*entry)
+        if len(A) <= 12:
+            inputs += [A] + [oracles.without(A, H) for H in range(len(A))]
+    verdicts = {}
+    for B in inputs:
+        n, cls = len(B), derivation.classify(B)
+        verdicts[cls.verdict] = verdicts.get(cls.verdict, 0) + 1
+        d1, d2 = cls.exponents
+        if cls.is_free:
+            assert tjurina(B) == (n - 1) ** 2 - d1 * d2, B.name
+        else:
+            assert cls.is_plus_one, (B.name, cls.verdict)
+            assert tjurina(B) == (n - 1) ** 2 - d1 * (n - 1 - d1) - cls.nu, \
+                B.name
+        for H in range(n):
+            M = multiarr.ziegler_restriction(B, H)[0]
+            assert multiarr.saito_check(*multiarr.basis(M), M), (B.name, H)
+            if cls.is_free:
+                assert multiarr.exponents(M).as_pair() == (d1, d2), (B.name, H)
+    assert verdicts == {"free": 25, "nearly-free": 17, "plus-one-generated": 4}

@@ -97,18 +97,18 @@ def record_kernel_moduli(mp):
 
 
 def scanned_degrees(A, early_stop, monkeypatch):
-    """The degrees whose _ar_kernel derivation._resolution(A, early_stop)
-    asks for: early_stop=True is the scan of classify; False, of
+    """The degrees whose _layer derivation._resolution(A, early_stop) asks
+    for: early_stop=True is the scan of classify; False, of
     minimal_resolution."""
     scanned = []
-    cached = derivation._ar_kernel
+    cached = derivation._layer
 
     def record(B, k):
         scanned.append(k)
         return cached(B, k)
 
     with monkeypatch.context() as m:
-        m.setattr(derivation, "_ar_kernel", record)
+        m.setattr(derivation, "_layer", record)
         derivation._resolution(A, early_stop)
     return scanned
 
@@ -563,6 +563,7 @@ def test_ar_kernel_equals_exact_path(A, early_stop, monkeypatch):
         rows = [_int_row(r) for r in oracles.h0_conditions(A, k)]
         exact = [derivation._h0_lift(A, v) for v in _exact_kernel(rows, ncols)]
         got = derivation._ar_kernel(A, k)
+        assert len(got) == derivation.ar_dim(A, k), k
         assert all(in_layer(A, k, v) for v in got), k
         spanned = echelon_basis(got, 3 * m)
         assert len(spanned) == len(got), k

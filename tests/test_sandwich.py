@@ -14,6 +14,10 @@ which tests each line with one evaluation.  The new
 generators that _resolution reads off every layer's restriction to H0 must
 be those that grow an exact span of x, y and z times the layer below
 (oracles.layer_generators), and a tampered layer must fail their count.
+The scan's layers (_layer) keep only their own vectors and their kept
+values on H0: the values carried must be those of the vectors, the scan
+must never build a whole basis (_ar_kernel), and the whole basis built on
+demand must be the layer the conditions define.
 """
 
 import random
@@ -51,15 +55,16 @@ def point_bound(A, k):
 
 
 def alone(name, A, k, monkeypatch, bounded=None):
-    """derivation.<name>(A, k), for _sandwich or _ar_kernel, recomputed from
-    the cached layers below it, with its own sandwich and empty prefix
+    """derivation.<name>(A, k), for _sandwich or _layer, recomputed from
+    the cached layers below it, with its own layer and empty prefix
     uncached, and without a kernel over Q: the exact point system and
     kernel_basis raise.  The degrees of the point system's modular calls are
     appended to bounded."""
     for j in range(k):
-        derivation._ar_kernel(A, j)
+        derivation._layer(A, j)
     multiarr.exponents(multiarr.ziegler_restriction(A, 0)[0])
-    fn = getattr(derivation, name).__wrapped__
+    fn = getattr(derivation, name)
+    fn = getattr(fn, "__wrapped__", fn)
     point_system = derivation._point_system
     bounded = [] if bounded is None else bounded
 
@@ -75,10 +80,17 @@ def alone(name, A, k, monkeypatch, bounded=None):
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "kernel_basis", forbidden)
         mp.setattr(derivation, "_point_system", modular)
-        mp.setattr(derivation, "_sandwich", derivation._sandwich.__wrapped__)
         mp.setattr(derivation, "_empty_through",
                    derivation._empty_through.__wrapped__)
         return fn(A, k)
+
+
+def whole(A, k, layer):
+    """The basis of D_{H0}(A)_k that _ar_kernel builds on layer k, which
+    must be the layer computed alone."""
+    cached = derivation._layer(A, k)
+    assert (tuple(layer), layer.dim) == (tuple(cached), cached.dim), k
+    return derivation._ar_kernel(A, k)
 
 
 def test_top_layer_of_a_random_arrangement_needs_no_kernel(monkeypatch):
@@ -87,8 +99,9 @@ def test_top_layer_of_a_random_arrangement_needs_no_kernel(monkeypatch):
     assert derivation.classify(A).shape.generator_degrees[-1] == top
     layer = alone("_sandwich", A, top, monkeypatch)
     # the layer has new generators, so point derivations were chosen
-    assert layer.point_rows
-    assert echelon_basis(layer, 3 * monomial_count(3, top)) == exact_layer(A, top)
+    assert layer.columns
+    assert echelon_basis(whole(A, top, layer), 3 * monomial_count(3, top)) \
+        == exact_layer(A, top)
 
 
 @pytest.mark.parametrize("n", range(8, 13))
@@ -105,9 +118,10 @@ def test_every_layer_of_a_random_arrangement_needs_no_kernel(n, monkeypatch):
     assert derivation._empty_through(A) == mdr - 1
     bounded = []
     for k in range(top + 1):
-        layer = alone("_ar_kernel", A, k, monkeypatch, bounded)
-        assert (len(layer) == 0) == (k < mdr), k
-        assert echelon_basis(layer, 3 * monomial_count(3, k)) == exact_layer(A, k)
+        layer = alone("_layer", A, k, monkeypatch, bounded)
+        assert (layer.dim == 0) == (k < mdr), k
+        assert echelon_basis(whole(A, k, layer), 3 * monomial_count(3, k)) \
+            == exact_layer(A, k)
     assert bounded == ([] if mdr == top else [mdr])
 
 
@@ -124,8 +138,9 @@ def test_every_layer_of_a_near_pencil_needs_no_kernel(monkeypatch):
     for k in range(max(gd) + 1):
         layer = alone("_sandwich", A, k, monkeypatch, bounded)
         # new generators in degrees 1 and 6 only, and never from shifts
-        assert (not layer.point_rows) == (k not in gd), k
-        assert echelon_basis(layer, 3 * monomial_count(3, k)) == exact_layer(A, k)
+        assert (not layer.columns) == (k not in gd), k
+        assert echelon_basis(whole(A, k, layer), 3 * monomial_count(3, k)) \
+            == exact_layer(A, k)
     # each layer reaches Ziegler's bound
     assert bounded == []
 
@@ -207,7 +222,7 @@ def test_in_module_accepts_the_point_derivations(monkeypatch):
     # derivation given
     A = random_arrangement(12, 1)
     top = len(A) - 2
-    basis = derivation._sandwich(A, top)
+    basis = derivation._ar_kernel(A, top)
     real = derivation._point_row
     points = []
 
@@ -343,9 +358,9 @@ _KINDS = {"ladder": {"sandwich", None}, "census": _ALL_KINDS,
 def _kind(layer):
     """How _new_generators reads a layer: None when no vector needs a
     column, else the route that certified the layer."""
-    if layer.point_rows is None:
-        return "point system"
-    return "sandwich" if layer.point_rows else None
+    if not layer.columns:
+        return None
+    return "point system" if layer.shift_rows is None else "sandwich"
 
 
 @pytest.mark.parametrize("name", sorted(_INPUT_SETS))
@@ -376,23 +391,18 @@ def test_new_generators_equal_the_span_oracle(name, monkeypatch):
 def test_a_tampered_layer_fails_the_generator_count(kind, monkeypatch):
     # kept values of zero put every layer vector that takes a column into
     # the span of the shifts: none is a pivot, so fewer new generators come
-    # out than the dimension the shifts leave.  A sandwiched layer is
-    # tampered through the kept values it carries, a point-system layer,
-    # which carries none, through its vectors
+    # out than the dimension the shifts leave.  Both kinds of layer are
+    # tampered through the kept values they carry
     tampered = 0
     for A in _INPUT_SETS["supersolvable"]():
         for k in scanned_degrees(A, True, monkeypatch)[1:]:
-            layer, prev = derivation._ar_kernel(A, k), derivation._ar_kernel(A, k - 1)
-            if (not prev or _kind(layer) != kind
+            layer, prev = derivation._layer(A, k), derivation._layer(A, k - 1)
+            if (not prev.dim or _kind(layer) != kind
                     or not derivation._new_generators(A, k, prev, layer)):
                 continue
-            if kind == "sandwich":
-                zero = tuple([0] * len(row) for row in layer.point_rows)
-                layer = derivation._Layer(layer, layer.multiples,
-                                          layer.shift_rows, zero)
-            else:
-                zero = (0,) * (3 * monomial_count(3, k))
-                layer = derivation._Layer([zero] * len(layer))
+            zero = tuple((0,) * len(row) for row in layer.rows)
+            layer = derivation._Layer(layer, layer.dim, zero, layer.columns,
+                                      layer.shift_rows)
             with pytest.raises(CertificationFailure, match="extraction mismatch"):
                 derivation._new_generators(A, k, prev, layer)
             tampered += 1
@@ -400,19 +410,98 @@ def test_a_tampered_layer_fails_the_generator_count(kind, monkeypatch):
 
 
 def test_the_leading_alpha_h0_multiples_vanish_on_h0():
-    # _shift_candidates passes over the first `multiples` vectors of a
-    # sandwiched layer: alpha_H0 times the layer below, zero on H0.  Every
-    # other vector was chosen for its kept values, which are not zero
+    # the scan's layer keeps none of the alpha_H0 multiples that lead the
+    # whole basis of a sandwiched layer: alpha_H0 times the layer below,
+    # zero on H0.  Every vector it keeps was chosen for its kept values,
+    # which are not zero, and follows them in the whole basis
     for A in _ladder(2):
         for k in range(len(A) - 1):
-            layer = derivation._ar_kernel(A, k)
+            layer, basis = derivation._layer(A, k), derivation._ar_kernel(A, k)
+            multiples = layer.dim - len(layer)
+            assert len(basis) == layer.dim, (A.name, k)
+            assert basis[multiples:] == tuple(layer), (A.name, k)
             if derivation._sandwich(A, k) is None:
-                assert layer.multiples == 0
+                assert multiples == 0
                 continue
-            assert layer.multiples == len(derivation._ar_kernel(A, k - 1))
-            values = [any(derivation._kept_values(A, v, k, k + 1)) for v in layer]
-            assert values == [False] * layer.multiples + \
-                [True] * (len(layer) - layer.multiples), (A.name, k)
+            assert multiples == derivation._layer(A, k - 1).dim
+            values = [any(derivation._kept_values(A, v, k, k + 1)) for v in basis]
+            assert values == [False] * multiples + [True] * len(layer), \
+                (A.name, k)
+
+
+# ---------------------------------------------------------------------------
+# the scan's layers: own vectors, carried kept values, no whole basis
+
+
+@pytest.mark.parametrize("name", sorted(_INPUT_SETS))
+def test_carried_kept_values_are_those_of_the_own_vectors(name, monkeypatch):
+    # in every layer classify scans, on each input and each of its
+    # one-line deletions, the kept values a layer carries for each own
+    # vector are _kept_values of it at the layer's k + 1 points of H0:
+    # _shift_candidates extends them by one point, and _sandwich divides
+    # the ranked row by the content it divides the vector by
+    inputs = _INPUT_SETS[name]()
+    inputs += [oracles.without(A, H) for A in inputs for H in range(len(A))]
+    sandwiched = 0
+    for A in inputs:
+        for k in scanned_degrees(A, True, monkeypatch):
+            layer = derivation._layer(A, k)
+            assert len(layer.rows) == len(layer) <= layer.dim, (A.name, k)
+            for v, row in zip(layer, layer.rows):
+                assert row == tuple(derivation._kept_values(A, v, k, k + 1)), \
+                    (A.name, k)
+            if layer.shift_rows is not None:
+                sandwiched += len(layer)
+    assert sandwiched
+
+
+@pytest.mark.parametrize("A", [random_arrangement(12, 1), near_pencil(10)],
+                         ids=lambda A: A.name)
+def test_scaled_candidates_leave_the_layer_as_it_is(A, monkeypatch):
+    # every candidate is primitive: a shift of a primitive vector, or a
+    # point derivation (Gauss's lemma).  Scaled by 6, the shifts reach the
+    # content division, and every sandwiched layer must keep the same
+    # primitive vectors and the same kept values
+    candidates = derivation._candidates
+
+    def scaled(B, k, prev, points):
+        for row, build, point in candidates(B, k, prev, points):
+            if not point:
+                row = [6 * x for x in row]
+                build = lambda build=build: [6 * x for x in build()]
+            yield row, build, point
+
+    checked = 0
+    for k in scanned_degrees(A, True, monkeypatch):
+        want = derivation._layer(A, k)
+        if want.shift_rows is None or len(want) == want.columns:
+            continue
+        with monkeypatch.context() as mp:
+            mp.setattr(derivation, "_candidates", scaled)
+            got = alone("_sandwich", A, k, monkeypatch)
+        assert (tuple(got), got.rows, got.dim) == \
+            (tuple(want), want.rows, want.dim), k
+        checked += 1
+    assert checked
+
+
+def test_classify_never_builds_a_whole_basis(monkeypatch):
+    # the scan reads each layer's dimension and own vectors: with every
+    # layer computed afresh, classify on the ladder and on near-pencils of
+    # 8 to 20 lines gives the same verdicts with _ar_kernel raising
+    inputs = ([random_arrangement(n, 1) for n in range(8, 13)]
+              + _INPUT_SETS["ladder"]() + [near_pencil(n) for n in range(8, 21)])
+
+    def forbidden(A, k):
+        raise AssertionError("a whole basis was built")
+
+    derivation._layer.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(derivation, "_ar_kernel", forbidden)
+        mp.setattr(derivation, "_classification_resolution",
+                   derivation._classification_resolution.__wrapped__)
+        got = [derivation.classify.__wrapped__(A) for A in inputs]
+    assert got == [derivation.classify(A) for A in inputs]
 
 
 def assert_modular_bounds_are_sound(A, monkeypatch):

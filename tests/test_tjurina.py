@@ -22,7 +22,7 @@ from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
                            random_arrangement, random_corpus)
 from arrlog.criteria import verify
 from arrlog.derivation import (MAX_DEGREE_ENV, _ar_kernel,
-                               _classification_resolution, _shift_vec,
+                               _classification_resolution, _layer, _shift_vec,
                                _spans_module, classify, degree_cap,
                                minimal_resolution)
 from arrlog.poly import CertificationFailure
@@ -175,7 +175,7 @@ def _kernel_moduli(monkeypatch) -> list:
     """How many moduli each kernel certified from now on took
     (record_kernel_moduli), with every cache that could skip one cleared."""
     tried = record_kernel_moduli(monkeypatch)
-    for cached in (_ar_kernel, _classification_resolution, classify,
+    for cached in (_layer, _ar_kernel, _classification_resolution, classify,
                    minimal_resolution, criteria._image_vectors,
                    multiarr._deriv_kernel, multiarr.basis):
         cached.cache_clear()
