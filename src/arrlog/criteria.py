@@ -11,6 +11,12 @@ yields it (its pivots all fall in the basis columns, as it is independent),
 and the factor beta_f^k those points introduce is divided out once at the
 end, so the witnesses come out exactly as in restriction_param's
 coordinates; see _image_vectors.
+
+An external line is restricted once, in _meeting_points: the forms l_i of
+A's lines on it and the |A| points where it meets A, their zeros.  They
+decide admissibility (the points are distinct), and give |A| of the rows
+its splitting type is ranked from, alpha_i times the monomials at each
+point, with no product; see _external_splitting.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from math import gcd
 
 from . import linalg
 from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
@@ -29,7 +35,7 @@ from .multiarr import (Derivation2, LinearForm2, Multiarrangement2,
                        _deriv_kernel, _free_pattern, basis, exponents,
                        multiples, ziegler_restriction)
 from .poly import (CertificationFailure, HomPoly, LineParam, monomial_count,
-                   restrict, restriction_param)
+                   restrict, restrict_lines, restriction_param)
 from .rng import XorShift64
 
 
@@ -187,8 +193,8 @@ def _deletion_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
     L = 1 if H == 0 else 0
     M, _ = ziegler_restriction(A, L)
     e1, e2 = exponents(M).as_pair()
-    p = LinearForm2.make(restrict(A.lines[L].int_coeffs,
-                                  [A.lines[H].int_coeffs], 1)[0])
+    p = LinearForm2.make(restrict_lines(A.lines[L].int_coeffs,
+                                        [A.lines[H].int_coeffs])[0])
     lowered = [(f, m - (f == p)) for f, m in zip(M.forms, M.mult)]
     Md = Multiarrangement2(tuple(f for f, m in lowered if m),
                            tuple(m for _, m in lowered if m))
@@ -219,30 +225,44 @@ class SplittingType:
         return {"line": where, "exponents": [self.e1, self.e2]}
 
 
-def _restricted_lines(A: Arrangement, beta) -> list[list[int]]:
-    """The forms l_i = alpha_i(sP + tQ) of the integer-scaled alpha_i of A
-    on the line beta, by poly.restrict."""
-    return restrict(beta, [line.int_coeffs for line in A.lines], 1)
+@lru_cache(maxsize=256)
+def _meeting_points(A: Arrangement, form: LinearForm3) -> tuple | None:
+    """Where the line meets A: the forms l_i = alpha_i(sP + tQ) = a_i s +
+    b_i t of the integer-scaled alpha_i of A on it, by
+    poly.restrict_lines, and their zeros r_i = (b_i, -a_i) in lowest terms
+    with s > 0, or s = 0 < t; None when the line is not admissible.
+
+    On the line, l_i = 0 exactly when it is line i, and l_i, l_j share
+    their zero exactly when the line passes through the point where lines
+    i and j meet; so the line is admissible iff every l_i is nonzero and
+    the r_i are distinct.  Cached, as verify reads each line it draws
+    twice: once to admit it and once for its splitting type.
+    """
+    ells = restrict_lines(form.int_coeffs, [line.int_coeffs for line in A.lines])
+    zeros = []
+    for a, b in ells:
+        g = gcd(a, b)
+        if not g:
+            return None
+        if b < 0 or (b == 0 and a > 0):
+            g = -g
+        zeros.append((b // g, -a // g))
+    if len(set(zeros)) < len(zeros):
+        return None
+    return tuple(map(tuple, ells)), tuple(zeros)
 
 
 def is_admissible(A: Arrangement, form: LinearForm3) -> bool:
-    """True if the line is not in A and passes through no intersection point.
-
-    On the line, l_i = 0 exactly when it is line i, and l_i, l_j are
-    proportional exactly when they share their zero, the point where lines
-    i and j meet; so the line is admissible iff every l_i is nonzero and no
-    two are proportional.
-    """
-    ells = _restricted_lines(A, form.int_coeffs)
-    return all(any(l) for l in ells) and all(
-        a[0] * b[1] != a[1] * b[0] for a, b in combinations(ells, 2))
+    """True if the line is not in A and passes through no intersection
+    point: the |A| points where it meets A are distinct (_meeting_points)."""
+    return _meeting_points(A, form) is not None
 
 
 def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     """The degrees e1 <= e2 of a basis of the syzygies of g = (f_x, f_y,
     f_z) on the line beta, f the product of the integer-scaled alpha_i,
     from one rank modulo WORD_PRIME or, when that rank is not full, one
-    certified kernel.
+    certified kernel; InadmissibleLine if beta is not admissible.
 
     An admissible line meets no singular point of f, so g has no common
     zero on it; by Hilbert-Burch its syzygy module is then free of rank 2
@@ -252,23 +272,38 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     and e1 = K + 1 - dim, as e1 <= (|A| - 1) / 2 <= K + 1.  With K < 0
     (|A| <= 2), e1 = 0.
 
-    The map is read at the K + |A| points (s, t) = (1, t), t = 0, 1, ...,
-    of the line sP + tQ: column j of component c holds t^j g_c(1, t), with
-    g_c = sum_j alpha_j,c prod_(i != j) l_i, l_i = alpha_i(sP + tQ), each
-    prod_(i != j) l_i(1, t) a prefix times a suffix product.  This matrix
-    is V C, C the coefficient matrix of the map and V the invertible
-    Vandermonde matrix of the points, so it has C's kernel over Q.  A full
-    column rank modulo a prime is one over Q (see linalg.rank_mod), so then
-    dim = 0 with no kernel; most admissible lines have it.
+    The map is read at K + |A| distinct points (s, t) of the line sP + tQ,
+    where column j of component c holds s^(K - j) t^j g_c(s, t), with g_c =
+    sum_j alpha_j,c prod_(i != j) l_i and l_i = alpha_i(sP + tQ):
+    - the |A| zeros r_i of the l_i (_meeting_points).  Every term of g_c
+      but the i-th has the factor l_i, so g(r_i) = alpha_i prod_(j != i)
+      l_j(r_i), a nonzero multiple of alpha_i on an admissible line; the
+      row is taken as alpha_i times the monomials at r_i, the logarithmic
+      condition theta(r_i) in H_i, with no product;
+    - K points (1, t), t = 0, 1, ..., skipping every t with (1, t) a zero,
+      each prod_(i != j) l_i(1, t) a prefix times a suffix product.
+    This matrix is D V C, C the coefficient matrix of the map, V the
+    homogeneous Vandermonde matrix of the points, invertible as they are
+    distinct in P^1, and D an invertible diagonal, so it has C's kernel
+    over Q.  A full column rank modulo a prime is one over Q (see
+    linalg.rank_mod), so then dim = 0 with no kernel; most admissible
+    lines have it.
     """
+    points = _meeting_points(A, form)
+    if points is None:
+        raise InadmissibleLine(f"{form} passes through an intersection point")
     n = len(A)
     k = (n - 3) // 2
     if k < 0:
         return SplittingType(form, 0, n - 1)
-    ells = _restricted_lines(A, form.int_coeffs)
+    ells, zeros = points
     alphas = [line.int_coeffs for line in A.lines]
     rows = []
-    for t in range(k + n):
+    for alpha, (s, t) in zip(alphas, zeros):
+        monos = [s ** (k - j) * t ** j for j in range(k + 1)]
+        rows.append([a * m for a in alpha for m in monos])
+    taken = {t for s, t in zeros if s == 1}
+    for t in [t for t in range(k + n) if t not in taken][:k]:
         values = [a + b * t for a, b in ells]
         suffix = [1]  # suffix[-1 - j] is the product of values[j + 1:]
         for value in values[:0:-1]:
@@ -297,8 +332,6 @@ def splitting_type(A: Arrangement, line: int | LinearForm3) -> SplittingType:
     form = line if isinstance(line, LinearForm3) else LinearForm3.make(line)
     if form in A.lines:
         return splitting_type(A, A.index_of(form))
-    if not is_admissible(A, form):
-        raise InadmissibleLine(f"{form} passes through an intersection point")
     return _external_splitting(A, form)
 
 

@@ -19,7 +19,7 @@ from math import comb
 
 from . import linalg
 from .arrangement import Arrangement, LinearForm
-from .poly import HomPoly, LineParam, restrict, restriction_param
+from .poly import HomPoly, LineParam, restrict_lines, restriction_param
 
 
 class FreenessCertificateFailure(AssertionError):
@@ -123,18 +123,18 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
     """Induced weighted arrangement on line H, plus the parametrization used,
     restriction_param of H.
 
-    Every other line restricts by poly.restrict to a binary form, a nonzero
-    multiple of its restriction in that parametrization, so its canonical
-    LinearForm2 is the same; proportional restrictions are grouped and each
-    group's cardinality (the point multiplicity minus one) becomes the
-    weight.
+    Every other line restricts by poly.restrict_lines to a binary form, a
+    nonzero multiple of its restriction in that parametrization, so its
+    canonical LinearForm2 is the same; proportional restrictions are grouped
+    and each group's cardinality (the point multiplicity minus one) becomes
+    the weight.
     """
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
     beta = A.lines[H].int_coeffs
     others = A.lines[:H] + A.lines[H + 1:]
-    counts = Counter(LinearForm2.make(ell) for ell in restrict(
-        beta, [f.int_coeffs for f in others], 1))
+    counts = Counter(LinearForm2.make(ell) for ell in restrict_lines(
+        beta, [f.int_coeffs for f in others]))
     items = sorted(counts.items(), key=_BY_FORM)
     M = Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
     assert M.total == len(A) - 1

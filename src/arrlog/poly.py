@@ -9,9 +9,11 @@ dense per-degree vector feeds the exact linear solver directly.
 Every restriction of a ternary form to a line goes through
 line_restriction, the integer matrix that evaluates it at the points
 sP + tQ of the line, or restrict, that matrix applied to some forms: the
-weighted arrangement on a member line, admissibility of an external line
-and its restricted Jacobian row, the conditions of D_H0(A) and the
-property-[P] image vectors.
+conditions of D_H0(A), its kept values and the property-[P] image
+vectors.  Lines restricted to a line need no matrix: restrict_lines reads
+each off two 2 x 2 minors, for the weighted arrangement on a member line,
+a deletion's lowered weight and the points where an external line meets
+the arrangement.
 """
 
 from __future__ import annotations
@@ -205,3 +207,15 @@ def restrict(beta, forms, k: int) -> list[list[int]]:
                     out[r] += y * x
         outs.append(out)
     return outs
+
+
+def restrict_lines(beta, alphas) -> list[list[int]]:
+    """The integer linear forms alphas at the points sP + tQ of the line
+    beta, as (coefficient of s, coefficient of t): restrict(beta, alphas, 1)
+    with no matrix built.  P = beta_f e_u - beta_u e_f and Q = beta_f e_v -
+    beta_v e_f, as in line_restriction, so alpha(sP + tQ) has the minors
+    beta_f alpha_u - beta_u alpha_f and beta_f alpha_v - beta_v alpha_f."""
+    f = restriction_param(beta).eliminated
+    u, v = (i for i in range(3) if i != f)
+    bf, bu, bv = beta[f], beta[u], beta[v]
+    return [[bf * a[u] - bu * a[f], bf * a[v] - bv * a[f]] for a in alphas]

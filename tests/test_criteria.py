@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
                              yoshinaga_defect, ziegler_map)
 from arrlog.derivation import ar_dim
 from arrlog.multiarr import basis, exponents, ziegler_restriction
-from arrlog.poly import CertificationFailure, monomial_count
+from arrlog.poly import (CertificationFailure, monomial_count, restrict,
+                         restrict_lines)
 from oracles import (SpanBuilder, deriv_dim, deriv_space, dh_basis, jacobian,
                      line_param, quick_defect, span_contains, substitute_line,
                      without)
@@ -235,13 +237,50 @@ def _evaluation_matrices(monkeypatch) -> list:
     return ranked
 
 
+def _check_meeting_rows(A, form, k, values) -> list[int]:
+    """Check the rows values that _external_splitting ranked along form
+    against the coefficient matrix C of oracles.splitting_rows, and return
+    the t >= 0 of the points (1, t) where the line meets A below the last
+    value row, the ones skipped.
+
+    - The first |A| rows sit at the zeros r_i of the l_i = alpha_i(sP +
+      tQ), in lowest terms with s > 0 or s = 0 < t: each is alpha_i times
+      the monomials s^(K - j) t^j at r_i, and C at r_i is that row times
+      prod_(j != i) l_j(r_i), which is nonzero.
+    - The other K rows are C at (1, t), t = 0, 1, ..., skipping the zeros.
+    """
+    n = len(A)
+    ells, zeros = criteria._meeting_points(A, form)
+    assert len(set(zeros)) == n
+    coeffs = oracles.splitting_rows(A, form, k)
+    top = len(coeffs) - 1
+
+    def at(s, t):
+        return [sum(row[c] * s ** (top - m) * t ** m
+                    for m, row in enumerate(coeffs))
+                for c in range(3 * (k + 1))]
+
+    for i, ((a, b), (s, t), line) in enumerate(zip(ells, zeros, A.lines)):
+        assert a * s + b * t == 0 and gcd(s, t) == 1, (form, i)
+        assert s > 0 or (s == 0 and t > 0), (form, i)
+        row = [x * s ** (k - j) * t ** j
+               for x in line.int_coeffs for j in range(k + 1)]
+        assert values[i] == row, (form, i)
+        scale = prod(c * s + d * t for j, (c, d) in enumerate(ells) if j != i)
+        assert scale and at(s, t) == [scale * x for x in row], (form, i)
+    taken = {t for s, t in zeros if s == 1}
+    ts = [t for t in range(k + n) if t not in taken][:k]
+    assert values[n:] == [at(1, t) for t in ts], form
+    return sorted(t for t in taken if ts and 0 <= t < ts[-1])
+
+
 def test_word_prime_rank_of_external_splittings_matches_the_kernel(monkeypatch):
     # the full column rank modulo WORD_PRIME that spares _external_splitting
     # its kernel holds exactly where kernel_basis finds no syzygy, on every
     # external line that verify checks for the fixtures and the corpus; the
     # evaluation matrix it ranks has the kernel of the coefficient matrix
     ranked = _evaluation_matrices(monkeypatch)
-    dims = []
+    dims, skipped = [], 0
     for A in [f.build() for f in FIXTURES] + random_corpus(100, 8, 42):
         k = (len(A) - 3) // 2
         if k < 0:
@@ -249,18 +288,25 @@ def test_word_prime_rank_of_external_splittings_matches_the_kernel(monkeypatch):
         ncols = 3 * (k + 1)
         for form in random_external_lines(A, 20, 42):
             rows = oracles.splitting_rows(A, form, k)
-            dim = len(linalg.kernel_basis(rows, ncols))
+            kernel = linalg.kernel_basis(rows, ncols)
+            dim = len(kernel)
             full = linalg.rank_mod(rows, ncols, linalg.WORD_PRIME) == ncols
             assert full == (dim == 0), (A.name, form)
             del ranked[:]
             assert criteria._external_splitting(A, form).e1 == k + 1 - dim
             [(values, width)] = ranked
             assert width == ncols and len(values) == k + len(A)
-            assert len(linalg.kernel_basis(values, ncols)) == dim, (A.name, form)
+            got = linalg.kernel_basis(values, ncols)
+            assert len(got) == dim, (A.name, form)
+            # the same kernel, not only the same dimension
+            assert got == kernel, (A.name, form)
+            skipped += bool(_check_meeting_rows(A, form, k, values))
             dims.append(dim)
     # both branches are compared, and most lines need no kernel
     assert 0 < dims.count(0) < len(dims)
     assert dims.count(0) > len(dims) // 2
+    # some line meets A at a point (1, t) below the last one read
+    assert skipped
 
 
 def test_a_short_rank_external_splitting_takes_the_kernel_of_its_values(monkeypatch):
@@ -281,9 +327,51 @@ def test_a_short_rank_external_splitting_takes_the_kernel_of_its_values(monkeypa
     assert criteria._external_splitting(A, form).as_pair() == (1, 4)
     [(values, ncols)] = ranked
     assert ncols == 6 and kernels == [values]
+    # the line meets A at (1, 0), so its K = 1 value row is read at (1, 1)
+    assert _check_meeting_rows(A, form, 1, values) == [0]
     assert real_kernel(values, ncols) == real_kernel(
         oracles.splitting_rows(A, form, 1), ncols)
     assert len(real_kernel(values, ncols)) == 1
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_a_pencil_splits_as_0_and_n_minus_1_along_every_admissible_line(n):
+    # the lines of pencil(n) all pass through (0, 0, 1), so d/dz is a
+    # constant syzygy of the Jacobian row, and e1 = 0 on every line
+    A = pencil(n)
+    forms = random_external_lines(A, 20, 42)
+    assert len(forms) == 20
+    for form in forms:
+        assert splitting_type(A, form).as_pair() == (0, n - 1), form
+
+
+def test_at_degree_zero_the_rows_are_the_lines(monkeypatch):
+    # with |A| = 3 or 4, K = 0 and every row is read at a zero: the rows are
+    # the alpha_i, which have a kernel exactly when A is a pencil
+    ranked = _evaluation_matrices(monkeypatch)
+    inputs = ([pencil(3), pencil(4), near_pencil(3), near_pencil(4),
+               generic(3), generic(4)]
+              + [random_arrangement(n, s) for n in (3, 4) for s in (1, 2, 3)])
+    verdicts = set()
+    for A in inputs:
+        is_pencil = len(intersection_points(A)) == 1
+        for form in random_external_lines(A, 5, 42):
+            del ranked[:]
+            e1 = criteria._external_splitting(A, form).e1
+            [(values, ncols)] = ranked
+            assert ncols == 3
+            assert values == [list(line.int_coeffs) for line in A.lines]
+            assert (e1 == 0) == is_pencil, (A.name, form)
+        verdicts.add(is_pencil)
+    assert verdicts == {True, False}
+
+
+def test_restrict_lines_is_restrict_on_every_pair_of_lines():
+    for A in [f.build() for f in FIXTURES] + [A3, B3] + random_corpus(100, 8, 42):
+        alphas = [line.int_coeffs for line in A.lines]
+        for beta in alphas:
+            assert restrict_lines(beta, alphas) == restrict(beta, alphas, 1), \
+                (A.name, beta)
 
 
 @pytest.mark.parametrize("A", _EXTERNAL_INPUTS, ids=lambda A: A.name)

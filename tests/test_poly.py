@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrlog.poly import (CertificationFailure, HomPoly, from_terms, linear,
-                         monomial_count, monomial_index, monomials,
-                         restriction_param)
+                         monomial_count, monomial_index, monomials, restrict,
+                         restrict_lines, restriction_param)
 from oracles import (diff, divide_linear, evaluate, line_param, poly_mul,
                      product, substitute_line, zero)
 
@@ -131,6 +131,21 @@ def test_restriction_param_choice():
     assert restriction_param((1, -3, 2)).eliminated == 1
     assert restriction_param((2, 2, 1)).eliminated == 1
     assert restriction_param((1, 1, 1)).eliminated == 2
+
+
+# lines whose largest |coefficient| is tied or sits beside zero entries, so
+# that restriction_param's tie rule picks the eliminated coordinate
+_TIED_LINES = [(1, 1, 1), (-1, 1, -1), (2, -2, 1), (0, 3, -3), (-4, 0, 4),
+               (5, 0, 0), (0, -2, 0), (0, 0, 7), (3, -3, 0), (1, 0, -1)]
+_COEFF = st.integers(-4, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(_TIED_LINES),
+                 st.tuples(_COEFF, _COEFF, _COEFF).filter(any)),
+       st.lists(st.tuples(*[st.integers(-9, 9)] * 3), max_size=6))
+def test_restrict_lines_is_restrict_in_degree_one(beta, alphas):
+    assert restrict_lines(beta, alphas) == restrict(beta, alphas, 1)
 
 
 @settings(max_examples=20, deadline=None)

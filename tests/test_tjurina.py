@@ -177,7 +177,8 @@ def _kernel_moduli(monkeypatch) -> list:
     tried = record_kernel_moduli(monkeypatch)
     for cached in (_layer, _ar_kernel, _classification_resolution, classify,
                    minimal_resolution, criteria._image_vectors,
-                   multiarr._deriv_kernel, multiarr.basis):
+                   criteria._meeting_points, multiarr._deriv_kernel,
+                   multiarr.basis):
         cached.cache_clear()
     return tried
 
