@@ -913,31 +913,6 @@ def minimal_resolution(A: Arrangement) -> ResolutionShape:
     return _resolution(A, early_stop=False).shape
 
 
-@lru_cache(maxsize=1024)
-def _classification_resolution(A: Arrangement) -> _ResolutionData:
-    return _resolution(A, early_stop=True)
-
-
-def relation_vectors(A: Arrangement, gens, r: int) -> list[list[int]]:
-    """Integer kernel of the evaluation map from degree-r combinations of the
-    given generators onto the module; one coefficient block per generator."""
-    blocks = [monomial_count(3, r - g) for g, _ in gens]
-    ncols = sum(blocks)
-    nrows = 3 * monomial_count(3, r)
-    cols: list[list[int]] = []
-    for g, vec in gens:
-        for mono in monomials(3, r - g):
-            v = vec
-            d = g
-            for var in range(3):
-                for _ in range(mono[var]):
-                    v = _shift_vec(v, d, var)
-                    d += 1
-            cols.append(list(v))
-    matrix = [[cols[c][rw] for c in range(ncols)] for rw in range(nrows)]
-    return linalg.kernel_basis(matrix, ncols)
-
-
 @dataclass(frozen=True)
 class Classification:
     verdict: str  # "free" | "nearly-free" | "plus-one-generated" | "other"
@@ -971,51 +946,36 @@ class Classification:
         return doc
 
 
-def _other(shape: ResolutionShape) -> Classification:
-    md = min(shape.generator_degrees) if shape.generator_degrees else None
-    return Classification("other", None, None, md, None, shape)
-
-
 @lru_cache(maxsize=2048)
 def classify(A: Arrangement) -> Classification:
-    """Classification from the resolution shape.
+    """Classification read off the certified resolution shape.
 
-    Free: two generators, no relation.  Plus-one generated: three generators
-    a <= b <= d with one relation of degree d + 1 whose coefficient on a
-    top-degree generator is a nonzero linear form; reported as nearly free
-    when b = d.  Everything else (including a degenerate relation) is other.
+    Free: two generators and no relation.  Plus-one generated: three
+    generators a <= b <= d and one relation, of degree d + 1; reported as
+    nearly free when b = d, with nu = d - b + 1.  Anything else, and an
+    incomplete shape, is other.
+
+    The shape is what _spans_module and the Hilbert count of _resolution
+    certify, and it decides alone: the relation of a plus-one generated
+    shape always has a nonzero linear form as its coefficient on some
+    degree-d generator, so no kernel recomputes it.  D_0(A) is a direct
+    summand of D(A), hence torsion-free and reflexive.  Suppose the relation
+    missed every degree-d generator.  If b < d, then D_0(A) = <theta_1,
+    theta_2> + S theta_3, and the summand <theta_1, theta_2> is reflexive of
+    rank 1, so free, yet needs two minimal generators.  If b = d, the
+    relation would be r_1 theta_1 = 0 with r_1 != 0, which torsion-freeness
+    forbids.
     """
-    data = _classification_resolution(A)
-    shape = data.shape
-    gd = shape.generator_degrees
-    rd = shape.relation_degrees
-    if not shape.complete:
-        return _other(shape)
-    if len(gd) == 2 and not rd:
+    shape = _resolution(A, early_stop=True).shape
+    gd, rd = shape.generator_degrees, shape.relation_degrees
+    if shape.complete and len(gd) == 2 and not rd:
         return Classification("free", gd, None, gd[0], None, shape)
-    if len(gd) == 3 and len(rd) == 1:
+    if shape.complete and len(gd) == 3 and rd == (gd[2] + 1,):
         a, b, d = gd
-        if rd[0] != d + 1:
-            return _other(shape)
-        kernel = relation_vectors(A, data.generators, d + 1)
-        if len(kernel) != 1:
-            raise CertificationFailure("relation space dimension mismatch")
-        rel = kernel[0]
-        # coefficient blocks, in generator order
-        offset = 0
-        top_ok = False
-        for g, _ in data.generators:
-            size = monomial_count(3, d + 1 - g)
-            block = rel[offset:offset + size]
-            if g == d and any(block):
-                top_ok = True
-            offset += size
-        if not top_ok:
-            return _other(shape)
-        nu = d - b + 1
         verdict = "nearly-free" if b == d else "plus-one-generated"
-        return Classification(verdict, (a, b), d, a, nu, shape)
-    return _other(shape)
+        return Classification(verdict, (a, b), d, a, d - b + 1, shape)
+    return Classification("other", None, None, min(gd, default=None), None,
+                          shape)
 
 
 # ---------------------------------------------------------------------------

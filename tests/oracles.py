@@ -12,8 +12,8 @@ fraction-free elimination over Z (integer_rref, _exact_kernel and
 SpanBuilder), where arrlog reads them off a kernel
 certified modulo 127-bit moduli, the bound on a syzygy layer from the
 whole point system modulo a prime, with no line peeled, the new
-generators of a syzygy layer,
-deletion of a line, the span rule for the second basis vector of a
+generators of a syzygy layer, the relations of given generators in one
+degree, deletion of a line, the span rule for the second basis vector of a
 free module of rank 2, and supersolvable arrangements, whose exponents are
 known.
 """
@@ -556,6 +556,26 @@ def layer_generators(A: Arrangement, k: int) -> list[tuple[int, ...]]:
             for var in range(3):
                 span.add(_shift_vec(v, k - 1, var))
     return [v for v in _ar_kernel(A, k) if span.add(v)]
+
+
+def relation_vectors(A: Arrangement, gens, r: int) -> list[list[int]]:
+    """Integer kernel of the evaluation map from degree-r combinations of the
+    given generators onto the module; one coefficient block per generator."""
+    blocks = [monomial_count(3, r - g) for g, _ in gens]
+    ncols = sum(blocks)
+    nrows = 3 * monomial_count(3, r)
+    cols: list[list[int]] = []
+    for g, vec in gens:
+        for mono in monomials(3, r - g):
+            v = vec
+            d = g
+            for var in range(3):
+                for _ in range(mono[var]):
+                    v = _shift_vec(v, d, var)
+                    d += 1
+            cols.append(list(v))
+    matrix = [[cols[c][rw] for c in range(ncols)] for rw in range(nrows)]
+    return linalg.kernel_basis(matrix, ncols)
 
 
 def rref_columns(rows, ncols: int, lead: int):

@@ -22,9 +22,18 @@ reach more lines than the census, and layers that the point system solves
 above a nonzero one.  Up to 12 lines, each of them and its deletions must
 also have the Tjurina number its verdict and exponents fix, and a basis
 passing Saito's criterion on the restriction to every line.
+
+Two theorems hold for every arrangement, so every family here is checked
+against them: Terao's and Abe's answers for deleting any line of a free
+arrangement, and e1 <= min(mdr, (|A| - 1) // 2) for the splitting type of
+any admissible line, a member or external.  Those deletions and the census
+give most of the plus-one generated inputs, and on each of them the one
+relation of degree d + 1 has a nonzero coefficient on a generator of
+degree d, as classify takes for granted.
 """
 
 import random
+from functools import cache
 from itertools import permutations, product
 from math import comb
 
@@ -34,8 +43,8 @@ import oracles
 from arrlog import derivation, multiarr
 from arrlog.arrangement import (_cross, arrangement, chi0,
                                 intersection_points, n_H, tjurina)
-from arrlog.corpus import FIXTURES
-from arrlog.criteria import verify
+from arrlog.corpus import FIXTURES, random_corpus
+from arrlog.criteria import random_external_lines, splitting_type, verify
 from arrlog.derivation import minimal_resolution
 
 
@@ -195,8 +204,8 @@ def test_deleting_a_line_through_the_modular_point(monkeypatch):
             exact.append(k)
         return point_system(B, k, p)
 
-    for cached in (derivation.classify, derivation._classification_resolution,
-                   derivation._layer, derivation._ar_kernel):
+    for cached in (derivation.classify, derivation._layer,
+                   derivation._ar_kernel):
         cached.cache_clear()
     monkeypatch.setattr(derivation, "_point_system", recorded)
     for entry in SUPERSOLVABLE:
@@ -257,3 +266,94 @@ def test_supersolvable_deletions_pass_saito_and_the_tjurina_identity():
             if cls.is_free:
                 assert multiarr.exponents(M).as_pair() == (d1, d2), (B.name, H)
     assert verdicts == {"free": 25, "nearly-free": 17, "plus-one-generated": 4}
+
+
+@cache
+def _free_deletions():
+    """(A, H, A \\ H, classify(A \\ H)) for every line H of every free
+    arrangement A of four or more lines among the census orbits, the
+    fixtures, the seed-42 corpus and SUPERSOLVABLE."""
+    inputs = ([A for A, _ in _census_pairs()] + [f.build() for f in FIXTURES]
+              + random_corpus(100, 8, 42)
+              + [oracles.supersolvable(*entry) for entry in SUPERSOLVABLE])
+    out = []
+    for A in inputs:
+        if len(A) >= 4 and derivation.classify(A).is_free:
+            for H in range(len(A)):
+                B = oracles.without(A, H)
+                out.append((A, H, B, derivation.classify(B)))
+    return out
+
+
+def test_deleting_any_line_of_a_free_arrangement():
+    # A free with exponents d1 <= d2, H with h = |A^H| points.  By Terao
+    # (1980), A \ H is free exactly when h - 1 is d1 or d2, and the other
+    # exponent drops by one.  Otherwise, by Abe (2021), it is plus-one
+    # generated with exponents (d1, d2) and level |A| - 1 - h, nearly free
+    # when the level is d2
+    verdicts = {}
+    for A, H, _, cls in _free_deletions():
+        d1, d2 = derivation.classify(A).exponents
+        h = n_H(A, H)
+        if h - 1 == d1:
+            want = ("free", tuple(sorted((d1, d2 - 1))), None)
+        elif h - 1 == d2:
+            want = ("free", (d1 - 1, d2), None)
+        else:
+            level = len(A) - 1 - h
+            want = ("nearly-free" if level == d2 else "plus-one-generated",
+                    (d1, d2), level)
+        assert (cls.verdict, cls.exponents, cls.level) == want, (A.name, H)
+        verdicts[cls.verdict] = verdicts.get(cls.verdict, 0) + 1
+    assert verdicts == {"free": 698, "nearly-free": 233,
+                        "plus-one-generated": 32}
+
+
+def test_a_plus_one_relation_meets_a_generator_of_top_degree():
+    # classify reads a plus-one verdict off the shape alone, three
+    # generators a <= b <= d and one relation of degree d + 1: the relations
+    # of degree d + 1 among the scan's generators span dimension 1, and that
+    # relation has a nonzero coefficient on some generator of degree d
+    inputs = ([(f.name, f.build()) for f in FIXTURES]
+              + [(A.name, A) for A in random_corpus(100, 8, 42)]
+              + [(B.name, B) for pair in _census_pairs() for B in pair]
+              + [(f"{A.name} without {H}", B)
+                 for A, H, B, _ in _free_deletions()])
+    verdicts = {}
+    for name, B in inputs:
+        cls = derivation.classify(B)
+        if not cls.is_plus_one:
+            continue
+        d = cls.level
+        gens = derivation._resolution(B, True).generators
+        kernel = oracles.relation_vectors(B, gens, d + 1)
+        assert len(kernel) == 1, name
+        offset, top = 0, False
+        for g, _ in gens:
+            size = comb(d + 3 - g, 2)
+            top = top or (g == d and any(kernel[0][offset:offset + size]))
+            offset += size
+        assert top, name
+        verdicts[cls.verdict] = verdicts.get(cls.verdict, 0) + 1
+    assert verdicts == {"nearly-free": 559, "plus-one-generated": 236}
+
+
+def test_splitting_types_are_bounded_by_mdr():
+    # e1(L) <= min(mdr, (|A| - 1) // 2) for every admissible line L: a
+    # syzygy of degree mdr restricts to a nonzero one on L, or alpha_L
+    # divides it and the quotient is a syzygy of lower degree; for a member
+    # line, the same holds in D_L(A), isomorphic to D_0(A).  Some external
+    # line attaining the bound is only observed: the generic splitting type
+    # is (mdr, |A| - 1 - mdr) when mdr <= (|A| - 1) / 2
+    members = externals = 0
+    for A in [A for A, _ in _census_pairs()] + random_corpus(100, 8, 42):
+        n = len(A)
+        bound = min(derivation.classify(A).mdr, (n - 1) // 2)
+        for H in range(n):
+            assert splitting_type(A, H).e1 <= bound, (A.name, H)
+        e1s = [splitting_type(A, L).e1 for L in random_external_lines(A, 20, 1)]
+        assert max(e1s) <= bound, A.name
+        assert bound in e1s, A.name
+        members += n
+        externals += len(e1s)
+    assert (members, externals) == (4124, 12780)

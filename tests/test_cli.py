@@ -141,7 +141,6 @@ def test_non_ascii_digit_degree_cap_exit_2(tmp_path, capsys, monkeypatch,
     # int() reads each of these as a number; the cap takes ASCII digits only
     monkeypatch.setenv("ARRLOG_MAX_DEGREE", value)
     # a cached classification would skip the cap
-    derivation._classification_resolution.cache_clear()
     derivation.classify.cache_clear()
     path = write_doc(tmp_path, to_document(near_pencil(5)))
     code, out, err = run(capsys, "classify", path)

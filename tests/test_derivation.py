@@ -191,7 +191,7 @@ def test_degree_cap_override(monkeypatch):
 def fresh_resolutions():
     """Clear the cached resolutions before and after a test that sets a
     degree cap, so none computed under one cap is read under another."""
-    cached = (minimal_resolution, classify, derivation._classification_resolution)
+    cached = (minimal_resolution, classify)
     for fn in cached:
         fn.cache_clear()
     yield

@@ -498,8 +498,6 @@ def test_classify_never_builds_a_whole_basis(monkeypatch):
     derivation._layer.cache_clear()
     with monkeypatch.context() as mp:
         mp.setattr(derivation, "_ar_kernel", forbidden)
-        mp.setattr(derivation, "_classification_resolution",
-                   derivation._classification_resolution.__wrapped__)
         got = [derivation.classify.__wrapped__(A) for A in inputs]
     assert got == [derivation.classify(A) for A in inputs]
 

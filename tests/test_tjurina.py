@@ -21,10 +21,9 @@ from arrlog.cli import main
 from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
                            random_arrangement, random_corpus)
 from arrlog.criteria import verify
-from arrlog.derivation import (MAX_DEGREE_ENV, _ar_kernel,
-                               _classification_resolution, _layer, _shift_vec,
-                               _spans_module, classify, degree_cap,
-                               minimal_resolution)
+from arrlog.derivation import (MAX_DEGREE_ENV, _ar_kernel, _layer,
+                               _resolution, _shift_vec, _spans_module,
+                               classify, degree_cap, minimal_resolution)
 from arrlog.poly import CertificationFailure
 from oracles import ar_dim_by_rank
 from test_linalg import record_kernel_moduli
@@ -46,7 +45,7 @@ MANY_GENERATORS = ([generic(n, seed=s) for n in (5, 6, 7) for s in (1, 3)]
 
 def _complete(A):
     """The classification's resolution data, when it is complete."""
-    data = _classification_resolution(A)
+    data = _resolution(A, early_stop=True)
     return data if data.shape.complete else None
 
 
@@ -175,10 +174,9 @@ def _kernel_moduli(monkeypatch) -> list:
     """How many moduli each kernel certified from now on took
     (record_kernel_moduli), with every cache that could skip one cleared."""
     tried = record_kernel_moduli(monkeypatch)
-    for cached in (_layer, _ar_kernel, _classification_resolution, classify,
-                   minimal_resolution, criteria._image_vectors,
-                   criteria._meeting_points, multiarr._deriv_kernel,
-                   multiarr.basis):
+    for cached in (_layer, _ar_kernel, classify, minimal_resolution,
+                   criteria._image_vectors, criteria._meeting_points,
+                   multiarr._deriv_kernel, multiarr.basis):
         cached.cache_clear()
     return tried
 
@@ -204,7 +202,6 @@ def test_minimal_resolution_calls_no_exact_rank(monkeypatch):
 
 def _forced_tau_mismatch(monkeypatch):
     monkeypatch.setattr(derivation, "tjurina", lambda A: tjurina(A) + 1)
-    _classification_resolution.cache_clear()
     classify.cache_clear()
 
 
@@ -256,7 +253,6 @@ def test_tau_outside_du_plessis_wall_raises_and_exits_3(A, cap, side, tmp_path,
         monkeypatch.setenv(MAX_DEGREE_ENV, cap)
     tau = low - 1 if side == "below" else high + 1
     monkeypatch.setattr(derivation, "tjurina", lambda B: tau)
-    _classification_resolution.cache_clear()
     classify.cache_clear()
     with pytest.raises(CertificationFailure, match="du Plessis-Wall"):
         classify(A)
