@@ -301,8 +301,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, UsageError, InadmissibleLine, NotApplicable,
-            DegreeCapError, OSError, RuntimeError) as e:
-        # RuntimeError: a corpus generator ran out of its resampling budget
+            DegreeCapError, OSError, corpus_mod.BudgetExhausted) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # failed certificates and crashes alike

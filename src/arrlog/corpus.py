@@ -13,6 +13,10 @@ LINE_ATTEMPTS = 1000
 GENERIC_ATTEMPTS = 200
 
 
+class BudgetExhausted(RuntimeError):
+    """A generator drew its whole resampling budget without a result."""
+
+
 @dataclass(frozen=True)
 class Fixture:
     name: str
@@ -78,7 +82,7 @@ def _random_lines(n: int, rng: XorShift64):
         if form not in lines:
             lines.append(form)
     if len(lines) != n:
-        raise RuntimeError("resampling budget exhausted")
+        raise BudgetExhausted("resampling budget exhausted")
     return lines
 
 
@@ -95,7 +99,7 @@ def generic(n: int, seed: int = 1) -> Arrangement:
         A = Arrangement(tuple(_random_lines(n, rng)), f"generic-{n}")
         if all(p.multiplicity == 2 for p in intersection_points(A)):
             return A
-    raise RuntimeError("could not reach general position within budget")
+    raise BudgetExhausted("could not reach general position within budget")
 
 
 def random_corpus(count: int, max_lines: int, seed: int) -> list[Arrangement]:

@@ -14,9 +14,9 @@ coordinates; see _image_vectors.
 
 An external line is restricted once, in _meeting_points: the forms l_i of
 A's lines on it and the |A| points where it meets A, their zeros.  They
-decide admissibility (the points are distinct), and give |A| of the rows
-its splitting type is ranked from, alpha_i times the monomials at each
-point, with no product; see _external_splitting.
+decide admissibility (the points are distinct), and give every row its
+splitting type is ranked from: one interpolation condition per point,
+with no product and no value of the gradient; see _external_splitting.
 """
 
 from __future__ import annotations
@@ -235,8 +235,10 @@ def _meeting_points(A: Arrangement, form: LinearForm3) -> tuple | None:
     On the line, l_i = 0 exactly when it is line i, and l_i, l_j share
     their zero exactly when the line passes through the point where lines
     i and j meet; so the line is admissible iff every l_i is nonzero and
-    the r_i are distinct.  Cached, as verify reads each line it draws
-    twice: once to admit it and once for its splitting type.
+    the r_i are distinct.  The forms (a_i, b_i) give _external_splitting
+    its rows, one at each unreduced zero (b_i, -a_i).  Cached, as verify
+    reads each line it draws twice: once to admit it and once for its
+    splitting type.
     """
     ells = restrict_lines(form.int_coeffs, [line.int_coeffs for line in A.lines])
     zeros = []
@@ -272,22 +274,29 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     and e1 = K + 1 - dim, as e1 <= (|A| - 1) / 2 <= K + 1.  With K < 0
     (|A| <= 2), e1 = 0.
 
-    The map is read at K + |A| distinct points (s, t) of the line sP + tQ,
-    where column j of component c holds s^(K - j) t^j g_c(s, t), with g_c =
-    sum_j alpha_j,c prod_(i != j) l_i and l_i = alpha_i(sP + tQ):
-    - the |A| zeros r_i of the l_i (_meeting_points).  Every term of g_c
-      but the i-th has the factor l_i, so g(r_i) = alpha_i prod_(j != i)
-      l_j(r_i), a nonzero multiple of alpha_i on an admissible line; the
-      row is taken as alpha_i times the monomials at r_i, the logarithmic
-      condition theta(r_i) in H_i, with no product;
-    - K points (1, t), t = 0, 1, ..., skipping every t with (1, t) a zero,
-      each prod_(i != j) l_i(1, t) a prefix times a suffix product.
-    This matrix is D V C, C the coefficient matrix of the map, V the
-    homogeneous Vandermonde matrix of the points, invertible as they are
-    distinct in P^1, and D an invertible diagonal, so it has C's kernel
-    over Q.  A full column rank modulo a prime is one over Q (see
-    linalg.rank_mod), so then dim = 0 with no kernel; most admissible
-    lines have it.
+    The kernel is read off |A| interpolation conditions.  P, Q (as in
+    poly.line_restriction) and e_f, f the coordinate restriction_param
+    eliminates, are a basis of Q^3 as beta_f != 0; write theta = aP + bQ +
+    c e_f with a, b, c in S_K, and psi = s b - t a in S_(K + 1).  On the
+    line X = sP + tQ, phi = f(X) = prod l_i with l_i = a_i s + b_i t, and
+    grad f . P, grad f . Q are d phi / ds, d phi / dt.  At the zero
+    r_i = (b_i, -a_i) of l_i, taken as it is (not in lowest terms, unlike
+    _meeting_points'), only the i-th term of grad f survives, so grad f =
+    alpha_i pi_i with pi_i = prod_(j != i) l_j(r_i), nonzero on an
+    admissible line, and theta . grad f = pi_i (psi + alpha_i,f c) there.
+    The row of r_i is therefore the monomials s^(K + 1 - j) t^j at r_i,
+    then alpha_i,f times the s^(K - j) t^j: N is |A| x (2K + 3).
+    Its kernel is the syzygies':
+    - (a, b, c) -> (psi, c) maps S_K^3 onto S_(K + 1) x S_K, with kernel
+      the multiples e X, e in S_(K - 1);
+    - if (psi, c) is in ker N, any preimage theta has theta . grad f
+      vanishing at the |A| simple roots of phi, so it is phi q, and by
+      Euler's formula X . grad f = |A| phi, so theta - (q / |A|) X is a
+      syzygy with the same (psi, c);
+    - a syzygy with psi = c = 0 is e X with |A| e phi = 0, so it is zero.
+    So dim = 2K + 3 - rank N.  A full column rank modulo a prime is one
+    over Q (see linalg.rank_mod), so then dim = 0 with no kernel; most
+    admissible lines have it.
     """
     points = _meeting_points(A, form)
     if points is None:
@@ -296,25 +305,17 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     k = (n - 3) // 2
     if k < 0:
         return SplittingType(form, 0, n - 1)
-    ells, zeros = points
-    alphas = [line.int_coeffs for line in A.lines]
+    f = restriction_param(form.int_coeffs).eliminated
     rows = []
-    for alpha, (s, t) in zip(alphas, zeros):
-        monos = [s ** (k - j) * t ** j for j in range(k + 1)]
-        rows.append([a * m for a in alpha for m in monos])
-    taken = {t for s, t in zeros if s == 1}
-    for t in [t for t in range(k + n) if t not in taken][:k]:
-        values = [a + b * t for a, b in ells]
-        suffix = [1]  # suffix[-1 - j] is the product of values[j + 1:]
-        for value in values[:0:-1]:
-            suffix.append(suffix[-1] * value)
-        g0, g1, g2, prefix = 0, 0, 0, 1
-        for (a0, a1, a2), value, rest in zip(alphas, values, reversed(suffix)):
-            others = prefix * rest
-            g0, g1, g2 = g0 + a0 * others, g1 + a1 * others, g2 + a2 * others
-            prefix *= value
-        rows.append([x * t ** j for x in (g0, g1, g2) for j in range(k + 1)])
-    ncols = 3 * (k + 1)
+    for (a, b), line in zip(points[0], A.lines):
+        ss, ts = [1], [1]
+        for _ in range(k + 1):
+            ss.append(ss[-1] * b)
+            ts.append(ts[-1] * -a)
+        af = line.int_coeffs[f]
+        rows.append([ss[k + 1 - j] * ts[j] for j in range(k + 2)]
+                    + [af * ss[k - j] * ts[j] for j in range(k + 1)])
+    ncols = 2 * k + 3
     full = linalg.rank_mod(rows, ncols, linalg.WORD_PRIME) == ncols
     e1 = k + 1 - (0 if full else len(linalg.kernel_basis(rows, ncols)))
     return SplittingType(form, e1, n - 1 - e1)

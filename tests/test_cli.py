@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from arrlog import derivation, linalg
+from arrlog import corpus, derivation, linalg
 from arrlog.arrangement import LatticeError, n_H, to_document
 from arrlog.cli import main
 from arrlog.corpus import FIXTURES, fixture, near_pencil
@@ -163,11 +163,13 @@ def test_internal_certificate_failure_exit_3(tmp_path, capsys, monkeypatch,
     assert err == f"{error.__name__}: identity broken\n"
 
 
-@pytest.mark.parametrize("error", [IndexError, ZeroDivisionError])
+@pytest.mark.parametrize("error", [IndexError, ZeroDivisionError,
+                                   RecursionError, NotImplementedError])
 def test_crash_inside_a_computation_exit_3(tmp_path, capsys, monkeypatch,
                                            error):
     # line indices are checked up front, so an IndexError from inside a
-    # computation is a bug, not a usage error
+    # computation is a bug, not a usage error; nor is a RuntimeError such
+    # as RecursionError or NotImplementedError
     def crash(A, H):
         raise error("deep inside")
 
@@ -177,6 +179,20 @@ def test_crash_inside_a_computation_exit_3(tmp_path, capsys, monkeypatch,
     assert code == 3
     assert out == ""
     assert err == f"{error.__name__}: deep inside\n"
+
+
+def test_exhausted_generator_budget_exit_2(capsys, monkeypatch):
+    # more random lines than the draws of one line set can give, and a
+    # general-position search with no line set to draw
+    code, out, err = run(capsys, "gen", "--family", "random", "--n",
+                         str(corpus.LINE_ATTEMPTS + 1))
+    assert (code, out) == (2, "")
+    assert err == "BudgetExhausted: resampling budget exhausted\n"
+    monkeypatch.setattr(corpus, "GENERIC_ATTEMPTS", 0)
+    code, out, err = run(capsys, "gen", "--family", "generic", "--n", "4")
+    assert (code, out) == (2, "")
+    assert err == ("BudgetExhausted: could not reach general position "
+                   "within budget\n")
 
 
 def test_directory_as_input_exit_2(tmp_path, capsys):

@@ -3,7 +3,8 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
 from arrlog.derivation import ar_dim
 from arrlog.multiarr import basis, exponents, ziegler_restriction
 from arrlog.poly import (CertificationFailure, monomial_count, restrict,
-                         restrict_lines)
+                         restrict_lines, restriction_param)
 from oracles import (SpanBuilder, deriv_dim, deriv_space, dh_basis, jacobian,
                      line_param, quick_defect, span_contains, substitute_line,
                      without)
@@ -207,20 +208,22 @@ def test_external_splitting_computes_no_kernel_at_the_count_bound(monkeypatch):
     ranked, kernels = [], []
 
     def rank(matrix, ncols, p):
-        ranked.append(ncols // 3 - 1)
+        ranked.append((len(matrix), ncols))
         return real_rank(matrix, ncols, p)
 
     def kernel(matrix, ncols):
-        kernels.append(ncols // 3 - 1)
+        kernels.append(ncols)
         return real_kernel(matrix, ncols)
 
     monkeypatch.setattr(linalg, "rank_mod", rank)
     monkeypatch.setattr(linalg, "kernel_basis", kernel)
     got = criteria._external_splitting(A, LinearForm3.make([1, 2, 3]))
     assert got.as_pair() == (3, 3)
-    assert ranked == [2]
+    # |A| rows, one per point where the line meets A, and 2K + 3 columns
+    assert ranked == [(7, 2 * 2 + 3)]
     assert kernels == []
-    assert all(3 * (k + 1) <= k + len(A) for k in ranked)
+    ks = [(ncols - 3) // 2 for _, ncols in ranked]
+    assert all(3 * (k + 1) <= k + len(A) for k in ks)
 
 
 def _evaluation_matrices(monkeypatch) -> list:
@@ -237,50 +240,127 @@ def _evaluation_matrices(monkeypatch) -> list:
     return ranked
 
 
+def _frame(form):
+    """(f, u, v, beta): the coordinate restriction_param eliminates, the two
+    others, and the integer form, so that P = beta_f e_u - beta_u e_f and
+    Q = beta_f e_v - beta_v e_f."""
+    beta = form.int_coeffs
+    f = restriction_param(beta).eliminated
+    u, v = (i for i in range(3) if i != f)
+    return f, u, v, beta
+
+
+def _psi_c(form, k, theta) -> list[Fraction]:
+    """The coordinates (psi, c) of _external_splitting's N for theta in
+    S_k^3, a coefficient vector in the column order of
+    oracles.splitting_rows: theta = aP + bQ + c e_f and psi = s b - t a,
+    the k + 2 coefficients of psi, then the k + 1 of c."""
+    f, u, v, beta = _frame(form)
+    comps = [theta[c * (k + 1):(c + 1) * (k + 1)] for c in range(3)]
+    a = [Fraction(x) / beta[f] for x in comps[u]]
+    b = [Fraction(x) / beta[f] for x in comps[v]]
+    c = [z + beta[u] * x + beta[v] * y for x, y, z in zip(a, b, comps[f])]
+    psi = [(b[m] if m <= k else 0) - (a[m - 1] if m else 0)
+           for m in range(k + 2)]
+    return psi + c
+
+
+def _lift(A, form, k, w) -> list[Fraction]:
+    """The syzygy theta in S_k^3 with _psi_c(theta) = w, for w in the
+    kernel of N, as _external_splitting's docstring builds it: any preimage
+    theta, then theta - (q / |A|) X with theta . grad f = phi q.  Asserts
+    that the division is exact and that theta is an exact kernel vector of
+    oracles.splitting_rows."""
+    n = len(A)
+    f, u, v, beta = _frame(form)
+    psi, c = w[:k + 2], w[k + 2:]
+    b = psi[:k + 1]
+    a = [0] * k + [-psi[k + 1]]
+    comps = [None] * 3
+    comps[u] = [beta[f] * x for x in a]
+    comps[v] = [beta[f] * y for y in b]
+    comps[f] = [z - beta[u] * x - beta[v] * y for x, y, z in zip(a, b, c)]
+    rows = oracles.splitting_rows(A, form, k)
+
+    def apply(theta):
+        return [sum(x * y for x, y in zip(row, theta)) for row in rows]
+
+    values = apply([x for comp in comps for x in comp])
+    ells, _ = criteria._meeting_points(A, form)
+    phi = [1]
+    for ell in ells:
+        phi = [sum(phi[m - j] * ell[j] for j in (0, 1) if 0 <= m - j < len(phi))
+               for m in range(len(phi) + 1)]
+    # values = phi q, q of degree k - 1, divided from the first nonzero
+    # coefficient of phi
+    lead = next(m for m, x in enumerate(phi) if x)
+    q = []
+    for m in range(k):
+        rest = values[lead + m] - sum(phi[lead + j] * q[m - j]
+                                      for j in range(1, m + 1) if lead + j <= n)
+        q.append(Fraction(rest) / phi[lead])
+    assert values == [sum(phi[j] * q[m - j] for j in range(n + 1) if 0 <= m - j < k)
+                      for m in range(len(values))], (A.name, form)
+    # X = sP + tQ, so q X has q s beta_f at u, q t beta_f at v and
+    # -q (beta_u s + beta_v t) at f
+    qs, qt = q + [Fraction(0)], [Fraction(0)] + q
+    comps[u] = [x - beta[f] * y / n for x, y in zip(comps[u], qs)]
+    comps[v] = [x - beta[f] * y / n for x, y in zip(comps[v], qt)]
+    comps[f] = [x + (beta[u] * y + beta[v] * z) / n
+                for x, y, z in zip(comps[f], qs, qt)]
+    theta = [x for comp in comps for x in comp]
+    assert not any(apply(theta)), (A.name, form)
+    return theta
+
+
 def _check_meeting_rows(A, form, k, values) -> list[int]:
     """Check the rows values that _external_splitting ranked along form
     against the coefficient matrix C of oracles.splitting_rows, and return
-    the t >= 0 of the points (1, t) where the line meets A below the last
-    value row, the ones skipped.
+    the i whose zero has s = 0 or t = 0, where all but one of the monomials
+    in each block vanish.
 
-    - The first |A| rows sit at the zeros r_i of the l_i = alpha_i(sP +
-      tQ), in lowest terms with s > 0 or s = 0 < t: each is alpha_i times
-      the monomials s^(K - j) t^j at r_i, and C at r_i is that row times
-      prod_(j != i) l_j(r_i), which is nonzero.
-    - The other K rows are C at (1, t), t = 0, 1, ..., skipping the zeros.
+    Row i sits at the zero r_i = (b_i, -a_i) of l_i = alpha_i(sP + tQ) =
+    a_i s + b_i t, not reduced: the monomials s^(k + 1 - j) t^j at r_i, then
+    alpha_i,f times the s^(k - j) t^j.  For every column of C, a basis
+    vector theta of S_k^3, C theta at r_i is pi_i times the row dotted
+    with (psi, c) of theta, pi_i = prod_(j != i) l_j(r_i) nonzero.
     """
     n = len(A)
-    ells, zeros = criteria._meeting_points(A, form)
-    assert len(set(zeros)) == n
+    ells, _ = criteria._meeting_points(A, form)
+    assert len(values) == n and all(len(row) == 2 * k + 3 for row in values)
+    f = _frame(form)[0]
     coeffs = oracles.splitting_rows(A, form, k)
     top = len(coeffs) - 1
-
-    def at(s, t):
-        return [sum(row[c] * s ** (top - m) * t ** m
-                    for m, row in enumerate(coeffs))
-                for c in range(3 * (k + 1))]
-
-    for i, ((a, b), (s, t), line) in enumerate(zip(ells, zeros, A.lines)):
-        assert a * s + b * t == 0 and gcd(s, t) == 1, (form, i)
-        assert s > 0 or (s == 0 and t > 0), (form, i)
-        row = [x * s ** (k - j) * t ** j
-               for x in line.int_coeffs for j in range(k + 1)]
-        assert values[i] == row, (form, i)
-        scale = prod(c * s + d * t for j, (c, d) in enumerate(ells) if j != i)
-        assert scale and at(s, t) == [scale * x for x in row], (form, i)
-    taken = {t for s, t in zeros if s == 1}
-    ts = [t for t in range(k + n) if t not in taken][:k]
-    assert values[n:] == [at(1, t) for t in ts], form
-    return sorted(t for t in taken if ts and 0 <= t < ts[-1])
+    ncols = 3 * (k + 1)
+    units = [_psi_c(form, k, [int(c == j) for c in range(ncols)])
+             for j in range(ncols)]
+    corners = []
+    for i, ((a, b), row, line) in enumerate(zip(ells, values, A.lines)):
+        s, t = b, -a
+        assert (s, t) != (0, 0), (form, i)
+        want = ([s ** (k + 1 - j) * t ** j for j in range(k + 2)]
+                + [line.int_coeffs[f] * s ** (k - j) * t ** j
+                   for j in range(k + 1)])
+        assert row == want, (form, i)
+        pi = prod(c * s + d * t for j, (c, d) in enumerate(ells) if j != i)
+        assert pi, (form, i)
+        at = [sum(r[col] * s ** (top - m) * t ** m for m, r in enumerate(coeffs))
+              for col in range(ncols)]
+        assert at == [pi * sum(x * y for x, y in zip(row, unit))
+                      for unit in units], (form, i)
+        if not s or not t:
+            corners.append(i)
+    return corners
 
 
 def test_word_prime_rank_of_external_splittings_matches_the_kernel(monkeypatch):
     # the full column rank modulo WORD_PRIME that spares _external_splitting
     # its kernel holds exactly where kernel_basis finds no syzygy, on every
     # external line that verify checks for the fixtures and the corpus; the
-    # evaluation matrix it ranks has the kernel of the coefficient matrix
+    # kernel of the interpolation matrix N it ranks has the dimension of the
+    # coefficient matrix's, and each of its vectors lifts to a syzygy
     ranked = _evaluation_matrices(monkeypatch)
-    dims, skipped = [], 0
+    dims, corners = [], 0
     for A in [f.build() for f in FIXTURES] + random_corpus(100, 8, 42):
         k = (len(A) - 3) // 2
         if k < 0:
@@ -288,32 +368,32 @@ def test_word_prime_rank_of_external_splittings_matches_the_kernel(monkeypatch):
         ncols = 3 * (k + 1)
         for form in random_external_lines(A, 20, 42):
             rows = oracles.splitting_rows(A, form, k)
-            kernel = linalg.kernel_basis(rows, ncols)
-            dim = len(kernel)
+            dim = len(linalg.kernel_basis(rows, ncols))
             full = linalg.rank_mod(rows, ncols, linalg.WORD_PRIME) == ncols
             assert full == (dim == 0), (A.name, form)
             del ranked[:]
             assert criteria._external_splitting(A, form).e1 == k + 1 - dim
             [(values, width)] = ranked
-            assert width == ncols and len(values) == k + len(A)
-            got = linalg.kernel_basis(values, ncols)
+            assert width == 2 * k + 3 and len(values) == len(A)
+            got = linalg.kernel_basis(values, width)
             assert len(got) == dim, (A.name, form)
-            # the same kernel, not only the same dimension
-            assert got == kernel, (A.name, form)
-            skipped += bool(_check_meeting_rows(A, form, k, values))
+            # every kernel vector of N is (psi, c) of an exact syzygy
+            for w in got:
+                assert _psi_c(form, k, _lift(A, form, k, w)) == w, (A.name, form)
+            corners += bool(_check_meeting_rows(A, form, k, values))
             dims.append(dim)
     # both branches are compared, and most lines need no kernel
     assert 0 < dims.count(0) < len(dims)
     assert dims.count(0) > len(dims) // 2
-    # some line meets A at a point (1, t) below the last one read
-    assert skipped
+    # some line meets A where s or t vanishes
+    assert corners
 
 
 def test_a_short_rank_external_splitting_takes_the_kernel_of_its_values(monkeypatch):
     # the near-pencil on 6 lines has a syzygy in degree K = 1 along 2,3,5:
-    # the evaluation matrix falls short of full rank modulo the word prime,
-    # and kernel_basis runs on that same matrix, whose kernel is the one of
-    # the coefficient matrix
+    # the interpolation matrix falls short of full rank modulo the word
+    # prime, and kernel_basis runs on that same matrix, whose one kernel
+    # vector lifts to the syzygy
     A, form = near_pencil(6), LinearForm3.make([2, 3, 5])
     ranked = _evaluation_matrices(monkeypatch)
     real_kernel = linalg.kernel_basis
@@ -326,12 +406,39 @@ def test_a_short_rank_external_splitting_takes_the_kernel_of_its_values(monkeypa
     monkeypatch.setattr(linalg, "kernel_basis", kernel)
     assert criteria._external_splitting(A, form).as_pair() == (1, 4)
     [(values, ncols)] = ranked
-    assert ncols == 6 and kernels == [values]
-    # the line meets A at (1, 0), so its K = 1 value row is read at (1, 1)
-    assert _check_meeting_rows(A, form, 1, values) == [0]
-    assert real_kernel(values, ncols) == real_kernel(
-        oracles.splitting_rows(A, form, 1), ncols)
-    assert len(real_kernel(values, ncols)) == 1
+    assert ncols == 5 and kernels == [values]
+    # the lines x = 0 and y = 0 meet it where s = 0 and t = 0
+    assert _check_meeting_rows(A, form, 1, values) == [0, 1]
+    [w] = real_kernel(values, ncols)
+    theta = _lift(A, form, 1, w)
+    assert any(theta) and _psi_c(form, 1, theta) == w
+    assert len(real_kernel(oracles.splitting_rows(A, form, 1), 6)) == 1
+
+
+_SCALE_INPUTS = ([random_arrangement(n, s) for n in range(9, 21) for s in (1, 2, 3)]
+                 + [near_pencil(n) for n in range(3, 16)])
+
+
+def test_interpolation_kernels_match_the_coefficient_matrix_at_scale(monkeypatch):
+    # N's kernel has the coefficient matrix's dimension on the 20 lines
+    # verify draws for random arrangements of 9 to 20 lines and near-pencils
+    # of 3 to 15, far more short ranks than the corpus holds
+    ranked = _evaluation_matrices(monkeypatch)
+    short = 0
+    for A in _SCALE_INPUTS:
+        k = (len(A) - 3) // 2
+        forms = random_external_lines(A, 20, 42)
+        assert len(forms) == 20, A.name
+        for form in forms:
+            del ranked[:]
+            e1 = criteria._external_splitting(A, form).e1
+            [(values, width)] = ranked
+            dim = len(linalg.kernel_basis(values, width))
+            want = 3 * (k + 1) - oracles.rank(oracles.splitting_rows(A, form, k),
+                                              3 * (k + 1))
+            assert dim == want and e1 == k + 1 - dim, (A.name, form)
+            short += dim > 0
+    assert short > 200
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -346,8 +453,8 @@ def test_a_pencil_splits_as_0_and_n_minus_1_along_every_admissible_line(n):
 
 
 def test_at_degree_zero_the_rows_are_the_lines(monkeypatch):
-    # with |A| = 3 or 4, K = 0 and every row is read at a zero: the rows are
-    # the alpha_i, which have a kernel exactly when A is a pencil
+    # with |A| = 3 or 4, K = 0 and the row of line alpha is (alpha . Q,
+    # -alpha . P, alpha_f), which has a kernel exactly when A is a pencil
     ranked = _evaluation_matrices(monkeypatch)
     inputs = ([pencil(3), pencil(4), near_pencil(3), near_pencil(4),
                generic(3), generic(4)]
@@ -356,11 +463,17 @@ def test_at_degree_zero_the_rows_are_the_lines(monkeypatch):
     for A in inputs:
         is_pencil = len(intersection_points(A)) == 1
         for form in random_external_lines(A, 5, 42):
+            f, u, v, beta = _frame(form)
+            P, Q = [0] * 3, [0] * 3
+            P[u] = Q[v] = beta[f]
+            P[f], Q[f] = -beta[u], -beta[v]
             del ranked[:]
             e1 = criteria._external_splitting(A, form).e1
             [(values, ncols)] = ranked
             assert ncols == 3
-            assert values == [list(line.int_coeffs) for line in A.lines]
+            assert values == [[sum(map(mul, alpha, Q)), -sum(map(mul, alpha, P)),
+                               alpha[f]]
+                              for alpha in (line.int_coeffs for line in A.lines)]
             assert (e1 == 0) == is_pencil, (A.name, form)
         verdicts.add(is_pencil)
     assert verdicts == {True, False}
