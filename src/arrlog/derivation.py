@@ -26,12 +26,14 @@ above by the layer below and the certified restriction exponents on H0, or
 the point system (_point_system) solved modulo a prime does, and alpha_H0
 times the layer below, with shifts and point derivations g_v d_v whose
 restrictions to H0 are independent modulo a prime, bounds it from below.
-Every chosen point derivation is checked exactly against every line, by one
-evaluation per line (_in_module): at P + TQ, with T above every coefficient
-of its restriction, a binary form takes the value sum c_r T^r, zero only
-when every c_r is.  Each decision of the sandwich reads only a rank, and
-the rank of an integer matrix modulo any prime is at most its rank over Q,
-so one word-size prime (linalg.WORD_PRIME) serves them all.  The point
+Every chosen point derivation is checked exactly against its closed form,
+which lies in the module, by one evaluation of each component
+(_is_closed_form): at the Kronecker point (1, T, T^(k + 1)), with T above
+every coefficient of their difference, a degree-k form takes the value
+sum c_E T^E over distinct exponents E, zero only when every c_E is.  Each
+decision of the sandwich reads only a rank, and the rank of an integer
+matrix modulo any prime is at most its rank over Q, so one word-size prime
+(linalg.WORD_PRIME) serves them all.  The point
 derivations, g_v the product of the lines that miss the intersection point
 v, span the top layers of generic arrangements (Yuzvinsky 1991: D_0(A) is
 generated in degree |A| - 2), and the lowest nonzero layer of a random one,
@@ -227,6 +229,93 @@ def _point_derivation(A: Arrangement, v, missing, k: int) -> list[int]:
         h, k - 1, [v[i] * alpha[j] - (a if j == i else 0) for j in range(3)])]
 
 
+def _point_values(forms, v, missing, P) -> list[int]:
+    """The three components of the point derivation of _point_derivation at
+    the point P, from its closed form, forms the integer forms of the lines:
+    g(P) v_c when H0 passes through v, g the product of the missing forms,
+    and h(P) (alpha_H0(P) v_c - alpha_H0(v) P_c) when H0 misses v, h the
+    product of the missing forms other than alpha_H0."""
+    x, y, z = P
+    projected = missing and not missing[0]
+    g = 1
+    for K in missing[1:] if projected else missing:
+        a, b, c = forms[K]
+        g *= a * x + b * y + c * z
+    if not projected:
+        return [g * c for c in v]
+    a, b, c = forms[0]
+    at_v, at_P = a * v[0] + b * v[1] + c * v[2], a * x + b * y + c * z
+    return [g * (at_P * c - at_v * p) for c, p in zip(v, P)]
+
+
+def _closed_form_bound(forms, v, missing) -> int:
+    """A bound on the absolute value of every coefficient of the closed form
+    of _point_values: the coefficients of a product of linear forms sum to
+    at most the product of their l1 norms in absolute value, times |v|_inf,
+    or, when H0 misses v, times the l1 norm of alpha_H0 v_c - alpha_H0(v)
+    x_c, at most |alpha_H0|_1 |v|_inf + |alpha_H0(v)|."""
+    size = max(map(abs, v))
+    if missing and not missing[0]:
+        alpha, missing = forms[0], missing[1:]
+        size = (sum(map(abs, alpha)) * size
+                + abs(sum(a * c for a, c in zip(alpha, v))))
+    return prod(sum(map(abs, forms[K])) for K in missing) * size
+
+
+@lru_cache(maxsize=None)
+def _kronecker_order(k: int) -> tuple[tuple[int, ...], ...]:
+    """The indices of the degree-k monomials grouped by the power of z,
+    highest first, each group by the power of y, highest first."""
+    table = _index_table(3, k)
+    return tuple(tuple(table[(k - l - j, j, l)] for j in range(k - l, -1, -1))
+                 for l in range(k, -1, -1))
+
+
+def _kronecker(poly, k: int, b: int) -> int:
+    """The degree-k form poly at (1, T, T^(k + 1)), T = 2^b, where x^i y^j
+    z^l takes the value T^(j + (k + 1) l): Horner's rule in T within each
+    power of z, then in T^(k + 1) across them."""
+    step = b * (k + 1)
+    total = 0
+    for group in _kronecker_order(k):
+        inner = 0
+        for idx in group:
+            inner = (inner << b) + poly[idx]
+        total = (total << step) + inner
+    return total
+
+
+def _is_closed_form(A: Arrangement, vec, v, missing, k: int) -> bool:
+    """Whether the degree-k vector vec is the point derivation of v and the
+    lines missing it, coefficient by coefficient, by one evaluation of each
+    of its three components against _point_values at the Kronecker point
+    X = (1, T, T^(k + 1)).  If so, vec lies in D_{H0}(A).
+
+    The monomial x^i y^j z^l of degree k takes the value T^(j + (k + 1) l)
+    at X, and these exponents are distinct, as j <= k.  With T = 2^b above
+    max |vec| plus _closed_form_bound, every coefficient c_E of the
+    difference of vec and the closed form, at exponent E, has |c_E| <=
+    T - 1.  A nonzero difference, whose highest nonzero term has
+    |c_E T^E| >= T^E > (T - 1)(1 + T + ... + T^(E - 1)), takes a nonzero
+    value at X.  So equal values at X mean equal polynomials: the check
+    fixes one polynomial, and any other vector fails it, also one of
+    D_{H0}(A) with the same kept values.
+
+    The closed form lies in D_{H0}(A).  theta_v = g_v d_v takes alpha_K to
+    g_v alpha_K(v), zero when K passes through v, and else divisible by
+    alpha_K, a factor of g_v.  When H0 misses v, g_v = alpha_H0 h_v, and
+    theta_v - alpha_H0(v) h_v theta_E takes alpha_K to
+    h_v (alpha_H0 alpha_K(v) - alpha_H0(v) alpha_K), as theta_E(alpha_K) =
+    alpha_K by Euler's formula: zero for K = H0, a multiple of alpha_K when
+    K passes through v, and else divisible by alpha_K, a factor of h_v."""
+    forms = [line.int_coeffs for line in A.lines]
+    b = (max(map(abs, vec)) + _closed_form_bound(forms, v, missing)).bit_length()
+    T = 1 << b
+    m = monomial_count(3, k)
+    return ([_kronecker(vec[c * m:(c + 1) * m], k, b) for c in range(3)]
+            == _point_values(forms, v, missing, (1, T, T ** (k + 1))))
+
+
 def _kept_values(A: Arrangement, vec, d: int, count: int) -> list[int]:
     """The two kept components of a degree-d derivation at the first count
     points of _h0_points, in turn: restricted to H0 by line_restriction,
@@ -237,49 +326,6 @@ def _kept_values(A: Arrangement, vec, d: int, count: int) -> list[int]:
     forms = restrict(alpha, [vec[i * m:(i + 1) * m] for i in kept], d)
     return [sum(c * j ** r for r, c in enumerate(form) if c)
             for j in range(count) for form in forms]
-
-
-def _evaluation_base(beta, k: int, size: int) -> int:
-    """T = |beta|_1^(k + 1) size + 1, above the absolute value of every
-    coefficient of line_restriction(beta, k) applied to theta(beta), for a
-    degree-k derivation theta whose coefficients sum to at most size in
-    absolute value.
-
-    Column mu of line_restriction(beta, k) has entries summing to
-    |beta_f|^(mu_u + mu_v) (|beta_u| + |beta_v|)^mu_f <= |beta|_1^k in
-    absolute value, and the coefficients of theta(beta) = sum beta_i theta_i
-    sum to at most max |beta_i| size <= |beta|_1 size."""
-    return sum(map(abs, beta)) ** (k + 1) * size + 1
-
-
-def _in_module(A: Arrangement, vecs, k: int) -> bool:
-    """Whether every degree-k derivation theta given lies in D_{H0}(A), by
-    exact arithmetic: theta(alpha_H0) = 0, and theta(alpha_K) vanishes on
-    every other line K, with one evaluation per line.
-
-    Let c_0, ..., c_k be the coefficients of line_restriction(beta, k)
-    applied to theta(beta), beta the form of K, so that theta(beta) takes
-    the value sum c_r T^r at the point P + TQ of K (_line_points).  With
-    T = _evaluation_base(beta, k, max |theta|_1), every |c_r| <= T - 1, so a
-    nonzero restriction, whose last nonzero coefficient c_R has
-    |c_R T^R| >= T^R > (T - 1)(1 + T + ... + T^(R - 1)), takes a nonzero
-    value there.  So theta(beta) vanishes at that one point iff its
-    restriction to K is zero, that is, iff it vanishes on K."""
-    m = monomial_count(3, k)
-    comps = [[v[c * m:(c + 1) * m] for c in range(3)] for v in vecs]
-    alpha, *others = (line.int_coeffs for line in A.lines)
-    if any(any(_combine(alpha, cs, m)) for cs in comps):
-        return False
-    size = max((sum(map(abs, v)) for v in vecs), default=0)
-    for beta in others:
-        P, Q = _line_points(beta)
-        T = _evaluation_base(beta, k, size)
-        at = _point_row([a + T * b for a, b in zip(P, Q)], k)
-        b0, b1, b2 = beta
-        if any(sum(v * t for x, y, z, t in zip(*cs, at)
-                   if (v := b0 * x + b1 * y + b2 * z)) for cs in comps):
-            return False
-    return True
 
 
 def _grows(echelon: list, row, p: int) -> bool:
@@ -348,15 +394,16 @@ def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
 
 def _candidates(A: Arrangement, k: int, prev: _Layer, points):
     """Derivations in D_{H0}(A)_k, each as (its kept values at points, a
-    builder of its coefficient vector, whether it is a point derivation):
-    the shift candidates of _shift_candidates, then the point derivations of
-    degree k, one for each intersection point v of multiplicity |A| - k
-    (_point_derivation)."""
+    builder of its coefficient vector, and (v, missing) for a point
+    derivation, else None): the shift candidates of _shift_candidates, then
+    the point derivations of degree k, one for each intersection point v of
+    multiplicity |A| - k, missing the lines that miss it
+    (_point_derivation), with the kept values of their closed form
+    (_point_values)."""
     _, _, kept = _h0_frame(A)
     for row, build in _shift_candidates(A, k, prev, points):
-        yield row, build, False
+        yield row, build, None
     forms = [line.int_coeffs for line in A.lines]
-    at = [[sum(a * c for a, c in zip(beta, P)) for P in points] for beta in forms]
     n = len(A)
     for X in intersection_points(A):
         if X.multiplicity != n - k:
@@ -364,16 +411,12 @@ def _candidates(A: Arrangement, k: int, prev: _Layer, points):
         i, j = X.incident_lines[:2]
         v = linalg._primitive_vec(list(_cross(forms[i], forms[j])))
         missing = [K for K in range(n) if K not in X.incident_lines]
-        if i == 0:
-            # g_v d_v, with g_v the product of the lines in missing
-            row = [prod(at[K][s] for K in missing) * v[c]
-                   for s in range(len(points)) for c in kept]
-        else:
-            # -alpha_H0(v) h_v theta_E, as alpha_H0 vanishes on H0
-            a = sum(x * y for x, y in zip(forms[0], v))
-            row = [-a * prod(at[K][s] for K in missing[1:]) * P[c]
-                   for s, P in enumerate(points) for c in kept]
-        yield row, lambda v=v, missing=missing: _point_derivation(A, v, missing, k), True
+        row = []
+        for P in points:
+            values = _point_values(forms, v, missing, P)
+            row += [values[c] for c in kept]
+        yield (row, lambda v=v, missing=missing: _point_derivation(A, v, missing, k),
+               (v, missing))
 
 
 def _sandwich(A: Arrangement, k: int) -> _Layer | None:
@@ -387,8 +430,9 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     the dimension of layer k - 1 plus that rank reaches the dimension of
     the point system's kernel modulo WORD_PRIME (_point_system); with
     alpha_H0 times layer k - 1 they are a basis.  Every chosen point
-    derivation must take the values it was ranked by and lie in D_{H0}(A)
-    (_in_module), or CertificationFailure is raised.  Each own vector is
+    derivation must be its closed form (_is_closed_form), which lies in
+    D_{H0}(A) and takes the values it was ranked by, or
+    CertificationFailure is raised.  Each own vector is
     stored primitive, and its ranked row, divided by the same content, is
     stored as its kept values.  When a point derivation is chosen, every
     shift candidate came before it, and the layer keeps their kept values
@@ -414,12 +458,10 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
         if prev.dim + len(echelon) != len(
                 _point_system(A, k, linalg.WORD_PRIME)[1]):
             return None
-    derived = [(row, vec) for row, vec, point in chosen if point]
-    if derived and (any(_kept_values(A, vec, k, k + 1) != row
-                        for row, vec in derived)
-                    or not _in_module(A, [vec for _, vec in derived], k)):
+    derived = [(vec, point) for _, vec, point in chosen if point]
+    if not all(_is_closed_form(A, vec, *point, k) for vec, point in derived):
         raise CertificationFailure(
-            f"a point derivation of degree {k} is not in D_H0(A)")
+            f"a point derivation of degree {k} is not its closed form")
     vectors, rows = [], []
     for row, vec, _ in chosen:
         g = linalg._content(vec)
@@ -485,7 +527,8 @@ def _layer(A: Arrangement, k: int) -> _Layer:
       they are dim D_(k-1) + (their rank) independent vectors of D_k.
     When an upper bound meets the lower one, those vectors are a basis.  The
     candidates are x, y and z times layer k - 1, which lie in the module,
-    and the point derivations, each checked exactly against every line.
+    and the point derivations, each checked exactly to be its closed form,
+    which lies in the module, by one evaluation per component.
     The layer keeps only the candidates chosen: the alpha_H0 multiples are
     never formed, and _ar_kernel builds them when a whole basis is asked
     for.  Otherwise the layer is the point system solved over Q, (u, v) of

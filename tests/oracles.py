@@ -359,8 +359,9 @@ def h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
 
 
 def in_module(A: Arrangement, vecs, k: int) -> bool:
-    """derivation._in_module by restriction: theta(alpha_H0) = 0, and the
-    line_restriction of theta(alpha_K) to every other line K is zero."""
+    """Whether every degree-k derivation given lies in D_{H0}(A), by
+    restriction: theta(alpha_H0) = 0, and the line_restriction of
+    theta(alpha_K) to every other line K is zero."""
     m = monomial_count(3, k)
     comps = [[v[c * m:(c + 1) * m] for c in range(3)] for v in vecs]
     alpha, *others = (line.int_coeffs for line in A.lines)

@@ -9,8 +9,14 @@ of _peel cut the points off H0 out, with no elimination.  These tests pin
 which route a layer takes, that the route gives the layer the per-line
 conditions define, that the empty prefix and the modular bound are sound
 against exact ranks, that peeling lines leaves the bound as it is, and
-that a point derivation which is not in D_{H0}(A) fails the certificate,
-which tests each line with one evaluation.  The new
+that a point derivation which is not its closed form fails the
+certificate.  That check evaluates each component once, at a Kronecker
+point (1, T, T^(k + 1)) with T a power of two above every coefficient of
+the difference, and no smaller power is sound; it accepts each point
+derivation and rejects every other vector, also one of D_{H0}(A) with the
+same kept values.  What run time no longer checks by restriction, the tests
+do: every chosen point derivation passes the restriction oracle
+(oracles.in_module), with its stored kept values.  The new
 generators that _resolution reads off every layer's restriction to H0 must
 be those that grow an exact span of x, y and z times the layer below
 (oracles.layer_generators), and a tampered layer must fail their count.
@@ -21,6 +27,7 @@ demand must be the layer the conditions define.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +39,7 @@ from arrlog.arrangement import Arrangement
 from arrlog.corpus import (FIXTURES, near_pencil, random_arrangement,
                            random_corpus)
 from arrlog.linalg import _int_row
-from arrlog.poly import (CertificationFailure, monomial_count, monomials,
-                         restrict)
+from arrlog.poly import CertificationFailure, monomial_count, monomials
 from oracles import _exact_kernel, echelon_basis, h0_conditions
 from test_census import SUPERSOLVABLE, _census_pairs
 from test_criteria import A3, B3
@@ -217,100 +223,185 @@ def test_a_perturbed_point_derivation_fails_the_certificate(kind, below,
             alone("_sandwich", A, degree, monkeypatch)
 
 
-def test_in_module_accepts_the_point_derivations(monkeypatch):
-    # each line K is tested at P + TQ, T its evaluation base for the largest
-    # derivation given
-    A = random_arrangement(12, 1)
-    top = len(A) - 2
-    basis = derivation._ar_kernel(A, top)
-    real = derivation._point_row
-    points = []
-
-    def recording(P, k, p=None):
-        points.append(tuple(P))
-        return real(P, k, p)
-
-    monkeypatch.setattr(derivation, "_point_row", recording)
-    assert derivation._in_module(A, basis, top)
-    monkeypatch.undo()
-    assert oracles.in_module(A, basis, top)
-    assert all(in_layer(A, top, v) for v in basis)
-    size = max(sum(map(abs, v)) for v in basis)
-    want = []
-    for line in A.lines[1:]:
-        P, Q = derivation._line_points(line.int_coeffs)
-        T = derivation._evaluation_base(line.int_coeffs, top, size)
-        want.append(tuple(a + T * b for a, b in zip(P, Q)))
-    assert points == want
+def _point_candidates(A):
+    """Every point derivation of A as _candidates yields it, in every degree
+    k that has one: (k, its ranked row, its vector, (v, missing))."""
+    for k in range(len(A) - 1):
+        points = derivation._h0_points(A, k + 1)
+        for row, build, point in derivation._candidates(
+                A, k, derivation._Layer(), points):
+            yield k, row, build(), point
 
 
-def _restricted(beta, v, k):
-    """The coefficients of line_restriction(beta, k) applied to theta(beta),
-    theta the degree-k vector v."""
-    m = monomial_count(3, k)
-    comps = [v[c * m:(c + 1) * m] for c in range(3)]
-    return restrict(beta, [derivation._combine(beta, comps, m)], k)[0]
+_MEMBERS = [random_arrangement(10, 1), near_pencil(8), A3, B3]
+
+
+@lru_cache(maxsize=None)
+def _member_candidates():
+    return [(A, *c) for A in _MEMBERS for c in _point_candidates(A)]
+
+
+def _base_bits(A, vec, v, missing):
+    """The b of the check's T = 2^b: the bit length of max |vec| plus the
+    bound on the closed form's coefficients."""
+    forms = [line.int_coeffs for line in A.lines]
+    return (max(map(abs, vec))
+            + derivation._closed_form_bound(forms, v, missing)).bit_length()
+
+
+def _below(A, k):
+    """alpha_H0 times each vector of layer k - 1: in D_{H0}(A)_k, and zero
+    on H0."""
+    alpha = A.lines[0].int_coeffs
+    return [derivation._times_linear(theta, k - 1, alpha)
+            for theta in derivation._ar_kernel(A, k - 1)] if k else []
+
+
+def test_the_closed_form_check_accepts_every_point_derivation():
+    # every point derivation, of a point on H0 or off it, is its closed
+    # form, lies in D_{H0}(A), and takes at the points of H0 the kept values
+    # it is ranked by
+    projected = set()
+    for A, k, row, vec, (v, missing) in _member_candidates():
+        assert derivation._is_closed_form(A, vec, v, missing, k), (A.name, k)
+        assert oracles.in_module(A, [vec], k), (A.name, k)
+        assert row == derivation._kept_values(A, vec, k, k + 1), (A.name, k)
+        projected.add(bool(missing) and not missing[0])
+    assert projected == {False, True}
+
+
+def _perturbed(A, k, vec, v, missing):
+    """Vectors other than vec, by kind: one coefficient, the first nonzero,
+    a middle one or the last, changed by +-1 or by +-(T - 1); each alpha_H0
+    multiple of _alpha_h0_multiples added; the zero vector; and vec plus
+    alpha_H0 times a vector of layer k - 1."""
+    T = 1 << _base_bits(A, vec, v, missing)
+    first = next(j for j, x in enumerate(vec) if x)
+    out = []
+    for j in sorted({first, len(vec) // 2, len(vec) - 1}):
+        for d in (1, -1, T - 1, 1 - T):
+            w = list(vec)
+            w[j] += d
+            out.append(("coefficient", w))
+    if k:
+        out += [(kind, [a + b for a, b in zip(vec, change)])
+                for kind, change in _alpha_h0_multiples(A, k).items()]
+    out.append(("zero", [0] * len(vec)))
+    out += [("layer below", [a + b for a, b in zip(vec, w)])
+            for w in _below(A, k)]
+    return out
+
+
+def test_the_closed_form_check_rejects_every_other_vector():
+    # vec plus alpha_H0 times a vector of layer k - 1 lies in D_{H0}(A) and
+    # takes the kept values of vec, so neither a check against the lines nor
+    # the kept values refuse it: the check fixes the one polynomial
+    kinds = set()
+    for A, k, row, vec, (v, missing) in _member_candidates():
+        for kind, w in _perturbed(A, k, vec, v, missing):
+            assert not derivation._is_closed_form(A, w, v, missing, k), \
+                (A.name, k, kind)
+            if kind == "layer below":
+                assert oracles.in_module(A, [w], k), (A.name, k)
+                assert derivation._kept_values(A, w, k, k + 1) == row
+            kinds.add(kind)
+    assert kinds == {"coefficient", "theta(alpha_H0)", "a line", "zero",
+                     "layer below"}
+
+
+def test_the_check_evaluates_at_its_power_of_two(monkeypatch):
+    # each component is evaluated once, at T = 2^b with b the bit length of
+    # max |vec| plus _closed_form_bound
+    kronecker = derivation._kronecker
+    bits = []
+
+    def recording(poly, k, b):
+        bits.append(b)
+        return kronecker(poly, k, b)
+
+    monkeypatch.setattr(derivation, "_kronecker", recording)
+    for A, k, _, vec, (v, missing) in _member_candidates():
+        bits.clear()
+        assert derivation._is_closed_form(A, vec, v, missing, k)
+        assert bits == [_base_bits(A, vec, v, missing)] * 3, (A.name, k)
 
 
 @pytest.mark.parametrize("beta", [(0, 0, 1), (0, 0, 2), (0, 3, 0), (-5, 0, 0)])
 @pytest.mark.parametrize("k", [0, 1, 4])
 def test_a_restricted_coefficient_reaches_the_evaluation_base(beta, k):
-    # theta = a x_u^(k - r) x_v^r d_f has theta(beta) = a beta_f x_u^(k - r)
-    # x_v^r for the form beta = beta_f x_f, which restricts to
-    # a beta_f^(k + 1) s^(k - r) t^r: with |theta|_1 = |a| and |beta|_1 =
-    # |beta_f|, a coefficient at T - 1.  So no smaller T is sound
-    f = next(i for i, b in enumerate(beta) if b)
-    u, v = (i for i in range(3) if i != f)
+    # the evaluation base T = 2^b of the check must exceed every coefficient
+    # of the difference of a vector and the closed form C.  With H0 through
+    # v and the k missing forms all beta = beta_f x_f, g_v = beta_f^k x_f^k
+    # is one monomial, and C has a coefficient at the bound B = |beta|_1^k
+    # |v|_inf.  vec = -C, with max |vec| = B, differs from C by M = 2B
+    # there, and T is the least power of two above M.  At T / 2 <= M the
+    # nonzero form (T / 2) x^k - x^(k - 1) y, its coefficients at most M,
+    # vanishes: no smaller power of two is sound
     m = monomial_count(3, k)
-    for r in range(k + 1):
-        mu = [0] * 3
-        mu[u], mu[v] = k - r, r
-        for a in (1, -7):
-            theta = [0] * (3 * m)
-            theta[f * m + monomials(3, k).index(tuple(mu))] = a
-            T = derivation._evaluation_base(beta, k, abs(a))
-            assert max(map(abs, _restricted(beta, theta, k))) == T - 1
-
-
-_MEMBERS = [(random_arrangement(10, 1), 8), (near_pencil(8), 6), (A3, 2),
-            (B3, 3)]
+    forms = [(1, 1, 1)] + [beta] * k
+    missing = list(range(1, k + 1))
+    for v in [(1, 0, 0), (2, -3, 1), (0, 0, -5)]:
+        C = [c * x for c in v for x in derivation._form_product([beta] * k)]
+        bound = derivation._closed_form_bound(forms, v, missing)
+        assert max(map(abs, C)) == bound \
+            == sum(map(abs, beta)) ** k * max(map(abs, v))
+        vec = [-x for x in C]
+        M = max(abs(a - c) for a, c in zip(vec, C))
+        assert M == max(map(abs, vec)) + bound
+        b = M.bit_length()
+        assert 1 << (b - 1) <= M < 1 << b
+        T = 1 << b
+        at = derivation._point_values(forms, v, missing, (1, T, T ** (k + 1)))
+        assert at == [derivation._kronecker(C[c * m:(c + 1) * m], k, b)
+                      for c in range(3)]
+        assert at != [derivation._kronecker(vec[c * m:(c + 1) * m], k, b)
+                      for c in range(3)]
+        if k:
+            D = [0] * m
+            D[0], D[1] = 1 << (b - 1), -1
+            assert monomials(3, k)[:2] == ((k, 0, 0), (k - 1, 1, 0))
+            assert derivation._kronecker(D, k, b - 1) == 0
+            assert derivation._kronecker(D, k, b) != 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_one_evaluation_per_line_agrees_with_restriction(data):
-    # a layer vector perturbed along a direction w with alpha_H0(w) = 0, so
-    # that only the lines decide; by an alpha_H0 multiple; by a coefficient
-    # as large as the evaluation base; or not at all
-    A, k = data.draw(st.sampled_from(_MEMBERS), label="A, k")
-    layer = [list(v) for v in derivation._ar_kernel(A, k)]
-    vec = list(data.draw(st.sampled_from(layer), label="vector"))
+def test_the_closed_form_check_is_equality(data):
+    # a point derivation perturbed along a direction u with alpha_H0(u) =
+    # 0, so that only the lines decide for the module; by an alpha_H0
+    # multiple; by alpha_H0 times a vector of layer k - 1; by one
+    # coefficient as large as the base; or not at all.  The check accepts
+    # exactly the vector itself, and only vectors of D_{H0}(A)
+    A, k, _, vec, (v, missing) = data.draw(
+        st.sampled_from(_member_candidates()), label="candidate")
+    w = list(vec)
     m = monomial_count(3, k)
-    others = [line.int_coeffs for line in A.lines[1:]]
-    kind = data.draw(st.sampled_from(["along H0", "alpha_H0", "base", "none"]))
+    kind = data.draw(st.sampled_from(["along H0", "alpha_H0", "layer below",
+                                      "base", "none"]))
     j = data.draw(st.integers(0, m - 1), label="monomial")
     if kind == "along H0":
         alpha = A.lines[0].int_coeffs
-        w = [alpha[1], -alpha[0], 0] if alpha[0] or alpha[1] else [1, 0, 0]
+        u = [alpha[1], -alpha[0], 0] if alpha[0] or alpha[1] else [1, 0, 0]
         d = data.draw(st.integers(-3, 3) | st.sampled_from([2 ** 64, -2 ** 64]))
         for c in range(3):
-            vec[c * m + j] += d * w[c]
-    elif kind == "alpha_H0":
+            w[c * m + j] += d * u[c]
+    elif kind == "alpha_H0" and k:
         changes = sorted(_alpha_h0_multiples(A, k).items())
         change = data.draw(st.sampled_from(changes), label="multiple")[1]
-        vec = [a + b for a, b in zip(vec, change)]
+        w = [a + b for a, b in zip(w, change)]
+    elif kind == "layer below" and _below(A, k):
+        below = _below(A, k)
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(below),
+                                    max_size=len(below)), label="coeffs")
+        w = [a + b for a, b in zip(w, derivation._combine(coeffs, below, 3 * m))]
     elif kind == "base":
-        size = max(sum(map(abs, v)) for v in layer)
-        T = max(derivation._evaluation_base(beta, k, size) for beta in others)
-        vec[data.draw(st.integers(0, 2), label="component") * m + j] += T - 1
-    vecs = (layer if data.draw(st.booleans(), label="with layer") else []) + [vec]
-    got = derivation._in_module(A, vecs, k)
-    assert got == oracles.in_module(A, vecs, k)
-    assert got == all(in_layer(A, k, v) for v in vecs)
-    size = max(sum(map(abs, v)) for v in vecs)
-    for beta in others:
-        T = derivation._evaluation_base(beta, k, size)
-        assert all(abs(c) < T for v in vecs for c in _restricted(beta, v, k))
+        T = 1 << _base_bits(A, vec, v, missing)
+        d = data.draw(st.sampled_from([T - 1, 1 - T, T, -T]), label="change")
+        w[data.draw(st.integers(0, 2), label="component") * m + j] += d
+    got = derivation._is_closed_form(A, w, v, missing, k)
+    assert got == (w == vec)
+    if got:
+        assert oracles.in_module(A, [w], k)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +452,35 @@ def _kind(layer):
     if not layer.columns:
         return None
     return "point system" if layer.shift_rows is None else "sandwich"
+
+
+_SWEEP = {"ladder": lambda: _ladder(1) + _ladder(2),
+          "fixtures": _INPUT_SETS["fixtures"],
+          "A3, B3": lambda: [A3, B3],
+          "corpus": _INPUT_SETS["corpus"]}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP))
+def test_chosen_point_derivations_pass_the_restriction_oracle(name,
+                                                              monkeypatch):
+    # at run time each chosen point derivation is compared with its closed
+    # form only; here, in both scans of _resolution, each lies in D_{H0}(A)
+    # by restriction to every line, and the row its layer stores is the
+    # kept values of its stored vector
+    chosen = 0
+    for A in _SWEEP[name]():
+        for early_stop in (True, False):
+            for k in scanned_degrees(A, early_stop, monkeypatch):
+                layer = derivation._layer(A, k)
+                if layer.shift_rows is None:
+                    continue
+                first = len(layer) - layer.columns
+                assert oracles.in_module(A, layer[first:], k), (A.name, k)
+                for v, row in zip(layer[first:], layer.rows[first:]):
+                    assert row == tuple(derivation._kept_values(A, v, k, k + 1)), \
+                        (A.name, k)
+                chosen += layer.columns
+    assert chosen
 
 
 @pytest.mark.parametrize("name", sorted(_INPUT_SETS))
