@@ -111,6 +111,14 @@ def arrangement(rows, name=None) -> Arrangement:
 # parsing
 
 _NUM_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text: str) -> int | None:
+    """The integer text writes in the ASCII digits 0-9 only, with an
+    optional minus sign, else None; int() would also take other Unicode
+    digits, underscores, a plus sign and surrounding blanks."""
+    return int(text) if _INT_RE.fullmatch(text) else None
 
 
 def _parse_number(v):

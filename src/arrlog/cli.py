@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import corpus as corpus_mod
-from .arrangement import (Arrangement, LinearForm3, ParseError, chi0,
-                          intersection_points, is_balanced, n_H, nr_form,
+from .arrangement import (Arrangement, LinearForm3, ParseError, ascii_int,
+                          chi0, intersection_points, is_balanced, n_H, nr_form,
                           parse_arrangement, to_document)
 from .criteria import (InadmissibleLine, NotApplicable, property_P,
                        splitting_range, splitting_type, verify,
@@ -30,16 +29,13 @@ class UsageError(Exception):
     pass
 
 
-_INT_RE = re.compile(r"-?[0-9]+")
-
-
 def _ascii_int(text: str) -> int:
-    """An integer written in the ASCII digits 0-9 only, with an optional
-    minus sign; int() would also take other Unicode digits, underscores and
-    surrounding blanks."""
-    if _INT_RE.fullmatch(text) is None:
+    """An integer option or coefficient, in the ASCII digits only
+    (arrangement.ascii_int)."""
+    value = ascii_int(text)
+    if value is None:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(text)
+    return value
 
 
 def _read_arrangement(path: str) -> Arrangement:

@@ -49,10 +49,13 @@ on its span.
 
 The scan keeps of each layer only what it reads (_Layer): its dimension,
 its own vectors (the chosen candidates, or the point system's basis), and
-their kept values at k + 1 points of H0.  The alpha_H0 multiples are never
-formed: _ar_kernel builds a whole basis on demand, for dh_projection.  The
-shifts of the next layer take the kept values carried, with one more
-evaluation each at one more point of H0, and restrict no vector again.
+their kept values at the k + 1 points of H0 of _h0_points.  Every value is
+read one way, a form dotted with the monomials at a point (_evaluate); no
+vector is restricted to H0.  The alpha_H0 multiples are never formed:
+_ar_kernel builds a whole basis on demand, for dh_projection.  The shifts
+of the next layer take the kept values carried, with one more evaluation
+each at one more point of H0, both as candidates of the sandwich and as
+columns of _new_generators, so a layer stores no row for them.
 
 The new generators of a layer are the basis vectors outside x, y and z
 times the layer below, and all of them are read off the layer's
@@ -80,14 +83,14 @@ within the du Plessis-Wall bounds for the minimal degree found.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, filterfalse
 from math import comb, prod
 
 from . import linalg
-from .arrangement import Arrangement, _cross, intersection_points, tjurina
+from .arrangement import (Arrangement, _cross, ascii_int, intersection_points,
+                          tjurina)
 from .multiarr import _free_pattern, exponents, ziegler_restriction
 from .poly import (CertificationFailure, _index_table, monomial_count,
                    monomials, restrict, restriction_param)
@@ -164,6 +167,12 @@ def _point_row(P, k: int, p: int | None = None) -> list[int]:
             for i, j, l in monomials(3, k)]
 
 
+def _evaluate(forms, at) -> list[int]:
+    """Each form, a coefficient vector, at the point whose monomials are at
+    (_point_row)."""
+    return [sum(c * t for c, t in zip(form, at) if c) for form in forms]
+
+
 def _combine(coeffs, vectors, m: int) -> list[int]:
     """The integer combination sum of coeffs[i] vectors[i] of length m."""
     out = [0] * m
@@ -175,21 +184,16 @@ def _combine(coeffs, vectors, m: int) -> list[int]:
     return out
 
 
-def _line_points(beta) -> tuple[list[int], list[int]]:
-    """The points P and Q of line_restriction(beta, k), whose combinations
-    sP + tQ make up the line beta."""
-    f = restriction_param(beta).eliminated
-    u, v = (i for i in range(3) if i != f)
-    P, Q = [0] * 3, [0] * 3
-    P[u], P[f] = beta[f], -beta[u]
-    Q[v], Q[f] = beta[f], -beta[v]
-    return P, Q
-
-
 def _h0_points(A: Arrangement, count: int) -> list[tuple[int, ...]]:
     """count integer points of H0 = line 0, pairwise distinct in P^2: P + jQ
-    for j < count, P and Q the points of line_restriction(alpha_H0, k)."""
-    P, Q = _line_points(A.lines[0].int_coeffs)
+    for j < count, with P = alpha_f e_u - alpha_u e_f and Q = alpha_f e_v -
+    alpha_v e_f independent points of H0, f the coordinate that
+    restriction_param eliminates and u < v the two it keeps (the points of
+    line_restriction)."""
+    alpha, f, (u, v) = _h0_frame(A)
+    P, Q = [0] * 3, [0] * 3
+    P[u], P[f] = alpha[f], -alpha[u]
+    Q[v], Q[f] = alpha[f], -alpha[v]
     return [tuple(a + j * b for a, b in zip(P, Q)) for j in range(count)]
 
 
@@ -316,16 +320,18 @@ def _is_closed_form(A: Arrangement, vec, v, missing, k: int) -> bool:
             == _point_values(forms, v, missing, (1, T, T ** (k + 1))))
 
 
-def _kept_values(A: Arrangement, vec, d: int, count: int) -> list[int]:
-    """The two kept components of a degree-d derivation at the first count
-    points of _h0_points, in turn: restricted to H0 by line_restriction,
-    whose row r is the coefficient of s^(d - r) t^r at sP + tQ, then
-    evaluated at (s, t) = (1, j)."""
-    alpha, _, kept = _h0_frame(A)
+def _kept_values(A: Arrangement, vectors, d: int) -> list[list[int]]:
+    """The two kept components of each degree-d derivation at the d + 1
+    points of _h0_points, point by point, with the monomials at each point
+    computed once for all the derivations."""
+    _, _, kept = _h0_frame(A)
     m = monomial_count(3, d)
-    forms = restrict(alpha, [vec[i * m:(i + 1) * m] for i in kept], d)
-    return [sum(c * j ** r for r, c in enumerate(form) if c)
-            for j in range(count) for form in forms]
+    rows = [_point_row(P, d) for P in _h0_points(A, d + 1)]
+    out = []
+    for vec in vectors:
+        forms = [vec[i * m:(i + 1) * m] for i in kept]
+        out.append([x for at in rows for x in _evaluate(forms, at)])
+    return out
 
 
 def _grows(echelon: list, row, p: int) -> bool:
@@ -353,22 +359,19 @@ class _Layer(tuple):
       _h0_points(A, k + 1), which _shift_candidates of layer k + 1 extends
       by one point;
     - `columns`, how many trailing own vectors are not known to lie in x, y
-      and z times layer k - 1, each a column of _new_generators;
-    - `shift_rows`, the kept values of every shift candidate when some
-      vector takes a column, else (), or None on a point-system layer,
-      where _new_generators computes them.
+      and z times layer k - 1, each a column of _new_generators.
     A sandwiched layer's own vectors are its chosen shifts, then its chosen
     point derivations, the vectors that take a column, and its dimension is
     that of layer k - 1 plus their number.  A point-system layer's own
-    vectors are its whole basis, and each takes a column."""
+    vectors are its whole basis, and each takes a column.  Both kinds are
+    read alike: the shifts' kept values, which _new_generators also needs,
+    come from layer k - 1 (_shift_candidates), so no layer stores them."""
 
-    def __new__(cls, vectors=(), dim: int = 0, rows=(), columns: int = 0,
-                shift_rows=()):
+    def __new__(cls, vectors=(), dim: int = 0, rows=(), columns: int = 0):
         layer = super().__new__(cls, vectors)
         layer.dim = dim
         layer.rows = rows
         layer.columns = columns
-        layer.shift_rows = shift_rows
         return layer
 
 
@@ -383,9 +386,8 @@ def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
     m = monomial_count(3, k - 1)
     at = _point_row(points[-1], k - 1)
     for theta, carried in zip(prev, prev.rows):
-        values = list(carried) + [
-            sum(c * t for c, t in zip(theta[i * m:(i + 1) * m], at) if c)
-            for i in kept]
+        values = list(carried) + _evaluate(
+            [theta[i * m:(i + 1) * m] for i in kept], at)
         if any(values):
             for var in range(3):
                 yield ([points[j // 2][var] * x for j, x in enumerate(values)],
@@ -434,9 +436,7 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     D_{H0}(A) and takes the values it was ranked by, or
     CertificationFailure is raised.  Each own vector is
     stored primitive, and its ranked row, divided by the same content, is
-    stored as its kept values.  When a point derivation is chosen, every
-    shift candidate came before it, and the layer keeps their kept values
-    for _new_generators.
+    stored as its kept values.
     """
     prev = _layer(A, k - 1) if k else _Layer()
     exp = exponents(ziegler_restriction(A, 0)[0])
@@ -446,10 +446,7 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     points = _h0_points(A, k + 1)
     echelon: list = []
     chosen = []
-    shift_rows = []
     for row, build, point in _candidates(A, k, prev, points):
-        if not point:
-            shift_rows.append(row)
         if _grows(echelon, row, linalg.WORD_PRIME):
             chosen.append((row, build(), point))
             if len(echelon) == target:
@@ -467,8 +464,7 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
         g = linalg._content(vec)
         vectors.append(tuple(linalg._primitive_vec(vec)))
         rows.append(tuple(x // g for x in row) if g > 1 else tuple(row))
-    return _Layer(vectors, prev.dim + len(vectors), tuple(rows), len(derived),
-                  tuple(shift_rows) if derived else ())
+    return _Layer(vectors, prev.dim + len(vectors), tuple(rows), len(derived))
 
 
 @lru_cache(maxsize=8192)
@@ -545,8 +541,7 @@ def _layer(A: Arrangement, k: int) -> _Layer:
     vectors = [_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
                for uv in U]
     return _Layer(vectors, len(vectors),
-                  tuple(tuple(_kept_values(A, v, k, k + 1)) for v in vectors),
-                  len(vectors), None)
+                  tuple(map(tuple, _kept_values(A, vectors, k))), len(vectors))
 
 
 @lru_cache(maxsize=8192)
@@ -664,10 +659,7 @@ def _uv_rows(A: Arrangement, k: int, G) -> list[list[int]]:
     most k points, as integer rows."""
     _, on, lines = _h0_incidence(A)
     # (weights, the value of each g_i) per condition
-    conditions = []
-    for Q, w in on:
-        at = _point_row(Q, k)
-        conditions.append((w, [sum(c * t for c, t in zip(g, at) if c) for g in G]))
+    conditions = [(w, _evaluate(G, _point_row(Q, k))) for Q, w in on]
     for t, beta, w in lines:
         if t < k + 1:
             conditions.extend((w, values) for values in zip(*restrict(beta, G, k)))
@@ -726,22 +718,12 @@ def degree_cap(A: Arrangement) -> int:
     env = os.environ.get(MAX_DEGREE_ENV)
     if env is None:
         return default_degree_cap(A)
-    # ASCII digits only: int() would also take other Unicode digits,
-    # underscores, a plus sign and surrounding blanks
-    if not re.fullmatch(r"-?[0-9]+", env):
+    cap = ascii_int(env)
+    if cap is None:
         raise DegreeCapError(f"{MAX_DEGREE_ENV}={env!r} is not an integer")
-    cap = int(env)
     if cap < 0:
         raise DegreeCapError(f"{MAX_DEGREE_ENV}={env!r} is negative")
     return cap
-
-
-def _values(vec, g: int, a: int, b: int) -> list[int]:
-    """The three components of a degree-g derivation at the point (a, b, 1)."""
-    m = monomial_count(3, g)
-    at = _point_row((a, b, 1), g)
-    return [sum(c * t for c, t in zip(vec[i * m:(i + 1) * m], at) if c)
-            for i in range(3)]
 
 
 def _rank_two(A: Arrangement, gens) -> bool:
@@ -761,10 +743,14 @@ def _rank_two(A: Arrangement, gens) -> bool:
     def off(P):
         return all(f[0] * P[0] + f[1] * P[1] + f[2] for f in forms)
 
+    parts = []
+    for g, v in gens:
+        m = monomial_count(3, g)
+        parts.append((g, [v[:m], v[m:2 * m], v[2 * m:]]))
     grid = [(a, b) for a in range(top + 1) for b in range(top + 1)]
     pairs = list(combinations(range(len(gens)), 2))
     for a, b in chain(filter(off, grid), filterfalse(off, grid)):
-        vals = [_values(v, g, a, b) for g, v in gens]
+        vals = [_evaluate(comps, _point_row((a, b, 1), g)) for g, comps in parts]
         for i, j in pairs:
             u, w = vals[i], vals[j]
             if (a * (u[1] * w[2] - u[2] * w[1]) + b * (u[2] * w[0] - u[0] * w[2])
@@ -839,10 +825,11 @@ def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
     alpha_e, so x_e theta restricts into the span of the other two shifts
     of theta and takes no column.  Nor does a layer vector known to lie in
     S, its `columns` last own vectors aside (see _Layer): on a sandwiched
-    layer only the chosen point derivations take one, with the rows that
-    _sandwich ranked, theirs and the shift candidates' (the alpha_H0
+    layer only the chosen point derivations take one (the alpha_H0
     multiples and the chosen shifts lie in S), and on a point-system layer
-    every vector does, with the rows it carries.  With none, there is no
+    every vector does, each with the kept values the layer carries.  The
+    shifts' kept values are those of _shift_candidates, which extends the
+    values that prev carries by one point.  With no column, there is no
     new generator and no kernel runs.  The pivots among the shifts count
     the rank r of the restriction of S, so dim S = dim D_(k-1) + r, and
     dim D_k - dim S new generators must come out, or CertificationFailure
@@ -850,14 +837,11 @@ def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
     """
     if not layer.columns:
         return ()
-    shift_rows = layer.shift_rows
-    if shift_rows is None:
-        shift_rows = [row for row, _ in _shift_candidates(A, k, prev,
-                                                          _h0_points(A, k + 1))]
     first = len(layer) - layer.columns
     # the rows of _shift_candidates cycle through x, y and z times theta
     e = _h0_frame(A)[1]
-    cols = [row for i, row in enumerate(shift_rows) if i % 3 != e] + \
+    candidates = _shift_candidates(A, k, prev, _h0_points(A, k + 1))
+    cols = [row for i, (row, _) in enumerate(candidates) if i % 3 != e] + \
         list(layer.rows[first:])
     free = {linalg.free_column(w) for w in linalg.kernel_basis(
         [list(r) for r in zip(*cols)], len(cols))}

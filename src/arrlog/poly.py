@@ -9,7 +9,7 @@ dense per-degree vector feeds the exact linear solver directly.
 Every restriction of a ternary form to a line goes through
 line_restriction, the integer matrix that evaluates it at the points
 sP + tQ of the line, or restrict, that matrix applied to some forms: the
-conditions of D_H0(A), its kept values and the property-[P] image
+line blocks of the point system of D_H0(A) and the property-[P] image
 vectors.  Lines restricted to a line need no matrix: restrict_lines reads
 each off two 2 x 2 minors, for the weighted arrangement on a member line,
 a deletion's lowered weight and the points where an external line meets
@@ -170,8 +170,9 @@ def line_restriction(beta: tuple[int, ...],
     x^mu to its coefficients at the points sP + tQ of the line with
     primitive integer form beta, a tuple; row r holds the coefficient of
     s^(k - r) t^r.  Column mu is returned as (r0, lead, xs): the entries
-    lead * xs[j] in rows r0 + j.  The matrix is cached, as every syzygy
-    layer and every restriction of a form to a line reads it.
+    lead * xs[j] in rows r0 + j.  The matrix is cached, as every point
+    system of a syzygy layer and every restriction of a form to a line
+    reads it.
 
     P = beta_f e_u - beta_u e_f and Q = beta_f e_v - beta_v e_f for the
     coordinate f that restriction_param(beta) eliminates, so x^mu becomes

@@ -6,7 +6,8 @@ polynomials and their products, restriction by substitution, the Jacobian
 of the defining polynomial and its syzygies, D_H(A) as explicit
 derivations, the restricted gradient along an external line and its
 coefficient matrix, the syzygy layers by their per-line conditions and exact
-ranks, membership in a layer by restriction to every line, the derivation
+ranks, membership in a layer by restriction to every line, the kept
+values of a derivation on H0 by restriction to it, the derivation
 layers of a weighted arrangement, kernels, spans, solutions and RREFs by
 fraction-free elimination over Z (integer_rref, _exact_kernel and
 SpanBuilder), where arrlog reads them off a kernel
@@ -369,6 +370,20 @@ def in_module(A: Arrangement, vecs, k: int) -> bool:
         return False
     return not any(any(r) for beta in others
                    for r in restrict(beta, [_combine(beta, cs, m) for cs in comps], k))
+
+
+def kept_values_by_restriction(A: Arrangement, vec, d: int) -> list[int]:
+    """The two kept components of a degree-d derivation at the d + 1 points
+    of derivation._h0_points, point by point: restricted to H0 by
+    line_restriction, whose row r is the coefficient of s^(d - r) t^r at
+    sP + tQ, then evaluated at (s, t) = (1, j) for j <= d, which is the
+    point P + jQ."""
+    alpha = A.lines[0].int_coeffs
+    m = monomial_count(3, d)
+    forms = restrict(alpha, [vec[i * m:(i + 1) * m]
+                             for i in restriction_param(alpha).retained], d)
+    return [sum(c * j ** r for r, c in enumerate(form) if c)
+            for j in range(d + 1) for form in forms]
 
 
 def rank(matrix, ncols: int) -> int:

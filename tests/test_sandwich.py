@@ -210,8 +210,8 @@ def test_a_perturbed_point_derivation_fails_the_certificate(kind, below,
             vec[j] += 1
         else:
             vec = [a + b for a, b in zip(vec, change)]
-            assert derivation._kept_values(B, vec, k, k + 1) == \
-                derivation._kept_values(B, original(B, v, missing, k), k, k + 1)
+            assert derivation._kept_values(B, [vec], k) == \
+                derivation._kept_values(B, [original(B, v, missing, k)], k)
         assert not in_layer(B, k, vec)
         return vec
 
@@ -265,7 +265,7 @@ def test_the_closed_form_check_accepts_every_point_derivation():
     for A, k, row, vec, (v, missing) in _member_candidates():
         assert derivation._is_closed_form(A, vec, v, missing, k), (A.name, k)
         assert oracles.in_module(A, [vec], k), (A.name, k)
-        assert row == derivation._kept_values(A, vec, k, k + 1), (A.name, k)
+        assert [row] == derivation._kept_values(A, [vec], k), (A.name, k)
         projected.add(bool(missing) and not missing[0])
     assert projected == {False, True}
 
@@ -303,7 +303,7 @@ def test_the_closed_form_check_rejects_every_other_vector():
                 (A.name, k, kind)
             if kind == "layer below":
                 assert oracles.in_module(A, [w], k), (A.name, k)
-                assert derivation._kept_values(A, w, k, k + 1) == row
+                assert derivation._kept_values(A, [w], k) == [row]
             kinds.add(kind)
     assert kinds == {"coefficient", "theta(alpha_H0)", "a line", "zero",
                      "layer below"}
@@ -446,12 +446,21 @@ _KINDS = {"ladder": {"sandwich", None}, "census": _ALL_KINDS,
           "supersolvable": _ALL_KINDS}
 
 
-def _kind(layer):
-    """How _new_generators reads a layer: None when no vector needs a
+def _by_point_system(A, k):
+    """Whether layer k of A has own vectors and is the point system solved
+    over Q: each of them takes a column (see derivation._Layer), and the
+    rank sandwich is not tight."""
+    layer = derivation._layer(A, k)
+    return (len(layer) == layer.columns > 0
+            and derivation._sandwich(A, k) is None)
+
+
+def _kind(A, k):
+    """How _new_generators reads layer k of A: None when no vector needs a
     column, else the route that certified the layer."""
-    if not layer.columns:
+    if not derivation._layer(A, k).columns:
         return None
-    return "point system" if layer.shift_rows is None else "sandwich"
+    return "point system" if _by_point_system(A, k) else "sandwich"
 
 
 _SWEEP = {"ladder": lambda: _ladder(1) + _ladder(2),
@@ -472,13 +481,13 @@ def test_chosen_point_derivations_pass_the_restriction_oracle(name,
         for early_stop in (True, False):
             for k in scanned_degrees(A, early_stop, monkeypatch):
                 layer = derivation._layer(A, k)
-                if layer.shift_rows is None:
+                if _by_point_system(A, k):
                     continue
                 first = len(layer) - layer.columns
                 assert oracles.in_module(A, layer[first:], k), (A.name, k)
-                for v, row in zip(layer[first:], layer.rows[first:]):
-                    assert row == tuple(derivation._kept_values(A, v, k, k + 1)), \
-                        (A.name, k)
+                kept = derivation._kept_values(A, layer[first:], k)
+                assert list(layer.rows[first:]) == list(map(tuple, kept)), \
+                    (A.name, k)
                 chosen += layer.columns
     assert chosen
 
@@ -494,7 +503,7 @@ def test_new_generators_equal_the_span_oracle(name, monkeypatch):
     def checked(A, k, prev, layer):
         new = extract(A, k, prev, layer)
         assert list(new) == oracles.layer_generators(A, k), (A.name, k)
-        kinds.add(_kind(layer))
+        kinds.add(_kind(A, k))
         return new
 
     monkeypatch.setattr(derivation, "_new_generators", checked)
@@ -517,12 +526,11 @@ def test_a_tampered_layer_fails_the_generator_count(kind, monkeypatch):
     for A in _INPUT_SETS["supersolvable"]():
         for k in scanned_degrees(A, True, monkeypatch)[1:]:
             layer, prev = derivation._layer(A, k), derivation._layer(A, k - 1)
-            if (not prev.dim or _kind(layer) != kind
+            if (not prev.dim or _kind(A, k) != kind
                     or not derivation._new_generators(A, k, prev, layer)):
                 continue
             zero = tuple((0,) * len(row) for row in layer.rows)
-            layer = derivation._Layer(layer, layer.dim, zero, layer.columns,
-                                      layer.shift_rows)
+            layer = derivation._Layer(layer, layer.dim, zero, layer.columns)
             with pytest.raises(CertificationFailure, match="extraction mismatch"):
                 derivation._new_generators(A, k, prev, layer)
             tampered += 1
@@ -544,7 +552,7 @@ def test_the_leading_alpha_h0_multiples_vanish_on_h0():
                 assert multiples == 0
                 continue
             assert multiples == derivation._layer(A, k - 1).dim
-            values = [any(derivation._kept_values(A, v, k, k + 1)) for v in basis]
+            values = [any(row) for row in derivation._kept_values(A, basis, k)]
             assert values == [False] * multiples + [True] * len(layer), \
                 (A.name, k)
 
@@ -559,7 +567,8 @@ def test_carried_kept_values_are_those_of_the_own_vectors(name, monkeypatch):
     # one-line deletions, the kept values a layer carries for each own
     # vector are _kept_values of it at the layer's k + 1 points of H0:
     # _shift_candidates extends them by one point, and _sandwich divides
-    # the ranked row by the content it divides the vector by
+    # the ranked row by the content it divides the vector by.  _kept_values
+    # evaluates at those points, and restricting to H0 first gives the same
     inputs = _INPUT_SETS[name]()
     inputs += [oracles.without(A, H) for A in inputs for H in range(len(A))]
     sandwiched = 0
@@ -567,10 +576,11 @@ def test_carried_kept_values_are_those_of_the_own_vectors(name, monkeypatch):
         for k in scanned_degrees(A, True, monkeypatch):
             layer = derivation._layer(A, k)
             assert len(layer.rows) == len(layer) <= layer.dim, (A.name, k)
-            for v, row in zip(layer, layer.rows):
-                assert row == tuple(derivation._kept_values(A, v, k, k + 1)), \
-                    (A.name, k)
-            if layer.shift_rows is not None:
+            kept = derivation._kept_values(A, layer, k)
+            assert list(layer.rows) == list(map(tuple, kept)), (A.name, k)
+            assert kept == [oracles.kept_values_by_restriction(A, v, k)
+                            for v in layer], (A.name, k)
+            if not _by_point_system(A, k):
                 sandwiched += len(layer)
     assert sandwiched
 
@@ -594,7 +604,7 @@ def test_scaled_candidates_leave_the_layer_as_it_is(A, monkeypatch):
     checked = 0
     for k in scanned_degrees(A, True, monkeypatch):
         want = derivation._layer(A, k)
-        if want.shift_rows is None or len(want) == want.columns:
+        if len(want) == want.columns:
             continue
         with monkeypatch.context() as mp:
             mp.setattr(derivation, "_candidates", scaled)
