@@ -32,7 +32,7 @@ from .arrangement import (Arrangement, LinearForm3, chi0, intersection_points,
 from .derivation import (ar_dim, classify, default_degree_cap, degree_cap,
                          dh_projection)
 from .multiarr import (Derivation2, LinearForm2, Multiarrangement2,
-                       _deriv_kernel, _free_pattern, basis, exponents,
+                       _free_pattern, basis, exponents,
                        multiples, ziegler_restriction)
 from .poly import (CertificationFailure, HomPoly, LineParam, monomial_count,
                    restrict, restrict_lines, restriction_param)
@@ -111,9 +111,8 @@ def ziegler_map(A: Arrangement, H: int) -> ZieglerMapData:
     first map multiplication by alpha_H (Ziegler 1989), says the kernel in
     degree k is alpha_H D_H(A)_(k-1).  With D_H(A) = D_0(A) as graded modules
     and h(k) = ar_dim(A, k), the domain is h(k) and the image h(k) - h(k - 1)
-    on every line; the codomain is the free pattern of exponents(M), its
-    first nonzero layer and Ziegler's degree sum.  No derivation is
-    restricted.
+    on every line; the codomain is the free pattern of exponents(M).  No
+    derivation is restricted.
 
     Degrees 0..e2 are always computed; the scan continues while the cokernel
     is nonzero (it vanishes for good once zero past e2, since the codomain is
@@ -179,29 +178,24 @@ def _deletion_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
       on H (a double point drops out of the sum) and |A| by one, so
       b2^0(A') = b2^0(A) - n_H + 1.
     - L keeps its parametrization, and the other lines of A' are those of
-      A but H, so the restriction M' of A' to L is M =
+      A but H, so the restriction Md of A' to L is M =
       ziegler_restriction(A, L) with the weight of the point p = H meet L
       lowered by one; a form whose weight reaches 0 is dropped.
-    - Lower weights impose weaker conditions, so D(M) is in D(M'); and
-      l_p D(M') is in D(M), as the factor l_p restores the weight at p.  So
-      dim D(M)_k <= dim D(M')_k and dim D(M')_(k-1) <= dim D(M)_k, and the
-      least nonzero degree e1' of D(M') is e1 - 1 or e1 (e1 when e1 = 0).
-      M' is free of rank 2 with e1' + e2' = |M| - 1 = e1 + e2 - 1, so it
-      has (e1 - 1, e2) when the certified kernel D(M')_(e1 - 1) is nonzero,
-      and sorted (e1, e2 - 1) otherwise.
+    - Md is free of rank 2 like every restriction, and its exponents are
+      exponents(Md), nearly always from one rank modulo WORD_PRIME.  They
+      interlace with M's: D(M) is in D(Md), as lower weights impose weaker
+      conditions, and l_p D(Md) is in D(M), as the factor l_p restores the
+      weight at p, so Md has (e1 - 1, e2) or sorted (e1, e2 - 1).  The
+      tests check this; nothing here relies on it.
     """
     L = 1 if H == 0 else 0
     M, _ = ziegler_restriction(A, L)
-    e1, e2 = exponents(M).as_pair()
     p = LinearForm2.make(restrict_lines(A.lines[L].int_coeffs,
                                         [A.lines[H].int_coeffs])[0])
     lowered = [(f, m - (f == p)) for f, m in zip(M.forms, M.mult)]
     Md = Multiarrangement2(tuple(f for f, m in lowered if m),
                            tuple(m for _, m in lowered if m))
-    if e1 and _deriv_kernel(Md, e1 - 1):
-        exp = (e1 - 1, e2)
-    else:
-        exp = _sorted_pair(e1, e2 - 1)
+    exp = exponents(Md).as_pair()
     return chi0(A).b2_0 - n_H(A, H) + 1 - exp[0] * exp[1], exp
 
 

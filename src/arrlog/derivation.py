@@ -507,8 +507,8 @@ def _layer(A: Arrangement, k: int) -> _Layer:
       D(A^H0, m^H0), the first map multiplication by alpha_H0 and the
       second restriction to H0 (Ziegler 1989), gives dim D_k <= dim D_(k-1)
       + dim D(A^H0, m^H0)_k.  The restriction is free of rank 2 with the
-      exponents (e1, e2) that multiarr.exponents certifies by Saito's
-      criterion, so the second term is _free_pattern(k, e1, e2).
+      exponents (e1, e2) of multiarr.exponents, so the second term is
+      _free_pattern(k, e1, e2).
     - Above, when the candidates run out below that bound.  D_k has the
       dimension of the kernel over Q of the point system with the lines of
       _peeled(A, k) peeled off, so that kernel's dimension modulo p

@@ -4,9 +4,15 @@ The induced structure of an arrangement on one of its lines weights each
 restricted point by (number of lines through it) - 1.  The derivation module
 of such a weighted arrangement is always free of rank 2 with exponents
 summing to the total multiplicity (Ziegler 1989); this module computes its
-graded layers, its exponents from the first nonzero layer and that sum, and
-a basis from the layers of those two degrees, certified by Saito's
-determinant (Saito 1980).
+graded layers, its exponents, and a basis certified by Saito's determinant
+(Saito 1980).
+
+Two derivations in closed form, psi and phi_i (_closed_form), bound the
+least exponent e1 from above by U.  Nearly always one rank modulo
+linalg.WORD_PRIME shows layer U - 1 to be zero, which gives e1 = U with no
+kernel; otherwise one certified layer below half the total decides.  The
+basis takes psi or phi_i as its first vector when it has degree e1 < e2,
+and certified layers for the rest.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from .poly import HomPoly, LineParam, restrict_lines, restriction_param
 
 
 class FreenessCertificateFailure(AssertionError):
-    """No layer up to half the total multiplicity is nonzero, or no pair of
-    layer vectors passes Saito's determinant certificate.
+    """The least exponent breaks its bounds, a closed-form derivation fails
+    its divisibility conditions, or no pair of layer vectors passes Saito's
+    determinant certificate.
 
     Mathematically impossible for a 2-variable multiarrangement; raised only
     on an implementation bug.
@@ -213,29 +220,74 @@ def _minors_certify(theta1, theta2, target) -> bool:
     return all(d * target[lead] == t * det[lead] for d, t in zip(det, target))
 
 
+def _product(M: Multiarrangement2, powers) -> list[int]:
+    """The product of M's integer-scaled forms, each to its entry of
+    powers."""
+    return reduce(_mul2, (f.int_coeffs for f, m in zip(M.forms, powers)
+                          for _ in range(m)), [1])
+
+
 def _saito_target(M: Multiarrangement2) -> list[int]:
     """The defining polynomial of M up to a nonzero constant: the product of
     its integer-scaled forms, each repeated by its multiplicity."""
-    return reduce(_mul2, (f.int_coeffs
-                          for f, m in zip(M.forms, M.mult) for _ in range(m)), [1])
+    return _product(M, M.mult)
+
+
+def _closed_form(M: Multiarrangement2, k: int) -> list[int] | None:
+    """A nonzero element of D(M)_k known in closed form, or None.
+
+    - psi = (prod l_j^(m_j - 1)) (u d/du + v d/dv), of degree 1 + |m| - s
+      for s forms: psi(l_j) = (prod l^(m - 1)) l_j, which l_j^(m_j)
+      divides;
+    - phi_i = (prod_(j != i) l_j^(m_j)) (b_i d/du - a_i d/dv), l_i = a_i u
+      + b_i v a form of greatest weight, of degree |m| - m_i: phi_i(l_i) =
+      0, and phi_i(l_j) carries the factor l_j^(m_j) for j != i.
+
+    psi is taken when both have degree k.
+    """
+    if k == 1 + M.total - len(M.forms):
+        P = _product(M, [m - 1 for m in M.mult])
+        return P + [0, 0] + P
+    i = max(range(len(M.mult)), key=M.mult.__getitem__, default=None)
+    if i is None or k != M.total - M.mult[i]:
+        return None
+    Q = _product(M, [0 if j == i else m for j, m in enumerate(M.mult)])
+    a, b = M.forms[i].int_coeffs
+    return [b * c for c in Q] + [-a * c for c in Q]
+
+
+def _theta1(M: Multiarrangement2, e1: int, e2: int):
+    """A vector spanning layer e1, which is one-dimensional when e1 < e2 (its
+    free pattern): psi or phi_i when one has degree e1 < e2 (_closed_form),
+    checked against every divisibility condition of degree e1 over Z and
+    made primitive; otherwise the first vector of the certified layer.
+    Either spans the layer, so unit_last prints them alike."""
+    v = _closed_form(M, e1) if e1 < e2 else None
+    if v is None:
+        return _deriv_kernel(M, e1)[0]
+    if not any(v) or any(sum(r * x for r, x in zip(row, v))
+                         for row in _divisibility_rows(M, e1)):
+        raise FreenessCertificateFailure(
+            f"the closed-form derivation of degree {e1} is not in D(M)")
+    return linalg._primitive_vec(v)
 
 
 @lru_cache(maxsize=8192)
 def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
     """Certified homogeneous basis (degrees e1 <= e2), through unit_last.
 
-    theta1 is the first vector of the layer e1 of exponents(M), theta2 the
-    first of layer e2 with a nonzero determinant against theta1.  That is
-    the first vector outside the multiples S theta1: in a free module of
-    rank 2, theta1, of least degree, is a basis element, so v = a theta1 +
-    b theta2' for a basis (theta1, theta2'), det(theta1, v) = b
+    theta1 spans layer e1 of exponents(M) (_theta1), and theta2 is the
+    first vector of layer e2 with a nonzero determinant against theta1.
+    That is the first vector outside the multiples S theta1: in a free
+    module of rank 2, theta1, of least degree, is a basis element, so v = a
+    theta1 + b theta2' for a basis (theta1, theta2'), det(theta1, v) = b
     det(theta1, theta2'), and v is in S theta1 iff b = 0.  The pair is a
     basis iff its determinant is a nonzero constant times the defining
     polynomial (Saito 1980), which is checked; FreenessCertificateFailure
     otherwise.
     """
     e1, e2 = exponents(M).as_pair()
-    theta1 = _deriv_kernel(M, e1)[0]
+    theta1 = _theta1(M, e1, e2)
     theta2 = next((v for v in _deriv_kernel(M, e2) if any(_det(theta1, v))), None)
     if theta2 is None:
         raise FreenessCertificateFailure("no independent second basis vector")
@@ -245,16 +297,38 @@ def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
                  for v in (theta1, theta2))
 
 
+@lru_cache(maxsize=8192)
 def exponents(M: Multiarrangement2) -> Exponents:
-    """The degrees (e1 <= e2) of a basis: e1 is the first degree k <=
-    total // 2 whose certified layer _deriv_kernel(M, k) is nonzero, and
-    e2 = total - e1, as D(M) is free of rank 2 with e1 + e2 = total (Ziegler
-    1989).  No layer above e1 and no determinant is computed; basis reads
-    the same cached layers 0..e1, then layer e2."""
-    for e1 in range(M.total // 2 + 1):
-        if _deriv_kernel(M, e1):
-            return Exponents(e1, M.total - e1)
-    raise FreenessCertificateFailure(f"no exponent pair found for total {M.total}")
+    """The degrees (e1 <= e2) of a basis, e2 = |m| - e1, as D(M) is free of
+    rank 2 with e1 + e2 = |m| (Ziegler 1989).
+
+    U = min(|m| // 2, |m| - max m, 1 + |m| - s), s the number of forms,
+    bounds e1 from above: psi and phi_i (_closed_form) are nonzero elements
+    of degrees 1 + |m| - s and |m| - m_i, and e1 <= e2.  A nonzero layer
+    below U would make layer U - 1 nonzero, D(M) being a module, so e1 = U
+    when U = 0 or when the divisibility conditions of degree U - 1 have
+    full column rank 2U modulo WORD_PRIME, a full rank over Q (see
+    linalg.rank_mod); no kernel is computed.  Generic exponents are as
+    balanced as these bounds allow (Wakefield and Yuzvinsky 2007), and
+    nearly every restriction takes this path.
+
+    Otherwise one certified layer decides, as in
+    criteria._external_splitting: in K = (|m| - 1) // 2 < |m| / 2 <= e2 the
+    free pattern is max(0, K - e1 + 1), and e1 <= |m| // 2 <= K + 1, so e1
+    = K + 1 - dim _deriv_kernel(M, K).  FreenessCertificateFailure unless
+    0 <= e1 <= U, which also refuses an e1 above |m| / 2, as U <= |m| // 2.
+    """
+    total = M.total
+    U = min(total // 2, total - max(M.mult, default=0), 1 + total - len(M.forms))
+    if U == 0 or linalg.rank_mod(_divisibility_rows(M, U - 1), 2 * U,
+                                 linalg.WORD_PRIME) == 2 * U:
+        return Exponents(U, total - U)
+    K = (total - 1) // 2
+    e1 = K + 1 - len(_deriv_kernel(M, K))
+    if not 0 <= e1 <= U:
+        raise FreenessCertificateFailure(
+            f"layer {K} gives e1 = {e1} against the bound {U} for total {total}")
+    return Exponents(e1, total - e1)
 
 
 def saito_check(theta1: Derivation2, theta2: Derivation2,

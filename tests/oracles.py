@@ -8,11 +8,11 @@ derivations, the restricted gradient along an external line and its
 coefficient matrix, the syzygy layers by their per-line conditions and exact
 ranks, membership in a layer by restriction to every line, the kept
 values of a derivation on H0 by restriction to it, the derivation
-layers of a weighted arrangement, kernels, spans, solutions and RREFs by
-fraction-free elimination over Z (integer_rref, _exact_kernel and
-SpanBuilder), where arrlog reads them off a kernel
-certified modulo 127-bit moduli, the bound on a syzygy layer from the
-whole point system modulo a prime, with no line peeled, the new
+layers of a weighted arrangement and its exponents by a scan of them,
+kernels, spans, solutions and RREFs by fraction-free elimination over Z
+(integer_rref, _exact_kernel and SpanBuilder), where arrlog reads them
+off a kernel certified modulo 127-bit moduli, the bound on a syzygy layer
+from the whole point system modulo a prime, with no line peeled, the new
 generators of a syzygy layer, the relations of given generators in one
 degree, deletion of a line, the span rule for the second basis vector of a
 free module of rank 2, and supersolvable arrangements, whose exponents are
@@ -31,8 +31,9 @@ from arrlog.arrangement import Arrangement, LinearForm3, _cross, chi0
 from arrlog.derivation import (_ar_kernel, _combine, _h0_incidence,
                                _point_row, _shift_vec, _uv_rows,
                                dh_projection)
-from arrlog.multiarr import (Derivation2, Multiarrangement2, _deriv_kernel,
-                             _mul2, exponents, multiples, ziegler_restriction)
+from arrlog.multiarr import (Derivation2, Exponents, FreenessCertificateFailure,
+                             Multiarrangement2, _deriv_kernel, _mul2,
+                             exponents, multiples, ziegler_restriction)
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
                          from_terms, line_restriction, linear,
                          monomial_count, monomials, restrict,
@@ -424,6 +425,15 @@ def deriv_space(M: Multiarrangement2, k: int) -> list[Derivation2]:
 
 def deriv_dim(M: Multiarrangement2, k: int) -> int:
     return len(_deriv_kernel(M, k))
+
+
+def exponents_by_scan(M: Multiarrangement2) -> Exponents:
+    """The exponents of D(M): e1 the first degree up to |m| // 2 with a
+    nonzero certified layer, and e2 = |m| - e1 (Ziegler 1989)."""
+    for e1 in range(M.total // 2 + 1):
+        if _deriv_kernel(M, e1):
+            return Exponents(e1, M.total - e1)
+    raise FreenessCertificateFailure(f"no exponent pair found for total {M.total}")
 
 
 def quick_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:

@@ -29,6 +29,7 @@ from arrlog.poly import (CertificationFailure, monomial_count, restrict,
 from oracles import (SpanBuilder, deriv_dim, deriv_space, dh_basis, jacobian,
                      line_param, quick_defect, span_contains, substitute_line,
                      without)
+from test_census import _free_deletions
 from test_multiarr import rank2_exponents
 
 Z = LinearForm3.make([0, 0, 1])
@@ -590,6 +591,25 @@ def test_deletion_defect_matches_the_deleted_arrangement(inputs):
             assert (defect, exp) == quick_defect(Ad, 0), (A.name, H)
             assert ((exp if defect == 0 else None)
                     == _oracle_free_exponents_by_defect(Ad)), (A.name, H)
+
+
+def test_deletion_exponents_interlace():
+    # D(M) is in D(Md) and l_p D(Md) is in D(M), so deleting H takes the
+    # restriction to L from (e1, e2) to (e1 - 1, e2) or sorted
+    # (e1, e2 - 1); on a free arrangement's deletion they are the
+    # deletion's own
+    pairs = [(A, H, None)
+             for A in [f.build() for f in FIXTURES] + random_corpus(100, 8, 42)
+             for H in range(len(A))]
+    pairs += [(A, H, B) for A, H, B, _ in _free_deletions()]
+    for A, H, B in pairs:
+        e1, e2 = exponents(ziegler_restriction(A, 1 if H == 0 else 0)[0]).as_pair()
+        _, exp = criteria._deletion_defect(A, H)
+        assert exp in {(e1 - 1, e2), tuple(sorted((e1, e2 - 1)))}, (A.name, H)
+        assert exp[0] >= 0, (A.name, H)
+        if B is not None:
+            assert exp == exponents(ziegler_restriction(B, 0)[0]).as_pair(), (A.name, H)
+    assert len(pairs) > 1000
 
 
 def test_deletion_edge_cases_reach_their_branches():

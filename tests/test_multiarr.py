@@ -12,14 +12,14 @@ from arrlog.arrangement import LinearForm3, arrangement
 from arrlog.corpus import (FIXTURES, fixture, near_pencil, pencil,
                            random_arrangement, random_corpus)
 from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
-                             LinearForm2, Multiarrangement2, _deriv_kernel,
-                             _free_pattern, _saito_target, basis, exponents,
-                             multiarrangement, multiples, saito_check,
-                             ziegler_restriction)
+                             LinearForm2, Multiarrangement2, _closed_form,
+                             _deriv_kernel, _free_pattern, _saito_target,
+                             basis, exponents, multiarrangement, multiples,
+                             saito_check, ziegler_restriction)
 from arrlog.poly import from_terms, restriction_param
 from oracles import (deriv_dim, deriv_space, echelon_basis, evaluate,
-                     line_param, multi_defining_poly, span_rule_theta2,
-                     substitute_line, supersolvable)
+                     exponents_by_scan, line_param, multi_defining_poly,
+                     span_rule_theta2, substitute_line, supersolvable)
 from test_census import CENSUS_LINES, SUPERSOLVABLE, _orbit_representatives
 
 
@@ -417,10 +417,9 @@ def _restrictions(arrangements):
 
 
 def test_exponents_are_the_degrees_of_the_certified_basis():
-    # the first nonzero layer and Ziegler's degree sum give the degrees of
-    # the basis that Saito's determinant certifies, on every restriction of
-    # the fixtures, the seed-42 corpus, the ladder, the census and the
-    # supersolvable arrangements
+    # exponents gives the degrees of the basis that Saito's determinant
+    # certifies, on every restriction of the fixtures, the seed-42 corpus,
+    # the ladder, the census and the supersolvable arrangements
     arrangements = ([f.build() for f in FIXTURES] + random_corpus(100, 8, 42)
                     + [random_arrangement(n, 1) for n in range(8, 13)]
                     + [near_pencil(n) for n in range(8, 13)]
@@ -445,9 +444,10 @@ def test_supersolvable_restrictions_have_the_arrangements_exponents():
     assert min(seen) == 2 and max(seen) == 5
 
 
-def test_exponents_compute_no_layer_above_e1(monkeypatch):
-    # exponents runs kernels in degrees 0..e1 only, and basis then reads
-    # those layers from the shared cache, adding only degree e2
+def test_exponents_compute_no_layer(monkeypatch):
+    # exponents reads e1 off one rank modulo WORD_PRIME, with no kernel, and
+    # basis runs layer e2 only, plus layer e1 when e1 = e2 or when theta1
+    # has no closed form
     real = linalg.kernel_basis
     degrees = []
 
@@ -456,23 +456,114 @@ def test_exponents_compute_no_layer_above_e1(monkeypatch):
         return real(matrix, ncols)
 
     monkeypatch.setattr(linalg, "kernel_basis", kernel)
+    closed = 0
     for A in [f.build() for f in FIXTURES] + [random_arrangement(12, 1)]:
         for H in range(len(A)):
             M, _ = ziegler_restriction(A, H)
-            _deriv_kernel.cache_clear()
-            basis.cache_clear()
+            for cached in (_deriv_kernel, exponents, basis):
+                cached.cache_clear()
             del degrees[:]
             e1, e2 = exponents(M).as_pair()
-            assert degrees == list(range(e1 + 1)), (A.name, H)
-            del degrees[:]
+            assert degrees == [], (A.name, H)
             basis(M)
-            assert degrees == ([e2] if e2 > e1 else []), (A.name, H)
+            if e1 < e2 and _closed_form(M, e1) is not None:
+                closed += 1
+                assert degrees == [e2], (A.name, H)
+            else:
+                assert degrees == sorted({e1, e2}), (A.name, H)
+    # 38 of the 47 lines; 4 have e1 = e2, and 5 of nf6, pog6a and pog6c
+    # have weights (2, 2, 1), e1 = 2 and psi, phi_i of degree 3
+    assert closed == 38
 
 
 def test_exponents_raise_without_a_nonzero_layer(monkeypatch):
-    # a free module of rank 2 has a nonzero layer by half its degree sum;
-    # an implementation that finds none is refused, not answered
-    M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
-    monkeypatch.setattr(multiarr, "_deriv_kernel", lambda M, k: ())
-    with pytest.raises(FreenessCertificateFailure, match="total 4"):
-        exponents(M)
+    # with the rank modulo WORD_PRIME short, the certified layer in degree
+    # K = (|m| - 1) // 2 must give 0 <= e1 <= U; an implementation whose
+    # layer is empty (e1 = K + 1 > U) or too large (e1 < 0) is refused,
+    # not answered
+    monkeypatch.setattr(linalg, "rank_mod", lambda rows, ncols, p: 0)
+    three = [([1, 0], 3), ([0, 1], 1), ([1, 1], 1)]  # U = 2, K = 2
+    two = [([1, 0], 3), ([0, 1], 1)]  # U = 1, K = 1
+    for pairs, dim, match in [(three, 0, "e1 = 3 against the bound 2 for total 5"),
+                              (two, 0, "e1 = 2 against the bound 1 for total 4"),
+                              (three, 4, "e1 = -1 against the bound 2")]:
+        M = multiarrangement(pairs)
+        monkeypatch.setattr(multiarr, "_deriv_kernel",
+                            lambda N, k, dim=dim: ((0,) * 2 * (k + 1),) * dim)
+        with pytest.raises(FreenessCertificateFailure, match=match):
+            exponents.__wrapped__(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+                min_size=3, max_size=6, unique_by=LinearForm2.make),
+       st.lists(st.integers(1, 5), min_size=6, max_size=6))
+def test_exponents_match_the_scan(coeffs, weights):
+    M = multiarrangement(zip(coeffs, weights))
+    assert exponents.__wrapped__(M) == exponents_by_scan(M), M
+
+
+# weighted arrangements whose layer U - 1 is nonzero over Q, so that no
+# prime gives its conditions full rank: (forms, weights, exponents, U)
+_FALLBACK_INPUTS = [
+    ([(0, 1), (1, -2), (1, -1), (1, 0)], (1, 4, 3, 4), (5, 7), 6),
+    ([(0, 1), (1, 0), (1, 2), (1, 4)], (1, 3, 5, 3), (5, 7), 6),
+    ([(0, 1), (3, -4), (1, -1), (3, -2)], (3, 5, 3, 5), (7, 9), 8),
+]
+
+
+@pytest.mark.parametrize("forms, weights, want, bound", _FALLBACK_INPUTS)
+def test_exponents_fall_back_to_one_certified_layer(forms, weights, want, bound,
+                                                    monkeypatch):
+    M = multiarrangement(zip(forms, weights))
+    assert deriv_dim(M, bound - 1) > 0 and deriv_dim(M, bound) > 0
+    real, layers = _deriv_kernel, []
+
+    def spy(N, k):
+        layers.append(k)
+        return real(N, k)
+
+    monkeypatch.setattr(multiarr, "_deriv_kernel", spy)
+    assert exponents.__wrapped__(M).as_pair() == want
+    assert layers == [(M.total - 1) // 2]
+    assert exponents_by_scan(M).as_pair() == want
+
+
+def test_exponents_edge_cases():
+    # one line: an empty restriction, total 0; two lines: one simple point;
+    # a pencil: one point of weight n - 1, where phi of degree 0 gives U = 0
+    one_line = arrangement([[1, 0, 0]], "one line")
+    for A, want in [(one_line, (0, 0)), (pencil(2), (0, 1)),
+                    (pencil(5), (0, 4)), (near_pencil(6), (1, 4))]:
+        for H in range(len(A)):
+            M, _ = ziegler_restriction(A, H)
+            assert exponents(M).as_pair() == exponents_by_scan(M).as_pair(), (A.name, H)
+        assert exponents(ziegler_restriction(A, 0)[0]).as_pair() == want, A.name
+
+
+def test_closed_form_theta1_is_the_layer_vector(monkeypatch):
+    # psi or phi_i of degree e1 < e2 spans the one-dimensional layer e1, so
+    # it prints as its certified kernel vector; changing any one coefficient
+    # takes it out of D(M), and the divisibility check refuses it
+    arrangements = ([f.build() for f in FIXTURES] + _census_arrangements()
+                    + random_corpus(100, 8, 42))
+    closed = 0
+    for M in sorted(_restrictions(arrangements), key=repr):
+        e1, e2 = exponents(M).as_pair()
+        v = _closed_form(M, e1) if e1 < e2 else None
+        if v is None:
+            continue
+        closed += 1
+        assert (linalg.unit_last(multiarr._theta1(M, e1, e2))
+                == linalg.unit_last(_deriv_kernel(M, e1)[0])), M
+        support = [j for j, x in enumerate(v) if x]
+        for j in range(len(v)):
+            if support == [j]:
+                continue  # v plus the j-th unit vector is a multiple of v
+            bad = list(v)
+            bad[j] += 1
+            with monkeypatch.context() as mp:
+                mp.setattr(multiarr, "_closed_form", lambda N, k: bad)
+                with pytest.raises(FreenessCertificateFailure):
+                    multiarr._theta1(M, e1, e2)
+    assert closed > 100
