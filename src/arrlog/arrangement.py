@@ -14,8 +14,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .linalg import _int_row
+from .linalg import _int_row, unit_last
 from .poly import HomPoly, linear
 
 
@@ -251,10 +252,16 @@ def to_document(A: Arrangement) -> dict:
 
 @dataclass(frozen=True)
 class FlatPoint:
-    """An intersection point with the sorted indices of the lines through it."""
+    """An intersection point, stored as its primitive integer vector with
+    last nonzero entry positive, and the sorted indices of its lines."""
 
-    point: tuple[Fraction, Fraction, Fraction]
+    int_point: tuple[int, int, int]
     incident_lines: tuple[int, ...]
+
+    @property
+    def point(self) -> tuple[Fraction, Fraction, Fraction]:
+        """The Fractions scaled to last nonzero coordinate 1, for printing."""
+        return unit_last(self.int_point)
 
     @property
     def multiplicity(self) -> int:
@@ -267,28 +274,19 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
-def _canonical_point(p):
-    lead = None
-    for c in reversed(p):
-        if c != 0:
-            lead = c
-            break
-    return tuple(Fraction(c, lead) for c in p)
-
-
 @lru_cache(maxsize=4096)
 def intersection_points(A: Arrangement) -> tuple[FlatPoint, ...]:
-    """All pairwise intersection points, each pair covered exactly once.
-
-    Points are canonically scaled (last nonzero coordinate 1) and sorted, so
-    the output is deterministic.
-    """
+    """All pairwise intersection points, each pair covered exactly once: the
+    one place that computes a point, as the primitive cross product of two
+    lines (FlatPoint.int_point).  Sorted by FlatPoint.point, whose Fractions
+    are built once per point, so the output is deterministic."""
     by_point: dict[tuple, set[int]] = {}
     lines = A.lines
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            p = _canonical_point(_cross(lines[i].int_coeffs, lines[j].int_coeffs))
-            by_point.setdefault(p, set()).update((i, j))
+            a, b, c = _cross(lines[i].int_coeffs, lines[j].int_coeffs)
+            g = gcd(a, b, c) if (c or b or a) > 0 else -gcd(a, b, c)
+            by_point.setdefault((a // g, b // g, c // g), set()).update((i, j))
     pts = [FlatPoint(p, tuple(sorted(s))) for p, s in by_point.items()]
     pts.sort(key=lambda fp: fp.point)
     return tuple(pts)

@@ -89,8 +89,7 @@ from itertools import chain, combinations, filterfalse
 from math import comb, prod
 
 from . import linalg
-from .arrangement import (Arrangement, _cross, ascii_int, intersection_points,
-                          tjurina)
+from .arrangement import Arrangement, ascii_int, intersection_points, tjurina
 from .multiarr import _free_pattern, exponents, ziegler_restriction
 from .poly import (CertificationFailure, _index_table, monomial_count,
                    monomials, restrict, restriction_param)
@@ -114,8 +113,8 @@ def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
 def _h0_incidence(A: Arrangement) -> tuple[list, list, list]:
     """The intersection points of A as D_{H0}(A) reads them, H0 = line 0.
 
-    Returns, for each intersection point off H0, its primitive integer
-    point and the lines through it; for each point Q on H0,
+    Returns, for each intersection point off H0, its integer point
+    (FlatPoint.int_point) and the lines through it; for each point Q on H0,
     (Q, w) with w the weights of one other line through Q; and for each
     line K != H0, (t_K, beta_K, w_K): the number of intersection points on
     K, its integer form and its weights.  The weights of a line with form
@@ -138,11 +137,10 @@ def _h0_incidence(A: Arrangement) -> tuple[list, list, list]:
         i, j = X.incident_lines[:2]
         for K in X.incident_lines:
             count[K] += 1
-        P = linalg._primitive_vec(list(_cross(forms[i], forms[j])))
         if i == 0:
-            on.append((P, weights[j]))
+            on.append((X.int_point, weights[j]))
         else:
-            off.append((P, X.incident_lines))
+            off.append((X.int_point, X.incident_lines))
     return off, on, [(count[K], forms[K], weights[K]) for K in range(1, len(A))]
 
 
@@ -410,8 +408,7 @@ def _candidates(A: Arrangement, k: int, prev: _Layer, points):
     for X in intersection_points(A):
         if X.multiplicity != n - k:
             continue
-        i, j = X.incident_lines[:2]
-        v = linalg._primitive_vec(list(_cross(forms[i], forms[j])))
+        v = X.int_point
         missing = [K for K in range(n) if K not in X.incident_lines]
         row = []
         for P in points:

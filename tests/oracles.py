@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare arrlog against.
 
 Each one reaches a result by a slower, more direct route than the library
-does: the Fraction coefficients of a linear form, dense Fraction
+does: the Fraction coefficients of a linear form, the intersection points
+grouped pair by pair in Fractions, dense Fraction
 polynomials and their products, restriction by substitution, the Jacobian
 of the defining polynomial and its syzygies, D_H(A) as explicit
 derivations, the restricted gradient along an external line and its
@@ -51,6 +52,24 @@ def canonical(coeffs, n: int) -> tuple:
     assert len(cs) == n
     lead = next(c for c in cs if c != 0)
     return tuple(c / lead for c in cs)
+
+
+# ---------------------------------------------------------------------------
+# intersection points
+
+
+def intersection_points_reference(A: Arrangement) -> list[tuple[tuple, tuple]]:
+    """(point, incident lines) for each intersection point of A, sorted by
+    point: the cross product of each pair of lines, scaled in Fractions to
+    last nonzero coordinate 1, groups the pairs.  intersection_points groups
+    them by the primitive integer point instead and builds the Fractions
+    once per point."""
+    by_point: dict[tuple, set[int]] = {}
+    for i, j in combinations(range(len(A)), 2):
+        p = _cross(A.lines[i].int_coeffs, A.lines[j].int_coeffs)
+        last = next(c for c in reversed(p) if c)
+        by_point.setdefault(tuple(Fraction(c, last) for c in p), set()).update((i, j))
+    return sorted((p, tuple(sorted(s))) for p, s in by_point.items())
 
 
 # ---------------------------------------------------------------------------

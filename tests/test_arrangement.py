@@ -3,7 +3,7 @@
 import dataclasses
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +13,13 @@ from arrlog.arrangement import (Arrangement, DuplicateLine, LinearForm3,
                                 ParseError, ZeroForm, arrangement, chi0,
                                 intersection_points, is_balanced, n_H, nr_form,
                                 parse_arrangement, parse_factored, to_document)
-from arrlog.corpus import fixture, generic, near_pencil, pencil
-from arrlog.linalg import _int_row
+from arrlog.corpus import (FIXTURES, fixture, generic, near_pencil, pencil,
+                           random_corpus)
+from arrlog.linalg import _int_row, free_column
 from arrlog.multiarr import LinearForm2
-from oracles import canonical, rank, without
+from oracles import (canonical, intersection_points_reference, rank,
+                     supersolvable, without)
+from test_census import SUPERSOLVABLE, _census_pairs
 
 
 def test_linear_form_canonical():
@@ -144,6 +147,28 @@ def test_intersection_points_pencil():
     pts = intersection_points(A)
     assert len(pts) == 1
     assert pts[0].multiplicity == 5
+
+
+def test_intersection_points_match_the_pairwise_fraction_reference():
+    # the same points, lines and order as grouping every pair in Fractions,
+    # and each stored point primitive, with last nonzero entry positive, on
+    # exactly the lines it lists
+    inputs = ([f.build() for f in FIXTURES] + random_corpus(100, 8, 42)
+              + [A for A, _ in _census_pairs()]
+              + [supersolvable(*entry) for entry in SUPERSOLVABLE]
+              + [generic(n) for n in range(12, 21)]
+              + [near_pencil(n) for n in range(6, 13)])
+    for A in inputs:
+        pts = intersection_points(A)
+        assert ([(X.point, X.incident_lines) for X in pts]
+                == intersection_points_reference(A)), A.name
+        for X in pts:
+            P = X.int_point
+            assert gcd(*P) == 1 and P[free_column(P)] > 0, (A.name, P)
+            on = tuple(K for K, line in enumerate(A.lines)
+                       if sum(a * c for a, c in zip(line.int_coeffs, P)) == 0)
+            assert on == X.incident_lines, (A.name, P)
+    assert len(inputs) == 6 + 100 + 539 + 7 + 9 + 7
 
 
 def test_nf6_lattice():

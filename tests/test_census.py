@@ -29,7 +29,9 @@ arrangement, and e1 <= min(mdr, (|A| - 1) // 2) for the splitting type of
 any admissible line, a member or external.  Those deletions and the census
 give most of the plus-one generated inputs, and on each of them the one
 relation of degree d + 1 has a nonzero coefficient on a generator of
-degree d, as classify takes for granted.
+degree d, as classify takes for granted.  The same bound, and the
+splitting of a free arrangement's bundle, show that where verify's thm1.5
+reads `one-sided` no admissible line at all has defect 1.
 """
 
 import random
@@ -357,3 +359,43 @@ def test_splitting_types_are_bounded_by_mdr():
         members += n
         externals += len(e1s)
     assert (members, externals) == (4124, 12780)
+
+
+def test_thm15_is_decided_on_every_admissible_line():
+    """verify's thm1.5 looks for a line of defect b2^0 - e1 e2 = 1 among the
+    members and 20 seeded external lines, and reads `one-sided` when it
+    finds none and the verdict is not nearly free.  No admissible line
+    outside that finite scan is a witness either, for two reasons.
+
+    Free with exponents (d1, d2): the syzygy bundle splits as O(-d1) +
+    O(-d2), so it restricts to every line with splitting type (d1, d2), and
+    b2^0 = d1 d2 (Terao's factorization): every line has defect 0.  The
+    type is asserted on the seeded external lines.
+
+    Otherwise: every admissible line, member or external, has e1 <= m =
+    min(mdr, (|A| - 1) // 2) (test_splitting_types_are_bounded_by_mdr), and
+    e1 + e2 = |A| - 1.  As e1 (|A| - 1 - e1) increases with e1 up to
+    (|A| - 1) / 2, e1 e2 <= m (|A| - 1 - m), so every line has defect at
+    least b2^0 - m (|A| - 1 - m), asserted to be at least 2.
+    """
+    inputs = ([f.build() for f in FIXTURES] + random_corpus(100, 8, 42)
+              + [A for A, _ in _census_pairs()])
+    counts = {}
+    for A in inputs:
+        cls = derivation.classify(A)
+        n, b2 = len(A), chi0(A).b2_0
+        if cls.is_free:
+            for L in random_external_lines(A, 20, 1):
+                assert splitting_type(A, L).as_pair() == cls.exponents, A.name
+            assert b2 == cls.exponents[0] * cls.exponents[1], A.name
+            key = "free"
+        else:
+            status = next(c.status for c in verify(A).checks if c.id == "thm1.5")
+            if status == "one-sided":
+                m = min(cls.mdr, (n - 1) // 2)
+                assert b2 - m * (n - 1 - m) >= 2, A.name
+            key = (cls.verdict, status)
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == {"free": 186, ("nearly-free", "pass"): 171,
+                      ("plus-one-generated", "one-sided"): 104,
+                      ("other", "one-sided"): 184}
