@@ -135,68 +135,41 @@ def _parse_number(v):
     raise ParseError(f"malformed rational: {v!r}")
 
 
-_DIGITS = "0123456789"
+# a factored expression's tokens: a parenthesized factor, a bare variable,
+# separators, or anything else, an error
+_FACTORED_TOKEN = re.compile(r"\(([^()]*)\)|([xyz])|[\s*]+|(.)", re.S)
+# a linear factor: terms, each an optional integer (ASCII digits only) and
+# a variable, with a sign between terms and optionally before the first
+_LINEAR_FACTOR = re.compile(
+    r"\s*[+-]?\s*[0-9]*\s*[xyz](\s*[+-]\s*[0-9]*\s*[xyz])*\s*")
+_TERM = re.compile(r"([+-]?)\s*([0-9]*)\s*([xyz])")
 
 
 def parse_factored(text: str) -> list[LinearForm3]:
     """Parse a product of linear factors in x, y, z with integer coefficients.
 
     Factors are bare variables or parenthesized linear forms, optionally
-    separated by '*', e.g. "xyz(x+4y)(x+5y+z)(y+z)".
+    separated by '*', e.g. "xyz(x+4y)(x+5y+z)(y+z)".  Inside parentheses a
+    sign separates the terms, each an optional integer and a variable:
+    "(xy)", "(2x3y)", "(x+)" and "(x--y)" are rejected.
     """
-    var_index = {"x": 0, "y": 1, "z": 2}
     forms = []
-    i, n = 0, len(text)
-
-    def skip_ws(i):
-        while i < n and (text[i].isspace() or text[i] == "*"):
-            i += 1
-        return i
-
-    def parse_linear(i, stop):
-        coeffs = [Fraction(0)] * 3
-        sign = 1
-        pending = None  # integer read but variable not yet seen
-        while i < n and text[i] != stop:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch == "+":
-                sign, pending, i = 1, None, i + 1
-            elif ch == "-":
-                sign, pending, i = -1, None, i + 1
-            elif ch in _DIGITS:
-                j = i
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                pending = int(text[i:j])
-                i = j
-            elif ch in var_index:
-                coeffs[var_index[ch]] += sign * (pending if pending is not None else 1)
-                sign, pending = 1, None
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r} at position {i}")
-        if pending is not None:
-            raise ParseError("constant term in a linear factor")
-        return coeffs, i
-
-    i = skip_ws(i)
-    while i < n:
-        ch = text[i]
-        if ch == "(":
-            coeffs, i = parse_linear(i + 1, ")")
-            if i >= n:
-                raise ParseError("unbalanced parenthesis")
-            i += 1
-        elif ch in var_index:
-            coeffs = [Fraction(0)] * 3
-            coeffs[var_index[ch]] = Fraction(1)
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-        forms.append(LinearForm3.make(coeffs))
-        i = skip_ws(i)
+    for token in _FACTORED_TOKEN.finditer(text):
+        body, var, bad = token.groups()
+        if bad is not None:
+            raise ParseError("unbalanced parenthesis" if bad == "(" else
+                             f"unexpected character {bad!r} at position {token.start()}")
+        if var:
+            forms.append(LinearForm3.make([int(var == v) for v in "xyz"]))
+        elif body is not None:
+            if not _LINEAR_FACTOR.fullmatch(body):
+                raise ParseError(f"malformed linear factor ({body}): a sign "
+                                 "separates terms, each an optional integer "
+                                 "and a variable")
+            coeffs = [0, 0, 0]
+            for sign, digits, v in _TERM.findall(body):
+                coeffs["xyz".index(v)] += int(sign + (digits or "1"))
+            forms.append(LinearForm3.make(coeffs))
     if not forms:
         raise ParseError("empty factored expression")
     return forms

@@ -9,12 +9,12 @@ Property [P] works in integers up to its last step: the D_H(A) basis is
 restricted at the integer points of line H inside the elimination that
 yields it (its pivots all fall in the basis columns, as it is independent),
 and the factor beta_f^k those points introduce is divided out once at the
-end, so the witnesses come out exactly as in restriction_param's
-coordinates; see _image_vectors.
+end, so the witnesses come out exactly as in the coordinates of
+poly.line_frame; see _image_vectors.
 
 An external line is restricted once, in _meeting_points: the forms l_i of
-A's lines on it and the |A| points where it meets A, their zeros.  They
-decide admissibility (the points are distinct), and give every row its
+A's lines on it, whose zeros are the |A| points where it meets A.  They
+decide admissibility (the zeros are distinct), and give every row its
 splitting type is ranked from: one interpolation condition per point,
 with no product and no value of the gradient; see _external_splitting.
 """
@@ -34,8 +34,8 @@ from .derivation import (ar_dim, classify, default_degree_cap, degree_cap,
 from .multiarr import (Derivation2, LinearForm2, Multiarrangement2,
                        _free_pattern, basis, exponents,
                        multiples, ziegler_restriction)
-from .poly import (CertificationFailure, HomPoly, LineParam, monomial_count,
-                   restrict, restrict_lines, restriction_param)
+from .poly import (CertificationFailure, HomPoly, LineFrame, line_frame,
+                   monomial_count, restrict, restrict_lines)
 from .rng import XorShift64
 
 
@@ -79,7 +79,7 @@ def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...]
     """The restrictions to line H of a basis of D_H(A)_k, the reversed RREF
     of the dh_projection vectors P_i with each vector divided by its last
     nonzero entry, as the concatenated coefficients of their two kept
-    components in restriction_param's coordinates.
+    components, u and v of poly.line_frame(beta).
 
     The rows [rev(P_i) | R(P_i)], R the poly.restrict of both kept components,
     are carried through that one elimination, read off linalg.rref_columns:
@@ -87,14 +87,14 @@ def _image_vectors(A: Arrangement, H: int, k: int) -> tuple[tuple[Fraction, ...]
     and the rest of each row is T R(P) = R(T P), the restriction of that
     basis vector.  R works at the integer points sP + tQ, which scales a
     degree-k form by beta_f^k; dividing that out once, at the end, gives the
-    restrictions in restriction_param's coordinates.
+    restrictions in the frame's coordinates.
     """
     beta = A.lines[H].int_coeffs
-    f = restriction_param(beta).eliminated
+    f, u, v, _, _ = line_frame(beta)
     m = monomial_count(3, k)
     thetas = dh_projection(A, H, k)
     kept = restrict(beta, [theta[c * m:(c + 1) * m] for theta in thetas
-                           for c in range(3) if c != f], k)
+                           for c in (u, v)], k)
     rows = [t[::-1] + a + b for t, a, b in zip(thetas, kept[::2], kept[1::2])]
     read = linalg.rref_columns(rows, 3 * m + 2 * (k + 1), 3 * m)
     if read is None or len(read[0]) != len(rows):
@@ -223,29 +223,28 @@ class SplittingType:
 def _meeting_points(A: Arrangement, form: LinearForm3) -> tuple | None:
     """Where the line meets A: the forms l_i = alpha_i(sP + tQ) = a_i s +
     b_i t of the integer-scaled alpha_i of A on it, by
-    poly.restrict_lines, and their zeros r_i = (b_i, -a_i) in lowest terms
-    with s > 0, or s = 0 < t; None when the line is not admissible.
+    poly.restrict_lines, or None when the line is not admissible.
 
     On the line, l_i = 0 exactly when it is line i, and l_i, l_j share
     their zero exactly when the line passes through the point where lines
     i and j meet; so the line is admissible iff every l_i is nonzero and
-    the r_i are distinct.  The forms (a_i, b_i) give _external_splitting
-    its rows, one at each unreduced zero (b_i, -a_i).  Cached, as verify
-    reads each line it draws twice: once to admit it and once for its
-    splitting type.
+    their zeros (b_i, -a_i), compared in lowest terms with s > 0, or
+    s = 0 < t, are distinct.  The forms give _external_splitting its rows,
+    one at each unreduced zero (b_i, -a_i).  Cached, as verify reads each
+    line it draws twice: once to admit it and once for its splitting type.
     """
     ells = restrict_lines(form.int_coeffs, [line.int_coeffs for line in A.lines])
-    zeros = []
+    zeros = set()
     for a, b in ells:
         g = gcd(a, b)
         if not g:
             return None
         if b < 0 or (b == 0 and a > 0):
             g = -g
-        zeros.append((b // g, -a // g))
-    if len(set(zeros)) < len(zeros):
+        zeros.add((b // g, -a // g))
+    if len(zeros) < len(ells):
         return None
-    return tuple(map(tuple, ells)), tuple(zeros)
+    return tuple(map(tuple, ells))
 
 
 def is_admissible(A: Arrangement, form: LinearForm3) -> bool:
@@ -268,15 +267,15 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     and e1 = K + 1 - dim, as e1 <= (|A| - 1) / 2 <= K + 1.  With K < 0
     (|A| <= 2), e1 = 0.
 
-    The kernel is read off |A| interpolation conditions.  P, Q (as in
-    poly.line_restriction) and e_f, f the coordinate restriction_param
-    eliminates, are a basis of Q^3 as beta_f != 0; write theta = aP + bQ +
-    c e_f with a, b, c in S_K, and psi = s b - t a in S_(K + 1).  On the
-    line X = sP + tQ, phi = f(X) = prod l_i with l_i = a_i s + b_i t, and
-    grad f . P, grad f . Q are d phi / ds, d phi / dt.  At the zero
-    r_i = (b_i, -a_i) of l_i, taken as it is (not in lowest terms, unlike
-    _meeting_points'), only the i-th term of grad f survives, so grad f =
-    alpha_i pi_i with pi_i = prod_(j != i) l_j(r_i), nonzero on an
+    The kernel is read off |A| interpolation conditions.  The points P, Q
+    and the coordinate f of poly.line_frame(beta) make P, Q and e_f a basis
+    of Q^3, as beta_f != 0; write theta = aP + bQ + c e_f with a, b, c in
+    S_K, and psi = s b - t a in S_(K + 1).  On the line X = sP + tQ,
+    phi = f(X) = prod l_i with l_i = a_i s + b_i t, and grad f . P,
+    grad f . Q are d phi / ds, d phi / dt.  At the zero r_i = (b_i, -a_i)
+    of l_i, taken as it is (not in lowest terms, unlike the zeros that
+    _meeting_points compares), only the i-th term of grad f survives, so
+    grad f = alpha_i pi_i with pi_i = prod_(j != i) l_j(r_i), nonzero on an
     admissible line, and theta . grad f = pi_i (psi + alpha_i,f c) there.
     The row of r_i is therefore the monomials s^(K + 1 - j) t^j at r_i,
     then alpha_i,f times the s^(K - j) t^j: N is |A| x (2K + 3).
@@ -292,16 +291,16 @@ def _external_splitting(A: Arrangement, form: LinearForm3) -> SplittingType:
     over Q (see linalg.rank_mod), so then dim = 0 with no kernel; most
     admissible lines have it.
     """
-    points = _meeting_points(A, form)
-    if points is None:
+    ells = _meeting_points(A, form)
+    if ells is None:
         raise InadmissibleLine(f"{form} passes through an intersection point")
     n = len(A)
     k = (n - 3) // 2
     if k < 0:
         return SplittingType(form, 0, n - 1)
-    f = restriction_param(form.int_coeffs).eliminated
+    f = line_frame(form.int_coeffs).f
     rows = []
-    for (a, b), line in zip(points[0], A.lines):
+    for (a, b), line in zip(ells, A.lines):
         ss, ts = [1], [1]
         for _ in range(k + 1):
             ss.append(ss[-1] * b)
@@ -430,8 +429,10 @@ def _im_coords(A: Arrangement, H: int, th1: Derivation2, th2: Derivation2,
             for sol in sols]
 
 
-def _lift(alpha: HomPoly, param: LineParam) -> tuple[Fraction, ...]:
-    u, v = param.retained
+def _lift(alpha: HomPoly, frame: LineFrame) -> tuple[Fraction, ...]:
+    """The linear form alpha on the line, in the frame's coordinates u and
+    v, as a form in x, y and z."""
+    _, u, v, _, _ = frame
     out = [Fraction(0)] * 3
     out[u] = alpha.coefficient((1, 0))
     out[v] = alpha.coefficient((0, 1))
@@ -452,7 +453,7 @@ def property_P(A: Arrangement, H: int) -> PropertyPResult:
     """
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
-    M, param = ziegler_restriction(A, H)
+    M, frame = ziegler_restriction(A, H)
     exp = exponents(M)
     e1, e2 = exp.e1, exp.e2
     if chi0(A).b2_0 - e1 * e2 <= 0:
@@ -468,7 +469,7 @@ def property_P(A: Arrangement, H: int) -> PropertyPResult:
         th1, th2 = basis(M)
         for p, q in _im_coords(A, H, th1, th2, e2 + 1):
             if q is not None and not q.is_zero:
-                return PropertyPResult("variant1", H, q, _lift(q, param),
+                return PropertyPResult("variant1", H, q, _lift(q, frame),
                                        str_derivation(th2))
         raise ConsistencyFailure(
             f"image dimensions hold property [P] at line {H}, but no image "
@@ -501,7 +502,7 @@ def property_P(A: Arrangement, H: int) -> PropertyPResult:
                 term = pc.scale(w)
                 p = term if p is None else p + term
             if p is not None and not p.is_zero:
-                return PropertyPResult("variant1", H, p, _lift(p, param),
+                return PropertyPResult("variant1", H, p, _lift(p, frame),
                                        str_derivation(th1))
         return PropertyPResult(None, H)
     # e1 == e2: pick the basis vector inside the image, then proceed as above
@@ -517,7 +518,7 @@ def property_P(A: Arrangement, H: int) -> PropertyPResult:
                 adj = p
                 partner = str_derivation(th1)
             if adj is not None and not adj.is_zero:
-                return PropertyPResult("variant1", H, adj, _lift(adj, param),
+                return PropertyPResult("variant1", H, adj, _lift(adj, frame),
                                        partner)
         break  # the image layer has dimension <= 1 when the map is not onto
     return PropertyPResult(None, H)

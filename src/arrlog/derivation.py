@@ -91,22 +91,14 @@ from math import comb, prod
 from . import linalg
 from .arrangement import Arrangement, ascii_int, intersection_points, tjurina
 from .multiarr import _free_pattern, exponents, ziegler_restriction
-from .poly import (CertificationFailure, _index_table, monomial_count,
-                   monomials, restrict, restriction_param)
+from .poly import (CertificationFailure, _index_table, line_frame,
+                   monomial_count, monomials, restrict, restrict_lines)
 
 MAX_DEGREE_ENV = "ARRLOG_MAX_DEGREE"
 
 
 class DegreeCapError(ValueError):
     """The degree cap set in the environment is not a nonnegative integer."""
-
-
-def _h0_frame(A: Arrangement) -> tuple[list[int], int, list[int]]:
-    """The integer-scaled form of line 0, the component of theta that
-    restriction_param eliminates for it, and the two it keeps."""
-    alpha = A.lines[0].int_coeffs
-    e = restriction_param(alpha).eliminated
-    return alpha, e, [i for i in range(3) if i != e]
 
 
 @lru_cache(maxsize=1024)
@@ -118,19 +110,15 @@ def _h0_incidence(A: Arrangement) -> tuple[list, list, list]:
     (Q, w) with w the weights of one other line through Q; and for each
     line K != H0, (t_K, beta_K, w_K): the number of intersection points on
     K, its integer form and its weights.  The weights of a line with form
-    beta are w = (alpha_e beta_i - beta_e alpha_i for the kept i), so that
-    alpha_e theta(beta) = w0 theta_i0 + w1 theta_i1 for theta in D_{H0}(A),
-    as theta(alpha_H0) = 0 fixes its eliminated component to
-    theta_e = -(alpha_i0 theta_i0 + alpha_i1 theta_i1) / alpha_e.  They are
-    the coefficients of the line through K cap H0 and the point e_e, which
-    is off H0 as alpha_e != 0: lines through one point of H0 have
-    proportional weights, and lines through two different points have
-    independent ones.
+    beta are its restriction to H0, w = beta(P), beta(Q) for the points P
+    and Q of line_frame(alpha_H0) (poly.restrict_lines).  A theta in
+    D_{H0}(A) is (theta_u P + theta_v Q) / alpha_f (_h0_lift), so
+    alpha_f theta(beta) = w0 theta_u + w1 theta_v.  Lines through one point
+    of H0 have proportional weights, as their restrictions share a zero,
+    and lines through two different points have independent ones.
     """
-    alpha, e, kept = _h0_frame(A)
     forms = [line.int_coeffs for line in A.lines]
-    weights = [tuple(alpha[e] * beta[i] - beta[e] * alpha[i] for i in kept)
-               for beta in forms]
+    weights = restrict_lines(forms[0], forms)
     count = [0] * len(A)
     off, on = [], []
     for X in intersection_points(A):
@@ -145,16 +133,15 @@ def _h0_incidence(A: Arrangement) -> tuple[list, list, list]:
 
 
 def _h0_lift(A: Arrangement, v) -> tuple[int, ...]:
-    """The derivation in D_{H0}(A) with the given kept components (their
-    coefficient vectors, concatenated), as the concatenated coefficient
-    vectors of its three components, scaled to a primitive integer vector."""
-    alpha, e, (i0, i1) = _h0_frame(A)
+    """The derivation in D_{H0}(A) with the given kept components, their
+    coefficient vectors a and b concatenated: aP + bQ for the points P and
+    Q of line_frame(alpha_H0), as the concatenated coefficient vectors of
+    its three components, scaled to a primitive integer vector.  P and Q
+    lie on H0, so it kills alpha_H0."""
+    _, _, _, P, Q = line_frame(A.lines[0].int_coeffs)
     m = len(v) // 2
-    comps = [None] * 3
-    comps[i0] = [alpha[e] * a for a in v[:m]]
-    comps[i1] = [alpha[e] * b for b in v[m:]]
-    comps[e] = [-alpha[i0] * a - alpha[i1] * b for a, b in zip(v[:m], v[m:])]
-    return tuple(linalg._primitive_vec([c for comp in comps for c in comp]))
+    return tuple(linalg._primitive_vec([p * a + q * b for p, q in zip(P, Q)
+                                        for a, b in zip(v[:m], v[m:])]))
 
 
 def _point_row(P, k: int, p: int | None = None) -> list[int]:
@@ -184,14 +171,9 @@ def _combine(coeffs, vectors, m: int) -> list[int]:
 
 def _h0_points(A: Arrangement, count: int) -> list[tuple[int, ...]]:
     """count integer points of H0 = line 0, pairwise distinct in P^2: P + jQ
-    for j < count, with P = alpha_f e_u - alpha_u e_f and Q = alpha_f e_v -
-    alpha_v e_f independent points of H0, f the coordinate that
-    restriction_param eliminates and u < v the two it keeps (the points of
-    line_restriction)."""
-    alpha, f, (u, v) = _h0_frame(A)
-    P, Q = [0] * 3, [0] * 3
-    P[u], P[f] = alpha[f], -alpha[u]
-    Q[v], Q[f] = alpha[f], -alpha[v]
+    for j < count, with P and Q the independent points of H0 of
+    line_frame(alpha_H0)."""
+    _, _, _, P, Q = line_frame(A.lines[0].int_coeffs)
     return [tuple(a + j * b for a, b in zip(P, Q)) for j in range(count)]
 
 
@@ -322,7 +304,7 @@ def _kept_values(A: Arrangement, vectors, d: int) -> list[list[int]]:
     """The two kept components of each degree-d derivation at the d + 1
     points of _h0_points, point by point, with the monomials at each point
     computed once for all the derivations."""
-    _, _, kept = _h0_frame(A)
+    kept = line_frame(A.lines[0].int_coeffs)[1:3]
     m = monomial_count(3, d)
     rows = [_point_row(P, d) for P in _h0_points(A, d + 1)]
     out = []
@@ -380,7 +362,7 @@ def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
     of a vector of prev are the rows it carries, at the first k points,
     and one evaluation at the last.  The alpha_H0 multiples in layer k - 1
     vanish on H0, and so do their shifts: prev does not hold them."""
-    _, _, kept = _h0_frame(A)
+    kept = line_frame(A.lines[0].int_coeffs)[1:3]
     m = monomial_count(3, k - 1)
     at = _point_row(points[-1], k - 1)
     for theta, carried in zip(prev, prev.rows):
@@ -400,7 +382,7 @@ def _candidates(A: Arrangement, k: int, prev: _Layer, points):
     multiplicity |A| - k, missing the lines that miss it
     (_point_derivation), with the kept values of their closed form
     (_point_values)."""
-    _, _, kept = _h0_frame(A)
+    kept = line_frame(A.lines[0].int_coeffs)[1:3]
     for row, build in _shift_candidates(A, k, prev, points):
         yield row, build, None
     forms = [line.int_coeffs for line in A.lines]
@@ -836,9 +818,9 @@ def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
         return ()
     first = len(layer) - layer.columns
     # the rows of _shift_candidates cycle through x, y and z times theta
-    e = _h0_frame(A)[1]
+    f = line_frame(A.lines[0].int_coeffs).f
     candidates = _shift_candidates(A, k, prev, _h0_points(A, k + 1))
-    cols = [row for i, (row, _) in enumerate(candidates) if i % 3 != e] + \
+    cols = [row for i, (row, _) in enumerate(candidates) if i % 3 != f] + \
         list(layer.rows[first:])
     free = {linalg.free_column(w) for w in linalg.kernel_basis(
         [list(r) for r in zip(*cols)], len(cols))}
@@ -1019,7 +1001,7 @@ def dh_projection(A: Arrangement, H: int, k: int) -> list[list[int]]:
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
     alpha = A.lines[H].int_coeffs
-    e = restriction_param(alpha).eliminated
+    e = line_frame(alpha).f
     monos = monomials(3, k)
     m = len(monos)
     table = _index_table(3, k)

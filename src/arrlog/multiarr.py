@@ -25,7 +25,7 @@ from math import comb
 
 from . import linalg
 from .arrangement import Arrangement, LinearForm
-from .poly import HomPoly, LineParam, restrict_lines, restriction_param
+from .poly import HomPoly, LineFrame, line_frame, restrict_lines
 
 
 class FreenessCertificateFailure(AssertionError):
@@ -126,9 +126,9 @@ class Exponents:
 
 
 @lru_cache(maxsize=8192)
-def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, LineParam]:
-    """Induced weighted arrangement on line H, plus the parametrization used,
-    restriction_param of H.
+def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, LineFrame]:
+    """Induced weighted arrangement on line H, plus the frame it is read in,
+    poly.line_frame of H.
 
     Every other line restricts by poly.restrict_lines to a binary form, a
     nonzero multiple of its restriction in that parametrization, so its
@@ -145,7 +145,7 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
     items = sorted(counts.items(), key=_BY_FORM)
     M = Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
     assert M.total == len(A) - 1
-    return M, restriction_param(beta)
+    return M, line_frame(beta)
 
 
 def _divisibility_rows(M: Multiarrangement2, k: int) -> list[list[int]]:

@@ -6,10 +6,12 @@ monomials in graded-lexicographic order (largest exponent on the first
 variable first).  All downstream computations work degree by degree, so a
 dense per-degree vector feeds the exact linear solver directly.
 
-Every restriction of a ternary form to a line goes through
-line_restriction, the integer matrix that evaluates it at the points
-sP + tQ of the line, or restrict, that matrix applied to some forms: the
-line blocks of the point system of D_H0(A) and the property-[P] image
+Every line is read in one frame, line_frame: the coordinate it
+eliminates, the two it keeps and the integer points P, Q that span it.  No
+other module derives them.  Every restriction of a ternary form to a line
+goes through line_restriction, the integer matrix that evaluates it at the
+points sP + tQ of the line, or restrict, that matrix applied to some forms:
+the line blocks of the point system of D_H0(A) and the property-[P] image
 vectors.  Lines restricted to a line need no matrix: restrict_lines reads
 each off two 2 x 2 minors, for the weighted arrangement on a member line,
 a deletion's lowered weight and the points where an external line meets
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 VAR_NAMES = ("x", "y", "z")
 
@@ -143,24 +146,29 @@ def linear(nvars: int, coefficients) -> HomPoly:
     return from_terms(nvars, 1, terms)
 
 
-@dataclass(frozen=True)
-class LineParam:
-    """Coordinates on a line a*x + b*y + c*z = 0: the coordinate eliminated
-    and the two it retains, (u, v) in increasing index order."""
+class LineFrame(NamedTuple):
+    """The frame of a line beta . x = 0: the coordinate f it eliminates,
+    the two it keeps, u < v, and the points P = beta_f e_u - beta_u e_f and
+    Q = beta_f e_v - beta_v e_f, which span the line; sP + tQ has
+    (u, v) = beta_f (s, t)."""
 
-    eliminated: int
+    f: int
+    u: int
+    v: int
+    P: tuple[int, int, int]
+    Q: tuple[int, int, int]
 
-    @property
-    def retained(self) -> tuple[int, int]:
-        r = [i for i in range(3) if i != self.eliminated]
-        return (r[0], r[1])
 
-
-def restriction_param(coefficients) -> LineParam:
-    """Parametrization of a line used for every restriction: the eliminated
-    coordinate has the largest-magnitude coefficient, ties preferring z, then
-    y, then x."""
-    return LineParam(max(range(3), key=lambda i: (abs(coefficients[i]), i)))
+def line_frame(beta) -> LineFrame:
+    """The frame every restriction to the line beta uses: f is the coordinate
+    of largest |beta_f|, ties preferring z, then y, then x."""
+    b0, b1, b2 = beta
+    a0, a1, a2 = abs(b0), abs(b1), abs(b2)
+    if a2 >= a1 and a2 >= a0:
+        return LineFrame(2, 0, 1, (b2, 0, -b0), (0, b2, -b1))
+    if a1 >= a0:
+        return LineFrame(1, 0, 2, (b1, -b0, 0), (0, -b2, b1))
+    return LineFrame(0, 1, 2, (-b1, b0, 0), (-b2, 0, b0))
 
 
 @lru_cache(maxsize=256)
@@ -174,16 +182,14 @@ def line_restriction(beta: tuple[int, ...],
     system of a syzygy layer and every restriction of a form to a line
     reads it.
 
-    P = beta_f e_u - beta_u e_f and Q = beta_f e_v - beta_v e_f for the
-    coordinate f that restriction_param(beta) eliminates, so x^mu becomes
+    With P and Q of line_frame(beta), x^mu becomes
     beta_f^(mu_u + mu_v) s^mu_u t^mu_v (-beta_u s - beta_v t)^mu_f: lead is
     the power of beta_f, r0 = mu_v, and xs is the binomial expansion, which
-    depends on mu_f alone.  On the line, (s, t) = (u, v) / beta_f in
-    restriction_param's coordinates, so a restricted form is beta_f^k times
-    the one in those coordinates.
+    depends on mu_f alone.  On the line, (s, t) = (u, v) / beta_f in the
+    frame's coordinates, so a restricted form is beta_f^k times the one in
+    those coordinates.
     """
-    f = restriction_param(beta).eliminated
-    u, v = (i for i in range(3) if i != f)
+    f, u, v, _, _ = line_frame(beta)
     pu = [(-beta[u]) ** j for j in range(k + 1)]
     pv = [(-beta[v]) ** j for j in range(k + 1)]
     expansions = [tuple(comb(c, j) * pu[c - j] * pv[j] for j in range(c + 1))
@@ -213,10 +219,9 @@ def restrict(beta, forms, k: int) -> list[list[int]]:
 def restrict_lines(beta, alphas) -> list[list[int]]:
     """The integer linear forms alphas at the points sP + tQ of the line
     beta, as (coefficient of s, coefficient of t): restrict(beta, alphas, 1)
-    with no matrix built.  P = beta_f e_u - beta_u e_f and Q = beta_f e_v -
-    beta_v e_f, as in line_restriction, so alpha(sP + tQ) has the minors
-    beta_f alpha_u - beta_u alpha_f and beta_f alpha_v - beta_v alpha_f."""
-    f = restriction_param(beta).eliminated
-    u, v = (i for i in range(3) if i != f)
+    with no matrix built.  With P and Q of line_frame(beta), alpha(sP + tQ)
+    has the minors beta_f alpha_u - beta_u alpha_f and
+    beta_f alpha_v - beta_v alpha_f."""
+    f, u, v, _, _ = line_frame(beta)
     bf, bu, bv = beta[f], beta[u], beta[v]
     return [[bf * a[u] - bu * a[f], bf * a[v] - bv * a[f]] for a in alphas]

@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import combinations
 from math import comb, lcm
 
-from arrlog import linalg, poly
+from arrlog import linalg
 from arrlog.arrangement import Arrangement, LinearForm3, _cross, chi0
 from arrlog.derivation import (_ar_kernel, _combine, _h0_incidence,
                                _point_row, _shift_vec, _uv_rows,
@@ -37,8 +37,7 @@ from arrlog.multiarr import (Derivation2, Exponents, FreenessCertificateFailure,
                              exponents, multiples, ziegler_restriction)
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
                          from_terms, line_restriction, linear,
-                         monomial_count, monomials, restrict,
-                         restriction_param)
+                         monomial_count, monomials, restrict)
 
 # ---------------------------------------------------------------------------
 # linear forms
@@ -150,7 +149,7 @@ def divide_linear(p: HomPoly, coefficients) -> HomPoly:
     """Exact quotient of a 3-variable form by the linear form with the given
     coefficients; CertificationFailure if the remainder is nonzero."""
     cs = [Fraction(c) for c in coefficients]
-    e = restriction_param(cs).eliminated
+    e = eliminated(cs)
     rem = dict(zip(monomials(3, p.degree), p.coeffs))
     quot = {}
     # peel off the terms divisible by the eliminated coordinate, highest
@@ -180,25 +179,37 @@ def multi_defining_poly(M: Multiarrangement2) -> HomPoly:
 # ---------------------------------------------------------------------------
 # restriction by substitution in Fractions, the oracle for poly.restrict
 
-@dataclass(frozen=True)
-class LineParam(poly.LineParam):
-    """The eliminated coordinate equals expr[0] * u + expr[1] * v on the
-    line, (u, v) the retained coordinates."""
+def eliminated(coefficients) -> int:
+    """The coordinate that poly.line_frame eliminates, by the rule as first
+    written: the largest |coefficient|, ties preferring z, then y, then x."""
+    return max(range(3), key=lambda i: (abs(coefficients[i]), i))
 
+
+@dataclass(frozen=True)
+class LineParam:
+    """A line solved for its coordinate `eliminated`, which equals
+    expr[0] * u + expr[1] * v on the line, (u, v) the retained
+    coordinates in increasing index order."""
+
+    eliminated: int
     expr: tuple[Fraction, Fraction]
 
+    @property
+    def retained(self) -> tuple[int, int]:
+        u, v = (i for i in range(3) if i != self.eliminated)
+        return u, v
 
-def line_param(coefficients, eliminated=None) -> LineParam:
+
+def line_param(coefficients, eliminated_coordinate=None) -> LineParam:
     """Solve the line for one coordinate, by default the one
-    restriction_param eliminates."""
+    poly.line_frame eliminates."""
     cs = [Fraction(c) for c in coefficients]
-    if eliminated is None:
-        eliminated = restriction_param(cs).eliminated
-    if cs[eliminated] == 0:
+    e = (eliminated(cs) if eliminated_coordinate is None
+         else eliminated_coordinate)
+    if cs[e] == 0:
         raise ValueError("cannot eliminate a variable with zero coefficient")
-    others = [i for i in range(3) if i != eliminated]
-    return LineParam(eliminated,
-                     (-cs[others[0]] / cs[eliminated], -cs[others[1]] / cs[eliminated]))
+    u, v = (i for i in range(3) if i != e)
+    return LineParam(e, (-cs[u] / cs[e], -cs[v] / cs[e]))
 
 
 def substitute_line(p: HomPoly, param: LineParam) -> HomPoly:
@@ -355,7 +366,7 @@ def in_dh(A: Arrangement, H: int, theta: Derivation3) -> bool:
 
 def h0_conditions(A: Arrangement, k: int) -> list[list[int]]:
     """The conditions defining D_{H0}(A)_k, H0 = line 0, on the two
-    components of theta that restriction_param(alpha_H0) keeps.
+    components of theta that poly.line_frame(alpha_H0) keeps.
 
     theta(alpha_H0) = 0 gives the eliminated component e as
     theta_e = -(sum of alpha_i theta_i, i != e) / alpha_e, so alpha_e
@@ -401,7 +412,7 @@ def kept_values_by_restriction(A: Arrangement, vec, d: int) -> list[int]:
     alpha = A.lines[0].int_coeffs
     m = monomial_count(3, d)
     forms = restrict(alpha, [vec[i * m:(i + 1) * m]
-                             for i in restriction_param(alpha).retained], d)
+                             for i in line_param(alpha).retained], d)
     return [sum(c * j ** r for r, c in enumerate(form) if c)
             for j in range(d + 1) for form in forms]
 
@@ -650,7 +661,7 @@ def image_vectors(A: Arrangement, H: int, k: int, thetas):
     """criteria._image_vectors for the given D_H(A)_k basis thetas, by one
     integer_rref of the rows [reversed theta | its restriction to H]."""
     beta = A.lines[H].int_coeffs
-    f = restriction_param(beta).eliminated
+    f = eliminated(beta)
     m = monomial_count(3, k)
     kept = restrict(beta, [theta[c * m:(c + 1) * m] for theta in thetas
                            for c in range(3) if c != f], k)

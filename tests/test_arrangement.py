@@ -106,6 +106,13 @@ def test_parse_factored_errors():
         parse_factored("(x+2)")
     with pytest.raises(ParseError):
         parse_factored("w")
+    # a sign between terms, none trailing or doubled
+    for text in ("(x+y)(xy+z)", "(xy)", "(2x3y)", "(x+)", "(x--y)", "(x+-y)",
+                 "(2 3x)", "(2+x)", "(-)"):
+        with pytest.raises(ParseError):
+            parse_factored(text)
+    assert [l.int_coeffs for l in parse_factored("(-x+2y+z)(x - 2y + z)")] == \
+        [(1, -2, -1), (1, -2, 1)]
 
 
 def test_parse_arrangement_lines_document():

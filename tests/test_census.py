@@ -25,7 +25,8 @@ passing Saito's criterion on the restriction to every line.
 
 Two theorems hold for every arrangement, so every family here is checked
 against them: Terao's and Abe's answers for deleting any line of a free
-arrangement, and e1 <= min(mdr, (|A| - 1) // 2) for the splitting type of
+arrangement (and for adding one, on the census and the smaller
+supersolvable arrangements), and e1 <= min(mdr, (|A| - 1) // 2) for the splitting type of
 any admissible line, a member or external.  Those deletions and the census
 give most of the plus-one generated inputs, and on each of them the one
 relation of degree d + 1 has a nonzero coefficient on a generator of
@@ -36,15 +37,16 @@ reads `one-sided` no admissible line at all has defect 1.
 
 import random
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
 import oracles
 from arrlog import derivation, multiarr
-from arrlog.arrangement import (_cross, arrangement, chi0,
-                                intersection_points, n_H, tjurina)
+from arrlog.arrangement import (Arrangement, LinearForm3, _cross,
+                                arrangement, chi0, intersection_points, n_H,
+                                tjurina)
 from arrlog.corpus import FIXTURES, random_corpus
 from arrlog.criteria import random_external_lines, splitting_type, verify
 from arrlog.derivation import minimal_resolution
@@ -309,6 +311,67 @@ def test_deleting_any_line_of_a_free_arrangement():
         verdicts[cls.verdict] = verdicts.get(cls.verdict, 0) + 1
     assert verdicts == {"free": 698, "nearly-free": 233,
                         "plus-one-generated": 32}
+
+
+@cache
+def _census_classifications():
+    """classify of each census orbit, by its least subset mask."""
+    return {mask: derivation.classify(A) for mask, (A, _) in
+            zip(_orbit_representatives(), _census_pairs())}
+
+
+def _additions():
+    """(A, H, h, classify(A + H)) for every free census orbit A and census
+    line H not in it, and for each arrangement A of SUPERSOLVABLE with at
+    most 12 lines and 5 seeded lines H through two of its intersection
+    points, not in A; h is the number of points on H in A + H.  A census
+    addition is a census orbit, so its classification is that orbit's."""
+    classes = _census_classifications()
+    for mask, (A, _) in zip(_orbit_representatives(), _census_pairs()):
+        if not classes[mask].is_free:
+            continue
+        for i, v in enumerate(CENSUS_LINES):
+            if not mask >> i & 1:
+                B = arrangement([line.int_coeffs for line in A.lines] + [v])
+                orbit = min(_image(g, mask | 1 << i) for g in SIGNED_PERMUTATIONS)
+                yield A, B.lines[-1], n_H(B, len(A)), classes[orbit]
+    for entry in SUPERSOLVABLE:
+        A = oracles.supersolvable(*entry)
+        if len(A) > 12:
+            continue
+        points = [X.int_point for X in intersection_points(A)]
+        joins = sorted({LinearForm3.make(_cross(p, q))
+                        for p, q in combinations(points, 2)} - set(A.lines),
+                       key=lambda form: form.int_coeffs)
+        for H in random.Random(entry[2]).sample(joins, min(5, len(joins))):
+            B = Arrangement(A.lines + (H,), A.name)
+            yield A, H, n_H(B, len(A)), derivation.classify(B)
+
+
+def test_adding_a_line_to_a_free_arrangement():
+    # A free with exponents d1 <= d2, H a line not in A, h the number of
+    # points on H in A + H.  When h - 1 is d1 or d2, A + H is free with
+    # (d1, d2 + 1) or (d1 + 1, d2) (Terao's addition theorem, 1980).
+    # Otherwise it is not free, as deleting H from a free A + H leaves a
+    # free arrangement only when h - 1 is an exponent of A + H, which A
+    # keeps (Terao); so it is plus-one generated (Abe 2021), nearly free
+    # included.  Its exponents (d1 + 1, d2 + 1) and level h - 1 are pinned
+    # as observed
+    verdicts = {}
+    for A, H, h, cls in _additions():
+        d1, d2 = derivation.classify(A).exponents
+        if h - 1 == d1:
+            want = ("free", (d1, d2 + 1), None)
+        elif h - 1 == d2:
+            want = ("free", tuple(sorted((d1 + 1, d2))), None)
+        else:
+            assert cls.is_plus_one, (A.name, H)
+            want = ("nearly-free" if h - 1 == d2 + 1 else "plus-one-generated",
+                    (d1 + 1, d2 + 1), h - 1)
+        assert (cls.verdict, cls.exponents, cls.level) == want, (A.name, H)
+        verdicts[cls.verdict] = verdicts.get(cls.verdict, 0) + 1
+    assert verdicts == {"free": 653, "nearly-free": 458,
+                        "plus-one-generated": 98}
 
 
 def test_a_plus_one_relation_meets_a_generator_of_top_degree():

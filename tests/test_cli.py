@@ -101,6 +101,15 @@ def test_duplicate_line_exit_2(tmp_path, capsys):
     assert "DuplicateLine" in err
 
 
+def test_juxtaposed_terms_in_a_factor_exit_2(tmp_path, capsys):
+    # a linear factor needs a sign between its terms: (xy + z) is not the
+    # line x + y + z
+    path = write_doc(tmp_path, {"factored": "(x+y)(xy+z)"})
+    code, out, err = run(capsys, "classify", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:") and "Traceback" not in err
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("not json at all")

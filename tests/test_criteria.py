@@ -24,8 +24,8 @@ from arrlog.criteria import (ConsistencyFailure, InadmissibleLine,
                              yoshinaga_defect, ziegler_map)
 from arrlog.derivation import ar_dim
 from arrlog.multiarr import basis, exponents, ziegler_restriction
-from arrlog.poly import (CertificationFailure, monomial_count, restrict,
-                         restrict_lines, restriction_param)
+from arrlog.poly import (CertificationFailure, line_frame, monomial_count,
+                         restrict, restrict_lines)
 from oracles import (SpanBuilder, deriv_dim, deriv_space, dh_basis, jacobian,
                      line_param, quick_defect, span_contains, substitute_line,
                      without)
@@ -241,22 +241,13 @@ def _evaluation_matrices(monkeypatch) -> list:
     return ranked
 
 
-def _frame(form):
-    """(f, u, v, beta): the coordinate restriction_param eliminates, the two
-    others, and the integer form, so that P = beta_f e_u - beta_u e_f and
-    Q = beta_f e_v - beta_v e_f."""
-    beta = form.int_coeffs
-    f = restriction_param(beta).eliminated
-    u, v = (i for i in range(3) if i != f)
-    return f, u, v, beta
-
-
 def _psi_c(form, k, theta) -> list[Fraction]:
     """The coordinates (psi, c) of _external_splitting's N for theta in
     S_k^3, a coefficient vector in the column order of
     oracles.splitting_rows: theta = aP + bQ + c e_f and psi = s b - t a,
     the k + 2 coefficients of psi, then the k + 1 of c."""
-    f, u, v, beta = _frame(form)
+    beta = form.int_coeffs
+    f, u, v, _, _ = line_frame(beta)
     comps = [theta[c * (k + 1):(c + 1) * (k + 1)] for c in range(3)]
     a = [Fraction(x) / beta[f] for x in comps[u]]
     b = [Fraction(x) / beta[f] for x in comps[v]]
@@ -273,7 +264,8 @@ def _lift(A, form, k, w) -> list[Fraction]:
     that the division is exact and that theta is an exact kernel vector of
     oracles.splitting_rows."""
     n = len(A)
-    f, u, v, beta = _frame(form)
+    beta = form.int_coeffs
+    f, u, v, _, _ = line_frame(beta)
     psi, c = w[:k + 2], w[k + 2:]
     b = psi[:k + 1]
     a = [0] * k + [-psi[k + 1]]
@@ -287,7 +279,7 @@ def _lift(A, form, k, w) -> list[Fraction]:
         return [sum(x * y for x, y in zip(row, theta)) for row in rows]
 
     values = apply([x for comp in comps for x in comp])
-    ells, _ = criteria._meeting_points(A, form)
+    ells = criteria._meeting_points(A, form)
     phi = [1]
     for ell in ells:
         phi = [sum(phi[m - j] * ell[j] for j in (0, 1) if 0 <= m - j < len(phi))
@@ -327,9 +319,9 @@ def _check_meeting_rows(A, form, k, values) -> list[int]:
     with (psi, c) of theta, pi_i = prod_(j != i) l_j(r_i) nonzero.
     """
     n = len(A)
-    ells, _ = criteria._meeting_points(A, form)
+    ells = criteria._meeting_points(A, form)
     assert len(values) == n and all(len(row) == 2 * k + 3 for row in values)
-    f = _frame(form)[0]
+    f = line_frame(form.int_coeffs).f
     coeffs = oracles.splitting_rows(A, form, k)
     top = len(coeffs) - 1
     ncols = 3 * (k + 1)
@@ -464,10 +456,7 @@ def test_at_degree_zero_the_rows_are_the_lines(monkeypatch):
     for A in inputs:
         is_pencil = len(intersection_points(A)) == 1
         for form in random_external_lines(A, 5, 42):
-            f, u, v, beta = _frame(form)
-            P, Q = [0] * 3, [0] * 3
-            P[u] = Q[v] = beta[f]
-            P[f], Q[f] = -beta[u], -beta[v]
+            f, _, _, P, Q = line_frame(form.int_coeffs)
             del ranked[:]
             e1 = criteria._external_splitting(A, form).e1
             [(values, ncols)] = ranked
@@ -490,8 +479,8 @@ def test_restrict_lines_is_restrict_on_every_pair_of_lines():
 
 @pytest.mark.parametrize("A", _EXTERNAL_INPUTS, ids=lambda A: A.name)
 def test_restricted_gradient_is_the_scaled_restricted_jacobian(A):
-    # the point sP + tQ is (u, v) = beta_f (s, t) in restriction_param's
-    # coordinates, so a degree |A| - 1 restriction scales by beta_f^(|A| - 1)
+    # the point sP + tQ is (u, v) = beta_f (s, t) in the coordinates of
+    # line_frame, so a degree |A| - 1 restriction scales by beta_f^(|A| - 1)
     for form in random_external_lines(A, 20, 42):
         beta = linalg._int_row(form.coeffs)
         param = line_param(beta)
@@ -740,7 +729,7 @@ def test_property_p_witnesses():
 
 def _oracle_property_P(A, H):
     """property_P decided by image vectors alone, with no dimension test."""
-    M, param = ziegler_restriction(A, H)
+    M, frame = ziegler_restriction(A, H)
     e1, e2 = exponents(M).as_pair()
     if chi0(A).b2_0 - e1 * e2 <= 0:
         return PropertyPResult(None, H)
@@ -751,7 +740,7 @@ def _oracle_property_P(A, H):
 
     def found(alpha, partner):
         return PropertyPResult("variant1", H, alpha,
-                               criteria._lift(alpha, param),
+                               criteria._lift(alpha, frame),
                                str_derivation(partner))
 
     if e1 < e2:

@@ -297,7 +297,7 @@ def test_dh_bad_index():
 @pytest.mark.parametrize("beta", [(0, 0, 1), (1, -3, 2), (2, 2, 1), (7, -4, 9),
                                   (-5, 1, 3)])
 def test_line_restriction_is_the_scaled_substitution(beta):
-    # at sP + tQ, (u, v) = beta_f (s, t) in restriction_param's coordinates
+    # at sP + tQ, (u, v) = beta_f (s, t) in the coordinates of line_frame
     # restrict applies line_restriction, so on a unit vector it is one column
     param = line_param(beta)
     for k in range(5):

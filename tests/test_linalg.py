@@ -20,7 +20,7 @@ from arrlog.corpus import (FIXTURES, generic, near_pencil, pencil,
 from arrlog.linalg import (KERNEL_PRIMES, WORD_PRIME, _crt_kernels, _int_row,
                            _moduli, _modular_kernel, _rref_mod, kernel_basis,
                            kernel_mod, rank_mod, rref_columns, solve_columns)
-from arrlog.poly import monomial_count
+from arrlog.poly import line_frame, monomial_count
 from oracles import (SpanBuilder, _exact_kernel, echelon_basis, integer_rref,
                      layer_generators, rank, span_contains)
 from test_derivation import jacobian_matrix
@@ -325,7 +325,8 @@ def in_layer(A, k, v) -> bool:
     the per-line conditions: theta(alpha_H0) = 0, and the kept components
     satisfy oracles.h0_conditions."""
     m = monomial_count(3, k)
-    alpha, _, kept = derivation._h0_frame(A)
+    alpha = A.lines[0].int_coeffs
+    kept = line_frame(alpha)[1:3]
     comps = [v[c * m:(c + 1) * m] for c in range(3)]
     if any(sum(a * comp[j] for a, comp in zip(alpha, comps)) for j in range(m)):
         return False

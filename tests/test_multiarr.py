@@ -16,7 +16,7 @@ from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
                              _deriv_kernel, _free_pattern, _saito_target,
                              basis, exponents, multiarrangement, multiples,
                              saito_check, ziegler_restriction)
-from arrlog.poly import from_terms, restriction_param
+from arrlog.poly import from_terms, line_frame
 from oracles import (deriv_dim, deriv_space, echelon_basis, evaluate,
                      exponents_by_scan, line_param, multi_defining_poly,
                      span_rule_theta2, substitute_line, supersolvable)
@@ -105,8 +105,8 @@ def test_coordinate_cross_basis():
 def test_ziegler_restriction_pog7():
     A = fixture("pog7").build()
     H = A.index_of(LinearForm3.make([0, 0, 1]))
-    M, param = ziegler_restriction(A, H)
-    assert param.eliminated == 2
+    M, frame = ziegler_restriction(A, H)
+    assert frame.f == 2
     assert M.to_json() == {"forms": [[0, 1], [1, -1], [1, 0], [1, 1], [1, 4]],
                            "mult": [2, 1, 1, 1, 1]}
     assert M.total == len(A) - 1
@@ -138,10 +138,10 @@ _RESTRICTION_INPUTS = [f.build() for f in FIXTURES] + random_corpus(20, 8, 42)
 @pytest.mark.parametrize("A", _RESTRICTION_INPUTS, ids=lambda A: A.name)
 def test_ziegler_restriction_matches_substitution(A):
     for H in range(len(A)):
-        M, param = ziegler_restriction(A, H)
+        M, frame = ziegler_restriction(A, H)
         assert M == _oracle_ziegler_restriction(A, H), H
         assert M.to_json() == _oracle_ziegler_restriction(A, H).to_json()
-        assert param == restriction_param(A.lines[H].coeffs)
+        assert frame == line_frame(A.lines[H].int_coeffs)
 
 
 @pytest.mark.parametrize("A", _RESTRICTION_INPUTS, ids=lambda A: A.name)

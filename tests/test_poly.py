@@ -1,16 +1,22 @@
 """Dense homogeneous polynomials: ordering, arithmetic, restriction."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlog.poly import (CertificationFailure, HomPoly, from_terms, linear,
-                         monomial_count, monomial_index, monomials, restrict,
-                         restrict_lines, restriction_param)
-from oracles import (diff, divide_linear, evaluate, line_param, poly_mul,
-                     product, substitute_line, zero)
+from arrlog import derivation, linalg
+from arrlog.arrangement import _cross
+from arrlog.corpus import FIXTURES, random_corpus
+from arrlog.poly import (CertificationFailure, HomPoly, from_terms, line_frame,
+                         linear, monomial_count, monomial_index, monomials,
+                         restrict, restrict_lines)
+from oracles import (diff, divide_linear, eliminated, evaluate, line_param,
+                     poly_mul, product, substitute_line, zero)
+from test_census import _census_pairs
 
 
 def test_monomial_order_three_vars_degree_two():
@@ -126,15 +132,51 @@ def test_line_param_retained():
         line_param((1, 0, 1), 1)
 
 
-def test_restriction_param_choice():
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def test_line_frame():
     # largest magnitude wins; ties prefer z, then y
-    assert restriction_param((1, -3, 2)).eliminated == 1
-    assert restriction_param((2, 2, 1)).eliminated == 1
-    assert restriction_param((1, 1, 1)).eliminated == 2
+    assert line_frame((1, -3, 2)).f == 1
+    assert line_frame((2, 2, 1)).f == 1
+    assert line_frame((1, 1, 1)).f == 2
+    # every line of the fixtures, the seed-42 corpus and the census orbits,
+    # and every nonzero beta in [-3, 3]^3
+    arrangements = ([f.build() for f in FIXTURES] + random_corpus(100, 8, 42)
+                    + [A for A, _ in _census_pairs()])
+    cube = [b for b in itertools.product(range(-3, 4), repeat=3) if any(b)]
+    betas = {line.int_coeffs for A in arrangements for line in A.lines}
+    betas.update(cube)
+    for beta in betas:
+        f, u, v, P, Q = line_frame(beta)
+        assert f == eliminated(beta) and (u, v) == line_param(beta).retained
+        assert P == tuple(beta[f] * (i == u) - beta[u] * (i == f) for i in range(3))
+        assert Q == tuple(beta[f] * (i == v) - beta[v] * (i == f) for i in range(3))
+        assert _dot(beta, P) == _dot(beta, Q) == 0, beta
+        cross = _cross(P, Q)
+        assert cross in (tuple(beta[f] * b for b in beta),
+                         tuple(-beta[f] * b for b in beta)), beta
+        assert restrict_lines(beta, cube) == [[_dot(a, P), _dot(a, Q)]
+                                              for a in cube], beta
+    # the lift of kept components (a, b) on H0 is aP + bQ made primitive,
+    # a derivation that kills alpha_H0
+    rng = random.Random(1)
+    for A in arrangements:
+        alpha = A.lines[0].int_coeffs
+        _, _, _, P, Q = line_frame(alpha)
+        for k in range(3):
+            m = monomial_count(3, k)
+            a = [rng.randint(-5, 5) for _ in range(m)]
+            b = [rng.randint(-5, 5) for _ in range(m)]
+            theta = derivation._h0_lift(A, a + b)
+            want = [p * x + q * y for p, q in zip(P, Q) for x, y in zip(a, b)]
+            assert theta == tuple(linalg._primitive_vec(want)), A.name
+            assert not any(_dot(alpha, theta[j::m]) for j in range(m)), A.name
 
 
 # lines whose largest |coefficient| is tied or sits beside zero entries, so
-# that restriction_param's tie rule picks the eliminated coordinate
+# that line_frame's tie rule picks the eliminated coordinate
 _TIED_LINES = [(1, 1, 1), (-1, 1, -1), (2, -2, 1), (0, 3, -3), (-4, 0, 4),
                (5, 0, 0), (0, -2, 0), (0, 0, 7), (3, -3, 0), (1, 0, -1)]
 _COEFF = st.integers(-4, 4)

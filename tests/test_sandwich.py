@@ -39,7 +39,8 @@ from arrlog.arrangement import Arrangement
 from arrlog.corpus import (FIXTURES, near_pencil, random_arrangement,
                            random_corpus)
 from arrlog.linalg import _int_row
-from arrlog.poly import CertificationFailure, monomial_count, monomials
+from arrlog.poly import (CertificationFailure, line_frame, monomial_count,
+                         monomials)
 from oracles import _exact_kernel, echelon_basis, h0_conditions
 from test_census import SUPERSOLVABLE, _census_pairs
 from test_criteria import A3, B3
@@ -173,7 +174,8 @@ def _alpha_h0_multiples(A, k):
     they leave its values on H0 alone, where alpha_H0 vanishes, and take it
     out of D_{H0}(A): the first fails theta(alpha_H0) = 0, the second the
     condition of a line K with alpha_K(w) != 0."""
-    alpha, e, _ = derivation._h0_frame(A)
+    alpha = A.lines[0].int_coeffs
+    e = line_frame(alpha).f
 
     def times_alpha(direction, var):
         power = [int(mu[var] == k - 1) for mu in monomials(3, k - 1)]
