@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import gcd
 
 from .linalg import _int_row, unit_last
@@ -247,12 +247,20 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
+def _point_cmp(a, b) -> int:
+    """Orders integer points a, b with last nonzero entries da, db > 0 as
+    unit_last orders them: by a_i db - b_i da at the first i where it is not 0."""
+    da, db = a[2] or a[1] or a[0], b[2] or b[1] or b[0]
+    return (a[0] * db - b[0] * da or a[1] * db - b[1] * da
+            or a[2] * db - b[2] * da)
+
+
 @lru_cache(maxsize=4096)
 def intersection_points(A: Arrangement) -> tuple[FlatPoint, ...]:
     """All pairwise intersection points, each pair covered exactly once: the
     one place that computes a point, as the primitive cross product of two
-    lines (FlatPoint.int_point).  Sorted by FlatPoint.point, whose Fractions
-    are built once per point, so the output is deterministic."""
+    lines (FlatPoint.int_point).  Sorted by FlatPoint.point, compared in
+    integers by _point_cmp, so the output is deterministic."""
     by_point: dict[tuple, set[int]] = {}
     lines = A.lines
     for i in range(len(lines)):
@@ -260,9 +268,8 @@ def intersection_points(A: Arrangement) -> tuple[FlatPoint, ...]:
             a, b, c = _cross(lines[i].int_coeffs, lines[j].int_coeffs)
             g = gcd(a, b, c) if (c or b or a) > 0 else -gcd(a, b, c)
             by_point.setdefault((a // g, b // g, c // g), set()).update((i, j))
-    pts = [FlatPoint(p, tuple(sorted(s))) for p, s in by_point.items()]
-    pts.sort(key=lambda fp: fp.point)
-    return tuple(pts)
+    return tuple(FlatPoint(p, tuple(sorted(by_point[p])))
+                 for p in sorted(by_point, key=cmp_to_key(_point_cmp)))
 
 
 def n_H(A: Arrangement, H: int) -> int:

@@ -91,8 +91,8 @@ from math import comb, prod
 from . import linalg
 from .arrangement import Arrangement, ascii_int, intersection_points, tjurina
 from .multiarr import _free_pattern, exponents, ziegler_restriction
-from .poly import (CertificationFailure, _index_table, line_frame,
-                   monomial_count, monomials, restrict, restrict_lines)
+from .poly import (CertificationFailure, line_frame, monomial_count, monomials,
+                   restrict, restrict_lines)
 
 MAX_DEGREE_ENV = "ARRLOG_MAX_DEGREE"
 
@@ -177,14 +177,22 @@ def _h0_points(A: Arrangement, count: int) -> list[tuple[int, ...]]:
     return [tuple(a + j * b for a, b in zip(P, Q)) for j in range(count)]
 
 
+def _index(j: int, l: int) -> int:
+    """The index of x^i y^j z^l in monomials(3, i + j + l) (see poly)."""
+    return (j + l) * (j + l + 1) // 2 + l
+
+
 def _times_form(poly, d: int, form) -> list[int]:
-    """A degree-d form, as its coefficient vector, times a linear form."""
-    out = [0] * monomial_count(3, d + 1)
-    for var, a in enumerate(form):
-        if a:
-            for idx, c in zip(_shift_table(d, var), poly):
-                if c:
-                    out[idx] += a * c
+    """A degree-d coefficient vector times the linear form (a, b, c): a x keeps
+    each index, b y and c z move block s (see poly) by s + 1 and s + 2 places."""
+    a, b, c = form
+    out = [a * t for t in poly] + [0] * (d + 2)
+    if b or c:
+        for s in range(1, d + 2):
+            for i in range(s * (s - 1) // 2, s * (s + 1) // 2):
+                if t := poly[i]:
+                    out[i + s] += b * t
+                    out[i + s + 1] += c * t
     return out
 
 
@@ -250,8 +258,7 @@ def _closed_form_bound(forms, v, missing) -> int:
 def _kronecker_order(k: int) -> tuple[tuple[int, ...], ...]:
     """The indices of the degree-k monomials grouped by the power of z,
     highest first, each group by the power of y, highest first."""
-    table = _index_table(3, k)
-    return tuple(tuple(table[(k - l - j, j, l)] for j in range(k - l, -1, -1))
+    return tuple(tuple(_index(j, l) for j in range(k - l, -1, -1))
                  for l in range(k, -1, -1))
 
 
@@ -653,14 +660,6 @@ def ar_dim(A: Arrangement, k: int) -> int:
     return _layer(A, k).dim
 
 
-@lru_cache(maxsize=None)
-def _shift_table(k: int, var: int) -> tuple[int, ...]:
-    """The degree-(k + 1) index of each degree-k monomial times x_var."""
-    table = _index_table(3, k + 1)
-    return tuple(table[tuple(e + (i == var) for i, e in enumerate(mu))]
-                 for mu in monomials(3, k))
-
-
 def _times_linear(v, k: int, form) -> list[int]:
     """A degree-k derivation coefficient vector times a linear form."""
     m = monomial_count(3, k)
@@ -668,8 +667,19 @@ def _times_linear(v, k: int, form) -> list[int]:
 
 
 def _shift_vec(v, k: int, var: int) -> list[int]:
-    """Multiply a degree-k derivation coefficient vector by a coordinate."""
-    return _times_linear(v, k, [int(i == var) for i in range(3)])
+    """A degree-k derivation vector times x, y or z, with no multiplication:
+    each component, or each of its blocks (see poly), padded with zeros."""
+    m = monomial_count(3, k)
+    out = []
+    for comp in (v[:m], v[m:2 * m], v[2 * m:]):
+        if not var:
+            out += [*comp, *[0] * (k + 2)]
+            continue
+        out.append(0)
+        for s in range(k + 1):
+            block = comp[s * (s + 1) // 2:(s + 1) * (s + 2) // 2]
+            out += [*block, 0] if var == 1 else [0, *block]
+    return out
 
 
 @dataclass(frozen=True)
@@ -1004,11 +1014,10 @@ def dh_projection(A: Arrangement, H: int, k: int) -> list[list[int]]:
     e = line_frame(alpha).f
     monos = monomials(3, k)
     m = len(monos)
-    table = _index_table(3, k)
     # the terms x^mu of theta(alpha_H) divisible by x_e, highest power
     # first: peeling one off puts rem[mu] / alpha_e into the quotient at
     # mu - e_e and changes only mu and lower powers, at mu - e_e + e_c
-    steps = [(j, [table[tuple(a - (i == e) + (i == c) for i, a in enumerate(mu))]
+    steps = [(j, [_index(mu[1] - (e == 1) + (c == 1), mu[2] - (e == 2) + (c == 2))
                   for c in range(3)])
              for j, mu in sorted(enumerate(monos), key=lambda jm: -jm[1][e])
              if mu[e]]

@@ -4,7 +4,11 @@ and restriction to a line.
 A polynomial of degree d is a coefficient vector indexed by the degree-d
 monomials in graded-lexicographic order (largest exponent on the first
 variable first).  All downstream computations work degree by degree, so a
-dense per-degree vector feeds the exact linear solver directly.
+dense per-degree vector feeds the exact linear solver directly.  In
+monomials(3, d), x^i y^j z^l sits at index s(s + 1)/2 + l, s = j + l, for
+every d: block s, the terms with j + l = s, is a run of s + 1 entries.
+Times x an entry keeps its index; times y entry l of block s moves to entry
+l of block s + 1, and times z to entry l + 1 of block s + 1.
 
 Every line is read in one frame, line_frame: the coordinate it
 eliminates, the two it keeps and the integer points P, Q that span it.  No

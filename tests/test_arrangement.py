@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrlog.arrangement import (Arrangement, DuplicateLine, LinearForm3,
-                                ParseError, ZeroForm, arrangement, chi0,
-                                intersection_points, is_balanced, n_H, nr_form,
-                                parse_arrangement, parse_factored, to_document)
+                                ParseError, ZeroForm, _point_cmp, arrangement,
+                                chi0, intersection_points, is_balanced, n_H,
+                                nr_form, parse_arrangement, parse_factored,
+                                to_document)
 from arrlog.corpus import (FIXTURES, fixture, generic, near_pencil, pencil,
                            random_corpus)
 from arrlog.linalg import _int_row, free_column
@@ -176,6 +177,33 @@ def test_intersection_points_match_the_pairwise_fraction_reference():
                        if sum(a * c for a, c in zip(line.int_coeffs, P)) == 0)
             assert on == X.incident_lines, (A.name, P)
     assert len(inputs) == 6 + 100 + 539 + 7 + 9 + 7
+
+
+# the line at infinity and lines through its points (1, 0, 0), (0, 1, 0),
+# (1, 1, 0), (1, -1, 0) and (2, -1, 0), two through each but the fourth, so
+# that the last nonzero entry of a point is in each of the three places
+AT_INFINITY = [(0, 0, 1), (0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -2),
+               (1, -1, 1), (1, -1, 3), (1, 1, 2), (1, 2, 1), (1, 2, -1)]
+
+
+def test_point_order_is_that_of_the_fraction_points():
+    # _point_cmp, the integer comparison intersection_points sorts by, has
+    # the sign of comparing the Fraction points and is never 0 on two
+    # distinct points
+    A = arrangement(AT_INFINITY, "at-infinity")
+    places = {next(i for i in (2, 1, 0) if X.int_point[i])
+              for X in intersection_points(A)}
+    assert places == {0, 1, 2}
+    inputs = ([f.build() for f in FIXTURES] + random_corpus(100, 8, 42)
+              + [supersolvable(*entry) for entry in SUPERSOLVABLE]
+              + [generic(n) for n in range(12, 21)]
+              + [near_pencil(n) for n in range(6, 13)] + [A])
+    for B in inputs:
+        for X, Y in combinations(intersection_points(B), 2):
+            for P, Q in ((X, Y), (Y, X)):
+                sign = (P.point > Q.point) - (P.point < Q.point)
+                got = _point_cmp(P.int_point, Q.int_point)
+                assert got and (got > 0) - (got < 0) == sign, (B.name, P, Q)
 
 
 def test_nf6_lattice():

@@ -1,5 +1,7 @@
 """Jacobian syzygies, minimal resolutions, and the classification."""
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -76,8 +78,21 @@ def test_mdr():
     assert classify(near_pencil(5)).mdr == 1
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 25), st.data())
+def test_times_form_is_the_product_with_the_linear_form(d, data):
+    n = monomial_count(3, d)
+    coeff = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6))
+    poly = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    a, b, c = data.draw(st.tuples(*[st.integers(-7, 7)] * 3))
+    p = HomPoly(3, d, tuple(map(Fraction, poly)))
+    for form in ((a, b, c), (a, 0, 0), (0, b, 0), (0, 0, c), (1, 0, 0)):
+        assert (derivation._times_form(poly, d, form)
+                == list(poly_mul(p, linear(3, form)).coeffs)), form
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 5), st.data())
+@given(st.integers(0, 25), st.data())
 def test_shift_vec_is_the_shift_of_each_component(k, data):
     m = 3 * monomial_count(3, k)
     v = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=m, max_size=m))

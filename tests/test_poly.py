@@ -26,6 +26,19 @@ def test_monomial_order_three_vars_degree_two():
     assert monomial_index((0, 0, 2), 2, 3) == 5
 
 
+def test_monomial_index_is_read_in_closed_form():
+    # x^i y^j z^l sits at s(s + 1)/2 + l, s = j + l, whatever the degree;
+    # times x it keeps its index, times y and z it moves by s + 1 and s + 2
+    for d in range(41):
+        up = {mu: n for n, mu in enumerate(monomials(3, d + 1))}
+        for n, (i, j, l) in enumerate(monomials(3, d)):
+            s = j + l
+            assert n == s * (s + 1) // 2 + l == derivation._index(j, l), (d, n)
+            assert up[(i + 1, j, l)] == n, (d, n)
+            assert up[(i, j + 1, l)] == n + s + 1, (d, n)
+            assert up[(i, j, l + 1)] == n + s + 2, (d, n)
+
+
 def test_monomial_order_two_vars():
     assert monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert monomial_index((1, 1), 2, 2) == 1
