@@ -12,7 +12,8 @@ least exponent e1 from above by U.  Nearly always one rank modulo
 linalg.WORD_PRIME shows layer U - 1 to be zero, which gives e1 = U with no
 kernel; otherwise one certified layer below half the total decides.  The
 basis takes psi or phi_i as its first vector when it has degree e1 < e2,
-and certified layers for the rest.
+and as its second, reduced against the multiples of the first, when the
+other has degree e2 (basis); certified layers give the rest.
 """
 
 from __future__ import annotations
@@ -256,41 +257,65 @@ def _closed_form(M: Multiarrangement2, k: int) -> list[int] | None:
     return [b * c for c in Q] + [-a * c for c in Q]
 
 
-def _theta1(M: Multiarrangement2, e1: int, e2: int):
-    """A vector spanning layer e1, which is one-dimensional when e1 < e2 (its
-    free pattern): psi or phi_i when one has degree e1 < e2 (_closed_form),
-    checked against every divisibility condition of degree e1 over Z and
-    made primitive; otherwise the first vector of the certified layer.
-    Either spans the layer, so unit_last prints them alike."""
-    v = _closed_form(M, e1) if e1 < e2 else None
-    if v is None:
-        return _deriv_kernel(M, e1)[0]
-    if not any(v) or any(sum(r * x for r, x in zip(row, v))
-                         for row in _divisibility_rows(M, e1)):
+def _checked_closed_form(M: Multiarrangement2, k: int):
+    """_closed_form(M, k), checked against every divisibility condition over
+    Z (FreenessCertificateFailure if zero or outside D(M)) and primitive."""
+    v = _closed_form(M, k)
+    if v is not None and (not any(v) or any(
+            sum(r * x for r, x in zip(row, v)) for row in _divisibility_rows(M, k))):
         raise FreenessCertificateFailure(
-            f"the closed-form derivation of degree {e1} is not in D(M)")
-    return linalg._primitive_vec(v)
+            f"the closed-form derivation of degree {k} is not in D(M)")
+    return v and linalg._primitive_vec(v)
+
+
+def _layer_vectors(M: Multiarrangement2, k: int, closed: bool):
+    """Layer k: the checked closed form if closed, then the kernel, lazily."""
+    v = _checked_closed_form(M, k) if closed else None
+    yield from () if v is None else (v,)
+    yield from _deriv_kernel(M, k)
+
+
+def _theta1(M: Multiarrangement2, e1: int, e2: int):
+    """The first of _layer_vectors(M, e1, e1 < e2): psi or phi_i when one
+    has degree e1 < e2, as layer e1 is then one-dimensional (its free
+    pattern), else the certified layer's; unit_last prints either alike."""
+    return next(_layer_vectors(M, e1, e1 < e2))
 
 
 @lru_cache(maxsize=8192)
 def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
     """Certified homogeneous basis (degrees e1 <= e2), through unit_last.
 
-    theta1 spans layer e1 of exponents(M) (_theta1), and theta2 is the
-    first vector of layer e2 with a nonzero determinant against theta1.
-    That is the first vector outside the multiples S theta1: in a free
-    module of rank 2, theta1, of least degree, is a basis element, so v = a
-    theta1 + b theta2' for a basis (theta1, theta2'), det(theta1, v) = b
-    det(theta1, theta2'), and v is in S theta1 iff b = 0.  The pair is a
+    theta1 spans layer e1 of exponents(M) (_theta1).  theta2 is the first
+    vector w of the certified layer e2 with a nonzero determinant against
+    theta1, the first outside W = S_d theta1, d = e2 - e1: in a free module
+    of rank 2, theta1, of least degree, is a basis element, so v = a theta1
+    + b theta2' for a basis (theta1, theta2'), det(theta1, v) = b
+    det(theta1, theta2'), and v is in W iff b = 0.
+
+    It is read off the first vector of _layer_vectors(M, e2, e1 < e2) with
+    a nonzero determinant, reduced against the shifts u^(d-i) v^i theta1
+    from the highest down: each shift's last nonzero column c is cleared,
+    then the content.  The c are distinct, the set C, and free columns of
+    the layer's kernel_basis other than w's, as the kernel vectors before w
+    lie in W; so w is zero on C.  Layer e2 is W + <w>, and W is triangular
+    on C with a nonzero diagonal, so the layer's vectors zero on C form a
+    line, which holds w and the nonzero reduced candidate: unit_last prints
+    both alike, and a kernel vector comes out unchanged.  The pair is a
     basis iff its determinant is a nonzero constant times the defining
-    polynomial (Saito 1980), which is checked; FreenessCertificateFailure
-    otherwise.
+    polynomial (Saito 1980), checked; FreenessCertificateFailure otherwise.
     """
     e1, e2 = exponents(M).as_pair()
     theta1 = _theta1(M, e1, e2)
-    theta2 = next((v for v in _deriv_kernel(M, e2) if any(_det(theta1, v))), None)
+    layer = _layer_vectors(M, e2, e1 < e2)
+    theta2 = next((v for v in layer if any(_det(theta1, v))), None)
     if theta2 is None:
         raise FreenessCertificateFailure("no independent second basis vector")
+    for shift in reversed(multiples(theta1, 2, e2 - e1)):
+        c = linalg.free_column(shift)
+        if theta2[c]:
+            theta2 = [shift[c] * x - theta2[c] * y for x, y in zip(theta2, shift)]
+    theta2 = linalg._primitive_vec(theta2)
     if not _minors_certify(theta1, theta2, _saito_target(M)):
         raise FreenessCertificateFailure("basis candidates fail the determinant certificate")
     return tuple(Derivation2.from_vector(linalg.unit_last(v))

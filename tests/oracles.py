@@ -33,8 +33,9 @@ from arrlog.derivation import (_ar_kernel, _combine, _h0_incidence,
                                _point_row, _shift_vec, _uv_rows,
                                dh_projection)
 from arrlog.multiarr import (Derivation2, Exponents, FreenessCertificateFailure,
-                             Multiarrangement2, _deriv_kernel, _mul2,
-                             exponents, multiples, ziegler_restriction)
+                             Multiarrangement2, _det, _deriv_kernel, _mul2,
+                             _theta1, exponents, multiples,
+                             ziegler_restriction)
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
                          from_terms, line_restriction, linear,
                          monomial_count, monomials, restrict)
@@ -464,6 +465,16 @@ def exponents_by_scan(M: Multiarrangement2) -> Exponents:
         if _deriv_kernel(M, e1):
             return Exponents(e1, M.total - e1)
     raise FreenessCertificateFailure(f"no exponent pair found for total {M.total}")
+
+
+def basis_by_kernel(M: Multiarrangement2) -> tuple[tuple, tuple]:
+    """The basis of D(M) by the kernel rule, through unit_last: theta1 from
+    multiarr._theta1, and theta2 the first vector of the certified layer e2
+    with a nonzero determinant against it."""
+    e1, e2 = exponents(M).as_pair()
+    theta1 = _theta1(M, e1, e2)
+    theta2 = next(v for v in _deriv_kernel(M, e2) if any(_det(theta1, v)))
+    return linalg.unit_last(theta1), linalg.unit_last(theta2)
 
 
 def quick_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:

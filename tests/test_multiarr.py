@@ -17,8 +17,8 @@ from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
                              basis, exponents, multiarrangement, multiples,
                              saito_check, ziegler_restriction)
 from arrlog.poly import from_terms, line_frame
-from oracles import (deriv_dim, deriv_space, echelon_basis, evaluate,
-                     exponents_by_scan, line_param, multi_defining_poly,
+from oracles import (basis_by_kernel, deriv_dim, deriv_space, echelon_basis,
+                     evaluate, exponents_by_scan, line_param, multi_defining_poly,
                      span_rule_theta2, substitute_line, supersolvable)
 from test_census import CENSUS_LINES, SUPERSOLVABLE, _orbit_representatives
 
@@ -280,11 +280,59 @@ def test_multiples():
                                              [0, 0, 1, 2, 0, 0, 3, 0]]
 
 
+# one weighted arrangement for each way basis finds its two vectors
+_BRANCH_INPUTS = {
+    # theta1 = psi, and phi_i has degree e2
+    "psi-phi": [([1, 0], 1), ([0, 1], 1), ([1, 1], 1), ([1, 2], 1)],
+    # theta1 = phi_i, and psi has degree e2
+    "phi-psi": [([1, 0], 3), ([0, 1], 1), ([1, 1], 1)],
+    # theta1 from the certified layer, and psi has degree e2
+    "kernel-psi": [([1, 0], 2), ([0, 1], 2), ([1, 1], 1)],
+    # theta1 = psi, and no closed form has degree e2
+    "kernel-e2": [([1, 0], 2), ([0, 1], 2), ([1, 1], 1), ([1, 2], 1), ([1, 3], 1)],
+    # e1 = e2: both from the certified layer
+    "equal": [([1, 0], 2), ([0, 1], 2), ([1, 1], 2)],
+}
+
+
+@pytest.mark.parametrize("name, want, layers", [
+    ("psi-phi", (1, 3), []), ("phi-psi", (2, 3), []),
+    ("kernel-psi", (2, 3), [2]), ("kernel-e2", (3, 4), [4]),
+    ("equal", (3, 3), [3, 3])])
+def test_basis_branches(name, want, layers, monkeypatch):
+    M = multiarrangement(_BRANCH_INPUTS[name])
+    assert exponents(M).as_pair() == want
+    real, seen = _deriv_kernel, []
+
+    def kernel(N, k):
+        seen.append(k)
+        return real(N, k)
+
+    monkeypatch.setattr(multiarr, "_deriv_kernel", kernel)
+    got = basis.__wrapped__(M)
+    assert seen == layers
+    assert got == tuple(Derivation2.from_vector(v) for v in basis_by_kernel(M))
+    assert saito_check(*got, M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+                min_size=2, max_size=6, unique_by=LinearForm2.make),
+       st.lists(st.integers(1, 4), min_size=6, max_size=6))
+def test_basis_is_that_of_the_kernel_rule(coeffs, weights):
+    # theta2 reduced from a closed form prints as the kernel's first vector
+    # outside S theta1
+    M = multiarrangement(zip(coeffs, weights))
+    want = tuple(Derivation2.from_vector(v) for v in basis_by_kernel(M))
+    assert basis.__wrapped__(M) == want, M
+
+
 def test_rank2_basis_rejects_a_multiple_of_theta1(monkeypatch):
-    M = multiarrangement([([1, 0], 3), ([0, 1], 1), ([1, 1], 1)])
+    # no closed form has degree e2, so the certified layer e2 is read
+    M = multiarrangement(_BRANCH_INPUTS["kernel-e2"])
     e1, e2 = exponents(M).as_pair()
-    assert (e1, e2) == (2, 3)
-    theta1 = _deriv_kernel(M, e1)[0]
+    assert (e1, e2) == (3, 4) and _closed_form(M, e2) is None
+    theta1 = multiarr._theta1(M, e1, e2)
     mult = multiples(theta1, 2, e2 - e1)[0]
 
     def only_multiples(N, k):
@@ -294,6 +342,30 @@ def test_rank2_basis_rejects_a_multiple_of_theta1(monkeypatch):
         mp.setattr(multiarr, "_deriv_kernel", only_multiples)
         with pytest.raises(FreenessCertificateFailure):
             basis.__wrapped__(M)
+
+    # a closed form of degree e2 in S theta1 is passed over for the layer,
+    # and one outside D(M) is refused
+    M = multiarrangement(_BRANCH_INPUTS["phi-psi"])
+    e1, e2 = exponents(M).as_pair()
+    theta1 = multiarr._theta1(M, e1, e2)
+    psi, want = _closed_form(M, e2), basis.__wrapped__(M)
+    real_closed, real_kernel, layers = _closed_form, _deriv_kernel, []
+
+    def kernel(N, k):
+        layers.append(k)
+        return real_kernel(N, k)
+
+    for bad, ok in [(multiples(theta1, 2, e2 - e1)[1], True),
+                    (psi[:1] + [psi[1] + 1] + psi[2:], False)]:
+        with monkeypatch.context() as mp:
+            mp.setattr(multiarr, "_closed_form",
+                       lambda N, k, bad=bad: bad if k == e2 else real_closed(N, k))
+            mp.setattr(multiarr, "_deriv_kernel", kernel)
+            if ok:
+                assert basis.__wrapped__(M) == want and layers == [e2]
+            else:
+                with pytest.raises(FreenessCertificateFailure, match=f"degree {e2} is not"):
+                    basis.__wrapped__(M)
 
     # equal degrees: the layer's second vector replaced by a scalar multiple
     M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
@@ -446,8 +518,8 @@ def test_supersolvable_restrictions_have_the_arrangements_exponents():
 
 def test_exponents_compute_no_layer(monkeypatch):
     # exponents reads e1 off one rank modulo WORD_PRIME, with no kernel, and
-    # basis runs layer e2 only, plus layer e1 when e1 = e2 or when theta1
-    # has no closed form
+    # basis runs layer e1 when e1 = e2 or when theta1 has no closed form,
+    # and layer e2 only when no closed form has degree e2 > e1
     real = linalg.kernel_basis
     degrees = []
 
@@ -468,11 +540,13 @@ def test_exponents_compute_no_layer(monkeypatch):
             basis(M)
             if e1 < e2 and _closed_form(M, e1) is not None:
                 closed += 1
-                assert degrees == [e2], (A.name, H)
+                assert _closed_form(M, e2) is not None and degrees == [], (A.name, H)
             else:
-                assert degrees == sorted({e1, e2}), (A.name, H)
-    # 38 of the 47 lines; 4 have e1 = e2, and 5 of nf6, pog6a and pog6c
-    # have weights (2, 2, 1), e1 = 2 and psi, phi_i of degree 3
+                assert degrees == [e1], (A.name, H)
+    # 38 of the 47 lines run no kernel: theta1 and theta2 are psi and
+    # phi_i.  4 have e1 = e2 and run layer e1 once; 5 of nf6, pog6a and
+    # pog6c have weights (2, 2, 1), e1 = 2 and psi, phi_i of degree 3, and
+    # run layer 2 only
     assert closed == 38
 
 
