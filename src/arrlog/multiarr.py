@@ -7,6 +7,11 @@ summing to the total multiplicity (Ziegler 1989); this module computes its
 graded layers, its exponents, and a basis certified by Saito's determinant
 (Saito 1980).
 
+Layer k of D(M) is the kernel of its divisibility conditions: for each form
+of weight m, the Taylor coefficients of order below m of its value at the
+form's zero, read along a coordinate axis transversal to it, one product per
+entry (_divisibility_rows).
+
 Two derivations in closed form, psi and phi_i (_closed_form), bound the
 least exponent e1 from above by U.  Nearly always one rank modulo
 linalg.WORD_PRIME shows layer U - 1 to be zero, which gives e1 = U with no
@@ -153,24 +158,41 @@ def _divisibility_rows(M: Multiarrangement2, k: int) -> list[list[int]]:
     """Linear conditions on the coefficient vector (p, q) of a derivation of
     degree k, expressing that each form's power divides its value.
 
-    A form l = a u + b v of weight m has l^m dividing g = a p + b q exactly
-    when the t^i coefficients of g(r + t d) vanish for i < m, where
-    r = (-b, a) spans l = 0 and d = (a, b) is transversal to it.  The column
-    of u^(k-j) v^j in p (resp. q) thus contributes a (resp. b) times the t^i
-    coefficient of (-b + a t)^(k-j) (a + b t)^j.  The form is taken in its
-    integer scaling, which changes no condition.
+    A form l = a u + b v of weight m, in its integer scaling, has l^m
+    dividing g = a p + b q exactly when g's Taylor coefficients of order
+    i < m vanish at a zero of l along an axis transversal to it.  Here the
+    axis is a coordinate axis, so each entry is one product:
+    - b != 0: r = (b, -a) is the zero and e_v the axis, l(e_v) = b; the t^i
+      coefficient of g(b, -a + t) takes C(j, i) b^(k-j) (-a)^(j-i) from
+      u^(k-j) v^j for j >= i, and nothing for j < i;
+    - b = 0: l = u, and the condition is that g = p has no monomial of
+      u-degree below m: row i is 1 at p's column j = k - i.
+    The entry goes a times into p's block and b times into q's.
+
+    Any transversal axis gives the same conditions over Q: the i < m Taylor
+    coefficients at a zero of l span the m-dimensional annihilator of
+    l^m S_(k-m) in the dual of S_k (all of it when m > k, with the k + 1
+    rows taken), whatever the axis.  So each form's rows span the same space
+    as along d = (a, b) (tests/oracles.py's divisibility_rows_along_ab, with
+    the same number of rows), the kernel is the same space and
+    linalg.kernel_basis returns the same unique echelon basis, and the
+    closed-form checks over Z accept and reject the same vectors.  A full
+    rank modulo WORD_PRIME is a full rank over Q either way; should a rank
+    modulo p fall short where the other would not (the two row sets differ
+    by a triangular change of basis), exponents takes the certified layer,
+    which gives the same e1.
     """
     rows: list[list[int]] = []
     for form, m in zip(M.forms, M.mult):
         a, b = form.int_coeffs
         for i in range(min(m, k + 1)):
-            row = [0] * (2 * (k + 1))
-            for j in range(k + 1):
-                c = sum(comb(k - j, s) * a ** s * (-b) ** (k - j - s)
-                        * comb(j, i - s) * b ** (i - s) * a ** (j - i + s)
-                        for s in range(max(0, i - j), min(i, k - j) + 1))
-                row[j], row[k + 1 + j] = a * c, b * c
-            rows.append(row)
+            c = [0] * (k + 1)
+            if b:
+                for j in range(i, k + 1):
+                    c[j] = comb(j, i) * b ** (k - j) * (-a) ** (j - i)
+            else:
+                c[k - i] = 1
+            rows.append([a * x for x in c] + [b * x for x in c])
     return rows
 
 
@@ -228,10 +250,12 @@ def _product(M: Multiarrangement2, powers) -> list[int]:
                           for _ in range(m)), [1])
 
 
-def _saito_target(M: Multiarrangement2) -> list[int]:
+@lru_cache(maxsize=8192)
+def _saito_target(M: Multiarrangement2) -> tuple[int, ...]:
     """The defining polynomial of M up to a nonzero constant: the product of
-    its integer-scaled forms, each repeated by its multiplicity."""
-    return _product(M, M.mult)
+    its integer-scaled forms, each repeated by its multiplicity.  Built once
+    for basis and saito_check, and a tuple, as the cache shares it."""
+    return tuple(_product(M, M.mult))
 
 
 def _closed_form(M: Multiarrangement2, k: int) -> list[int] | None:

@@ -8,8 +8,10 @@ of the defining polynomial and its syzygies, D_H(A) as explicit
 derivations, the restricted gradient along an external line and its
 coefficient matrix, the syzygy layers by their per-line conditions and exact
 ranks, membership in a layer by restriction to every line, the kept
-values of a derivation on H0 by restriction to it, the derivation
-layers of a weighted arrangement and its exponents by a scan of them,
+values of a derivation on H0 by restriction to it, the divisibility
+conditions of a weighted arrangement read along d = (a, b) with a sum of
+binomial products per entry, the derivation layers of a weighted
+arrangement and its exponents by a scan of them,
 kernels, spans, solutions and RREFs by fraction-free elimination over Z
 (integer_rref, _exact_kernel and SpanBuilder), where arrlog reads them
 off a kernel certified modulo 127-bit moduli, the bound on a syzygy layer
@@ -448,6 +450,28 @@ def point_bound_unpeeled(A: Arrangement, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # weighted arrangements on a line
+
+def divisibility_rows_along_ab(M: Multiarrangement2, k: int) -> list[list[int]]:
+    """multiarr._divisibility_rows read along d = (a, b) in place of a
+    coordinate axis: a form l = a u + b v of weight m has l^m dividing
+    g = a p + b q exactly when the t^i coefficients of g(r + t d) vanish for
+    i < m, where r = (-b, a) spans l = 0 and d is transversal to it.  The
+    column of u^(k-j) v^j in p (resp. q) thus contributes a (resp. b) times
+    the t^i coefficient of (-b + a t)^(k-j) (a + b t)^j, a sum of binomial
+    products."""
+    rows: list[list[int]] = []
+    for form, m in zip(M.forms, M.mult):
+        a, b = form.int_coeffs
+        for i in range(min(m, k + 1)):
+            row = [0] * (2 * (k + 1))
+            for j in range(k + 1):
+                c = sum(comb(k - j, s) * a ** s * (-b) ** (k - j - s)
+                        * comb(j, i - s) * b ** (i - s) * a ** (j - i + s)
+                        for s in range(max(0, i - j), min(i, k - j) + 1))
+                row[j], row[k + 1 + j] = a * c, b * c
+            rows.append(row)
+    return rows
+
 
 def deriv_space(M: Multiarrangement2, k: int) -> list[Derivation2]:
     """Basis of the degree-k layer of the derivation module."""

@@ -12,13 +12,15 @@ from arrlog.arrangement import LinearForm3, arrangement
 from arrlog.corpus import (FIXTURES, fixture, near_pencil, pencil,
                            random_arrangement, random_corpus)
 from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
-                             LinearForm2, Multiarrangement2, _closed_form,
-                             _deriv_kernel, _free_pattern, _saito_target,
-                             basis, exponents, multiarrangement, multiples,
-                             saito_check, ziegler_restriction)
+                             LinearForm2, Multiarrangement2, _checked_closed_form,
+                             _closed_form, _deriv_kernel, _divisibility_rows,
+                             _free_pattern, _saito_target, basis, exponents,
+                             multiarrangement, multiples, saito_check,
+                             ziegler_restriction)
 from arrlog.poly import from_terms, line_frame
-from oracles import (basis_by_kernel, deriv_dim, deriv_space, echelon_basis,
-                     evaluate, exponents_by_scan, line_param, multi_defining_poly,
+from oracles import (basis_by_kernel, deriv_dim, deriv_space,
+                     divisibility_rows_along_ab, echelon_basis, evaluate,
+                     exponents_by_scan, line_param, multi_defining_poly, rank,
                      span_rule_theta2, substitute_line, supersolvable)
 from test_census import CENSUS_LINES, SUPERSOLVABLE, _orbit_representatives
 
@@ -153,7 +155,7 @@ def test_saito_target_is_a_multiple_of_the_defining_poly(A):
         assert all(type(c) is int for c in target)
         lead = next(i for i, c in enumerate(want) if c)
         scale = Fraction(target[lead]) / want[lead]
-        assert scale and [scale * c for c in want] == target, H
+        assert scale and tuple(scale * c for c in want) == target, H
 
 
 def test_exponents_fixture_restrictions():
@@ -263,6 +265,65 @@ def test_deriv_kernel_matches_sympy(raw):
     M = _from_raw(raw)
     if M is not None:
         _assert_kernels_match_sympy(M)
+
+
+def _closed_form_verdict(M: Multiarrangement2, k: int, v):
+    """_checked_closed_form(M, k) with v as the closed form, or "refused"."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiarr, "_closed_form", lambda N, d: v)
+        try:
+            return _checked_closed_form(M, k)
+        except FreenessCertificateFailure:
+            return "refused"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([(1, 0), (0, 1)])
+                | st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+                min_size=2, max_size=6, unique_by=LinearForm2.make),
+       st.lists(st.integers(1, 5), min_size=6, max_size=6))
+def test_divisibility_rows_span_the_rows_along_ab(coeffs, weights):
+    # the rows along a coordinate axis and along d = (a, b) have the same
+    # rank and kernel over Q, so the closed-form checks agree: both accept
+    # psi and phi_i, and both refuse or both accept each with its first or
+    # last coefficient bumped
+    M = multiarrangement(zip(coeffs, weights))
+    for k in range(M.total + 2):
+        rows, ref = _divisibility_rows(M, k), divisibility_rows_along_ab(M, k)
+        ncols = 2 * (k + 1)
+        assert len(rows) == len(ref) and rank(rows, ncols) == rank(ref, ncols), (M, k)
+        assert linalg.kernel_basis(rows, ncols) == linalg.kernel_basis(ref, ncols), (M, k)
+        v = _closed_form(M, k)
+        for w in [] if v is None else [v, [v[0] + 1] + v[1:], v[:-1] + [v[-1] - 1]]:
+            got = _closed_form_verdict(M, k, w)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(multiarr, "_divisibility_rows", divisibility_rows_along_ab)
+                assert got == _closed_form_verdict(M, k, w), (M, k, w)
+            if w is v:
+                assert got == linalg._primitive_vec(v), (M, k)
+
+
+def test_divisibility_rows_of_u_are_its_low_u_degrees():
+    # on line 0 of near_pencil(5), u = (1, 0) has weight 3 and v = (0, 1)
+    # weight 1; v's rows are zero on p, so a bump of p in a column of
+    # u-degree below 3 is refused by u's rows alone
+    M, _ = ziegler_restriction(near_pencil(5), 0)
+    assert [f.int_coeffs for f in M.forms] == [(0, 1), (1, 0)] and M.mult == (1, 3)
+    for k in (1, 3):
+        v = _closed_form(M, k)
+        assert _checked_closed_form(M, k) == linalg._primitive_vec(v), k
+        for j in range(max(0, k - 2), k + 1):
+            bad = list(v)
+            bad[j] += 1
+            assert _closed_form_verdict(M, k, bad) == "refused", (k, j)
+
+
+def test_saito_target_is_built_once_per_restriction():
+    M, _ = ziegler_restriction(random_arrangement(10, 1), 0)
+    for cached in (_deriv_kernel, exponents, basis, _saito_target):
+        cached.cache_clear()
+    assert saito_check(*basis(M), M)
+    assert _saito_target.cache_info().misses == 1
 
 
 def test_rank2_exponents_certificate():
