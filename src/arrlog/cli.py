@@ -232,9 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of central line arrangements in P^2")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("input", help="input document path, or - for stdin")
+    def common(sp):
+        sp.add_argument("input", help="input document path, or - for stdin")
         sp.add_argument("--output", choices=("json", "text"), default="json")
 
     sp = sub.add_parser("analyze", help="lattice, chi0 and classification summary")

@@ -27,7 +27,7 @@ the point system (_point_system) solved modulo a prime does, and alpha_H0
 times the layer below, with shifts and point derivations g_v d_v whose
 restrictions to H0 are independent modulo a prime, bounds it from below.
 Every chosen point derivation is checked exactly against its closed form,
-which lies in the module, by one evaluation of each component
+which lies in the module, by one evaluation of each kept component
 (_is_closed_form): at the Kronecker point (1, T, T^(k + 1)), with T above
 every coefficient of their difference, a degree-k form takes the value
 sum c_E T^E over distinct exponents E, zero only when every c_E is.  Each
@@ -49,13 +49,16 @@ on its span.
 
 The scan keeps of each layer only what it reads (_Layer): its dimension,
 its own vectors (the chosen candidates, or the point system's basis), and
-their kept values at the k + 1 points of H0 of _h0_points.  Every value is
-read one way, a form dotted with the monomials at a point (_evaluate); no
-vector is restricted to H0.  The alpha_H0 multiples are never formed:
-_ar_kernel builds a whole basis on demand, for dh_projection.  The shifts
-of the next layer take the kept values carried, with one more evaluation
-each at one more point of H0, both as candidates of the sandwich and as
-columns of _new_generators, so a layer stores no row for them.
+their kept values at the k + 1 points of H0 of _h0_points.  A vector is
+kept as (a, b) = (theta_u, theta_v) in H0's frame line_frame(alpha_H0),
+as theta(alpha_H0) = 0 fixes theta_f.  Every value is read one way, a
+form dotted with the monomials at a point (_evaluate); no vector is
+restricted to H0.  The alpha_H0 multiples are never formed: _ar_kernel
+builds a whole basis on demand, for dh_projection, the one lift to three
+components (_h0_lift).  The shifts of the next layer take the kept values
+carried, with one more evaluation each at one more point of H0, both as
+candidates of the sandwich and as columns of _new_generators, so a layer
+stores no row for them.
 
 The new generators of a layer are the basis vectors outside x, y and z
 times the layer below, and all of them are read off the layer's
@@ -207,26 +210,29 @@ def _form_product(forms) -> list[int]:
 def _point_derivation(A: Arrangement, v, missing, k: int) -> list[int]:
     """theta_v = g_v d_v in D_{H0}(A), g_v the product of the lines missing
     the point v (their indices, increasing), projected along theta_E when
-    H0 misses v: theta_v - alpha_H0(v) (g_v / alpha_H0) theta_E.  The
-    concatenated degree-k coefficient vectors of its three components."""
+    H0 misses v: theta_v - alpha_H0(v) (g_v / alpha_H0) theta_E.  Its kept
+    pair: g_v (v_u, v_v), or h_v (alpha_H0 v_c - alpha_H0(v) x_c) for c = u,
+    v when H0 misses v, as two degree-k coefficient vectors concatenated."""
     forms = [A.lines[K].int_coeffs for K in missing]
+    kept = line_frame(A.lines[0].int_coeffs)[1:3]
     if not missing or missing[0]:
         g = _form_product(forms)
-        return [c * x for c in v for x in g]
+        return [v[c] * x for c in kept for x in g]
     # g_v = alpha_H0 h_v, and the projection is h_v (alpha_H0 d_v -
     # alpha_H0(v) theta_E)
     alpha, h = forms[0], _form_product(forms[1:])
     a = sum(x * y for x, y in zip(alpha, v))
-    return [x for i in range(3) for x in _times_form(
-        h, k - 1, [v[i] * alpha[j] - (a if j == i else 0) for j in range(3)])]
+    return [x for c in kept for x in _times_form(
+        h, k - 1, [v[c] * alpha[j] - (a if j == c else 0) for j in range(3)])]
 
 
-def _point_values(forms, v, missing, P) -> list[int]:
-    """The three components of the point derivation of _point_derivation at
-    the point P, from its closed form, forms the integer forms of the lines:
-    g(P) v_c when H0 passes through v, g the product of the missing forms,
-    and h(P) (alpha_H0(P) v_c - alpha_H0(v) P_c) when H0 misses v, h the
-    product of the missing forms other than alpha_H0."""
+def _point_values(forms, v, missing, P, kept) -> list[int]:
+    """The kept pair of the point derivation of _point_derivation at the
+    point P, from its closed form, forms the integer forms of the lines and
+    kept the coordinates u and v of line_frame(alpha_H0): g(P) v_c when H0
+    passes through v, g the product of the missing forms, and h(P)
+    (alpha_H0(P) v_c - alpha_H0(v) P_c) when H0 misses v, h the product of
+    the missing forms other than alpha_H0."""
     x, y, z = P
     projected = missing and not missing[0]
     g = 1
@@ -234,10 +240,10 @@ def _point_values(forms, v, missing, P) -> list[int]:
         a, b, c = forms[K]
         g *= a * x + b * y + c * z
     if not projected:
-        return [g * c for c in v]
+        return [g * v[c] for c in kept]
     a, b, c = forms[0]
     at_v, at_P = a * v[0] + b * v[1] + c * v[2], a * x + b * y + c * z
-    return [g * (at_P * c - at_v * p) for c, p in zip(v, P)]
+    return [g * (at_P * v[c] - at_v * P[c]) for c in kept]
 
 
 def _closed_form_bound(forms, v, missing) -> int:
@@ -277,20 +283,21 @@ def _kronecker(poly, k: int, b: int) -> int:
 
 
 def _is_closed_form(A: Arrangement, vec, v, missing, k: int) -> bool:
-    """Whether the degree-k vector vec is the point derivation of v and the
-    lines missing it, coefficient by coefficient, by one evaluation of each
-    of its three components against _point_values at the Kronecker point
-    X = (1, T, T^(k + 1)).  If so, vec lies in D_{H0}(A).
+    """Whether the kept pair vec is that of the point derivation of v and
+    the lines missing it, coefficient by coefficient, by one evaluation of
+    each half against _point_values at the Kronecker point X = (1, T,
+    T^(k + 1)).  If so, vec lies in D_{H0}(A): the closed form kills
+    alpha_H0, so its kept pair fixes it, and vec lifts to it (_h0_lift).
 
     The monomial x^i y^j z^l of degree k takes the value T^(j + (k + 1) l)
     at X, and these exponents are distinct, as j <= k.  With T = 2^b above
     max |vec| plus _closed_form_bound, every coefficient c_E of the
     difference of vec and the closed form, at exponent E, has |c_E| <=
-    T - 1.  A nonzero difference, whose highest nonzero term has
-    |c_E T^E| >= T^E > (T - 1)(1 + T + ... + T^(E - 1)), takes a nonzero
-    value at X.  So equal values at X mean equal polynomials: the check
-    fixes one polynomial, and any other vector fails it, also one of
-    D_{H0}(A) with the same kept values.
+    T - 1, as _closed_form_bound bounds every coefficient of the closed form.
+    A nonzero difference, whose highest nonzero term has |c_E T^E| >= T^E >
+    (T - 1)(1 + T + ... + T^(E - 1)), takes a nonzero value at X.  So
+    equal values mean equal polynomials: the check fixes one pair, and any
+    other fails it, also one of D_{H0}(A) with the same kept values.
 
     The closed form lies in D_{H0}(A).  theta_v = g_v d_v takes alpha_K to
     g_v alpha_K(v), zero when K passes through v, and else divisible by
@@ -303,22 +310,19 @@ def _is_closed_form(A: Arrangement, vec, v, missing, k: int) -> bool:
     b = (max(map(abs, vec)) + _closed_form_bound(forms, v, missing)).bit_length()
     T = 1 << b
     m = monomial_count(3, k)
-    return ([_kronecker(vec[c * m:(c + 1) * m], k, b) for c in range(3)]
-            == _point_values(forms, v, missing, (1, T, T ** (k + 1))))
+    return ([_kronecker(vec[:m], k, b), _kronecker(vec[m:], k, b)]
+            == _point_values(forms, v, missing, (1, T, T ** (k + 1)),
+                             line_frame(A.lines[0].int_coeffs)[1:3]))
 
 
 def _kept_values(A: Arrangement, vectors, d: int) -> list[list[int]]:
-    """The two kept components of each degree-d derivation at the d + 1
-    points of _h0_points, point by point, with the monomials at each point
-    computed once for all the derivations."""
-    kept = line_frame(A.lines[0].int_coeffs)[1:3]
+    """Both halves of each degree-d kept pair at the d + 1 points of
+    _h0_points, point by point, with the monomials at each point computed
+    once for all the pairs."""
     m = monomial_count(3, d)
     rows = [_point_row(P, d) for P in _h0_points(A, d + 1)]
-    out = []
-    for vec in vectors:
-        forms = [vec[i * m:(i + 1) * m] for i in kept]
-        out.append([x for at in rows for x in _evaluate(forms, at)])
-    return out
+    return [[x for at in rows for x in _evaluate((vec[:m], vec[m:]), at)]
+            for vec in vectors]
 
 
 def _grows(echelon: list, row, p: int) -> bool:
@@ -340,7 +344,7 @@ def _grows(echelon: list, row, p: int) -> bool:
 
 class _Layer(tuple):
     """Layer k of D_{H0}(A) as the scan keeps it (_layer): a tuple of its
-    own vectors, those that alpha_H0 times layer k - 1 does not give, with
+    own kept pairs, those that alpha_H0 times layer k - 1 does not give, with
     - `dim`, dim D_{H0}(A)_k;
     - `rows`, the kept values of each own vector at the k + 1 points of
       _h0_points(A, k + 1), which _shift_candidates of layer k + 1 extends
@@ -365,16 +369,14 @@ class _Layer(tuple):
 def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
     """x, y and z times each own vector of the layer prev below whose
     restriction to H0 is nonzero, each as (its kept values at the k + 1
-    points, a builder of its degree-k coefficient vector).  The kept values
+    points, a builder of its degree-k kept pair).  The kept values
     of a vector of prev are the rows it carries, at the first k points,
     and one evaluation at the last.  The alpha_H0 multiples in layer k - 1
     vanish on H0, and so do their shifts: prev does not hold them."""
-    kept = line_frame(A.lines[0].int_coeffs)[1:3]
     m = monomial_count(3, k - 1)
     at = _point_row(points[-1], k - 1)
     for theta, carried in zip(prev, prev.rows):
-        values = list(carried) + _evaluate(
-            [theta[i * m:(i + 1) * m] for i in kept], at)
+        values = list(carried) + _evaluate((theta[:m], theta[m:]), at)
         if any(values):
             for var in range(3):
                 yield ([points[j // 2][var] * x for j, x in enumerate(values)],
@@ -383,7 +385,7 @@ def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
 
 def _candidates(A: Arrangement, k: int, prev: _Layer, points):
     """Derivations in D_{H0}(A)_k, each as (its kept values at points, a
-    builder of its coefficient vector, and (v, missing) for a point
+    builder of its kept pair, and (v, missing) for a point
     derivation, else None): the shift candidates of _shift_candidates, then
     the point derivations of degree k, one for each intersection point v of
     multiplicity |A| - k, missing the lines that miss it
@@ -399,10 +401,7 @@ def _candidates(A: Arrangement, k: int, prev: _Layer, points):
             continue
         v = X.int_point
         missing = [K for K in range(n) if K not in X.incident_lines]
-        row = []
-        for P in points:
-            values = _point_values(forms, v, missing, P)
-            row += [values[c] for c in kept]
+        row = [x for P in points for x in _point_values(forms, v, missing, P, kept)]
         yield (row, lambda v=v, missing=missing: _point_derivation(A, v, missing, k),
                (v, missing))
 
@@ -459,9 +458,8 @@ def _layer(A: Arrangement, k: int) -> _Layer:
     theta(alpha_H0) = 0 that keep every line (H0 = line 0), as the scan of
     _resolution reads it: its dimension, and the vectors of a certified
     basis that are not alpha_H0 times layer k - 1 (see _Layer), as
-    primitive integer vectors, the concatenated coefficient vectors of the
-    three components.  Which basis is not part of the contract: every
-    caller reads only the span of a layer.
+    primitive kept pairs (see the module docstring).  Which basis is not
+    part of the contract: every caller reads only the span of a layer.
 
     Ziegler's splittings D(A) = S theta_E + D_0(A) = S theta_E + D_H0(A)
     make D_{H0}(A) isomorphic to the Jacobian syzygies D_0(A) as a graded
@@ -511,11 +509,10 @@ def _layer(A: Arrangement, k: int) -> _Layer:
     candidates are x, y and z times layer k - 1, which lie in the module,
     and the point derivations, each checked exactly to be its closed form,
     which lies in the module, by one evaluation per component.
-    The layer keeps only the candidates chosen: the alpha_H0 multiples are
-    never formed, and _ar_kernel builds them when a whole basis is asked
-    for.  Otherwise the layer is the point system solved over Q, (u, v) of
-    each vector of U taken to (sum u_i g_i, sum v_i g_i) and lifted by
-    _h0_lift, with its kept values computed once.
+    The layer keeps only the candidates chosen (see _Layer).  Otherwise the
+    layer is the point system solved over Q, (u, v) of each vector of U
+    taken to the kept pair (sum u_i g_i, sum v_i g_i), with its kept values
+    computed once.
     """
     if k <= _empty_through(A):
         return _Layer()
@@ -524,25 +521,26 @@ def _layer(A: Arrangement, k: int) -> _Layer:
         return layer
     G, U = _point_system(A, k)
     m, r = monomial_count(3, k), len(G)
-    vectors = [_h0_lift(A, _combine(uv[:r], G, m) + _combine(uv[r:], G, m))
-               for uv in U]
+    vectors = [tuple(linalg._primitive_vec(
+        _combine(uv[:r], G, m) + _combine(uv[r:], G, m))) for uv in U]
     return _Layer(vectors, len(vectors),
                   tuple(map(tuple, _kept_values(A, vectors, k))), len(vectors))
 
 
 @lru_cache(maxsize=8192)
 def _ar_kernel(A: Arrangement, k: int) -> tuple[tuple[int, ...], ...]:
-    """A certified basis of D_{H0}(A)_k, as primitive integer vectors:
-    alpha_H0 times _ar_kernel(A, k - 1), then the own vectors of
-    _layer(A, k), or those alone when they are the whole layer (see
-    _Layer).  Built on demand, for the projections of dh_projection; the
-    scan reads _layer."""
+    """A certified basis of D_{H0}(A)_k, as primitive integer vectors of
+    three components: alpha_H0 times _ar_kernel(A, k - 1), then the own
+    vectors of _layer(A, k) lifted by _h0_lift, or those alone when they are
+    the whole layer (see _Layer).  Built on demand, for the projections of
+    dh_projection; the scan reads _layer."""
     layer = _layer(A, k)
+    own = tuple(_h0_lift(A, v) for v in layer)
     if layer.dim == len(layer):
-        return tuple(layer)
+        return own
     alpha = A.lines[0].int_coeffs
     return tuple(tuple(linalg._primitive_vec(_times_linear(theta, k - 1, alpha)))
-                 for theta in _ar_kernel(A, k - 1)) + tuple(layer)
+                 for theta in _ar_kernel(A, k - 1)) + own
 
 
 @lru_cache(maxsize=1024)
@@ -667,11 +665,11 @@ def _times_linear(v, k: int, form) -> list[int]:
 
 
 def _shift_vec(v, k: int, var: int) -> list[int]:
-    """A degree-k derivation vector times x, y or z, with no multiplication:
-    each component, or each of its blocks (see poly), padded with zeros."""
+    """Degree-k components times x, y or z, with no multiplication: each
+    component, or each of its blocks (see poly), padded with zeros."""
     m = monomial_count(3, k)
     out = []
-    for comp in (v[:m], v[m:2 * m], v[2 * m:]):
+    for comp in (v[i:i + m] for i in range(0, len(v), m)):
         if not var:
             out += [*comp, *[0] * (k + 2)]
             continue
@@ -717,16 +715,19 @@ def degree_cap(A: Arrangement) -> int:
 
 def _rank_two(A: Arrangement, gens) -> bool:
     """Whether det[theta_E, theta_i, theta_j] is a nonzero form for some pair
-    of the given derivations.
+    of the given derivations, kept pairs (a, b) and (a', b').
 
-    That determinant has degree D = 1 + g_i + g_j.  Set z = 1 and a nonzero
-    form of degree D is a nonzero polynomial of degree at most D in x and in
-    y, which cannot vanish on all of {0..D}^2, so the grid of the largest D
+    They lift to aP + bQ and a'P + b'Q (_h0_lift), and the points of
+    line_frame(alpha_H0) have P x Q = +-alpha_f alpha_H0, alpha_f != 0, so
+    the determinant is +-alpha_f alpha_H0 (a b' - a' b): the test is the form
+    a b' - a' b, of degree D = g_i + g_j.  Set z = 1 and a nonzero form of
+    degree D is a nonzero polynomial of degree at most D in x and in y,
+    which cannot vanish on all of {0..D}^2, so the grid of the largest D
     decides for every pair.  Determinants of derivations of A vanish on its
     lines, so points off the lines are tried first.
     """
     degs = sorted(g for g, _ in gens)
-    top = 1 + degs[-1] + degs[-2]
+    top = degs[-1] + degs[-2]
     forms = [line.int_coeffs for line in A.lines]
 
     def off(P):
@@ -735,15 +736,14 @@ def _rank_two(A: Arrangement, gens) -> bool:
     parts = []
     for g, v in gens:
         m = monomial_count(3, g)
-        parts.append((g, [v[:m], v[m:2 * m], v[2 * m:]]))
-    grid = [(a, b) for a in range(top + 1) for b in range(top + 1)]
+        parts.append((g, (v[:m], v[m:])))
+    grid = [(x, y) for x in range(top + 1) for y in range(top + 1)]
     pairs = list(combinations(range(len(gens)), 2))
-    for a, b in chain(filter(off, grid), filterfalse(off, grid)):
-        vals = [_evaluate(comps, _point_row((a, b, 1), g)) for g, comps in parts]
+    for x, y in chain(filter(off, grid), filterfalse(off, grid)):
+        vals = [_evaluate(halves, _point_row((x, y, 1), g)) for g, halves in parts]
         for i, j in pairs:
-            u, w = vals[i], vals[j]
-            if (a * (u[1] * w[2] - u[2] * w[1]) + b * (u[2] * w[0] - u[0] * w[2])
-                    + u[0] * w[1] - u[1] * w[0]):
+            (a, b), (c, d) = vals[i], vals[j]
+            if a * d - b * c:
                 return True
     return False
 
@@ -758,7 +758,8 @@ def _spans_module(A: Arrangement, gens, rels) -> bool:
     degrees can pass with a wrong relation degree (theta_2 = x theta_1,
     say), since some pair keeps rank 2 and the identity sees only degrees.
 
-    N has rank 2 when _rank_two holds.  With two generators N is then free;
+    N has rank 2 when _rank_two holds, a 2 x 2 form in the kept pairs (see
+    there).  With two generators N is then free;
     with three, its relation module is reflexive of rank 1, hence free, and
     generated in the degree found.  Either way N has projective dimension at
     most one, so depth N >= 2.  The Tjurina identity

@@ -18,8 +18,8 @@ off a kernel certified modulo 127-bit moduli, the bound on a syzygy layer
 from the whole point system modulo a prime, with no line peeled, the new
 generators of a syzygy layer, the relations of given generators in one
 degree, deletion of a line, the span rule for the second basis vector of a
-free module of rank 2, and supersolvable arrangements, whose exponents are
-known.
+free module of rank 2, and supersolvable and deformed Weyl arrangements,
+whose exponents are known.
 """
 
 import random
@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import comb, lcm
+from typing import NamedTuple
 
 from arrlog import linalg
 from arrlog.arrangement import Arrangement, LinearForm3, _cross, chi0
@@ -407,15 +408,14 @@ def in_module(A: Arrangement, vecs, k: int) -> bool:
 
 
 def kept_values_by_restriction(A: Arrangement, vec, d: int) -> list[int]:
-    """The two kept components of a degree-d derivation at the d + 1 points
-    of derivation._h0_points, point by point: restricted to H0 by
-    line_restriction, whose row r is the coefficient of s^(d - r) t^r at
-    sP + tQ, then evaluated at (s, t) = (1, j) for j <= d, which is the
-    point P + jQ."""
+    """Both halves of a degree-d kept pair, the two kept components of a
+    derivation, at the d + 1 points of derivation._h0_points, point by
+    point: restricted to H0 by line_restriction, whose row r is the
+    coefficient of s^(d - r) t^r at sP + tQ, then evaluated at (s, t) =
+    (1, j) for j <= d, which is the point P + jQ."""
     alpha = A.lines[0].int_coeffs
     m = monomial_count(3, d)
-    forms = restrict(alpha, [vec[i * m:(i + 1) * m]
-                             for i in line_param(alpha).retained], d)
+    forms = restrict(alpha, [vec[:m], vec[m:]], d)
     return [sum(c * j ** r for r, c in enumerate(form) if c)
             for j in range(d + 1) for form in forms]
 
@@ -747,6 +747,51 @@ def supersolvable(b: int, extra: int, seed: int) -> Arrangement:
     lines = off + through
     rng.shuffle(lines)
     return Arrangement(tuple(lines), f"supersolvable-{b}-{len(lines)}-{seed}")
+
+
+class RootSystem(NamedTuple):
+    """A rank-2 Weyl group: its positive roots (a, b), its exponents
+    (e1, e2) and its Coxeter number h."""
+    name: str
+    roots: tuple[tuple[int, int], ...]
+    exponents: tuple[int, int]
+    h: int
+
+
+A2 = RootSystem("A2", ((1, 0), (0, 1), (1, 1)), (1, 2), 3)
+B2 = RootSystem("B2", ((1, 0), (0, 1), (1, 1), (1, -1)), (1, 3), 4)
+C2 = RootSystem("C2", ((2, 0), (0, 2), (1, 1), (1, -1)), (1, 3), 4)
+G2 = RootSystem("G2", ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)), (1, 5), 6)
+
+
+def deformed_weyl(roots: RootSystem, lo: int, hi: int, seed: int) -> Arrangement:
+    """The cone of a deformation of a rank-2 Weyl arrangement, its lines
+    shuffled by seed: the line z = 0, and a x + b y - c z for each positive
+    root (a, b) and each integer c in [lo, hi].
+
+    Edelman and Reiner conjectured, and Yoshinaga proved (Invent. Math.
+    157, 2004), that these cones are free.  Its Jacobian syzygies have
+    exponents (kh + e1, kh + e2) for the Catalan deformation [-k, k], and
+    (kh, kh) for the Shi deformation [1 - k, k]."""
+    lines = [LinearForm3.make((0, 0, 1))] + [
+        LinearForm3.make((a, b, -c)) for a, b in roots.roots
+        for c in range(lo, hi + 1)]
+    random.Random(seed).shuffle(lines)
+    return Arrangement(tuple(lines), f"deformed-{roots.name}-[{lo},{hi}]-{seed}")
+
+
+def deformed_weyl_members(max_lines: int, seed: int = 1):
+    """(A, exponents) for every Catalan and Shi deformation A of A2, B2, C2
+    and G2 with k >= 1 and at most max_lines lines (deformed_weyl)."""
+    out = []
+    for W in (A2, B2, C2, G2):
+        e1, e2 = W.exponents
+        for k in range(1, max_lines):
+            for lo, exps in ((-k, (k * W.h + e1, k * W.h + e2)),
+                             (1 - k, (k * W.h, k * W.h))):
+                if 1 + len(W.roots) * (k - lo + 1) <= max_lines:
+                    out.append((deformed_weyl(W, lo, k, seed), exps))
+    return out
 
 
 def span_rule_theta2(layer, total: int):

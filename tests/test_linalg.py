@@ -349,7 +349,8 @@ def test_generators_match_span_builder(A, early_stop, monkeypatch):
         k for k in range(top + 1) for _ in layer_generators(A, k)]
     for k in range(top + 1):
         ncols = 3 * monomial_count(3, k)
-        gens = [list(v) for g, v in data.generators if g == k]
+        gens = [list(derivation._h0_lift(A, v))
+                for g, v in data.generators if g == k]
         assert all(in_layer(A, k, v) for v in gens), k
         shifts = [derivation._shift_vec(v, k - 1, var)
                   for v in (derivation._ar_kernel(A, k - 1) if k else ())

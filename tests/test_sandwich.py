@@ -10,13 +10,14 @@ which route a layer takes, that the route gives the layer the per-line
 conditions define, that the empty prefix and the modular bound are sound
 against exact ranks, that peeling lines leaves the bound as it is, and
 that a point derivation which is not its closed form fails the
-certificate.  That check evaluates each component once, at a Kronecker
+certificate.  That check evaluates each kept component once, at a Kronecker
 point (1, T, T^(k + 1)) with T a power of two above every coefficient of
 the difference, and no smaller power is sound; it accepts each point
 derivation and rejects every other vector, also one of D_{H0}(A) with the
 same kept values.  What run time no longer checks by restriction, the tests
-do: every chosen point derivation passes the restriction oracle
-(oracles.in_module), with its stored kept values.  The new
+do: every chosen point derivation, lifted from its kept pair (lifted),
+passes the restriction oracle (oracles.in_module), with its stored kept
+values.  The new
 generators that _resolution reads off every layer's restriction to H0 must
 be those that grow an exact span of x, y and z times the layer below
 (oracles.layer_generators), and a tampered layer must fail their count.
@@ -42,7 +43,7 @@ from arrlog.linalg import _int_row
 from arrlog.poly import (CertificationFailure, line_frame, monomial_count,
                          monomials)
 from oracles import _exact_kernel, echelon_basis, h0_conditions
-from test_census import SUPERSOLVABLE, _census_pairs
+from test_census import SUPERSOLVABLE, _census_pairs, _weyl_members
 from test_criteria import A3, B3
 from test_linalg import in_layer, point_layer, scanned_degrees
 
@@ -53,6 +54,20 @@ def exact_layer(A, k):
     rows = [_int_row(r) for r in h0_conditions(A, k)]
     return echelon_basis([derivation._h0_lift(A, v)
                           for v in _exact_kernel(rows, 2 * m)], 3 * m)
+
+
+def lifted(A, pairs):
+    """Kept pairs, as the scan stores them, lifted to the three components
+    that the oracles read (derivation._h0_lift)."""
+    return [derivation._h0_lift(A, v) for v in pairs]
+
+
+def kept_pair(A, theta, k):
+    """The kept pair of a degree-k derivation of three components: its
+    components u and v in line_frame(alpha_H0), concatenated."""
+    m = monomial_count(3, k)
+    return [x for c in line_frame(A.lines[0].int_coeffs)[1:3]
+            for x in theta[c * m:(c + 1) * m]]
 
 
 def point_bound(A, k):
@@ -168,29 +183,21 @@ def test_generators_that_are_no_point_derivations_fall_back(A, k):
     assert point_bound(A, k) == len(layer)
 
 
-def _alpha_h0_multiples(A, k):
-    """alpha_H0 x_e^(k - 1) d_e and alpha_H0 x^(k - 1) d_w with
-    alpha_H0(w) = 0, as degree-k vectors.  Added to a point derivation,
-    they leave its values on H0 alone, where alpha_H0 vanishes, and take it
-    out of D_{H0}(A): the first fails theta(alpha_H0) = 0, the second the
+def _line_multiple(A, k):
+    """alpha_H0 x^(k - 1) d_w with alpha_H0(w) = 0, as a degree-k kept pair.
+    Added to a point derivation, it leaves its values on H0 alone, where
+    alpha_H0 vanishes, and takes it out of D_{H0}(A): it fails the
     condition of a line K with alpha_K(w) != 0."""
     alpha = A.lines[0].int_coeffs
-    e = line_frame(alpha).f
-
-    def times_alpha(direction, var):
-        power = [int(mu[var] == k - 1) for mu in monomials(3, k - 1)]
-        poly = derivation._times_form(power, k - 1, alpha)
-        return [d * x for d in direction for x in poly]
-
     w = [alpha[1], -alpha[0], 0] if alpha[0] or alpha[1] else [1, 0, 0]
     assert not sum(a * b for a, b in zip(alpha, w))
-    return {"theta(alpha_H0)": times_alpha([int(i == e) for i in range(3)], e),
-            "a line": times_alpha(w, 0)}
+    power = [int(mu[0] == k - 1) for mu in monomials(3, k - 1)]
+    poly = derivation._times_form(power, k - 1, alpha)
+    return [w[c] * x for c in line_frame(alpha)[1:3] for x in poly]
 
 
 @pytest.mark.parametrize("below", [0, 1], ids=["top", "mdr"])
-@pytest.mark.parametrize("kind", ["coefficient", "theta(alpha_H0)", "a line",
-                                  "zero"])
+@pytest.mark.parametrize("kind", ["coefficient", "a line", "zero"])
 def test_a_perturbed_point_derivation_fails_the_certificate(kind, below,
                                                             monkeypatch):
     # one coefficient up by 1; an alpha_H0 multiple added, which only the
@@ -200,7 +207,7 @@ def test_a_perturbed_point_derivation_fails_the_certificate(kind, below,
     # point system
     A = random_arrangement(12, 1)
     degree = len(A) - 2 - below
-    change = _alpha_h0_multiples(A, degree).get(kind)
+    change = _line_multiple(A, degree)
     original = derivation._point_derivation
 
     def perturbed(B, v, missing, k):
@@ -214,7 +221,7 @@ def test_a_perturbed_point_derivation_fails_the_certificate(kind, below,
             vec = [a + b for a, b in zip(vec, change)]
             assert derivation._kept_values(B, [vec], k) == \
                 derivation._kept_values(B, [original(B, v, missing, k)], k)
-        assert not in_layer(B, k, vec)
+        assert not in_layer(B, k, derivation._h0_lift(B, vec))
         return vec
 
     # the layers below are cached unperturbed first
@@ -252,10 +259,10 @@ def _base_bits(A, vec, v, missing):
 
 
 def _below(A, k):
-    """alpha_H0 times each vector of layer k - 1: in D_{H0}(A)_k, and zero
-    on H0."""
+    """alpha_H0 times each vector of layer k - 1, as kept pairs: in
+    D_{H0}(A)_k, and zero on H0."""
     alpha = A.lines[0].int_coeffs
-    return [derivation._times_linear(theta, k - 1, alpha)
+    return [kept_pair(A, derivation._times_linear(theta, k - 1, alpha), k)
             for theta in derivation._ar_kernel(A, k - 1)] if k else []
 
 
@@ -266,16 +273,16 @@ def test_the_closed_form_check_accepts_every_point_derivation():
     projected = set()
     for A, k, row, vec, (v, missing) in _member_candidates():
         assert derivation._is_closed_form(A, vec, v, missing, k), (A.name, k)
-        assert oracles.in_module(A, [vec], k), (A.name, k)
+        assert oracles.in_module(A, lifted(A, [vec]), k), (A.name, k)
         assert [row] == derivation._kept_values(A, [vec], k), (A.name, k)
         projected.add(bool(missing) and not missing[0])
     assert projected == {False, True}
 
 
 def _perturbed(A, k, vec, v, missing):
-    """Vectors other than vec, by kind: one coefficient, the first nonzero,
-    a middle one or the last, changed by +-1 or by +-(T - 1); each alpha_H0
-    multiple of _alpha_h0_multiples added; the zero vector; and vec plus
+    """Kept pairs other than vec, by kind: one coefficient, the first
+    nonzero, a middle one or the last, changed by +-1 or by +-(T - 1); the
+    alpha_H0 multiple of _line_multiple added; the zero vector; and vec plus
     alpha_H0 times a vector of layer k - 1."""
     T = 1 << _base_bits(A, vec, v, missing)
     first = next(j for j, x in enumerate(vec) if x)
@@ -286,8 +293,7 @@ def _perturbed(A, k, vec, v, missing):
             w[j] += d
             out.append(("coefficient", w))
     if k:
-        out += [(kind, [a + b for a, b in zip(vec, change)])
-                for kind, change in _alpha_h0_multiples(A, k).items()]
+        out.append(("a line", [a + b for a, b in zip(vec, _line_multiple(A, k))]))
     out.append(("zero", [0] * len(vec)))
     out += [("layer below", [a + b for a, b in zip(vec, w)])
             for w in _below(A, k)]
@@ -304,16 +310,15 @@ def test_the_closed_form_check_rejects_every_other_vector():
             assert not derivation._is_closed_form(A, w, v, missing, k), \
                 (A.name, k, kind)
             if kind == "layer below":
-                assert oracles.in_module(A, [w], k), (A.name, k)
+                assert oracles.in_module(A, lifted(A, [w]), k), (A.name, k)
                 assert derivation._kept_values(A, [w], k) == [row]
             kinds.add(kind)
-    assert kinds == {"coefficient", "theta(alpha_H0)", "a line", "zero",
-                     "layer below"}
+    assert kinds == {"coefficient", "a line", "zero", "layer below"}
 
 
 def test_the_check_evaluates_at_its_power_of_two(monkeypatch):
-    # each component is evaluated once, at T = 2^b with b the bit length of
-    # max |vec| plus _closed_form_bound
+    # each kept component is evaluated once, at T = 2^b with b the bit
+    # length of max |vec| plus _closed_form_bound
     kronecker = derivation._kronecker
     bits = []
 
@@ -325,7 +330,7 @@ def test_the_check_evaluates_at_its_power_of_two(monkeypatch):
     for A, k, _, vec, (v, missing) in _member_candidates():
         bits.clear()
         assert derivation._is_closed_form(A, vec, v, missing, k)
-        assert bits == [_base_bits(A, vec, v, missing)] * 3, (A.name, k)
+        assert bits == [_base_bits(A, vec, v, missing)] * 2, (A.name, k)
 
 
 @pytest.mark.parametrize("beta", [(0, 0, 1), (0, 0, 2), (0, 3, 0), (-5, 0, 0)])
@@ -335,15 +340,18 @@ def test_a_restricted_coefficient_reaches_the_evaluation_base(beta, k):
     # of the difference of a vector and the closed form C.  With H0 through
     # v and the k missing forms all beta = beta_f x_f, g_v = beta_f^k x_f^k
     # is one monomial, and C has a coefficient at the bound B = |beta|_1^k
-    # |v|_inf.  vec = -C, with max |vec| = B, differs from C by M = 2B
+    # |v|_inf, in a kept component when H0 keeps the coordinate of |v|_inf.
+    # vec = -C, with max |vec| = B, differs from C by M = 2B
     # there, and T is the least power of two above M.  At T / 2 <= M the
     # nonzero form (T / 2) x^k - x^(k - 1) y, its coefficients at most M,
     # vanishes: no smaller power of two is sound
     m = monomial_count(3, k)
-    forms = [(1, 1, 1)] + [beta] * k
     missing = list(range(1, k + 1))
-    for v in [(1, 0, 0), (2, -3, 1), (0, 0, -5)]:
-        C = [c * x for c in v for x in derivation._form_product([beta] * k)]
+    for alpha, v in [((1, 1, 1), (1, 0, 0)), ((1, 1, 1), (2, -3, 1)),
+                     ((1, 0, 0), (0, 0, -5))]:
+        forms = [alpha] + [beta] * k
+        kept = line_frame(alpha)[1:3]
+        C = [v[c] * x for c in kept for x in derivation._form_product([beta] * k)]
         bound = derivation._closed_form_bound(forms, v, missing)
         assert max(map(abs, C)) == bound \
             == sum(map(abs, beta)) ** k * max(map(abs, v))
@@ -353,11 +361,12 @@ def test_a_restricted_coefficient_reaches_the_evaluation_base(beta, k):
         b = M.bit_length()
         assert 1 << (b - 1) <= M < 1 << b
         T = 1 << b
-        at = derivation._point_values(forms, v, missing, (1, T, T ** (k + 1)))
+        at = derivation._point_values(forms, v, missing, (1, T, T ** (k + 1)),
+                                      kept)
         assert at == [derivation._kronecker(C[c * m:(c + 1) * m], k, b)
-                      for c in range(3)]
+                      for c in range(2)]
         assert at != [derivation._kronecker(vec[c * m:(c + 1) * m], k, b)
-                      for c in range(3)]
+                      for c in range(2)]
         if k:
             D = [0] * m
             D[0], D[1] = 1 << (b - 1), -1
@@ -369,11 +378,11 @@ def test_a_restricted_coefficient_reaches_the_evaluation_base(beta, k):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_the_closed_form_check_is_equality(data):
-    # a point derivation perturbed along a direction u with alpha_H0(u) =
-    # 0, so that only the lines decide for the module; by an alpha_H0
-    # multiple; by alpha_H0 times a vector of layer k - 1; by one
+    # a point derivation's kept pair perturbed along a direction u with
+    # alpha_H0(u) = 0, so that only the lines decide for the module; by an
+    # alpha_H0 multiple; by alpha_H0 times a vector of layer k - 1; by one
     # coefficient as large as the base; or not at all.  The check accepts
-    # exactly the vector itself, and only vectors of D_{H0}(A)
+    # exactly the pair itself, and only pairs of D_{H0}(A)
     A, k, _, vec, (v, missing) = data.draw(
         st.sampled_from(_member_candidates()), label="candidate")
     w = list(vec)
@@ -385,25 +394,23 @@ def test_the_closed_form_check_is_equality(data):
         alpha = A.lines[0].int_coeffs
         u = [alpha[1], -alpha[0], 0] if alpha[0] or alpha[1] else [1, 0, 0]
         d = data.draw(st.integers(-3, 3) | st.sampled_from([2 ** 64, -2 ** 64]))
-        for c in range(3):
-            w[c * m + j] += d * u[c]
+        for i, c in enumerate(line_frame(alpha)[1:3]):
+            w[i * m + j] += d * u[c]
     elif kind == "alpha_H0" and k:
-        changes = sorted(_alpha_h0_multiples(A, k).items())
-        change = data.draw(st.sampled_from(changes), label="multiple")[1]
-        w = [a + b for a, b in zip(w, change)]
+        w = [a + b for a, b in zip(w, _line_multiple(A, k))]
     elif kind == "layer below" and _below(A, k):
         below = _below(A, k)
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(below),
                                     max_size=len(below)), label="coeffs")
-        w = [a + b for a, b in zip(w, derivation._combine(coeffs, below, 3 * m))]
+        w = [a + b for a, b in zip(w, derivation._combine(coeffs, below, 2 * m))]
     elif kind == "base":
         T = 1 << _base_bits(A, vec, v, missing)
         d = data.draw(st.sampled_from([T - 1, 1 - T, T, -T]), label="change")
-        w[data.draw(st.integers(0, 2), label="component") * m + j] += d
+        w[data.draw(st.integers(0, 1), label="component") * m + j] += d
     got = derivation._is_closed_form(A, w, v, missing, k)
     assert got == (w == vec)
     if got:
-        assert oracles.in_module(A, [w], k)
+        assert oracles.in_module(A, lifted(A, [w]), k)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +464,18 @@ def _by_point_system(A, k):
             and derivation._sandwich(A, k) is None)
 
 
+def test_deformed_weyl_generators_take_the_point_system():
+    # Yoshinaga's theorem gives the exponents of each Catalan and Shi
+    # deformation of A2, B2, C2 and G2 (oracles.deformed_weyl); on each
+    # member of at most 22 lines, the layers that fall back to the exact
+    # point system are exactly the generator degrees
+    for A, exps in _weyl_members(22):
+        cls = derivation.classify(A)
+        assert (cls.verdict, cls.exponents) == ("free", exps), A.name
+        routed = {k for k in range(exps[1] + 1) if _by_point_system(A, k)}
+        assert routed == set(exps), A.name
+
+
 def _kind(A, k):
     """How _new_generators reads layer k of A: None when no vector needs a
     column, else the route that certified the layer."""
@@ -475,9 +494,9 @@ _SWEEP = {"ladder": lambda: _ladder(1) + _ladder(2),
 def test_chosen_point_derivations_pass_the_restriction_oracle(name,
                                                               monkeypatch):
     # at run time each chosen point derivation is compared with its closed
-    # form only; here, in both scans of _resolution, each lies in D_{H0}(A)
-    # by restriction to every line, and the row its layer stores is the
-    # kept values of its stored vector
+    # form only; here, in both scans of _resolution, each lifts into
+    # D_{H0}(A) by restriction to every line, and the row its layer stores
+    # is the kept values of its stored pair
     chosen = 0
     for A in _SWEEP[name]():
         for early_stop in (True, False):
@@ -486,7 +505,8 @@ def test_chosen_point_derivations_pass_the_restriction_oracle(name,
                 if _by_point_system(A, k):
                     continue
                 first = len(layer) - layer.columns
-                assert oracles.in_module(A, layer[first:], k), (A.name, k)
+                assert oracles.in_module(A, lifted(A, layer[first:]), k), \
+                    (A.name, k)
                 kept = derivation._kept_values(A, layer[first:], k)
                 assert list(layer.rows[first:]) == list(map(tuple, kept)), \
                     (A.name, k)
@@ -498,13 +518,14 @@ def test_chosen_point_derivations_pass_the_restriction_oracle(name,
 def test_new_generators_equal_the_span_oracle(name, monkeypatch):
     # in both scans of _resolution, classify's and minimal_resolution's,
     # every layer above a nonzero one gives the vectors that grow an exact
-    # span of x, y and z times the layer below, vector for vector
+    # span of x, y and z times the layer below, vector for vector once
+    # lifted
     extract = derivation._new_generators
     kinds = set()
 
     def checked(A, k, prev, layer):
         new = extract(A, k, prev, layer)
-        assert list(new) == oracles.layer_generators(A, k), (A.name, k)
+        assert lifted(A, new) == oracles.layer_generators(A, k), (A.name, k)
         kinds.add(_kind(A, k))
         return new
 
@@ -549,12 +570,13 @@ def test_the_leading_alpha_h0_multiples_vanish_on_h0():
             layer, basis = derivation._layer(A, k), derivation._ar_kernel(A, k)
             multiples = layer.dim - len(layer)
             assert len(basis) == layer.dim, (A.name, k)
-            assert basis[multiples:] == tuple(layer), (A.name, k)
+            assert basis[multiples:] == tuple(lifted(A, layer)), (A.name, k)
             if derivation._sandwich(A, k) is None:
                 assert multiples == 0
                 continue
             assert multiples == derivation._layer(A, k - 1).dim
-            values = [any(row) for row in derivation._kept_values(A, basis, k)]
+            values = [any(row) for row in derivation._kept_values(
+                A, [kept_pair(A, theta, k) for theta in basis], k)]
             assert values == [False] * multiples + [True] * len(layer), \
                 (A.name, k)
 
