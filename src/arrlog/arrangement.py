@@ -59,9 +59,15 @@ class LinearForm:
         return tuple(Fraction(c, lead) for c in self.int_coeffs)
 
     def to_json(self) -> list:
-        """coeffs as JSON: ints where integral, "p/q" strings otherwise."""
-        return [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                for c in self.coeffs]
+        """coeffs as JSON: ints where integral, "p/q" strings otherwise, in
+        lowest terms read off int_coeffs: c / lead is c // g over lead // g
+        for g = gcd(c, lead), as lead > 0, with no Fraction built."""
+        lead = next(c for c in self.int_coeffs if c)
+        out = []
+        for c in self.int_coeffs:
+            g = gcd(c, lead)
+            out.append(c // g if g == lead else f"{c // g}/{lead // g}")
+        return out
 
 
 class LinearForm3(LinearForm):

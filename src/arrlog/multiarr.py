@@ -10,10 +10,13 @@ graded layers, its exponents, and a basis certified by Saito's determinant
 Layer k of D(M) is the kernel of its divisibility conditions: for each form
 of weight m, the Taylor coefficients of order below m of its value at the
 form's zero, read along a coordinate axis transversal to it, one product per
-entry (_divisibility_rows).
+entry (_divisibility_rows).  A single vector is checked against the same
+conditions with no row built, by synthetic division at each form's zero
+(_taylor_divisible).
 
-Two derivations in closed form, psi and phi_i (_closed_form), bound the
-least exponent e1 from above by U.  Nearly always one rank modulo
+Two derivations in closed form, psi and phi_i (_closed_form), products of
+the forms built one linear form per step (_product), bound the least
+exponent e1 from above by U.  Nearly always one rank modulo
 linalg.WORD_PRIME shows layer U - 1 to be zero, which gives e1 = U with no
 kernel; otherwise one certified layer below half the total decides.  The
 basis takes psi or phi_i as its first vector when it has degree e1 < e2,
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache, reduce
+from functools import cmp_to_key, lru_cache
 from math import comb
 
 from . import linalg
@@ -176,7 +179,8 @@ def _divisibility_rows(M: Multiarrangement2, k: int) -> list[list[int]]:
     as along d = (a, b) (tests/oracles.py's divisibility_rows_along_ab, with
     the same number of rows), the kernel is the same space and
     linalg.kernel_basis returns the same unique echelon basis, and the
-    closed-form checks over Z accept and reject the same vectors.  A full
+    closed-form check (_taylor_divisible, these rows' dot products) accepts
+    and rejects the same vectors over Z as those rows.  A full
     rank modulo WORD_PRIME is a full rank over Q either way; should a rank
     modulo p fall short where the other would not (the two row sets differ
     by a triangular change of basis), exponents takes the certified layer,
@@ -245,9 +249,14 @@ def _minors_certify(theta1, theta2, target) -> bool:
 
 def _product(M: Multiarrangement2, powers) -> list[int]:
     """The product of M's integer-scaled forms, each to its entry of
-    powers."""
-    return reduce(_mul2, (f.int_coeffs for f, m in zip(M.forms, powers)
-                          for _ in range(m)), [1])
+    powers, one linear form a u + b v per step: the u^(n-j) v^j
+    coefficient of P (a u + b v) is a P_j + b P_(j-1)."""
+    P = [1]
+    for f, m in zip(M.forms, powers):
+        a, b = f.int_coeffs
+        for _ in range(m):
+            P = [a * x + b * y for x, y in zip(P + [0], [0] + P)]
+    return P
 
 
 @lru_cache(maxsize=8192)
@@ -281,12 +290,47 @@ def _closed_form(M: Multiarrangement2, k: int) -> list[int] | None:
     return [b * c for c in Q] + [-a * c for c in Q]
 
 
+def _taylor_divisible(M: Multiarrangement2, v) -> bool:
+    """True iff every row of _divisibility_rows(M, k) is zero on v, the
+    concatenated (p, q) of degree k, with no row built.
+
+    Row i of l = a u + b v dotted with v is the i-th entry of its form's
+    Taylor conditions on g = a p + b q:
+    - b != 0: sum_j g_j C(j, i) b^(k-j) (-a)^(j-i), the t^i coefficient of
+      G(t) = sum_j g_j b^(k-j) t^j at t = -a, which is the remainder of the
+      i-th synthetic division of G by t + a: Horner from the top, whose
+      running values are the quotient's coefficients, divided again;
+    - b = 0: l = u, and g = p's coefficient of u-degree i.
+    Each is exactly its integer dot product, so this accepts and rejects
+    the same vectors over Z as the rows."""
+    k = len(v) // 2 - 1
+    p, q = v[:k + 1], v[k + 1:]
+    for form, m in zip(M.forms, M.mult):
+        a, b = form.int_coeffs
+        n = min(m, k + 1)
+        if not b:
+            if any(p[k + 1 - n:]):
+                return False
+            continue
+        G, power = [], 1  # G's coefficients from t^k down
+        for x, y in zip(reversed(p), reversed(q)):
+            G.append((a * x + b * y) * power)
+            power *= b
+        for i in range(n):
+            r = 0
+            for j in range(k + 1 - i):
+                r = G[j] = G[j] - a * r
+            if r:
+                return False
+    return True
+
+
 def _checked_closed_form(M: Multiarrangement2, k: int):
     """_closed_form(M, k), checked against every divisibility condition over
-    Z (FreenessCertificateFailure if zero or outside D(M)) and primitive."""
+    Z by synthetic division (_taylor_divisible; FreenessCertificateFailure
+    if zero or outside D(M)) and primitive."""
     v = _closed_form(M, k)
-    if v is not None and (not any(v) or any(
-            sum(r * x for r, x in zip(row, v)) for row in _divisibility_rows(M, k))):
+    if v is not None and (not any(v) or not _taylor_divisible(M, v)):
         raise FreenessCertificateFailure(
             f"the closed-form derivation of degree {k} is not in D(M)")
     return v and linalg._primitive_vec(v)

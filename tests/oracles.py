@@ -57,6 +57,14 @@ def canonical(coeffs, n: int) -> tuple:
     return tuple(c / lead for c in cs)
 
 
+def form_to_json_by_fractions(form) -> list:
+    """LinearForm.to_json through Fractions: each of form.coeffs, the
+    coefficients divided by the first nonzero one, as an int where integral
+    and a "p/q" string otherwise."""
+    return [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+            for c in form.coeffs]
+
+
 # ---------------------------------------------------------------------------
 # intersection points
 
@@ -471,6 +479,18 @@ def divisibility_rows_along_ab(M: Multiarrangement2, k: int) -> list[list[int]]:
                 row[j], row[k + 1 + j] = a * c, b * c
             rows.append(row)
     return rows
+
+
+def rows_kill(rows, v) -> bool:
+    """True iff every row's integer dot product with v is zero."""
+    return not any(sum(r * x for r, x in zip(row, v)) for row in rows)
+
+
+def product_by_mul2(M: Multiarrangement2, powers) -> list[int]:
+    """multiarr._product as a fold of multiarr._mul2 over the integer-scaled
+    forms, each repeated by its entry of powers."""
+    return reduce(_mul2, (f.int_coeffs for f, m in zip(M.forms, powers)
+                          for _ in range(m)), [1])
 
 
 def deriv_space(M: Multiarrangement2, k: int) -> list[Derivation2]:

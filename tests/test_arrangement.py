@@ -18,8 +18,9 @@ from arrlog.corpus import (FIXTURES, fixture, generic, near_pencil, pencil,
                            random_corpus)
 from arrlog.linalg import _int_row, free_column
 from arrlog.multiarr import LinearForm2
-from oracles import (canonical, intersection_points_reference, rank,
-                     supersolvable, without)
+from oracles import (canonical, form_to_json_by_fractions,
+                     intersection_points_reference, rank, supersolvable,
+                     without)
 from test_census import SUPERSOLVABLE, _census_pairs
 
 
@@ -68,6 +69,25 @@ def test_make_matches_the_fraction_oracle(v):
     want = canonical(v, len(v))
     assert form.coeffs == want and all(type(c) is Fraction for c in form.coeffs)
     assert list(form.int_coeffs) == _int_row(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NONZERO_VECTORS)
+def test_to_json_matches_the_fraction_oracle(v):
+    # printed off int_coeffs in lowest terms, as through the Fractions of
+    # coeffs: ints where integral, "p/q" otherwise, zeros and signs kept
+    form = (LinearForm3 if len(v) == 3 else LinearForm2).make(v)
+    got = form.to_json()
+    assert got == form_to_json_by_fractions(form), v
+    assert all(type(c) is int or type(c) is str for c in got)
+
+
+def test_to_json_examples():
+    assert LinearForm3.make([0, 4, -6]).to_json() == [0, 1, "-3/2"]
+    assert LinearForm3.make([-6, -4, 0]).to_json() == [1, "2/3", 0]
+    assert LinearForm3.make([Fraction(1, 2), 3, -5]).to_json() == [1, 6, -10]
+    assert LinearForm2.make([Fraction(-3, 4), Fraction(1, 6)]).to_json() == [1, "-2/9"]
+    assert LinearForm2.make([0, -7]).to_json() == [0, 1]
 
 
 def test_zero_form_rejected():

@@ -1,5 +1,6 @@
 """Weighted binary arrangements: dimensions, exponents, certified bases."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,14 +15,16 @@ from arrlog.corpus import (FIXTURES, fixture, near_pencil, pencil,
 from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
                              LinearForm2, Multiarrangement2, _checked_closed_form,
                              _closed_form, _deriv_kernel, _divisibility_rows,
-                             _free_pattern, _saito_target, basis, exponents,
+                             _free_pattern, _product, _saito_target,
+                             _taylor_divisible, basis, exponents,
                              multiarrangement, multiples, saito_check,
                              ziegler_restriction)
 from arrlog.poly import from_terms, line_frame
 from oracles import (basis_by_kernel, deriv_dim, deriv_space,
                      divisibility_rows_along_ab, echelon_basis, evaluate,
-                     exponents_by_scan, line_param, multi_defining_poly, rank,
-                     span_rule_theta2, substitute_line, supersolvable)
+                     exponents_by_scan, line_param, multi_defining_poly,
+                     product_by_mul2, rank, rows_kill, span_rule_theta2,
+                     substitute_line, supersolvable)
 from test_census import CENSUS_LINES, SUPERSOLVABLE, _orbit_representatives
 
 
@@ -277,30 +280,76 @@ def _closed_form_verdict(M: Multiarrangement2, k: int, v):
             return "refused"
 
 
+# two to six pairwise non-proportional forms, (1, 0) and (0, 1) among the
+# candidates, and weights up to 5, above k + 1 in the low degrees
+FORMS_AND_WEIGHTS = (
+    st.lists(st.sampled_from([(1, 0), (0, 1)])
+             | st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+             min_size=2, max_size=6, unique_by=LinearForm2.make),
+    st.lists(st.integers(1, 5), min_size=6, max_size=6))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from([(1, 0), (0, 1)])
-                | st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
-                min_size=2, max_size=6, unique_by=LinearForm2.make),
-       st.lists(st.integers(1, 5), min_size=6, max_size=6))
+@given(*FORMS_AND_WEIGHTS)
 def test_divisibility_rows_span_the_rows_along_ab(coeffs, weights):
     # the rows along a coordinate axis and along d = (a, b) have the same
-    # rank and kernel over Q, so the closed-form checks agree: both accept
-    # psi and phi_i, and both refuse or both accept each with its first or
-    # last coefficient bumped
+    # rank and kernel over Q
     M = multiarrangement(zip(coeffs, weights))
     for k in range(M.total + 2):
         rows, ref = _divisibility_rows(M, k), divisibility_rows_along_ab(M, k)
         ncols = 2 * (k + 1)
         assert len(rows) == len(ref) and rank(rows, ncols) == rank(ref, ncols), (M, k)
         assert linalg.kernel_basis(rows, ncols) == linalg.kernel_basis(ref, ncols), (M, k)
-        v = _closed_form(M, k)
-        for w in [] if v is None else [v, [v[0] + 1] + v[1:], v[:-1] + [v[-1] - 1]]:
-            got = _closed_form_verdict(M, k, w)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(multiarr, "_divisibility_rows", divisibility_rows_along_ab)
-                assert got == _closed_form_verdict(M, k, w), (M, k, w)
-            if w is v:
-                assert got == linalg._primitive_vec(v), (M, k)
+
+
+def _psi_and_phis(M: Multiarrangement2):
+    """psi and every phi_i (not only one of greatest weight), built by
+    products of _mul2: each lies in D(M)."""
+    P = product_by_mul2(M, [m - 1 for m in M.mult])
+    yield P + [0, 0] + P
+    for i, (a, b) in enumerate(f.int_coeffs for f in M.forms):
+        Q = product_by_mul2(M, [0 if j == i else m for j, m in enumerate(M.mult)])
+        yield [b * c for c in Q] + [-a * c for c in Q]
+
+
+@settings(max_examples=40, deadline=None)
+@given(*FORMS_AND_WEIGHTS, st.integers(0, 2 ** 32))
+def test_closed_form_check_is_the_rows_verdict(coeffs, weights, seed):
+    # the closed-form check by synthetic division accepts exactly the
+    # vectors that every divisibility row kills, along a coordinate axis
+    # and along (a, b): psi, each phi_i, the layer's kernel vectors, each
+    # with its first, last or a random coefficient bumped, random vectors
+    # and zero; _checked_closed_form refuses the rest and zero
+    rng = random.Random(seed)
+    M = multiarrangement(zip(coeffs, weights))
+    members = list(_psi_and_phis(M))
+    for k in range(M.total + 2):
+        n = 2 * (k + 1)
+        rows, ref = _divisibility_rows(M, k), divisibility_rows_along_ab(M, k)
+        vectors = ([v for v in members if len(v) == n]
+                   + [list(v) for v in _deriv_kernel(M, k)])
+        for v in list(vectors):
+            j = rng.randrange(n)
+            vectors += [[v[0] + 1] + v[1:], v[:-1] + [v[-1] - 1],
+                        v[:j] + [v[j] + rng.choice((-2, -1, 1, 2))] + v[j + 1:]]
+        vectors += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)] + [[0] * n]
+        for w in vectors:
+            want = rows_kill(rows, w)
+            assert rows_kill(ref, w) == want == _taylor_divisible(M, w), (M, k, w)
+            verdict = linalg._primitive_vec(w) if want and any(w) else "refused"
+            assert _closed_form_verdict(M, k, w) == verdict, (M, k, w)
+        assert all(rows_kill(rows, v) for v in members if len(v) == n), (M, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*FORMS_AND_WEIGHTS, st.lists(st.integers(0, 4), min_size=6, max_size=6))
+def test_product_is_the_fold_of_mul2(coeffs, weights, powers):
+    # a linear form per step gives the products of _mul2, and so the same
+    # closed forms and Saito targets
+    M = multiarrangement(zip(coeffs, weights))
+    powers = powers[:len(M.forms)]
+    assert _product(M, powers) == product_by_mul2(M, powers), (M, powers)
+    assert _saito_target.__wrapped__(M) == tuple(product_by_mul2(M, M.mult)), M
 
 
 def test_divisibility_rows_of_u_are_its_low_u_degrees():
