@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import _int_row, unit_last
+from .linalg import unit_last
 from .poly import HomPoly, linear
 
 
@@ -42,15 +42,24 @@ class LinearForm:
 
     @classmethod
     def make(cls, coeffs):
-        """The form of nvars ints or Fractions; ParseError on another count,
-        ZeroForm on the zero form."""
-        if len(coeffs) != cls.nvars:
-            raise ParseError(f"expected {cls.nvars} coefficients, got {len(coeffs)}")
-        v = _int_row(coeffs)
-        lead = next((c for c in v if c), 0)
-        if not lead:
+        """The form of nvars ints or Fractions: their denominators cleared,
+        then from_ints."""
+        den = lcm(*(c.denominator for c in coeffs))
+        return cls.from_ints([c.numerator * (den // c.denominator) for c in coeffs])
+
+    @classmethod
+    def from_ints(cls, v):
+        """The form of nvars ints, divided by their content with the sign
+        that makes the first nonzero entry positive; ParseError on another
+        count, ZeroForm on the zero form."""
+        if len(v) != cls.nvars:
+            raise ParseError(f"expected {cls.nvars} coefficients, got {len(v)}")
+        g = gcd(*v)
+        if not g:
             raise ZeroForm("zero linear form")
-        return cls(tuple(v) if lead > 0 else tuple(-c for c in v))
+        if next(c for c in v if c) < 0:
+            g = -g
+        return cls(tuple(c // g for c in v))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -78,7 +78,7 @@ def _random_lines(n: int, rng: XorShift64):
         coeffs = tuple(rng.randint(-9, 9) for _ in range(3))
         if not any(coeffs):
             continue
-        form = LinearForm3.make(coeffs)
+        form = LinearForm3.from_ints(coeffs)
         if form not in lines:
             lines.append(form)
     if len(lines) != n:

@@ -190,8 +190,8 @@ def _deletion_defect(A: Arrangement, H: int) -> tuple[int, tuple[int, int]]:
     """
     L = 1 if H == 0 else 0
     M, _ = ziegler_restriction(A, L)
-    p = LinearForm2.make(restrict_lines(A.lines[L].int_coeffs,
-                                        [A.lines[H].int_coeffs])[0])
+    p = LinearForm2.from_ints(restrict_lines(A.lines[L].int_coeffs,
+                                             [A.lines[H].int_coeffs])[0])
     lowered = [(f, m - (f == p)) for f, m in zip(M.forms, M.mult)]
     Md = Multiarrangement2(tuple(f for f, m in lowered if m),
                            tuple(m for _, m in lowered if m))
@@ -339,7 +339,7 @@ def random_external_lines(A: Arrangement, count: int, seed: int) -> list[LinearF
             coeffs = tuple(rng.randint(-9, 9) for _ in range(3))
             if not any(coeffs):
                 continue
-            form = LinearForm3.make(coeffs)
+            form = LinearForm3.from_ints(coeffs)
             if form in seen:
                 continue
             if is_admissible(A, form):

@@ -81,10 +81,14 @@ def free_column(v) -> int:
     return next(i for i in range(len(v) - 1, -1, -1) if v[i])
 
 
+_ZERO = Fraction(0)
+
+
 def unit_last(v) -> tuple[Fraction, ...]:
-    """v divided by its last nonzero entry, as Fractions (for printing)."""
+    """v divided by its last nonzero entry, as Fractions (for printing);
+    every zero entry is the one _ZERO."""
     last = v[free_column(v)]
-    return tuple(Fraction(a, last) for a in v)
+    return tuple(Fraction(a, last) if a else _ZERO for a in v)
 
 
 def kernel_basis(matrix: Mat, ncols: int) -> Mat:

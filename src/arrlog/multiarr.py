@@ -20,14 +20,21 @@ exponent e1 from above by U.  Nearly always one rank modulo
 linalg.WORD_PRIME shows layer U - 1 to be zero, which gives e1 = U with no
 kernel; otherwise one certified layer below half the total decides.  The
 basis takes psi or phi_i as its first vector when it has degree e1 < e2,
-and as its second, reduced against the multiples of the first, when the
-other has degree e2 (basis); certified layers give the rest.
+and as its second, reduced in place against the shifts of the first, when
+the other has degree e2 (basis); certified layers give the rest.
+
+The path runs on integers from the restricted lines to the printed basis:
+the forms are canonicalised by LinearForm.from_ints, phi_i and Saito's
+target share the cofactor product of phi_i (_cofactor), and each basis
+vector keeps the primitive integer vector it was certified as
+(Derivation2.int_vector), which saito_check reads; Fractions appear only in
+the printed derivations.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb
@@ -102,20 +109,26 @@ def multiarrangement(pairs) -> Multiarrangement2:
 
 @dataclass(frozen=True)
 class Derivation2:
-    """p * d/du + q * d/dv in the two restriction coordinates."""
+    """p * d/du + q * d/dv in the two restriction coordinates.
+
+    basis also keeps the primitive integer vector it certified, the
+    concatenated (p, q) up to a nonzero constant, for saito_check; it takes
+    no part in equality, hashing or printing."""
 
     p: HomPoly
     q: HomPoly
+    int_vector: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.p.degree != self.q.degree or self.p.nvars != 2 or self.q.nvars != 2:
             raise ValueError("components must be binary forms of equal degree")
 
     @classmethod
-    def from_vector(cls, v) -> "Derivation2":
+    def from_vector(cls, v, int_vector=None) -> "Derivation2":
         """From the concatenated coefficient vectors of p and q."""
         m = len(v) // 2
-        return cls(HomPoly(2, m - 1, tuple(v[:m])), HomPoly(2, m - 1, tuple(v[m:])))
+        return cls(HomPoly(2, m - 1, tuple(v[:m])), HomPoly(2, m - 1, tuple(v[m:])),
+                   int_vector)
 
     @property
     def degree(self) -> int:
@@ -149,7 +162,7 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
         raise IndexError("line index out of range")
     beta = A.lines[H].int_coeffs
     others = A.lines[:H] + A.lines[H + 1:]
-    counts = Counter(LinearForm2.make(ell) for ell in restrict_lines(
+    counts = Counter(LinearForm2.from_ints(ell) for ell in restrict_lines(
         beta, [f.int_coeffs for f in others]))
     items = sorted(counts.items(), key=_BY_FORM)
     M = Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
@@ -247,24 +260,46 @@ def _minors_certify(theta1, theta2, target) -> bool:
     return all(d * target[lead] == t * det[lead] for d, t in zip(det, target))
 
 
+def _times_power(P, form: LinearForm2, m: int) -> list[int]:
+    """P times the integer-scaled form a u + b v to the m-th power, one
+    linear form per step: the u^(n-j) v^j coefficient of P (a u + b v) is
+    a P_j + b P_(j-1)."""
+    a, b = form.int_coeffs
+    for _ in range(m):
+        P = [a * x + b * y for x, y in zip((*P, 0), (0, *P))]
+    return P
+
+
 def _product(M: Multiarrangement2, powers) -> list[int]:
     """The product of M's integer-scaled forms, each to its entry of
-    powers, one linear form a u + b v per step: the u^(n-j) v^j
-    coefficient of P (a u + b v) is a P_j + b P_(j-1)."""
+    powers."""
     P = [1]
     for f, m in zip(M.forms, powers):
-        a, b = f.int_coeffs
-        for _ in range(m):
-            P = [a * x + b * y for x, y in zip(P + [0], [0] + P)]
+        P = _times_power(P, f, m)
     return P
+
+
+@lru_cache(maxsize=8192)
+def _cofactor(M: Multiarrangement2) -> tuple[int, tuple[int, ...]] | None:
+    """(i, Q) for the first form l_i of greatest weight and the product
+    Q = prod_(j != i) l_j^(m_j), shared by phi_i (_closed_form) and
+    _saito_target; None when M has no form."""
+    i = max(range(len(M.mult)), key=M.mult.__getitem__, default=None)
+    if i is None:
+        return None
+    return i, tuple(_product(M, [0 if j == i else m for j, m in enumerate(M.mult)]))
 
 
 @lru_cache(maxsize=8192)
 def _saito_target(M: Multiarrangement2) -> tuple[int, ...]:
     """The defining polynomial of M up to a nonzero constant: the product of
-    its integer-scaled forms, each repeated by its multiplicity.  Built once
-    for basis and saito_check, and a tuple, as the cache shares it."""
-    return tuple(_product(M, M.mult))
+    its integer-scaled forms, each repeated by its multiplicity, read as
+    _cofactor's Q times l_i^(m_i).  Built once for basis and saito_check,
+    and a tuple, as the cache shares it."""
+    if not M.forms:
+        return (1,)
+    i, Q = _cofactor(M)
+    return tuple(_times_power(Q, M.forms[i], M.mult[i]))
 
 
 def _closed_form(M: Multiarrangement2, k: int) -> list[int] | None:
@@ -282,10 +317,10 @@ def _closed_form(M: Multiarrangement2, k: int) -> list[int] | None:
     if k == 1 + M.total - len(M.forms):
         P = _product(M, [m - 1 for m in M.mult])
         return P + [0, 0] + P
-    i = max(range(len(M.mult)), key=M.mult.__getitem__, default=None)
-    if i is None or k != M.total - M.mult[i]:
+    cofactor = _cofactor(M)
+    if cofactor is None or k != M.total - M.mult[cofactor[0]]:
         return None
-    Q = _product(M, [0 if j == i else m for j, m in enumerate(M.mult)])
+    i, Q = cofactor
     a, b = M.forms[i].int_coeffs
     return [b * c for c in Q] + [-a * c for c in Q]
 
@@ -364,14 +399,18 @@ def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
     It is read off the first vector of _layer_vectors(M, e2, e1 < e2) with
     a nonzero determinant, reduced against the shifts u^(d-i) v^i theta1
     from the highest down: each shift's last nonzero column c is cleared,
-    then the content.  The c are distinct, the set C, and free columns of
-    the layer's kernel_basis other than w's, as the kernel vectors before w
-    lie in W; so w is zero on C.  Layer e2 is W + <w>, and W is triangular
+    then the content.  With L theta1's last nonzero entry, a step scales
+    the candidate by L, when L != 1, and subtracts its entry in c times the
+    shift on theta1's support, the 2(e1 + 1) entries where the shift can
+    be nonzero; no shift is built.  The c are distinct, the set C, and
+    free columns of the layer's kernel_basis other than w's, as the kernel
+    vectors before w lie in W; so w is zero on C.  Layer e2 is W + <w>, and W is triangular
     on C with a nonzero diagonal, so the layer's vectors zero on C form a
     line, which holds w and the nonzero reduced candidate: unit_last prints
     both alike, and a kernel vector comes out unchanged.  The pair is a
     basis iff its determinant is a nonzero constant times the defining
     polynomial (Saito 1980), checked; FreenessCertificateFailure otherwise.
+    Each Derivation2 keeps the vector certified as its int_vector.
     """
     e1, e2 = exponents(M).as_pair()
     theta1 = _theta1(M, e1, e2)
@@ -379,14 +418,21 @@ def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
     theta2 = next((v for v in layer if any(_det(theta1, v))), None)
     if theta2 is None:
         raise FreenessCertificateFailure("no independent second basis vector")
-    for shift in reversed(multiples(theta1, 2, e2 - e1)):
-        c = linalg.free_column(shift)
-        if theta2[c]:
-            theta2 = [shift[c] * x - theta2[c] * y for x, y in zip(theta2, shift)]
+    theta2, m1, m2 = list(theta2), e1 + 1, e2 + 1
+    f = linalg.free_column(theta1)
+    last, c0 = theta1[f], f + (e2 - e1 if f >= m1 else 0)
+    for i in range(e2 - e1, -1, -1):
+        t = theta2[c0 + i]
+        if t:
+            if last != 1:
+                theta2 = [last * x for x in theta2]
+            for j in range(m1):
+                theta2[i + j] -= t * theta1[j]
+                theta2[m2 + i + j] -= t * theta1[m1 + j]
     theta2 = linalg._primitive_vec(theta2)
     if not _minors_certify(theta1, theta2, _saito_target(M)):
         raise FreenessCertificateFailure("basis candidates fail the determinant certificate")
-    return tuple(Derivation2.from_vector(linalg.unit_last(v))
+    return tuple(Derivation2.from_vector(linalg.unit_last(v), tuple(v))
                  for v in (theta1, theta2))
 
 
@@ -429,7 +475,9 @@ def saito_check(theta1: Derivation2, theta2: Derivation2,
     """Saito's criterion: the pair is a basis iff its determinant is a nonzero
     constant times the defining polynomial (with multiplicities).  Scaling
     either derivation by a nonzero constant scales the determinant alike, so
-    both are checked as primitive integer vectors."""
-    return _minors_certify(linalg._int_row(theta1.coeff_vector()),
-                           linalg._int_row(theta2.coeff_vector()),
-                           _saito_target(M))
+    both are checked as integer vectors: the int_vector basis certified, and
+    for a derivation built elsewhere its coefficients' primitive integer
+    vector."""
+    return _minors_certify(*(
+        linalg._int_row(theta.coeff_vector()) if theta.int_vector is None
+        else theta.int_vector for theta in (theta1, theta2)), _saito_target(M))

@@ -107,14 +107,10 @@ class HomPoly:
         return self.coeffs[monomial_index(tuple(exps), self.degree, self.nvars)]
 
     def __str__(self) -> str:
-        names = VAR_NAMES[: self.nvars]
         terms = []
-        for m, c in zip(monomials(self.nvars, self.degree), self.coeffs):
+        for mono, c in zip(_monomial_names(self.nvars, self.degree), self.coeffs):
             if not c:
                 continue
-            mono = "".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e
-            )
             if not mono:
                 terms.append(str(c))
             elif c == 1:
@@ -129,6 +125,14 @@ class HomPoly:
         for t in terms[1:]:
             s += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
         return s
+
+
+@lru_cache(maxsize=None)
+def _monomial_names(nvars: int, degree: int) -> tuple[str, ...]:
+    """The printed names of monomials(nvars, degree), "" for the constant."""
+    return tuple("".join(n if e == 1 else f"{n}^{e}"
+                         for n, e in zip(VAR_NAMES, m) if e)
+                 for m in monomials(nvars, degree))
 
 
 def from_terms(nvars: int, degree: int, terms: dict) -> HomPoly:

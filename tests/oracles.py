@@ -23,6 +23,7 @@ whose exponents are known.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -35,13 +36,14 @@ from arrlog.arrangement import Arrangement, LinearForm3, _cross, chi0
 from arrlog.derivation import (_ar_kernel, _combine, _h0_incidence,
                                _point_row, _shift_vec, _uv_rows,
                                dh_projection)
-from arrlog.multiarr import (Derivation2, Exponents, FreenessCertificateFailure,
+from arrlog.multiarr import (_BY_FORM, Derivation2, Exponents,
+                             FreenessCertificateFailure, LinearForm2,
                              Multiarrangement2, _det, _deriv_kernel, _mul2,
                              _theta1, exponents, multiples,
                              ziegler_restriction)
 from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
                          from_terms, line_restriction, linear,
-                         monomial_count, monomials, restrict)
+                         monomial_count, monomials, restrict, restrict_lines)
 
 # ---------------------------------------------------------------------------
 # linear forms
@@ -479,6 +481,31 @@ def divisibility_rows_along_ab(M: Multiarrangement2, k: int) -> list[list[int]]:
                 row[j], row[k + 1 + j] = a * c, b * c
             rows.append(row)
     return rows
+
+
+def restriction_by_make(A: Arrangement, H: int) -> Multiarrangement2:
+    """multiarr.ziegler_restriction's weighted arrangement with each
+    restricted line canonicalised by LinearForm2.make, which clears the
+    denominators of its ints before LinearForm.from_ints."""
+    beta = A.lines[H].int_coeffs
+    ells = restrict_lines(beta, [f.int_coeffs for i, f in enumerate(A.lines) if i != H])
+    items = sorted(Counter(LinearForm2.make(ell) for ell in ells).items(), key=_BY_FORM)
+    return Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
+
+
+def theta2_by_multiples(theta1, theta2, d: int) -> tuple[list[int], int]:
+    """multiarr.basis's reduction of theta2 against the shifts
+    u^(d-i) v^i theta1, each built in full by multiples, from the highest
+    down: each shift's last nonzero column c is cleared by
+    shift[c] theta2 - theta2[c] shift over all 2(e2 + 1) entries, then the
+    content.  Returns the primitive vector and the number of steps taken."""
+    steps = 0
+    for shift in reversed(multiples(theta1, 2, d)):
+        c = linalg.free_column(shift)
+        if theta2[c]:
+            theta2 = [shift[c] * x - theta2[c] * y for x, y in zip(theta2, shift)]
+            steps += 1
+    return linalg._primitive_vec(list(theta2)), steps
 
 
 def rows_kill(rows, v) -> bool:

@@ -93,6 +93,26 @@ def test_to_json_examples():
 def test_zero_form_rejected():
     with pytest.raises(ZeroForm):
         LinearForm3.make([0, 0, 0])
+    for cls, v in ((LinearForm3, [0, 0, 0]), (LinearForm2, (0, 0))):
+        with pytest.raises(ZeroForm):
+            cls.from_ints(v)
+    with pytest.raises(ParseError, match="expected 2 coefficients, got 3"):
+        LinearForm2.from_ints([1, 2, 3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n,
+                                                    max_size=n).filter(any)),
+       st.integers(-6, 6).filter(bool))
+def test_from_ints_is_make_on_integers(v, factor):
+    # common factors, negative leads and zeros: the integer canonicaliser
+    # gives the form make gives, the Fraction oracle's primitive vector
+    v = [factor * c for c in v]
+    cls = LinearForm3 if len(v) == 3 else LinearForm2
+    form = cls.from_ints(v)
+    assert form == cls.make(v) and hash(form) == hash(cls.make(v)), v
+    assert list(form.int_coeffs) == _int_row(canonical(v, len(v))), v
+    assert all(type(c) is int for c in form.int_coeffs)
 
 
 def test_duplicate_rejected():

@@ -14,17 +14,18 @@ from arrlog.corpus import (FIXTURES, fixture, near_pencil, pencil,
                            random_arrangement, random_corpus)
 from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
                              LinearForm2, Multiarrangement2, _checked_closed_form,
-                             _closed_form, _deriv_kernel, _divisibility_rows,
-                             _free_pattern, _product, _saito_target,
-                             _taylor_divisible, basis, exponents,
-                             multiarrangement, multiples, saito_check,
-                             ziegler_restriction)
+                             _closed_form, _det, _deriv_kernel,
+                             _divisibility_rows, _free_pattern, _layer_vectors,
+                             _product, _saito_target, _taylor_divisible,
+                             _theta1, basis, exponents, multiarrangement,
+                             multiples, saito_check, ziegler_restriction)
 from arrlog.poly import from_terms, line_frame
 from oracles import (basis_by_kernel, deriv_dim, deriv_space,
                      divisibility_rows_along_ab, echelon_basis, evaluate,
                      exponents_by_scan, line_param, multi_defining_poly,
-                     product_by_mul2, rank, rows_kill, span_rule_theta2,
-                     substitute_line, supersolvable)
+                     product_by_mul2, rank, restriction_by_make, rows_kill,
+                     span_rule_theta2, substitute_line, supersolvable,
+                     theta2_by_multiples)
 from test_census import CENSUS_LINES, SUPERSOLVABLE, _orbit_representatives
 
 
@@ -115,6 +116,16 @@ def test_ziegler_restriction_pog7():
     assert M.to_json() == {"forms": [[0, 1], [1, -1], [1, 0], [1, 1], [1, 4]],
                            "mult": [2, 1, 1, 1, 1]}
     assert M.total == len(A) - 1
+
+
+def test_ziegler_restriction_is_the_make_built_one():
+    # restricted lines canonicalised by LinearForm2.from_ints give the
+    # weighted arrangement that make gives
+    for A in [f.build() for f in FIXTURES] + random_corpus(100, 8, 42):
+        for H in range(len(A)):
+            M, _ = ziegler_restriction.__wrapped__(A, H)
+            assert M == restriction_by_make(A, H), (A.name, H)
+            assert hash(M) == hash(restriction_by_make(A, H))
 
 
 def test_ziegler_restriction_total():
@@ -352,6 +363,26 @@ def test_product_is_the_fold_of_mul2(coeffs, weights, powers):
     assert _saito_target.__wrapped__(M) == tuple(product_by_mul2(M, M.mult)), M
 
 
+@pytest.mark.parametrize("pairs", [
+    [([1, 0], 2), ([0, 1], 2), ([1, 1], 1)],   # two forms of greatest weight
+    [([1, -2], 3), ([3, 1], 3), ([2, 5], 3)],  # all of greatest weight
+    [([2, 3], 4)],                             # one form
+    []])                                       # no form
+def test_saito_target_is_the_fold_of_mul2(pairs):
+    # the target is the cofactor of phi_i times l_i^(m_i), the product of
+    # every form to its weight; phi_i from that cofactor is in D(M)
+    M = multiarrangement(pairs)
+    assert _saito_target.__wrapped__(M) == tuple(product_by_mul2(M, M.mult)), M
+    if M.forms:
+        i = M.mult.index(max(M.mult))
+        a, b = M.forms[i].int_coeffs
+        Q = product_by_mul2(M, [0 if j == i else m for j, m in enumerate(M.mult)])
+        k = M.total - M.mult[i]
+        if k != 1 + M.total - len(M.forms):
+            assert _closed_form(M, k) == [b * c for c in Q] + [-a * c for c in Q]
+            assert _checked_closed_form(M, k)
+
+
 def test_divisibility_rows_of_u_are_its_low_u_degrees():
     # on line 0 of near_pencil(5), u = (1, 0) has weight 3 and v = (0, 1)
     # weight 1; v's rows are zero on p, so a bump of p in a column of
@@ -373,6 +404,31 @@ def test_saito_target_is_built_once_per_restriction():
         cached.cache_clear()
     assert saito_check(*basis(M), M)
     assert _saito_target.cache_info().misses == 1
+
+
+def test_theta2_reduction_is_that_of_the_multiples():
+    # theta2 reduced in place, on theta1's support only, is the primitive
+    # vector the reduction against the full shifts gives; some drawn cases
+    # take a step with theta1's last entry not +-1, which scales theta2
+    nonunit = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+                    min_size=2, max_size=6, unique_by=LinearForm2.make),
+           st.lists(st.integers(1, 3), min_size=6, max_size=6))
+    def check(coeffs, weights):
+        M = multiarrangement(zip(coeffs, weights))
+        e1, e2 = exponents(M).as_pair()
+        theta1 = _theta1(M, e1, e2)
+        theta2 = next(v for v in _layer_vectors(M, e2, e1 < e2) if any(_det(theta1, v)))
+        want, steps = theta2_by_multiples(theta1, theta2, e2 - e1)
+        t1, t2 = basis.__wrapped__(M)
+        assert t1.int_vector == tuple(theta1) and t2.int_vector == tuple(want), M
+        if steps and abs(theta1[linalg.free_column(theta1)]) != 1:
+            nonunit.append(M)
+
+    check()
+    assert nonunit
 
 
 def test_rank2_exponents_certificate():
@@ -524,6 +580,34 @@ def test_basis_certified():
         exp = exponents(M)
         assert (t1.degree, t2.degree) == exp.as_pair()
         assert saito_check(t1, t2, M)
+
+
+def test_saito_check_reads_the_certified_vectors(monkeypatch):
+    # basis's pair carries the primitive integer vectors it certified, which
+    # take no part in equality, hashing or repr; saito_check reads them, and
+    # clears denominators only for a pair rebuilt from its components, with
+    # the same verdict
+    calls = []
+    real = linalg._int_row
+    monkeypatch.setattr(linalg, "_int_row", lambda row: calls.append(1) or real(row))
+    for A in _BASIS_INPUTS:
+        for H in range(len(A)):
+            M, _ = ziegler_restriction(A, H)
+            t1, t2 = basis(M)
+            r1, r2 = Derivation2(t1.p, t1.q), Derivation2(t2.p, t2.q)
+            assert (r1, r2) == (t1, t2) and r1.int_vector is None
+            assert hash(r1) == hash(t1) and repr(r2) == repr(t2)
+            for t in (t1, t2):
+                v = list(t.int_vector)
+                assert linalg._primitive_vec(v) == v
+                assert real(t.coeff_vector()) in (v, [-c for c in v]), (A.name, H)
+            del calls[:]
+            for pair, reads, want in [((t1, t2), 0, True), ((r1, r2), 2, True),
+                                      ((t1, r2), 1, True), ((t1, t1), 0, False),
+                                      ((r1, t1), 1, False)]:
+                assert saito_check(*pair, M) == want, (A.name, H)
+                assert len(calls) == reads
+                del calls[:]
 
 
 def _scaled(theta, c):
