@@ -60,15 +60,18 @@ carried, with one more evaluation each at one more point of H0, both as
 candidates of the sandwich and as columns of _new_generators, so a layer
 stores no row for them.
 
-The new generators of a layer are the basis vectors outside x, y and z
-times the layer below, and all of them are read off the layer's
-restriction to H0 (_new_generators).  The derivations of the layer that
-vanish on H0 are alpha_H0 times the layer below, which lies in those
-shifts, so a vector lies in the shifts plus other vectors exactly when its
-restriction lies in theirs.  One small kernel of the kept values at k + 1
-points of H0, of the shifts and of the layer vectors not known to lie in
-their span, gives the new generators as its pivots, and their number must
-be the dimension the shifts leave.
+The new generators of a layer are the basis vectors outside the span S of
+the linear forms times the layer below, and all of them are read off the
+layer's restriction to H0 (_new_generators).  The derivations of the layer
+that vanish on H0 are alpha_H0 times the layer below, which lies in S, so
+a vector lies in S plus other vectors exactly when its restriction lies in
+theirs.  On H0, with (u, v) the coordinates of line_frame(alpha_H0) and f
+the third, alpha_f x_f = -(alpha_u x_u + alpha_v x_v), so the restriction
+of S is spanned by x_u and x_v times the layer below, the only shifts
+_shift_candidates yields.  One small kernel of the kept values at k + 1
+points of H0, of those shifts and of the layer vectors not known to lie in
+S, gives the new generators as its pivots, and their number must be the
+dimension S leaves.
 
 The scan ends with a proof, not with more layers: _spans_module shows
 from a determinant and the global Tjurina number that at most three
@@ -349,9 +352,11 @@ class _Layer(tuple):
     - `rows`, the kept values of each own vector at the k + 1 points of
       _h0_points(A, k + 1), which _shift_candidates of layer k + 1 extends
       by one point;
-    - `columns`, how many trailing own vectors are not known to lie in x, y
-      and z times layer k - 1, each a column of _new_generators.
-    A sandwiched layer's own vectors are its chosen shifts, then its chosen
+    - `columns`, how many trailing own vectors are not known to lie in the
+      span of x, y and z times layer k - 1, each a column of
+      _new_generators.
+    A sandwiched layer's own vectors are its chosen shifts, x_u or x_v
+    times own vectors of layer k - 1 (_shift_candidates), then its chosen
     point derivations, the vectors that take a column, and its dimension is
     that of layer k - 1 plus their number.  A point-system layer's own
     vectors are its whole basis, and each takes a column.  Both kinds are
@@ -367,18 +372,27 @@ class _Layer(tuple):
 
 
 def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
-    """x, y and z times each own vector of the layer prev below whose
-    restriction to H0 is nonzero, each as (its kept values at the k + 1
+    """x_u and x_v times each own vector of the layer prev below whose
+    restriction to H0 is nonzero, (u, v) the coordinates that
+    line_frame(alpha_H0) keeps, each as (its kept values at the k + 1
     points, a builder of its degree-k kept pair).  The kept values
     of a vector of prev are the rows it carries, at the first k points,
     and one evaluation at the last.  The alpha_H0 multiples in layer k - 1
-    vanish on H0, and so do their shifts: prev does not hold them."""
+    vanish on H0, and so do their shifts: prev does not hold them.
+
+    These are the only shifts: on H0, alpha_f x_f = -(alpha_u x_u +
+    alpha_v x_v) with alpha_f != 0, so x_f theta restricts into the span
+    of x_u theta and x_v theta and adds to no rank over Q.  The rule is
+    sound for any prime: if alpha_f vanishes modulo WORD_PRIME, the shifts'
+    rank modulo it may fall short, and a short rank only sends the layer
+    to the point system's bound (_sandwich), never to a wrong basis."""
     m = monomial_count(3, k - 1)
     at = _point_row(points[-1], k - 1)
+    kept = line_frame(A.lines[0].int_coeffs)[1:3]
     for theta, carried in zip(prev, prev.rows):
         values = list(carried) + _evaluate((theta[:m], theta[m:]), at)
         if any(values):
-            for var in range(3):
+            for var in kept:
                 yield ([points[j // 2][var] * x for j, x in enumerate(values)],
                        lambda theta=theta, var=var: _shift_vec(theta, k - 1, var))
 
@@ -506,8 +520,10 @@ def _layer(A: Arrangement, k: int) -> _Layer:
       independent modulo alpha_H0 D_(k-1).  With the alpha_H0 multiples
       they are dim D_(k-1) + (their rank) independent vectors of D_k.
     When an upper bound meets the lower one, those vectors are a basis.  The
-    candidates are x, y and z times layer k - 1, which lie in the module,
-    and the point derivations, each checked exactly to be its closed form,
+    candidates are x_u and x_v times layer k - 1, (u, v) the coordinates
+    that line_frame(alpha_H0) keeps, which lie in the module and whose
+    restrictions span that of x_f times it too (_shift_candidates), and
+    the point derivations, each checked exactly to be its closed form,
     which lies in the module, by one evaluation per component.
     The layer keeps only the candidates chosen (see _Layer).  Otherwise the
     layer is the point system solved over Q, (u, v) of each vector of U
@@ -802,7 +818,7 @@ def _check_du_plessis_wall(A: Arrangement, r: int) -> None:
 def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
     """The new generators of layer k above the nonzero layer prev: the
     vectors of layer outside S plus the vectors before them, S the span of
-    x, y and z times prev, read off their restriction to H0.
+    x, y and z times layer k - 1, read off their restriction to H0.
 
     S contains alpha_H0 theta = sum alpha_i x_i theta for every theta of
     D_(k-1), and alpha_H0 D_(k-1) is the kernel of the restriction to H0
@@ -811,15 +827,14 @@ def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
     derivation of D_k restricts to zero iff its kept components vanish at
     k + 1 points of H0.  The new generators are thus the layer columns that
     are pivots of one kernel_basis of the kept values there of [shifts of
-    prev | layer vectors].  On H0, x_e = -(alpha_i0 x_i0 + alpha_i1 x_i1) /
-    alpha_e, so x_e theta restricts into the span of the other two shifts
-    of theta and takes no column.  Nor does a layer vector known to lie in
-    S, its `columns` last own vectors aside (see _Layer): on a sandwiched
-    layer only the chosen point derivations take one (the alpha_H0
-    multiples and the chosen shifts lie in S), and on a point-system layer
-    every vector does, each with the kept values the layer carries.  The
-    shifts' kept values are those of _shift_candidates, which extends the
-    values that prev carries by one point.  With no column, there is no
+    prev | layer vectors], a column for every shift _shift_candidates
+    yields: their restrictions span that of S.  No layer vector known to
+    lie in S takes a column, its `columns` last own vectors aside (see
+    _Layer): on a sandwiched layer only the chosen point derivations take
+    one (the alpha_H0 multiples and the chosen shifts lie in S), and on a
+    point-system layer every vector does, each with the kept values the
+    layer carries.  The shifts' kept values are those of _shift_candidates,
+    which extends the values that prev carries by one point.  With no column, there is no
     new generator and no kernel runs.  The pivots among the shifts count
     the rank r of the restriction of S, so dim S = dim D_(k-1) + r, and
     dim D_k - dim S new generators must come out, or CertificationFailure
@@ -828,11 +843,8 @@ def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
     if not layer.columns:
         return ()
     first = len(layer) - layer.columns
-    # the rows of _shift_candidates cycle through x, y and z times theta
-    f = line_frame(A.lines[0].int_coeffs).f
-    candidates = _shift_candidates(A, k, prev, _h0_points(A, k + 1))
-    cols = [row for i, (row, _) in enumerate(candidates) if i % 3 != f] + \
-        list(layer.rows[first:])
+    cols = [row for row, _ in _shift_candidates(
+        A, k, prev, _h0_points(A, k + 1))] + list(layer.rows[first:])
     free = {linalg.free_column(w) for w in linalg.kernel_basis(
         [list(r) for r in zip(*cols)], len(cols))}
     shifts = len(cols) - layer.columns

@@ -26,10 +26,11 @@ passing Saito's criterion on the restriction to every line.
 Deformed Weyl arrangements (oracles.deformed_weyl): the Catalan and Shi
 deformations of A2, B2, C2 and G2, free with the exponents of Yoshinaga's
 theorem, with many points of high multiplicity.  Those of at most 16 lines
-join the free arrangements whose deletions are checked below.  Abe's
-division theorem reads freeness and its exponents off the lattice alone,
-and is checked on the fixtures, the corpus, the supersolvable and deformed
-Weyl arrangements and the deletions of the latter.
+join the free arrangements whose deletions are checked below, and two
+lines each of those of 19 to 22 lines are deleted too.  Abe's division
+theorem reads freeness and its exponents off the lattice alone, and is
+checked on the fixtures, the corpus, the census orbits, the supersolvable
+and deformed Weyl arrangements and every deletion checked here.
 
 Two theorems hold for every arrangement, so every family here is checked
 against them: Terao's and Abe's answers for deleting any line of a free
@@ -306,28 +307,70 @@ def _free_deletions():
     return out
 
 
-def test_deleting_any_line_of_a_free_arrangement():
-    # A free with exponents d1 <= d2, H with h = |A^H| points.  By Terao
-    # (1980), A \ H is free exactly when h - 1 is d1 or d2, and the other
-    # exponent drops by one.  Otherwise, by Abe (2021), it is plus-one
-    # generated with exponents (d1, d2) and level |A| - 1 - h, nearly free
-    # when the level is d2
+@cache
+def _larger_weyl_deletions():
+    """(A, H, A \\ H, classify(A \\ H)) for the deformed Weyl arrangements
+    of 19 to 22 lines, A2 [-3, 3] and [-2, 3], B2 and C2 [-2, 2] and G2
+    [-1, 1], and for H the first line with each of the two largest numbers
+    of points on it; deleting a line with fewer points costs up to 1 s."""
+    out = []
+    for A, _ in _weyl_members(22):
+        if len(A) < 19:
+            continue
+        counts = [n_H(A, H) for H in range(len(A))]
+        for H in (counts.index(h) for h in sorted(set(counts))[-2:]):
+            B = oracles.without(A, H)
+            out.append((A, H, B, derivation.classify(B)))
+    return out
+
+
+def _terao_abe(A, H):
+    """(verdict, exponents, level) of A \\ H for a free arrangement A with
+    exponents d1 <= d2 and h = |A^H| points on H.  By Terao (1980), A \\ H
+    is free exactly when h - 1 is d1 or d2, and the other exponent drops by
+    one.  Otherwise, by Abe (2021), it is plus-one generated with exponents
+    (d1, d2) and level |A| - 1 - h, nearly free when the level is d2."""
+    d1, d2 = derivation.classify(A).exponents
+    h = n_H(A, H)
+    if h - 1 == d1:
+        return "free", tuple(sorted((d1, d2 - 1))), None
+    if h - 1 == d2:
+        return "free", (d1 - 1, d2), None
+    level = len(A) - 1 - h
+    return ("nearly-free" if level == d2 else "plus-one-generated",
+            (d1, d2), level)
+
+
+def _deletion_verdicts(deletions) -> dict:
+    """The verdict counts of deletions (A, H, A \\ H, classify(A \\ H)),
+    each checked against _terao_abe."""
     verdicts = {}
-    for A, H, _, cls in _free_deletions():
-        d1, d2 = derivation.classify(A).exponents
-        h = n_H(A, H)
-        if h - 1 == d1:
-            want = ("free", tuple(sorted((d1, d2 - 1))), None)
-        elif h - 1 == d2:
-            want = ("free", (d1 - 1, d2), None)
-        else:
-            level = len(A) - 1 - h
-            want = ("nearly-free" if level == d2 else "plus-one-generated",
-                    (d1, d2), level)
-        assert (cls.verdict, cls.exponents, cls.level) == want, (A.name, H)
+    for A, H, _, cls in deletions:
+        assert (cls.verdict, cls.exponents, cls.level) == _terao_abe(A, H), \
+            (A.name, H)
         verdicts[cls.verdict] = verdicts.get(cls.verdict, 0) + 1
-    assert verdicts == {"free": 745, "nearly-free": 268,
-                        "plus-one-generated": 53}
+    return verdicts
+
+
+def test_deleting_any_line_of_a_free_arrangement():
+    assert _deletion_verdicts(_free_deletions()) == {
+        "free": 745, "nearly-free": 268, "plus-one-generated": 53}
+
+
+def test_deleting_lines_of_larger_deformed_weyl_arrangements():
+    # every generator layer of these deletions falls back to the exact
+    # point system, which is not sandwiched; on 8 of the 10 one lies above
+    # a nonzero layer, where every layer vector takes a column of
+    # _new_generators
+    deletions = _larger_weyl_deletions()
+    assert _deletion_verdicts(deletions) == {
+        "free": 5, "nearly-free": 2, "plus-one-generated": 3}
+    above = 0
+    for _, _, B, _ in deletions:
+        degrees = {g for g, _ in derivation._resolution(B, True).generators}
+        assert all(derivation._sandwich(B, k) is None for k in degrees), B.name
+        above += any(derivation._layer(B, k - 1).dim for k in degrees)
+    assert above == 8
 
 
 @cache
@@ -427,13 +470,16 @@ def test_abes_division_theorem():
     # and the division reads b2^0 = (n_H - 1)(|A| - n_H), n_H the number of
     # points on H: then A is free with exponents (n_H - 1, |A| - n_H).
     # That no free input here lacks such a line is observed, not a theorem
-    weyl = {A for A, _ in _weyl_members(16)}
+    census = _census_classifications()
     inputs = ([(A, derivation.classify(A)) for A in
                [f.build() for f in FIXTURES] + random_corpus(100, 8, 42)
                + [oracles.supersolvable(*entry) for entry in SUPERSOLVABLE]
                + [A for A, _ in _weyl_members(22)]]
-              + [(B, cls) for A, _, B, cls in _free_deletions() if A in weyl])
-    assert len(inputs) == 232
+              + [(A, census[mask]) for mask, (A, _) in
+                 zip(_orbit_representatives(), _census_pairs())]
+              + [(B, cls) for _, _, B, cls in
+                 _free_deletions() + _larger_weyl_deletions()])
+    assert len(inputs) == 1744
     counts = {}
     for A, cls in inputs:
         n, b2 = len(A), chi0(A).b2_0
@@ -444,7 +490,7 @@ def test_abes_division_theorem():
                 ("free", tuple(sorted((h - 1, n - h)))), A.name
         key = ("divides" if divides else "no line", cls.is_free)
         counts[key] = counts.get(key, 0) + 1
-    assert counts == {("divides", True): 91, ("no line", False): 141}
+    assert counts == {("divides", True): 959, ("no line", False): 785}
 
 
 def test_splitting_types_are_bounded_by_mdr():

@@ -21,6 +21,10 @@ values.  The new
 generators that _resolution reads off every layer's restriction to H0 must
 be those that grow an exact span of x, y and z times the layer below
 (oracles.layer_generators), and a tampered layer must fail their count.
+The shifts that the sandwich ranks and the extraction takes as columns
+are x_u and x_v times the layer below, (u, v) the coordinates H0's frame
+keeps: two per vector, and the third, never formed, restricts into their
+span.
 The scan's layers (_layer) keep only their own vectors and their kept
 values on H0: the values carried must be those of the vectors, the scan
 must never build a whole basis (_ar_kernel), and the whole basis built on
@@ -537,6 +541,39 @@ def test_new_generators_equal_the_span_oracle(name, monkeypatch):
     # derivations, point-system ones above a nonzero layer, and sandwiched
     # ones with no vector outside the shifts
     assert kinds == _KINDS[name]
+
+
+def test_shift_candidates_are_the_two_kept_coordinates(monkeypatch):
+    # every layer the scans of _resolution read, on the ladder, A3, B3 and
+    # the deformed Weyl members of at most 22 lines: _shift_candidates
+    # yields x_u and x_v times each own vector of the layer below whose
+    # restriction to H0 is nonzero, (u, v) the coordinates line_frame
+    # keeps, and the shift by the third, f, which it never forms, restricts
+    # into their span: alpha_f row_f = -(alpha_u row_u + alpha_v row_v) in
+    # integers, row_f read off the shifted vector itself
+    inputs = _ladder(1) + [A3, B3] + [A for A, _ in _weyl_members(22)]
+    assert len(inputs) == 10 + 2 + 16
+    shifted = 0
+    for A in inputs:
+        alpha = A.lines[0].int_coeffs
+        f, u, v, _, _ = line_frame(alpha)
+        degrees = set(scanned_degrees(A, True, monkeypatch)) | set(
+            scanned_degrees(A, False, monkeypatch))
+        for k in sorted(degrees - {0}):
+            prev = derivation._layer(A, k - 1)
+            rows = [row for row, _ in derivation._shift_candidates(
+                A, k, prev, derivation._h0_points(A, k + 1))]
+            own = [theta for theta in prev
+                   if any(oracles.kept_values_by_restriction(A, theta, k - 1))]
+            assert len(rows) == 2 * len(own), (A.name, k)
+            for theta, row_u, row_v in zip(own, rows[::2], rows[1::2]):
+                row_f, = derivation._kept_values(
+                    A, [derivation._shift_vec(theta, k - 1, f)], k)
+                assert [alpha[f] * c for c in row_f] == [
+                    -(alpha[u] * a + alpha[v] * b)
+                    for a, b in zip(row_u, row_v)], (A.name, k)
+            shifted += len(own)
+    assert shifted
 
 
 @pytest.mark.parametrize("kind", ["sandwich", "point system"])
