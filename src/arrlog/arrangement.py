@@ -17,7 +17,7 @@ from functools import cmp_to_key, lru_cache
 from math import gcd, lcm
 
 from .linalg import unit_last
-from .poly import HomPoly, linear
+from .poly import HomPoly
 
 
 class ParseError(ValueError):
@@ -84,11 +84,8 @@ class LinearForm3(LinearForm):
 
     nvars = 3
 
-    def poly(self) -> HomPoly:
-        return linear(3, self.coeffs)
-
     def __str__(self) -> str:
-        return str(self.poly())
+        return str(HomPoly(3, 1, self.coeffs))
 
 
 @dataclass(frozen=True)

@@ -431,11 +431,10 @@ def _im_coords(A: Arrangement, H: int, th1: Derivation2, th2: Derivation2,
 
 def _lift(alpha: HomPoly, frame: LineFrame) -> tuple[Fraction, ...]:
     """The linear form alpha on the line, in the frame's coordinates u and
-    v, as a form in x, y and z."""
+    v, as a form in x, y and z: its coefficients are those of u and v."""
     _, u, v, _, _ = frame
     out = [Fraction(0)] * 3
-    out[u] = alpha.coefficient((1, 0))
-    out[v] = alpha.coefficient((0, 1))
+    out[u], out[v] = alpha.coeffs
     return tuple(out)
 
 

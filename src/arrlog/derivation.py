@@ -361,13 +361,17 @@ class _Layer(tuple):
     that of layer k - 1 plus their number.  A point-system layer's own
     vectors are its whole basis, and each takes a column.  Both kinds are
     read alike: the shifts' kept values, which _new_generators also needs,
-    come from layer k - 1 (_shift_candidates), so no layer stores them."""
+    come from layer k - 1 (_shift_candidates), so no layer stores them.
+    - `route`, the route of _layer that certified it: "peel", "ziegler",
+      "point bound" or "point system"."""
 
-    def __new__(cls, vectors=(), dim: int = 0, rows=(), columns: int = 0):
+    def __new__(cls, vectors=(), dim: int = 0, rows=(), columns: int = 0,
+                route: str = "peel"):
         layer = super().__new__(cls, vectors)
         layer.dim = dim
         layer.rows = rows
         layer.columns = columns
+        layer.route = route
         return layer
 
 
@@ -427,13 +431,13 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     Its own vectors are the candidates chosen greedily, in _candidates'
     order, while their kept values at k + 1 points of H0 grow in rank
     modulo WORD_PRIME, until that rank reaches the free pattern of the
-    exponents of the restriction to H0, or, once the candidates run out,
-    the dimension of layer k - 1 plus that rank reaches the dimension of
-    the point system's kernel modulo WORD_PRIME (_point_system); with
-    alpha_H0 times layer k - 1 they are a basis.  Every chosen point
-    derivation must be its closed form (_is_closed_form), which lies in
-    D_{H0}(A) and takes the values it was ranked by, or
-    CertificationFailure is raised.  Each own vector is
+    exponents of the restriction to H0 (route "ziegler"), or, once the
+    candidates run out, the dimension of layer k - 1 plus that rank
+    reaches the dimension of the point system's kernel modulo WORD_PRIME
+    (_point_system; route "point bound"); with alpha_H0 times layer k - 1
+    they are a basis.  Every chosen point derivation must be its closed
+    form (_is_closed_form), which lies in D_{H0}(A) and takes the values it
+    was ranked by, or CertificationFailure is raised.  Each own vector is
     stored primitive, and its ranked row, divided by the same content, is
     stored as its kept values.
     """
@@ -441,7 +445,7 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     exp = exponents(ziegler_restriction(A, 0)[0])
     target = _free_pattern(k, exp.e1, exp.e2)
     if not target:
-        return _Layer((), prev.dim)
+        return _Layer((), prev.dim, route="ziegler")
     points = _h0_points(A, k + 1)
     echelon: list = []
     chosen = []
@@ -463,7 +467,8 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
         g = linalg._content(vec)
         vectors.append(tuple(linalg._primitive_vec(vec)))
         rows.append(tuple(x // g for x in row) if g > 1 else tuple(row))
-    return _Layer(vectors, prev.dim + len(vectors), tuple(rows), len(derived))
+    return _Layer(vectors, prev.dim + len(vectors), tuple(rows), len(derived),
+                  "ziegler" if len(echelon) == target else "point bound")
 
 
 @lru_cache(maxsize=8192)
@@ -497,8 +502,8 @@ def _layer(A: Arrangement, k: int) -> _Layer:
     c_i > k - i for every i <= k, a degree-k form that vanishes at the
     points off H0 is divisible by k + 1 linear forms, so it is zero, and so
     are a, b and theta_e, which they fix.  That condition for k implies it
-    for every k' < k, so the empty layers found form a prefix; each layer
-    above it takes the route below.
+    for every k' < k, so the empty layers found form a prefix (route
+    "peel"); each layer above it takes the routes below.
 
     Any other layer is _sandwich's when this rank sandwich is tight:
     - Above.  Ziegler's sequence 0 -> D_{H0}(A)(-1) -> D_{H0}(A) ->
@@ -506,11 +511,11 @@ def _layer(A: Arrangement, k: int) -> _Layer:
       second restriction to H0 (Ziegler 1989), gives dim D_k <= dim D_(k-1)
       + dim D(A^H0, m^H0)_k.  The restriction is free of rank 2 with the
       exponents (e1, e2) of multiarr.exponents, so the second term is
-      _free_pattern(k, e1, e2).
+      _free_pattern(k, e1, e2) (route "ziegler").
     - Above, when the candidates run out below that bound.  D_k has the
       dimension of the kernel over Q of the point system with the lines of
       _peeled(A, k) peeled off, so that kernel's dimension modulo p
-      (_point_system(A, k, p)) is at least dim D_k.
+      (_point_system(A, k, p)) is at least dim D_k (route "point bound").
     - Below.  alpha_H0 times a basis of D_(k-1) is independent and
       restricts to zero on H0.  A derivation of D_{H0}(A)_k restricts to
       zero iff its two kept components vanish on H0, that is, at k + 1
@@ -528,10 +533,11 @@ def _layer(A: Arrangement, k: int) -> _Layer:
     The layer keeps only the candidates chosen (see _Layer).  Otherwise the
     layer is the point system solved over Q, (u, v) of each vector of U
     taken to the kept pair (sum u_i g_i, sum v_i g_i), with its kept values
-    computed once.
+    computed once (route "point system").  The layer records its route
+    (see _Layer).
     """
     if k <= _empty_through(A):
-        return _Layer()
+        return _Layer(route="peel")
     layer = _sandwich(A, k)
     if layer is not None:
         return layer
@@ -540,7 +546,8 @@ def _layer(A: Arrangement, k: int) -> _Layer:
     vectors = [tuple(linalg._primitive_vec(
         _combine(uv[:r], G, m) + _combine(uv[r:], G, m))) for uv in U]
     return _Layer(vectors, len(vectors),
-                  tuple(map(tuple, _kept_values(A, vectors, k))), len(vectors))
+                  tuple(map(tuple, _kept_values(A, vectors, k))), len(vectors),
+                  "point system")
 
 
 @lru_cache(maxsize=8192)

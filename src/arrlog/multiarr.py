@@ -140,8 +140,11 @@ class Derivation2:
 
 @dataclass(frozen=True)
 class Exponents:
+    """e1 <= e2, and the route of exponents to e1: "bound" or "layer"."""
+
     e1: int
     e2: int
+    route: str | None = field(default=None, compare=False, repr=False)
 
     def as_pair(self) -> tuple[int, int]:
         return (self.e1, self.e2)
@@ -385,7 +388,6 @@ def _theta1(M: Multiarrangement2, e1: int, e2: int):
     return next(_layer_vectors(M, e1, e1 < e2))
 
 
-@lru_cache(maxsize=8192)
 def basis(M: Multiarrangement2) -> tuple[Derivation2, Derivation2]:
     """Certified homogeneous basis (degrees e1 <= e2), through unit_last.
 
@@ -449,9 +451,9 @@ def exponents(M: Multiarrangement2) -> Exponents:
     full column rank 2U modulo WORD_PRIME, a full rank over Q (see
     linalg.rank_mod); no kernel is computed.  Generic exponents are as
     balanced as these bounds allow (Wakefield and Yuzvinsky 2007), and
-    nearly every restriction takes this path.
+    nearly every restriction takes this path, route "bound".
 
-    Otherwise one certified layer decides, as in
+    Otherwise one certified layer decides, route "layer", as in
     criteria._external_splitting: in K = (|m| - 1) // 2 < |m| / 2 <= e2 the
     free pattern is max(0, K - e1 + 1), and e1 <= |m| // 2 <= K + 1, so e1
     = K + 1 - dim _deriv_kernel(M, K).  FreenessCertificateFailure unless
@@ -461,13 +463,13 @@ def exponents(M: Multiarrangement2) -> Exponents:
     U = min(total // 2, total - max(M.mult, default=0), 1 + total - len(M.forms))
     if U == 0 or linalg.rank_mod(_divisibility_rows(M, U - 1), 2 * U,
                                  linalg.WORD_PRIME) == 2 * U:
-        return Exponents(U, total - U)
+        return Exponents(U, total - U, "bound")
     K = (total - 1) // 2
     e1 = K + 1 - len(_deriv_kernel(M, K))
     if not 0 <= e1 <= U:
         raise FreenessCertificateFailure(
             f"layer {K} gives e1 = {e1} against the bound {U} for total {total}")
-    return Exponents(e1, total - e1)
+    return Exponents(e1, total - e1, "layer")
 
 
 def saito_check(theta1: Derivation2, theta2: Derivation2,

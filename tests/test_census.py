@@ -180,7 +180,7 @@ def test_ziegler_pair_resolutions_differ(A, gens, rels):
 
 def test_the_conic_generator_is_no_point_derivation():
     # the degree-5 generator on the conic is left to the point system
-    assert derivation._sandwich(ZIEGLER_CONIC, 5) is None
+    assert derivation._layer(ZIEGLER_CONIC, 5).route == "point system"
     assert derivation.ar_dim(ZIEGLER_CONIC, 5) == 1
 
 
@@ -204,23 +204,12 @@ def test_supersolvable_arrangements_are_free_with_known_exponents(b, extra, seed
         ("free", tuple(sorted((m - 1, n - m - 1))))
 
 
-def test_deleting_a_line_through_the_modular_point(monkeypatch):
+def test_deleting_a_line_through_the_modular_point():
     # by addition-deletion, A \ H is free exactly when h - 1 is an exponent
     # m - 1 or n - m of A, and otherwise plus-one generated with the
     # exponents of A and level n - 1 - h, nearly free when the level is the
     # larger exponent
     exact = []
-    point_system = derivation._point_system
-
-    def recorded(B, k, p=None):
-        if p is None:
-            exact.append(k)
-        return point_system(B, k, p)
-
-    for cached in (derivation.classify, derivation._layer,
-                   derivation._ar_kernel):
-        cached.cache_clear()
-    monkeypatch.setattr(derivation, "_point_system", recorded)
     for entry in SUPERSOLVABLE:
         A = oracles.supersolvable(*entry)
         n = len(A)
@@ -231,7 +220,10 @@ def test_deleting_a_line_through_the_modular_point(monkeypatch):
             if line.int_coeffs[2]:
                 continue
             h = n_H(A, H)
-            cls = derivation.classify(oracles.without(A, H))
+            B = oracles.without(A, H)
+            cls = derivation.classify(B)
+            exact += [k for k in cls.shape.generator_degrees
+                      if derivation._layer(B, k).route == "point system"]
             if h == m:
                 want = ("free", tuple(sorted((m - 1, n - m - 1))), None)
             elif h - 1 == n - m:
@@ -368,7 +360,8 @@ def test_deleting_lines_of_larger_deformed_weyl_arrangements():
     above = 0
     for _, _, B, _ in deletions:
         degrees = {g for g, _ in derivation._resolution(B, True).generators}
-        assert all(derivation._sandwich(B, k) is None for k in degrees), B.name
+        assert all(derivation._layer(B, k).route == "point system"
+                   for k in degrees), B.name
         above += any(derivation._layer(B, k - 1).dim for k in degrees)
     assert above == 8
 

@@ -347,9 +347,10 @@ def test_splitting_all_with_range(tmp_path, capsys):
 
 def test_splitting_inadmissible_form_exit_2(tmp_path, capsys):
     path = write_doc(tmp_path, fixture("generic4").document())
-    code, _, err = run(capsys, "splitting", path, "--form", "1,1,0")
-    assert code == 2
-    assert "InadmissibleLine" in err
+    for form, printed in [("1,1,0", "x + y"), ("2,-3,0", "x - 3/2*y")]:
+        code, _, err = run(capsys, "splitting", path, "--form", form)
+        assert (code, err) == (2, f"InadmissibleLine: {printed} passes through "
+                                  "an intersection point\n")
 
 
 def test_splitting_bad_form_exit_2(tmp_path, capsys):

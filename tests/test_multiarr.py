@@ -19,7 +19,7 @@ from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
                              _product, _saito_target, _taylor_divisible,
                              _theta1, basis, exponents, multiarrangement,
                              multiples, saito_check, ziegler_restriction)
-from arrlog.poly import from_terms, line_frame
+from arrlog.poly import HomPoly, from_terms, line_frame
 from oracles import (basis_by_kernel, deriv_dim, deriv_space,
                      divisibility_rows_along_ab, echelon_basis, evaluate,
                      exponents_by_scan, line_param, multi_defining_poly,
@@ -143,7 +143,8 @@ def _oracle_ziegler_restriction(A, H):
     counts = {}
     for i, form in enumerate(A.lines):
         if i != H:
-            key = LinearForm2.make(substitute_line(form.poly(), param).coeffs)
+            key = LinearForm2.make(
+                substitute_line(HomPoly(3, 1, form.coeffs), param).coeffs)
             counts[key] = counts.get(key, 0) + 1
     return multiarrangement((f.coeffs, m) for f, m in counts.items())
 
@@ -400,7 +401,7 @@ def test_divisibility_rows_of_u_are_its_low_u_degrees():
 
 def test_saito_target_is_built_once_per_restriction():
     M, _ = ziegler_restriction(random_arrangement(10, 1), 0)
-    for cached in (_deriv_kernel, exponents, basis, _saito_target):
+    for cached in (_deriv_kernel, exponents, _saito_target):
         cached.cache_clear()
     assert saito_check(*basis(M), M)
     assert _saito_target.cache_info().misses == 1
@@ -422,7 +423,7 @@ def test_theta2_reduction_is_that_of_the_multiples():
         theta1 = _theta1(M, e1, e2)
         theta2 = next(v for v in _layer_vectors(M, e2, e1 < e2) if any(_det(theta1, v)))
         want, steps = theta2_by_multiples(theta1, theta2, e2 - e1)
-        t1, t2 = basis.__wrapped__(M)
+        t1, t2 = basis(M)
         assert t1.int_vector == tuple(theta1) and t2.int_vector == tuple(want), M
         if steps and abs(theta1[linalg.free_column(theta1)]) != 1:
             nonunit.append(M)
@@ -475,7 +476,7 @@ def test_basis_branches(name, want, layers, monkeypatch):
         return real(N, k)
 
     monkeypatch.setattr(multiarr, "_deriv_kernel", kernel)
-    got = basis.__wrapped__(M)
+    got = basis(M)
     assert seen == layers
     assert got == tuple(Derivation2.from_vector(v) for v in basis_by_kernel(M))
     assert saito_check(*got, M)
@@ -490,7 +491,7 @@ def test_basis_is_that_of_the_kernel_rule(coeffs, weights):
     # outside S theta1
     M = multiarrangement(zip(coeffs, weights))
     want = tuple(Derivation2.from_vector(v) for v in basis_by_kernel(M))
-    assert basis.__wrapped__(M) == want, M
+    assert basis(M) == want, M
 
 
 def test_rank2_basis_rejects_a_multiple_of_theta1(monkeypatch):
@@ -507,14 +508,14 @@ def test_rank2_basis_rejects_a_multiple_of_theta1(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(multiarr, "_deriv_kernel", only_multiples)
         with pytest.raises(FreenessCertificateFailure):
-            basis.__wrapped__(M)
+            basis(M)
 
     # a closed form of degree e2 in S theta1 is passed over for the layer,
     # and one outside D(M) is refused
     M = multiarrangement(_BRANCH_INPUTS["phi-psi"])
     e1, e2 = exponents(M).as_pair()
     theta1 = multiarr._theta1(M, e1, e2)
-    psi, want = _closed_form(M, e2), basis.__wrapped__(M)
+    psi, want = _closed_form(M, e2), basis(M)
     real_closed, real_kernel, layers = _closed_form, _deriv_kernel, []
 
     def kernel(N, k):
@@ -528,10 +529,10 @@ def test_rank2_basis_rejects_a_multiple_of_theta1(monkeypatch):
                        lambda N, k, bad=bad: bad if k == e2 else real_closed(N, k))
             mp.setattr(multiarr, "_deriv_kernel", kernel)
             if ok:
-                assert basis.__wrapped__(M) == want and layers == [e2]
+                assert basis(M) == want and layers == [e2]
             else:
                 with pytest.raises(FreenessCertificateFailure, match=f"degree {e2} is not"):
-                    basis.__wrapped__(M)
+                    basis(M)
 
     # equal degrees: the layer's second vector replaced by a scalar multiple
     M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
@@ -544,19 +545,19 @@ def test_rank2_basis_rejects_a_multiple_of_theta1(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(multiarr, "_deriv_kernel", doubled)
         with pytest.raises(FreenessCertificateFailure):
-            basis.__wrapped__(M)
+            basis(M)
 
 
 def test_rank2_basis_rejects_a_perturbed_target(monkeypatch):
     M = multiarrangement([([1, 0], 2), ([0, 1], 1), ([1, 1], 1)])
     target = _saito_target(M)
-    assert basis.__wrapped__(M) == basis(M)
+    assert saito_check(*basis(M), M)
     for i in range(len(target)):
         bad = list(target)
         bad[i] += 1
         monkeypatch.setattr(multiarr, "_saito_target", lambda N: bad)
         with pytest.raises(FreenessCertificateFailure):
-            basis.__wrapped__(M)
+            basis(M)
 
 
 _BASIS_INPUTS = ([f.build() for f in FIXTURES]
@@ -726,11 +727,12 @@ def test_exponents_compute_no_layer(monkeypatch):
     for A in [f.build() for f in FIXTURES] + [random_arrangement(12, 1)]:
         for H in range(len(A)):
             M, _ = ziegler_restriction(A, H)
-            for cached in (_deriv_kernel, exponents, basis):
+            for cached in (_deriv_kernel, exponents):
                 cached.cache_clear()
             del degrees[:]
-            e1, e2 = exponents(M).as_pair()
-            assert degrees == [], (A.name, H)
+            exp = exponents(M)
+            assert (degrees, exp.route) == ([], "bound"), (A.name, H)
+            e1, e2 = exp.as_pair()
             basis(M)
             if e1 < e2 and _closed_form(M, e1) is not None:
                 closed += 1
@@ -781,20 +783,12 @@ _FALLBACK_INPUTS = [
 
 
 @pytest.mark.parametrize("forms, weights, want, bound", _FALLBACK_INPUTS)
-def test_exponents_fall_back_to_one_certified_layer(forms, weights, want, bound,
-                                                    monkeypatch):
+def test_exponents_fall_back_to_one_certified_layer(forms, weights, want, bound):
     M = multiarrangement(zip(forms, weights))
     assert deriv_dim(M, bound - 1) > 0 and deriv_dim(M, bound) > 0
-    real, layers = _deriv_kernel, []
-
-    def spy(N, k):
-        layers.append(k)
-        return real(N, k)
-
-    monkeypatch.setattr(multiarr, "_deriv_kernel", spy)
-    assert exponents.__wrapped__(M).as_pair() == want
-    assert layers == [(M.total - 1) // 2]
-    assert exponents_by_scan(M).as_pair() == want
+    exp = exponents.__wrapped__(M)
+    assert (exp.as_pair(), exp.route) == (want, "layer")
+    assert exponents_by_scan(M) == exp
 
 
 def test_exponents_edge_cases():

@@ -7,8 +7,9 @@ and shifts whose restrictions to H0 are independent modulo a prime; the
 layers through _empty_through are zero by Bezout's theorem, as the lines
 of _peel cut the points off H0 out, with no elimination.  These tests pin
 which route a layer takes, that the route gives the layer the per-line
-conditions define, that the empty prefix and the modular bound are sound
-against exact ranks, that peeling lines leaves the bound as it is, and
+conditions define, that the route each layer records is the bound that
+met, that the empty prefix and the modular bound are sound against exact
+ranks, that peeling lines leaves the bound as it is, and
 that a point derivation which is not its closed form fails the
 certificate.  That check evaluates each kept component once, at a Kronecker
 point (1, T, T^(k + 1)) with T a power of two above every coefficient of
@@ -80,32 +81,22 @@ def point_bound(A, k):
     return len(derivation._point_system(A, k, linalg.WORD_PRIME)[1])
 
 
-def alone(name, A, k, monkeypatch, bounded=None):
+def alone(name, A, k, monkeypatch):
     """derivation.<name>(A, k), for _sandwich or _layer, recomputed from
     the cached layers below it, with its own layer and empty prefix
-    uncached, and without a kernel over Q: the exact point system and
-    kernel_basis raise.  The degrees of the point system's modular calls are
-    appended to bounded."""
+    uncached, and without a kernel over Q: kernel_basis, which the exact
+    point system calls, raises."""
     for j in range(k):
         derivation._layer(A, j)
     multiarr.exponents(multiarr.ziegler_restriction(A, 0)[0])
     fn = getattr(derivation, name)
     fn = getattr(fn, "__wrapped__", fn)
-    point_system = derivation._point_system
-    bounded = [] if bounded is None else bounded
 
     def forbidden(*args):
         raise AssertionError("a kernel ran")
 
-    def modular(B, j, p=None):
-        if p is None:
-            forbidden()
-        bounded.append(j)
-        return point_system(B, j, p)
-
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "kernel_basis", forbidden)
-        mp.setattr(derivation, "_point_system", modular)
         mp.setattr(derivation, "_empty_through",
                    derivation._empty_through.__wrapped__)
         return fn(A, k)
@@ -142,13 +133,15 @@ def test_every_layer_of_a_random_arrangement_needs_no_kernel(n, monkeypatch):
     assert top == n - 2
     assert mdr == (n - 2 if n < 10 else n - 3)
     assert derivation._empty_through(A) == mdr - 1
-    bounded = []
+    routes = []
     for k in range(top + 1):
-        layer = alone("_layer", A, k, monkeypatch, bounded)
+        layer = alone("_layer", A, k, monkeypatch)
         assert (layer.dim == 0) == (k < mdr), k
         assert echelon_basis(whole(A, k, layer), 3 * monomial_count(3, k)) \
             == exact_layer(A, k)
-    assert bounded == ([] if mdr == top else [mdr])
+        routes.append(layer.route)
+    assert routes == (["peel"] * mdr + ["point bound"] * (top - mdr)
+                      + ["ziegler"])
 
 
 def test_every_layer_of_a_near_pencil_needs_no_kernel(monkeypatch):
@@ -160,15 +153,14 @@ def test_every_layer_of_a_near_pencil_needs_no_kernel(monkeypatch):
     # above it takes the sandwich
     assert derivation._peel(A) == ((len(A) - 1, len(A) - 2),)
     assert derivation._empty_through.__wrapped__(A) == 0
-    bounded = []
     for k in range(max(gd) + 1):
-        layer = alone("_sandwich", A, k, monkeypatch, bounded)
+        layer = alone("_sandwich", A, k, monkeypatch)
         # new generators in degrees 1 and 6 only, and never from shifts
         assert (not layer.columns) == (k not in gd), k
         assert echelon_basis(whole(A, k, layer), 3 * monomial_count(3, k)) \
             == exact_layer(A, k)
-    # each layer reaches Ziegler's bound
-    assert bounded == []
+        # each layer reaches Ziegler's bound
+        assert layer.route == "ziegler", k
 
 
 @pytest.mark.parametrize("A, k", [(A3, 2), (B3, 3)], ids=["A3", "B3"])
@@ -452,20 +444,13 @@ _INPUT_SETS = {
     "corpus": lambda: random_corpus(100, 8, 42),
     "supersolvable": _supersolvable,
 }
-# the kinds of layer each set brings to _new_generators (see _kind)
-_ALL_KINDS = {"sandwich", "point system", None}
-_KINDS = {"ladder": {"sandwich", None}, "census": _ALL_KINDS,
-          "fixtures": {"sandwich", None}, "corpus": _ALL_KINDS,
-          "supersolvable": _ALL_KINDS}
-
-
-def _by_point_system(A, k):
-    """Whether layer k of A has own vectors and is the point system solved
-    over Q: each of them takes a column (see derivation._Layer), and the
-    rank sandwich is not tight."""
-    layer = derivation._layer(A, k)
-    return (len(layer) == layer.columns > 0
-            and derivation._sandwich(A, k) is None)
+# the routes of the layers each set brings to _new_generators, None for
+# a layer with no vector that takes a column
+_KINDS = {"ladder": {"ziegler", None},
+          "fixtures": {"ziegler", "point bound", None},
+          "census": {"ziegler", "point bound", "point system", None},
+          "corpus": {"ziegler", "point system", None},
+          "supersolvable": {"ziegler", "point system", None}}
 
 
 def test_deformed_weyl_generators_take_the_point_system():
@@ -476,16 +461,43 @@ def test_deformed_weyl_generators_take_the_point_system():
     for A, exps in _weyl_members(22):
         cls = derivation.classify(A)
         assert (cls.verdict, cls.exponents) == ("free", exps), A.name
-        routed = {k for k in range(exps[1] + 1) if _by_point_system(A, k)}
+        routed = {k for k in range(exps[1] + 1)
+                  if derivation._layer(A, k).route == "point system"}
         assert routed == set(exps), A.name
 
 
-def _kind(A, k):
-    """How _new_generators reads layer k of A: None when no vector needs a
-    column, else the route that certified the layer."""
-    if not derivation._layer(A, k).columns:
-        return None
-    return "point system" if _by_point_system(A, k) else "sandwich"
+def _scanned_layers(A, monkeypatch):
+    """(k, layer k, layer k - 1) for every degree k that either scan of
+    _resolution reads, layer -1 the empty _Layer()."""
+    degrees = set(scanned_degrees(A, True, monkeypatch)) | set(
+        scanned_degrees(A, False, monkeypatch))
+    return [(k, derivation._layer(A, k),
+             derivation._layer(A, k - 1) if k else derivation._Layer())
+            for k in sorted(degrees)]
+
+
+def test_each_layer_records_the_route_that_certified_it(monkeypatch):
+    # the one test that derives a route again, on every layer either scan
+    # reads: each route's bound is met, or the sandwich is not tight
+    inputs = (_ladder(1) + _INPUT_SETS["census"]() + _INPUT_SETS["corpus"]()
+              + [A for A, _ in _weyl_members(22)])
+    seen = set()
+    for A in inputs:
+        e1, e2 = multiarr.exponents(multiarr.ziegler_restriction(A, 0)[0]).as_pair()
+        for k, layer, prev in _scanned_layers(A, monkeypatch):
+            route, where = layer.route, (A.name, k)
+            seen.add(route)
+            if route == "peel":
+                assert k <= derivation._empty_through(A) and layer.dim == 0, where
+            elif route == "ziegler":
+                assert layer.dim == prev.dim + multiarr._free_pattern(k, e1, e2), where
+            elif route == "point bound":
+                assert layer.dim == point_bound(A, k), where
+            else:
+                assert route == "point system", where
+                assert derivation._sandwich(A, k) is None, where
+                assert layer.columns == len(layer) > 0, where
+    assert seen == {"peel", "ziegler", "point bound", "point system"}
 
 
 _SWEEP = {"ladder": lambda: _ladder(1) + _ladder(2),
@@ -503,18 +515,14 @@ def test_chosen_point_derivations_pass_the_restriction_oracle(name,
     # is the kept values of its stored pair
     chosen = 0
     for A in _SWEEP[name]():
-        for early_stop in (True, False):
-            for k in scanned_degrees(A, early_stop, monkeypatch):
-                layer = derivation._layer(A, k)
-                if _by_point_system(A, k):
-                    continue
-                first = len(layer) - layer.columns
-                assert oracles.in_module(A, lifted(A, layer[first:]), k), \
-                    (A.name, k)
-                kept = derivation._kept_values(A, layer[first:], k)
-                assert list(layer.rows[first:]) == list(map(tuple, kept)), \
-                    (A.name, k)
-                chosen += layer.columns
+        for k, layer, _ in _scanned_layers(A, monkeypatch):
+            if layer.route == "point system":
+                continue
+            first = len(layer) - layer.columns
+            assert oracles.in_module(A, lifted(A, layer[first:]), k), (A.name, k)
+            kept = derivation._kept_values(A, layer[first:], k)
+            assert list(layer.rows[first:]) == list(map(tuple, kept)), (A.name, k)
+            chosen += layer.columns
     assert chosen
 
 
@@ -530,7 +538,7 @@ def test_new_generators_equal_the_span_oracle(name, monkeypatch):
     def checked(A, k, prev, layer):
         new = extract(A, k, prev, layer)
         assert lifted(A, new) == oracles.layer_generators(A, k), (A.name, k)
-        kinds.add(_kind(A, k))
+        kinds.add(layer.route if layer.columns else None)
         return new
 
     monkeypatch.setattr(derivation, "_new_generators", checked)
@@ -538,8 +546,8 @@ def test_new_generators_equal_the_span_oracle(name, monkeypatch):
         for early_stop in (True, False):
             derivation._resolution(A, early_stop)
     # which layers met the extraction: sandwiched ones with point
-    # derivations, point-system ones above a nonzero layer, and sandwiched
-    # ones with no vector outside the shifts
+    # derivations, by the route of their bound, point-system ones above a
+    # nonzero layer, and sandwiched ones with no vector outside the shifts
     assert kinds == _KINDS[name]
 
 
@@ -557,10 +565,7 @@ def test_shift_candidates_are_the_two_kept_coordinates(monkeypatch):
     for A in inputs:
         alpha = A.lines[0].int_coeffs
         f, u, v, _, _ = line_frame(alpha)
-        degrees = set(scanned_degrees(A, True, monkeypatch)) | set(
-            scanned_degrees(A, False, monkeypatch))
-        for k in sorted(degrees - {0}):
-            prev = derivation._layer(A, k - 1)
+        for k, _, prev in _scanned_layers(A, monkeypatch)[1:]:
             rows = [row for row, _ in derivation._shift_candidates(
                 A, k, prev, derivation._h0_points(A, k + 1))]
             own = [theta for theta in prev
@@ -586,7 +591,8 @@ def test_a_tampered_layer_fails_the_generator_count(kind, monkeypatch):
     for A in _INPUT_SETS["supersolvable"]():
         for k in scanned_degrees(A, True, monkeypatch)[1:]:
             layer, prev = derivation._layer(A, k), derivation._layer(A, k - 1)
-            if (not prev.dim or _kind(A, k) != kind
+            if (not prev.dim
+                    or (layer.route == "point system") != (kind == "point system")
                     or not derivation._new_generators(A, k, prev, layer)):
                 continue
             zero = tuple((0,) * len(row) for row in layer.rows)
@@ -608,7 +614,7 @@ def test_the_leading_alpha_h0_multiples_vanish_on_h0():
             multiples = layer.dim - len(layer)
             assert len(basis) == layer.dim, (A.name, k)
             assert basis[multiples:] == tuple(lifted(A, layer)), (A.name, k)
-            if derivation._sandwich(A, k) is None:
+            if layer.route == "point system":
                 assert multiples == 0
                 continue
             assert multiples == derivation._layer(A, k - 1).dim
@@ -641,7 +647,7 @@ def test_carried_kept_values_are_those_of_the_own_vectors(name, monkeypatch):
             assert list(layer.rows) == list(map(tuple, kept)), (A.name, k)
             assert kept == [oracles.kept_values_by_restriction(A, v, k)
                             for v in layer], (A.name, k)
-            if not _by_point_system(A, k):
+            if layer.route != "point system":
                 sandwiched += len(layer)
     assert sandwiched
 
