@@ -369,6 +369,8 @@ def splitting_range(A: Arrangement) -> SplittingRange:
     """Candidate splitting types from the classification data (defined only
     for the plus-one generated / nearly free verdicts)."""
     cls = classify(A)
+    if cls.shape.cap_hit:
+        raise NotApplicable(_CAP_REASON.format(degree_cap(A)))
     if not cls.is_plus_one:
         raise NotApplicable(f"splitting range undefined for verdict {cls.verdict}")
     md = cls.mdr
@@ -568,10 +570,12 @@ class TheoremReport:
 
 
 # checks whose statement involves the verdict, exponents or level; a run
-# stopped at the degree cap has no verdict, so they cannot be decided
+# stopped at the degree cap has no verdict, so they cannot be decided, nor
+# can splitting_range, and both give _CAP_REASON
 _READS_CLASSIFICATION = frozenset(
     "thm1.2 thm1.3 thm1.5 thm1.6 thm1.7 thm2.3 thm2.8 prop3.2 prop3.5 cor3.6 "
     "thm4.3 lemma4.4 cor4.5 prop4.6 prop4.7".split())
+_CAP_REASON = "resolution stopped at the degree cap {}"
 
 
 def _sorted_pair(a: int, b: int) -> tuple[int, int]:
@@ -591,7 +595,7 @@ def verify(A: Arrangement, seed: int = 1, external_count: int = 20) -> TheoremRe
     z_exps = [d.exponents for d in defects]
     checks: list[Check] = []
 
-    free = cls.verdict == "free"
+    free = cls.is_free
     nf = cls.verdict == "nearly-free"
     pog_wide = cls.is_plus_one  # nearly free or plus-one generated
     if pog_wide:
@@ -792,7 +796,7 @@ def verify(A: Arrangement, seed: int = 1, external_count: int = 20) -> TheoremRe
         add("prop4.7", "na", "not plus-one generated")
 
     if cls.shape.cap_hit:
-        reason = f"resolution stopped at the degree cap {degree_cap(A)}"
+        reason = _CAP_REASON.format(degree_cap(A))
         checks = [Check(c.id, "na", reason) if c.id in _READS_CLASSIFICATION
                   else c for c in checks]
     return TheoremReport(A, cls, defects, tuple(checks))

@@ -776,10 +776,12 @@ def _spans_module(A: Arrangement, gens, rels) -> bool:
     D_{H0}(A), given their relation degrees rels as the scan found them,
     with len(gens) - len(rels) = 2 and degree sums differing by |A| - 1.
 
-    Precondition, not checked here: rels are the relation degrees
-    _resolution counted for these same generators.  Others of the same
-    degrees can pass with a wrong relation degree (theta_2 = x theta_1,
-    say), since some pair keeps rank 2 and the identity sees only degrees.
+    Precondition, not checked here but guarded by the CI step "Relation
+    degrees reach _spans_module only from _resolution": rels are the
+    relation degrees _resolution counted for these same generators.  Others
+    of the same degrees can pass with a wrong relation degree (theta_2 =
+    x theta_1, say), since some pair keeps rank 2 and the identity sees
+    only degrees.
 
     N has rank 2 when _rank_two holds, a 2 x 2 form in the kept pairs (see
     there).  With two generators N is then free;

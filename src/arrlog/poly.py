@@ -47,22 +47,8 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _index_table(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(monomials(nvars, degree))}
-
-
 def monomial_count(nvars: int, degree: int) -> int:
     return comb(degree + nvars - 1, nvars - 1)
-
-
-def monomial_index(exps: tuple[int, ...], degree: int, nvars: int) -> int:
-    if len(exps) != nvars or any(e < 0 for e in exps) or sum(exps) != degree:
-        raise ValueError(f"bad exponent tuple {exps} for degree {degree}")
-    return _index_table(nvars, degree)[tuple(exps)]
-
-
-_ZERO = Fraction(0)
 
 
 class CertificationFailure(AssertionError):
@@ -103,9 +89,6 @@ class HomPoly:
         if self.nvars != other.nvars or self.degree != other.degree:
             raise ValueError("nvars/degree mismatch")
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.coeffs[monomial_index(tuple(exps), self.degree, self.nvars)]
-
     def __str__(self) -> str:
         terms = []
         for mono, c in zip(_monomial_names(self.nvars, self.degree), self.coeffs):
@@ -133,25 +116,6 @@ def _monomial_names(nvars: int, degree: int) -> tuple[str, ...]:
     return tuple("".join(n if e == 1 else f"{n}^{e}"
                          for n, e in zip(VAR_NAMES, m) if e)
                  for m in monomials(nvars, degree))
-
-
-def from_terms(nvars: int, degree: int, terms: dict) -> HomPoly:
-    coeffs = [_ZERO] * monomial_count(nvars, degree)
-    for exps, c in terms.items():
-        coeffs[monomial_index(tuple(exps), degree, nvars)] += Fraction(c)
-    return HomPoly(nvars, degree, tuple(coeffs))
-
-
-def linear(nvars: int, coefficients) -> HomPoly:
-    cs = [Fraction(c) for c in coefficients]
-    if len(cs) != nvars:
-        raise ValueError("wrong number of coefficients")
-    terms = {}
-    for i, c in enumerate(cs):
-        e = [0] * nvars
-        e[i] = 1
-        terms[tuple(e)] = c
-    return from_terms(nvars, 1, terms)
 
 
 class LineFrame(NamedTuple):

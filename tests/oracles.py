@@ -3,7 +3,8 @@
 Each one reaches a result by a slower, more direct route than the library
 does: the Fraction coefficients of a linear form, the intersection points
 grouped pair by pair in Fractions, dense Fraction
-polynomials and their products, restriction by substitution, the Jacobian
+polynomials, their monomial indices by a dict of exponent tuples and
+their products, restriction by substitution, the Jacobian
 of the defining polynomial and its syzygies, D_H(A) as explicit
 derivations, the restricted gradient along an external line and its
 coefficient matrix, the syzygy layers by their per-line conditions and exact
@@ -26,7 +27,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, lcm
 from typing import NamedTuple
@@ -41,8 +42,7 @@ from arrlog.multiarr import (_BY_FORM, Derivation2, Exponents,
                              Multiarrangement2, _det, _deriv_kernel, _mul2,
                              _theta1, exponents, multiples,
                              ziegler_restriction)
-from arrlog.poly import (CertificationFailure, HomPoly, _index_table,
-                         from_terms, line_restriction, linear,
+from arrlog.poly import (CertificationFailure, HomPoly, line_restriction,
                          monomial_count, monomials, restrict, restrict_lines)
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,42 @@ def intersection_points_reference(A: Arrangement) -> list[tuple[tuple, tuple]]:
 
 # ---------------------------------------------------------------------------
 # dense polynomials in Fractions
+
+
+@lru_cache(maxsize=None)
+def _index_table(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
+    return {m: i for i, m in enumerate(monomials(nvars, degree))}
+
+
+def monomial_index(exps: tuple[int, ...], degree: int, nvars: int) -> int:
+    """The index of exps in monomials(nvars, degree), by a dict of exponent
+    tuples; poly's module docstring gives it in closed form."""
+    if len(exps) != nvars or any(e < 0 for e in exps) or sum(exps) != degree:
+        raise ValueError(f"bad exponent tuple {exps} for degree {degree}")
+    return _index_table(nvars, degree)[tuple(exps)]
+
+
+def coefficient(p: HomPoly, exps: tuple[int, ...]) -> Fraction:
+    return p.coeffs[monomial_index(tuple(exps), p.degree, p.nvars)]
+
+
+def from_terms(nvars: int, degree: int, terms: dict) -> HomPoly:
+    coeffs = [Fraction(0)] * monomial_count(nvars, degree)
+    for exps, c in terms.items():
+        coeffs[monomial_index(tuple(exps), degree, nvars)] += Fraction(c)
+    return HomPoly(nvars, degree, tuple(coeffs))
+
+
+def linear(nvars: int, coefficients) -> HomPoly:
+    cs = [Fraction(c) for c in coefficients]
+    if len(cs) != nvars:
+        raise ValueError("wrong number of coefficients")
+    terms = {}
+    for i, c in enumerate(cs):
+        e = [0] * nvars
+        e[i] = 1
+        terms[tuple(e)] = c
+    return from_terms(nvars, 1, terms)
 
 
 def zero(nvars: int, degree: int) -> HomPoly:

@@ -14,8 +14,7 @@ from arrlog.criteria import property_P, verify, yoshinaga_defect
 from arrlog.derivation import classify
 from arrlog.multiarr import (Derivation2, exponents, saito_check,
                              ziegler_restriction)
-from arrlog.poly import from_terms, linear
-from oracles import Derivation3, in_dh, poly_mul, zero
+from oracles import Derivation3, from_terms, in_dh, linear, poly_mul, zero
 
 Z = LinearForm3.make([0, 0, 1])
 SEED = 42  # corpus seed; matches the documented reproducible batch run

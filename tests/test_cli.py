@@ -210,14 +210,21 @@ def test_directory_as_input_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def capped_verify(tmp_path, doc: dict, cap: int) -> dict:
-    """`arrlog verify` on an arrangement document under ARRLOG_MAX_DEGREE,
-    in a fresh interpreter, so no cached classification skips the cap."""
+def capped_run(tmp_path, doc: dict, cap: int, command: str, *options):
+    """An arrlog subcommand on an arrangement document under
+    ARRLOG_MAX_DEGREE, in a fresh interpreter, so no cached classification
+    skips the cap."""
     path = write_doc(tmp_path, doc)
     env = dict(os.environ, ARRLOG_MAX_DEGREE=str(cap))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "arrlog.cli", "verify", path],
+    return subprocess.run([sys.executable, "-m", "arrlog.cli", command, path,
+                           *options],
                           capture_output=True, text=True, env=env, check=False)
+
+
+def capped_verify(tmp_path, doc: dict, cap: int) -> dict:
+    """`arrlog verify` under ARRLOG_MAX_DEGREE (capped_run)."""
+    proc = capped_run(tmp_path, doc, cap, "verify")
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)[0]
 
@@ -234,6 +241,16 @@ def test_capped_verify_reports_na(tmp_path):
     for cid in ("prop2.5", "thm2.7", "prop3.1", "prop4.1"):
         assert checks[cid]["status"] == "pass", cid
     assert len(checks) == len(capped) + 4
+
+
+def test_capped_splitting_range_names_the_cap(tmp_path):
+    # pog7 is plus-one generated; under cap 2 the scan stops before its
+    # verdict, and the range reports the cap, as verify's na checks do
+    proc = capped_run(tmp_path, fixture("pog7").document(), 2,
+                      "splitting", "--all", "--range")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "NotApplicable: resolution stopped at the degree cap 2\n")
 
 
 @pytest.mark.parametrize("cap", [1, 3])

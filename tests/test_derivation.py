@@ -16,10 +16,10 @@ from arrlog.criteria import verify
 from arrlog.derivation import (_ar_kernel, _shift_vec, ar_dim, classify,
                                dh_projection, minimal_resolution)
 from arrlog.linalg import _int_row, kernel_basis
-from arrlog.poly import (CertificationFailure, HomPoly, linear, monomial_count,
+from arrlog.poly import (CertificationFailure, HomPoly, monomial_count,
                          monomials, restrict)
 from oracles import (Derivation3, ar_basis, dh_basis, dh_kernel, in_dh,
-                     jacobian, line_param, poly_mul, rank, shift_vec,
+                     jacobian, line_param, linear, poly_mul, rank, shift_vec,
                      substitute_line, zero)
 
 

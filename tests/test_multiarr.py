@@ -19,13 +19,13 @@ from arrlog.multiarr import (_BY_FORM, Derivation2, FreenessCertificateFailure,
                              _product, _saito_target, _taylor_divisible,
                              _theta1, basis, exponents, multiarrangement,
                              multiples, saito_check, ziegler_restriction)
-from arrlog.poly import HomPoly, from_terms, line_frame
+from arrlog.poly import HomPoly, line_frame
 from oracles import (basis_by_kernel, deriv_dim, deriv_space,
                      divisibility_rows_along_ab, echelon_basis, evaluate,
-                     exponents_by_scan, line_param, multi_defining_poly,
-                     product_by_mul2, rank, restriction_by_make, rows_kill,
-                     span_rule_theta2, substitute_line, supersolvable,
-                     theta2_by_multiples)
+                     exponents_by_scan, from_terms, line_param,
+                     multi_defining_poly, product_by_mul2, rank,
+                     restriction_by_make, rows_kill, span_rule_theta2,
+                     substitute_line, supersolvable, theta2_by_multiples)
 from test_census import CENSUS_LINES, SUPERSOLVABLE, _orbit_representatives
 
 
