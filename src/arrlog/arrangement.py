@@ -316,50 +316,13 @@ class CharPolyData:
         return t * t - (self.size - 1) * t + self.b2_0
 
 
-class LatticeError(AssertionError):
-    """Internal cross-check between lattice routes failed."""
-
-
-def _chi_via_moebius(A: Arrangement) -> tuple[int, int, int, int]:
-    """Coefficients of chi(A,t) by Moebius recursion over the flats."""
-    pts = intersection_points(A)
-    m = len(A)
-    mu_lines = [-1] * m
-    mu_points = {X: -(1 + sum(mu_lines[i] for i in X.incident_lines)) for X in pts}
-    # t^3 - m t^2 + (sum of point Moebius values) t [+ origin term if essential]
-    c1 = sum(mu_points.values())
-    # the origin is a rank-3 flat exactly when the lines do not share a point
-    concurrent = len(pts) == 1 and pts[0].multiplicity == m
-    if m <= 2 or concurrent:
-        c0 = 0
-    else:
-        c0 = -(1 - m + c1)
-    return (1, -m, c1, c0)
-
-
 @lru_cache(maxsize=4096)
 def chi0(A: Arrangement) -> CharPolyData:
-    """Quadratic quotient of the characteristic polynomial by (t - 1).
-
-    Computed from the closed form over the point multiplicities and
-    cross-checked against the Moebius recursion on the lattice, once per
-    arrangement.
-    """
-    m = len(A)
-    pts = intersection_points(A)
-    b2_0 = sum(X.multiplicity - 1 for X in pts) - (m - 1)
-    # cross-check: divide the Moebius-route chi by (t - 1)
-    c3, c2, c1, c0 = _chi_via_moebius(A)
-    # synthetic division by (t - 1)
-    q2 = c3
-    q1 = c2 + q2
-    q0 = c1 + q1
-    rem = c0 + q0
-    if rem != 0 or (q2, q1, q0) != (1, -(m - 1), b2_0):
-        raise LatticeError(
-            f"characteristic polynomial routes disagree: "
-            f"moebius {(c3, c2, c1, c0)} vs closed form b2_0={b2_0}")
-    return CharPolyData(size=m, b2_0=b2_0)
+    """chi(A, t)/(t - 1), from its closed form: b2_0 is the sum of m_p - 1
+    over the intersection points, minus |A| - 1.  The tests check it against
+    Whitney's subset-sum formula (tests/test_arrangement.py::whitney_chi)."""
+    return CharPolyData(len(A), sum(X.multiplicity - 1 for X in
+                                    intersection_points(A)) - (len(A) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -411,4 +374,3 @@ def nr_form(A: Arrangement) -> NRForm:
             best = NRForm(n=n, r=s - 2 * n, c=c)
     assert best is not None
     return best
-

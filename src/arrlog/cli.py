@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommand style, one binary: stdout carries data, stderr carries
-diagnostics.  Exit codes: 0 = ok, 1 = a verification check failed
-(counterexample serialized on stdout), 2 = usage or input error, 3 = an
-internal error: a certificate failed (an exact identity that the
-mathematics guarantees did not hold) or the program crashed.  Both are
-bugs, reported as one ``Name: message`` line on stderr.
+Subcommand style, one binary: stdout carries data, stderr diagnostics.
+Exit codes: 0 = ok, 1 = a verification check failed (counterexample on
+stdout), 2 = usage or input error, or output that cannot be written (a
+closed pipe, a full disk), 3 = an internal error: a certificate failed (an
+exact identity the mathematics guarantees did not hold) or the program
+crashed.  Both are bugs, reported as one ``Name: message`` line on stderr.
 """
 
 from __future__ import annotations

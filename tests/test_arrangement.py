@@ -287,6 +287,14 @@ def test_chi0_matches_whitney(builder):
         assert whitney_chi(A, t) == (t - 1) * data.value(t)
 
 
+def test_chi0_matches_whitney_on_the_reference_corpus():
+    # a monic cubic is fixed by its values at three points
+    for A in [f.build() for f in FIXTURES] + random_corpus(100, 8, 42):
+        data = chi0(A)
+        for t in (0, 2, 3):
+            assert whitney_chi(A, t) == (t - 1) * data.value(t), (A.name, t)
+
+
 def test_chi0_values():
     assert chi0(fixture("generic4").build()).b2_0 == 3
     assert chi0(fixture("nf6").build()).b2_0 == 7

@@ -57,7 +57,8 @@ from arrlog.arrangement import (Arrangement, LinearForm3, _cross,
                                 arrangement, chi0, intersection_points, n_H,
                                 tjurina)
 from arrlog.corpus import FIXTURES, random_corpus
-from arrlog.criteria import random_external_lines, splitting_type, verify
+from arrlog.criteria import (property_P, random_external_lines, splitting_type,
+                             verify, yoshinaga_defect)
 from arrlog.derivation import minimal_resolution
 
 
@@ -182,6 +183,21 @@ def test_the_conic_generator_is_no_point_derivation():
     # the degree-5 generator on the conic is left to the point system
     assert derivation._layer(ZIEGLER_CONIC, 5).route == "point system"
     assert derivation.ar_dim(ZIEGLER_CONIC, 5) == 1
+
+
+@pytest.mark.parametrize("A, coker", [
+    (ZIEGLER_CONIC, (0, 0, 0, 1, 2, 3, 1, 0)),
+    (ZIEGLER_OFF_CONIC, (0, 0, 0, 1, 2, 4, 0)),
+], ids=lambda x: getattr(x, "name", None))
+def test_ziegler_pair_restrictions_agree_but_not_their_modules(A, coker):
+    # the restriction exponents, the defect and property [P] are the same on
+    # every line of both; only the cokernel of the Ziegler map, read off the
+    # module's Hilbert function, tells the conic from the other
+    for H in range(len(A)):
+        report = yoshinaga_defect(A, H)
+        assert (report.exponents, report.defect) == ((3, 5), 7)
+        assert report.coker_by_degree == coker
+        assert property_P(A, H).holds is None
 
 
 # (b, extra, seed) of oracles.supersolvable: 6 to 17 lines

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from arrlog import corpus, derivation, linalg
-from arrlog.arrangement import LatticeError, n_H, to_document
+from arrlog.arrangement import n_H, to_document
 from arrlog.cli import main
 from arrlog.corpus import FIXTURES, fixture, near_pencil
 from arrlog.criteria import (ConsistencyFailure, random_external_lines,
@@ -158,7 +158,7 @@ def test_non_ascii_digit_degree_cap_exit_2(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("error", [CertificationFailure, ConsistencyFailure,
-                                   LatticeError, FreenessCertificateFailure])
+                                   FreenessCertificateFailure])
 def test_internal_certificate_failure_exit_3(tmp_path, capsys, monkeypatch,
                                              error):
     def fail(A):
@@ -202,6 +202,21 @@ def test_exhausted_generator_budget_exit_2(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("BudgetExhausted: could not reach general position "
                    "within budget\n")
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch):
+    # a reader that closed the pipe (as `| head -c 100` does) is an output
+    # error, exit 2, not a crash
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("arrlog.cli.sys.stdout", ClosedPipe())
+    path = write_doc(tmp_path, fixture("generic4").document())
+    code = main(["classify", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 def test_directory_as_input_exit_2(tmp_path, capsys):
