@@ -362,15 +362,11 @@ def nr_form(A: Arrangement) -> NRForm:
     """Normal form of chi0: the largest n with nonnegative residual.
 
     The residual c = b2_0 - n(n + r) decreases as n grows toward
-    (|A| - 1)/2, so the largest n keeping c >= 0 is well defined (n = 0
-    always qualifies).
+    (|A| - 1)/2, so the largest n keeping c >= 0 is well defined: n = 0
+    always qualifies, as b2_0 = sum (m_p - 1) - (|A| - 1) >= 0: an
+    Arrangement has a line, and the points on it already give |A| - 1.
     """
     data = chi0(A)
     s = data.size - 1
-    best = None
-    for n in range(s // 2 + 1):
-        c = data.b2_0 - n * (s - n)
-        if c >= 0:
-            best = NRForm(n=n, r=s - 2 * n, c=c)
-    assert best is not None
-    return best
+    n = max(n for n in range(s // 2 + 1) if data.b2_0 >= n * (s - n))
+    return NRForm(n=n, r=s - 2 * n, c=data.b2_0 - n * (s - n))

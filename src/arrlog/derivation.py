@@ -68,10 +68,18 @@ a vector lies in S plus other vectors exactly when its restriction lies in
 theirs.  On H0, with (u, v) the coordinates of line_frame(alpha_H0) and f
 the third, alpha_f x_f = -(alpha_u x_u + alpha_v x_v), so the restriction
 of S is spanned by x_u and x_v times the layer below, the only shifts
-_shift_candidates yields.  One small kernel of the kept values at k + 1
-points of H0, of those shifts and of the layer vectors not known to lie in
-S, gives the new generators as its pivots, and their number must be the
-dimension S leaves.
+_shift_candidates yields.  On a sandwiched layer the sandwich's own
+modular echelon mostly decides them: the restriction of S is S'_1 times
+that of the layer below, S' the coordinate ring of H0, which lies in the
+free restriction D(A^H0, m^H0) with exponents (e1, e2), so the shifts'
+rank over Q is at most B = min(s, _free_pattern(k, e1, e2) - [e1 = k] -
+[e2 = k]), s the number of shifts.  When the shifts chosen modulo a prime
+reach B, they restrict to a basis of S's restriction, and every chosen
+point derivation is a new generator with no kernel (_sandwich marks the
+layer `proved`).  Every other layer takes one small kernel of the kept
+values at k + 1 points of H0, of those shifts and of the layer vectors not
+known to lie in S, which gives the new generators as its pivots, and their
+number must be the dimension S leaves.
 
 The scan ends with a proof, not with more layers: _spans_module shows
 from a determinant and the global Tjurina number that at most three
@@ -329,19 +337,25 @@ def _kept_values(A: Arrangement, vectors, d: int) -> list[list[int]]:
 
 
 def _grows(echelon: list, row, p: int) -> bool:
-    """Whether row is independent modulo p of the echelon rows, (pivot, row)
-    pairs each zero at the earlier pivots and 1 at its own; if so, it joins
-    them."""
+    """Whether row is independent modulo p of the echelon rows; if so, it
+    joins them.  Each echelon row is kept as (pivot, tail): the row is zero
+    before its pivot, where it is 1, and at the earlier pivots, so only its
+    tail from the pivot on is stored and subtracted.  As in
+    linalg._echelon_mod, reduction is lazy: row is reduced modulo p on
+    entry, and an entry only where it is read, so entries stay below
+    (len(echelon) + 1) p**2.  The number of rows that join is a rank modulo
+    p, at most the rank over Q of the rows offered (see _layer): that is
+    the r that _sandwich compares with its bound B."""
     r = [x % p for x in row]
-    for c, piv in echelon:
-        a = r[c]
+    for c, tail in echelon:
+        a = r[c] % p
         if a:
-            r = [(x - a * y) % p for x, y in zip(r, piv)]
-    c = next((i for i, x in enumerate(r) if x), None)
+            r[c:] = [x - a * y for x, y in zip(r[c:], tail)]
+    c = next((i for i, x in enumerate(r) if x % p), None)
     if c is None:
         return False
     inv = pow(r[c], -1, p)
-    echelon.append((c, [x * inv % p for x in r]))
+    echelon.append((c, [x * inv % p for x in r[c:]]))
     return True
 
 
@@ -363,15 +377,22 @@ class _Layer(tuple):
     read alike: the shifts' kept values, which _new_generators also needs,
     come from layer k - 1 (_shift_candidates), so no layer stores them.
     - `route`, the route of _layer that certified it: "peel", "ziegler",
-      "point bound" or "point system"."""
+      "point bound" or "point system";
+    - `proved`, whether _sandwich proved every vector that takes a column a
+      new generator: its chosen shifts met the bound B on the rank of the
+      restriction of x, y and z times layer k - 1 (see _sandwich), so
+      _new_generators returns those vectors with no kernel.  Only _sandwich
+      sets it; every other layer, one built elsewhere included, is False
+      and goes through the kernel of _new_generators and its count check."""
 
     def __new__(cls, vectors=(), dim: int = 0, rows=(), columns: int = 0,
-                route: str = "peel"):
+                route: str = "peel", *, proved: bool = False):
         layer = super().__new__(cls, vectors)
         layer.dim = dim
         layer.rows = rows
         layer.columns = columns
         layer.route = route
+        layer.proved = proved
         return layer
 
 
@@ -393,11 +414,13 @@ def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
     m = monomial_count(3, k - 1)
     at = _point_row(points[-1], k - 1)
     kept = line_frame(A.lines[0].int_coeffs)[1:3]
+    # x_var at each point, once for each kept component's value there
+    scales = [(var, [P[var] for P in points for _ in range(2)]) for var in kept]
     for theta, carried in zip(prev, prev.rows):
         values = list(carried) + _evaluate((theta[:m], theta[m:]), at)
         if any(values):
-            for var in kept:
-                yield ([points[j // 2][var] * x for j, x in enumerate(values)],
+            for var, scale in scales:
+                yield ([s * x for s, x in zip(scale, values)],
                        lambda theta=theta, var=var: _shift_vec(theta, k - 1, var))
 
 
@@ -440,6 +463,25 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     was ranked by, or CertificationFailure is raised.  Each own vector is
     stored primitive, and its ranked row, divided by the same content, is
     stored as its kept values.
+
+    The layer is marked `proved` when its chosen point derivations are
+    proved new generators, which spares _new_generators its kernel.  Let s
+    be the number of shift candidates, r the number chosen, and S the span
+    of x, y and z times layer k - 1.  The shifts come first, so all of
+    them were offered whenever a point derivation was chosen.  On H0 the
+    shifts restrict to S'_1 I, S' the coordinate ring of H0 and I the
+    restriction of D_(k-1), which lies in D(A^H0, m^H0)_(k-1) =
+    S'_(k-1-e1) eta1 + S'_(k-1-e2) eta2 (see _layer).  So their rank over
+    Q is at most
+        B = min(s, _free_pattern(k, e1, e2) - [e1 = k] - [e2 = k]),
+    as S'_1 S'_(k-1-e) has dimension k - e + 1 for e < k and is zero for
+    e = k.  It is at least r, a rank modulo WORD_PRIME of the shifts (see
+    _grows).  If r = B, the chosen shifts restrict to a basis of the
+    restriction of S.  The vectors chosen restrict to r + t independent
+    vectors, t the number of point derivations, in the restriction of D_k,
+    of dimension dim D_k - dim D_(k-1) = r + t, as the sandwich is tight.
+    So each point derivation lies outside S plus the vectors before it: all
+    t are new generators, and dim D_k - dim S = t.
     """
     prev = _layer(A, k - 1) if k else _Layer()
     exp = exponents(ziegler_restriction(A, 0)[0])
@@ -449,7 +491,9 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     points = _h0_points(A, k + 1)
     echelon: list = []
     chosen = []
+    shifts = 0
     for row, build, point in _candidates(A, k, prev, points):
+        shifts += point is None
         if _grows(echelon, row, linalg.WORD_PRIME):
             chosen.append((row, build(), point))
             if len(echelon) == target:
@@ -467,8 +511,10 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
         g = linalg._content(vec)
         vectors.append(tuple(linalg._primitive_vec(vec)))
         rows.append(tuple(x // g for x in row) if g > 1 else tuple(row))
+    bound = min(shifts, target - (exp.e1 == k) - (exp.e2 == k))
     return _Layer(vectors, prev.dim + len(vectors), tuple(rows), len(derived),
-                  "ziegler" if len(echelon) == target else "point bound")
+                  "ziegler" if len(echelon) == target else "point bound",
+                  proved=bool(derived) and len(chosen) - len(derived) == bound)
 
 
 @lru_cache(maxsize=8192)
@@ -848,10 +894,20 @@ def _new_generators(A: Arrangement, k: int, prev: _Layer, layer: _Layer):
     the rank r of the restriction of S, so dim S = dim D_(k-1) + r, and
     dim D_k - dim S new generators must come out, or CertificationFailure
     is raised.
+
+    A layer marked `proved` runs none of this: _sandwich's modular echelon
+    met the bound B on the rank of S's restriction, so its chosen shifts
+    restrict to a basis of it, and every chosen point derivation, its
+    restriction independent of theirs and of the others', is a new
+    generator (see _sandwich).  The kernel would find each of them a pivot,
+    in the same order.  Every other layer, a sandwiched one below its bound
+    included, takes the kernel and its count check.
     """
     if not layer.columns:
         return ()
     first = len(layer) - layer.columns
+    if layer.proved:
+        return list(layer[first:])
     cols = [row for row, _ in _shift_candidates(
         A, k, prev, _h0_points(A, k + 1))] + list(layer.rows[first:])
     free = {linalg.free_column(w) for w in linalg.kernel_basis(

@@ -22,6 +22,10 @@ values.  The new
 generators that _resolution reads off every layer's restriction to H0 must
 be those that grow an exact span of x, y and z times the layer below
 (oracles.layer_generators), and a tampered layer must fail their count.
+Where the sandwich's chosen shifts meet its bound B on their rank, the
+layer is marked proved and no kernel runs: a marked layer must give what
+the kernel gives on it unmarked, B must bound the exact rank over Q of the
+shifts, and classify on the ladder must run no exact kernel.
 The shifts that the sandwich ranks and the extraction takes as columns
 are x_u and x_v times the layer below, (u, v) the coordinates H0's frame
 keeps: two per vector, and the third, never formed, restricts into their
@@ -601,6 +605,107 @@ def test_a_tampered_layer_fails_the_generator_count(kind, monkeypatch):
                 derivation._new_generators(A, k, prev, layer)
             tampered += 1
     assert tampered
+
+
+# the sets on which _sandwich proves new generators: the shuffled ladder,
+# random arrangements of 8 to 12 lines at seeds 1 to 3, near-pencils of 8
+# to 20 lines, the seed-42 corpus and the deformed Weyl members of at most
+# 22 lines
+_PROOF_SETS = {
+    "ladder": lambda: (_INPUT_SETS["ladder"]()
+                       + [random_arrangement(n, seed) for seed in (1, 2, 3)
+                          for n in range(8, 13)]),
+    "near-pencils": lambda: [near_pencil(n) for n in range(8, 21)],
+    "corpus": _INPUT_SETS["corpus"],
+    "weyl": lambda: [A for A, _ in _weyl_members(22)],
+}
+# how each set's layers with a column above a nonzero one reach their new
+# generators: by _sandwich's proof, by the kernel on a sandwiched layer
+# below its bound, or by the kernel on a point-system layer.  The deformed
+# Weyl members have their generators in point-system layers alone
+_EXTRACTION_KINDS = {"ladder": {"proof"}, "near-pencils": {"proof"},
+                     "corpus": {"proof", "sandwich kernel", "point system"},
+                     "weyl": {"point system"}}
+
+
+def test_the_proof_gives_the_kernels_answer(monkeypatch):
+    # in both scans of _resolution, every layer marked proved gives the new
+    # generators that the kernel gives on the same layer without the mark;
+    # every other layer with a column, point-system layers included, still
+    # runs the kernel
+    kernel = linalg.kernel_basis
+    calls = 0
+
+    def counted(rows, ncols):
+        nonlocal calls
+        calls += 1
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    for name, inputs in _PROOF_SETS.items():
+        kinds = set()
+        for A in inputs():
+            for k, layer, prev in _scanned_layers(A, monkeypatch):
+                if not (prev.dim and layer.columns):
+                    continue
+                where, before = (name, A.name, k), calls
+                new = derivation._new_generators(A, k, prev, layer)
+                if layer.proved:
+                    assert calls == before and layer.route != "point system", where
+                    unmarked = derivation._Layer(layer, layer.dim, layer.rows,
+                                                 layer.columns, layer.route)
+                    assert new == derivation._new_generators(
+                        A, k, prev, unmarked), where
+                    kinds.add("proof")
+                else:
+                    assert calls == before + 1, where
+                    kinds.add("point system" if layer.route == "point system"
+                              else "sandwich kernel")
+        assert kinds == _EXTRACTION_KINDS[name], name
+
+
+def test_the_shift_bound_holds_over_q(monkeypatch):
+    # on every sandwiched layer with a column above a nonzero one, the
+    # exact rank over Q of the shift rows is at most _sandwich's
+    # B = min(s, _free_pattern(k, e1, e2) - [e1 = k] - [e2 = k]), and on a
+    # marked layer it is the number r of shifts chosen
+    marked = 0
+    for inputs in _PROOF_SETS.values():
+        for A in inputs():
+            e1, e2 = multiarr.exponents(
+                multiarr.ziegler_restriction(A, 0)[0]).as_pair()
+            for k, layer, prev in _scanned_layers(A, monkeypatch):
+                if not (prev.dim and layer.columns) or layer.route == "point system":
+                    continue
+                rows = [row for row, _ in derivation._shift_candidates(
+                    A, k, prev, derivation._h0_points(A, k + 1))]
+                bound = min(len(rows), multiarr._free_pattern(k, e1, e2)
+                            - (e1 == k) - (e2 == k))
+                exact = oracles.rank(rows, 2 * (k + 1)) if rows else 0
+                assert exact <= bound, (A.name, k)
+                if layer.proved:
+                    assert exact == len(layer) - layer.columns == bound, (A.name, k)
+                    marked += 1
+    assert marked
+
+
+def test_the_ladder_runs_no_exact_kernel(monkeypatch):
+    # with every layer computed afresh, classify on random arrangements of
+    # 8 to 12 lines and near-pencils of 8 to 20 gives the cached verdicts
+    # with linalg.kernel_basis raising: every layer is sandwiched, and
+    # each one with new generators is proved
+    inputs = [A for name in ("ladder", "near-pencils")
+              for A in _PROOF_SETS[name]()]
+    want = [derivation.classify(A) for A in inputs]
+
+    def forbidden(*args):
+        raise AssertionError("an exact kernel ran")
+
+    derivation._layer.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "kernel_basis", forbidden)
+        got = [derivation.classify.__wrapped__(A) for A in inputs]
+    assert got == want
 
 
 def test_the_leading_alpha_h0_multiples_vanish_on_h0():
