@@ -150,6 +150,8 @@ def cmd_property_p(args) -> int:
 
 
 def cmd_splitting(args) -> int:
+    if args.form and (args.line is not None or args.all):
+        raise UsageError("--form takes no --line or --all")
     A = _read_arrangement(args.input)
     out = []
     if args.form:
@@ -172,6 +174,10 @@ def cmd_splitting(args) -> int:
 def cmd_verify(args) -> int:
     if args.random < 0 or args.external < 0:
         raise UsageError("--random and --external must be nonnegative")
+    if args.corpus and args.input:
+        raise UsageError("verify takes an input file or --corpus, not both")
+    if not args.corpus and args.random:
+        raise UsageError("--random needs --corpus")
     if args.corpus and args.max_lines < 3:
         raise UsageError("--max-lines must be at least 3")
     if args.corpus:
@@ -272,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", action="store_true",
                     help="verify the fixture corpus (plus --random extras)")
     sp.add_argument("--random", type=_ascii_int, default=0,
-                    help="number of random arrangements to add")
+                    help="number of random arrangements to add to --corpus")
     sp.add_argument("--max-lines", type=_ascii_int, default=8)
     sp.add_argument("--seed", type=_ascii_int, default=1)
     sp.add_argument("--external", type=_ascii_int, default=20,

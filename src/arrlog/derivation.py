@@ -26,11 +26,11 @@ above by the layer below and the certified restriction exponents on H0, or
 the point system (_point_system) solved modulo a prime does, and alpha_H0
 times the layer below, with shifts and point derivations g_v d_v whose
 restrictions to H0 are independent modulo a prime, bounds it from below.
-Every chosen point derivation is checked exactly against its closed form,
-which lies in the module, by one evaluation of each kept component
-(_is_closed_form): at the Kronecker point (1, T, T^(k + 1)), with T above
-every coefficient of their difference, a degree-k form takes the value
-sum c_E T^E over distinct exponents E, zero only when every c_E is.  Each
+Every chosen point derivation is built from its closed form, which lies in
+the module, by one evaluation of each kept component (_point_pair): at the
+Kronecker point (1, T, T^(k + 1)), with T / 2 above every coefficient, a
+degree-k form takes the value sum c_E T^E over distinct exponents E, and
+its balanced base-T digits are its coefficients.  Each
 decision of the sandwich reads only a rank, and the rank of an integer
 matrix modulo any prime is at most its rank over Q, so one word-size prime
 (linalg.WORD_PRIME) serves them all.  The point
@@ -210,40 +210,14 @@ def _times_form(poly, d: int, form) -> list[int]:
     return out
 
 
-def _form_product(forms) -> list[int]:
-    """The coefficient vector of a product of linear forms."""
-    poly = [1]
-    for d, form in enumerate(forms):
-        poly = _times_form(poly, d, form)
-    return poly
-
-
-def _point_derivation(A: Arrangement, v, missing, k: int) -> list[int]:
-    """theta_v = g_v d_v in D_{H0}(A), g_v the product of the lines missing
-    the point v (their indices, increasing), projected along theta_E when
-    H0 misses v: theta_v - alpha_H0(v) (g_v / alpha_H0) theta_E.  Its kept
-    pair: g_v (v_u, v_v), or h_v (alpha_H0 v_c - alpha_H0(v) x_c) for c = u,
-    v when H0 misses v, as two degree-k coefficient vectors concatenated."""
-    forms = [A.lines[K].int_coeffs for K in missing]
-    kept = line_frame(A.lines[0].int_coeffs)[1:3]
-    if not missing or missing[0]:
-        g = _form_product(forms)
-        return [v[c] * x for c in kept for x in g]
-    # g_v = alpha_H0 h_v, and the projection is h_v (alpha_H0 d_v -
-    # alpha_H0(v) theta_E)
-    alpha, h = forms[0], _form_product(forms[1:])
-    a = sum(x * y for x, y in zip(alpha, v))
-    return [x for c in kept for x in _times_form(
-        h, k - 1, [v[c] * alpha[j] - (a if j == c else 0) for j in range(3)])]
-
-
 def _point_values(forms, v, missing, P, kept) -> list[int]:
-    """The kept pair of the point derivation of _point_derivation at the
-    point P, from its closed form, forms the integer forms of the lines and
-    kept the coordinates u and v of line_frame(alpha_H0): g(P) v_c when H0
-    passes through v, g the product of the missing forms, and h(P)
-    (alpha_H0(P) v_c - alpha_H0(v) P_c) when H0 misses v, h the product of
-    the missing forms other than alpha_H0."""
+    """The kept pair of the point derivation of v at the point P, from its
+    closed form (see _point_pair), forms the integer forms of the lines,
+    missing the indices of those that miss v, increasing, and kept the
+    coordinates u and v of line_frame(alpha_H0): g(P) v_c when H0 passes
+    through v, g the product of the missing forms, and h(P) (alpha_H0(P)
+    v_c - alpha_H0(v) P_c) when H0 misses v, h the product of the missing
+    forms other than alpha_H0."""
     x, y, z = P
     projected = missing and not missing[0]
     g = 1
@@ -272,58 +246,59 @@ def _closed_form_bound(forms, v, missing) -> int:
 
 
 @lru_cache(maxsize=None)
-def _kronecker_order(k: int) -> tuple[tuple[int, ...], ...]:
-    """The indices of the degree-k monomials grouped by the power of z,
-    highest first, each group by the power of y, highest first."""
-    return tuple(tuple(_index(j, l) for j in range(k - l, -1, -1))
-                 for l in range(k, -1, -1))
+def _digit_starts(k: int, width: int) -> tuple[int, ...]:
+    """For each degree-k monomial x^i y^j z^l, in monomials order, the byte
+    at which the digit of T^(j + (k + 1) l) starts, T = 2^(8 width)."""
+    return tuple(width * (j + (k + 1) * l) for _, j, l in monomials(3, k))
 
 
-def _kronecker(poly, k: int, b: int) -> int:
-    """The degree-k form poly at (1, T, T^(k + 1)), T = 2^b, where x^i y^j
-    z^l takes the value T^(j + (k + 1) l): Horner's rule in T within each
-    power of z, then in T^(k + 1) across them."""
-    step = b * (k + 1)
-    total = 0
-    for group in _kronecker_order(k):
-        inner = 0
-        for idx in group:
-            inner = (inner << b) + poly[idx]
-        total = (total << step) + inner
-    return total
+def _digits(value: int, k: int, width: int) -> list[int]:
+    """The coefficients, in monomials order, of the degree-k form whose
+    value at (1, T, T^(k + 1)) is value, T = 2^(8 width), when each has
+    absolute value below T / 2 (see _point_pair): with T / 2 added to each
+    of the (k + 1)^2 balanced base-T digits of value, each digit fills its
+    width bytes with no carry, and a coefficient is the digit at its
+    _digit_starts less T / 2."""
+    n = (k + 1) ** 2
+    data = (value + int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+            ).to_bytes(n * width, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[s:s + width], "little") - half
+            for s in _digit_starts(k, width)]
 
 
-def _is_closed_form(A: Arrangement, vec, v, missing, k: int) -> bool:
-    """Whether the kept pair vec is that of the point derivation of v and
-    the lines missing it, coefficient by coefficient, by one evaluation of
-    each half against _point_values at the Kronecker point X = (1, T,
-    T^(k + 1)).  If so, vec lies in D_{H0}(A): the closed form kills
-    alpha_H0, so its kept pair fixes it, and vec lifts to it (_h0_lift).
+def _point_pair(forms, v, missing, k: int, kept) -> list[int]:
+    """The kept pair of the point derivation of v, decoded from its values
+    at the Kronecker point X = (1, T, T^(k + 1)) (_point_values), forms,
+    missing and kept as there, as two degree-k coefficient vectors
+    concatenated.
 
-    The monomial x^i y^j z^l of degree k takes the value T^(j + (k + 1) l)
-    at X, and these exponents are distinct, as j <= k.  With T = 2^b above
-    max |vec| plus _closed_form_bound, every coefficient c_E of the
-    difference of vec and the closed form, at exponent E, has |c_E| <=
-    T - 1, as _closed_form_bound bounds every coefficient of the closed form.
-    A nonzero difference, whose highest nonzero term has |c_E T^E| >= T^E >
-    (T - 1)(1 + T + ... + T^(E - 1)), takes a nonzero value at X.  So
-    equal values mean equal polynomials: the check fixes one pair, and any
-    other fails it, also one of D_{H0}(A) with the same kept values.
+    The point derivation is theta_v = g_v d_v, g_v the product of the lines
+    that miss v, projected along theta_E when H0 misses v: theta_v -
+    alpha_H0(v) h_v theta_E, g_v = alpha_H0 h_v.  It lies in D_{H0}(A).
+    theta_v takes alpha_K to g_v alpha_K(v), zero when K passes through v,
+    and else divisible by alpha_K, a factor of g_v.  When H0 misses v, the
+    projection takes alpha_K to h_v (alpha_H0 alpha_K(v) - alpha_H0(v)
+    alpha_K), as theta_E(alpha_K) = alpha_K by Euler's formula: zero for
+    K = H0, a multiple of alpha_K when K passes through v, and else
+    divisible by alpha_K, a factor of h_v.  It kills alpha_H0, so its kept
+    pair fixes it (_h0_lift): g_v (v_u, v_v), or h_v (alpha_H0 v_c -
+    alpha_H0(v) x_c) for c = u, v.
 
-    The closed form lies in D_{H0}(A).  theta_v = g_v d_v takes alpha_K to
-    g_v alpha_K(v), zero when K passes through v, and else divisible by
-    alpha_K, a factor of g_v.  When H0 misses v, g_v = alpha_H0 h_v, and
-    theta_v - alpha_H0(v) h_v theta_E takes alpha_K to
-    h_v (alpha_H0 alpha_K(v) - alpha_H0(v) alpha_K), as theta_E(alpha_K) =
-    alpha_K by Euler's formula: zero for K = H0, a multiple of alpha_K when
-    K passes through v, and else divisible by alpha_K, a factor of h_v."""
-    forms = [line.int_coeffs for line in A.lines]
-    b = (max(map(abs, vec)) + _closed_form_bound(forms, v, missing)).bit_length()
-    T = 1 << b
-    m = monomial_count(3, k)
-    return ([_kronecker(vec[:m], k, b), _kronecker(vec[m:], k, b)]
-            == _point_values(forms, v, missing, (1, T, T ** (k + 1)),
-                             line_frame(A.lines[0].int_coeffs)[1:3]))
+    The decode returns exactly that pair.  At X the monomial x^i y^j z^l of
+    degree k takes the value T^(j + (k + 1) l), and these exponents are
+    distinct and below (k + 1)^2, as j <= k.  So a component with
+    coefficients c_E at exponent E takes the value sum c_E T^E, c_E = 0 at
+    the exponents no monomial takes.  With T = 2^b, b = 8 width, the least
+    whole number of bytes with T > 2 _closed_form_bound, every |c_E| <
+    T / 2, so adding T / 2 to every digit gives digits c_E + T / 2 in
+    [1, T - 1] with no carry: the base-T expansion of one integer, which
+    is unique.  _digits reads each c_E back from its digit."""
+    width = (_closed_form_bound(forms, v, missing).bit_length() + 8) // 8
+    T = 1 << 8 * width
+    return [c for value in _point_values(forms, v, missing, (1, T, T ** (k + 1)),
+                                         kept)
+            for c in _digits(value, k, width)]
 
 
 def _kept_values(A: Arrangement, vectors, d: int) -> list[list[int]]:
@@ -429,9 +404,10 @@ def _candidates(A: Arrangement, k: int, prev: _Layer, points):
     builder of its kept pair, and (v, missing) for a point
     derivation, else None): the shift candidates of _shift_candidates, then
     the point derivations of degree k, one for each intersection point v of
-    multiplicity |A| - k, missing the lines that miss it
-    (_point_derivation), with the kept values of their closed form
-    (_point_values)."""
+    multiplicity |A| - k, missing the lines that miss it, with the kept
+    values of their closed form (_point_values) and that closed form's
+    pair, decoded from its values at the Kronecker point (_point_pair), as
+    builder."""
     kept = line_frame(A.lines[0].int_coeffs)[1:3]
     for row, build in _shift_candidates(A, k, prev, points):
         yield row, build, None
@@ -443,7 +419,7 @@ def _candidates(A: Arrangement, k: int, prev: _Layer, points):
         v = X.int_point
         missing = [K for K in range(n) if K not in X.incident_lines]
         row = [x for P in points for x in _point_values(forms, v, missing, P, kept)]
-        yield (row, lambda v=v, missing=missing: _point_derivation(A, v, missing, k),
+        yield (row, lambda v=v, missing=missing: _point_pair(forms, v, missing, k, kept),
                (v, missing))
 
 
@@ -458,11 +434,11 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
     candidates run out, the dimension of layer k - 1 plus that rank
     reaches the dimension of the point system's kernel modulo WORD_PRIME
     (_point_system; route "point bound"); with alpha_H0 times layer k - 1
-    they are a basis.  Every chosen point derivation must be its closed
-    form (_is_closed_form), which lies in D_{H0}(A) and takes the values it
-    was ranked by, or CertificationFailure is raised.  Each own vector is
-    stored primitive, and its ranked row, divided by the same content, is
-    stored as its kept values.
+    they are a basis.  Every chosen point derivation is its closed form,
+    decoded from its values at the Kronecker point (_point_pair), which
+    lies in D_{H0}(A) and takes the values it was ranked by.  Each own
+    vector is stored primitive, and its ranked row, divided by the same
+    content, is stored as its kept values.
 
     The layer is marked `proved` when its chosen point derivations are
     proved new generators, which spares _new_generators its kernel.  Let s
@@ -502,19 +478,16 @@ def _sandwich(A: Arrangement, k: int) -> _Layer | None:
         if prev.dim + len(echelon) != len(
                 _point_system(A, k, linalg.WORD_PRIME)[1]):
             return None
-    derived = [(vec, point) for _, vec, point in chosen if point]
-    if not all(_is_closed_form(A, vec, *point, k) for vec, point in derived):
-        raise CertificationFailure(
-            f"a point derivation of degree {k} is not its closed form")
+    derived = sum(1 for *_, point in chosen if point)
     vectors, rows = [], []
     for row, vec, _ in chosen:
         g = linalg._content(vec)
         vectors.append(tuple(linalg._primitive_vec(vec)))
         rows.append(tuple(x // g for x in row) if g > 1 else tuple(row))
     bound = min(shifts, target - (exp.e1 == k) - (exp.e2 == k))
-    return _Layer(vectors, prev.dim + len(vectors), tuple(rows), len(derived),
+    return _Layer(vectors, prev.dim + len(vectors), tuple(rows), derived,
                   "ziegler" if len(echelon) == target else "point bound",
-                  proved=bool(derived) and len(chosen) - len(derived) == bound)
+                  proved=bool(derived) and len(chosen) - derived == bound)
 
 
 @lru_cache(maxsize=8192)
@@ -574,8 +547,8 @@ def _layer(A: Arrangement, k: int) -> _Layer:
     candidates are x_u and x_v times layer k - 1, (u, v) the coordinates
     that line_frame(alpha_H0) keeps, which lie in the module and whose
     restrictions span that of x_f times it too (_shift_candidates), and
-    the point derivations, each checked exactly to be its closed form,
-    which lies in the module, by one evaluation per component.
+    the point derivations, each decoded from one evaluation per component
+    of its closed form, which lies in the module (_point_pair).
     The layer keeps only the candidates chosen (see _Layer).  Otherwise the
     layer is the point system solved over Q, (u, v) of each vector of U
     taken to the kept pair (sum u_i g_i, sum v_i g_i), with its kept values

@@ -9,7 +9,8 @@ of the defining polynomial and its syzygies, D_H(A) as explicit
 derivations, the restricted gradient along an external line and its
 coefficient matrix, the syzygy layers by their per-line conditions and exact
 ranks, membership in a layer by restriction to every line, the kept
-values of a derivation on H0 by restriction to it, the divisibility
+values of a derivation on H0 by restriction to it, a point derivation by
+the product of its lines' coefficient vectors, the divisibility
 conditions of a weighted arrangement read along d = (a, b) with a sum of
 binomial products per entry, the derivation layers of a weighted
 arrangement and its exponents by a scan of them,
@@ -35,15 +36,16 @@ from typing import NamedTuple
 from arrlog import linalg
 from arrlog.arrangement import Arrangement, LinearForm3, _cross, chi0
 from arrlog.derivation import (_ar_kernel, _combine, _h0_incidence,
-                               _point_row, _shift_vec, _uv_rows,
+                               _point_row, _shift_vec, _times_form, _uv_rows,
                                dh_projection)
 from arrlog.multiarr import (_BY_FORM, Derivation2, Exponents,
                              FreenessCertificateFailure, LinearForm2,
                              Multiarrangement2, _det, _deriv_kernel, _mul2,
                              _theta1, exponents, multiples,
                              ziegler_restriction)
-from arrlog.poly import (CertificationFailure, HomPoly, line_restriction,
-                         monomial_count, monomials, restrict, restrict_lines)
+from arrlog.poly import (CertificationFailure, HomPoly, line_frame,
+                         line_restriction, monomial_count, monomials, restrict,
+                         restrict_lines)
 
 # ---------------------------------------------------------------------------
 # linear forms
@@ -451,6 +453,33 @@ def in_module(A: Arrangement, vecs, k: int) -> bool:
         return False
     return not any(any(r) for beta in others
                    for r in restrict(beta, [_combine(beta, cs, m) for cs in comps], k))
+
+
+def form_product(forms) -> list[int]:
+    """The coefficient vector of a product of linear forms, one
+    derivation._times_form at a time."""
+    poly = [1]
+    for d, form in enumerate(forms):
+        poly = _times_form(poly, d, form)
+    return poly
+
+
+def point_derivation(A: Arrangement, v, missing, k: int) -> list[int]:
+    """The kept pair of the point derivation of v that
+    derivation._point_pair decodes, by multiplying out its coefficients:
+    g_v (v_u, v_v), g_v the product of the lines missing v (their indices,
+    increasing), or h_v (alpha_H0 v_c - alpha_H0(v) x_c) for c = u, v when
+    H0 misses v, g_v = alpha_H0 h_v, as two degree-k coefficient vectors
+    concatenated."""
+    forms = [A.lines[K].int_coeffs for K in missing]
+    kept = line_frame(A.lines[0].int_coeffs)[1:3]
+    if not missing or missing[0]:
+        g = form_product(forms)
+        return [v[c] * x for c in kept for x in g]
+    alpha, h = forms[0], form_product(forms[1:])
+    a = sum(x * y for x, y in zip(alpha, v))
+    return [x for c in kept for x in _times_form(
+        h, k - 1, [v[c] * alpha[j] - (a if j == c else 0) for j in range(3)])]
 
 
 def kept_values_by_restriction(A: Arrangement, vec, d: int) -> list[int]:

@@ -464,6 +464,23 @@ def test_bad_generator_argument_exit_2(capsys, argv):
     assert err.startswith("UsageError:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "{path}", "--corpus"),
+    ("verify", "{path}", "--random", "3"),
+    ("splitting", "{path}", "--form", "1,2,5", "--line", "0"),
+    ("splitting", "{path}", "--form", "1,2,5", "--all"),
+], ids=["verify-file-corpus", "verify-file-random", "splitting-form-line",
+        "splitting-form-all"])
+def test_an_option_the_command_would_drop_exit_2(tmp_path, capsys, argv):
+    # each pair would run one of its options and ignore the other: verify
+    # the corpus and not the file, the file and no random arrangements, the
+    # external line and not the member lines
+    path = write_doc(tmp_path, fixture("generic4").document())
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("UsageError:") and err.count("\n") == 1
+
+
 # sha256 of the concatenated stdout over the six fixtures, in FIXTURES
 # order; "form" runs splitting --form on random_external_lines(A, 10, 42);
 # "property-p-transformed" runs property-p --all on the fixtures after each

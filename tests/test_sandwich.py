@@ -10,15 +10,15 @@ which route a layer takes, that the route gives the layer the per-line
 conditions define, that the route each layer records is the bound that
 met, that the empty prefix and the modular bound are sound against exact
 ranks, that peeling lines leaves the bound as it is, and
-that a point derivation which is not its closed form fails the
-certificate.  That check evaluates each kept component once, at a Kronecker
-point (1, T, T^(k + 1)) with T a power of two above every coefficient of
-the difference, and no smaller power is sound; it accepts each point
-derivation and rejects every other vector, also one of D_{H0}(A) with the
-same kept values.  What run time no longer checks by restriction, the tests
-do: every chosen point derivation, lifted from its kept pair (lifted),
-passes the restriction oracle (oracles.in_module), with its stored kept
-values.  The new
+that each point derivation is its closed form.  It is decoded from one
+evaluation of each kept component at a Kronecker point (1, T, T^(k + 1)),
+with T / 2 a power of two above every coefficient: every form with its
+coefficients below T / 2 reads back from its value there, and no fewer
+bytes per digit are sound; the decoded pair must be the product of its
+lines' coefficient vectors (oracles.point_derivation).  What run time does not
+check by restriction, the tests do: every point derivation, and every
+chosen one, lifted from its kept pair (lifted), passes the restriction
+oracle (oracles.in_module), with its stored kept values.  The new
 generators that _resolution reads off every layer's restriction to H0 must
 be those that grow an exact span of x, y and z times the layer below
 (oracles.layer_generators), and a tampered layer must fail their count.
@@ -37,7 +37,6 @@ demand must be the layer the conditions define.
 """
 
 import random
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +45,7 @@ from hypothesis import strategies as st
 import oracles
 from arrlog import derivation, linalg, multiarr
 from arrlog.arrangement import Arrangement
-from arrlog.corpus import (FIXTURES, near_pencil, random_arrangement,
+from arrlog.corpus import (FIXTURES, near_pencil, pencil, random_arrangement,
                            random_corpus)
 from arrlog.linalg import _int_row
 from arrlog.poly import (CertificationFailure, line_frame, monomial_count,
@@ -54,7 +53,7 @@ from arrlog.poly import (CertificationFailure, line_frame, monomial_count,
 from oracles import _exact_kernel, echelon_basis, h0_conditions
 from test_census import SUPERSOLVABLE, _census_pairs, _weyl_members
 from test_criteria import A3, B3
-from test_linalg import in_layer, point_layer, scanned_degrees
+from test_linalg import point_layer, scanned_degrees
 
 
 def exact_layer(A, k):
@@ -183,55 +182,6 @@ def test_generators_that_are_no_point_derivations_fall_back(A, k):
     assert point_bound(A, k) == len(layer)
 
 
-def _line_multiple(A, k):
-    """alpha_H0 x^(k - 1) d_w with alpha_H0(w) = 0, as a degree-k kept pair.
-    Added to a point derivation, it leaves its values on H0 alone, where
-    alpha_H0 vanishes, and takes it out of D_{H0}(A): it fails the
-    condition of a line K with alpha_K(w) != 0."""
-    alpha = A.lines[0].int_coeffs
-    w = [alpha[1], -alpha[0], 0] if alpha[0] or alpha[1] else [1, 0, 0]
-    assert not sum(a * b for a, b in zip(alpha, w))
-    power = [int(mu[0] == k - 1) for mu in monomials(3, k - 1)]
-    poly = derivation._times_form(power, k - 1, alpha)
-    return [w[c] * x for c in line_frame(alpha)[1:3] for x in poly]
-
-
-@pytest.mark.parametrize("below", [0, 1], ids=["top", "mdr"])
-@pytest.mark.parametrize("kind", ["coefficient", "a line", "zero"])
-def test_a_perturbed_point_derivation_fails_the_certificate(kind, below,
-                                                            monkeypatch):
-    # one coefficient up by 1; an alpha_H0 multiple added, which only the
-    # exact check against the lines sees; and the zero vector, which lies in
-    # D_{H0}(A) but does not take the values it was ranked by.  The top
-    # layer reaches Ziegler's bound, and the mdr layer below it the modular
-    # point system
-    A = random_arrangement(12, 1)
-    degree = len(A) - 2 - below
-    change = _line_multiple(A, degree)
-    original = derivation._point_derivation
-
-    def perturbed(B, v, missing, k):
-        vec = original(B, v, missing, k)
-        if kind == "zero":
-            return [0] * len(vec)
-        if kind == "coefficient":
-            j = next(i for i, x in enumerate(vec) if x)
-            vec[j] += 1
-        else:
-            vec = [a + b for a, b in zip(vec, change)]
-            assert derivation._kept_values(B, [vec], k) == \
-                derivation._kept_values(B, [original(B, v, missing, k)], k)
-        assert not in_layer(B, k, derivation._h0_lift(B, vec))
-        return vec
-
-    # the layers below are cached unperturbed first
-    alone("_sandwich", A, degree, monkeypatch)
-    with monkeypatch.context() as mp:
-        mp.setattr(derivation, "_point_derivation", perturbed)
-        with pytest.raises(CertificationFailure, match="point derivation"):
-            alone("_sandwich", A, degree, monkeypatch)
-
-
 def _point_candidates(A):
     """Every point derivation of A as _candidates yields it, in every degree
     k that has one: (k, its ranked row, its vector, (v, missing))."""
@@ -245,172 +195,97 @@ def _point_candidates(A):
 _MEMBERS = [random_arrangement(10, 1), near_pencil(8), A3, B3]
 
 
-@lru_cache(maxsize=None)
-def _member_candidates():
-    return [(A, *c) for A in _MEMBERS for c in _point_candidates(A)]
-
-
-def _base_bits(A, vec, v, missing):
-    """The b of the check's T = 2^b: the bit length of max |vec| plus the
-    bound on the closed form's coefficients."""
-    forms = [line.int_coeffs for line in A.lines]
-    return (max(map(abs, vec))
-            + derivation._closed_form_bound(forms, v, missing)).bit_length()
-
-
-def _below(A, k):
-    """alpha_H0 times each vector of layer k - 1, as kept pairs: in
-    D_{H0}(A)_k, and zero on H0."""
-    alpha = A.lines[0].int_coeffs
-    return [kept_pair(A, derivation._times_linear(theta, k - 1, alpha), k)
-            for theta in derivation._ar_kernel(A, k - 1)] if k else []
-
-
-def test_the_closed_form_check_accepts_every_point_derivation():
-    # every point derivation, of a point on H0 or off it, is its closed
-    # form, lies in D_{H0}(A), and takes at the points of H0 the kept values
-    # it is ranked by
-    projected = set()
-    for A, k, row, vec, (v, missing) in _member_candidates():
-        assert derivation._is_closed_form(A, vec, v, missing, k), (A.name, k)
-        assert oracles.in_module(A, lifted(A, [vec]), k), (A.name, k)
-        assert [row] == derivation._kept_values(A, [vec], k), (A.name, k)
-        projected.add(bool(missing) and not missing[0])
-    assert projected == {False, True}
-
-
-def _perturbed(A, k, vec, v, missing):
-    """Kept pairs other than vec, by kind: one coefficient, the first
-    nonzero, a middle one or the last, changed by +-1 or by +-(T - 1); the
-    alpha_H0 multiple of _line_multiple added; the zero vector; and vec plus
-    alpha_H0 times a vector of layer k - 1."""
-    T = 1 << _base_bits(A, vec, v, missing)
-    first = next(j for j, x in enumerate(vec) if x)
-    out = []
-    for j in sorted({first, len(vec) // 2, len(vec) - 1}):
-        for d in (1, -1, T - 1, 1 - T):
-            w = list(vec)
-            w[j] += d
-            out.append(("coefficient", w))
-    if k:
-        out.append(("a line", [a + b for a, b in zip(vec, _line_multiple(A, k))]))
-    out.append(("zero", [0] * len(vec)))
-    out += [("layer below", [a + b for a, b in zip(vec, w)])
-            for w in _below(A, k)]
-    return out
-
-
-def test_the_closed_form_check_rejects_every_other_vector():
-    # vec plus alpha_H0 times a vector of layer k - 1 lies in D_{H0}(A) and
-    # takes the kept values of vec, so neither a check against the lines nor
-    # the kept values refuse it: the check fixes the one polynomial
+def test_the_decoded_pair_is_the_closed_form():
+    # every point derivation of _MEMBERS, of pencils (k = 0) and of the
+    # seed-42 corpus, of a point on H0 or off it: the pair decoded from its
+    # values at the Kronecker point is the product of its lines'
+    # coefficient vectors, lies in D_{H0}(A), and takes at the points of H0
+    # the kept values it is ranked by
+    inputs = (_MEMBERS + [pencil(n) for n in range(3, 7)]
+              + random_corpus(100, 8, 42))
     kinds = set()
-    for A, k, row, vec, (v, missing) in _member_candidates():
-        for kind, w in _perturbed(A, k, vec, v, missing):
-            assert not derivation._is_closed_form(A, w, v, missing, k), \
-                (A.name, k, kind)
-            if kind == "layer below":
-                assert oracles.in_module(A, lifted(A, [w]), k), (A.name, k)
-                assert derivation._kept_values(A, [w], k) == [row]
-            kinds.add(kind)
-    assert kinds == {"coefficient", "a line", "zero", "layer below"}
+    for A in inputs:
+        for k, row, vec, (v, missing) in _point_candidates(A):
+            where = (A.name, k)
+            assert vec == oracles.point_derivation(A, v, missing, k), where
+            assert oracles.in_module(A, lifted(A, [vec]), k), where
+            assert [row] == derivation._kept_values(A, [vec], k), where
+            # (a pencil's degree 0, H0 misses v)
+            kinds.add((not k, bool(missing) and not missing[0]))
+    assert kinds == {(True, False), (False, False), (False, True)}
 
 
-def test_the_check_evaluates_at_its_power_of_two(monkeypatch):
-    # each kept component is evaluated once, at T = 2^b with b the bit
-    # length of max |vec| plus _closed_form_bound
-    kronecker = derivation._kronecker
-    bits = []
-
-    def recording(poly, k, b):
-        bits.append(b)
-        return kronecker(poly, k, b)
-
-    monkeypatch.setattr(derivation, "_kronecker", recording)
-    for A, k, _, vec, (v, missing) in _member_candidates():
-        bits.clear()
-        assert derivation._is_closed_form(A, vec, v, missing, k)
-        assert bits == [_base_bits(A, vec, v, missing)] * 2, (A.name, k)
+def _decoded_at(forms, v, missing, k, kept, width):
+    """The pair that _point_pair decodes, at the given width in bytes in
+    place of its own, or None when the values overflow the digits."""
+    T = 1 << 8 * width
+    values = derivation._point_values(forms, v, missing, (1, T, T ** (k + 1)),
+                                      kept)
+    try:
+        return [c for value in values
+                for c in derivation._digits(value, k, width)]
+    except OverflowError:
+        return None
 
 
 @pytest.mark.parametrize("beta", [(0, 0, 1), (0, 0, 2), (0, 3, 0), (-5, 0, 0)])
 @pytest.mark.parametrize("k", [0, 1, 4])
-def test_a_restricted_coefficient_reaches_the_evaluation_base(beta, k):
-    # the evaluation base T = 2^b of the check must exceed every coefficient
-    # of the difference of a vector and the closed form C.  With H0 through
-    # v and the k missing forms all beta = beta_f x_f, g_v = beta_f^k x_f^k
-    # is one monomial, and C has a coefficient at the bound B = |beta|_1^k
-    # |v|_inf, in a kept component when H0 keeps the coordinate of |v|_inf.
-    # vec = -C, with max |vec| = B, differs from C by M = 2B
-    # there, and T is the least power of two above M.  At T / 2 <= M the
-    # nonzero form (T / 2) x^k - x^(k - 1) y, its coefficients at most M,
-    # vanishes: no smaller power of two is sound
-    m = monomial_count(3, k)
+def test_a_restricted_coefficient_reaches_the_evaluation_base(beta, k,
+                                                              monkeypatch):
+    # the decode's base T = 2^(8 width) must have T / 2 above every
+    # coefficient of the closed form C.  With H0 through v and the k missing
+    # forms all beta = beta_f x_f, g_v = beta_f^k x_f^k is one monomial, and
+    # C has a coefficient at the bound B = |beta|_1^k |v|_inf, in a kept
+    # component when H0 keeps the coordinate of |v|_inf.  The decode reads
+    # both components at the fewest bytes with T / 2 > B, and gives C; every
+    # fewer bytes, T / 2 <= B, which v = (0, 200, 7) reaches even at k = 0,
+    # read another form or overflow the digits
+    digits = derivation._digits
+    widths = []
+
+    def recording(value, k, width):
+        widths.append(width)
+        return digits(value, k, width)
+
     missing = list(range(1, k + 1))
+    short = 0
     for alpha, v in [((1, 1, 1), (1, 0, 0)), ((1, 1, 1), (2, -3, 1)),
-                     ((1, 0, 0), (0, 0, -5))]:
+                     ((1, 0, 0), (0, 0, -5)), ((1, 1, 1), (0, 200, 7))]:
         forms = [alpha] + [beta] * k
         kept = line_frame(alpha)[1:3]
-        C = [v[c] * x for c in kept for x in derivation._form_product([beta] * k)]
+        C = [v[c] * x for c in kept for x in oracles.form_product([beta] * k)]
         bound = derivation._closed_form_bound(forms, v, missing)
         assert max(map(abs, C)) == bound \
             == sum(map(abs, beta)) ** k * max(map(abs, v))
-        vec = [-x for x in C]
-        M = max(abs(a - c) for a, c in zip(vec, C))
-        assert M == max(map(abs, vec)) + bound
-        b = M.bit_length()
-        assert 1 << (b - 1) <= M < 1 << b
-        T = 1 << b
-        at = derivation._point_values(forms, v, missing, (1, T, T ** (k + 1)),
-                                      kept)
-        assert at == [derivation._kronecker(C[c * m:(c + 1) * m], k, b)
-                      for c in range(2)]
-        assert at != [derivation._kronecker(vec[c * m:(c + 1) * m], k, b)
-                      for c in range(2)]
-        if k:
-            D = [0] * m
-            D[0], D[1] = 1 << (b - 1), -1
-            assert monomials(3, k)[:2] == ((k, 0, 0), (k - 1, 1, 0))
-            assert derivation._kronecker(D, k, b - 1) == 0
-            assert derivation._kronecker(D, k, b) != 0
+        widths.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(derivation, "_digits", recording)
+            assert derivation._point_pair(forms, v, missing, k, kept) == C
+        width = widths[0]
+        assert widths == [width] * 2 and 1 << (8 * width - 1) > bound
+        for w in range(1, width):
+            assert 1 << (8 * w - 1) <= bound
+            assert _decoded_at(forms, v, missing, k, kept, w) != C
+            short += 1
+    assert short
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_the_closed_form_check_is_equality(data):
-    # a point derivation's kept pair perturbed along a direction u with
-    # alpha_H0(u) = 0, so that only the lines decide for the module; by an
-    # alpha_H0 multiple; by alpha_H0 times a vector of layer k - 1; by one
-    # coefficient as large as the base; or not at all.  The check accepts
-    # exactly the pair itself, and only pairs of D_{H0}(A)
-    A, k, _, vec, (v, missing) = data.draw(
-        st.sampled_from(_member_candidates()), label="candidate")
-    w = list(vec)
+def test_the_digits_read_back_every_form_below_half_the_base(data):
+    # any degree-k form whose coefficients lie in [-T / 2, T / 2),
+    # T = 2^(8 width), the ends included, is read back from its value at
+    # (1, T, T^(k + 1)), summed here term by term
+    k = data.draw(st.integers(0, 6), label="k")
+    width = data.draw(st.integers(1, 3), label="width")
+    half = 1 << (8 * width - 1)
+    coeff = st.integers(-half, half - 1) | st.sampled_from([-half, half - 1, 0])
     m = monomial_count(3, k)
-    kind = data.draw(st.sampled_from(["along H0", "alpha_H0", "layer below",
-                                      "base", "none"]))
-    j = data.draw(st.integers(0, m - 1), label="monomial")
-    if kind == "along H0":
-        alpha = A.lines[0].int_coeffs
-        u = [alpha[1], -alpha[0], 0] if alpha[0] or alpha[1] else [1, 0, 0]
-        d = data.draw(st.integers(-3, 3) | st.sampled_from([2 ** 64, -2 ** 64]))
-        for i, c in enumerate(line_frame(alpha)[1:3]):
-            w[i * m + j] += d * u[c]
-    elif kind == "alpha_H0" and k:
-        w = [a + b for a, b in zip(w, _line_multiple(A, k))]
-    elif kind == "layer below" and _below(A, k):
-        below = _below(A, k)
-        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(below),
-                                    max_size=len(below)), label="coeffs")
-        w = [a + b for a, b in zip(w, derivation._combine(coeffs, below, 2 * m))]
-    elif kind == "base":
-        T = 1 << _base_bits(A, vec, v, missing)
-        d = data.draw(st.sampled_from([T - 1, 1 - T, T, -T]), label="change")
-        w[data.draw(st.integers(0, 1), label="component") * m + j] += d
-    got = derivation._is_closed_form(A, w, v, missing, k)
-    assert got == (w == vec)
-    if got:
-        assert oracles.in_module(A, lifted(A, [w]), k)
+    form = data.draw(st.lists(coeff, min_size=m, max_size=m), label="form")
+    T = 1 << 8 * width
+    value = sum(c * T ** (j + (k + 1) * l)
+                for c, (_, j, l) in zip(form, monomials(3, k)))
+    assert derivation._digits(value, k, width) == form
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +388,7 @@ _SWEEP = {"ladder": lambda: _ladder(1) + _ladder(2),
 @pytest.mark.parametrize("name", sorted(_SWEEP))
 def test_chosen_point_derivations_pass_the_restriction_oracle(name,
                                                               monkeypatch):
-    # at run time each chosen point derivation is compared with its closed
+    # at run time each chosen point derivation is decoded from its closed
     # form only; here, in both scans of _resolution, each lifts into
     # D_{H0}(A) by restriction to every line, and the row its layer stores
     # is the kept values of its stored pair
