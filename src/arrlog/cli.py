@@ -55,6 +55,8 @@ def _emit(doc, output: str, text_render=None):
 
 
 def _line_indices(A: Arrangement, args) -> list[int]:
+    if args.all and args.line is not None:
+        raise UsageError("--line and --all exclude each other")
     if args.all:
         return list(range(len(A)))
     if args.line is None:
@@ -178,11 +180,14 @@ def cmd_verify(args) -> int:
         raise UsageError("verify takes an input file or --corpus, not both")
     if not args.corpus and args.random:
         raise UsageError("--random needs --corpus")
-    if args.corpus and args.max_lines < 3:
+    if not args.corpus and args.max_lines is not None:
+        raise UsageError("--max-lines needs --corpus")
+    max_lines = 8 if args.max_lines is None else args.max_lines
+    if args.corpus and max_lines < 3:
         raise UsageError("--max-lines must be at least 3")
     if args.corpus:
         arrangements = [f.build() for f in corpus_mod.FIXTURES]
-        arrangements += corpus_mod.random_corpus(args.random, args.max_lines,
+        arrangements += corpus_mod.random_corpus(args.random, max_lines,
                                                  args.seed)
     else:
         if not args.input:
@@ -215,14 +220,17 @@ def cmd_gen(args) -> int:
     family = args.family
     if args.n < (3 if family == "near-pencil" else 1):
         raise UsageError(f"--n {args.n} is too small for the {family} family")
+    if family in ("pencil", "near-pencil") and args.seed is not None:
+        raise UsageError(f"the {family} family takes no --seed")
+    seed = 1 if args.seed is None else args.seed
     if family == "pencil":
         A = corpus_mod.pencil(args.n)
     elif family == "near-pencil":
         A = corpus_mod.near_pencil(args.n)
     elif family == "generic":
-        A = corpus_mod.generic(args.n, args.seed)
+        A = corpus_mod.generic(args.n, seed)
     elif family == "random":
-        A = corpus_mod.random_arrangement(args.n, args.seed)
+        A = corpus_mod.random_arrangement(args.n, seed)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown family {family!r}")
     _emit(to_document(A), args.output)
@@ -279,7 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="verify the fixture corpus (plus --random extras)")
     sp.add_argument("--random", type=_ascii_int, default=0,
                     help="number of random arrangements to add to --corpus")
-    sp.add_argument("--max-lines", type=_ascii_int, default=8)
+    sp.add_argument("--max-lines", type=_ascii_int,
+                    help="largest random arrangement of --corpus (default 8)")
     sp.add_argument("--seed", type=_ascii_int, default=1)
     sp.add_argument("--external", type=_ascii_int, default=20,
                     help="external admissible lines sampled per arrangement")
@@ -289,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True,
                     choices=("generic", "near-pencil", "pencil", "random"))
     sp.add_argument("--n", type=_ascii_int, required=True)
-    sp.add_argument("--seed", type=_ascii_int, default=1)
+    sp.add_argument("--seed", type=_ascii_int,
+                    help="seed of the generic and random families (default 1)")
     sp.add_argument("--output", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_gen)
 

@@ -83,7 +83,12 @@ number must be the dimension S leaves.
 
 The scan ends with a proof, not with more layers: _spans_module shows
 from a determinant and the global Tjurina number that at most three
-generators found span all of D_{H0}(A).  Only minimal_resolution reaches
+generators found span all of D_{H0}(A).  When the lowest nonzero layer,
+of degree d, gives one generator, a point derivation of degree |A| - 1 - d
+may be its Saito partner (_saito_partner): one value of each closed form
+at a point off the lines shows det[theta_E, theta, theta_v] nonzero, and
+_spans_module proves the pair a basis, with no layer in between read.
+Only minimal_resolution reaches
 four or more generators, and it ends at degree |A| - 1: Schenck (2003,
 "Elementary modifications and line configurations in P^2") bounds
 reg D_0(A) <= |A| - 2 for an arrangement that is not a pencil, so no
@@ -399,12 +404,21 @@ def _shift_candidates(A: Arrangement, k: int, prev: _Layer, points):
                        lambda theta=theta, var=var: _shift_vec(theta, k - 1, var))
 
 
+def _derivation_points(A: Arrangement, k: int):
+    """(v, missing) for each point derivation of degree k: v an intersection
+    point of multiplicity |A| - k, and missing the indices of the lines that
+    miss it, increasing (see _point_values)."""
+    n = len(A)
+    for X in intersection_points(A):
+        if X.multiplicity == n - k:
+            yield X.int_point, [K for K in range(n) if K not in X.incident_lines]
+
+
 def _candidates(A: Arrangement, k: int, prev: _Layer, points):
     """Derivations in D_{H0}(A)_k, each as (its kept values at points, a
     builder of its kept pair, and (v, missing) for a point
     derivation, else None): the shift candidates of _shift_candidates, then
-    the point derivations of degree k, one for each intersection point v of
-    multiplicity |A| - k, missing the lines that miss it, with the kept
+    the point derivations of degree k (_derivation_points), with the kept
     values of their closed form (_point_values) and that closed form's
     pair, decoded from its values at the Kronecker point (_point_pair), as
     builder."""
@@ -412,12 +426,7 @@ def _candidates(A: Arrangement, k: int, prev: _Layer, points):
     for row, build in _shift_candidates(A, k, prev, points):
         yield row, build, None
     forms = [line.int_coeffs for line in A.lines]
-    n = len(A)
-    for X in intersection_points(A):
-        if X.multiplicity != n - k:
-            continue
-        v = X.int_point
-        missing = [K for K in range(n) if K not in X.incident_lines]
+    for v, missing in _derivation_points(A, k):
         row = [x for P in points for x in _point_values(forms, v, missing, P, kept)]
         yield (row, lambda v=v, missing=missing: _point_pair(forms, v, missing, k, kept),
                (v, missing))
@@ -790,6 +799,37 @@ def _rank_two(A: Arrangement, gens) -> bool:
     return False
 
 
+def _saito_partner(A: Arrangement, k: int, theta):
+    """The kept pair of a point derivation of degree |A| - 1 - k that makes
+    det[theta_E, theta, theta_v] nonzero, theta a degree-k kept pair of
+    D_{H0}(A), or None when no point derivation does.
+
+    The candidates are the point derivations theta_v of the points v of
+    multiplicity k + 1 (_derivation_points), each in D_{H0}(A) by its
+    closed form (_point_pair).  The determinant has degree |A|, and every
+    alpha_K divides it, as theta_E, theta and theta_v all take alpha_K
+    into the ideal of alpha_K: it is c Q(A).  It is +-alpha_f alpha_H0
+    times the form a b' - a' b of the two kept pairs (see _rank_two), so at
+    a point P off every line it vanishes iff c = 0.  Such a P lies in
+    {0..|A|}^2 x {1}, as Q(x, y, 1) is a nonzero polynomial of degree at
+    most |A| in x and in y.  So one value of each closed form at P decides,
+    and only the first theta_v with a b' - a' b nonzero there is decoded.
+    By Saito's criterion, theta and it are then a basis, which
+    _resolution still proves by _spans_module alone."""
+    n = len(A)
+    forms = [line.int_coeffs for line in A.lines]
+    P = next((x, y, 1) for x in range(n + 1) for y in range(n + 1)
+             if all(a * x + b * y + c for a, b, c in forms))
+    kept = line_frame(forms[0])[1:3]
+    m = monomial_count(3, k)
+    a, b = _evaluate((theta[:m], theta[m:]), _point_row(P, k))
+    for v, missing in _derivation_points(A, n - 1 - k):
+        c, d = _point_values(forms, v, missing, P, kept)
+        if a * d - b * c:
+            return _point_pair(forms, v, missing, n - 1 - k, kept)
+    return None
+
+
 def _spans_module(A: Arrangement, gens, rels) -> bool:
     """Whether the module N spanned by at most three generators is all of
     D_{H0}(A), given their relation degrees rels as the scan found them,
@@ -797,10 +837,11 @@ def _spans_module(A: Arrangement, gens, rels) -> bool:
 
     Precondition, not checked here but guarded by the CI step "Relation
     degrees reach _spans_module only from _resolution": rels are the
-    relation degrees _resolution counted for these same generators.  Others
-    of the same degrees can pass with a wrong relation degree (theta_2 =
-    x theta_1, say), since some pair keeps rank 2 and the identity sees
-    only degrees.
+    relation degrees _resolution counted for these same generators, or
+    none for two generators, a scanned one and its Saito partner
+    (_saito_partner).  Three generators of the same degrees can pass with
+    a wrong relation degree (theta_2 = x theta_1, say), since some pair
+    keeps rank 2 and the identity sees only degrees; two of rank 2 cannot.
 
     N has rank 2 when _rank_two holds, a 2 x 2 form in the kept pairs (see
     there).  With two generators N is then free;
@@ -902,6 +943,15 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
     (_new_generators).  Relations are counted from the Hilbert function,
     and the scan ends with the proofs of _spans_module or at Schenck's
     bound.
+
+    When the lowest nonzero layer, of degree k, gives one generator and
+    k < |A| - 1 - k <= cap, _saito_partner looks for a point derivation of
+    degree |A| - 1 - k that makes a free basis with it.  The pair ends the
+    scan only if _spans_module proves it, and then it is the shape the
+    scan would reach at degree |A| - 1 - k: a free module's layers in
+    between give no generator and no relation.  When no point derivation
+    passes, or the cap lies below |A| - 1 - k, the scan goes on as before.
+    The layers it skips are built on demand by their readers (_layer).
     """
     cap = degree_cap(A)
     n = len(A)
@@ -946,6 +996,15 @@ def _resolution(A: Arrangement, early_stop: bool) -> _ResolutionData:
         elif (gd and len(gd) - len(rels) == 2 and sum(gd) - sum(rels) == n - 1
               and _spans_module(A, gens, rels)):
             break
+        # the lowest nonzero layer gives one generator and no relation: a
+        # point derivation of degree n - 1 - k may complete it to a free
+        # basis (_saito_partner), which ends the scan with no layer between
+        if gd == [k] and k < n - 1 - k <= cap:
+            partner = _saito_partner(A, k, gens[0][1])
+            if partner is not None and _spans_module(
+                    A, gens + [(n - 1 - k, partner)], rels):
+                gens.append((n - 1 - k, partner))
+                break
         if k >= cap:
             cap_hit = True
             break

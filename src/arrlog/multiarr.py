@@ -159,7 +159,8 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
     nonzero multiple of its restriction in that parametrization, so its
     canonical LinearForm2 is the same; proportional restrictions are grouped
     and each group's cardinality (the point multiplicity minus one) becomes
-    the weight.
+    the weight.  The weights count the |A| - 1 other lines, so they sum to
+    |A| - 1.
     """
     if not 0 <= H < len(A):
         raise IndexError("line index out of range")
@@ -169,7 +170,6 @@ def ziegler_restriction(A: Arrangement, H: int) -> tuple[Multiarrangement2, Line
         beta, [f.int_coeffs for f in others]))
     items = sorted(counts.items(), key=_BY_FORM)
     M = Multiarrangement2(tuple(f for f, _ in items), tuple(m for _, m in items))
-    assert M.total == len(A) - 1
     return M, line_frame(beta)
 
 

@@ -469,12 +469,22 @@ def test_bad_generator_argument_exit_2(capsys, argv):
     ("verify", "{path}", "--random", "3"),
     ("splitting", "{path}", "--form", "1,2,5", "--line", "0"),
     ("splitting", "{path}", "--form", "1,2,5", "--all"),
+    ("verify", "{path}", "--max-lines", "5"),
+    ("gen", "--family", "pencil", "--n", "5", "--seed", "3"),
+    ("gen", "--family", "near-pencil", "--n", "5", "--seed", "3"),
+    ("ziegler", "{path}", "--line", "1", "--all"),
+    ("defects", "{path}", "--line", "1", "--all"),
+    ("property-p", "{path}", "--line", "1", "--all"),
+    ("splitting", "{path}", "--line", "1", "--all"),
 ], ids=["verify-file-corpus", "verify-file-random", "splitting-form-line",
-        "splitting-form-all"])
+        "splitting-form-all", "verify-file-max-lines", "gen-pencil-seed",
+        "gen-near-pencil-seed", "ziegler-line-all", "defects-line-all",
+        "property-p-line-all", "splitting-line-all"])
 def test_an_option_the_command_would_drop_exit_2(tmp_path, capsys, argv):
-    # each pair would run one of its options and ignore the other: verify
-    # the corpus and not the file, the file and no random arrangements, the
-    # external line and not the member lines
+    # each would run without one of its options: verify the corpus and not
+    # the file, the file and no random arrangements or no line bound, the
+    # external line and not the member lines, a family that reads no seed,
+    # and every line and not the one named
     path = write_doc(tmp_path, fixture("generic4").document())
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert (code, out) == (2, "")

@@ -96,10 +96,20 @@ def record_kernel_moduli(mp):
     return tried
 
 
-def scanned_degrees(A, early_stop, monkeypatch):
+def without_partner(mp):
+    """Turn off the Saito partner of derivation._resolution
+    (_saito_partner) in the monkeypatch context mp: the scan then reads
+    every layer up to where the layers alone end it, those the partner
+    skips included."""
+    mp.setattr(derivation, "_saito_partner", lambda A, k, theta: None)
+
+
+def scanned_degrees(A, early_stop, monkeypatch, partner=False):
     """The degrees whose _layer derivation._resolution(A, early_stop) asks
     for: early_stop=True is the scan of classify; False, of
-    minimal_resolution."""
+    minimal_resolution.  With partner=False, the scan with no Saito
+    partner (without_partner), so the layer tests read the layers that
+    the partner skips as well."""
     scanned = []
     cached = derivation._layer
 
@@ -109,6 +119,8 @@ def scanned_degrees(A, early_stop, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(derivation, "_layer", record)
+        if not partner:
+            without_partner(m)
         derivation._resolution(A, early_stop)
     return scanned
 
@@ -342,7 +354,10 @@ def in_layer(A, k, v) -> bool:
 def test_generators_match_span_builder(A, early_stop, monkeypatch):
     # in every degree the scan visits, the generators are as many as a
     # SpanBuilder picks; they lie in D_{H0}(A), are independent modulo x,
-    # y and z times the layer below, and complete those shifts to the layer
+    # y and z times the layer below, and complete those shifts to the layer.
+    # The scan runs with no Saito partner, so it visits every degree up to
+    # its last generator
+    without_partner(monkeypatch)
     top = max(scanned_degrees(A, early_stop, monkeypatch))
     data = derivation._resolution(A, early_stop)
     assert [k for k, _ in data.generators] == [
